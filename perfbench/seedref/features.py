@@ -1,0 +1,385 @@
+"""Auditory features from second-layer receptive-field responses.
+
+Onset and offset maps are the rectified halves of the normalized first
+temporal derivative; spectral bands (partials at fine scales, formants at
+coarse scales) come from the rectified negated second spectral derivative;
+partial-tone curves are sub-bin ridge lines of that band response linked
+over frames; glissando slopes are estimated either by the maximum over a
+bank of shear-adapted filters or from the smoothed second-moment matrix of
+the spectro-temporal gradient.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass, field
+
+import numpy as np
+
+from seedref.receptive_fields import RFResponse, RFSpec, apply_rf
+from seedref.spectrogram import FrequencyGrid, LogSpectrogram
+from seedref.temporal_scale_space import (
+    Distribution,
+    TemporalKernelSpec,
+    build_ladder,
+)
+
+
+@dataclass
+class FeatureMap:
+    """A non-negative rectified feature field on spectrogram axes."""
+
+    values: np.ndarray  # (n_frames, n_channels) >= 0
+    frame_times: np.ndarray
+    grid: FrequencyGrid
+    kind: str
+    warmup_frames: np.ndarray
+    hop: int
+    sample_rate: float
+    metadata: dict = field(default_factory=dict)
+
+
+def _default_temporal(tau_a: float) -> TemporalKernelSpec:
+    """Time-causal uniform cascade with four stages at scale tau_a."""
+    return TemporalKernelSpec.cascade(build_ladder(Distribution.UNIFORM, tau_a, 4))
+
+
+def _zero_warmup(values: np.ndarray, warmup: np.ndarray) -> np.ndarray:
+    out = values.copy()
+    n_frames = out.shape[0]
+    for ch, w in enumerate(np.asarray(warmup, dtype=int)):
+        out[: min(int(w), n_frames), ch] = 0.0
+    return out
+
+
+def temporal_derivative_response(
+    S: LogSpectrogram, tau_a: float, s: float, temporal: TemporalKernelSpec | None = None
+) -> RFResponse:
+    """Scale-normalized first temporal derivative sqrt(tau_a) d_t of the
+    smoothed dB map; the shared core of onset and offset detection."""
+    if temporal is None:
+        temporal = _default_temporal(tau_a)
+    spec = RFSpec(temporal=temporal, s=s, alpha=1, beta=0, normalized=True)
+    return apply_rf(S, spec)
+
+
+def detect_onsets(
+    S: LogSpectrogram, tau_a: float, s: float, temporal: TemporalKernelSpec | None = None
+) -> FeatureMap:
+    """Rectified positive part of the normalized first temporal derivative."""
+    resp = temporal_derivative_response(S, tau_a, s, temporal)
+    values = _zero_warmup(np.maximum(resp.values, 0.0), resp.warmup_frames)
+    return FeatureMap(
+        values=values,
+        frame_times=resp.frame_times,
+        grid=resp.grid,
+        kind="onset",
+        warmup_frames=resp.warmup_frames,
+        hop=resp.hop,
+        sample_rate=resp.sample_rate,
+    )
+
+
+def detect_offsets(
+    S: LogSpectrogram, tau_a: float, s: float, temporal: TemporalKernelSpec | None = None
+) -> FeatureMap:
+    """Rectified negative part of the normalized first temporal derivative."""
+    resp = temporal_derivative_response(S, tau_a, s, temporal)
+    values = _zero_warmup(np.maximum(-resp.values, 0.0), resp.warmup_frames)
+    return FeatureMap(
+        values=values,
+        frame_times=resp.frame_times,
+        grid=resp.grid,
+        kind="offset",
+        warmup_frames=resp.warmup_frames,
+        hop=resp.hop,
+        sample_rate=resp.sample_rate,
+    )
+
+
+def band_response(
+    S: LogSpectrogram,
+    tau_a: float,
+    s: float,
+    temporal: TemporalKernelSpec | None = None,
+    v: float = 0.0,
+) -> RFResponse:
+    """Unrectified band strength -D_nunu = -s d_nunu of the smoothed dB map."""
+    if s <= 0:
+        raise ValueError(f"band enhancement needs s > 0, got {s}")
+    if temporal is None:
+        temporal = _default_temporal(tau_a)
+    spec = RFSpec(temporal=temporal, s=s, v=v, alpha=0, beta=2, normalized=True)
+    resp = apply_rf(S, spec)
+    resp.values = -resp.values
+    return resp
+
+
+def enhance_bands(
+    S: LogSpectrogram,
+    tau_a: float,
+    s: float,
+    temporal: TemporalKernelSpec | None = None,
+) -> FeatureMap:
+    """Rectified -D_nunu: fine s sharpens partial tones, coarse s formants."""
+    resp = band_response(S, tau_a, s, temporal)
+    values = _zero_warmup(np.maximum(resp.values, 0.0), resp.warmup_frames)
+    return FeatureMap(
+        values=values,
+        frame_times=resp.frame_times,
+        grid=resp.grid,
+        kind="band",
+        warmup_frames=resp.warmup_frames,
+        hop=resp.hop,
+        sample_rate=resp.sample_rate,
+    )
+
+
+@dataclass
+class PartialCurve:
+    """A linked sub-bin ridge line of the band response."""
+
+    frames: np.ndarray  # frame indices, consecutive
+    nus: np.ndarray  # sub-bin frequencies, semitones
+    strengths: np.ndarray  # band response at the ridge
+
+    @property
+    def mean_nu(self) -> float:
+        return float(np.mean(self.nus))
+
+
+def _frame_ridge_points(
+    row: np.ndarray, nu0: float, dnu: float, c_min: float
+) -> list[tuple[float, float]]:
+    """Sub-bin maxima of one frame's band response.
+
+    Zero crossings of the central-difference derivative are located by
+    linear interpolation where the second difference is negative and the
+    interpolated response clears the threshold. Crossings touching the grid
+    border are discarded.
+    """
+    n = len(row)
+    if n < 5:
+        return []
+    d = np.zeros(n)
+    d[1:-1] = (row[2:] - row[:-2]) / (2.0 * dnu)
+    dd = np.full(n, 1.0)
+    dd[1:-1] = (row[2:] - 2.0 * row[1:-1] + row[:-2]) / (dnu * dnu)
+    points = []
+    for i in range(1, n - 2):
+        if d[i] > 0.0 >= d[i + 1] and (d[i] != 0.0 or d[i + 1] != 0.0):
+            frac = d[i] / (d[i] - d[i + 1])
+            if dd[i] >= 0.0 and dd[i + 1] >= 0.0:
+                continue
+            strength = row[i] + frac * (row[i + 1] - row[i])
+            if strength < c_min:
+                continue
+            points.append((nu0 + (i + frac) * dnu, strength))
+    return points
+
+
+def extract_partial_curves(
+    band: RFResponse,
+    c_min: float = 3.0,
+    max_jump: float = 1.0,
+) -> list[PartialCurve]:
+    """Link per-frame sub-bin ridge points into partial-tone curves.
+
+    Points are matched greedily to the nearest active curve within
+    ``max_jump`` semitones per frame; unmatched points open new curves and
+    curves that miss a frame are closed. A point is admitted only once every
+    channel in its detection stencil has passed its own warm-up, so slow
+    low-frequency channels do not gate the rest of the grid.
+    """
+    values = band.values
+    nu0 = float(band.grid.nu[0])
+    dnu = band.grid.delta_nu
+    n_frames, n_ch = values.shape
+    warm = (
+        np.asarray(band.warmup_frames, dtype=int)
+        if len(band.warmup_frames)
+        else np.zeros(n_ch, dtype=int)
+    )
+    warm_min = int(warm.min())
+    warm_max = int(warm.max())
+    active: list[dict] = []
+    finished: list[dict] = []
+    for j in range(n_frames):
+        points = [] if j < warm_min else _frame_ridge_points(values[j], nu0, dnu, c_min)
+        if points and j < warm_max:
+            # ridge detection at bin i reads rows i-1..i+2
+            kept = []
+            for nu, strength in points:
+                i = int((nu - nu0) / dnu)
+                if j >= int(warm[max(0, i - 1) : min(n_ch, i + 3)].max()):
+                    kept.append((nu, strength))
+            points = kept
+        taken = [False] * len(points)
+        survivors = []
+        for curve in active:
+            best = -1
+            best_dist = max_jump
+            for idx, (nu, _) in enumerate(points):
+                dist = abs(nu - curve["nus"][-1])
+                if not taken[idx] and dist <= best_dist:
+                    best = idx
+                    best_dist = dist
+            if best >= 0:
+                taken[best] = True
+                nu, strength = points[best]
+                curve["frames"].append(j)
+                curve["nus"].append(nu)
+                curve["strengths"].append(strength)
+                survivors.append(curve)
+            else:
+                finished.append(curve)
+        for idx, (nu, strength) in enumerate(points):
+            if not taken[idx]:
+                survivors.append({"frames": [j], "nus": [nu], "strengths": [strength]})
+        active = survivors
+    finished.extend(active)
+    finished.sort(key=lambda cu: (cu["frames"][0], cu["nus"][0]))
+    return [
+        PartialCurve(
+            frames=np.array(cu["frames"], dtype=int),
+            nus=np.array(cu["nus"]),
+            strengths=np.array(cu["strengths"]),
+        )
+        for cu in finished
+    ]
+
+
+@dataclass
+class GlissandoBankEstimate:
+    """Per-cell best shear slope over a filter bank."""
+
+    vhat: np.ndarray  # (n_frames, n_channels) semitones/second
+    response: np.ndarray  # band response at the selected slope
+    bank: tuple[float, ...]
+    frame_times: np.ndarray
+    grid: FrequencyGrid
+    warmup_frames: np.ndarray
+
+
+def glissando_filterbank(
+    S: LogSpectrogram,
+    v_bank,
+    tau_a: float,
+    s: float,
+    temporal: TemporalKernelSpec | None = None,
+) -> GlissandoBankEstimate:
+    """Per cell, the bank slope whose adapted band response is largest.
+
+    Ties break toward the smallest |v| (then toward negative v) by visiting
+    the bank in that order and replacing only on strict improvement.
+    """
+    bank = list(v_bank)
+    if not bank:
+        raise ValueError("glissando bank must not be empty")
+    order = sorted(bank, key=lambda v: (abs(v), v))
+    vhat = None
+    best = None
+    warmup = None
+    resp0 = None
+    for v in order:
+        resp = band_response(S, tau_a, s, temporal, v=v)
+        if best is None:
+            best = resp.values.copy()
+            vhat = np.full(best.shape, v, dtype=float)
+            warmup = resp.warmup_frames
+            resp0 = resp
+        else:
+            better = resp.values > best
+            best[better] = resp.values[better]
+            vhat[better] = v
+    return GlissandoBankEstimate(
+        vhat=vhat,
+        response=best,
+        bank=tuple(bank),
+        frame_times=resp0.frame_times,
+        grid=resp0.grid,
+        warmup_frames=warmup,
+    )
+
+
+@dataclass
+class SecondMomentField:
+    """Smoothed outer products of the spectro-temporal gradient."""
+
+    upsilon_tt: np.ndarray
+    upsilon_tnu: np.ndarray
+    upsilon_nunu: np.ndarray
+    vhat: np.ndarray  # -Y_tnu / Y_nunu where defined, else 0
+    defined: np.ndarray  # bool mask of cells above the stability floor
+    frame_times: np.ndarray
+    grid: FrequencyGrid
+    warmup_frames: np.ndarray
+
+
+def second_moment_glissando(
+    S: LogSpectrogram,
+    tau_a: float,
+    s: float,
+    tau_i: float,
+    s_i: float,
+    temporal: TemporalKernelSpec | None = None,
+    integration_temporal: TemporalKernelSpec | None = None,
+) -> SecondMomentField:
+    """Glissando slope from the smoothed second-moment matrix.
+
+    Unnormalized derivatives keep physical units, so
+    vhat = -Y_tnu / Y_nunu is a slope in semitones/second. Cells whose
+    Y_nunu falls below 1e-6 times the field median are marked undefined.
+    """
+    if tau_i < tau_a or s_i < s:
+        raise ValueError("integration scales must be at least the derivative scales")
+    if temporal is None:
+        temporal = _default_temporal(tau_a)
+    if integration_temporal is None:
+        integration_temporal = _default_temporal(tau_i)
+    lt = apply_rf(S, RFSpec(temporal=temporal, s=s, alpha=1, beta=0, normalized=False))
+    lnu = apply_rf(S, RFSpec(temporal=temporal, s=s, alpha=0, beta=1, normalized=False))
+
+    def integrate(product: np.ndarray) -> np.ndarray:
+        carrier = LogSpectrogram(
+            values=product,
+            frame_times=S.frame_times,
+            grid=S.grid,
+            sample_rate=S.sample_rate,
+            hop=S.hop,
+            family=S.family,
+            S0=S.S0,
+            warmup_frames=S.warmup_frames,
+        )
+        smoothed = apply_rf(
+            carrier, RFSpec(temporal=integration_temporal, s=s_i, alpha=0, beta=0)
+        )
+        return smoothed.values, smoothed.warmup_frames
+
+    y_tt, warm = integrate(lt.values * lt.values)
+    y_tnu, _ = integrate(lt.values * lnu.values)
+    y_nunu, _ = integrate(lnu.values * lnu.values)
+    warmup = np.maximum(warm, lt.warmup_frames)
+    floor = 1e-6 * float(np.median(y_nunu))
+    defined = y_nunu > max(floor, 0.0)
+    vhat = np.zeros_like(y_nunu)
+    np.divide(-y_tnu, y_nunu, out=vhat, where=defined)
+    return SecondMomentField(
+        upsilon_tt=y_tt,
+        upsilon_tnu=y_tnu,
+        upsilon_nunu=y_nunu,
+        vhat=vhat,
+        defined=defined,
+        frame_times=S.frame_times,
+        grid=S.grid,
+        warmup_frames=warmup,
+    )
+
+
+def ridge_mask(values: np.ndarray, warmup_frames, c_min: float = 3.0) -> np.ndarray:
+    """Cells whose band response clears c_min, outside warm-up frames."""
+    mask = values >= c_min
+    n_frames = mask.shape[0]
+    for ch, w in enumerate(np.asarray(warmup_frames, dtype=int)):
+        mask[: min(int(w), n_frames), ch] = False
+    return mask

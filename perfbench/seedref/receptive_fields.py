@@ -1,0 +1,314 @@
+"""Second-layer spectro-temporal receptive fields over the dB spectrogram.
+
+A receptive field here is a separable smoothing (causal cascade or Gaussian
+over frame time, Gaussian over log-frequency) followed by small-stencil
+derivatives of order up to two along each axis, optionally scale-normalized
+by tau_a^{alpha/2} s^{beta/2}. Glissando adaptation (a shear of the
+time-frequency plane at v semitones/second) is realized by warping the
+spectrogram along the frequency axis, applying the separable operator, and
+warping back, which is equivalent to convolving with the sheared kernel.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass, field, replace
+
+import numpy as np
+from scipy.ndimage import correlate1d
+
+from seedref.spectrogram import FrequencyGrid, LogSpectrogram
+from seedref.temporal_scale_space import (
+    TemporalKernelSpec,
+    cascade_kernel_numeric,
+    composed_uniform_kernel_dt,
+    composed_uniform_kernel_dtt,
+    composed_uniform_kernel_sample,
+    discrete_gaussian_kernel,
+    discrete_gaussian_smooth,
+    discretize_ladder,
+    gaussian_derivative_sample,
+    recursive_stage,
+    Distribution,
+)
+
+
+@dataclass(frozen=True)
+class RFSpec:
+    """Spectro-temporal receptive field parameters.
+
+    ``temporal`` carries the temporal smoothing family with scale tau_a in
+    seconds^2; ``s`` is the spectral variance in semitones^2; ``v`` the
+    glissando slope in semitones/second; ``alpha``/``beta`` the temporal and
+    spectral derivative orders (0..2). When ``normalized`` is set, responses
+    are multiplied by tau_a^{alpha/2} s^{beta/2}.
+    """
+
+    temporal: TemporalKernelSpec
+    s: float
+    v: float = 0.0
+    alpha: int = 0
+    beta: int = 0
+    normalized: bool = True
+
+    def __post_init__(self) -> None:
+        if self.s < 0:
+            raise ValueError(f"spectral scale s must be non-negative, got {self.s}")
+        if not (0 <= self.alpha <= 2) or not (0 <= self.beta <= 2):
+            raise ValueError("derivative orders alpha and beta must lie in 0..2")
+        if self.temporal.kind == "cascade" and self.alpha >= self.temporal.ladder.K:
+            raise ValueError(
+                f"temporal derivative order {self.alpha} needs more than "
+                f"{self.alpha} cascade stages (K={self.temporal.ladder.K})"
+            )
+
+    @property
+    def tau_a(self) -> float:
+        return self.temporal.scale
+
+
+@dataclass
+class RFResponse:
+    """Receptive-field response on the axes of the input spectrogram."""
+
+    values: np.ndarray  # (n_frames, n_channels)
+    frame_times: np.ndarray
+    grid: FrequencyGrid
+    spec: RFSpec
+    warmup_frames: np.ndarray
+    hop: int
+    sample_rate: float
+    metadata: dict = field(default_factory=dict)
+
+    @property
+    def frame_rate(self) -> float:
+        return self.sample_rate / self.hop
+
+
+def _mirror_indices(idx: np.ndarray, n: int) -> np.ndarray:
+    """Fold indices into [0, n) with edge-repeated mirror symmetry."""
+    if n == 1:
+        return np.zeros_like(idx)
+    m = np.mod(idx, 2 * n)
+    return np.where(m < n, m, 2 * n - 1 - m)
+
+
+def _warp_values(
+    values: np.ndarray, frame_times: np.ndarray, v: float, delta_nu: float
+) -> np.ndarray:
+    """Shift each frame along the frequency axis by v * (t - t_mid), Catmull-Rom.
+
+    Anchoring the shear at the middle frame instead of t = 0 changes the
+    warped frame only by a constant frequency relabeling (which the inverse
+    warp cancels exactly) but halves the worst-case drift, so long or fast
+    glissandi stay on the grid instead of folding at the boundaries.
+    """
+    n_frames, n_ch = values.shape
+    pivot = frame_times[n_frames // 2]
+    shift = v * (frame_times - pivot) / delta_nu
+    base = np.floor(shift).astype(int)
+    u = shift - base
+    u2 = u * u
+    u3 = u2 * u
+    w = np.stack(
+        [
+            0.5 * (-u3 + 2.0 * u2 - u),
+            0.5 * (3.0 * u3 - 5.0 * u2 + 2.0),
+            0.5 * (-3.0 * u3 + 4.0 * u2 + u),
+            0.5 * (u3 - u2),
+        ],
+        axis=1,
+    )  # (n_frames, 4) taps at offsets -1, 0, 1, 2
+    rows = np.arange(n_frames)[:, None]
+    cols = np.arange(n_ch)[None, :] + base[:, None]
+    out = np.zeros_like(values)
+    for tap, offset in enumerate((-1, 0, 1, 2)):
+        idx = _mirror_indices(cols + offset, n_ch)
+        out += w[:, tap : tap + 1] * values[rows, idx]
+    return out
+
+
+def glissando_warp(S: LogSpectrogram, v: float) -> LogSpectrogram:
+    """Warp nu' = nu - v (t - t_mid): a ridge gliding at v becomes constant-nu.
+
+    The co-moving frame is anchored at the middle frame. Out-of-range reads
+    mirror the data at the frequency boundaries; v = 0 is an exact identity.
+    The inverse warp is glissando_warp(S, -v) over the same frames.
+    """
+    values = _warp_values(S.values, S.frame_times, v, S.grid.delta_nu)
+    out = replace(S, values=values)
+    out.metadata = dict(S.metadata)
+    out.metadata["warp_v"] = out.metadata.get("warp_v", 0.0) + v
+    return out
+
+
+def _temporal_smooth(
+    values: np.ndarray, temporal: TemporalKernelSpec, frame_rate: float
+) -> tuple[np.ndarray, int]:
+    """Smooth along the frame axis; returns (smoothed, warm-up frames)."""
+    if temporal.kind == "cascade":
+        ladder = discretize_ladder(temporal.ladder, frame_rate)
+        cur = values
+        for mu in ladder.mus:
+            # Steady-state start at the first frame: a constant map stays
+            # exactly constant, so rectified derivatives of a flat baseline
+            # are identically zero instead of carrying a settling transient.
+            cur = recursive_stage(cur, mu, axis=0, init=cur[0])
+        return cur, int(math.ceil(5.0 * ladder.mu_sum))
+    s_frames = temporal.tau * frame_rate * frame_rate
+    kernel_half = discrete_gaussian_kernel(s_frames).origin_index if s_frames > 0 else 0
+    return discrete_gaussian_smooth(values, s_frames, axis=0), kernel_half
+
+
+def spectral_smooth(S: LogSpectrogram, s: float) -> LogSpectrogram:
+    """Gaussian smoothing along the log-frequency axis, s in semitones^2."""
+    if s < 0:
+        raise ValueError(f"spectral scale s must be non-negative, got {s}")
+    s_bins = s / (S.grid.delta_nu ** 2)
+    out = replace(S, values=discrete_gaussian_smooth(S.values, s_bins, axis=1))
+    out.metadata = dict(S.metadata)
+    return out
+
+
+def _derivative_t(values: np.ndarray, order: int, dt: float) -> np.ndarray:
+    if order == 0:
+        return values
+    if order == 1:
+        # Backward difference keeps the feature path causal.
+        out = np.zeros_like(values)
+        out[1:] = (values[1:] - values[:-1]) / dt
+        return out
+    if order == 2:
+        return correlate1d(values, [1.0, -2.0, 1.0], axis=0, mode="reflect") / (dt * dt)
+    raise ValueError(f"unsupported temporal derivative order {order}")
+
+
+def _derivative_nu(values: np.ndarray, order: int, dnu: float) -> np.ndarray:
+    if order == 0:
+        return values
+    if order == 1:
+        return correlate1d(values, [-0.5, 0.0, 0.5], axis=1, mode="reflect") / dnu
+    if order == 2:
+        return correlate1d(values, [1.0, -2.0, 1.0], axis=1, mode="reflect") / (dnu * dnu)
+    raise ValueError(f"unsupported spectral derivative order {order}")
+
+
+def apply_rf(S: LogSpectrogram, spec: RFSpec) -> RFResponse:
+    """Apply a spectro-temporal receptive field to a dB spectrogram.
+
+    Nonzero glissando slopes are handled by warping to the co-moving frame,
+    applying the separable operator there, and warping back.
+    """
+    if spec.v != 0.0:
+        warped = glissando_warp(S, spec.v)
+        inner = apply_rf(warped, replace(spec, v=0.0))
+        values = _warp_values(inner.values, S.frame_times, -spec.v, S.grid.delta_nu)
+        return RFResponse(
+            values=values,
+            frame_times=inner.frame_times,
+            grid=inner.grid,
+            spec=spec,
+            warmup_frames=inner.warmup_frames,
+            hop=inner.hop,
+            sample_rate=inner.sample_rate,
+            metadata=inner.metadata,
+        )
+    frame_rate = S.frame_rate
+    values, layer2_warm = _temporal_smooth(S.values, spec.temporal, frame_rate)
+    if spec.s > 0:
+        values = discrete_gaussian_smooth(values, spec.s / S.grid.delta_nu ** 2, axis=1)
+    dt = 1.0 / frame_rate
+    values = _derivative_t(values, spec.alpha, dt)
+    values = _derivative_nu(values, spec.beta, S.grid.delta_nu)
+    if spec.normalized:
+        values = values * (spec.tau_a ** (spec.alpha / 2.0) * spec.s ** (spec.beta / 2.0))
+    warmup = S.warmup_frames + layer2_warm + spec.alpha
+    return RFResponse(
+        values=values,
+        frame_times=S.frame_times,
+        grid=S.grid,
+        spec=spec,
+        warmup_frames=warmup,
+        hop=S.hop,
+        sample_rate=S.sample_rate,
+        metadata={"layer2_warmup_frames": layer2_warm},
+    )
+
+
+@dataclass
+class KernelImage:
+    """A spectro-temporal kernel sampled on a (time, frequency) grid."""
+
+    t: np.ndarray
+    nu: np.ndarray
+    values: np.ndarray  # (len(t), len(nu))
+
+
+def _temporal_profiles(
+    temporal: TemporalKernelSpec, t: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Kernel and its first two derivatives along the time axis."""
+    if temporal.kind == "gaussian":
+        return tuple(
+            gaussian_derivative_sample(temporal.tau, t, k, temporal.delta) for k in range(3)
+        )
+    ladder = temporal.ladder
+    if ladder.distribution is Distribution.UNIFORM:
+        mu = ladder.mus[0]
+        return (
+            composed_uniform_kernel_sample(mu, ladder.K, t),
+            composed_uniform_kernel_dt(mu, ladder.K, t),
+            composed_uniform_kernel_dtt(mu, ladder.K, t),
+        )
+    dt = min(float(t[1] - t[0]), ladder.mu_min / 20.0)
+    horizon = max(float(t[-1]) + 2.0 * dt, ladder.mu_sum + 10.0 * math.sqrt(ladder.tau_max))
+    kernel = cascade_kernel_numeric(ladder, dt, horizon)
+    h = np.interp(t, kernel.times, kernel.values, left=0.0, right=0.0)
+    h1 = np.gradient(h, t)
+    h2 = np.gradient(h1, t)
+    return h, h1, h2
+
+
+def rf_kernel_image(
+    spec: RFSpec,
+    t_span: float,
+    nu_span: float,
+    dt: float,
+    dnu: float,
+) -> KernelImage:
+    """Sample the receptive-field kernel d_t^alpha d_nu^beta [g(nu - v t; s) T(t)].
+
+    Gaussian temporal kernels are evaluated analytically; causal cascades
+    use the closed form (uniform) or the numeric impulse response
+    (logarithmic). Spans are in seconds and semitones.
+    """
+    if t_span <= 0 or nu_span <= 0 or dt <= 0 or dnu <= 0:
+        raise ValueError("spans and spacings must be positive")
+    if spec.s <= 0:
+        raise ValueError("kernel rendering needs a positive spectral scale s")
+    if spec.temporal.kind == "gaussian":
+        t = np.arange(-t_span, t_span + dt / 2.0, dt)
+    else:
+        t = np.arange(0.0, t_span + dt / 2.0, dt)
+    nu = np.arange(-nu_span, nu_span + dnu / 2.0, dnu)
+    t0, t1, t2 = _temporal_profiles(spec.temporal, t)
+    u = nu[None, :] - spec.v * t[:, None]
+    g = {
+        k: gaussian_derivative_sample(spec.s, u, k)
+        for k in range(spec.beta, spec.beta + spec.alpha + 1)
+    }
+    b = spec.beta
+    v = spec.v
+    if spec.alpha == 0:
+        values = g[b] * t0[:, None]
+    elif spec.alpha == 1:
+        values = -v * g[b + 1] * t0[:, None] + g[b] * t1[:, None]
+    else:
+        values = (
+            v * v * g[b + 2] * t0[:, None]
+            - 2.0 * v * g[b + 1] * t1[:, None]
+            + g[b] * t2[:, None]
+        )
+    if spec.normalized:
+        values = values * (spec.tau_a ** (spec.alpha / 2.0) * spec.s ** (spec.beta / 2.0))
+    return KernelImage(t=t, nu=nu, values=values)

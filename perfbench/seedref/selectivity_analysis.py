@@ -1,0 +1,249 @@
+"""Frequency selectivity and temporal delays of the window families.
+
+Closed forms for the dB response of a channel at omega_0 to a sinusoid at
+omega (Gaussian and equal-stage cascade windows), a product form for
+logarithmic cascades, the bandwidth constants C solving R_dB = target, and
+the delay measures (mean, maximum position, inflection points) of the
+time-causal kernels. The table builders regenerate the package's three
+reference tables used by the `analyze` subcommand.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+
+import numpy as np
+
+from seedref.temporal_scale_space import (
+    Distribution,
+    ScaleLadder,
+    build_ladder,
+    cascade_kernel_numeric,
+)
+
+TWO_PI_SQ = 4.0 * math.pi * math.pi
+
+
+@dataclass(frozen=True)
+class WindowFamily:
+    """Window family for selectivity analysis: "gauss", "rec-uni", "rec-log"."""
+
+    kind: str
+    n: float = 8.0
+    K: int = 7
+    c: float | None = None
+
+    def __post_init__(self) -> None:
+        if self.kind not in ("gauss", "rec-uni", "rec-log"):
+            raise ValueError(f"unknown family kind {self.kind!r}")
+        if self.n <= 0:
+            raise ValueError(f"periods-per-window n must be positive, got {self.n}")
+        if self.kind != "gauss" and self.K < 1:
+            raise ValueError(f"K must be >= 1, got {self.K}")
+        if self.kind == "rec-log" and (self.c is None or self.c <= 1):
+            raise ValueError("rec-log needs a ratio c > 1")
+
+
+def selectivity_db_at_constant(fam: WindowFamily, C: float) -> float:
+    """R_dB as a function of the dimensionless detuning C = n (omega - omega_0)/omega."""
+    c2 = C * C
+    if fam.kind == "gauss":
+        return -20.0 * (2.0 * math.pi * math.pi * c2) / math.log(10.0)
+    if fam.kind == "rec-uni":
+        return -10.0 * fam.K * math.log10(1.0 + TWO_PI_SQ * c2 / fam.K)
+    total = math.log10(1.0 + TWO_PI_SQ * fam.c ** (2.0 * (1.0 - fam.K)) * c2)
+    for k in range(2, fam.K + 1):
+        factor = fam.c ** (2.0 * (k - fam.K - 1.0)) * (fam.c * fam.c - 1.0)
+        total += math.log10(1.0 + TWO_PI_SQ * factor * c2)
+    return -10.0 * total
+
+
+def selectivity_db(fam: WindowFamily, omega_ratio: float) -> float:
+    """dB response of a channel centered at omega_0 to a tone at omega,
+    parameterized by omega/omega_0."""
+    if omega_ratio <= 0:
+        raise ValueError(f"omega ratio must be positive, got {omega_ratio}")
+    C = fam.n * (omega_ratio - 1.0) / omega_ratio
+    return selectivity_db_at_constant(fam, abs(C))
+
+
+def bandwidth_constant(fam: WindowFamily, target_db: float) -> float:
+    """The detuning constant C at which the response has dropped to target_db.
+
+    Gaussian and equal-stage families invert in closed form; logarithmic
+    cascades bisect the monotone dB response to a residual below 1e-4 dB.
+    """
+    if target_db >= 0:
+        raise ValueError(f"target level must be negative dB, got {target_db}")
+    if fam.kind == "gauss":
+        return math.sqrt(math.log(10.0)) / (2.0 * math.pi) * math.sqrt(-target_db / 10.0)
+    if fam.kind == "rec-uni":
+        return (
+            math.sqrt(fam.K)
+            / (2.0 * math.pi)
+            * math.sqrt(10.0 ** (-target_db / (10.0 * fam.K)) - 1.0)
+        )
+    lo, hi = 1e-6, 10.0
+    if selectivity_db_at_constant(fam, hi) > target_db:
+        raise ValueError(f"target {target_db} dB out of bisection range")
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        val = selectivity_db_at_constant(fam, mid)
+        if abs(val - target_db) < 1e-4:
+            return mid
+        if val > target_db:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def relative_bandwidth(C: float, n: float) -> tuple[float, float]:
+    """Bandwidth as a linear fraction of the center frequency and in semitones.
+
+    The band edges sit at omega_0 / (1 -+ C/n); the linear fraction is
+    (2 C/n) / (1 - (C/n)^2) and the semitone width 12 log2 of the edge ratio.
+    """
+    if C < 0 or n <= 0:
+        raise ValueError("C must be non-negative and n positive")
+    q = C / n
+    if q >= 1.0:
+        raise ValueError(f"C = {C:g} >= n = {n:g} puts the band edge at infinity")
+    linear = 2.0 * q / (1.0 - q * q)
+    semitones = 12.0 * math.log2((1.0 + q) / (1.0 - q))
+    return linear, semitones
+
+
+@dataclass(frozen=True)
+class DelayMeasures:
+    """Temporal delay characteristics of a causal kernel, in seconds."""
+
+    mean: float
+    t_max: float
+    t_infl1: float
+    t_infl2: float
+
+
+def delay_mean_limit(c: float) -> float:
+    """Large-K limit of the logarithmic-ladder mean delay, per sqrt(tau)."""
+    return math.sqrt(c * c - 1.0) / (c - 1.0)
+
+
+def _log_mean(K: int, c: float, tau: float) -> float:
+    root = math.sqrt(c * c - 1.0)
+    num = c ** (-float(K)) * (c * c - (root + 1.0) * c + root * c ** float(K))
+    return num / (c - 1.0) * math.sqrt(tau)
+
+
+def _quadratic_refine(values: np.ndarray, i: int, dt: float) -> float:
+    """Vertex of the parabola through samples i-1, i, i+1."""
+    if i <= 0 or i >= len(values) - 1:
+        return i * dt
+    denom = values[i - 1] - 2.0 * values[i] + values[i + 1]
+    if denom == 0.0:
+        return i * dt
+    delta = 0.5 * (values[i - 1] - values[i + 1]) / denom
+    return (i + delta) * dt
+
+
+def _numeric_delays(ladder: ScaleLadder) -> tuple[float, float, float]:
+    """t_max and both inflection points from the numeric impulse response."""
+    tau = ladder.tau_max
+    dt = min(math.sqrt(tau) / 2000.0, ladder.mu_min / 20.0)
+    horizon = ladder.mu_sum + 10.0 * math.sqrt(tau)
+    kernel = cascade_kernel_numeric(ladder, dt, horizon)
+    h = kernel.values
+    t_max = _quadratic_refine(h, int(np.argmax(h)), dt)
+    d2 = np.diff(h, 2)  # approximates h'' at index i+1
+    sign = np.sign(d2)
+    crossings = np.nonzero((sign[:-1] > 0) & (sign[1:] <= 0))[0]
+    t_infl1 = 0.0
+    t_infl2 = 0.0
+    if crossings.size:
+        i = crossings[0]
+        frac = d2[i] / (d2[i] - d2[i + 1])
+        t_infl1 = (i + 1 + frac) * dt
+    rising = np.nonzero((sign[:-1] < 0) & (sign[1:] >= 0))[0]
+    rising = rising[rising > (crossings[0] if crossings.size else 0)]
+    if rising.size:
+        i = rising[0]
+        frac = d2[i] / (d2[i] - d2[i + 1])
+        t_infl2 = (i + 1 + frac) * dt
+    return t_max, t_infl1, t_infl2
+
+
+def delay_measures(ladder: ScaleLadder) -> DelayMeasures:
+    """Mean delay, response maximum, and inflection points of a cascade.
+
+    Equal-stage ladders use the closed forms; logarithmic ladders take the
+    mean from its closed form and locate t_max / inflections on the numeric
+    impulse response. A single stage has its maximum at 0 by convention.
+    """
+    if ladder.units != "seconds":
+        raise ValueError("delay measures expect a continuous ladder")
+    K = ladder.K
+    tau = ladder.tau_max
+    if ladder.distribution is Distribution.UNIFORM:
+        mu = ladder.mus[0]
+        mean = K * mu
+        root = math.sqrt(K - 1.0) if K > 1 else 0.0
+        return DelayMeasures(
+            mean=mean,
+            t_max=(K - 1.0) * mu,
+            t_infl1=(K - 1.0 - root) * mu,
+            t_infl2=(K - 1.0 + root) * mu,
+        )
+    mean = _log_mean(K, ladder.c, tau)
+    if K == 1:
+        return DelayMeasures(mean=mean, t_max=0.0, t_infl1=0.0, t_infl2=0.0)
+    t_max, t_infl1, t_infl2 = _numeric_delays(ladder)
+    return DelayMeasures(mean=mean, t_max=t_max, t_infl1=t_infl1, t_infl2=t_infl2)
+
+
+# Table layouts: the bandwidth table lists one row per window family, the
+# delay tables one row per stage count K with uniform and logarithmic columns.
+
+BANDWIDTH_DB_LEVELS = (-3.0, -10.0, -20.0, -30.0)
+LADDER_RATIOS = (math.sqrt(2.0), 2.0 ** 0.75, 2.0)
+LADDER_RATIO_LABELS = ("c=sqrt(2)", "c=2^(3/4)", "c=2")
+DELAY_K_RANGE = tuple(range(2, 9))
+
+
+def bandwidth_family_rows(n: float = 8.0) -> list[tuple[str, WindowFamily]]:
+    rows: list[tuple[str, WindowFamily]] = [("gauss", WindowFamily("gauss", n=n))]
+    for K in (4, 7):
+        rows.append((f"rec-uni K={K}", WindowFamily("rec-uni", n=n, K=K)))
+        for c, label in zip(LADDER_RATIOS, LADDER_RATIO_LABELS):
+            rows.append((f"rec-log K={K} {label}", WindowFamily("rec-log", n=n, K=K, c=c)))
+    return rows
+
+
+def bandwidth_constant_table(n: float = 8.0) -> dict:
+    """Bandwidth constants C for each family at -3, -10, -20, -30 dB."""
+    rows = []
+    for label, fam in bandwidth_family_rows(n):
+        rows.append((label, [bandwidth_constant(fam, db) for db in BANDWIDTH_DB_LEVELS]))
+    return {"columns": BANDWIDTH_DB_LEVELS, "rows": rows}
+
+
+def delay_mean_table() -> dict:
+    """Mean delays in units of sqrt(tau): uniform and logarithmic ladders."""
+    rows = []
+    for K in DELAY_K_RANGE:
+        cells = [math.sqrt(float(K))]
+        cells += [_log_mean(K, c, 1.0) for c in LADDER_RATIOS]
+        rows.append((f"K={K}", cells))
+    return {"columns": ("uniform",) + LADDER_RATIO_LABELS, "rows": rows}
+
+
+def delay_max_table() -> dict:
+    """Positions of the kernel maximum in units of sqrt(tau)."""
+    rows = []
+    for K in DELAY_K_RANGE:
+        cells = [(K - 1.0) / math.sqrt(float(K))]
+        for c in LADDER_RATIOS:
+            ladder = build_ladder(Distribution.LOGARITHMIC, 1.0, K, c)
+            cells.append(delay_measures(ladder).t_max)
+        rows.append((f"K={K}", cells))
+    return {"columns": ("uniform",) + LADDER_RATIO_LABELS, "rows": rows}

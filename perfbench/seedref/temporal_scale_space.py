@@ -1,0 +1,465 @@
+"""Temporal scale-space kernels and their discrete realizations.
+
+Two kernel families are provided: non-causal Gaussians, parameterized by a
+variance tau and an optional time delay, and time-causal cascades of
+first-order integrators ("truncated exponentials"), parameterized by a scale
+ladder of intermediate levels tau_k realized with per-stage time constants
+mu_k. The discrete counterparts (first-order recursive filters and the
+discrete Gaussian) preserve the defining scale-space property: smoothing
+never increases the number of local extrema of a signal.
+
+Temporal derivatives at a given scale are obtained from differences of
+adjacent smoothed channels, so the channel outputs themselves are the only
+memory the cascade needs.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+from enum import Enum
+
+import numpy as np
+from scipy.ndimage import correlate1d
+from scipy.signal import lfilter
+from scipy.special import ive
+
+
+class Distribution(Enum):
+    UNIFORM = "uniform"
+    LOGARITHMIC = "logarithmic"
+
+
+@dataclass(frozen=True)
+class ScaleLadder:
+    """Ordered temporal scale levels tau_k with per-stage time constants mu_k.
+
+    ``levels`` are variances (seconds^2 for continuous ladders, samples^2 for
+    discrete ones); ``mus`` are the matching stage time constants in seconds
+    or samples. Continuous ladders satisfy sum(mu_k^2) = tau_max; discrete
+    ladders satisfy sum(mu_k^2 + mu_k) = tau_max in sample^2 units.
+    """
+
+    distribution: Distribution
+    tau_max: float
+    K: int
+    c: float | None
+    levels: tuple[float, ...]
+    mus: tuple[float, ...]
+    units: str = "seconds"  # "seconds" or "samples"
+
+    def __post_init__(self) -> None:
+        if len(self.levels) != self.K or len(self.mus) != self.K:
+            raise ValueError("ladder must carry exactly K levels and K time constants")
+        if any(b <= a for a, b in zip(self.levels, self.levels[1:])):
+            raise ValueError("scale levels must be strictly increasing")
+        if not math.isclose(self.levels[-1], self.tau_max, rel_tol=1e-12):
+            raise ValueError("top scale level must equal tau_max")
+
+    @property
+    def mu_min(self) -> float:
+        return min(self.mus)
+
+    @property
+    def mu_sum(self) -> float:
+        return float(sum(self.mus))
+
+
+def build_ladder(
+    distribution: Distribution,
+    tau_max: float,
+    K: int,
+    c: float | None = None,
+) -> ScaleLadder:
+    """Construct a continuous scale ladder in seconds units.
+
+    Logarithmic ladders place tau_k = c^{2(k-K)} tau_max with
+    mu_1 = c^{1-K} sqrt(tau_max) and mu_k = c^{k-K-1} sqrt(c^2-1) sqrt(tau_max)
+    for k >= 2; uniform ladders place tau_k = (k/K) tau_max with equal stage
+    constants mu_k = sqrt(tau_max / K).
+    """
+    if tau_max <= 0:
+        raise ValueError(f"tau_max must be positive, got {tau_max}")
+    if K < 1:
+        raise ValueError(f"stage count K must be >= 1, got {K}")
+    if distribution is Distribution.LOGARITHMIC:
+        if c is None or c <= 1:
+            raise ValueError("logarithmic ladders need a ratio c > 1")
+        levels = tuple(c ** (2.0 * (k - K)) * tau_max for k in range(1, K + 1))
+        sigma = math.sqrt(tau_max)
+        mus = [c ** (1.0 - K) * sigma]
+        mus += [
+            c ** (k - K - 1.0) * math.sqrt(c * c - 1.0) * sigma
+            for k in range(2, K + 1)
+        ]
+        mus = tuple(mus)
+    else:
+        levels = tuple((k / K) * tau_max for k in range(1, K + 1))
+        mus = tuple(math.sqrt(tau_max / K) for _ in range(K))
+    return ScaleLadder(distribution, tau_max, K, c, levels, mus, units="seconds")
+
+
+def discretize_ladder(ladder: ScaleLadder, sample_rate: float) -> ScaleLadder:
+    """Transfer a continuous ladder to sample units at the given rate.
+
+    Scale levels transform as tau_sampl = rate^2 tau; each stage constant is
+    recovered from its scale increment via mu = (sqrt(1 + 4 dtau) - 1)/2, so
+    the discrete stage variances mu^2 + mu add up to the levels exactly.
+    """
+    if ladder.units != "seconds":
+        raise ValueError("ladder is already in sample units")
+    if sample_rate <= 0:
+        raise ValueError(f"sample rate must be positive, got {sample_rate}")
+    levels = tuple(sample_rate * sample_rate * tau for tau in ladder.levels)
+    prev = 0.0
+    mus = []
+    for tau in levels:
+        dtau = tau - prev
+        mus.append((math.sqrt(1.0 + 4.0 * dtau) - 1.0) / 2.0)
+        prev = tau
+    return ScaleLadder(
+        ladder.distribution,
+        levels[-1],
+        ladder.K,
+        ladder.c,
+        levels,
+        tuple(mus),
+        units="samples",
+    )
+
+
+def warmup_length(ladder: ScaleLadder) -> int:
+    """Number of initial samples dominated by the zero initial state."""
+    return int(math.ceil(5.0 * ladder.mu_sum))
+
+
+@dataclass(frozen=True)
+class TemporalKernelSpec:
+    """A temporal smoothing kernel: non-causal Gaussian or time-causal cascade.
+
+    Gaussian kernels carry a variance ``tau`` (seconds^2) and a time delay
+    ``delta`` (seconds); cascades carry a continuous scale ladder.
+    """
+
+    kind: str  # "gaussian" or "cascade"
+    tau: float | None = None
+    delta: float = 0.0
+    ladder: ScaleLadder | None = None
+
+    def __post_init__(self) -> None:
+        if self.kind == "gaussian":
+            if self.tau is None or self.tau <= 0:
+                raise ValueError("gaussian kernels need tau > 0")
+            if self.delta < 0:
+                raise ValueError("delay delta must be non-negative")
+        elif self.kind == "cascade":
+            if self.ladder is None or self.ladder.K < 1:
+                raise ValueError("cascade kernels need a ladder with K >= 1")
+        else:
+            raise ValueError(f"unknown kernel kind {self.kind!r}")
+
+    @staticmethod
+    def gaussian(tau: float, delta: float = 0.0) -> "TemporalKernelSpec":
+        return TemporalKernelSpec(kind="gaussian", tau=tau, delta=delta)
+
+    @staticmethod
+    def cascade(ladder: ScaleLadder) -> "TemporalKernelSpec":
+        return TemporalKernelSpec(kind="cascade", ladder=ladder)
+
+    @property
+    def scale(self) -> float:
+        """Total temporal variance of the kernel."""
+        return self.tau if self.kind == "gaussian" else self.ladder.tau_max
+
+
+@dataclass(eq=False)
+class SampledKernel:
+    """A kernel sampled on a uniform grid.
+
+    ``values`` are density samples; the kernel's mass is sum(values) * dt,
+    so discrete unit-spacing kernels (dt = 1) carry their weights directly.
+    ``origin_index`` is the sample position of t = 0.
+    """
+
+    values: np.ndarray
+    origin_index: int
+    dt: float
+
+    @property
+    def times(self) -> np.ndarray:
+        return (np.arange(len(self.values)) - self.origin_index) * self.dt
+
+    @property
+    def mass(self) -> float:
+        return float(np.sum(self.values) * self.dt)
+
+    @property
+    def mean(self) -> float:
+        w = self.values * self.dt
+        return float(np.sum(self.times * w) / np.sum(w))
+
+    @property
+    def variance(self) -> float:
+        w = self.values * self.dt
+        m = self.mean
+        return float(np.sum((self.times - m) ** 2 * w) / np.sum(w))
+
+
+def gaussian_kernel_sample(tau: float, t, delta: float = 0.0):
+    """Evaluate the time-shifted Gaussian (1/sqrt(2 pi tau)) exp(-(t-delta)^2 / 2 tau)."""
+    if tau <= 0:
+        raise ValueError(f"tau must be positive, got {tau}")
+    u = np.asarray(t, dtype=float) - delta
+    out = np.exp(-u * u / (2.0 * tau)) / math.sqrt(2.0 * math.pi * tau)
+    return out if out.ndim else float(out)
+
+def gaussian_derivative_sample(tau: float, t, order: int, delta: float = 0.0):
+    """Analytic derivatives of the Gaussian kernel, orders 0..4."""
+    g = gaussian_kernel_sample(tau, t, delta)
+    u = np.asarray(t, dtype=float) - delta
+    if order == 0:
+        factor = np.ones_like(u)
+    elif order == 1:
+        factor = -u / tau
+    elif order == 2:
+        factor = (u * u - tau) / (tau * tau)
+    elif order == 3:
+        factor = -(u ** 3 - 3.0 * u * tau) / tau ** 3
+    elif order == 4:
+        factor = (u ** 4 - 6.0 * u * u * tau + 3.0 * tau * tau) / tau ** 4
+    else:
+        raise ValueError(f"unsupported derivative order {order}")
+    out = g * factor
+    return out if out.ndim else float(out)
+
+
+def sample_gaussian_kernel(
+    tau: float, dt: float, delta: float = 0.0, radius_sigmas: float = 8.0
+) -> SampledKernel:
+    """Sample the Gaussian on a grid spanning delta +- radius_sigmas * sigma.
+
+    The sampled mass is renormalized to exactly 1.
+    """
+    sigma = math.sqrt(tau)
+    n = int(math.ceil(radius_sigmas * sigma / dt))
+    offsets = np.arange(-n, n + 1)
+    center = int(round(delta / dt))
+    t = (offsets + center) * dt
+    values = gaussian_kernel_sample(tau, t, delta)
+    values = values / (values.sum() * dt)
+    return SampledKernel(values=values, origin_index=n - center, dt=dt)
+
+
+def sample_gaussian_derivative(
+    tau: float, order: int, dt: float, delta: float = 0.0, radius_sigmas: float = 8.0
+) -> SampledKernel:
+    """Sampled analytic Gaussian derivative, corrected to zero sum.
+
+    Subtracting the mean weight restores the exact zero DC response that the
+    continuous derivative kernel has; differentiating sampled kernels instead
+    would leave an O(dt) residue.
+    """
+    if order < 1:
+        raise ValueError("use sample_gaussian_kernel for order 0")
+    sigma = math.sqrt(tau)
+    n = int(math.ceil(radius_sigmas * sigma / dt))
+    offsets = np.arange(-n, n + 1)
+    center = int(round(delta / dt))
+    t = (offsets + center) * dt
+    values = gaussian_derivative_sample(tau, t, order, delta)
+    values = values - values.mean()
+    return SampledKernel(values=values, origin_index=n - center, dt=dt)
+
+
+def composed_uniform_kernel_sample(mu: float, K: int, t):
+    """Closed form for K cascaded equal-mu integrators.
+
+    h(t) = t^{K-1} e^{-t/mu} / (mu^K Gamma(K)) for t > 0, and 0 otherwise.
+    """
+    if mu <= 0:
+        raise ValueError(f"mu must be positive, got {mu}")
+    if K < 1:
+        raise ValueError(f"K must be >= 1, got {K}")
+    t = np.asarray(t, dtype=float)
+    out = np.zeros_like(t)
+    pos = t > 0
+    tp = t[pos]
+    log_h = (K - 1) * np.log(tp) - tp / mu - K * math.log(mu) - math.lgamma(K)
+    out[pos] = np.exp(log_h)
+    return out if out.ndim else float(out)
+
+
+def composed_uniform_kernel_dt(mu: float, K: int, t):
+    """First temporal derivative of the composed equal-mu kernel (t > 0)."""
+    t = np.asarray(t, dtype=float)
+    h = composed_uniform_kernel_sample(mu, K, t)
+    out = np.zeros_like(np.asarray(t, dtype=float))
+    pos = t > 0
+    tp = t[pos]
+    out[pos] = -np.asarray(h)[pos] * (tp - (K - 1) * mu) / (mu * tp)
+    return out if out.ndim else float(out)
+
+
+def composed_uniform_kernel_dtt(mu: float, K: int, t):
+    """Second temporal derivative of the composed equal-mu kernel (t > 0)."""
+    t = np.asarray(t, dtype=float)
+    h = composed_uniform_kernel_sample(mu, K, t)
+    out = np.zeros_like(np.asarray(t, dtype=float))
+    pos = t > 0
+    tp = t[pos]
+    num = (K * K - 3 * K + 2) * mu * mu - 2.0 * (K - 1) * mu * tp + tp * tp
+    out[pos] = np.asarray(h)[pos] * num / (mu * mu * tp * tp)
+    return out if out.ndim else float(out)
+
+
+def cascade_kernel_numeric(ladder: ScaleLadder, dt: float, horizon: float) -> SampledKernel:
+    """Impulse response of an unequal-mu cascade, sampled at spacing dt.
+
+    The first stage is sampled from its analytic form (1/mu_1) e^{-t/mu_1};
+    every further stage applies the exact exponential update for
+    piecewise-linear input, which has unit DC gain and adds exactly mu to the
+    kernel mean, so no step-size bias enters the delay measures. The sampled
+    mass is renormalized to 1 after truncation at the horizon.
+    """
+    if ladder.units != "seconds":
+        raise ValueError("numeric cascade expects a continuous (seconds) ladder")
+    mu_min = ladder.mu_min
+    if dt > mu_min / 20.0:
+        raise ValueError(
+            f"dt={dt:g} too coarse for the fastest stage; need dt <= mu_min/20 = {mu_min / 20.0:g}"
+        )
+    required = ladder.mu_sum + 10.0 * math.sqrt(ladder.tau_max)
+    if horizon < required:
+        raise ValueError(
+            f"horizon {horizon:g} s gives insufficient support; need >= {required:g} s"
+        )
+    n = int(math.floor(horizon / dt)) + 1
+    t = np.arange(n) * dt
+    mu1 = ladder.mus[0]
+    h = np.exp(-t / mu1) / mu1
+    for mu in ladder.mus[1:]:
+        p = math.exp(-dt / mu)
+        a_gain = 1.0 - p
+        w1 = 1.0 - (mu / dt) * a_gain
+        w0 = (mu / dt) * a_gain - p
+        h = lfilter([w1, w0], [1.0, -p], h)
+    mass = float(h.sum() * dt)
+    if mass < 1.0 - 1e-8:
+        raise ValueError(f"horizon {horizon:g} s captured only {mass:.10f} of the kernel mass")
+    return SampledKernel(values=h / mass, origin_index=0, dt=dt)
+
+
+def recursive_stage(
+    x: np.ndarray, mu: float, axis: int = -1, init: np.ndarray | float | None = None
+) -> np.ndarray:
+    """One first-order recursive smoothing stage, time constant mu in samples.
+
+    Implements y[n] = y[n-1] + (x[n] - y[n-1]) / (1 + mu). The virtual state
+    y[-1] is zero by default (signals that start at rest); pass ``init`` to
+    start the stage in steady state at that value, e.g. the first sample of
+    a map whose baseline is far from zero. This is the canonical stage used
+    by every causal path, so cascades compose with bit-identical arithmetic.
+    """
+    b = [1.0 / (1.0 + mu)]
+    a = [1.0, -mu / (1.0 + mu)]
+    if init is None:
+        return lfilter(b, a, x, axis=axis)
+    x = np.asarray(x)
+    zi_shape = list(x.shape)
+    zi_shape[axis] = 1
+    zi = np.broadcast_to(np.asarray(init), tuple(zi_shape)).astype(x.dtype)
+    zi = zi * (mu / (1.0 + mu))
+    out, _ = lfilter(b, a, x, axis=axis, zi=zi)
+    return out
+
+
+def discrete_recursive_smooth(signal, ladder: ScaleLadder) -> np.ndarray:
+    """Run a sample-unit ladder over a signal; row k is the output at tau_k."""
+    if ladder.units != "samples":
+        raise ValueError("recursive smoothing expects a ladder in sample units")
+    x = np.asarray(signal, dtype=float)
+    channels = np.empty((ladder.K,) + x.shape, dtype=float)
+    cur = x
+    for k, mu in enumerate(ladder.mus):
+        cur = recursive_stage(cur, mu)
+        channels[k] = cur
+    return channels
+
+
+def temporal_derivative_channels(
+    channels: np.ndarray, ladder: ScaleLadder, r: int
+) -> np.ndarray:
+    """Temporal derivatives of order r from differences of smoothed channels.
+
+    Uses the recurrence H^(r)(tau_k) = (H^(r-1)(tau_{k-1}) - H^(r-1)(tau_k)) / mu_k,
+    valid for k > r. Returns one row per admissible scale, i.e. shape
+    (K - r, ...) with row i holding the derivative at tau_{r+1+i}. Derivatives
+    are per ladder time unit (samples for discrete ladders).
+    """
+    if r < 1:
+        raise ValueError(f"derivative order must be >= 1, got {r}")
+    if r >= ladder.K:
+        raise ValueError(
+            f"derivative order {r} requires more than {r} cascade stages, ladder has K={ladder.K}"
+        )
+    cur = np.asarray(channels, dtype=float)
+    if cur.shape[0] != ladder.K:
+        raise ValueError("channels must carry one row per ladder stage")
+    mus = np.asarray(ladder.mus)
+    lo = 0  # index of the scale carried by cur[0]
+    for _ in range(r):
+        stage_mus = mus[lo + 1 :]
+        shape = (len(stage_mus),) + (1,) * (cur.ndim - 1)
+        cur = (cur[:-1] - cur[1:]) / stage_mus.reshape(shape)
+        lo += 1
+    return cur
+
+
+def discrete_gaussian_kernel(s_sampl: float, epsilon: float = 1e-6) -> SampledKernel:
+    """Discrete analogue of the Gaussian: T(n; s) = e^{-s} I_n(s).
+
+    The infinite kernel is truncated at the smallest half-width N whose taps
+    carry more than 1 - epsilon of the mass, then renormalized to sum to
+    exactly 1. Taps are computed with the exponentially scaled modified
+    Bessel function, which is stable for large s.
+    """
+    if not 0.0 < epsilon < 1.0:
+        raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
+    if s_sampl < 0:
+        raise ValueError(f"scale must be non-negative, got {s_sampl}")
+    if s_sampl == 0:
+        return SampledKernel(values=np.array([1.0]), origin_index=0, dt=1.0)
+    n_guess = max(4, int(math.ceil(s_sampl + 6.0 * math.sqrt(s_sampl) + 10.0)))
+    while True:
+        taps = ive(np.arange(n_guess + 1), s_sampl)
+        total = taps[0] + 2.0 * np.cumsum(taps[1:])
+        hit = np.nonzero(total > 1.0 - epsilon)[0]
+        if hit.size:
+            break
+        n_guess *= 2
+    n_half = int(hit[0]) + 1
+    half = taps[: n_half + 1]
+    values = np.concatenate([half[:0:-1], half])
+    values = values / values.sum()
+    return SampledKernel(values=values, origin_index=n_half, dt=1.0)
+
+
+def discrete_gaussian_smooth(
+    x: np.ndarray, s_sampl: float, axis: int = -1, epsilon: float = 1e-6
+) -> np.ndarray:
+    """Convolve along one axis with the discrete Gaussian, mirrored boundaries."""
+    if s_sampl == 0:
+        return np.asarray(x, dtype=float).copy()
+    kernel = discrete_gaussian_kernel(s_sampl, epsilon)
+    return correlate1d(np.asarray(x, dtype=float), kernel.values, axis=axis, mode="reflect")
+
+
+def count_local_extrema(x: np.ndarray) -> int:
+    """Count strict interior local extrema of a 1-D signal."""
+    x = np.asarray(x)
+    if x.size < 3:
+        return 0
+    mid = x[1:-1]
+    maxima = (mid > x[:-2]) & (mid > x[2:])
+    minima = (mid < x[:-2]) & (mid < x[2:])
+    return int(np.count_nonzero(maxima) + np.count_nonzero(minima))

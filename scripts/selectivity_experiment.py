@@ -15,15 +15,15 @@ import sys
 
 import numpy as np
 
-from tonescale.selectivity_analysis import WindowFamily, selectivity_db_at_constant
+from tonescale.selectivity_analysis import selectivity_db_at_constant
 from tonescale.spectrogram import (
-    SpectrogramFamily,
     WindowScaleLaw,
     build_frequency_grid,
     compute_spectrogram,
     frequency_from_midi,
     midi_from_frequency,
 )
+from tonescale.temporal_scale_space import SpectrogramFamily
 
 
 def main() -> int:
@@ -45,7 +45,7 @@ def main() -> int:
     grid = build_frequency_grid(
         nu0 - args.span, nu0 + args.span, args.bins_per_octave, law=WindowScaleLaw(n=args.n)
     )
-    fam = SpectrogramFamily(kind=args.family, K=args.K, c=args.c if args.family == "rec-log" else None)
+    fam = SpectrogramFamily(kind=args.family, K=args.K, c=args.c)
     t = np.arange(int(args.duration * args.rate)) / args.rate
     x = 0.5 * np.sin(2 * math.pi * args.freq * t)
     spec = compute_spectrogram(x, args.rate, grid, fam, hop=max(1, int(args.rate / 1000)))
@@ -55,11 +55,10 @@ def main() -> int:
     center = int(np.argmin(np.abs(grid.nu - nu0)))
     measured = 20.0 * np.log10(level / level[center])
 
-    wfam = WindowFamily(kind=args.family, K=args.K, c=args.c, n=args.n)
     freqs = frequency_from_midi(grid.nu)
     predicted = np.array(
         [
-            selectivity_db_at_constant(wfam, args.n * abs(args.freq - f) / f)
+            selectivity_db_at_constant(fam, args.n * abs(args.freq - f) / f)
             for f in freqs
         ]
     )

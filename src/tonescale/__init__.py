@@ -8,12 +8,19 @@ which onset/offset maps, spectral band enhancement, partial-tone curves,
 and glissando estimates are computed. A separate analysis module
 reproduces the filter families' frequency-selectivity and temporal-delay
 characteristics in closed or numeric form.
+
+Every time-frequency result of both layers is a ``TFMap`` (complex
+spectrogram, dB map, receptive-field response, onset/offset/band map), so
+the layer-2 operators accept each other's outputs. One
+``SpectrogramFamily`` describes a window family for the spectrogram, its
+matching layer-2 temporal kernel, and the selectivity and delay functions.
 """
 
 from tonescale.temporal_scale_space import (
     Distribution,
     SampledKernel,
     ScaleLadder,
+    SpectrogramFamily,
     TemporalKernelSpec,
     build_ladder,
     cascade_kernel_numeric,
@@ -25,10 +32,8 @@ from tonescale.temporal_scale_space import (
     temporal_derivative_channels,
 )
 from tonescale.spectrogram import (
-    ComplexSpectrogram,
     FrequencyGrid,
-    LogSpectrogram,
-    SpectrogramFamily,
+    TFMap,
     WindowScaleLaw,
     build_frequency_grid,
     compute_spectrogram,
@@ -50,7 +55,6 @@ from tonescale.features import (
     second_moment_glissando,
 )
 from tonescale.selectivity_analysis import (
-    WindowFamily,
     bandwidth_constant,
     delay_measures,
     relative_bandwidth,

@@ -43,7 +43,6 @@ from tonescale.selectivity_analysis import (
     delay_mean_table,
 )
 from tonescale.spectrogram import (
-    SpectrogramFamily,
     WindowScaleLaw,
     build_frequency_grid,
     compute_spectrogram,
@@ -52,9 +51,8 @@ from tonescale.spectrogram import (
     to_db,
 )
 from tonescale.temporal_scale_space import (
-    Distribution,
+    SpectrogramFamily,
     TemporalKernelSpec,
-    build_ladder,
     cascade_kernel_numeric,
     composed_uniform_kernel_dt,
     composed_uniform_kernel_dtt,
@@ -371,13 +369,17 @@ def _parse_bank(raw) -> list[float] | None:
     return vals
 
 
+def _family(cfg: dict) -> SpectrogramFamily:
+    return SpectrogramFamily(kind=str(cfg["family"]), K=int(cfg["K"]), c=float(cfg["c"]))
+
+
 def _layer1(cfg: dict, buf: AudioBuffer):
     """Shared first-layer pipeline: grid, family, spectrogram, compensation."""
     law = WindowScaleLaw(n=float(cfg["n"]), tau0=(float(cfg["tau0_ms"]) / 1000.0) ** 2)
     grid = build_frequency_grid(
         float(cfg["nu_min"]), float(cfg["nu_max"]), int(cfg["bins_per_octave"]), law
     )
-    family = SpectrogramFamily(kind=str(cfg["family"]), K=int(cfg["K"]), c=float(cfg["c"]))
+    family = _family(cfg)
     hop = max(1, round(buf.rate * float(cfg["hop_ms"]) / 1000.0))
     spec = compute_spectrogram(buf.samples, buf.rate, grid, family, hop=hop)
     if cfg["compensate_delay"]:
@@ -481,14 +483,9 @@ def cmd_features(args: argparse.Namespace) -> int:
         print(f"wrote {cfg['out_json']} ({len(kept)} curves{note})")
         return 0
 
-    if sel == "onsets":
-        fm = detect_onsets(log, tau_a, s)
-        values, times, grid = fm.values, fm.frame_times, fm.grid
-    elif sel == "offsets":
-        fm = detect_offsets(log, tau_a, s)
-        values, times, grid = fm.values, fm.frame_times, fm.grid
-    elif sel == "bands":
-        fm = enhance_bands(log, tau_a, s)
+    if sel in ("onsets", "offsets", "bands"):
+        detect = {"onsets": detect_onsets, "offsets": detect_offsets, "bands": enhance_bands}[sel]
+        fm = detect(log, tau_a, s)
         values, times, grid = fm.values, fm.frame_times, fm.grid
     elif sel == "glissando_bank":
         # zero-phase window: causal smoothing displaces a moving ridge and
@@ -566,18 +563,6 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     return 0
 
 
-def _kernels_temporal(cfg: dict) -> TemporalKernelSpec:
-    family = str(cfg["family"])
-    tau_a = (float(cfg["tau_a_ms"]) / 1000.0) ** 2
-    if family == "gauss":
-        return TemporalKernelSpec.gaussian(tau_a)
-    if family == "rec-uni":
-        return TemporalKernelSpec.cascade(build_ladder(Distribution.UNIFORM, tau_a, int(cfg["K"])))
-    return TemporalKernelSpec.cascade(
-        build_ladder(Distribution.LOGARITHMIC, tau_a, int(cfg["K"]), float(cfg["c"]))
-    )
-
-
 def _write_columns_csv(path: str | Path, header: list[str], columns: list[np.ndarray]) -> None:
     lines = ["\t".join(header)]
     for row in zip(*columns):
@@ -592,13 +577,12 @@ def cmd_kernels(args: argparse.Namespace) -> int:
     cfg = _merge_settings(args, KERNELS_DEFAULTS)
     if cfg["out_csv"] is None and cfg["out_pgm"] is None:
         raise CliError(2, "no output requested")
-    family = str(cfg["family"])
 
     if cfg["rf"]:
         sigma_nu = float(cfg["sigma_nu"])
         if sigma_nu <= 0:
             raise CliError(2, f"sigma-nu must be positive, got {sigma_nu}")
-        temporal = _kernels_temporal(cfg)
+        temporal = _family(cfg).temporal((float(cfg["tau_a_ms"]) / 1000.0) ** 2)
         spec = RFSpec(
             temporal=temporal,
             s=sigma_nu**2,
@@ -609,7 +593,7 @@ def cmd_kernels(args: argparse.Namespace) -> int:
         sigma_t = math.sqrt(temporal.scale)
         if cfg["t_span"] is not None:
             t_span = float(cfg["t_span"])
-        elif family == "gauss":
+        elif temporal.kind == "gaussian":
             t_span = 4.0 * sigma_t
         else:
             t_span = temporal.ladder.mu_sum + 4.0 * sigma_t
@@ -631,14 +615,15 @@ def cmd_kernels(args: argparse.Namespace) -> int:
     tau = float(cfg["tau"])
     if tau <= 0:
         raise CliError(2, f"tau must be positive, got {tau}")
-    K = int(cfg["K"])
+    family = _family(cfg)
+    K = family.K
     dt = float(cfg["dt"]) if cfg["dt"] is not None else math.sqrt(tau) / 2000.0
-    if family == "gauss":
+    if family.kind == "gauss":
         span = 8.0 * math.sqrt(tau)
         t = np.arange(-span, span + dt / 2.0, dt)
         header, cols = ["t", "h"], [t, gaussian_kernel_sample(tau, t)]
-    elif family == "rec-uni":
-        ladder = build_ladder(Distribution.UNIFORM, tau, K)
+    elif family.kind == "rec-uni":
+        ladder = family.ladder(tau)
         mu = ladder.mus[0]
         t = np.arange(0.0, ladder.mu_sum + 10.0 * math.sqrt(tau), dt)
         header = ["t", "h", "h_t", "h_tt"]
@@ -649,7 +634,7 @@ def cmd_kernels(args: argparse.Namespace) -> int:
             composed_uniform_kernel_dtt(mu, K, t),
         ]
     else:
-        ladder = build_ladder(Distribution.LOGARITHMIC, tau, K, float(cfg["c"]))
+        ladder = family.ladder(tau)
         dt = min(dt, ladder.mu_min / 20.0)
         kernel = cascade_kernel_numeric(ladder, dt, ladder.mu_sum + 10.0 * math.sqrt(tau))
         header, cols = ["t", "h"], [kernel.times, kernel.values]

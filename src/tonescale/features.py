@@ -11,50 +11,35 @@ the spectro-temporal gradient.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from tonescale.receptive_fields import RFResponse, RFSpec, apply_rf
-from tonescale.spectrogram import FrequencyGrid, LogSpectrogram
-from tonescale.temporal_scale_space import (
-    Distribution,
-    TemporalKernelSpec,
-    build_ladder,
-)
-
-
-@dataclass
-class FeatureMap:
-    """A non-negative rectified feature field on spectrogram axes."""
-
-    values: np.ndarray  # (n_frames, n_channels) >= 0
-    frame_times: np.ndarray
-    grid: FrequencyGrid
-    kind: str
-    warmup_frames: np.ndarray
-    hop: int
-    sample_rate: float
-    metadata: dict = field(default_factory=dict)
+from tonescale.receptive_fields import RFSpec, apply_rf
+from tonescale.spectrogram import FrequencyGrid, TFMap
+from tonescale.temporal_scale_space import SpectrogramFamily, TemporalKernelSpec
 
 
 def _default_temporal(tau_a: float) -> TemporalKernelSpec:
     """Time-causal uniform cascade with four stages at scale tau_a."""
-    return TemporalKernelSpec.cascade(build_ladder(Distribution.UNIFORM, tau_a, 4))
+    return SpectrogramFamily("rec-uni", K=4).temporal(tau_a)
 
 
-def _zero_warmup(values: np.ndarray, warmup: np.ndarray) -> np.ndarray:
-    out = values.copy()
-    n_frames = out.shape[0]
-    for ch, w in enumerate(np.asarray(warmup, dtype=int)):
-        out[: min(int(w), n_frames), ch] = 0.0
-    return out
+def _warmup_mask(warmup_frames, n_frames: int) -> np.ndarray:
+    """True at the (frame, channel) cells inside each channel's warm-up."""
+    return np.arange(n_frames)[:, None] < np.asarray(warmup_frames, dtype=int)[None, :]
+
+
+def _rectify(resp: TFMap, signed: np.ndarray, kind: str) -> TFMap:
+    """Positive part of ``signed`` on the axes of ``resp``, zero in warm-up."""
+    values = np.maximum(signed, 0.0)
+    values[_warmup_mask(resp.warmup_frames, resp.n_frames)] = 0.0
+    return replace(resp, values=values, kind=kind)
 
 
 def temporal_derivative_response(
-    S: LogSpectrogram, tau_a: float, s: float, temporal: TemporalKernelSpec | None = None
-) -> RFResponse:
+    S: TFMap, tau_a: float, s: float, temporal: TemporalKernelSpec | None = None
+) -> TFMap:
     """Scale-normalized first temporal derivative sqrt(tau_a) d_t of the
     smoothed dB map; the shared core of onset and offset detection."""
     if temporal is None:
@@ -64,46 +49,28 @@ def temporal_derivative_response(
 
 
 def detect_onsets(
-    S: LogSpectrogram, tau_a: float, s: float, temporal: TemporalKernelSpec | None = None
-) -> FeatureMap:
+    S: TFMap, tau_a: float, s: float, temporal: TemporalKernelSpec | None = None
+) -> TFMap:
     """Rectified positive part of the normalized first temporal derivative."""
     resp = temporal_derivative_response(S, tau_a, s, temporal)
-    values = _zero_warmup(np.maximum(resp.values, 0.0), resp.warmup_frames)
-    return FeatureMap(
-        values=values,
-        frame_times=resp.frame_times,
-        grid=resp.grid,
-        kind="onset",
-        warmup_frames=resp.warmup_frames,
-        hop=resp.hop,
-        sample_rate=resp.sample_rate,
-    )
+    return _rectify(resp, resp.values, "onset")
 
 
 def detect_offsets(
-    S: LogSpectrogram, tau_a: float, s: float, temporal: TemporalKernelSpec | None = None
-) -> FeatureMap:
+    S: TFMap, tau_a: float, s: float, temporal: TemporalKernelSpec | None = None
+) -> TFMap:
     """Rectified negative part of the normalized first temporal derivative."""
     resp = temporal_derivative_response(S, tau_a, s, temporal)
-    values = _zero_warmup(np.maximum(-resp.values, 0.0), resp.warmup_frames)
-    return FeatureMap(
-        values=values,
-        frame_times=resp.frame_times,
-        grid=resp.grid,
-        kind="offset",
-        warmup_frames=resp.warmup_frames,
-        hop=resp.hop,
-        sample_rate=resp.sample_rate,
-    )
+    return _rectify(resp, -resp.values, "offset")
 
 
 def band_response(
-    S: LogSpectrogram,
+    S: TFMap,
     tau_a: float,
     s: float,
     temporal: TemporalKernelSpec | None = None,
     v: float = 0.0,
-) -> RFResponse:
+) -> TFMap:
     """Unrectified band strength -D_nunu = -s d_nunu of the smoothed dB map."""
     if s <= 0:
         raise ValueError(f"band enhancement needs s > 0, got {s}")
@@ -116,23 +83,14 @@ def band_response(
 
 
 def enhance_bands(
-    S: LogSpectrogram,
+    S: TFMap,
     tau_a: float,
     s: float,
     temporal: TemporalKernelSpec | None = None,
-) -> FeatureMap:
+) -> TFMap:
     """Rectified -D_nunu: fine s sharpens partial tones, coarse s formants."""
     resp = band_response(S, tau_a, s, temporal)
-    values = _zero_warmup(np.maximum(resp.values, 0.0), resp.warmup_frames)
-    return FeatureMap(
-        values=values,
-        frame_times=resp.frame_times,
-        grid=resp.grid,
-        kind="band",
-        warmup_frames=resp.warmup_frames,
-        hop=resp.hop,
-        sample_rate=resp.sample_rate,
-    )
+    return _rectify(resp, resp.values, "band")
 
 
 @dataclass
@@ -179,7 +137,7 @@ def _frame_ridge_points(
 
 
 def extract_partial_curves(
-    band: RFResponse,
+    band: TFMap,
     c_min: float = 3.0,
     max_jump: float = 1.0,
 ) -> list[PartialCurve]:
@@ -262,7 +220,7 @@ class GlissandoBankEstimate:
 
 
 def glissando_filterbank(
-    S: LogSpectrogram,
+    S: TFMap,
     v_bank,
     tau_a: float,
     s: float,
@@ -317,7 +275,7 @@ class SecondMomentField:
 
 
 def second_moment_glissando(
-    S: LogSpectrogram,
+    S: TFMap,
     tau_a: float,
     s: float,
     tau_i: float,
@@ -340,20 +298,10 @@ def second_moment_glissando(
     lt = apply_rf(S, RFSpec(temporal=temporal, s=s, alpha=1, beta=0, normalized=False))
     lnu = apply_rf(S, RFSpec(temporal=temporal, s=s, alpha=0, beta=1, normalized=False))
 
-    def integrate(product: np.ndarray) -> np.ndarray:
-        carrier = LogSpectrogram(
-            values=product,
-            frame_times=S.frame_times,
-            grid=S.grid,
-            sample_rate=S.sample_rate,
-            hop=S.hop,
-            family=S.family,
-            S0=S.S0,
-            warmup_frames=S.warmup_frames,
-        )
-        smoothed = apply_rf(
-            carrier, RFSpec(temporal=integration_temporal, s=s_i, alpha=0, beta=0)
-        )
+    integration = RFSpec(temporal=integration_temporal, s=s_i, alpha=0, beta=0)
+
+    def integrate(product: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        smoothed = apply_rf(replace(S, values=product), integration)
         return smoothed.values, smoothed.warmup_frames
 
     y_tt, warm = integrate(lt.values * lt.values)
@@ -378,8 +326,4 @@ def second_moment_glissando(
 
 def ridge_mask(values: np.ndarray, warmup_frames, c_min: float = 3.0) -> np.ndarray:
     """Cells whose band response clears c_min, outside warm-up frames."""
-    mask = values >= c_min
-    n_frames = mask.shape[0]
-    for ch, w in enumerate(np.asarray(warmup_frames, dtype=int)):
-        mask[: min(int(w), n_frames), ch] = False
-    return mask
+    return (values >= c_min) & ~_warmup_mask(warmup_frames, values.shape[0])

@@ -12,12 +12,12 @@ warping back, which is equivalent to convolving with the sheared kernel.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.ndimage import correlate1d
 
-from tonescale.spectrogram import FrequencyGrid, LogSpectrogram
+from tonescale.spectrogram import TFMap
 from tonescale.temporal_scale_space import (
     TemporalKernelSpec,
     cascade_kernel_numeric,
@@ -67,24 +67,6 @@ class RFSpec:
         return self.temporal.scale
 
 
-@dataclass
-class RFResponse:
-    """Receptive-field response on the axes of the input spectrogram."""
-
-    values: np.ndarray  # (n_frames, n_channels)
-    frame_times: np.ndarray
-    grid: FrequencyGrid
-    spec: RFSpec
-    warmup_frames: np.ndarray
-    hop: int
-    sample_rate: float
-    metadata: dict = field(default_factory=dict)
-
-    @property
-    def frame_rate(self) -> float:
-        return self.sample_rate / self.hop
-
-
 def _mirror_indices(idx: np.ndarray, n: int) -> np.ndarray:
     """Fold indices into [0, n) with edge-repeated mirror symmetry."""
     if n == 1:
@@ -128,7 +110,7 @@ def _warp_values(
     return out
 
 
-def glissando_warp(S: LogSpectrogram, v: float) -> LogSpectrogram:
+def glissando_warp(S: TFMap, v: float) -> TFMap:
     """Warp nu' = nu - v (t - t_mid): a ridge gliding at v becomes constant-nu.
 
     The co-moving frame is anchored at the middle frame. Out-of-range reads
@@ -136,10 +118,8 @@ def glissando_warp(S: LogSpectrogram, v: float) -> LogSpectrogram:
     The inverse warp is glissando_warp(S, -v) over the same frames.
     """
     values = _warp_values(S.values, S.frame_times, v, S.grid.delta_nu)
-    out = replace(S, values=values)
-    out.metadata = dict(S.metadata)
-    out.metadata["warp_v"] = out.metadata.get("warp_v", 0.0) + v
-    return out
+    warp_v = S.metadata.get("warp_v", 0.0) + v
+    return replace(S, values=values, metadata={**S.metadata, "warp_v": warp_v})
 
 
 def _temporal_smooth(
@@ -155,19 +135,18 @@ def _temporal_smooth(
             # are identically zero instead of carrying a settling transient.
             cur = recursive_stage(cur, mu, axis=0, init=cur[0])
         return cur, int(math.ceil(5.0 * ladder.mu_sum))
-    s_frames = temporal.tau * frame_rate * frame_rate
-    kernel_half = discrete_gaussian_kernel(s_frames).origin_index if s_frames > 0 else 0
-    return discrete_gaussian_smooth(values, s_frames, axis=0), kernel_half
+    kernel = discrete_gaussian_kernel(temporal.tau * frame_rate * frame_rate)
+    return correlate1d(values, kernel.values, axis=0, mode="reflect"), kernel.origin_index
 
 
-def spectral_smooth(S: LogSpectrogram, s: float) -> LogSpectrogram:
+def spectral_smooth(S: TFMap, s: float) -> TFMap:
     """Gaussian smoothing along the log-frequency axis, s in semitones^2."""
     if s < 0:
         raise ValueError(f"spectral scale s must be non-negative, got {s}")
     s_bins = s / (S.grid.delta_nu ** 2)
-    out = replace(S, values=discrete_gaussian_smooth(S.values, s_bins, axis=1))
-    out.metadata = dict(S.metadata)
-    return out
+    return replace(
+        S, values=discrete_gaussian_smooth(S.values, s_bins, axis=1), metadata=dict(S.metadata)
+    )
 
 
 def _derivative_t(values: np.ndarray, order: int, dt: float) -> np.ndarray:
@@ -193,26 +172,18 @@ def _derivative_nu(values: np.ndarray, order: int, dnu: float) -> np.ndarray:
     raise ValueError(f"unsupported spectral derivative order {order}")
 
 
-def apply_rf(S: LogSpectrogram, spec: RFSpec) -> RFResponse:
-    """Apply a spectro-temporal receptive field to a dB spectrogram.
+def apply_rf(S: TFMap, spec: RFSpec) -> TFMap:
+    """Apply a spectro-temporal receptive field to a real-valued map.
 
-    Nonzero glissando slopes are handled by warping to the co-moving frame,
+    The response is an "rf" map on the input's axes whose metadata holds
+    the RFSpec ("rf_spec") and the warm-up the second layer added. Nonzero
+    glissando slopes are handled by warping to the co-moving frame,
     applying the separable operator there, and warping back.
     """
     if spec.v != 0.0:
-        warped = glissando_warp(S, spec.v)
-        inner = apply_rf(warped, replace(spec, v=0.0))
+        inner = apply_rf(glissando_warp(S, spec.v), replace(spec, v=0.0))
         values = _warp_values(inner.values, S.frame_times, -spec.v, S.grid.delta_nu)
-        return RFResponse(
-            values=values,
-            frame_times=inner.frame_times,
-            grid=inner.grid,
-            spec=spec,
-            warmup_frames=inner.warmup_frames,
-            hop=inner.hop,
-            sample_rate=inner.sample_rate,
-            metadata=inner.metadata,
-        )
+        return replace(inner, values=values, metadata={**inner.metadata, "rf_spec": spec})
     frame_rate = S.frame_rate
     values, layer2_warm = _temporal_smooth(S.values, spec.temporal, frame_rate)
     if spec.s > 0:
@@ -223,15 +194,12 @@ def apply_rf(S: LogSpectrogram, spec: RFSpec) -> RFResponse:
     if spec.normalized:
         values = values * (spec.tau_a ** (spec.alpha / 2.0) * spec.s ** (spec.beta / 2.0))
     warmup = S.warmup_frames + layer2_warm + spec.alpha
-    return RFResponse(
+    return replace(
+        S,
         values=values,
-        frame_times=S.frame_times,
-        grid=S.grid,
-        spec=spec,
         warmup_frames=warmup,
-        hop=S.hop,
-        sample_rate=S.sample_rate,
-        metadata={"layer2_warmup_frames": layer2_warm},
+        kind="rf",
+        metadata={"rf_spec": spec, "layer2_warmup_frames": layer2_warm},
     )
 
 

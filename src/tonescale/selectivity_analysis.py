@@ -18,6 +18,7 @@ import numpy as np
 from tonescale.temporal_scale_space import (
     Distribution,
     ScaleLadder,
+    SpectrogramFamily,
     build_ladder,
     cascade_kernel_numeric,
 )
@@ -25,27 +26,12 @@ from tonescale.temporal_scale_space import (
 TWO_PI_SQ = 4.0 * math.pi * math.pi
 
 
-@dataclass(frozen=True)
-class WindowFamily:
-    """Window family for selectivity analysis: "gauss", "rec-uni", "rec-log"."""
-
-    kind: str
-    n: float = 8.0
-    K: int = 7
-    c: float | None = None
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("gauss", "rec-uni", "rec-log"):
-            raise ValueError(f"unknown family kind {self.kind!r}")
-        if self.n <= 0:
-            raise ValueError(f"periods-per-window n must be positive, got {self.n}")
-        if self.kind != "gauss" and self.K < 1:
-            raise ValueError(f"K must be >= 1, got {self.K}")
-        if self.kind == "rec-log" and (self.c is None or self.c <= 1):
-            raise ValueError("rec-log needs a ratio c > 1")
+def _check_periods(n: float) -> None:
+    if n <= 0:
+        raise ValueError(f"periods-per-window n must be positive, got {n}")
 
 
-def selectivity_db_at_constant(fam: WindowFamily, C: float) -> float:
+def selectivity_db_at_constant(fam: SpectrogramFamily, C: float) -> float:
     """R_dB as a function of the dimensionless detuning C = n (omega - omega_0)/omega."""
     c2 = C * C
     if fam.kind == "gauss":
@@ -59,16 +45,17 @@ def selectivity_db_at_constant(fam: WindowFamily, C: float) -> float:
     return -10.0 * total
 
 
-def selectivity_db(fam: WindowFamily, omega_ratio: float) -> float:
+def selectivity_db(fam: SpectrogramFamily, omega_ratio: float, n: float = 8.0) -> float:
     """dB response of a channel centered at omega_0 to a tone at omega,
-    parameterized by omega/omega_0."""
+    parameterized by omega/omega_0, for windows spanning n carrier periods."""
+    _check_periods(n)
     if omega_ratio <= 0:
         raise ValueError(f"omega ratio must be positive, got {omega_ratio}")
-    C = fam.n * (omega_ratio - 1.0) / omega_ratio
+    C = n * (omega_ratio - 1.0) / omega_ratio
     return selectivity_db_at_constant(fam, abs(C))
 
 
-def bandwidth_constant(fam: WindowFamily, target_db: float) -> float:
+def bandwidth_constant(fam: SpectrogramFamily, target_db: float) -> float:
     """The detuning constant C at which the response has dropped to target_db.
 
     Gaussian and equal-stage families invert in closed form; logarithmic
@@ -210,19 +197,24 @@ LADDER_RATIO_LABELS = ("c=sqrt(2)", "c=2^(3/4)", "c=2")
 DELAY_K_RANGE = tuple(range(2, 9))
 
 
-def bandwidth_family_rows(n: float = 8.0) -> list[tuple[str, WindowFamily]]:
-    rows: list[tuple[str, WindowFamily]] = [("gauss", WindowFamily("gauss", n=n))]
+def bandwidth_family_rows() -> list[tuple[str, SpectrogramFamily]]:
+    rows: list[tuple[str, SpectrogramFamily]] = [("gauss", SpectrogramFamily("gauss"))]
     for K in (4, 7):
-        rows.append((f"rec-uni K={K}", WindowFamily("rec-uni", n=n, K=K)))
+        rows.append((f"rec-uni K={K}", SpectrogramFamily("rec-uni", K=K)))
         for c, label in zip(LADDER_RATIOS, LADDER_RATIO_LABELS):
-            rows.append((f"rec-log K={K} {label}", WindowFamily("rec-log", n=n, K=K, c=c)))
+            rows.append((f"rec-log K={K} {label}", SpectrogramFamily("rec-log", K=K, c=c)))
     return rows
 
 
 def bandwidth_constant_table(n: float = 8.0) -> dict:
-    """Bandwidth constants C for each family at -3, -10, -20, -30 dB."""
+    """Bandwidth constants C for each family at -3, -10, -20, -30 dB.
+
+    C is the detuning in units of 1/n, so the constants hold for any
+    positive window length n; n is only checked.
+    """
+    _check_periods(n)
     rows = []
-    for label, fam in bandwidth_family_rows(n):
+    for label, fam in bandwidth_family_rows():
         rows.append((label, [bandwidth_constant(fam, db) for db in BANDWIDTH_DB_LEVELS]))
     return {"columns": BANDWIDTH_DB_LEVELS, "rows": rows}
 

@@ -17,12 +17,9 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from scipy.signal import upfirdn
 
+from tonescale.selectivity_analysis import delay_measures
 from tonescale.temporal_scale_space import (
-    Distribution,
-    ScaleLadder,
-    build_ladder,
-    cascade_kernel_numeric,
-    composed_uniform_kernel_sample,
+    SpectrogramFamily,
     discrete_gaussian_kernel,
     discretize_ladder,
     recursive_stage,
@@ -130,72 +127,35 @@ def build_frequency_grid(
     )
 
 
-@dataclass(frozen=True)
-class SpectrogramFamily:
-    """Temporal window family: "gauss", "rec-uni", or "rec-log"."""
-
-    kind: str
-    K: int = 7
-    c: float | None = math.sqrt(2.0)
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("gauss", "rec-uni", "rec-log"):
-            raise ValueError(f"unknown family kind {self.kind!r}")
-        if self.kind != "gauss" and self.K < 1:
-            raise ValueError(f"cascade families need K >= 1, got {self.K}")
-        if self.kind == "rec-log" and (self.c is None or self.c <= 1):
-            raise ValueError("rec-log needs a ratio c > 1")
-
-    @property
-    def causal(self) -> bool:
-        return self.kind != "gauss"
-
-    @property
-    def distribution(self) -> Distribution:
-        if self.kind == "rec-uni":
-            return Distribution.UNIFORM
-        if self.kind == "rec-log":
-            return Distribution.LOGARITHMIC
-        raise ValueError("gaussian family has no ladder distribution")
-
-    def ladder(self, tau: float) -> ScaleLadder:
-        c = self.c if self.kind == "rec-log" else None
-        return build_ladder(self.distribution, tau, self.K, c)
+TFMAP_KINDS = ("complex", "db", "rf", "onset", "offset", "band")
 
 
 @dataclass
-class ComplexSpectrogram:
-    """Complex channel values at uniformly hopped frame times."""
+class TFMap:
+    """Values on the (frame, channel) plane of a spectrogram.
 
-    values: np.ndarray  # (n_frames, n_channels) complex
+    Every time-frequency result of both layers is a TFMap: the complex
+    spectrogram (``kind`` "complex"), its dB map ("db"), receptive-field
+    responses ("rf"), and the rectified onset, offset and band maps.
+    ``warmup_frames`` counts, per channel, the leading frames dominated by
+    the zero initial state of every smoothing applied so far. Settings that
+    only some kinds have (the dB reference ``S0``, the ``RFSpec`` under
+    "rf_spec", delay shifts) live in ``metadata``.
+    """
+
+    values: np.ndarray  # (n_frames, n_channels)
     frame_times: np.ndarray  # seconds
     grid: FrequencyGrid
     sample_rate: float
     hop: int  # samples between frames
     family: SpectrogramFamily
     warmup_frames: np.ndarray  # per channel
-    delay_compensated: bool = False
+    kind: str
     metadata: dict = field(default_factory=dict)
 
-    @property
-    def n_frames(self) -> int:
-        return self.values.shape[0]
-
-
-@dataclass
-class LogSpectrogram:
-    """Real dB values, 20 log10(max(|S|, floor)/S0)."""
-
-    values: np.ndarray  # (n_frames, n_channels) float
-    frame_times: np.ndarray
-    grid: FrequencyGrid
-    sample_rate: float
-    hop: int
-    family: SpectrogramFamily
-    S0: float
-    warmup_frames: np.ndarray
-    delay_compensated: bool = False
-    metadata: dict = field(default_factory=dict)
+    def __post_init__(self) -> None:
+        if self.kind not in TFMAP_KINDS:
+            raise ValueError(f"unknown map kind {self.kind!r}")
 
     @property
     def n_frames(self) -> int:
@@ -216,7 +176,7 @@ def compute_spectrogram(
     family: SpectrogramFamily,
     hop: int | None = None,
     epsilon: float = 1e-6,
-) -> ComplexSpectrogram:
+) -> TFMap:
     """Project onto cos/sin carriers per channel and smooth temporally.
 
     The stored value is c - i s where c and s are the smoothed cosine and
@@ -224,10 +184,20 @@ def compute_spectrogram(
     Causal families run the recursive cascade at the full sample rate and
     keep every hop-th sample; the Gaussian family evaluates truncated
     discrete-Gaussian windowed sums centered on the frames only.
+
+    Non-finite samples and channels at or above the Nyquist frequency are
+    rejected: either would silently corrupt the map.
     """
     x = np.asarray(signal, dtype=float)
     if x.ndim != 1 or x.size == 0:
         raise ValueError("signal must be a non-empty 1-D array")
+    if not np.all(np.isfinite(x)):
+        raise ValueError("signal contains non-finite samples")
+    if grid.omega.max() >= math.pi * sample_rate:
+        raise ValueError(
+            f"highest channel ({grid.omega.max() / (2.0 * math.pi):.1f} Hz) is at or above "
+            f"the Nyquist frequency ({sample_rate / 2.0:.1f} Hz)"
+        )
     if hop is None:
         hop = max(1, int(round(sample_rate / 1000.0)))  # 1 ms frames
     if hop <= 0:
@@ -270,7 +240,7 @@ def compute_spectrogram(
             out[: len(seg)] = seg
             values[:, ch] = out
             warmup[ch] = -(-half // hop)
-    return ComplexSpectrogram(
+    return TFMap(
         values=values,
         frame_times=frame_times,
         grid=grid,
@@ -278,28 +248,25 @@ def compute_spectrogram(
         hop=hop,
         family=family,
         warmup_frames=warmup,
+        kind="complex",
     )
 
 
 MAGNITUDE_FLOOR_FACTOR = 1e-10
 
 
-def to_db(spec: ComplexSpectrogram, S0: float = 1.0) -> LogSpectrogram:
-    """Self-similar dB map of the magnitudes, floored to stay finite."""
+def to_db(spec: TFMap, S0: float = 1.0) -> TFMap:
+    """Self-similar dB map 20 log10(max(|S|, floor) / S0); the floor keeps
+    it finite."""
     if S0 <= 0:
         raise ValueError(f"reference level S0 must be positive, got {S0}")
     mag = np.maximum(np.abs(spec.values), MAGNITUDE_FLOOR_FACTOR * S0)
-    return LogSpectrogram(
+    return replace(
+        spec,
         values=20.0 * np.log10(mag / S0),
-        frame_times=spec.frame_times,
-        grid=spec.grid,
-        sample_rate=spec.sample_rate,
-        hop=spec.hop,
-        family=spec.family,
-        S0=S0,
         warmup_frames=spec.warmup_frames.copy(),
-        delay_compensated=spec.delay_compensated,
-        metadata=dict(spec.metadata),
+        kind="db",
+        metadata={**spec.metadata, "S0": S0},
     )
 
 
@@ -311,8 +278,6 @@ def channel_delays(grid: FrequencyGrid, family: SpectrogramFamily) -> dict:
     sqrt(tau), which is exact because the kernel family is self-similar in
     sqrt(tau).
     """
-    from tonescale.selectivity_analysis import delay_measures
-
     if not family.causal:
         raise ValueError("delay measures apply to causal families only")
     t_max = np.empty(grid.n_channels)
@@ -330,7 +295,7 @@ def channel_delays(grid: FrequencyGrid, family: SpectrogramFamily) -> dict:
     return {"t_max": t_max, "t_infl1": t_infl1}
 
 
-def delay_compensate(spec: ComplexSpectrogram | LogSpectrogram):
+def delay_compensate(spec: TFMap) -> TFMap:
     """Shift each channel earlier by its first-inflection delay.
 
     Shifts are rounded to whole frames; the residual sub-frame delay is
@@ -348,54 +313,12 @@ def delay_compensate(spec: ComplexSpectrogram | LogSpectrogram):
         if 0 < shift < n_frames:
             values[:-shift, ch] = values[shift:, ch]
             values[-shift:, ch] = values[-shift - 1, ch]
-    out = replace(spec, values=values, delay_compensated=True)
-    out.metadata = dict(spec.metadata)
-    out.metadata["delay_shift_frames"] = shifts
-    out.metadata["delay_residual_seconds"] = delays - shifts * hop_seconds
-    return out
-
-
-def gammatone_kernel_sample(a: float, b: float, phi: float, K: int, t, alpha: float = 0.0):
-    """The Gammatone function a t^{K-1} e^{-2 pi b t} cos(2 pi phi t + alpha)."""
-    t = np.asarray(t, dtype=float)
-    out = np.zeros_like(t)
-    pos = t > 0
-    tp = t[pos]
-    out[pos] = (
-        a * tp ** (K - 1) * np.exp(-2.0 * math.pi * b * tp) * np.cos(2.0 * math.pi * phi * tp + alpha)
+    return replace(
+        spec,
+        values=values,
+        metadata={
+            **spec.metadata,
+            "delay_shift_frames": shifts,
+            "delay_residual_seconds": delays - shifts * hop_seconds,
+        },
     )
-    return out if out.ndim else float(out)
-
-
-def gammatone_equivalence_check(
-    mu: float, K: int, omega: float, dt: float | None = None, horizon: float | None = None
-) -> float:
-    """Max-abs deviation between the causal-uniform window times a cosine
-    carrier and the closed-form Gammatone with a = 1/(mu^K Gamma(K)),
-    b = 1/(2 pi mu). Zero up to rounding when the stage constants are equal.
-    """
-    if dt is None:
-        dt = mu / 100.0
-    if horizon is None:
-        horizon = (K + 12.0 * math.sqrt(K)) * mu
-    t = np.arange(0.0, horizon, dt)
-    windowed = composed_uniform_kernel_sample(mu, K, t) * np.cos(omega * t)
-    a = math.exp(-K * math.log(mu) - math.lgamma(K))
-    b = 1.0 / (2.0 * math.pi * mu)
-    phi = omega / (2.0 * math.pi)
-    gamma = gammatone_kernel_sample(a, b, phi, K, t)
-    return float(np.max(np.abs(windowed - gamma)))
-
-
-def generalized_gammatone_peak_deviation(tau: float, K: int, c: float, omega: float) -> float:
-    """Relative peak deviation of a logarithmic-ladder window from the
-    variance-matched equal-stage Gammatone window. Nonzero whenever c > 1.
-    """
-    ladder = build_ladder(Distribution.LOGARITHMIC, tau, K, c)
-    dt = min(math.sqrt(tau) / 2000.0, ladder.mu_min / 20.0)
-    horizon = ladder.mu_sum + 10.0 * math.sqrt(tau)
-    kernel = cascade_kernel_numeric(ladder, dt, horizon)
-    mu_eq = math.sqrt(tau / K)
-    uniform = composed_uniform_kernel_sample(mu_eq, K, kernel.times)
-    peak = float(np.max(uniform))
-    return float(np.max(np.abs(kernel.values - uniform)) / peak)

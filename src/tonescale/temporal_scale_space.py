@@ -172,6 +172,50 @@ class TemporalKernelSpec:
         return self.tau if self.kind == "gaussian" else self.ladder.tau_max
 
 
+@dataclass(frozen=True)
+class SpectrogramFamily:
+    """Temporal window family: "gauss", "rec-uni", or "rec-log".
+
+    One family defines the spectrogram windows, their frequency selectivity
+    and delays, and the matching second-layer temporal kernels. ``K`` is the
+    cascade stage count and ``c`` the logarithmic ladder ratio.
+    """
+
+    kind: str
+    K: int = 7
+    c: float | None = math.sqrt(2.0)
+
+    def __post_init__(self) -> None:
+        if self.kind not in ("gauss", "rec-uni", "rec-log"):
+            raise ValueError(f"unknown family kind {self.kind!r}")
+        if self.kind != "gauss" and self.K < 1:
+            raise ValueError(f"cascade families need K >= 1, got {self.K}")
+        if self.kind == "rec-log" and (self.c is None or self.c <= 1):
+            raise ValueError("rec-log needs a ratio c > 1")
+
+    @property
+    def causal(self) -> bool:
+        return self.kind != "gauss"
+
+    @property
+    def distribution(self) -> Distribution:
+        if self.kind == "rec-uni":
+            return Distribution.UNIFORM
+        if self.kind == "rec-log":
+            return Distribution.LOGARITHMIC
+        raise ValueError("gaussian family has no ladder distribution")
+
+    def ladder(self, tau: float) -> ScaleLadder:
+        c = self.c if self.kind == "rec-log" else None
+        return build_ladder(self.distribution, tau, self.K, c)
+
+    def temporal(self, tau: float) -> TemporalKernelSpec:
+        """The family's temporal kernel at variance tau (seconds^2)."""
+        if self.kind == "gauss":
+            return TemporalKernelSpec.gaussian(tau)
+        return TemporalKernelSpec.cascade(self.ladder(tau))
+
+
 @dataclass(eq=False)
 class SampledKernel:
     """A kernel sampled on a uniform grid.
@@ -231,44 +275,6 @@ def gaussian_derivative_sample(tau: float, t, order: int, delta: float = 0.0):
         raise ValueError(f"unsupported derivative order {order}")
     out = g * factor
     return out if out.ndim else float(out)
-
-
-def sample_gaussian_kernel(
-    tau: float, dt: float, delta: float = 0.0, radius_sigmas: float = 8.0
-) -> SampledKernel:
-    """Sample the Gaussian on a grid spanning delta +- radius_sigmas * sigma.
-
-    The sampled mass is renormalized to exactly 1.
-    """
-    sigma = math.sqrt(tau)
-    n = int(math.ceil(radius_sigmas * sigma / dt))
-    offsets = np.arange(-n, n + 1)
-    center = int(round(delta / dt))
-    t = (offsets + center) * dt
-    values = gaussian_kernel_sample(tau, t, delta)
-    values = values / (values.sum() * dt)
-    return SampledKernel(values=values, origin_index=n - center, dt=dt)
-
-
-def sample_gaussian_derivative(
-    tau: float, order: int, dt: float, delta: float = 0.0, radius_sigmas: float = 8.0
-) -> SampledKernel:
-    """Sampled analytic Gaussian derivative, corrected to zero sum.
-
-    Subtracting the mean weight restores the exact zero DC response that the
-    continuous derivative kernel has; differentiating sampled kernels instead
-    would leave an O(dt) residue.
-    """
-    if order < 1:
-        raise ValueError("use sample_gaussian_kernel for order 0")
-    sigma = math.sqrt(tau)
-    n = int(math.ceil(radius_sigmas * sigma / dt))
-    offsets = np.arange(-n, n + 1)
-    center = int(round(delta / dt))
-    t = (offsets + center) * dt
-    values = gaussian_derivative_sample(tau, t, order, delta)
-    values = values - values.mean()
-    return SampledKernel(values=values, origin_index=n - center, dt=dt)
 
 
 def composed_uniform_kernel_sample(mu: float, K: int, t):

@@ -22,15 +22,14 @@ from tonescale.features import (
     second_moment_glissando,
 )
 from tonescale.selectivity_analysis import (
-    WindowFamily,
     bandwidth_constant_table,
     delay_max_table,
     delay_mean_table,
     selectivity_db_at_constant,
 )
 from tonescale.spectrogram import (
-    LogSpectrogram,
     SpectrogramFamily,
+    TFMap,
     WindowScaleLaw,
     build_frequency_grid,
     channel_delays,
@@ -157,10 +156,9 @@ def test_criterion_04_measured_selectivity_matches_closed_form():
     center = int(np.argmin(np.abs(grid.nu - 69.0)))
     measured_db = 20.0 * np.log10(level / level[center])
 
-    fam = WindowFamily(kind="rec-log", K=7, c=math.sqrt(2.0))
     freqs = 440.0 * 2.0 ** ((grid.nu - 69.0) / 12.0)
     predicted_db = np.array(
-        [selectivity_db_at_constant(fam, 8.0 * abs(440.0 - f) / f) for f in freqs]
+        [selectivity_db_at_constant(FAM, 8.0 * abs(440.0 - f) / f) for f in freqs]
     )
     audible = predicted_db >= -40.0
     assert audible.sum() > 10
@@ -362,15 +360,15 @@ def test_criterion_09_onset_timing():
     values = np.where(np.arange(n_frames)[:, None] >= j0, 0.0, -60.0) * np.ones(
         (1, grid.n_channels)
     )
-    L = LogSpectrogram(
+    L = TFMap(
         values=values,
         frame_times=frame_times,
         grid=grid,
         sample_rate=RATE,
         hop=HOP,
         family=FAM,
-        S0=1.0,
         warmup_frames=np.zeros(grid.n_channels, dtype=int),
+        kind="db",
     )
     onset = detect_onsets(L, 0.02**2, 0.25)
     ch = grid.n_channels // 2

@@ -13,8 +13,10 @@ from tonescale.features import (
     ridge_mask,
     second_moment_glissando,
 )
+from tonescale.receptive_fields import RFSpec, apply_rf
 from tonescale.spectrogram import (
     SpectrogramFamily,
+    TFMap,
     WindowScaleLaw,
     build_frequency_grid,
     channel_delays,
@@ -45,8 +47,6 @@ def step_tone_db(t_on=0.4, duration=1.0, freq=440.0, span=(64.0, 74.0)):
 
 def synthetic_db_step(t_on=0.4, duration=1.0, lo=-60.0, hi=0.0, span=(64.0, 74.0)):
     """A dB map that jumps from lo to hi at t_on on every channel."""
-    from tonescale.spectrogram import LogSpectrogram
-
     grid = build_frequency_grid(span[0], span[1], 48, law=WindowScaleLaw(n=8.0))
     hop = 44
     n_frames = int(duration * RATE / hop)
@@ -54,15 +54,15 @@ def synthetic_db_step(t_on=0.4, duration=1.0, lo=-60.0, hi=0.0, span=(64.0, 74.0
     values = np.where(frame_times[:, None] >= t_on, hi, lo) * np.ones(
         (1, grid.n_channels)
     )
-    return LogSpectrogram(
+    return TFMap(
         values=values,
         frame_times=frame_times,
         grid=grid,
         sample_rate=RATE,
         hop=hop,
         family=FAM,
-        S0=1.0,
         warmup_frames=np.zeros(grid.n_channels, dtype=int),
+        kind="db",
     )
 
 
@@ -281,3 +281,14 @@ def test_onset_peak_time_respects_delay_compensation_bound():
     t_infl1_2 = (3 - math.sqrt(3)) * lad.mus[0] / frame_rate
     slack = t_max2 - t_infl1_2 + 2.0 / frame_rate
     assert abs(peak_t - (t_on + t_max2)) <= slack
+
+
+def test_layer2_ops_compose_on_an_onset_map():
+    onset = detect_onsets(step_tone_db(), TAU_A, S_NU)
+    assert onset.frame_rate == pytest.approx(RATE / 44)
+    smoothed = apply_rf(onset, RFSpec(temporal=FAM.temporal(TAU_A), s=S_NU))
+    assert smoothed.kind == "rf" and smoothed.values.shape == onset.values.shape
+    assert np.all(smoothed.warmup_frames >= onset.warmup_frames)
+    bands = enhance_bands(onset, TAU_A, S_NU)
+    assert bands.kind == "band" and np.all(bands.values >= 0.0)
+    assert np.all(bands.warmup_frames >= onset.warmup_frames)

@@ -16,13 +16,12 @@ from hypothesis import strategies as st
 
 from tonescale.receptive_fields import RFSpec, apply_rf, glissando_warp
 from tonescale.selectivity_analysis import (
-    WindowFamily,
     bandwidth_constant,
     selectivity_db_at_constant,
 )
 from tonescale.spectrogram import (
-    LogSpectrogram,
     SpectrogramFamily,
+    TFMap,
     WindowScaleLaw,
     build_frequency_grid,
     compute_spectrogram,
@@ -52,19 +51,19 @@ def small_spec():
 
 
 @functools.lru_cache(maxsize=1)
-def flat_db_spec() -> LogSpectrogram:
+def flat_db_spec() -> TFMap:
     grid = build_frequency_grid(60.0, 72.0, 12, law=WindowScaleLaw(n=8.0))
     fam = SpectrogramFamily(kind="rec-log", K=3, c=math.sqrt(2.0))
     n_frames = 160
-    return LogSpectrogram(
+    return TFMap(
         values=np.full((n_frames, grid.n_channels), -7.5),
         frame_times=np.arange(n_frames) * 8 / RATE,
         grid=grid,
         sample_rate=RATE,
         hop=8,
         family=fam,
-        S0=1.0,
         warmup_frames=np.zeros(grid.n_channels, dtype=int),
+        kind="db",
     )
 
 
@@ -191,10 +190,10 @@ def test_smoothing_does_not_create_extrema(seed, tau, K):
 
 
 FAMILY_STRATEGY = st.one_of(
-    st.just(WindowFamily(kind="gauss")),
-    st.integers(2, 8).map(lambda k: WindowFamily(kind="rec-uni", K=k)),
+    st.just(SpectrogramFamily(kind="gauss")),
+    st.integers(2, 8).map(lambda k: SpectrogramFamily(kind="rec-uni", K=k)),
     st.tuples(st.integers(2, 8), st.sampled_from([math.sqrt(2.0), 2.0 ** 0.75, 2.0])).map(
-        lambda kc: WindowFamily(kind="rec-log", K=kc[0], c=kc[1])
+        lambda kc: SpectrogramFamily(kind="rec-log", K=kc[0], c=kc[1])
     ),
 )
 
@@ -226,11 +225,11 @@ def test_families_order_by_passband_width(K, level):
     # sharper spectral decay of the window concentrates the passband:
     # gaussian < equal-stage cascade < log cascades, widening with c
     cs = [
-        bandwidth_constant(WindowFamily(kind="gauss"), level),
-        bandwidth_constant(WindowFamily(kind="rec-uni", K=K), level),
-        bandwidth_constant(WindowFamily(kind="rec-log", K=K, c=math.sqrt(2.0)), level),
-        bandwidth_constant(WindowFamily(kind="rec-log", K=K, c=2.0 ** 0.75), level),
-        bandwidth_constant(WindowFamily(kind="rec-log", K=K, c=2.0), level),
+        bandwidth_constant(SpectrogramFamily(kind="gauss"), level),
+        bandwidth_constant(SpectrogramFamily(kind="rec-uni", K=K), level),
+        bandwidth_constant(SpectrogramFamily(kind="rec-log", K=K, c=math.sqrt(2.0)), level),
+        bandwidth_constant(SpectrogramFamily(kind="rec-log", K=K, c=2.0 ** 0.75), level),
+        bandwidth_constant(SpectrogramFamily(kind="rec-log", K=K, c=2.0), level),
     ]
     assert cs[0] < cs[1] and cs[2] < cs[3] < cs[4]
     if K == 2:

@@ -5,7 +5,6 @@ import pytest
 
 from tonescale.selectivity_analysis import (
     BANDWIDTH_DB_LEVELS,
-    WindowFamily,
     bandwidth_constant,
     bandwidth_constant_table,
     delay_max_table,
@@ -18,6 +17,7 @@ from tonescale.selectivity_analysis import (
 )
 from tonescale.temporal_scale_space import (
     Distribution,
+    SpectrogramFamily,
     build_ladder,
     cascade_kernel_numeric,
 )
@@ -32,7 +32,7 @@ def numeric_attenuation_db(ladder, C: float) -> float:
 
 
 def test_gaussian_selectivity_closed_form():
-    fam = WindowFamily(kind="gauss", n=8.0)
+    fam = SpectrogramFamily(kind="gauss")
     # |FT of a unit-variance Gaussian| = exp(-omega^2 / 2) at omega = 2 pi C
     for C in (0.1, 0.25, 0.5):
         expected = 20.0 * math.log10(math.exp(-0.5 * (2 * math.pi * C) ** 2))
@@ -41,7 +41,7 @@ def test_gaussian_selectivity_closed_form():
 
 @pytest.mark.parametrize("K", [4, 7])
 def test_uniform_selectivity_matches_numeric_fourier(K):
-    fam = WindowFamily(kind="rec-uni", K=K)
+    fam = SpectrogramFamily(kind="rec-uni", K=K)
     lad = build_ladder(Distribution.UNIFORM, 1.0, K)
     for C in (0.15, 0.4):
         assert selectivity_db_at_constant(fam, C) == pytest.approx(
@@ -51,7 +51,7 @@ def test_uniform_selectivity_matches_numeric_fourier(K):
 
 @pytest.mark.parametrize("c", [math.sqrt(2.0), 2.0])
 def test_logarithmic_selectivity_matches_numeric_fourier(c):
-    fam = WindowFamily(kind="rec-log", K=7, c=c)
+    fam = SpectrogramFamily(kind="rec-log", K=7, c=c)
     lad = build_ladder(Distribution.LOGARITHMIC, 1.0, 7, c=c)
     for C in (0.15, 0.4):
         assert selectivity_db_at_constant(fam, C) == pytest.approx(
@@ -60,7 +60,7 @@ def test_logarithmic_selectivity_matches_numeric_fourier(c):
 
 
 def test_selectivity_from_frequency_ratio():
-    fam = WindowFamily(kind="gauss", n=8.0)
+    fam = SpectrogramFamily(kind="gauss")
     rho = 2.0 ** (1.0 / 12.0)
     C = 8.0 * (rho - 1.0) / rho
     assert selectivity_db(fam, rho) == pytest.approx(
@@ -70,19 +70,19 @@ def test_selectivity_from_frequency_ratio():
 
 def test_bandwidth_constant_inverts_selectivity():
     for fam in (
-        WindowFamily(kind="gauss"),
-        WindowFamily(kind="rec-uni", K=4),
-        WindowFamily(kind="rec-log", K=7, c=math.sqrt(2.0)),
+        SpectrogramFamily(kind="gauss"),
+        SpectrogramFamily(kind="rec-uni", K=4),
+        SpectrogramFamily(kind="rec-log", K=7, c=math.sqrt(2.0)),
     ):
         for level in BANDWIDTH_DB_LEVELS:
             C = bandwidth_constant(fam, level)
             assert selectivity_db_at_constant(fam, C) == pytest.approx(level, abs=1e-4)
     with pytest.raises(ValueError):
-        bandwidth_constant(WindowFamily(kind="gauss"), 0.0)
+        bandwidth_constant(SpectrogramFamily(kind="gauss"), 0.0)
 
 
 def test_bandwidth_constant_monotone_in_level():
-    fam = WindowFamily(kind="rec-log", K=4, c=2.0)
+    fam = SpectrogramFamily(kind="rec-log", K=4, c=2.0)
     cs = [bandwidth_constant(fam, level) for level in (-3.0, -10.0, -20.0, -30.0)]
     assert all(a < b for a, b in zip(cs, cs[1:]))
 
@@ -155,8 +155,8 @@ def test_table_builders_have_expected_shape():
 
 def test_window_family_validation():
     with pytest.raises(ValueError):
-        WindowFamily(kind="unknown")
+        SpectrogramFamily(kind="unknown")
     with pytest.raises(ValueError):
-        WindowFamily(kind="rec-log", K=4, c=1.0)
+        SpectrogramFamily(kind="rec-log", K=4, c=1.0)
     with pytest.raises(ValueError):
-        WindowFamily(kind="gauss", n=-1.0)
+        selectivity_db(SpectrogramFamily(kind="gauss"), 1.0, n=-1.0)

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -198,3 +199,33 @@ def test_spectrogram_rejects_bad_input():
         SpectrogramFamily(kind="nonsense")
     with pytest.raises(ValueError):
         SpectrogramFamily(kind="rec-log", K=7, c=0.9)
+
+
+def test_spectrogram_rejects_non_finite_samples():
+    grid = build_frequency_grid(60.0, 72.0, 12)
+    x = sine(440.0, 0.3, RATE)
+    x[int(0.01 * RATE)] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        compute_spectrogram(x, RATE, grid, SpectrogramFamily(kind="rec-log"))
+
+
+def test_spectrogram_rejects_channels_above_nyquist():
+    rate = 8000.0
+    x = sine(440.0, 0.1, rate)
+    fam = SpectrogramFamily(kind="rec-log")
+    grid = build_frequency_grid(60.0, midi_from_frequency(14900.0), 12)
+    with pytest.raises(ValueError, match="Nyquist"):
+        compute_spectrogram(x, rate, grid, fam)
+    below = build_frequency_grid(60.0, midi_from_frequency(3900.0), 12)
+    assert below.omega.max() < math.pi * rate
+    assert compute_spectrogram(x, rate, below, fam).values.shape[1] == below.n_channels
+
+
+def test_map_kind_is_checked():
+    grid = build_frequency_grid(66.0, 72.0, 12)
+    fam = SpectrogramFamily(kind="rec-uni", K=4)
+    S = compute_spectrogram(sine(440.0, 0.05, RATE), RATE, grid, fam)
+    assert S.kind == "complex" and to_db(S).kind == "db"
+    assert to_db(S, S0=2.0).metadata["S0"] == 2.0
+    with pytest.raises(ValueError, match="map kind"):
+        replace(S, kind="dB")

@@ -8,6 +8,8 @@ from scipy.stats import gamma as gamma_dist
 from tonescale.temporal_scale_space import (
     Distribution,
     ScaleLadder,
+    SpectrogramFamily,
+    TemporalKernelSpec,
     build_ladder,
     cascade_kernel_numeric,
     composed_uniform_kernel_dt,
@@ -257,3 +259,12 @@ def test_smoothing_never_creates_local_extrema(rng):
 def test_warmup_length_scales_with_stage_constants():
     lad = discretize_ladder(build_ladder(Distribution.UNIFORM, tau_max=1e-4, K=4), 8000.0)
     assert warmup_length(lad) == math.ceil(5.0 * sum(lad.mus))
+
+
+def test_family_temporal_kernel_matches_its_ladder():
+    tau = 0.02 ** 2
+    assert SpectrogramFamily("gauss").temporal(tau) == TemporalKernelSpec.gaussian(tau)
+    uni = SpectrogramFamily("rec-uni", K=4).temporal(tau)
+    assert uni.ladder == build_ladder(Distribution.UNIFORM, tau, 4)
+    log = SpectrogramFamily("rec-log", K=7, c=2.0).temporal(tau)
+    assert log.ladder == build_ladder(Distribution.LOGARITHMIC, tau, 7, 2.0)

@@ -1,10 +1,13 @@
+import argparse
 import json
+import math
 import struct
 
 import numpy as np
 import pytest
 from conftest import sine
 
+from tonescale import cli_io
 from tonescale.cli_io import (
     cli_main,
     read_grid_csv,
@@ -13,6 +16,7 @@ from tonescale.cli_io import (
     write_grid_pgm,
     write_wav,
 )
+from tonescale.spectrogram import midi_from_frequency
 
 
 def make_wav(fmt_body: bytes, data_body: bytes, tail: bytes = b"") -> bytes:
@@ -345,3 +349,202 @@ def test_cli_partials_json(tone_wav, tmp_path, capsys):
     assert longest["mean_nu"] == pytest.approx(69.0, abs=0.15)
     assert len(longest["frames"]) == len(longest["nus"]) == len(longest["strengths"])
     capsys.readouterr()
+
+
+# ---------------------------------------------------------------------------
+# CLI surface: flags, destinations, types and merged defaults per subcommand
+
+FAMILIES = ("gauss", "rec-uni", "rec-log")
+LAYER1_FLAGS = {
+    "family": (str, FAMILIES, False),
+    "K": (int, None, False),
+    "c": (float, None, False),
+    "n": (float, None, False),
+    "tau0_ms": (float, None, False),
+    "bins_per_octave": (int, None, False),
+    "nu_min": (float, None, False),
+    "nu_max": (float, None, False),
+    "hop_ms": (float, None, False),
+    "compensate_delay": (None, None, True),
+    "out_csv": (str, None, False),
+    "out_pgm": (str, None, False),
+    "db_min": (float, None, False),
+    "db_max": (float, None, False),
+    "config": (str, None, False),
+}
+SURFACE = {
+    "spectrogram": {**LAYER1_FLAGS, "db": (None, None, True)},
+    "features": {
+        **LAYER1_FLAGS,
+        "onsets": (None, None, True),
+        "offsets": (None, None, True),
+        "bands": (None, None, True),
+        "partials": (None, None, True),
+        "glissando_bank": (str, None, False),
+        "second_moment": (None, None, True),
+        "tau_a_ms": (float, None, False),
+        "sigma_nu": (float, None, False),
+        "tau_i_ms": (float, None, False),
+        "sigma_nu_i": (float, None, False),
+        "c_min": (float, None, False),
+        "min_level_db": (float, None, False),
+        "out_json": (str, None, False),
+    },
+    "analyze": {
+        "table": (int, None, False),
+        "n": (float, None, False),
+        "out_csv": (str, None, False),
+        "config": (str, None, False),
+    },
+    "kernels": {
+        "family": (str, FAMILIES, False),
+        "K": (int, None, False),
+        "c": (float, None, False),
+        "tau": (float, None, False),
+        "dt": (float, None, False),
+        "rf": (None, None, True),
+        "alpha": (int, None, False),
+        "beta": (int, None, False),
+        "v": (float, None, False),
+        "sigma_nu": (float, None, False),
+        "tau_a_ms": (float, None, False),
+        "t_span": (float, None, False),
+        "nu_span": (float, None, False),
+        "dnu": (float, None, False),
+        "out_csv": (str, None, False),
+        "out_pgm": (str, None, False),
+        "config": (str, None, False),
+    },
+}
+TAKES_WAV = {"spectrogram": True, "features": True, "analyze": False, "kernels": False}
+
+LAYER1_MERGED = {
+    "family": "rec-log",
+    "K": 7,
+    "c": math.sqrt(2.0),
+    "n": 8.0,
+    "tau0_ms": 0.0,
+    "bins_per_octave": 48,
+    "nu_min": midi_from_frequency(80.0),
+    "nu_max": midi_from_frequency(16000.0),
+    "hop_ms": 1.0,
+    "compensate_delay": False,
+    "out_csv": None,
+    "out_pgm": None,
+    "db_min": -60.0,
+    "db_max": 0.0,
+}
+MERGED = {
+    "spectrogram": {**LAYER1_MERGED, "db": False},
+    "features": {
+        **LAYER1_MERGED,
+        "tau_a_ms": 20.0,
+        "sigma_nu": 0.5,
+        "tau_i_ms": 60.0,
+        "sigma_nu_i": 1.0,
+        "c_min": 3.0,
+        "min_level_db": -70.0,
+        "onsets": False,
+        "offsets": False,
+        "bands": False,
+        "partials": False,
+        "second_moment": False,
+        "glissando_bank": None,
+        "out_json": None,
+    },
+    "analyze": {"table": None, "n": 8.0, "out_csv": None},
+    "kernels": {
+        "family": "rec-log",
+        "K": 7,
+        "c": math.sqrt(2.0),
+        "tau": 1.0,
+        "dt": None,
+        "rf": False,
+        "alpha": 0,
+        "beta": 0,
+        "v": 0.0,
+        "sigma_nu": 0.5,
+        "tau_a_ms": 20.0,
+        "t_span": None,
+        "nu_span": None,
+        "dnu": None,
+        "out_csv": None,
+        "out_pgm": None,
+    },
+}
+
+
+def _subparsers() -> dict:
+    parser = cli_io.build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return sub.choices
+
+
+@pytest.mark.parametrize("command", sorted(SURFACE))
+def test_cli_flag_surface(command):
+    got, positionals = {}, []
+    for action in _subparsers()[command]._actions:
+        if isinstance(action, argparse._HelpAction):
+            continue
+        if not action.option_strings:
+            positionals.append(action.dest)
+            continue
+        store_true = isinstance(action, argparse._StoreTrueAction)
+        kind = None if store_true else (action.type or str)
+        flag = "--" + action.dest.replace("_", "-")
+        assert action.option_strings == [flag]
+        choices = tuple(action.choices) if action.choices else None
+        got[action.dest] = (kind, choices, store_true)
+    assert got == SURFACE[command]
+    assert positionals == (["wav"] if TAKES_WAV[command] else [])
+
+
+def _merged_settings(monkeypatch, argv: list) -> dict:
+    """The settings a command would run with, stopped right after merging."""
+    seen = []
+    real = cli_io._merge_settings
+
+    def spy(*args, **kwargs):
+        seen.append(real(*args, **kwargs))
+        raise cli_io.CliError(99, "merged")
+
+    monkeypatch.setattr(cli_io, "_merge_settings", spy)
+    try:
+        assert cli_main(argv) == 99
+    finally:
+        monkeypatch.undo()
+    return seen[0]
+
+
+def _command_argv(command: str, wav) -> list:
+    return [command, str(wav)] if TAKES_WAV[command] else [command]
+
+
+@pytest.mark.parametrize("command", sorted(MERGED))
+def test_cli_merged_defaults(command, tone_wav, tmp_path, monkeypatch):
+    argv = _command_argv(command, tone_wav)
+    assert _merged_settings(monkeypatch, argv) == MERGED[command]
+    # every own key is a valid config key, and a config of the defaults changes nothing
+    config = tmp_path / "all.json"
+    config.write_text(json.dumps(MERGED[command]))
+    assert _merged_settings(monkeypatch, argv + ["--config", str(config)]) == MERGED[command]
+
+
+@pytest.mark.parametrize(
+    "command,key",
+    [
+        ("spectrogram", "tau"),
+        ("spectrogram", "onsets"),
+        ("features", "db"),
+        ("features", "table"),
+        ("analyze", "family"),
+        ("kernels", "nu_min"),
+        ("kernels", "db"),
+    ],
+)
+def test_cli_rejects_config_key_of_another_command(command, key, tone_wav, tmp_path, capsys):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({key: 1}))
+    argv = _command_argv(command, tone_wav) + ["--config", str(config), "--out-csv", "x.csv"]
+    assert cli_main(argv) == 2
+    assert f"unknown config key {key!r}" in capsys.readouterr().err

@@ -6,11 +6,18 @@ Subcommands:
   analyze       reference tables: bandwidth constants and kernel delays
   kernels       impulse responses and receptive-field kernel grids
 
-Exit codes: 0 success, 2 bad arguments, 1 runtime failure. A JSON config
-file (``--config run.json``) can supply any flag value by its destination
-name; explicit command-line flags override the file, which overrides the
-built-in defaults. Identical inputs and settings produce byte-identical
-CSV/PGM/JSON outputs.
+Two tables drive the parser. ``OPTIONS`` maps each option's destination
+to its type, default and help; the flag is ``--`` plus the destination
+with ``_`` turned into ``-``, bool options are store_true flags, and the
+help text renders the default from the table. ``COMMANDS`` gives each
+subcommand its handler, whether it reads a WAV, its option keys in flag
+order, and its help. A JSON config file (``--config run.json``) can supply
+any option of the subcommand by its destination name; explicit flags
+override the file, which overrides the table defaults, and any other key
+is an error.
+
+Exit codes: 0 success, 2 bad arguments, 1 runtime failure. Identical
+inputs and settings produce byte-identical CSV/PGM/JSON outputs.
 """
 
 from __future__ import annotations
@@ -22,7 +29,7 @@ import struct
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -186,6 +193,14 @@ def write_wav(path: str | Path, samples: np.ndarray, rate: float) -> None:
 # Grid serialization
 
 
+def _write_text(path: str | Path, lines: list[str]) -> None:
+    """Write lines as a text file; an OSError names the path."""
+    try:
+        Path(path).write_text("\n".join(lines) + "\n")
+    except OSError as exc:
+        raise OSError(f"{path}: {exc}") from exc
+
+
 def _format_cell(value) -> str:
     if np.iscomplexobj(np.asarray(value)) or isinstance(value, complex):
         z = complex(value)
@@ -193,7 +208,9 @@ def _format_cell(value) -> str:
     return f"{float(value):.6f}"
 
 
-def write_grid_csv(path: str | Path, nu: np.ndarray, frame_times: np.ndarray, values: np.ndarray) -> None:
+def write_grid_csv(
+    path: str | Path, nu: np.ndarray, frame_times: np.ndarray, values: np.ndarray
+) -> None:
     """Tab-separated grid: header row "nu<TAB>frame times", one row per
     channel in ascending nu, cells formatted with 6 decimals ('.' decimal).
     Complex cells are written as re+imj."""
@@ -209,10 +226,7 @@ def write_grid_csv(path: str | Path, nu: np.ndarray, frame_times: np.ndarray, va
     for ch in range(len(nu)):
         cells = "\t".join(_format_cell(v) for v in values[:, ch])
         lines.append(f"{float(nu[ch]):.6f}\t" + cells)
-    try:
-        Path(path).write_text("\n".join(lines) + "\n")
-    except OSError as exc:
-        raise OSError(f"{path}: {exc}") from exc
+    _write_text(path, lines)
 
 
 def read_grid_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -256,67 +270,99 @@ def write_grid_pgm(path: str | Path, values: np.ndarray, lo: float, hi: float) -
 
 
 # ---------------------------------------------------------------------------
-# Configuration plumbing
+# Option table
 
-NU_MIN_DEFAULT = midi_from_frequency(80.0)
+FAMILIES = ("gauss", "rec-uni", "rec-log")
 NU_MAX_DEFAULT = midi_from_frequency(16000.0)
 
-LAYER1_DEFAULTS: dict = {
-    "family": "rec-log",
-    "K": 7,
-    "c": math.sqrt(2.0),
-    "n": 8.0,
-    "tau0_ms": 0.0,
-    "bins_per_octave": 48,
-    "nu_min": NU_MIN_DEFAULT,
-    "nu_max": NU_MAX_DEFAULT,
-    "hop_ms": 1.0,
-    "compensate_delay": False,
-    "out_csv": None,
-    "out_pgm": None,
-    "db_min": -60.0,
-    "db_max": 0.0,
+# destination -> (type, default, help). The flag is "--" plus the destination
+# with "_" turned into "-"; a bool option is a store_true flag that is off by
+# default; a tuple type lists the choices of a string option. Help texts
+# that name their own default describe one derived at run time.
+OPTIONS: dict[str, tuple] = {
+    "family": (FAMILIES, "rec-log", "temporal window family"),
+    "K": (int, 7, "cascade stages"),
+    "c": (float, math.sqrt(2.0), "logarithmic ladder ratio"),
+    "n": (float, 8.0, "carrier periods per window extent; analyze uses it for table 1"),
+    "tau0_ms": (float, 0.0, "base window extent sigma_0 in ms, added in variance"),
+    "bins_per_octave": (int, 48, "log-frequency grid density"),
+    "nu_min": (float, midi_from_frequency(80.0), "lowest channel in MIDI units, 69 being 440 Hz"),
+    "nu_max": (
+        float,
+        None,
+        f"highest channel in MIDI units (default: {NU_MAX_DEFAULT:.2f} = 16 kHz, lowered to "
+        "one bin below the input's Nyquist frequency)",
+    ),
+    "hop_ms": (float, 1.0, "frame hop in ms"),
+    "compensate_delay": (bool, False, "advance each causal channel by its first-inflection delay"),
+    "out_csv": (str, None, "write the result as CSV (analyze: the table picked by --table)"),
+    "out_pgm": (str, None, "write the result as binary PGM (kernels: --rf grids only)"),
+    "db_min": (float, -60.0, "PGM grayscale floor in dB"),
+    "db_max": (float, 0.0, "PGM grayscale ceiling in dB"),
+    "config": (str, None, "JSON file supplying option values by destination name; flags override"),
+    "db": (bool, False, "write dB magnitude instead of complex values in the CSV"),
+    "onsets": (bool, False, "rectified rise map"),
+    "offsets": (bool, False, "rectified decay map"),
+    "bands": (bool, False, "rectified spectral band map"),
+    "partials": (bool, False, "linked partial-tone curves (JSON via --out-json)"),
+    "glissando_bank": (
+        str,
+        None,
+        "per-cell best slope over a comma-separated bank (semitones/s), zeroed where the "
+        "band response stays below --c-min; slope resolution grows with --tau-a-ms "
+        "(60 ms suits 10-40 st/s)",
+    ),
+    "second_moment": (bool, False, "glissando slope map from the smoothed second-moment matrix"),
+    "tau_a_ms": (float, 20.0, "second-layer temporal extent sigma_a in ms, squared to tau_a"),
+    "sigma_nu": (float, 0.5, "second-layer spectral extent in semitones"),
+    "tau_i_ms": (float, 60.0, "second-moment integration extent sigma_i in ms"),
+    "sigma_nu_i": (float, 1.0, "second-moment spectral integration extent in semitones"),
+    "c_min": (float, 3.0, "minimum band strength for partial-curve and slope points"),
+    "min_level_db": (
+        float,
+        -70.0,
+        "drop partial curves whose median spectrogram level is below this many dB "
+        "re full scale (set very low to keep all)",
+    ),
+    "out_json": (str, None, "write partial curves as JSON"),
+    "table": (int, None, "print a single table: 1, 2, or 3"),
+    "tau": (float, 1.0, "impulse-response scale in seconds^2"),
+    "dt": (float, None, "sample spacing in s (default: sqrt(tau)/2000, or sigma_a/50 for --rf)"),
+    "rf": (bool, False, "sample the two-dimensional receptive-field kernel instead"),
+    "alpha": (int, 0, "temporal derivative order 0..2"),
+    "beta": (int, 0, "spectral derivative order 0..2"),
+    "v": (float, 0.0, "glissando shear in semitones/s"),
+    "t_span": (float, None, "time half-span in s for --rf (default: auto)"),
+    "nu_span": (float, None, "frequency half-span in semitones for --rf (default: 4 sigma-nu)"),
+    "dnu": (float, None, "frequency spacing in semitones for --rf (default: sigma-nu/25)"),
 }
+METAVARS = {"glissando_bank": "V1,V2,..."}
+LAYER1_OPTIONS = (
+    "family",
+    "K",
+    "c",
+    "n",
+    "tau0_ms",
+    "bins_per_octave",
+    "nu_min",
+    "nu_max",
+    "hop_ms",
+    "compensate_delay",
+    "out_csv",
+    "out_pgm",
+    "db_min",
+    "db_max",
+    "config",
+)
 
-SPECTROGRAM_DEFAULTS: dict = {**LAYER1_DEFAULTS, "db": False}
 
-FEATURE_DEFAULTS: dict = {
-    **LAYER1_DEFAULTS,
-    "tau_a_ms": 20.0,
-    "sigma_nu": 0.5,
-    "tau_i_ms": 60.0,
-    "sigma_nu_i": 1.0,
-    "c_min": 3.0,
-    "min_level_db": -70.0,
-    "onsets": False,
-    "offsets": False,
-    "bands": False,
-    "partials": False,
-    "second_moment": False,
-    "glissando_bank": None,
-    "out_json": None,
-}
-
-KERNELS_DEFAULTS: dict = {
-    "family": "rec-log",
-    "K": 7,
-    "c": math.sqrt(2.0),
-    "tau": 1.0,
-    "dt": None,
-    "rf": False,
-    "alpha": 0,
-    "beta": 0,
-    "v": 0.0,
-    "sigma_nu": 0.5,
-    "tau_a_ms": 20.0,
-    "t_span": None,
-    "nu_span": None,
-    "dnu": None,
-    "out_csv": None,
-    "out_pgm": None,
-}
-
-ANALYZE_DEFAULTS: dict = {"table": None, "n": 8.0, "out_csv": None}
+def _help(key: str) -> str:
+    """An option's help text with its default rendered from OPTIONS."""
+    kind, default, text = OPTIONS[key]
+    if kind is bool or default is None:
+        return text
+    shown = f"{default:.4g}" if isinstance(default, float) else default
+    return f"{text} (default: {shown})"
 
 
 def _load_config(path: str | None) -> dict:
@@ -335,21 +381,24 @@ def _load_config(path: str | None) -> dict:
     return config
 
 
-def _merge_settings(args: argparse.Namespace, defaults: dict) -> dict:
-    """Flags (not None) override config file values, which override defaults."""
-    config = _load_config(getattr(args, "config", None))
-    unknown = sorted(set(config) - set(defaults))
+def _merge_settings(args: argparse.Namespace) -> dict:
+    """The subcommand's options: flags (not None) override config file
+    values, which override the OPTIONS defaults. The config file may name
+    any option of the subcommand except ``config`` itself."""
+    keys = [key for key in COMMANDS[args.command].options if key != "config"]
+    config = _load_config(args.config)
+    unknown = sorted(set(config) - set(keys))
     if unknown:
         raise CliError(2, f"unknown config key {unknown[0]!r}")
     merged = {}
-    for key, fallback in defaults.items():
-        flag = getattr(args, key, None)
+    for key in keys:
+        flag = getattr(args, key)
         if flag is not None:
             merged[key] = flag
         elif key in config:
             merged[key] = config[key]
         else:
-            merged[key] = fallback
+            merged[key] = OPTIONS[key][1]
     return merged
 
 
@@ -374,11 +423,19 @@ def _family(cfg: dict) -> SpectrogramFamily:
 
 
 def _layer1(cfg: dict, buf: AudioBuffer):
-    """Shared first-layer pipeline: grid, family, spectrogram, compensation."""
+    """Shared first-layer pipeline: grid, family, spectrogram, compensation.
+
+    Without a configured ``nu_max`` the grid stops at 16 kHz, or one bin
+    below the input's Nyquist frequency if that is lower: the grid rounds
+    its channel count up, so its top channel then stays below Nyquist.
+    """
     law = WindowScaleLaw(n=float(cfg["n"]), tau0=(float(cfg["tau0_ms"]) / 1000.0) ** 2)
-    grid = build_frequency_grid(
-        float(cfg["nu_min"]), float(cfg["nu_max"]), int(cfg["bins_per_octave"]), law
-    )
+    bins = int(cfg["bins_per_octave"])
+    if cfg["nu_max"] is not None:
+        nu_max = float(cfg["nu_max"])
+    else:  # a bad bin count is reported by build_frequency_grid
+        nu_max = min(NU_MAX_DEFAULT, midi_from_frequency(buf.rate / 2.0) - 12.0 / max(bins, 1))
+    grid = build_frequency_grid(float(cfg["nu_min"]), nu_max, bins, law)
     family = _family(cfg)
     hop = max(1, round(buf.rate * float(cfg["hop_ms"]) / 1000.0))
     spec = compute_spectrogram(buf.samples, buf.rate, grid, family, hop=hop)
@@ -389,35 +446,43 @@ def _layer1(cfg: dict, buf: AudioBuffer):
     return spec
 
 
+def _require_output(cfg: dict) -> None:
+    if cfg["out_csv"] is None and cfg["out_pgm"] is None:
+        raise CliError(2, "no output requested")
+
+
+def _write_grid(cfg: dict, nu: np.ndarray, times: np.ndarray, values: np.ndarray, pgm) -> None:
+    """Write the requested CSV and PGM and report each file. ``pgm()``
+    returns the PGM's (values, lo, hi); it runs only when a PGM is wanted."""
+    if cfg["out_csv"]:
+        write_grid_csv(cfg["out_csv"], nu, times, values)
+        print(f"wrote {cfg['out_csv']}")
+    if cfg["out_pgm"]:
+        write_grid_pgm(cfg["out_pgm"], *pgm())
+        print(f"wrote {cfg['out_pgm']}")
+
+
+def _symmetric_range(values: np.ndarray) -> tuple[float, float]:
+    m = float(np.max(np.abs(values))) or 1.0
+    return -m, m
+
+
 # ---------------------------------------------------------------------------
 # Subcommands
 
 
-def cmd_spectrogram(args: argparse.Namespace) -> int:
-    cfg = _merge_settings(args, SPECTROGRAM_DEFAULTS)
-    if cfg["out_csv"] is None and cfg["out_pgm"] is None:
-        raise CliError(2, "no output requested")
-    buf = read_wav(args.wav)
-    spec = _layer1(cfg, buf)
+def cmd_spectrogram(cfg: dict, wav: str) -> int:
+    _require_output(cfg)
+    spec = _layer1(cfg, read_wav(wav))
     want_db = bool(cfg["db"])
     values = to_db(spec).values if want_db else spec.values
-    if cfg["out_csv"]:
-        write_grid_csv(cfg["out_csv"], spec.grid.nu, spec.frame_times, values)
-        print(f"wrote {cfg['out_csv']}")
-    if cfg["out_pgm"]:
+
+    def pgm():
         db_values = values if want_db else to_db(spec).values
-        write_grid_pgm(cfg["out_pgm"], db_values, float(cfg["db_min"]), float(cfg["db_max"]))
-        print(f"wrote {cfg['out_pgm']}")
+        return db_values, float(cfg["db_min"]), float(cfg["db_max"])
+
+    _write_grid(cfg, spec.grid.nu, spec.frame_times, values, pgm)
     return 0
-
-
-def _feature_pgm_range(kind: str, values: np.ndarray) -> tuple[float, float]:
-    """Rectified maps render on [0, max]; signed slope maps symmetrically."""
-    if kind in ("glissando_bank", "second_moment"):
-        m = float(np.max(np.abs(values))) or 1.0
-        return -m, m
-    m = float(np.max(values)) or 1.0
-    return 0.0, m
 
 
 def _curve_median_level(log, curve) -> float:
@@ -430,8 +495,7 @@ def _curve_median_level(log, curve) -> float:
     return float(np.median(log.values[curve.frames, ch]))
 
 
-def cmd_features(args: argparse.Namespace) -> int:
-    cfg = _merge_settings(args, FEATURE_DEFAULTS)
+def cmd_features(cfg: dict, wav: str) -> int:
     bank = _parse_bank(cfg["glissando_bank"])
     selectors = [
         name
@@ -447,14 +511,12 @@ def cmd_features(args: argparse.Namespace) -> int:
             "--glissando-bank --second-moment",
         )
     sel = selectors[0]
-    if sel == "partials":
-        if cfg["out_json"] is None:
-            raise CliError(2, "no output requested (--partials writes --out-json)")
-    elif cfg["out_csv"] is None and cfg["out_pgm"] is None:
-        raise CliError(2, "no output requested")
+    if sel != "partials":
+        _require_output(cfg)
+    elif cfg["out_json"] is None:
+        raise CliError(2, "no output requested (--partials writes --out-json)")
 
-    buf = read_wav(args.wav)
-    log = to_db(_layer1(cfg, buf))
+    log = to_db(_layer1(cfg, read_wav(wav)))
     tau_a = (float(cfg["tau_a_ms"]) / 1000.0) ** 2
     s = float(cfg["sigma_nu"]) ** 2
 
@@ -503,13 +565,13 @@ def cmd_features(args: argparse.Namespace) -> int:
         values = np.where(field.defined, field.vhat, 0.0)
         times, grid = field.frame_times, field.grid
 
-    if cfg["out_csv"]:
-        write_grid_csv(cfg["out_csv"], grid.nu, times, values)
-        print(f"wrote {cfg['out_csv']}")
-    if cfg["out_pgm"]:
-        lo, hi = _feature_pgm_range(sel, values)
-        write_grid_pgm(cfg["out_pgm"], values, lo, hi)
-        print(f"wrote {cfg['out_pgm']}")
+    def pgm():
+        # rectified maps render on [0, max]; signed slope maps symmetrically
+        if sel in ("glissando_bank", "second_moment"):
+            return values, *_symmetric_range(values)
+        return values, 0.0, float(np.max(values)) or 1.0
+
+    _write_grid(cfg, grid.nu, times, values, pgm)
     return 0
 
 
@@ -532,14 +594,10 @@ def _write_table_csv(path: str | Path, table: dict) -> None:
     lines = ["label\t" + "\t".join(_column_label(c) for c in table["columns"])]
     for label, cells in table["rows"]:
         lines.append(label + "\t" + "\t".join(f"{v:.6f}" for v in cells))
-    try:
-        Path(path).write_text("\n".join(lines) + "\n")
-    except OSError as exc:
-        raise OSError(f"{path}: {exc}") from exc
+    _write_text(path, lines)
 
 
-def cmd_analyze(args: argparse.Namespace) -> int:
-    cfg = _merge_settings(args, ANALYZE_DEFAULTS)
+def cmd_analyze(cfg: dict, wav: str | None) -> int:
     n = float(cfg["n"])
     choice = cfg["table"]
     if cfg["out_csv"] is not None and choice is None:
@@ -563,20 +621,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     return 0
 
 
-def _write_columns_csv(path: str | Path, header: list[str], columns: list[np.ndarray]) -> None:
-    lines = ["\t".join(header)]
-    for row in zip(*columns):
-        lines.append("\t".join(f"{v:.9g}" for v in row))
-    try:
-        Path(path).write_text("\n".join(lines) + "\n")
-    except OSError as exc:
-        raise OSError(f"{path}: {exc}") from exc
-
-
-def cmd_kernels(args: argparse.Namespace) -> int:
-    cfg = _merge_settings(args, KERNELS_DEFAULTS)
-    if cfg["out_csv"] is None and cfg["out_pgm"] is None:
-        raise CliError(2, "no output requested")
+def cmd_kernels(cfg: dict, wav: str | None) -> int:
+    _require_output(cfg)
 
     if cfg["rf"]:
         sigma_nu = float(cfg["sigma_nu"])
@@ -601,13 +647,8 @@ def cmd_kernels(args: argparse.Namespace) -> int:
         dt = float(cfg["dt"]) if cfg["dt"] is not None else sigma_t / 50.0
         dnu = float(cfg["dnu"]) if cfg["dnu"] is not None else sigma_nu / 25.0
         img = rf_kernel_image(spec, t_span, nu_span, dt, dnu)
-        if cfg["out_csv"]:
-            write_grid_csv(cfg["out_csv"], img.nu, img.t, img.values)
-            print(f"wrote {cfg['out_csv']}")
-        if cfg["out_pgm"]:
-            m = float(np.max(np.abs(img.values))) or 1.0
-            write_grid_pgm(cfg["out_pgm"], img.values, -m, m)
-            print(f"wrote {cfg['out_pgm']}")
+        pgm = lambda: (img.values, *_symmetric_range(img.values))  # noqa: E731
+        _write_grid(cfg, img.nu, img.t, img.values, pgm)
         return 0
 
     if cfg["out_pgm"] is not None:
@@ -638,7 +679,8 @@ def cmd_kernels(args: argparse.Namespace) -> int:
         dt = min(dt, ladder.mu_min / 20.0)
         kernel = cascade_kernel_numeric(ladder, dt, ladder.mu_sum + 10.0 * math.sqrt(tau))
         header, cols = ["t", "h"], [kernel.times, kernel.values]
-    _write_columns_csv(cfg["out_csv"], header, cols)
+    lines = ["\t".join(header)] + ["\t".join(f"{v:.9g}" for v in row) for row in zip(*cols)]
+    _write_text(cfg["out_csv"], lines)
     print(f"wrote {cfg['out_csv']}")
     return 0
 
@@ -647,79 +689,55 @@ def cmd_kernels(args: argparse.Namespace) -> int:
 # Parser
 
 
-def _add_layer1_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
-        "--family",
-        choices=("gauss", "rec-uni", "rec-log"),
-        default=None,
-        help="temporal window family (default: rec-log)",
-    )
-    p.add_argument("--K", type=int, default=None, help="cascade stages (default: 7)")
-    p.add_argument(
-        "--c", type=float, default=None, help="logarithmic ladder ratio (default: sqrt(2))"
-    )
-    p.add_argument(
-        "--n", type=float, default=None, help="carrier periods per window extent (default: 8)"
-    )
-    p.add_argument(
-        "--tau0-ms",
-        type=float,
-        default=None,
-        dest="tau0_ms",
-        help="base window extent sigma_0 in ms, added in variance (default: 0)",
-    )
-    p.add_argument(
-        "--bins-per-octave",
-        type=int,
-        default=None,
-        dest="bins_per_octave",
-        help="log-frequency grid density (default: 48)",
-    )
-    p.add_argument(
-        "--nu-min",
-        type=float,
-        default=None,
-        dest="nu_min",
-        help=f"lowest channel in MIDI units (default: {NU_MIN_DEFAULT:.2f} = 80 Hz)",
-    )
-    p.add_argument(
-        "--nu-max",
-        type=float,
-        default=None,
-        dest="nu_max",
-        help=f"highest channel in MIDI units (default: {NU_MAX_DEFAULT:.2f} = 16 kHz)",
-    )
-    p.add_argument(
-        "--hop-ms", type=float, default=None, dest="hop_ms", help="frame hop in ms (default: 1)"
-    )
-    p.add_argument(
-        "--compensate-delay",
-        action="store_true",
-        default=None,
-        dest="compensate_delay",
-        help="shift each causal channel earlier by its first-inflection delay",
-    )
-    p.add_argument("--out-csv", default=None, dest="out_csv", help="write the grid as CSV")
-    p.add_argument("--out-pgm", default=None, dest="out_pgm", help="write the grid as binary PGM")
-    p.add_argument(
-        "--db-min",
-        type=float,
-        default=None,
-        dest="db_min",
-        help="PGM grayscale floor in dB (default: -60)",
-    )
-    p.add_argument(
-        "--db-max",
-        type=float,
-        default=None,
-        dest="db_max",
-        help="PGM grayscale ceiling in dB (default: 0)",
-    )
-    p.add_argument(
-        "--config",
-        default=None,
-        help="JSON file supplying flag values by destination name; flags override",
-    )
+class Subcommand(NamedTuple):
+    """One subcommand: handler(settings, wav path or None), its options in
+    flag order, and its help texts."""
+
+    handler: Callable[[dict, str | None], int]
+    takes_wav: bool
+    options: tuple[str, ...]
+    help: str
+    description: str
+
+
+COMMANDS: dict[str, Subcommand] = {
+    "spectrogram": Subcommand(
+        cmd_spectrogram,
+        True,
+        LAYER1_OPTIONS + ("db",),
+        "compute a multi-scale spectrogram of a WAV file",
+        "Complex (or dB) spectrogram on a log-frequency grid. "
+        "PGM output always renders the dB map over [--db-min, --db-max].",
+    ),
+    "features": Subcommand(
+        cmd_features,
+        True,
+        LAYER1_OPTIONS
+        + ("onsets", "offsets", "bands", "partials", "glissando_bank", "second_moment")
+        + ("tau_a_ms", "sigma_nu", "tau_i_ms", "sigma_nu_i", "c_min", "min_level_db", "out_json"),
+        "compute an auditory feature map from a WAV file",
+        "Choose exactly one feature selector. Maps are computed "
+        "on the dB spectrogram of the configured first layer.",
+    ),
+    "analyze": Subcommand(
+        cmd_analyze,
+        False,
+        ("table", "n", "out_csv", "config"),
+        "print the reference tables",
+        "Bandwidth constants (table 1), mean delays (table 2), "
+        "and kernel maximum positions (table 3). Without --table, prints all three.",
+    ),
+    "kernels": Subcommand(
+        cmd_kernels,
+        False,
+        ("family", "K", "c", "tau", "dt", "rf", "alpha", "beta", "v", "sigma_nu", "tau_a_ms")
+        + ("t_span", "nu_span", "dnu", "out_csv", "out_pgm", "config"),
+        "dump impulse responses or receptive-field kernel grids",
+        "Default mode writes the temporal impulse response as CSV "
+        "(columns t, h, and for rec-uni also h_t, h_tt). With --rf, samples "
+        "the spectro-temporal kernel on a (t, nu) grid as CSV and/or PGM.",
+    ),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -728,199 +746,25 @@ def build_parser() -> argparse.ArgumentParser:
         description="Multi-scale auditory spectrograms, receptive fields, and feature maps.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    sp = sub.add_parser(
-        "spectrogram",
-        help="compute a multi-scale spectrogram of a WAV file",
-        description="Complex (or dB) spectrogram on a log-frequency grid. "
-        "PGM output always renders the dB map over [--db-min, --db-max].",
-    )
-    sp.add_argument("wav", help="input WAV (PCM 16/24/32-bit int or 32-bit float)")
-    _add_layer1_flags(sp)
-    sp.add_argument(
-        "--db",
-        action="store_true",
-        default=None,
-        help="write dB magnitude instead of complex values in the CSV",
-    )
-    sp.set_defaults(func=cmd_spectrogram)
-
-    fe = sub.add_parser(
-        "features",
-        help="compute an auditory feature map from a WAV file",
-        description="Choose exactly one feature selector. Maps are computed "
-        "on the dB spectrogram of the configured first layer.",
-    )
-    fe.add_argument("wav", help="input WAV (PCM 16/24/32-bit int or 32-bit float)")
-    _add_layer1_flags(fe)
-    fe.add_argument("--onsets", action="store_true", default=None, help="rectified rise map")
-    fe.add_argument("--offsets", action="store_true", default=None, help="rectified decay map")
-    fe.add_argument(
-        "--bands", action="store_true", default=None, help="rectified spectral band map"
-    )
-    fe.add_argument(
-        "--partials",
-        action="store_true",
-        default=None,
-        help="linked partial-tone curves (JSON via --out-json)",
-    )
-    fe.add_argument(
-        "--glissando-bank",
-        default=None,
-        dest="glissando_bank",
-        metavar="V1,V2,...",
-        help="per-cell best slope over a comma-separated bank (semitones/s), "
-        "zeroed where the band response stays below --c-min; slope "
-        "resolution grows with --tau-a-ms (60 ms suits 10-40 st/s)",
-    )
-    fe.add_argument(
-        "--second-moment",
-        action="store_true",
-        default=None,
-        dest="second_moment",
-        help="glissando slope map from the smoothed second-moment matrix",
-    )
-    fe.add_argument(
-        "--tau-a-ms",
-        type=float,
-        default=None,
-        dest="tau_a_ms",
-        help="feature temporal extent sigma_a in ms, squared to tau_a (default: 20)",
-    )
-    fe.add_argument(
-        "--sigma-nu",
-        type=float,
-        default=None,
-        dest="sigma_nu",
-        help="feature spectral extent in semitones (default: 0.5)",
-    )
-    fe.add_argument(
-        "--tau-i-ms",
-        type=float,
-        default=None,
-        dest="tau_i_ms",
-        help="second-moment integration extent sigma_i in ms (default: 60)",
-    )
-    fe.add_argument(
-        "--sigma-nu-i",
-        type=float,
-        default=None,
-        dest="sigma_nu_i",
-        help="second-moment spectral integration extent in semitones (default: 1)",
-    )
-    fe.add_argument(
-        "--c-min",
-        type=float,
-        default=None,
-        dest="c_min",
-        help="minimum band strength for partial-curve points (default: 3)",
-    )
-    fe.add_argument(
-        "--min-level-db",
-        type=float,
-        default=None,
-        dest="min_level_db",
-        help="drop partial curves whose median spectrogram level is below this "
-        "many dB re full scale (default: -70; set very low to keep all)",
-    )
-    fe.add_argument(
-        "--out-json", default=None, dest="out_json", help="write partial curves as JSON"
-    )
-    fe.set_defaults(func=cmd_features)
-
-    an = sub.add_parser(
-        "analyze",
-        help="print the reference tables",
-        description="Bandwidth constants (table 1), mean delays (table 2), "
-        "and kernel maximum positions (table 3). Without --table, prints all three.",
-    )
-    an.add_argument("--table", type=int, default=None, help="print a single table: 1, 2, or 3")
-    an.add_argument(
-        "--n", type=float, default=None, help="periods per window for table 1 (default: 8)"
-    )
-    an.add_argument(
-        "--out-csv",
-        default=None,
-        dest="out_csv",
-        help="also write the selected table as CSV (needs --table)",
-    )
-    an.add_argument("--config", default=None, help="JSON config file; flags override")
-    an.set_defaults(func=cmd_analyze)
-
-    ke = sub.add_parser(
-        "kernels",
-        help="dump impulse responses or receptive-field kernel grids",
-        description="Default mode writes the temporal impulse response as CSV "
-        "(columns t, h, and for rec-uni also h_t, h_tt). With --rf, samples "
-        "the spectro-temporal kernel on a (t, nu) grid as CSV and/or PGM.",
-    )
-    ke.add_argument(
-        "--family",
-        choices=("gauss", "rec-uni", "rec-log"),
-        default=None,
-        help="temporal window family (default: rec-log)",
-    )
-    ke.add_argument("--K", type=int, default=None, help="cascade stages (default: 7)")
-    ke.add_argument(
-        "--c", type=float, default=None, help="logarithmic ladder ratio (default: sqrt(2))"
-    )
-    ke.add_argument(
-        "--tau",
-        type=float,
-        default=None,
-        help="impulse-response scale in seconds^2 (default: 1.0)",
-    )
-    ke.add_argument(
-        "--dt", type=float, default=None, help="sample spacing in s (default: sqrt(tau)/2000)"
-    )
-    ke.add_argument(
-        "--rf",
-        action="store_true",
-        default=None,
-        help="sample the two-dimensional receptive-field kernel instead",
-    )
-    ke.add_argument("--alpha", type=int, default=None, help="temporal derivative order 0..2")
-    ke.add_argument("--beta", type=int, default=None, help="spectral derivative order 0..2")
-    ke.add_argument("--v", type=float, default=None, help="glissando shear in semitones/s")
-    ke.add_argument(
-        "--sigma-nu",
-        type=float,
-        default=None,
-        dest="sigma_nu",
-        help="spectral extent in semitones for --rf (default: 0.5)",
-    )
-    ke.add_argument(
-        "--tau-a-ms",
-        type=float,
-        default=None,
-        dest="tau_a_ms",
-        help="temporal extent sigma_a in ms for --rf (default: 20)",
-    )
-    ke.add_argument(
-        "--t-span",
-        type=float,
-        default=None,
-        dest="t_span",
-        help="time half-span in s for --rf (default: auto)",
-    )
-    ke.add_argument(
-        "--nu-span",
-        type=float,
-        default=None,
-        dest="nu_span",
-        help="frequency half-span in semitones for --rf (default: 4 sigma-nu)",
-    )
-    ke.add_argument(
-        "--dnu",
-        type=float,
-        default=None,
-        help="frequency spacing in semitones for --rf (default: sigma-nu/25)",
-    )
-    ke.add_argument("--out-csv", default=None, dest="out_csv", help="output CSV path")
-    ke.add_argument("--out-pgm", default=None, dest="out_pgm", help="output PGM path (--rf only)")
-    ke.add_argument("--config", default=None, help="JSON config file; flags override")
-    ke.set_defaults(func=cmd_kernels)
-
+    for name, command in COMMANDS.items():
+        p = sub.add_parser(name, help=command.help, description=command.description)
+        if command.takes_wav:
+            p.add_argument("wav", help="input WAV (PCM 16/24/32-bit int or 32-bit float)")
+        # default None marks "not given", so config values can fill it in
+        for key in command.options:
+            kind = OPTIONS[key][0]
+            flag = "--" + key.replace("_", "-")
+            if kind is bool:
+                p.add_argument(flag, action="store_true", default=None, help=_help(key))
+            else:
+                p.add_argument(
+                    flag,
+                    type=str if isinstance(kind, tuple) else kind,
+                    choices=kind if isinstance(kind, tuple) else None,
+                    default=None,
+                    metavar=METAVARS.get(key),
+                    help=_help(key),
+                )
     return parser
 
 
@@ -932,7 +776,8 @@ def cli_main(argv: Sequence[str] | None = None) -> int:
         code = exc.code
         return int(code) if code is not None else 0
     try:
-        return args.func(args)
+        cfg = _merge_settings(args)
+        return COMMANDS[args.command].handler(cfg, getattr(args, "wav", None))
     except CliError as exc:
         print(f"error: {exc.message}", file=sys.stderr)
         return exc.code

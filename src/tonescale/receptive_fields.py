@@ -29,6 +29,7 @@ from tonescale.temporal_scale_space import (
     discretize_ladder,
     gaussian_derivative_sample,
     recursive_stage,
+    warmup_length,
     Distribution,
 )
 
@@ -134,7 +135,7 @@ def _temporal_smooth(
             # exactly constant, so rectified derivatives of a flat baseline
             # are identically zero instead of carrying a settling transient.
             cur = recursive_stage(cur, mu, axis=0, init=cur[0])
-        return cur, int(math.ceil(5.0 * ladder.mu_sum))
+        return cur, warmup_length(ladder)
     kernel = discrete_gaussian_kernel(temporal.tau * frame_rate * frame_rate)
     return correlate1d(values, kernel.values, axis=0, mode="reflect"), kernel.origin_index
 
@@ -178,8 +179,11 @@ def apply_rf(S: TFMap, spec: RFSpec) -> TFMap:
     The response is an "rf" map on the input's axes whose metadata holds
     the RFSpec ("rf_spec") and the warm-up the second layer added. Nonzero
     glissando slopes are handled by warping to the co-moving frame,
-    applying the separable operator there, and warping back.
+    applying the separable operator there, and warping back. Complex
+    spectrograms are refused: take their dB map first.
     """
+    if S.kind == "complex":
+        raise ValueError("apply_rf needs a real-valued map; convert the spectrogram with to_db")
     if spec.v != 0.0:
         inner = apply_rf(glissando_warp(S, spec.v), replace(spec, v=0.0))
         values = _warp_values(inner.values, S.frame_times, -spec.v, S.grid.delta_nu)

@@ -256,8 +256,10 @@ MAGNITUDE_FLOOR_FACTOR = 1e-10
 
 
 def to_db(spec: TFMap, S0: float = 1.0) -> TFMap:
-    """Self-similar dB map 20 log10(max(|S|, floor) / S0); the floor keeps
-    it finite."""
+    """Self-similar dB map 20 log10(max(|S|, floor) / S0) of a complex
+    spectrogram; the floor keeps it finite."""
+    if spec.kind != "complex":
+        raise ValueError(f"to_db needs a complex spectrogram, got a {spec.kind!r} map")
     if S0 <= 0:
         raise ValueError(f"reference level S0 must be positive, got {S0}")
     mag = np.maximum(np.abs(spec.values), MAGNITUDE_FLOOR_FACTOR * S0)
@@ -300,10 +302,13 @@ def delay_compensate(spec: TFMap) -> TFMap:
 
     Shifts are rounded to whole frames; the residual sub-frame delay is
     recorded per channel in the metadata. The vacated tail keeps the last
-    observed value so no artificial transient is created.
+    observed value so no artificial transient is created. A map that is
+    already compensated is refused, since a second shift would double it.
     """
     if not spec.family.causal:
         raise ValueError("delay compensation applies to causal families only")
+    if "delay_shift_frames" in spec.metadata:
+        raise ValueError("map is already delay-compensated")
     hop_seconds = spec.hop / spec.sample_rate
     delays = channel_delays(spec.grid, spec.family)["t_infl1"]
     shifts = np.rint(delays / hop_seconds).astype(int)

@@ -277,6 +277,29 @@ def test_cli_config_precedence(tone_wav, tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_cli_default_grid_follows_the_input_rate(tone_wav, tmp_path, capsys):
+    # 8 kHz input: the default top channel drops to within one bin below Nyquist
+    nyquist = midi_from_frequency(4000.0)
+    out = tmp_path / "d8.csv"
+    assert cli_main(["spectrogram", str(tone_wav), "--db", "--out-csv", str(out)]) == 0
+    nu, _, _ = read_grid_csv(out)
+    assert nyquist - 2 * 0.25 <= nu[-1] < nyquist
+    # an explicit top channel at Nyquist is still refused
+    args = ["spectrogram", str(tone_wav), "--nu-max", repr(nyquist), "--out-csv", str(out)]
+    assert cli_main(args) == 1
+    assert "at or above the Nyquist frequency" in capsys.readouterr().err
+    # 44.1 kHz input keeps the 368-channel, 80 Hz to 16 kHz grid
+    wav = tmp_path / "t44k.wav"
+    write_wav(wav, sine(440.0, 0.05, 44100.0), 44100.0)
+    out = tmp_path / "d44.csv"
+    assert cli_main(["spectrogram", str(wav), "--db", "--hop-ms", "10", "--out-csv", str(out)]) == 0
+    nu, _, _ = read_grid_csv(out)
+    assert len(nu) == 368
+    assert nu[0] == pytest.approx(midi_from_frequency(80.0), abs=1e-6)
+    assert nu[-1] >= midi_from_frequency(16000.0)
+    capsys.readouterr()
+
+
 def test_cli_rejects_unknown_config_key(tone_wav, tmp_path, capsys):
     config = tmp_path / "cfg.json"
     config.write_text(json.dumps({"bogus_key": 1}))
@@ -426,7 +449,7 @@ LAYER1_MERGED = {
     "tau0_ms": 0.0,
     "bins_per_octave": 48,
     "nu_min": midi_from_frequency(80.0),
-    "nu_max": midi_from_frequency(16000.0),
+    "nu_max": None,  # derived from the input's sample rate when the grid is built
     "hop_ms": 1.0,
     "compensate_delay": False,
     "out_csv": None,

@@ -196,3 +196,11 @@ def test_apply_rf_warmup_accounts_for_both_layers():
         ),
     )
     assert np.all(resp.warmup_frames > L.warmup_frames)
+
+
+def test_apply_rf_refuses_a_complex_map():
+    grid = build_frequency_grid(64.0, 74.0, 48, law=WindowScaleLaw(n=8.0))
+    S = compute_spectrogram(sine(440.0, 0.2, RATE), RATE, grid, FAM, hop=44)
+    for v in (0.0, 10.0):
+        with pytest.raises(ValueError, match="real-valued map"):
+            apply_rf(S, gauss_spec(v=v))

@@ -180,6 +180,23 @@ def test_delay_compensate_rejects_noncausal():
         delay_compensate(S)
 
 
+def test_delay_compensate_refuses_a_compensated_map():
+    grid = build_frequency_grid(64.0, 74.0, 12, law=WindowScaleLaw(n=8.0))
+    S = compute_spectrogram(sine(440.0, 0.3, RATE), RATE, grid, SpectrogramFamily("rec-log"), hop=44)
+    C = delay_compensate(S)
+    with pytest.raises(ValueError, match="already delay-compensated"):
+        delay_compensate(C)
+    with pytest.raises(ValueError, match="already delay-compensated"):
+        delay_compensate(to_db(C))
+
+
+def test_to_db_needs_a_complex_map():
+    grid = build_frequency_grid(66.0, 72.0, 12, law=WindowScaleLaw(n=8.0))
+    S = compute_spectrogram(sine(440.0, 0.1, RATE), RATE, grid, SpectrogramFamily("rec-log"), hop=44)
+    with pytest.raises(ValueError, match="needs a complex spectrogram, got a 'db' map"):
+        to_db(to_db(S))
+
+
 def test_transposition_shifts_by_whole_octave_bins():
     grid = build_frequency_grid(55.0, 95.0, 48, law=WindowScaleLaw(n=8.0))
     fam = SpectrogramFamily(kind="rec-log", K=7, c=math.sqrt(2.0))

@@ -381,15 +381,52 @@ def _load_config(path: str | None) -> dict:
     return config
 
 
+def _config_value(key: str, raw):
+    """A config-file value checked against its option's type in OPTIONS.
+
+    Numbers may also be given as strings, which convert as on the command
+    line; a bool option takes only JSON true/false; null stands for the
+    default of an option whose default is None. ``glissando_bank`` may also
+    be a list of slopes.
+    """
+    kind, default, _ = OPTIONS[key]
+    if raw is None and default is None:
+        return None
+    if kind is bool:
+        if isinstance(raw, bool):
+            return raw
+        raise CliError(2, f"config key {key!r}: expected true or false, got {raw!r}")
+    if isinstance(kind, tuple):
+        if raw in kind:
+            return raw
+        raise CliError(2, f"config key {key!r}: expected one of {', '.join(kind)}, got {raw!r}")
+    if kind is str:
+        if isinstance(raw, str) or (key == "glissando_bank" and isinstance(raw, list)):
+            return raw
+        raise CliError(2, f"config key {key!r}: expected a string, got {raw!r}")
+    numeric = (int,) if kind is int else (int, float)
+    if isinstance(raw, numeric) and not isinstance(raw, bool):
+        return kind(raw)
+    if isinstance(raw, str):
+        try:
+            return kind(raw)
+        except ValueError:
+            pass
+    name = "an integer" if kind is int else "a number"
+    raise CliError(2, f"config key {key!r}: expected {name}, got {raw!r}")
+
+
 def _merge_settings(args: argparse.Namespace) -> dict:
     """The subcommand's options: flags (not None) override config file
     values, which override the OPTIONS defaults. The config file may name
-    any option of the subcommand except ``config`` itself."""
+    any option of the subcommand except ``config`` itself, with a value of
+    the option's type."""
     keys = [key for key in COMMANDS[args.command].options if key != "config"]
     config = _load_config(args.config)
     unknown = sorted(set(config) - set(keys))
     if unknown:
         raise CliError(2, f"unknown config key {unknown[0]!r}")
+    config = {key: _config_value(key, raw) for key, raw in config.items()}
     merged = {}
     for key in keys:
         flag = getattr(args, key)
@@ -419,7 +456,7 @@ def _parse_bank(raw) -> list[float] | None:
 
 
 def _family(cfg: dict) -> SpectrogramFamily:
-    return SpectrogramFamily(kind=str(cfg["family"]), K=int(cfg["K"]), c=float(cfg["c"]))
+    return SpectrogramFamily(kind=cfg["family"], K=cfg["K"], c=cfg["c"])
 
 
 def _layer1(cfg: dict, buf: AudioBuffer):
@@ -429,15 +466,15 @@ def _layer1(cfg: dict, buf: AudioBuffer):
     below the input's Nyquist frequency if that is lower: the grid rounds
     its channel count up, so its top channel then stays below Nyquist.
     """
-    law = WindowScaleLaw(n=float(cfg["n"]), tau0=(float(cfg["tau0_ms"]) / 1000.0) ** 2)
-    bins = int(cfg["bins_per_octave"])
+    law = WindowScaleLaw(n=cfg["n"], tau0=(cfg["tau0_ms"] / 1000.0) ** 2)
+    bins = cfg["bins_per_octave"]
     if cfg["nu_max"] is not None:
-        nu_max = float(cfg["nu_max"])
+        nu_max = cfg["nu_max"]
     else:  # a bad bin count is reported by build_frequency_grid
         nu_max = min(NU_MAX_DEFAULT, midi_from_frequency(buf.rate / 2.0) - 12.0 / max(bins, 1))
-    grid = build_frequency_grid(float(cfg["nu_min"]), nu_max, bins, law)
+    grid = build_frequency_grid(cfg["nu_min"], nu_max, bins, law)
     family = _family(cfg)
-    hop = max(1, round(buf.rate * float(cfg["hop_ms"]) / 1000.0))
+    hop = max(1, round(buf.rate * cfg["hop_ms"] / 1000.0))
     spec = compute_spectrogram(buf.samples, buf.rate, grid, family, hop=hop)
     if cfg["compensate_delay"]:
         if not family.causal:
@@ -474,12 +511,12 @@ def _symmetric_range(values: np.ndarray) -> tuple[float, float]:
 def cmd_spectrogram(cfg: dict, wav: str) -> int:
     _require_output(cfg)
     spec = _layer1(cfg, read_wav(wav))
-    want_db = bool(cfg["db"])
+    want_db = cfg["db"]
     values = to_db(spec).values if want_db else spec.values
 
     def pgm():
         db_values = values if want_db else to_db(spec).values
-        return db_values, float(cfg["db_min"]), float(cfg["db_max"])
+        return db_values, cfg["db_min"], cfg["db_max"]
 
     _write_grid(cfg, spec.grid.nu, spec.frame_times, values, pgm)
     return 0
@@ -517,13 +554,13 @@ def cmd_features(cfg: dict, wav: str) -> int:
         raise CliError(2, "no output requested (--partials writes --out-json)")
 
     log = to_db(_layer1(cfg, read_wav(wav)))
-    tau_a = (float(cfg["tau_a_ms"]) / 1000.0) ** 2
-    s = float(cfg["sigma_nu"]) ** 2
+    tau_a = (cfg["tau_a_ms"] / 1000.0) ** 2
+    s = cfg["sigma_nu"] ** 2
 
     if sel == "partials":
         band = band_response(log, tau_a, s)
-        curves = extract_partial_curves(band, c_min=float(cfg["c_min"]))
-        floor = float(cfg["min_level_db"])
+        curves = extract_partial_curves(band, c_min=cfg["c_min"])
+        floor = cfg["min_level_db"]
         scored = [(curve, _curve_median_level(log, curve)) for curve in curves]
         kept = [(curve, lv) for curve, lv in scored if lv >= floor]
         payload = {
@@ -555,12 +592,12 @@ def cmd_features(cfg: dict, wav: str) -> int:
         est = glissando_filterbank(
             log, bank, tau_a, s, temporal=TemporalKernelSpec.gaussian(tau_a)
         )
-        mask = ridge_mask(est.response, est.warmup_frames, float(cfg["c_min"]))
+        mask = ridge_mask(est.response, est.warmup_frames, cfg["c_min"])
         values = np.where(mask, est.vhat, 0.0)
         times, grid = est.frame_times, est.grid
     else:  # second_moment
-        tau_i = (float(cfg["tau_i_ms"]) / 1000.0) ** 2
-        s_i = float(cfg["sigma_nu_i"]) ** 2
+        tau_i = (cfg["tau_i_ms"] / 1000.0) ** 2
+        s_i = cfg["sigma_nu_i"] ** 2
         field = second_moment_glissando(log, tau_a, s, tau_i, s_i)
         values = np.where(field.defined, field.vhat, 0.0)
         times, grid = field.frame_times, field.grid
@@ -598,7 +635,7 @@ def _write_table_csv(path: str | Path, table: dict) -> None:
 
 
 def cmd_analyze(cfg: dict, wav: str | None) -> int:
-    n = float(cfg["n"])
+    n = cfg["n"]
     choice = cfg["table"]
     if cfg["out_csv"] is not None and choice is None:
         raise CliError(2, "--out-csv needs --table to pick a single table")
@@ -625,27 +662,27 @@ def cmd_kernels(cfg: dict, wav: str | None) -> int:
     _require_output(cfg)
 
     if cfg["rf"]:
-        sigma_nu = float(cfg["sigma_nu"])
+        sigma_nu = cfg["sigma_nu"]
         if sigma_nu <= 0:
             raise CliError(2, f"sigma-nu must be positive, got {sigma_nu}")
-        temporal = _family(cfg).temporal((float(cfg["tau_a_ms"]) / 1000.0) ** 2)
+        temporal = _family(cfg).temporal((cfg["tau_a_ms"] / 1000.0) ** 2)
         spec = RFSpec(
             temporal=temporal,
             s=sigma_nu**2,
-            v=float(cfg["v"]),
-            alpha=int(cfg["alpha"]),
-            beta=int(cfg["beta"]),
+            v=cfg["v"],
+            alpha=cfg["alpha"],
+            beta=cfg["beta"],
         )
         sigma_t = math.sqrt(temporal.scale)
         if cfg["t_span"] is not None:
-            t_span = float(cfg["t_span"])
+            t_span = cfg["t_span"]
         elif temporal.kind == "gaussian":
             t_span = 4.0 * sigma_t
         else:
             t_span = temporal.ladder.mu_sum + 4.0 * sigma_t
-        nu_span = float(cfg["nu_span"]) if cfg["nu_span"] is not None else 4.0 * sigma_nu
-        dt = float(cfg["dt"]) if cfg["dt"] is not None else sigma_t / 50.0
-        dnu = float(cfg["dnu"]) if cfg["dnu"] is not None else sigma_nu / 25.0
+        nu_span = cfg["nu_span"] if cfg["nu_span"] is not None else 4.0 * sigma_nu
+        dt = cfg["dt"] if cfg["dt"] is not None else sigma_t / 50.0
+        dnu = cfg["dnu"] if cfg["dnu"] is not None else sigma_nu / 25.0
         img = rf_kernel_image(spec, t_span, nu_span, dt, dnu)
         pgm = lambda: (img.values, *_symmetric_range(img.values))  # noqa: E731
         _write_grid(cfg, img.nu, img.t, img.values, pgm)
@@ -653,12 +690,14 @@ def cmd_kernels(cfg: dict, wav: str | None) -> int:
 
     if cfg["out_pgm"] is not None:
         raise CliError(2, "PGM output applies to --rf kernel grids; impulse responses are CSV")
-    tau = float(cfg["tau"])
+    tau = cfg["tau"]
     if tau <= 0:
         raise CliError(2, f"tau must be positive, got {tau}")
     family = _family(cfg)
     K = family.K
-    dt = float(cfg["dt"]) if cfg["dt"] is not None else math.sqrt(tau) / 2000.0
+    dt = cfg["dt"] if cfg["dt"] is not None else math.sqrt(tau) / 2000.0
+    if not dt > 0:
+        raise CliError(2, f"dt must be positive, got {dt}")
     if family.kind == "gauss":
         span = 8.0 * math.sqrt(tau)
         t = np.arange(-span, span + dt / 2.0, dt)

@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.signal import upfirdn
+from scipy.signal import fftconvolve
 
 from tonescale.selectivity_analysis import delay_measures
 from tonescale.temporal_scale_space import (
@@ -182,8 +182,9 @@ def compute_spectrogram(
     The stored value is c - i s where c and s are the smoothed cosine and
     sine projections, i.e. the temporal smoothing of f(t) e^{-i omega t}.
     Causal families run the recursive cascade at the full sample rate and
-    keep every hop-th sample; the Gaussian family evaluates truncated
-    discrete-Gaussian windowed sums centered on the frames only.
+    keep every hop-th sample; the Gaussian family correlates with the
+    truncated discrete Gaussian by FFT and keeps the sums centered on the
+    frames.
 
     Non-finite samples and channels at or above the Nyquist frequency are
     rejected: either would silently corrupt the map.
@@ -230,10 +231,10 @@ def compute_spectrogram(
             kernel = discrete_gaussian_kernel(s_sampl, epsilon)
             half = kernel.origin_index
             # Decimated correlation: S[j] = sum_k T[k] x[j hop + k - half],
-            # evaluated via full convolution sampled on the frame comb.
+            # evaluated via full FFT convolution sampled on the frame comb.
             pad = (-half) % hop
             padded = np.concatenate([np.zeros(pad, dtype=complex), modulated])
-            conv = upfirdn(kernel.values, padded, up=1, down=hop)
+            conv = fftconvolve(padded, kernel.values)[::hop]
             offset = (half + pad) // hop
             seg = conv[offset : offset + len(frame_idx)]
             out = np.zeros(len(frame_idx), dtype=complex)

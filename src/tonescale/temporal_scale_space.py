@@ -427,7 +427,10 @@ def discrete_gaussian_kernel(s_sampl: float, epsilon: float = 1e-6) -> SampledKe
     The infinite kernel is truncated at the smallest half-width N whose taps
     carry more than 1 - epsilon of the mass, then renormalized to sum to
     exactly 1. Taps are computed with the exponentially scaled modified
-    Bessel function, which is stable for large s.
+    Bessel function, which is stable for large s. The kernel's standard
+    deviation is sqrt(s), so the search starts at 6 sqrt(s) + 10 taps and
+    doubles only when a small epsilon needs more; the taps and N do not
+    depend on where it starts.
     """
     if not 0.0 < epsilon < 1.0:
         raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
@@ -435,7 +438,7 @@ def discrete_gaussian_kernel(s_sampl: float, epsilon: float = 1e-6) -> SampledKe
         raise ValueError(f"scale must be non-negative, got {s_sampl}")
     if s_sampl == 0:
         return SampledKernel(values=np.array([1.0]), origin_index=0, dt=1.0)
-    n_guess = max(4, int(math.ceil(s_sampl + 6.0 * math.sqrt(s_sampl) + 10.0)))
+    n_guess = max(4, int(math.ceil(6.0 * math.sqrt(s_sampl) + 10.0)))
     while True:
         taps = ive(np.arange(n_guess + 1), s_sampl)
         total = taps[0] + 2.0 * np.cumsum(taps[1:])

@@ -310,6 +310,47 @@ def test_cli_rejects_unknown_config_key(tone_wav, tmp_path, capsys):
     assert "unknown config key 'bogus_key'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "key,value",
+    [
+        ("compensate_delay", "no"),
+        ("compensate_delay", 1),
+        ("db", "true"),
+        ("K", "x"),
+        ("K", 7.5),
+        ("K", True),
+        ("bins_per_octave", None),
+        ("nu_min", "low"),
+        ("nu_min", [60]),
+        ("family", "hann"),
+        ("out_csv", 3),
+    ],
+)
+def test_cli_rejects_config_value_of_the_wrong_type(key, value, tone_wav, tmp_path, capsys):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({key: value}))
+    out = tmp_path / "x.csv"
+    argv = ["spectrogram", str(tone_wav), "--config", str(config), "--out-csv", str(out)]
+    assert cli_main(argv) == 2
+    assert f"config key {key!r}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_config_values_convert_through_their_option_type(tone_wav, tmp_path, monkeypatch):
+    config = tmp_path / "cfg.json"
+    config.write_text(
+        json.dumps(
+            {"K": "5", "c": 2, "nu_min": "60", "compensate_delay": True, "glissando_bank": [5, 10]}
+        )
+    )
+    argv = ["features", str(tone_wav), "--config", str(config)]
+    cfg = _merged_settings(monkeypatch, argv)
+    assert (cfg["K"], cfg["c"], cfg["nu_min"]) == (5, 2.0, 60.0)
+    assert type(cfg["c"]) is float and type(cfg["nu_min"]) is float
+    assert cfg["compensate_delay"] is True
+    assert cfg["glissando_bank"] == [5, 10]
+
+
 def test_cli_spectrogram_is_deterministic(tone_wav, tmp_path, capsys):
     outs = [tmp_path / "r1.csv", tmp_path / "r2.csv"]
     base = [
@@ -329,6 +370,15 @@ def test_cli_spectrogram_is_deterministic(tone_wav, tmp_path, capsys):
         assert cli_main(base + ["--out-csv", str(out)]) == 0
     assert outs[0].read_bytes() == outs[1].read_bytes()
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("family", ["gauss", "rec-uni", "rec-log"])
+@pytest.mark.parametrize("dt", ["0", "-0.001"])
+def test_cli_kernels_rejects_a_non_positive_dt(family, dt, tmp_path, capsys):
+    out = tmp_path / "k.csv"
+    assert cli_main(["kernels", "--family", family, "--dt", dt, "--out-csv", str(out)]) == 2
+    assert "error: dt must be positive" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_kernels_impulse_is_normalized(tmp_path, capsys):

@@ -16,6 +16,7 @@ from tonescale.spectrogram import (
     to_db,
     window_scale,
 )
+from tonescale.temporal_scale_space import discrete_gaussian_kernel
 
 from conftest import sine
 
@@ -114,6 +115,30 @@ def test_gauss_and_causal_paths_agree_in_steady_state():
     mg = np.median(np.abs(Sg.values[-150:, ch]))
     mr = np.median(np.abs(Sr.values[-150:, ch]))
     assert mg == pytest.approx(mr, rel=2e-3)
+
+
+def test_gauss_path_equals_the_direct_windowed_sum(rng):
+    """S[j] = sum_k T[k] x[m] e^{-i omega m / rate} with m = j hop + k - half,
+    summed directly over the samples inside the signal."""
+    rate, hop = 8000.0, 7
+    x = rng.normal(size=1500)
+    grid = build_frequency_grid(45.0, 100.0, 6, law=WindowScaleLaw(n=8.0))
+    S = compute_spectrogram(x, rate, grid, SpectrogramFamily(kind="gauss"), hop=hop)
+    halves = []
+    for ch in range(grid.n_channels):
+        kernel = discrete_gaussian_kernel(grid.tau_window[ch] * rate * rate)
+        half = kernel.origin_index
+        halves.append(half)
+        assert S.warmup_frames[ch] == -(-half // hop)
+        for j in (0, 1, S.n_frames // 2, S.n_frames - 1):
+            m = j * hop + np.arange(2 * half + 1) - half
+            inside = (m >= 0) & (m < x.size)
+            mi = m[inside]
+            carrier = np.exp(-1j * grid.omega[ch] * mi / rate)
+            direct = np.sum(kernel.values[inside] * x[mi] * carrier)
+            assert abs(S.values[j, ch] - direct) <= 1e-12 * np.max(np.abs(x))
+    # the lowest channels' kernels are longer than the signal
+    assert max(halves) > x.size
 
 
 def test_db_conversion_floor_and_reference():

@@ -3,7 +3,10 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import ive
 from scipy.stats import gamma as gamma_dist
+
+from tonescale import temporal_scale_space
 
 from tonescale.temporal_scale_space import (
     Distribution,
@@ -226,6 +229,42 @@ def test_discrete_gaussian_kernel_mass_and_variance():
         n = k.times
         assert (n * k.values).sum() == pytest.approx(0.0, abs=1e-9)
         assert (n * n * k.values).sum() == pytest.approx(s, rel=1e-8)
+
+
+def _truncated_gaussian(s, epsilon, n_max):
+    """The kernel's truncation rule applied to taps 0..n_max at once."""
+    taps = ive(np.arange(n_max + 1), s)
+    total = taps[0] + 2.0 * np.cumsum(taps[1:])
+    n_half = int(np.nonzero(total > 1.0 - epsilon)[0][0]) + 1
+    half = taps[: n_half + 1]
+    values = np.concatenate([half[:0:-1], half])
+    return values / values.sum(), n_half
+
+
+def test_discrete_gaussian_tap_search_is_sized_by_sqrt_s(monkeypatch):
+    # sigma = 1328 samples, a 30 ms window at 44.1 kHz
+    s = 1.764e6
+    orders = []
+
+    def counting_ive(n, x):
+        orders.append(np.size(n))
+        return ive(n, x)
+
+    monkeypatch.setattr(temporal_scale_space, "ive", counting_ive)
+    k = discrete_gaussian_kernel(s)
+    assert sum(orders) <= 8.0 * math.sqrt(s) + 20.0
+    values, n_half = _truncated_gaussian(s, 1e-6, int(s // 20))
+    assert k.origin_index == n_half
+    assert np.array_equal(k.values, values)
+
+    # a small epsilon needs more than the first guess: the doubling fallback
+    orders.clear()
+    fine = discrete_gaussian_kernel(s, epsilon=1e-12)
+    assert len(orders) > 1
+    assert fine.origin_index > 6.0 * math.sqrt(s) + 10.0
+    values, n_half = _truncated_gaussian(s, 1e-12, int(s // 20))
+    assert fine.origin_index == n_half
+    assert np.array_equal(fine.values, values)
 
 
 def test_discrete_gaussian_semigroup():

@@ -24,12 +24,11 @@ from tonescale.temporal_scale_space import (
     TemporalKernelSpec,
     build_ladder,
     cascade_kernel_numeric,
-    composed_uniform_kernel_sample,
     discrete_gaussian_kernel,
     discrete_recursive_smooth,
     discretize_ladder,
-    gaussian_kernel_sample,
     temporal_derivative_channels,
+    temporal_profiles,
 )
 from tonescale.spectrogram import (
     FrequencyGrid,

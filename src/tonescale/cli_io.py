@@ -61,10 +61,7 @@ from tonescale.temporal_scale_space import (
     SpectrogramFamily,
     TemporalKernelSpec,
     cascade_kernel_numeric,
-    composed_uniform_kernel_dt,
-    composed_uniform_kernel_dtt,
-    composed_uniform_kernel_sample,
-    gaussian_kernel_sample,
+    temporal_profiles,
 )
 
 
@@ -694,29 +691,20 @@ def cmd_kernels(cfg: dict, wav: str | None) -> int:
     if tau <= 0:
         raise CliError(2, f"tau must be positive, got {tau}")
     family = _family(cfg)
-    K = family.K
+    temporal = family.temporal(tau)
     dt = cfg["dt"] if cfg["dt"] is not None else math.sqrt(tau) / 2000.0
     if not dt > 0:
         raise CliError(2, f"dt must be positive, got {dt}")
     if family.kind == "gauss":
         span = 8.0 * math.sqrt(tau)
         t = np.arange(-span, span + dt / 2.0, dt)
-        header, cols = ["t", "h"], [t, gaussian_kernel_sample(tau, t)]
+        header, cols = ["t", "h"], [t, temporal_profiles(temporal, t)[0]]
     elif family.kind == "rec-uni":
-        ladder = family.ladder(tau)
-        mu = ladder.mus[0]
-        t = np.arange(0.0, ladder.mu_sum + 10.0 * math.sqrt(tau), dt)
-        header = ["t", "h", "h_t", "h_tt"]
-        cols = [
-            t,
-            composed_uniform_kernel_sample(mu, K, t),
-            composed_uniform_kernel_dt(mu, K, t),
-            composed_uniform_kernel_dtt(mu, K, t),
-        ]
+        t = np.arange(0.0, temporal.ladder.support, dt)
+        header, cols = ["t", "h", "h_t", "h_tt"], [t, *temporal_profiles(temporal, t)]
     else:
-        ladder = family.ladder(tau)
-        dt = min(dt, ladder.mu_min / 20.0)
-        kernel = cascade_kernel_numeric(ladder, dt, ladder.mu_sum + 10.0 * math.sqrt(tau))
+        ladder = temporal.ladder
+        kernel = cascade_kernel_numeric(ladder, min(dt, ladder.mu_min / 20.0))
         header, cols = ["t", "h"], [kernel.times, kernel.values]
     lines = ["\t".join(header)] + ["\t".join(f"{v:.9g}" for v in row) for row in zip(*cols)]
     _write_text(cfg["out_csv"], lines)

@@ -7,11 +7,15 @@ by tau_a^{alpha/2} s^{beta/2}. Glissando adaptation (a shear of the
 time-frequency plane at v semitones/second) is realized by warping the
 spectrogram along the frequency axis, applying the separable operator, and
 warping back, which is equivalent to convolving with the sheared kernel.
+
+The temporal kernels themselves are realised only in
+``temporal_scale_space``: causal smoothing runs
+``discrete_recursive_smooth`` and kernel images sample
+``temporal_profiles``.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -20,17 +24,13 @@ from scipy.ndimage import correlate1d
 from tonescale.spectrogram import TFMap
 from tonescale.temporal_scale_space import (
     TemporalKernelSpec,
-    cascade_kernel_numeric,
-    composed_uniform_kernel_dt,
-    composed_uniform_kernel_dtt,
-    composed_uniform_kernel_sample,
     discrete_gaussian_kernel,
     discrete_gaussian_smooth,
+    discrete_recursive_smooth,
     discretize_ladder,
     gaussian_derivative_sample,
-    recursive_stage,
+    temporal_profiles,
     warmup_length,
-    Distribution,
 )
 
 
@@ -129,13 +129,10 @@ def _temporal_smooth(
     """Smooth along the frame axis; returns (smoothed, warm-up frames)."""
     if temporal.kind == "cascade":
         ladder = discretize_ladder(temporal.ladder, frame_rate)
-        cur = values
-        for mu in ladder.mus:
-            # Steady-state start at the first frame: a constant map stays
-            # exactly constant, so rectified derivatives of a flat baseline
-            # are identically zero instead of carrying a settling transient.
-            cur = recursive_stage(cur, mu, axis=0, init=cur[0])
-        return cur, warmup_length(ladder)
+        # Steady-state start at the first frame: a constant map stays
+        # constant up to rounding, so rectified derivatives of a flat
+        # baseline carry no settling transient.
+        return discrete_recursive_smooth(values, ladder, axis=0, steady=True), warmup_length(ladder)
     kernel = discrete_gaussian_kernel(temporal.tau * frame_rate * frame_rate)
     return correlate1d(values, kernel.values, axis=0, mode="reflect"), kernel.origin_index
 
@@ -216,31 +213,6 @@ class KernelImage:
     values: np.ndarray  # (len(t), len(nu))
 
 
-def _temporal_profiles(
-    temporal: TemporalKernelSpec, t: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Kernel and its first two derivatives along the time axis."""
-    if temporal.kind == "gaussian":
-        return tuple(
-            gaussian_derivative_sample(temporal.tau, t, k, temporal.delta) for k in range(3)
-        )
-    ladder = temporal.ladder
-    if ladder.distribution is Distribution.UNIFORM:
-        mu = ladder.mus[0]
-        return (
-            composed_uniform_kernel_sample(mu, ladder.K, t),
-            composed_uniform_kernel_dt(mu, ladder.K, t),
-            composed_uniform_kernel_dtt(mu, ladder.K, t),
-        )
-    dt = min(float(t[1] - t[0]), ladder.mu_min / 20.0)
-    horizon = max(float(t[-1]) + 2.0 * dt, ladder.mu_sum + 10.0 * math.sqrt(ladder.tau_max))
-    kernel = cascade_kernel_numeric(ladder, dt, horizon)
-    h = np.interp(t, kernel.times, kernel.values, left=0.0, right=0.0)
-    h1 = np.gradient(h, t)
-    h2 = np.gradient(h1, t)
-    return h, h1, h2
-
-
 def rf_kernel_image(
     spec: RFSpec,
     t_span: float,
@@ -250,9 +222,8 @@ def rf_kernel_image(
 ) -> KernelImage:
     """Sample the receptive-field kernel d_t^alpha d_nu^beta [g(nu - v t; s) T(t)].
 
-    Gaussian temporal kernels are evaluated analytically; causal cascades
-    use the closed form (uniform) or the numeric impulse response
-    (logarithmic). Spans are in seconds and semitones.
+    The temporal factor and its derivatives come from ``temporal_profiles``.
+    Spans are in seconds and semitones.
     """
     if t_span <= 0 or nu_span <= 0 or dt <= 0 or dnu <= 0:
         raise ValueError("spans and spacings must be positive")
@@ -263,7 +234,7 @@ def rf_kernel_image(
     else:
         t = np.arange(0.0, t_span + dt / 2.0, dt)
     nu = np.arange(-nu_span, nu_span + dnu / 2.0, dnu)
-    t0, t1, t2 = _temporal_profiles(spec.temporal, t)
+    t0, t1, t2 = temporal_profiles(spec.temporal, t)
     u = nu[None, :] - spec.v * t[:, None]
     g = {
         k: gaussian_derivative_sample(spec.s, u, k)

@@ -138,8 +138,7 @@ def _numeric_delays(ladder: ScaleLadder) -> tuple[float, float, float]:
     """t_max and both inflection points from the numeric impulse response."""
     tau = ladder.tau_max
     dt = min(math.sqrt(tau) / 2000.0, ladder.mu_min / 20.0)
-    horizon = ladder.mu_sum + 10.0 * math.sqrt(tau)
-    kernel = cascade_kernel_numeric(ladder, dt, horizon)
+    kernel = cascade_kernel_numeric(ladder, dt)
     h = kernel.values
     t_max = _quadratic_refine(h, int(np.argmax(h)), dt)
     d2 = np.diff(h, 2)  # approximates h'' at index i+1

@@ -21,8 +21,8 @@ from tonescale.selectivity_analysis import delay_measures
 from tonescale.temporal_scale_space import (
     SpectrogramFamily,
     discrete_gaussian_kernel,
+    discrete_recursive_smooth,
     discretize_ladder,
-    recursive_stage,
     warmup_length,
 )
 
@@ -175,19 +175,19 @@ def compute_spectrogram(
     grid: FrequencyGrid,
     family: SpectrogramFamily,
     hop: int | None = None,
-    epsilon: float = 1e-6,
 ) -> TFMap:
     """Project onto cos/sin carriers per channel and smooth temporally.
 
     The stored value is c - i s where c and s are the smoothed cosine and
     sine projections, i.e. the temporal smoothing of f(t) e^{-i omega t}.
-    Causal families run the recursive cascade at the full sample rate and
-    keep every hop-th sample; the Gaussian family correlates with the
-    truncated discrete Gaussian by FFT and keeps the sums centered on the
-    frames.
+    Causal families run the recursive cascade (``discrete_recursive_smooth``)
+    at the full sample rate and keep every hop-th sample; the Gaussian family
+    correlates with the truncated discrete Gaussian by FFT and keeps the sums
+    centered on the frames.
 
-    Non-finite samples and channels at or above the Nyquist frequency are
-    rejected: either would silently corrupt the map.
+    Non-finite samples, channels at or above the Nyquist frequency and a hop
+    longer than the signal are rejected: each would silently corrupt the map
+    or leave nothing but warm-up.
     """
     x = np.asarray(signal, dtype=float)
     if x.ndim != 1 or x.size == 0:
@@ -204,6 +204,8 @@ def compute_spectrogram(
     if hop <= 0:
         raise ValueError(f"hop must be positive, got {hop}")
     n = x.size
+    if hop > n:
+        raise ValueError(f"hop ({hop} samples) is longer than the signal ({n} samples)")
     frame_idx = np.arange(0, n, hop)
     frame_times = frame_idx / sample_rate
     n_ch = grid.n_channels
@@ -221,14 +223,11 @@ def compute_spectrogram(
                     f"channel at nu={grid.nu[ch]:.2f} yields a degenerate stage "
                     f"(mu={ladder.mu_min:.3g} samples)"
                 )
-            cur = modulated
-            for mu in ladder.mus:
-                cur = recursive_stage(cur, mu)
-            values[:, ch] = cur[frame_idx]
+            values[:, ch] = discrete_recursive_smooth(modulated, ladder)[frame_idx]
             warmup[ch] = -(-warmup_length(ladder) // hop)
         else:
             s_sampl = tau * sample_rate * sample_rate
-            kernel = discrete_gaussian_kernel(s_sampl, epsilon)
+            kernel = discrete_gaussian_kernel(s_sampl)
             half = kernel.origin_index
             # Decimated correlation: S[j] = sum_k T[k] x[j hop + k - half],
             # evaluated via full FFT convolution sampled on the frame comb.
@@ -276,26 +275,14 @@ def to_db(spec: TFMap, S0: float = 1.0) -> TFMap:
 def channel_delays(grid: FrequencyGrid, family: SpectrogramFamily) -> dict:
     """Per-channel temporal delay measures (seconds) of the window family.
 
-    The closed forms apply to equal-stage cascades; logarithmic ladders are
-    measured once on a unit-scale numeric impulse response and rescaled by
-    sqrt(tau), which is exact because the kernel family is self-similar in
-    sqrt(tau).
+    Both cascade families are self-similar in sqrt(tau), so the delays are
+    measured once at unit scale and rescaled by sqrt(tau) per channel.
     """
     if not family.causal:
         raise ValueError("delay measures apply to causal families only")
-    t_max = np.empty(grid.n_channels)
-    t_infl1 = np.empty(grid.n_channels)
-    if family.kind == "rec-uni":
-        for ch, tau in enumerate(grid.tau_window):
-            d = delay_measures(family.ladder(tau))
-            t_max[ch] = d.t_max
-            t_infl1[ch] = d.t_infl1
-    else:
-        unit = delay_measures(family.ladder(1.0))
-        root = np.sqrt(grid.tau_window)
-        t_max[:] = unit.t_max * root
-        t_infl1[:] = unit.t_infl1 * root
-    return {"t_max": t_max, "t_infl1": t_infl1}
+    unit = delay_measures(family.ladder(1.0))
+    root = np.sqrt(grid.tau_window)
+    return {"t_max": unit.t_max * root, "t_infl1": unit.t_infl1 * root}
 
 
 def delay_compensate(spec: TFMap) -> TFMap:

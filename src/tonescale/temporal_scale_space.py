@@ -11,6 +11,10 @@ never increases the number of local extrema of a signal.
 Temporal derivatives at a given scale are obtained from differences of
 adjacent smoothed channels, so the channel outputs themselves are the only
 memory the cascade needs.
+
+No other module realises a temporal kernel: ``discrete_recursive_smooth``
+is the one cascade loop (both layers run it), ``temporal_profiles`` the one
+kernel sampler and ``ScaleLadder.support`` the one support rule.
 """
 
 from __future__ import annotations
@@ -63,6 +67,11 @@ class ScaleLadder:
     @property
     def mu_sum(self) -> float:
         return float(sum(self.mus))
+
+    @property
+    def support(self) -> float:
+        """Length past which the cascade's impulse response is negligible."""
+        return self.mu_sum + 10.0 * math.sqrt(self.tau_max)
 
 
 def build_ladder(
@@ -137,21 +146,18 @@ def warmup_length(ladder: ScaleLadder) -> int:
 class TemporalKernelSpec:
     """A temporal smoothing kernel: non-causal Gaussian or time-causal cascade.
 
-    Gaussian kernels carry a variance ``tau`` (seconds^2) and a time delay
-    ``delta`` (seconds); cascades carry a continuous scale ladder.
+    Gaussian kernels carry a variance ``tau`` (seconds^2); cascades carry a
+    continuous scale ladder.
     """
 
     kind: str  # "gaussian" or "cascade"
     tau: float | None = None
-    delta: float = 0.0
     ladder: ScaleLadder | None = None
 
     def __post_init__(self) -> None:
         if self.kind == "gaussian":
             if self.tau is None or self.tau <= 0:
                 raise ValueError("gaussian kernels need tau > 0")
-            if self.delta < 0:
-                raise ValueError("delay delta must be non-negative")
         elif self.kind == "cascade":
             if self.ladder is None or self.ladder.K < 1:
                 raise ValueError("cascade kernels need a ladder with K >= 1")
@@ -159,8 +165,8 @@ class TemporalKernelSpec:
             raise ValueError(f"unknown kernel kind {self.kind!r}")
 
     @staticmethod
-    def gaussian(tau: float, delta: float = 0.0) -> "TemporalKernelSpec":
-        return TemporalKernelSpec(kind="gaussian", tau=tau, delta=delta)
+    def gaussian(tau: float) -> "TemporalKernelSpec":
+        return TemporalKernelSpec(kind="gaussian", tau=tau)
 
     @staticmethod
     def cascade(ladder: ScaleLadder) -> "TemporalKernelSpec":
@@ -318,14 +324,17 @@ def composed_uniform_kernel_dtt(mu: float, K: int, t):
     return out if out.ndim else float(out)
 
 
-def cascade_kernel_numeric(ladder: ScaleLadder, dt: float, horizon: float) -> SampledKernel:
+def cascade_kernel_numeric(
+    ladder: ScaleLadder, dt: float, horizon: float | None = None
+) -> SampledKernel:
     """Impulse response of an unequal-mu cascade, sampled at spacing dt.
 
     The first stage is sampled from its analytic form (1/mu_1) e^{-t/mu_1};
     every further stage applies the exact exponential update for
     piecewise-linear input, which has unit DC gain and adds exactly mu to the
     kernel mean, so no step-size bias enters the delay measures. The sampled
-    mass is renormalized to 1 after truncation at the horizon.
+    mass is renormalized to 1 after truncation at the horizon, which
+    defaults to the ladder's support and may not be shorter.
     """
     if ladder.units != "seconds":
         raise ValueError("numeric cascade expects a continuous (seconds) ladder")
@@ -334,7 +343,8 @@ def cascade_kernel_numeric(ladder: ScaleLadder, dt: float, horizon: float) -> Sa
         raise ValueError(
             f"dt={dt:g} too coarse for the fastest stage; need dt <= mu_min/20 = {mu_min / 20.0:g}"
         )
-    required = ladder.mu_sum + 10.0 * math.sqrt(ladder.tau_max)
+    required = ladder.support
+    horizon = required if horizon is None else horizon
     if horizon < required:
         raise ValueError(
             f"horizon {horizon:g} s gives insufficient support; need >= {required:g} s"
@@ -363,8 +373,8 @@ def recursive_stage(
     Implements y[n] = y[n-1] + (x[n] - y[n-1]) / (1 + mu). The virtual state
     y[-1] is zero by default (signals that start at rest); pass ``init`` to
     start the stage in steady state at that value, e.g. the first sample of
-    a map whose baseline is far from zero. This is the canonical stage used
-    by every causal path, so cascades compose with bit-identical arithmetic.
+    a map whose baseline is far from zero. Cascades run it through
+    ``discrete_recursive_smooth``.
     """
     b = [1.0 / (1.0 + mu)]
     a = [1.0, -mu / (1.0 + mu)]
@@ -379,17 +389,51 @@ def recursive_stage(
     return out
 
 
-def discrete_recursive_smooth(signal, ladder: ScaleLadder) -> np.ndarray:
-    """Run a sample-unit ladder over a signal; row k is the output at tau_k."""
+def discrete_recursive_smooth(
+    signal, ladder: ScaleLadder, axis: int = -1, steady: bool = False
+) -> np.ndarray:
+    """Run a sample-unit ladder along one axis; returns the output at tau_max.
+
+    This is the one cascade loop: the causal layer-1 windows and the
+    layer-2 temporal smoothing both run it. Complex input stays complex.
+    Every stage starts at rest unless ``steady`` is set; then each stage
+    starts in steady state at its own input's first sample along ``axis``,
+    so a constant signal comes back unchanged up to rounding.
+    """
     if ladder.units != "samples":
         raise ValueError("recursive smoothing expects a ladder in sample units")
-    x = np.asarray(signal, dtype=float)
-    channels = np.empty((ladder.K,) + x.shape, dtype=float)
-    cur = x
-    for k, mu in enumerate(ladder.mus):
-        cur = recursive_stage(cur, mu)
-        channels[k] = cur
-    return channels
+    cur = np.asarray(signal)
+    for mu in ladder.mus:
+        init = np.take(cur, [0], axis=axis) if steady else None
+        cur = recursive_stage(cur, mu, axis=axis, init=init)
+    return cur
+
+
+def temporal_profiles(
+    temporal: TemporalKernelSpec, t: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A temporal kernel and its first two derivatives, sampled at times t.
+
+    Gaussians and equal-stage cascades use their closed forms; logarithmic
+    cascades interpolate the numeric impulse response and differentiate it
+    numerically. ``t`` is a uniform grid in seconds.
+    """
+    if temporal.kind == "gaussian":
+        return tuple(gaussian_derivative_sample(temporal.tau, t, k) for k in range(3))
+    ladder = temporal.ladder
+    if ladder.distribution is Distribution.UNIFORM:
+        mu = ladder.mus[0]
+        return (
+            composed_uniform_kernel_sample(mu, ladder.K, t),
+            composed_uniform_kernel_dt(mu, ladder.K, t),
+            composed_uniform_kernel_dtt(mu, ladder.K, t),
+        )
+    dt = min(float(t[1] - t[0]), ladder.mu_min / 20.0)
+    kernel = cascade_kernel_numeric(ladder, dt, max(float(t[-1]) + 2.0 * dt, ladder.support))
+    h = np.interp(t, kernel.times, kernel.values, left=0.0, right=0.0)
+    h1 = np.gradient(h, t)
+    h2 = np.gradient(h1, t)
+    return h, h1, h2
 
 
 def temporal_derivative_channels(
@@ -430,7 +474,8 @@ def discrete_gaussian_kernel(s_sampl: float, epsilon: float = 1e-6) -> SampledKe
     Bessel function, which is stable for large s. The kernel's standard
     deviation is sqrt(s), so the search starts at 6 sqrt(s) + 10 taps and
     doubles only when a small epsilon needs more; the taps and N do not
-    depend on where it starts.
+    depend on where it starts. An epsilon below the rounding error of the
+    tap sum is refused with ValueError once the taps underflow to 0.
     """
     if not 0.0 < epsilon < 1.0:
         raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
@@ -445,6 +490,12 @@ def discrete_gaussian_kernel(s_sampl: float, epsilon: float = 1e-6) -> SampledKe
         hit = np.nonzero(total > 1.0 - epsilon)[0]
         if hit.size:
             break
+        if taps[-1] == 0.0:
+            # Taps fall with n, so every later tap is 0 too and the sum is final.
+            raise ValueError(
+                f"discrete Gaussian at s={s_sampl:g} never carries 1 - epsilon of its mass "
+                f"for epsilon={epsilon:g}: the tap sum's rounding error is larger"
+            )
         n_guess *= 2
     n_half = int(hit[0]) + 1
     half = taps[: n_half + 1]

@@ -259,6 +259,14 @@ def test_cli_missing_input_is_a_runtime_error(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_cli_rejects_a_hop_longer_than_the_input(tone_wav, tmp_path, capsys):
+    out = tmp_path / "o.csv"
+    argv = ["spectrogram", str(tone_wav), "--hop-ms", "900", "--out-csv", str(out)]
+    assert cli_main(argv) == 1  # the WAV holds 0.8 s
+    assert "error: hop (7200 samples) is longer than the signal" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_config_precedence(tone_wav, tmp_path, capsys):
     config = tmp_path / "cfg.json"
     config.write_text(

@@ -16,7 +16,11 @@ from tonescale.spectrogram import (
     to_db,
     window_scale,
 )
-from tonescale.temporal_scale_space import discrete_gaussian_kernel
+from tonescale.temporal_scale_space import (
+    discrete_gaussian_kernel,
+    discrete_recursive_smooth,
+    discretize_ladder,
+)
 
 from conftest import sine
 
@@ -115,6 +119,20 @@ def test_gauss_and_causal_paths_agree_in_steady_state():
     mg = np.median(np.abs(Sg.values[-150:, ch]))
     mr = np.median(np.abs(Sr.values[-150:, ch]))
     assert mg == pytest.approx(mr, rel=2e-3)
+
+
+@pytest.mark.parametrize("kind", ["rec-uni", "rec-log"])
+def test_causal_channel_is_the_shared_cascade(kind, rng):
+    rate, hop = 8000.0, 7
+    grid = build_frequency_grid(60.0, 72.0, 12)
+    fam = SpectrogramFamily(kind=kind)
+    x = rng.normal(size=1500)
+    S = compute_spectrogram(x, rate, grid, fam, hop=hop)
+    t = np.arange(x.size) / rate
+    for ch in (0, 5, grid.n_channels - 1):
+        ladder = discretize_ladder(fam.ladder(grid.tau_window[ch]), rate)
+        y = discrete_recursive_smooth(x * np.exp(-1j * grid.omega[ch] * t), ladder)
+        assert np.array_equal(S.values[:, ch], y[::hop])
 
 
 def test_gauss_path_equals_the_direct_windowed_sum(rng):
@@ -241,6 +259,16 @@ def test_spectrogram_rejects_bad_input():
         SpectrogramFamily(kind="nonsense")
     with pytest.raises(ValueError):
         SpectrogramFamily(kind="rec-log", K=7, c=0.9)
+
+
+def test_spectrogram_rejects_a_hop_longer_than_the_signal():
+    rate = 8000.0
+    grid = build_frequency_grid(60.0, 72.0, 12)
+    fam = SpectrogramFamily(kind="rec-log")
+    x = np.sin(0.3 * np.arange(300))
+    with pytest.raises(ValueError, match="hop"):
+        compute_spectrogram(x, rate, grid, fam, hop=1000)
+    assert compute_spectrogram(x, rate, grid, fam, hop=300).n_frames == 1
 
 
 def test_spectrogram_rejects_non_finite_samples():

@@ -166,8 +166,14 @@ def test_discrete_recursive_smooth_variance_additivity(rng):
     )
     x = np.zeros(4000)
     x[0] = 1.0
-    chans = discrete_recursive_smooth(x, lad)
+    chans = []
+    cur = x
+    for mu in lad.mus:
+        cur = recursive_stage(cur, mu)
+        chans.append(cur)
+    chans = np.stack(chans)
     assert chans.shape == (4, 4000)
+    assert np.array_equal(discrete_recursive_smooth(x, lad), chans[-1])
     n = np.arange(4000)
     mus = np.array(lad.mus)
     for k in range(4):
@@ -178,6 +184,23 @@ def test_discrete_recursive_smooth_variance_additivity(rng):
         assert mass == pytest.approx(1.0, abs=1e-9)
         assert mean == pytest.approx(mus[: k + 1].sum(), rel=1e-9)
         assert var == pytest.approx((mus[: k + 1] ** 2 + mus[: k + 1]).sum(), rel=1e-9)
+
+
+def test_discrete_recursive_smooth_steady_mode_keeps_a_constant_map(rng):
+    # Each stage starts in steady state at its own input's first row, so a
+    # constant map has no settling transient; lfilter's b x + a y form leaves
+    # rounding of a few hundred ulp at most.
+    lad = discretize_ladder(
+        build_ladder(Distribution.LOGARITHMIC, tau_max=1e-3, K=7, c=math.sqrt(2.0)), 1000.0
+    )
+    level = np.concatenate([[0.0, -200.0], rng.normal(size=30) * 40.0])
+    flat = np.tile(level, (80, 1))
+    out = discrete_recursive_smooth(flat, lad, axis=0, steady=True)
+    assert out.shape == flat.shape
+    np.testing.assert_allclose(out, flat, rtol=1e-13, atol=0.0)
+    assert np.all(out[:, 0] == 0.0)
+    # at rest the same map rises from zero instead
+    assert abs(discrete_recursive_smooth(flat, lad, axis=0)[0, 1]) < 200.0 * 0.01
 
 
 def test_cascade_kernel_numeric_matches_gamma_closed_form():
@@ -267,6 +290,13 @@ def test_discrete_gaussian_tap_search_is_sized_by_sqrt_s(monkeypatch):
     assert np.array_equal(fine.values, values)
 
 
+def test_discrete_gaussian_refuses_an_epsilon_below_rounding():
+    # The tap sum peaks at 1 - 1.7e-15 for s = 123.4, so 1 - 1e-15 is never
+    # reached; the search must stop once the taps underflow to 0.
+    with pytest.raises(ValueError, match=r"s=123\.4 .*epsilon=1e-15"):
+        discrete_gaussian_kernel(123.4, epsilon=1e-15)
+
+
 def test_discrete_gaussian_semigroup():
     # Composing s1 and s2 equals a single step at s1 + s2.
     s1, s2 = 3.0, 5.0
@@ -291,7 +321,7 @@ def test_smoothing_never_creates_local_extrema(rng):
     for _ in range(50):
         x = rng.normal(size=256)
         before = count_local_extrema(x)
-        assert count_local_extrema(discrete_recursive_smooth(x, lad)[-1]) <= before
+        assert count_local_extrema(discrete_recursive_smooth(x, lad)) <= before
         assert count_local_extrema(discrete_gaussian_smooth(x, 4.0)) <= before
 
 

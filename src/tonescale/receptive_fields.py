@@ -2,7 +2,8 @@
 
 A receptive field here is a separable smoothing (causal cascade or Gaussian
 over frame time, Gaussian over log-frequency) followed by small-stencil
-derivatives of order up to two along each axis, optionally scale-normalized
+derivatives of order up to two along each axis (backward differences in
+time, so a causal field reads no later frame), optionally scale-normalized
 by tau_a^{alpha/2} s^{beta/2}. Glissando adaptation (a shear of the
 time-frequency plane at v semitones/second) is realized by warping the
 spectrogram along the frequency axis, applying the separable operator, and
@@ -150,13 +151,16 @@ def spectral_smooth(S: TFMap, s: float) -> TFMap:
 def _derivative_t(values: np.ndarray, order: int, dt: float) -> np.ndarray:
     if order == 0:
         return values
+    # Backward differences keep the feature path causal: frame n reads only
+    # frames n - order .. n, and the first ``order`` rows (counted as warm-up
+    # by apply_rf) are zero.
+    out = np.zeros_like(values)
     if order == 1:
-        # Backward difference keeps the feature path causal.
-        out = np.zeros_like(values)
         out[1:] = (values[1:] - values[:-1]) / dt
         return out
     if order == 2:
-        return correlate1d(values, [1.0, -2.0, 1.0], axis=0, mode="reflect") / (dt * dt)
+        out[2:] = (values[2:] - 2.0 * values[1:-1] + values[:-2]) / (dt * dt)
+        return out
     raise ValueError(f"unsupported temporal derivative order {order}")
 
 

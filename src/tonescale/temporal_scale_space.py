@@ -12,9 +12,11 @@ Temporal derivatives at a given scale are obtained from differences of
 adjacent smoothed channels, so the channel outputs themselves are the only
 memory the cascade needs.
 
-No other module realises a temporal kernel: ``discrete_recursive_smooth``
-is the one cascade loop (both layers run it), ``temporal_profiles`` the one
-kernel sampler and ``ScaleLadder.support`` the one support rule.
+No other module realises a temporal kernel: ``cascade_sections`` plus
+``scipy.signal.sosfilt`` is the one cascade realisation (layer 2 runs it
+through ``discrete_recursive_smooth``, the causal layer-1 windows with the
+carrier folded into the poles), ``temporal_profiles`` the one kernel
+sampler and ``ScaleLadder.support`` the one support rule.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from enum import Enum
 
 import numpy as np
 from scipy.ndimage import correlate1d
-from scipy.signal import lfilter
+from scipy.signal import lfilter, sosfilt
 from scipy.special import ive
 
 
@@ -365,6 +367,39 @@ def cascade_kernel_numeric(
     return SampledKernel(values=h / mass, origin_index=0, dt=dt)
 
 
+def cascade_sections(ladder: ScaleLadder, omega: float = 0.0) -> np.ndarray:
+    """The K first-order sections of a sample-unit ladder, in ``sosfilt`` form.
+
+    Stage k is y[n] = (mu y[n-1] + x[n]) / (1 + mu), the section
+    [1/(1+mu), 0, 0, 1, -mu/(1+mu), 0]. A nonzero ``omega`` (rad/sample)
+    turns each pole into mu e^{i omega}/(1+mu): the cascade of a real x[n]
+    is then e^{i omega n} times the cascade of x[n] e^{-i omega n}, so a
+    modulated signal is smoothed without forming the modulation. This is
+    the only place the stage coefficients are written.
+    """
+    if ladder.units != "samples":
+        raise ValueError("recursive smoothing expects a ladder in sample units")
+    mus = np.asarray(ladder.mus, dtype=float)
+    pole = mus / (1.0 + mus)
+    if omega:
+        pole = pole * np.exp(1j * omega)
+    sos = np.zeros((ladder.K, 6), dtype=pole.dtype)
+    sos[:, 0] = 1.0 / (1.0 + mus)
+    sos[:, 3] = 1.0
+    sos[:, 4] = -pole
+    return sos
+
+
+def _steady_zi(section: np.ndarray, start: np.ndarray, axis: int) -> np.ndarray:
+    """``sosfilt`` state of one section resting in steady state at ``start``.
+
+    ``start`` has the input's shape with length 1 along ``axis``; a state
+    y[-1] = start makes the section's delay hold start mu/(1+mu).
+    """
+    state = start * -section[4]
+    return np.concatenate([state, np.zeros_like(state)], axis=axis)[None]
+
+
 def recursive_stage(
     x: np.ndarray, mu: float, axis: int = -1, init: np.ndarray | float | None = None
 ) -> np.ndarray:
@@ -373,20 +408,17 @@ def recursive_stage(
     Implements y[n] = y[n-1] + (x[n] - y[n-1]) / (1 + mu). The virtual state
     y[-1] is zero by default (signals that start at rest); pass ``init`` to
     start the stage in steady state at that value, e.g. the first sample of
-    a map whose baseline is far from zero. Cascades run it through
-    ``discrete_recursive_smooth``.
+    a map whose baseline is far from zero. Cascades run all their stages at
+    once through ``discrete_recursive_smooth``.
     """
-    b = [1.0 / (1.0 + mu)]
-    a = [1.0, -mu / (1.0 + mu)]
+    tau = mu * mu + mu
+    stage = ScaleLadder(Distribution.UNIFORM, tau, 1, None, (tau,), (mu,), units="samples")
+    sos = cascade_sections(stage)
     if init is None:
-        return lfilter(b, a, x, axis=axis)
+        return sosfilt(sos, x, axis=axis)
     x = np.asarray(x)
-    zi_shape = list(x.shape)
-    zi_shape[axis] = 1
-    zi = np.broadcast_to(np.asarray(init), tuple(zi_shape)).astype(x.dtype)
-    zi = zi * (mu / (1.0 + mu))
-    out, _ = lfilter(b, a, x, axis=axis, zi=zi)
-    return out
+    start = np.broadcast_to(np.asarray(init), np.take(x, [0], axis=axis).shape).astype(x.dtype)
+    return sosfilt(sos, x, axis=axis, zi=_steady_zi(sos[0], start, axis))[0]
 
 
 def discrete_recursive_smooth(
@@ -394,19 +426,23 @@ def discrete_recursive_smooth(
 ) -> np.ndarray:
     """Run a sample-unit ladder along one axis; returns the output at tau_max.
 
-    This is the one cascade loop: the causal layer-1 windows and the
-    layer-2 temporal smoothing both run it. Complex input stays complex.
-    Every stage starts at rest unless ``steady`` is set; then each stage
-    starts in steady state at its own input's first sample along ``axis``,
-    so a constant signal comes back unchanged up to rounding.
+    The K stages run as one ``sosfilt`` over ``cascade_sections(ladder)``.
+    Complex input stays complex. Every stage starts at rest unless
+    ``steady`` is set; then each stage starts in steady state at its own
+    input's first sample along ``axis`` (the previous stage's first output,
+    taken by a one-sample pass), so a constant signal comes back unchanged
+    up to rounding and the result equals running the stages one by one.
     """
-    if ladder.units != "samples":
-        raise ValueError("recursive smoothing expects a ladder in sample units")
-    cur = np.asarray(signal)
-    for mu in ladder.mus:
-        init = np.take(cur, [0], axis=axis) if steady else None
-        cur = recursive_stage(cur, mu, axis=axis, init=init)
-    return cur
+    sos = cascade_sections(ladder)
+    x = np.asarray(signal)
+    if not steady:
+        return sosfilt(sos, x, axis=axis)
+    start = np.take(x, [0], axis=axis)
+    zi = []
+    for k in range(ladder.K):
+        zi.append(_steady_zi(sos[k], start, axis))
+        start = sosfilt(sos[k : k + 1], start, axis=axis, zi=zi[-1])[0]
+    return sosfilt(sos, x, axis=axis, zi=np.concatenate(zi))[0]
 
 
 def temporal_profiles(
@@ -512,14 +548,3 @@ def discrete_gaussian_smooth(
         return np.asarray(x, dtype=float).copy()
     kernel = discrete_gaussian_kernel(s_sampl, epsilon)
     return correlate1d(np.asarray(x, dtype=float), kernel.values, axis=axis, mode="reflect")
-
-
-def count_local_extrema(x: np.ndarray) -> int:
-    """Count strict interior local extrema of a 1-D signal."""
-    x = np.asarray(x)
-    if x.size < 3:
-        return 0
-    mid = x[1:-1]
-    maxima = (mid > x[:-2]) & (mid > x[2:])
-    minima = (mid < x[:-2]) & (mid < x[2:])
-    return int(np.count_nonzero(maxima) + np.count_nonzero(minima))

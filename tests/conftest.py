@@ -22,3 +22,14 @@ def exponential_chirp(
     freq = frequency_from_midi(nu_start + slope * t)
     phase = 2.0 * np.pi * np.cumsum(freq) / rate
     return amp * np.sin(phase)
+
+
+def count_local_extrema(x: np.ndarray) -> int:
+    """Count strict interior local extrema of a 1-D signal."""
+    x = np.asarray(x)
+    if x.size < 3:
+        return 0
+    mid = x[1:-1]
+    maxima = (mid > x[:-2]) & (mid > x[2:])
+    minima = (mid < x[:-2]) & (mid < x[2:])
+    return int(np.count_nonzero(maxima) + np.count_nonzero(minima))

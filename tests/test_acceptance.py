@@ -42,7 +42,6 @@ from tonescale.temporal_scale_space import (
     TemporalKernelSpec,
     build_ladder,
     composed_uniform_kernel_sample,
-    count_local_extrema,
     discrete_gaussian_kernel,
     discrete_recursive_smooth,
     discretize_ladder,
@@ -50,7 +49,7 @@ from tonescale.temporal_scale_space import (
     recursive_stage,
 )
 
-from conftest import exponential_chirp, sine
+from conftest import count_local_extrema, exponential_chirp, sine
 
 RATE = 44100.0
 HOP = 44

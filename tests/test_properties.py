@@ -31,13 +31,12 @@ from tonescale.temporal_scale_space import (
     Distribution,
     TemporalKernelSpec,
     build_ladder,
-    count_local_extrema,
     discrete_gaussian_kernel,
     discrete_recursive_smooth,
     discretize_ladder,
 )
 
-from conftest import sine
+from conftest import count_local_extrema, sine
 
 RATE = 4000.0
 

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -204,3 +205,19 @@ def test_apply_rf_refuses_a_complex_map():
     for v in (0.0, 10.0):
         with pytest.raises(ValueError, match="real-valued map"):
             apply_rf(S, gauss_spec(v=v))
+
+
+@pytest.mark.parametrize("alpha", [1, 2])
+def test_causal_temporal_derivative_reads_no_later_frame(alpha, rng):
+    L = tone_db(duration=0.3)
+    spec = RFSpec(temporal=FAM.temporal(4e-4), s=0.25, alpha=alpha)
+    before = apply_rf(L, spec)
+    n = L.n_frames // 2
+    later = L.values.copy()
+    later[n + 1 :] += rng.normal(size=later[n + 1 :].shape)
+    after = apply_rf(replace(L, values=later), spec)
+    assert np.array_equal(after.values[: n + 1], before.values[: n + 1])
+    assert not np.array_equal(after.values[n + 1 :], before.values[n + 1 :])
+    # The first alpha rows have no backward difference and are warm-up.
+    assert np.all(before.values[:alpha] == 0.0)
+    assert np.all(before.warmup_frames >= L.warmup_frames + alpha)

@@ -1,10 +1,16 @@
 import math
+import sys
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.signal import sosfilt
 
+from tonescale import spectrogram
 from tonescale.spectrogram import (
+    FrequencyGrid,
     SpectrogramFamily,
     WindowScaleLaw,
     build_frequency_grid,
@@ -17,6 +23,7 @@ from tonescale.spectrogram import (
     window_scale,
 )
 from tonescale.temporal_scale_space import (
+    cascade_sections,
     discrete_gaussian_kernel,
     discrete_recursive_smooth,
     discretize_ladder,
@@ -25,6 +32,10 @@ from tonescale.temporal_scale_space import (
 from conftest import sine
 
 RATE = 44100.0
+# Causal layer 1 folds the carrier into the poles; it must stay this close,
+# relative to the signal peak, to smoothing the modulated signal (the same
+# bound the benchmark checks layer-1 maps against).
+LAYER1_RTOL = 1e-9
 
 
 def test_midi_mapping_reference_points():
@@ -123,16 +134,113 @@ def test_gauss_and_causal_paths_agree_in_steady_state():
 
 @pytest.mark.parametrize("kind", ["rec-uni", "rec-log"])
 def test_causal_channel_is_the_shared_cascade(kind, rng):
+    """Each causal channel is one sosfilt over the folded-pole sections,
+    sampled on the frames and demodulated there."""
     rate, hop = 8000.0, 7
     grid = build_frequency_grid(60.0, 72.0, 12)
     fam = SpectrogramFamily(kind=kind)
     x = rng.normal(size=1500)
     S = compute_spectrogram(x, rate, grid, fam, hop=hop)
-    t = np.arange(x.size) / rate
     for ch in (0, 5, grid.n_channels - 1):
+        omega = grid.omega[ch]
         ladder = discretize_ladder(fam.ladder(grid.tau_window[ch]), rate)
-        y = discrete_recursive_smooth(x * np.exp(-1j * grid.omega[ch] * t), ladder)
-        assert np.array_equal(S.values[:, ch], y[::hop])
+        z = sosfilt(cascade_sections(ladder, omega / rate), x)[::hop]
+        assert np.array_equal(S.values[:, ch], z * np.exp(-1j * omega * S.frame_times))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    kind=st.sampled_from(["rec-uni", "rec-log"]),
+    K=st.integers(1, 8),
+    c=st.floats(1.1, 2.0),
+    w=st.floats(0.01, 0.95 * math.pi),
+    hop=st.integers(1, 50),
+    n=st.integers(50, 48000),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_folded_carrier_stays_within_the_layer1_bound(kind, K, c, w, hop, n, seed):
+    """Against smoothing x e^{-i omega t} itself: w rad/sample, up to 3 s at 16 kHz."""
+    rate = 16000.0
+    omega = w * rate
+    law = WindowScaleLaw()
+    nu = midi_from_frequency(omega / (2.0 * math.pi))
+    grid = FrequencyGrid(
+        nu=np.array([nu]),
+        omega=np.array([omega]),
+        tau_window=np.array([window_scale(omega, law)]),
+        bins_per_octave=12,
+        nu_min=nu,
+        nu_max=nu,
+        law=law,
+    )
+    fam = SpectrogramFamily(kind=kind, K=K, c=c)
+    x = np.random.default_rng(seed).normal(size=n)
+    S = compute_spectrogram(x, rate, grid, fam, hop=hop)
+    ladder = discretize_ladder(fam.ladder(grid.tau_window[0]), rate)
+    t = np.arange(n) / rate
+    ref = discrete_recursive_smooth(x * np.exp(-1j * omega * t), ladder)[::hop]
+    assert np.max(np.abs(S.values[:, 0] - ref)) <= LAYER1_RTOL * np.max(np.abs(x))
+
+
+def _spy_on_pools(monkeypatch) -> list:
+    """Record the worker count of every pool compute_spectrogram opens."""
+    pools = []
+    pool = spectrogram.ThreadPoolExecutor
+
+    def spy(max_workers):
+        pools.append(max_workers)
+        return pool(max_workers=max_workers)
+
+    monkeypatch.setattr(spectrogram, "ThreadPoolExecutor", spy)
+    return pools
+
+
+def _allow_cpus(monkeypatch, cpus: int) -> None:
+    monkeypatch.setattr(
+        spectrogram.os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False
+    )
+
+
+@pytest.mark.parametrize("kind", ["rec-uni", "rec-log"])
+def test_causal_map_does_not_depend_on_the_worker_count(kind, monkeypatch, rng):
+    rate = 8000.0
+    grid = build_frequency_grid(60.0, 72.0, 12)
+    fam = SpectrogramFamily(kind=kind)
+    x = rng.normal(size=3000)
+    pools = _spy_on_pools(monkeypatch)
+    maps = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads as often as possible
+    try:
+        for cpus in (1, 4, 64):
+            _allow_cpus(monkeypatch, cpus)
+            maps.append(compute_spectrogram(x, rate, grid, fam, hop=11))
+    finally:
+        sys.setswitchinterval(interval)
+    # Without an affinity mask the CPU count is the limit.
+    monkeypatch.delattr(spectrogram.os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(spectrogram.os, "cpu_count", lambda: 3)
+    maps.append(compute_spectrogram(x, rate, grid, fam, hop=11))
+    assert pools == [1, 4, grid.n_channels, 3]
+    for S in maps[1:]:
+        assert np.array_equal(S.values, maps[0].values)
+        assert np.array_equal(S.warmup_frames, maps[0].warmup_frames)
+
+
+@pytest.mark.parametrize("kind", ["rec-uni", "rec-log"])
+def test_degenerate_stage_is_refused_before_any_worker_starts(kind, monkeypatch):
+    # Windows of 3e-4 carrier periods: the upper channels' first stage
+    # constants fall below MIN_STAGE_MU_SAMPLES.
+    grid = build_frequency_grid(60.0, 96.0, 12, law=WindowScaleLaw(n=3e-4))
+    pools = _spy_on_pools(monkeypatch)
+    _allow_cpus(monkeypatch, 4)
+    x = sine(440.0, 0.1, 8000.0)
+    with pytest.raises(ValueError, match="degenerate stage"):
+        compute_spectrogram(x, 8000.0, grid, SpectrogramFamily(kind=kind))
+    assert pools == []
+    low = build_frequency_grid(60.0, 62.0, 12, law=WindowScaleLaw(n=3e-4))
+    compute_spectrogram(x, 8000.0, low, SpectrogramFamily(kind=kind))
+    assert pools == [low.n_channels]  # 3 channels, fewer than the 4 CPUs
 
 
 def test_gauss_path_equals_the_direct_windowed_sum(rng):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.signal import lfilter, sosfilt
 from scipy.special import ive
 from scipy.stats import gamma as gamma_dist
 
@@ -15,10 +16,10 @@ from tonescale.temporal_scale_space import (
     TemporalKernelSpec,
     build_ladder,
     cascade_kernel_numeric,
+    cascade_sections,
     composed_uniform_kernel_dt,
     composed_uniform_kernel_dtt,
     composed_uniform_kernel_sample,
-    count_local_extrema,
     discrete_gaussian_kernel,
     discrete_gaussian_smooth,
     discrete_recursive_smooth,
@@ -29,6 +30,8 @@ from tonescale.temporal_scale_space import (
     temporal_derivative_channels,
     warmup_length,
 )
+
+from conftest import count_local_extrema
 
 
 def test_gaussian_kernel_is_normalized_density():
@@ -186,9 +189,62 @@ def test_discrete_recursive_smooth_variance_additivity(rng):
         assert var == pytest.approx((mus[: k + 1] ** 2 + mus[: k + 1]).sum(), rel=1e-9)
 
 
+def _stage_by_stage(x, mus, axis=-1, steady=False):
+    """Reference: the cascade as one lfilter per stage, each started at rest
+    or in steady state at its own input's first sample."""
+    cur = np.asarray(x)
+    for mu in mus:
+        b, a = [1.0 / (1.0 + mu)], [1.0, -mu / (1.0 + mu)]
+        if steady:
+            zi = np.take(cur, [0], axis=axis) * (mu / (1.0 + mu))
+            cur = lfilter(b, a, cur, axis=axis, zi=zi)[0]
+        else:
+            cur = lfilter(b, a, cur, axis=axis)
+    return cur
+
+
+@pytest.mark.parametrize("distribution", list(Distribution))
+@pytest.mark.parametrize("K", [1, 4, 7])
+def test_one_sosfilt_equals_the_stage_by_stage_cascade(distribution, K, rng):
+    c = math.sqrt(2.0) if distribution is Distribution.LOGARITHMIC else None
+    lad = discretize_ladder(build_ladder(distribution, 1e-3, K, c), 1000.0)
+    sos = cascade_sections(lad)
+    assert sos.shape == (K, 6) and sos.dtype == float
+    real = rng.normal(size=400) * 30.0 - 50.0
+    cplx = real * np.exp(-0.7j * np.arange(400))
+    grid = rng.normal(size=(120, 9)) * 30.0 - 50.0
+    for x in (real, cplx):
+        assert np.array_equal(discrete_recursive_smooth(x, lad), _stage_by_stage(x, lad.mus))
+    for steady in (False, True):
+        for axis, x in ((0, grid), (1, grid.T.copy()), (-1, grid.T.copy())):
+            assert np.array_equal(
+                discrete_recursive_smooth(x, lad, axis=axis, steady=steady),
+                _stage_by_stage(x, lad.mus, axis=axis, steady=steady),
+            )
+        assert np.array_equal(
+            recursive_stage(real, lad.mus[0], init=real[0] if steady else None),
+            _stage_by_stage(real, lad.mus[:1], steady=steady),
+        )
+
+
+def test_folded_sections_demodulate_the_cascade(rng):
+    """Poles turned by e^{i w} smooth x as the plain poles smooth x e^{-i w n}."""
+    lad = discretize_ladder(build_ladder(Distribution.UNIFORM, 1e-4, 5), 8000.0)
+    w = 0.9
+    sos = cascade_sections(lad, w)
+    plain = cascade_sections(lad)
+    assert np.array_equal(sos[:, [0, 1, 2, 3, 5]], plain[:, [0, 1, 2, 3, 5]])
+    np.testing.assert_allclose(sos[:, 4], plain[:, 4] * np.exp(1j * w), rtol=1e-15)
+    x = rng.normal(size=2000)
+    n = np.arange(x.size)
+    folded = sosfilt(sos, x) * np.exp(-1j * w * n)
+    direct = discrete_recursive_smooth(x * np.exp(-1j * w * n), lad)
+    np.testing.assert_allclose(folded, direct, rtol=0.0, atol=1e-12 * np.max(np.abs(x)))
+
+
 def test_discrete_recursive_smooth_steady_mode_keeps_a_constant_map(rng):
     # Each stage starts in steady state at its own input's first row, so a
-    # constant map has no settling transient; lfilter's b x + a y form leaves
+    # constant map has no settling transient; sosfilt's b x + a y form leaves
     # rounding of a few hundred ulp at most.
     lad = discretize_ladder(
         build_ladder(Distribution.LOGARITHMIC, tau_max=1e-3, K=7, c=math.sqrt(2.0)), 1000.0

@@ -177,7 +177,7 @@ def _worker_count(tasks: int) -> int:
         cpus = len(os.sched_getaffinity(0))
     else:
         cpus = os.cpu_count() or 1
-    return max(1, min(cpus, tasks))
+    return min(cpus, tasks)
 
 
 def compute_spectrogram(

@@ -456,13 +456,19 @@ def _family(cfg: dict) -> SpectrogramFamily:
     return SpectrogramFamily(kind=cfg["family"], K=cfg["K"], c=cfg["c"])
 
 
-def _layer1(cfg: dict, buf: AudioBuffer):
-    """Shared first-layer pipeline: grid, family, spectrogram, compensation.
+def _layer1(cfg: dict, wav: str):
+    """Shared first-layer pipeline: WAV, grid, family, spectrogram, compensation.
 
-    Without a configured ``nu_max`` the grid stops at 16 kHz, or one bin
-    below the input's Nyquist frequency if that is lower: the grid rounds
-    its channel count up, so its top channel then stays below Nyquist.
+    Delay compensation of a non-causal family is refused before the WAV is
+    read, so a bad option costs no layer-1 work. Without a configured
+    ``nu_max`` the grid stops at 16 kHz, or one bin below the input's
+    Nyquist frequency if that is lower: the grid rounds its channel count
+    up, so its top channel then stays below Nyquist.
     """
+    family = _family(cfg)
+    if cfg["compensate_delay"] and not family.causal:
+        raise CliError(2, "delay compensation applies to causal families only")
+    buf = read_wav(wav)
     law = WindowScaleLaw(n=cfg["n"], tau0=(cfg["tau0_ms"] / 1000.0) ** 2)
     bins = cfg["bins_per_octave"]
     if cfg["nu_max"] is not None:
@@ -470,12 +476,9 @@ def _layer1(cfg: dict, buf: AudioBuffer):
     else:  # a bad bin count is reported by build_frequency_grid
         nu_max = min(NU_MAX_DEFAULT, midi_from_frequency(buf.rate / 2.0) - 12.0 / max(bins, 1))
     grid = build_frequency_grid(cfg["nu_min"], nu_max, bins, law)
-    family = _family(cfg)
     hop = max(1, round(buf.rate * cfg["hop_ms"] / 1000.0))
     spec = compute_spectrogram(buf.samples, buf.rate, grid, family, hop=hop)
     if cfg["compensate_delay"]:
-        if not family.causal:
-            raise CliError(2, "delay compensation applies to causal families only")
         spec = delay_compensate(spec)
     return spec
 
@@ -507,7 +510,7 @@ def _symmetric_range(values: np.ndarray) -> tuple[float, float]:
 
 def cmd_spectrogram(cfg: dict, wav: str) -> int:
     _require_output(cfg)
-    spec = _layer1(cfg, read_wav(wav))
+    spec = _layer1(cfg, wav)
     want_db = cfg["db"]
     values = to_db(spec).values if want_db else spec.values
 
@@ -550,7 +553,7 @@ def cmd_features(cfg: dict, wav: str) -> int:
     elif cfg["out_json"] is None:
         raise CliError(2, "no output requested (--partials writes --out-json)")
 
-    log = to_db(_layer1(cfg, read_wav(wav)))
+    log = to_db(_layer1(cfg, wav))
     tau_a = (cfg["tau_a_ms"] / 1000.0) ** 2
     s = cfg["sigma_nu"] ** 2
 

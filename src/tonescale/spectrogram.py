@@ -12,12 +12,14 @@ frequency axis is expressed in MIDI semitones.
 from __future__ import annotations
 
 import math
+import numbers
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.signal import fftconvolve, sosfilt
+from scipy.fft import fft, ifft, next_fast_len
+from scipy.signal import sosfilt
 
 from tonescale.selectivity_analysis import delay_measures
 from tonescale.temporal_scale_space import (
@@ -180,6 +182,18 @@ def _worker_count(tasks: int) -> int:
     return min(cpus, tasks)
 
 
+def _frame_hop(hop, sample_rate: float) -> int:
+    """Samples between frames: 1 ms by default, else a positive whole number."""
+    if hop is None:
+        return max(1, int(round(sample_rate / 1000.0)))  # 1 ms frames
+    if not isinstance(hop, numbers.Integral):
+        if not (isinstance(hop, numbers.Real) and float(hop).is_integer()):
+            raise ValueError(f"hop must be a whole number of samples, got {hop!r}")
+    if hop <= 0:
+        raise ValueError(f"hop must be positive, got {hop}")
+    return int(hop)
+
+
 def compute_spectrogram(
     signal,
     sample_rate: float,
@@ -191,47 +205,58 @@ def compute_spectrogram(
 
     The stored value is c - i s where c and s are the smoothed cosine and
     sine projections, i.e. the temporal smoothing of f(t) e^{-i omega t}.
+    Both families fold the carrier into the window: smoothing x[n] e^{-i w n}
+    (w = omega / rate) equals e^{-i w n} times smoothing the real x[n] with
+    the window modulated by e^{i w n}, so each channel computes the folded
+    response on the frame comb only and multiplies those samples by
+    e^{-i omega t}.
 
-    Causal families fold the carrier into the cascade's poles: smoothing
-    x[n] e^{-i w n} (w = omega / rate) through poles a_k equals
-    e^{-i w n} times smoothing the real x[n] through poles a_k e^{i w}, so
-    each channel is one ``sosfilt`` over ``cascade_sections(ladder, w)`` at
-    the full sample rate, and only the kept frames are multiplied by
-    e^{-i omega t}. This agrees with smoothing the modulated signal to
-    within 1e-9 of the signal peak (the bound a test enforces). The channels
-    run on a thread pool sized to the CPUs this process may use; each
-    channel is computed and written by one thread alone, so the map does not
-    depend on the thread count. Ladders, sections and the degenerate-stage
-    check are done before any thread starts.
+    Causal families fold the carrier into the cascade's poles, a_k becoming
+    a_k e^{i w}, so each channel is one ``sosfilt`` over
+    ``cascade_sections(ladder, w)`` at the full sample rate, kept on the
+    frames.
 
-    The Gaussian family correlates the modulated signal with the truncated
-    discrete Gaussian by FFT and keeps the sums centered on the frames.
+    The Gaussian family correlates with the truncated discrete Gaussian
+    T[half + d], d = -half..half, centered on the frames. The signal is
+    transformed once, X = fft(x, M) with M = hop Q at least N + the largest
+    half, so no frame's sum wraps around; Q is a fast FFT length, and so is M
+    whenever hop is. Per channel the taps T[half + d] e^{i w d} are placed
+    circularly, transformed and multiplied by X; keeping every hop-th output
+    sample aliases the product onto Q bins (decimation in time is aliasing in
+    frequency), so one inverse FFT of length Q gives the frames.
 
-    Non-finite samples, channels at or above the Nyquist frequency and a hop
-    longer than the signal are rejected: each would silently corrupt the map
-    or leave nothing but warm-up.
+    Both agree with smoothing the modulated signal directly to within 1e-9
+    of the signal peak (the bound tests enforce). The channels run on a
+    thread pool sized to the CPUs this process may use; each channel is
+    computed and written by one thread alone, so the map does not depend on
+    the thread count. Ladders, sections, Gaussian kernels and the
+    degenerate-stage check are done before any thread starts.
+
+    Non-finite samples, a sample rate that is not positive, channels at or
+    above the Nyquist frequency, a hop that is not a positive whole number
+    and a hop longer than the signal are rejected: each would silently
+    corrupt the map, leave nothing but warm-up or fail deep inside.
     """
     x = np.asarray(signal, dtype=float)
     if x.ndim != 1 or x.size == 0:
         raise ValueError("signal must be a non-empty 1-D array")
     if not np.all(np.isfinite(x)):
         raise ValueError("signal contains non-finite samples")
+    if not (sample_rate > 0 and math.isfinite(sample_rate)):
+        raise ValueError(f"sample_rate must be positive and finite, got {sample_rate}")
     if grid.omega.max() >= math.pi * sample_rate:
         raise ValueError(
             f"highest channel ({grid.omega.max() / (2.0 * math.pi):.1f} Hz) is at or above "
             f"the Nyquist frequency ({sample_rate / 2.0:.1f} Hz)"
         )
-    if hop is None:
-        hop = max(1, int(round(sample_rate / 1000.0)))  # 1 ms frames
-    if hop <= 0:
-        raise ValueError(f"hop must be positive, got {hop}")
+    hop = _frame_hop(hop, sample_rate)
     n = x.size
     if hop > n:
         raise ValueError(f"hop ({hop} samples) is longer than the signal ({n} samples)")
     frame_idx = np.arange(0, n, hop)
+    n_frames = len(frame_idx)
     frame_times = frame_idx / sample_rate
     n_ch = grid.n_channels
-    values = np.empty((len(frame_idx), n_ch), dtype=complex)
     if family.causal:
         ladders = [discretize_ladder(family.ladder(tau), sample_rate) for tau in grid.tau_window]
         for nu, ladder in zip(grid.nu, ladders):
@@ -246,34 +271,38 @@ def compute_spectrogram(
         ]
         warmup = np.array([-(-warmup_length(ladder) // hop) for ladder in ladders])
 
-        def smooth_channel(ch: int) -> None:
-            # Runs on a worker thread: numpy and scipy only.
-            carrier = np.exp(-1j * grid.omega[ch] * frame_times)
-            values[:, ch] = sosfilt(sections[ch], x)[frame_idx] * carrier
+        def folded(ch: int) -> np.ndarray:
+            return sosfilt(sections[ch], x)[frame_idx]
 
-        with ThreadPoolExecutor(max_workers=_worker_count(n_ch)) as pool:
-            list(pool.map(smooth_channel, range(n_ch)))
     else:
-        warmup = np.zeros(n_ch, dtype=int)
-        t = np.arange(n) / sample_rate
-        for ch in range(n_ch):
-            omega = grid.omega[ch]
-            tau = grid.tau_window[ch]
-            modulated = x * np.exp(-1j * omega * t)
-            s_sampl = tau * sample_rate * sample_rate
-            kernel = discrete_gaussian_kernel(s_sampl)
-            half = kernel.origin_index
-            # Decimated correlation: S[j] = sum_k T[k] x[j hop + k - half],
-            # evaluated via full FFT convolution sampled on the frame comb.
-            pad = (-half) % hop
-            padded = np.concatenate([np.zeros(pad, dtype=complex), modulated])
-            conv = fftconvolve(padded, kernel.values)[::hop]
-            offset = (half + pad) // hop
-            seg = conv[offset : offset + len(frame_idx)]
-            out = np.zeros(len(frame_idx), dtype=complex)
-            out[: len(seg)] = seg
-            values[:, ch] = out
-            warmup[ch] = -(-half // hop)
+        kernels = [
+            discrete_gaussian_kernel(tau * sample_rate * sample_rate) for tau in grid.tau_window
+        ]
+        halves = [kernel.origin_index for kernel in kernels]
+        warmup = np.array([-(-half // hop) for half in halves])
+        q = next_fast_len(-(-(n + max(halves)) // hop))
+        m = hop * q
+        spectrum = fft(x, m)
+
+        def folded(ch: int) -> np.ndarray:
+            half = halves[ch]
+            d = np.arange(-half, half + 1)
+            taps = kernels[ch].values * np.exp(1j * (grid.omega[ch] / sample_rate) * d)
+            placed = np.zeros(m, dtype=complex)
+            placed[: half + 1] = taps[half:]
+            placed[m - half :] += taps[:half]  # overlaps the head when 2 half >= m
+            product = fft(placed, overwrite_x=True)
+            product *= spectrum
+            return ifft(product.reshape(hop, q).sum(axis=0) / hop)[:n_frames]
+
+    values = np.empty((n_frames, n_ch), dtype=complex)
+
+    def demodulate(ch: int) -> None:
+        # Runs on a worker thread, as does folded: numpy and scipy only.
+        values[:, ch] = folded(ch) * np.exp(-1j * grid.omega[ch] * frame_times)
+
+    with ThreadPoolExecutor(max_workers=_worker_count(n_ch)) as pool:
+        list(pool.map(demodulate, range(n_ch)))
     return TFMap(
         values=values,
         frame_times=frame_times,

@@ -511,7 +511,9 @@ def discrete_gaussian_kernel(s_sampl: float, epsilon: float = 1e-6) -> SampledKe
     deviation is sqrt(s), so the search starts at 6 sqrt(s) + 10 taps and
     doubles only when a small epsilon needs more; the taps and N do not
     depend on where it starts. An epsilon below the rounding error of the
-    tap sum is refused with ValueError once the taps underflow to 0.
+    tap sum is refused with ValueError once the taps underflow to 0, and so
+    is a scale at which ive has no finite value (s from about 2^30, e.g. a
+    channel below 10.8 Hz at 44.1 kHz with 8-period windows).
     """
     if not 0.0 < epsilon < 1.0:
         raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
@@ -522,6 +524,9 @@ def discrete_gaussian_kernel(s_sampl: float, epsilon: float = 1e-6) -> SampledKe
     n_guess = max(4, int(math.ceil(6.0 * math.sqrt(s_sampl) + 10.0)))
     while True:
         taps = ive(np.arange(n_guess + 1), s_sampl)
+        if not np.isfinite(taps[0]):
+            # ive is NaN from s of about 2^30 on; the search would double forever.
+            raise ValueError(f"discrete Gaussian at s={s_sampl:g} is beyond the range of ive")
         total = taps[0] + 2.0 * np.cumsum(taps[1:])
         hit = np.nonzero(total > 1.0 - epsilon)[0]
         if hit.size:

@@ -267,6 +267,24 @@ def test_cli_rejects_a_hop_longer_than_the_input(tone_wav, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "command", [["spectrogram"], ["features", "--onsets"]], ids=["spectrogram", "features"]
+)
+def test_cli_refuses_delay_compensation_of_gauss_before_any_work(
+    command, tone_wav, tmp_path, capsys, monkeypatch
+):
+    def unexpected(*args, **kwargs):
+        raise AssertionError("layer-1 work started before the option check")
+
+    monkeypatch.setattr(cli_io, "read_wav", unexpected)
+    monkeypatch.setattr(cli_io, "compute_spectrogram", unexpected)
+    out = tmp_path / "o.csv"
+    argv = [command[0], str(tone_wav), *command[1:], "--family", "gauss", "--compensate-delay"]
+    assert cli_main(argv + ["--out-csv", str(out)]) == 2
+    assert "error: delay compensation applies to causal families only" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_config_precedence(tone_wav, tmp_path, capsys):
     config = tmp_path / "cfg.json"
     config.write_text(

@@ -1,12 +1,13 @@
 import math
 import sys
+import threading
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy.signal import sosfilt
+from scipy.signal import fftconvolve, sosfilt
 
 from tonescale import spectrogram
 from tonescale.spectrogram import (
@@ -32,10 +33,27 @@ from tonescale.temporal_scale_space import (
 from conftest import sine
 
 RATE = 44100.0
-# Causal layer 1 folds the carrier into the poles; it must stay this close,
-# relative to the signal peak, to smoothing the modulated signal (the same
-# bound the benchmark checks layer-1 maps against).
+# Layer 1 folds the carrier into the window (the causal poles, the Gaussian
+# taps); it must stay this close, relative to the signal peak, to smoothing
+# the modulated signal (the same bound the benchmark checks layer-1 maps
+# against).
 LAYER1_RTOL = 1e-9
+
+
+def _grid_at(omegas) -> FrequencyGrid:
+    """A grid of the given channel frequencies (rad/s) under the default law."""
+    law = WindowScaleLaw()
+    omega = np.asarray(omegas, dtype=float)
+    nu = np.array([midi_from_frequency(w / (2.0 * math.pi)) for w in omega])
+    return FrequencyGrid(
+        nu=nu,
+        omega=omega,
+        tau_window=np.array([window_scale(w, law) for w in omega]),
+        bins_per_octave=12,
+        nu_min=float(nu.min()),
+        nu_max=float(nu.max()),
+        law=law,
+    )
 
 
 def test_midi_mapping_reference_points():
@@ -162,17 +180,7 @@ def test_folded_carrier_stays_within_the_layer1_bound(kind, K, c, w, hop, n, see
     """Against smoothing x e^{-i omega t} itself: w rad/sample, up to 3 s at 16 kHz."""
     rate = 16000.0
     omega = w * rate
-    law = WindowScaleLaw()
-    nu = midi_from_frequency(omega / (2.0 * math.pi))
-    grid = FrequencyGrid(
-        nu=np.array([nu]),
-        omega=np.array([omega]),
-        tau_window=np.array([window_scale(omega, law)]),
-        bins_per_octave=12,
-        nu_min=nu,
-        nu_max=nu,
-        law=law,
-    )
+    grid = _grid_at([omega])
     fam = SpectrogramFamily(kind=kind, K=K, c=c)
     x = np.random.default_rng(seed).normal(size=n)
     S = compute_spectrogram(x, rate, grid, fam, hop=hop)
@@ -180,6 +188,49 @@ def test_folded_carrier_stays_within_the_layer1_bound(kind, K, c, w, hop, n, see
     t = np.arange(n) / rate
     ref = discrete_recursive_smooth(x * np.exp(-1j * omega * t), ladder)[::hop]
     assert np.max(np.abs(S.values[:, 0] - ref)) <= LAYER1_RTOL * np.max(np.abs(x))
+
+
+def _gauss_by_fftconvolve(x, rate: float, grid: FrequencyGrid, hop: int):
+    """The Gauss map as one FFT convolution per channel: the zero-padded
+    modulated signal convolved with the truncated taps, kept every hop."""
+    t = np.arange(x.size) / rate
+    n_frames = len(range(0, x.size, hop))
+    values = np.empty((n_frames, grid.n_channels), dtype=complex)
+    warmup = np.empty(grid.n_channels, dtype=int)
+    for ch, (omega, tau) in enumerate(zip(grid.omega, grid.tau_window)):
+        kernel = discrete_gaussian_kernel(tau * rate * rate)
+        half = kernel.origin_index
+        pad = (-half) % hop
+        padded = np.concatenate([np.zeros(pad, dtype=complex), x * np.exp(-1j * omega * t)])
+        conv = fftconvolve(padded, kernel.values)[::hop]
+        offset = (half + pad) // hop
+        values[:, ch] = conv[offset : offset + n_frames]
+        warmup[ch] = -(-half // hop)
+    return values, warmup
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    rate=st.integers(8000, 44100),
+    hop=st.integers(1, 500),
+    length=st.floats(0.0, 1.0),
+    freqs=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=3),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(rate=44100, hop=1, length=1.0, freqs=[0.0, 1.0], seed=1)  # 3 s, every sample a frame
+@example(rate=8000, hop=500, length=0.0, freqs=[0.0, 0.5], seed=2)  # one frame, kernels >> signal
+def test_gauss_shared_fft_stays_within_the_layer1_bound(rate, hop, length, freqs, seed):
+    """Channels log-spaced from 12 Hz to 0.45 of the rate; signals from one
+    hop to 3 s, so the low channels' kernels can be longer than the signal."""
+    rate = float(rate)
+    n = hop + int(round(length * (3 * rate - hop)))
+    lo, hi = math.log(12.0), math.log(0.45 * rate)
+    grid = _grid_at([2.0 * math.pi * math.exp(lo + f * (hi - lo)) for f in freqs])
+    x = np.random.default_rng(seed).normal(size=n)
+    S = compute_spectrogram(x, rate, grid, SpectrogramFamily(kind="gauss"), hop=hop)
+    ref, warmup = _gauss_by_fftconvolve(x, rate, grid, hop)
+    assert np.array_equal(S.warmup_frames, warmup)
+    assert np.max(np.abs(S.values - ref)) <= LAYER1_RTOL * np.max(np.abs(x))
 
 
 def _spy_on_pools(monkeypatch) -> list:
@@ -201,11 +252,9 @@ def _allow_cpus(monkeypatch, cpus: int) -> None:
     )
 
 
-@pytest.mark.parametrize("kind", ["rec-uni", "rec-log"])
-def test_causal_map_does_not_depend_on_the_worker_count(kind, monkeypatch, rng):
+def _assert_map_ignores_the_worker_count(fam, monkeypatch, rng) -> None:
     rate = 8000.0
     grid = build_frequency_grid(60.0, 72.0, 12)
-    fam = SpectrogramFamily(kind=kind)
     x = rng.normal(size=3000)
     pools = _spy_on_pools(monkeypatch)
     maps = []
@@ -225,6 +274,34 @@ def test_causal_map_does_not_depend_on_the_worker_count(kind, monkeypatch, rng):
     for S in maps[1:]:
         assert np.array_equal(S.values, maps[0].values)
         assert np.array_equal(S.warmup_frames, maps[0].warmup_frames)
+
+
+@pytest.mark.parametrize("kind", ["rec-uni", "rec-log"])
+def test_causal_map_does_not_depend_on_the_worker_count(kind, monkeypatch, rng):
+    _assert_map_ignores_the_worker_count(SpectrogramFamily(kind=kind), monkeypatch, rng)
+
+
+def test_gauss_map_does_not_depend_on_the_worker_count(monkeypatch, rng):
+    fam = SpectrogramFamily(kind="gauss")
+    _assert_map_ignores_the_worker_count(fam, monkeypatch, rng)
+
+
+def test_gauss_kernels_are_built_on_the_calling_thread(monkeypatch):
+    """Library functions, which a tracer may wrap, never run on a worker thread."""
+    callers = []
+    build = spectrogram.discrete_gaussian_kernel
+
+    def spy(s_sampl):
+        callers.append(threading.get_ident())
+        return build(s_sampl)
+
+    monkeypatch.setattr(spectrogram, "discrete_gaussian_kernel", spy)
+    pools = _spy_on_pools(monkeypatch)
+    _allow_cpus(monkeypatch, 4)
+    grid = build_frequency_grid(60.0, 72.0, 12)
+    compute_spectrogram(sine(440.0, 0.2, 8000.0), 8000.0, grid, SpectrogramFamily(kind="gauss"))
+    assert pools == [4]
+    assert callers == [threading.get_ident()] * grid.n_channels
 
 
 @pytest.mark.parametrize("kind", ["rec-uni", "rec-log"])
@@ -377,6 +454,34 @@ def test_spectrogram_rejects_a_hop_longer_than_the_signal():
     with pytest.raises(ValueError, match="hop"):
         compute_spectrogram(x, rate, grid, fam, hop=1000)
     assert compute_spectrogram(x, rate, grid, fam, hop=300).n_frames == 1
+
+
+@pytest.mark.parametrize("kind", ["gauss", "rec-uni", "rec-log"])
+def test_spectrogram_accepts_an_integral_float_hop(kind):
+    grid = build_frequency_grid(60.0, 72.0, 12)
+    fam = SpectrogramFamily(kind=kind)
+    x = sine(440.0, 0.1, 8000.0)
+    want = compute_spectrogram(x, 8000.0, grid, fam, hop=44)
+    for hop in (44.0, np.float64(44.0), np.int64(44)):
+        S = compute_spectrogram(x, 8000.0, grid, fam, hop=hop)
+        assert type(S.hop) is int and S.hop == 44
+        assert np.array_equal(S.values, want.values)
+
+
+@pytest.mark.parametrize("hop", [44.5, float("nan"), float("inf"), "44", 0, -3, 0.0])
+def test_spectrogram_rejects_a_hop_that_is_not_a_positive_whole_number(hop):
+    grid = build_frequency_grid(60.0, 72.0, 12)
+    x = sine(440.0, 0.1, 8000.0)
+    for kind in ("gauss", "rec-log"):
+        with pytest.raises(ValueError, match="hop"):
+            compute_spectrogram(x, 8000.0, grid, SpectrogramFamily(kind=kind), hop=hop)
+
+
+@pytest.mark.parametrize("rate", [0.0, -8000.0, float("nan"), float("inf")])
+def test_spectrogram_rejects_a_sample_rate_that_is_not_positive(rate):
+    grid = build_frequency_grid(60.0, 72.0, 12)
+    with pytest.raises(ValueError, match="sample_rate must be positive"):
+        compute_spectrogram(sine(440.0, 0.1, 8000.0), rate, grid, SpectrogramFamily("gauss"))
 
 
 def test_spectrogram_rejects_non_finite_samples():

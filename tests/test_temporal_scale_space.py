@@ -353,6 +353,16 @@ def test_discrete_gaussian_refuses_an_epsilon_below_rounding():
         discrete_gaussian_kernel(123.4, epsilon=1e-15)
 
 
+def test_discrete_gaussian_refuses_a_scale_beyond_ive():
+    # A 10 Hz channel with 8-period windows at 44.1 kHz: ive is NaN there,
+    # and the tap search used to double until memory ran out.
+    s = (0.8 * 44100.0) ** 2
+    assert s > 2.0**30
+    with pytest.raises(ValueError, match="beyond the range of ive"):
+        discrete_gaussian_kernel(s)
+    assert discrete_gaussian_kernel(2.0**30 - 2.0**20).origin_index > 0
+
+
 def test_discrete_gaussian_semigroup():
     # Composing s1 and s2 equals a single step at s1 + s2.
     s1, s2 = 3.0, 5.0

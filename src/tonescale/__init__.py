@@ -27,7 +27,6 @@ from tonescale.temporal_scale_space import (
     discrete_gaussian_kernel,
     discrete_recursive_smooth,
     discretize_ladder,
-    temporal_derivative_channels,
     temporal_profiles,
 )
 from tonescale.spectrogram import (
@@ -42,7 +41,7 @@ from tonescale.spectrogram import (
     to_db,
     window_scale,
 )
-from tonescale.receptive_fields import RFSpec, apply_rf, glissando_warp, spectral_smooth
+from tonescale.receptive_fields import RFSpec, apply_rf, glissando_warp
 from tonescale.features import (
     band_response,
     detect_offsets,

@@ -334,6 +334,9 @@ OPTIONS: dict[str, tuple] = {
     "dnu": (float, None, "frequency spacing in semitones for --rf (default: sigma-nu/25)"),
 }
 METAVARS = {"glissando_bank": "V1,V2,..."}
+# Extents refused unless finite and, as named, positive or non-negative.
+EXTENTS = dict.fromkeys(("hop_ms", "tau_a_ms", "tau_i_ms"), "positive")
+EXTENTS.update(dict.fromkeys(("sigma_nu", "sigma_nu_i", "tau0_ms"), "non-negative"))
 LAYER1_OPTIONS = (
     "family",
     "K",
@@ -417,7 +420,8 @@ def _merge_settings(args: argparse.Namespace) -> dict:
     """The subcommand's options: flags (not None) override config file
     values, which override the OPTIONS defaults. The config file may name
     any option of the subcommand except ``config`` itself, with a value of
-    the option's type."""
+    the option's type. Every ``EXTENTS`` option is checked here, before
+    any input is read."""
     keys = [key for key in COMMANDS[args.command].options if key != "config"]
     config = _load_config(args.config)
     unknown = sorted(set(config) - set(keys))
@@ -433,6 +437,9 @@ def _merge_settings(args: argparse.Namespace) -> dict:
             merged[key] = config[key]
         else:
             merged[key] = OPTIONS[key][1]
+        need, value = EXTENTS.get(key), merged[key]
+        if need and not (0 < value < math.inf or value == 0 and need == "non-negative"):
+            raise CliError(2, f"--{key.replace('_', '-')} must be {need} and finite, got {value}")
     return merged
 
 
@@ -449,6 +456,8 @@ def _parse_bank(raw) -> list[float] | None:
         raise CliError(2, f"bad glissando bank value in {raw!r}") from exc
     if not vals:
         raise CliError(2, "glissando bank must not be empty")
+    if not all(map(math.isfinite, vals)):
+        raise CliError(2, f"--glissando-bank members must be finite, got {raw!r}")
     return vals
 
 

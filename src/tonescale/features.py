@@ -6,7 +6,9 @@ coarse scales) come from the rectified negated second spectral derivative;
 partial-tone curves are sub-bin ridge lines of that band response linked
 over frames; glissando slopes are estimated either by the maximum over a
 bank of shear-adapted filters or from the smoothed second-moment matrix of
-the spectro-temporal gradient.
+the spectro-temporal gradient. The second-moment fit smooths once per
+scale: the gradient comes from one smoothed map, and its three products
+are integrated together as one stacked array.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from tonescale.receptive_fields import RFSpec, apply_rf
+from tonescale.receptive_fields import RFSpec, apply_rf, differentiate, smooth
 from tonescale.spectrogram import FrequencyGrid, TFMap
 from tonescale.temporal_scale_space import SpectrogramFamily, TemporalKernelSpec
 
@@ -289,25 +291,21 @@ def second_moment_glissando(
     vhat = -Y_tnu / Y_nunu is a slope in semitones/second. Cells whose
     Y_nunu falls below 1e-6 times the field median are marked undefined.
     """
-    if tau_i < tau_a or s_i < s:
+    if not (tau_i >= tau_a and s_i >= s):
         raise ValueError("integration scales must be at least the derivative scales")
     if temporal is None:
         temporal = _default_temporal(tau_a)
     if integration_temporal is None:
         integration_temporal = _default_temporal(tau_i)
-    lt = apply_rf(S, RFSpec(temporal=temporal, s=s, alpha=1, beta=0, normalized=False))
-    lnu = apply_rf(S, RFSpec(temporal=temporal, s=s, alpha=0, beta=1, normalized=False))
-
-    integration = RFSpec(temporal=integration_temporal, s=s_i, alpha=0, beta=0)
-
-    def integrate(product: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        smoothed = apply_rf(replace(S, values=product), integration)
-        return smoothed.values, smoothed.warmup_frames
-
-    y_tt, warm = integrate(lt.values * lt.values)
-    y_tnu, _ = integrate(lt.values * lnu.values)
-    y_nunu, _ = integrate(lnu.values * lnu.values)
-    warmup = np.maximum(warm, lt.warmup_frames)
+    smoothed, warm = smooth(S, temporal, s)
+    lt = differentiate(S, smoothed, RFSpec(temporal=temporal, s=s, alpha=1, normalized=False))
+    lnu = differentiate(S, smoothed, RFSpec(temporal=temporal, s=s, beta=1, normalized=False))
+    products = np.stack([lt * lt, lt * lnu, lnu * lnu], axis=-1)
+    del smoothed, lt, lnu  # the integration needs only the products
+    integrated, warm_i = smooth(replace(S, values=products), integration_temporal, s_i)
+    y_tt, y_tnu, y_nunu = np.moveaxis(integrated, -1, 0)
+    # L_t's backward difference adds one frame to the derivative warm-up.
+    warmup = np.maximum(S.warmup_frames + warm_i, S.warmup_frames + warm + 1)
     floor = 1e-6 * float(np.median(y_nunu))
     defined = y_nunu > max(floor, 0.0)
     vhat = np.zeros_like(y_nunu)

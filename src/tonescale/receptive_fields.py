@@ -1,13 +1,17 @@
 """Second-layer spectro-temporal receptive fields over the dB spectrogram.
 
-A receptive field here is a separable smoothing (causal cascade or Gaussian
-over frame time, Gaussian over log-frequency) followed by small-stencil
-derivatives of order up to two along each axis (backward differences in
-time, so a causal field reads no later frame), optionally scale-normalized
-by tau_a^{alpha/2} s^{beta/2}. Glissando adaptation (a shear of the
-time-frequency plane at v semitones/second) is realized by warping the
-spectrogram along the frequency axis, applying the separable operator, and
-warping back, which is equivalent to convolving with the sheared kernel.
+A receptive field here is a separable smoothing (``smooth``: causal cascade
+or Gaussian over frame time, Gaussian over log-frequency) followed by
+small-stencil derivatives of order up to two along each axis
+(``differentiate``: backward differences in time, so a causal field reads
+no later frame), optionally scale-normalized by tau_a^{alpha/2}
+s^{beta/2}. Fields at one scale share one smoothing: a map is smoothed
+once per scale and differentiated as often as needed, and stacked maps
+(trailing axes) are smoothed together in one pass. Glissando adaptation
+(a shear of the time-frequency plane at v semitones/second) is realized by
+warping the spectrogram along the frequency axis, applying the separable
+operator, and warping back, which is equivalent to convolving with the
+sheared kernel.
 
 The temporal kernels themselves are realised only in
 ``temporal_scale_space``: causal smoothing runs
@@ -17,6 +21,7 @@ The temporal kernels themselves are realised only in
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -54,8 +59,10 @@ class RFSpec:
     normalized: bool = True
 
     def __post_init__(self) -> None:
-        if self.s < 0:
-            raise ValueError(f"spectral scale s must be non-negative, got {self.s}")
+        if not 0 <= self.s < math.inf:
+            raise ValueError(f"spectral scale s must be non-negative and finite, got {self.s}")
+        if not math.isfinite(self.v):
+            raise ValueError(f"glissando slope v must be finite, got {self.v}")
         if not (0 <= self.alpha <= 2) or not (0 <= self.beta <= 2):
             raise ValueError("derivative orders alpha and beta must lie in 0..2")
         if self.temporal.kind == "cascade" and self.alpha >= self.temporal.ladder.K:
@@ -124,28 +131,34 @@ def glissando_warp(S: TFMap, v: float) -> TFMap:
     return replace(S, values=values, metadata={**S.metadata, "warp_v": warp_v})
 
 
-def _temporal_smooth(
-    values: np.ndarray, temporal: TemporalKernelSpec, frame_rate: float
-) -> tuple[np.ndarray, int]:
-    """Smooth along the frame axis; returns (smoothed, warm-up frames)."""
+def smooth(S: TFMap, temporal: TemporalKernelSpec, s: float) -> tuple[np.ndarray, int]:
+    """Separable scale-space smoothing of ``S.values``; returns (smoothed, warm-up).
+
+    ``temporal`` runs along the frame axis, the discrete Gaussian of
+    variance ``s`` semitones^2 along the channel axis. Trailing axes are
+    independent lanes, so stacked maps are smoothed in one pass exactly as
+    each would be alone. The warm-up counts the frames the temporal kernel
+    adds.
+    """
+    if S.kind == "complex":
+        raise ValueError("layer 2 needs a real-valued map; convert the spectrogram with to_db")
+    if not 0 <= s < math.inf:
+        raise ValueError(f"spectral scale s must be non-negative and finite, got {s}")
+    frame_rate = S.frame_rate
     if temporal.kind == "cascade":
         ladder = discretize_ladder(temporal.ladder, frame_rate)
         # Steady-state start at the first frame: a constant map stays
         # constant up to rounding, so rectified derivatives of a flat
         # baseline carry no settling transient.
-        return discrete_recursive_smooth(values, ladder, axis=0, steady=True), warmup_length(ladder)
-    kernel = discrete_gaussian_kernel(temporal.tau * frame_rate * frame_rate)
-    return correlate1d(values, kernel.values, axis=0, mode="reflect"), kernel.origin_index
-
-
-def spectral_smooth(S: TFMap, s: float) -> TFMap:
-    """Gaussian smoothing along the log-frequency axis, s in semitones^2."""
-    if s < 0:
-        raise ValueError(f"spectral scale s must be non-negative, got {s}")
-    s_bins = s / (S.grid.delta_nu ** 2)
-    return replace(
-        S, values=discrete_gaussian_smooth(S.values, s_bins, axis=1), metadata=dict(S.metadata)
-    )
+        values = discrete_recursive_smooth(S.values, ladder, axis=0, steady=True)
+        warm = warmup_length(ladder)
+    else:
+        kernel = discrete_gaussian_kernel(temporal.tau * frame_rate * frame_rate)
+        values = correlate1d(S.values, kernel.values, axis=0, mode="reflect")
+        warm = kernel.origin_index
+    if s > 0:
+        values = discrete_gaussian_smooth(values, s / S.grid.delta_nu ** 2, axis=1)
+    return values, warm
 
 
 def _derivative_t(values: np.ndarray, order: int, dt: float) -> np.ndarray:
@@ -174,34 +187,38 @@ def _derivative_nu(values: np.ndarray, order: int, dnu: float) -> np.ndarray:
     raise ValueError(f"unsupported spectral derivative order {order}")
 
 
+def differentiate(S: TFMap, smoothed: np.ndarray, spec: RFSpec) -> np.ndarray:
+    """d_t^alpha d_nu^beta of values smoothed on the axes of ``S``.
+
+    Scale-normalized by tau_a^{alpha/2} s^{beta/2} when ``spec.normalized``;
+    the first ``alpha`` frames are zero (see ``_derivative_t``).
+    """
+    values = _derivative_t(smoothed, spec.alpha, 1.0 / S.frame_rate)
+    values = _derivative_nu(values, spec.beta, S.grid.delta_nu)
+    if spec.normalized:
+        values = values * (spec.tau_a ** (spec.alpha / 2.0) * spec.s ** (spec.beta / 2.0))
+    return values
+
+
 def apply_rf(S: TFMap, spec: RFSpec) -> TFMap:
     """Apply a spectro-temporal receptive field to a real-valued map.
 
     The response is an "rf" map on the input's axes whose metadata holds
     the RFSpec ("rf_spec") and the warm-up the second layer added. Nonzero
     glissando slopes are handled by warping to the co-moving frame,
-    applying the separable operator there, and warping back. Complex
-    spectrograms are refused: take their dB map first.
+    applying the separable operator there, and warping back. The operator
+    is ``differentiate`` of ``smooth``. Complex spectrograms are refused:
+    take their dB map first.
     """
-    if S.kind == "complex":
-        raise ValueError("apply_rf needs a real-valued map; convert the spectrogram with to_db")
     if spec.v != 0.0:
         inner = apply_rf(glissando_warp(S, spec.v), replace(spec, v=0.0))
         values = _warp_values(inner.values, S.frame_times, -spec.v, S.grid.delta_nu)
         return replace(inner, values=values, metadata={**inner.metadata, "rf_spec": spec})
-    frame_rate = S.frame_rate
-    values, layer2_warm = _temporal_smooth(S.values, spec.temporal, frame_rate)
-    if spec.s > 0:
-        values = discrete_gaussian_smooth(values, spec.s / S.grid.delta_nu ** 2, axis=1)
-    dt = 1.0 / frame_rate
-    values = _derivative_t(values, spec.alpha, dt)
-    values = _derivative_nu(values, spec.beta, S.grid.delta_nu)
-    if spec.normalized:
-        values = values * (spec.tau_a ** (spec.alpha / 2.0) * spec.s ** (spec.beta / 2.0))
+    values, layer2_warm = smooth(S, spec.temporal, spec.s)
     warmup = S.warmup_frames + layer2_warm + spec.alpha
     return replace(
         S,
-        values=values,
+        values=differentiate(S, values, spec),
         warmup_frames=warmup,
         kind="rf",
         metadata={"rf_spec": spec, "layer2_warmup_frames": layer2_warm},

@@ -8,10 +8,6 @@ mu_k. The discrete counterparts (first-order recursive filters and the
 discrete Gaussian) preserve the defining scale-space property: smoothing
 never increases the number of local extrema of a signal.
 
-Temporal derivatives at a given scale are obtained from differences of
-adjacent smoothed channels, so the channel outputs themselves are the only
-memory the cascade needs.
-
 No other module realises a temporal kernel: ``cascade_sections`` plus
 ``scipy.signal.sosfilt`` is the one cascade realisation (layer 2 runs it
 through ``discrete_recursive_smooth``, the causal layer-1 windows with the
@@ -89,13 +85,13 @@ def build_ladder(
     for k >= 2; uniform ladders place tau_k = (k/K) tau_max with equal stage
     constants mu_k = sqrt(tau_max / K).
     """
-    if tau_max <= 0:
-        raise ValueError(f"tau_max must be positive, got {tau_max}")
+    if not 0 < tau_max < math.inf:
+        raise ValueError(f"tau_max must be positive and finite, got {tau_max}")
     if K < 1:
         raise ValueError(f"stage count K must be >= 1, got {K}")
     if distribution is Distribution.LOGARITHMIC:
-        if c is None or c <= 1:
-            raise ValueError("logarithmic ladders need a ratio c > 1")
+        if c is None or not 1 < c < math.inf:
+            raise ValueError(f"logarithmic ladders need a finite ratio c > 1, got {c}")
         levels = tuple(c ** (2.0 * (k - K)) * tau_max for k in range(1, K + 1))
         sigma = math.sqrt(tau_max)
         mus = [c ** (1.0 - K) * sigma]
@@ -158,8 +154,8 @@ class TemporalKernelSpec:
 
     def __post_init__(self) -> None:
         if self.kind == "gaussian":
-            if self.tau is None or self.tau <= 0:
-                raise ValueError("gaussian kernels need tau > 0")
+            if self.tau is None or not 0 < self.tau < math.inf:
+                raise ValueError(f"gaussian kernels need a finite tau > 0, got {self.tau}")
         elif self.kind == "cascade":
             if self.ladder is None or self.ladder.K < 1:
                 raise ValueError("cascade kernels need a ladder with K >= 1")
@@ -472,35 +468,6 @@ def temporal_profiles(
     return h, h1, h2
 
 
-def temporal_derivative_channels(
-    channels: np.ndarray, ladder: ScaleLadder, r: int
-) -> np.ndarray:
-    """Temporal derivatives of order r from differences of smoothed channels.
-
-    Uses the recurrence H^(r)(tau_k) = (H^(r-1)(tau_{k-1}) - H^(r-1)(tau_k)) / mu_k,
-    valid for k > r. Returns one row per admissible scale, i.e. shape
-    (K - r, ...) with row i holding the derivative at tau_{r+1+i}. Derivatives
-    are per ladder time unit (samples for discrete ladders).
-    """
-    if r < 1:
-        raise ValueError(f"derivative order must be >= 1, got {r}")
-    if r >= ladder.K:
-        raise ValueError(
-            f"derivative order {r} requires more than {r} cascade stages, ladder has K={ladder.K}"
-        )
-    cur = np.asarray(channels, dtype=float)
-    if cur.shape[0] != ladder.K:
-        raise ValueError("channels must carry one row per ladder stage")
-    mus = np.asarray(ladder.mus)
-    lo = 0  # index of the scale carried by cur[0]
-    for _ in range(r):
-        stage_mus = mus[lo + 1 :]
-        shape = (len(stage_mus),) + (1,) * (cur.ndim - 1)
-        cur = (cur[:-1] - cur[1:]) / stage_mus.reshape(shape)
-        lo += 1
-    return cur
-
-
 def discrete_gaussian_kernel(s_sampl: float, epsilon: float = 1e-6) -> SampledKernel:
     """Discrete analogue of the Gaussian: T(n; s) = e^{-s} I_n(s).
 
@@ -517,8 +484,8 @@ def discrete_gaussian_kernel(s_sampl: float, epsilon: float = 1e-6) -> SampledKe
     """
     if not 0.0 < epsilon < 1.0:
         raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
-    if s_sampl < 0:
-        raise ValueError(f"scale must be non-negative, got {s_sampl}")
+    if not 0 <= s_sampl < math.inf:
+        raise ValueError(f"scale must be non-negative and finite, got {s_sampl}")
     if s_sampl == 0:
         return SampledKernel(values=np.array([1.0]), origin_index=0, dt=1.0)
     n_guess = max(4, int(math.ceil(6.0 * math.sqrt(s_sampl) + 10.0)))

@@ -285,6 +285,61 @@ def test_cli_refuses_delay_compensation_of_gauss_before_any_work(
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["spectrogram", "--hop-ms", "0"], "--hop-ms"),
+        (["spectrogram", "--hop-ms", "-5"], "--hop-ms"),
+        (["spectrogram", "--hop-ms", "nan"], "--hop-ms"),
+        (["spectrogram", "--tau0-ms", "-1"], "--tau0-ms"),
+        (["features", "--onsets", "--tau-a-ms", "-20"], "--tau-a-ms"),
+        (["features", "--onsets", "--tau-a-ms", "inf"], "--tau-a-ms"),
+        (["features", "--onsets", "--sigma-nu", "-0.5"], "--sigma-nu must"),
+        (["features", "--onsets", "--sigma-nu", "inf"], "--sigma-nu must"),
+        (["features", "--second-moment", "--tau-i-ms", "-60"], "--tau-i-ms"),
+        (["features", "--second-moment", "--sigma-nu-i", "nan"], "--sigma-nu-i"),
+        (["features", "--glissando-bank", "nan,0"], "--glissando-bank"),
+        (["features", "--glissando-bank", "0,inf"], "--glissando-bank"),
+    ],
+    ids=[
+        "hop-zero",
+        "hop-negative",
+        "hop-nan",
+        "tau0-negative",
+        "tau-a-negative",
+        "tau-a-inf",
+        "sigma-nu-negative",
+        "sigma-nu-inf",
+        "tau-i-negative",
+        "sigma-nu-i-nan",
+        "bank-nan",
+        "bank-inf",
+    ],
+)
+def test_cli_refuses_bad_extents_before_reading_the_wav(
+    argv, flag, tone_wav, tmp_path, capsys, monkeypatch
+):
+    def unexpected(*args, **kwargs):
+        raise AssertionError("the WAV was read before the option check")
+
+    monkeypatch.setattr(cli_io, "read_wav", unexpected)
+    out = tmp_path / "o.csv"
+    assert cli_main([argv[0], str(tone_wav), *argv[1:], "--out-csv", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and flag in err
+    assert not out.exists()
+
+
+def test_cli_refuses_a_bad_extent_from_the_config_file(tone_wav, tmp_path, capsys):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"hop_ms": 0}))
+    out = tmp_path / "o.csv"
+    argv = ["spectrogram", str(tone_wav), "--config", str(config), "--out-csv", str(out)]
+    assert cli_main(argv) == 2
+    assert "error: --hop-ms must be positive and finite, got 0.0" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_config_precedence(tone_wav, tmp_path, capsys):
     config = tmp_path / "cfg.json"
     config.write_text(

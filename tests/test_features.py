@@ -1,8 +1,10 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from tonescale import receptive_fields
 from tonescale.features import (
     band_response,
     detect_offsets,
@@ -249,6 +251,64 @@ def test_second_moment_requires_integration_scales_above_derivation():
     L = step_tone_db()
     with pytest.raises(ValueError):
         second_moment_glissando(L, 0.05 ** 2, 0.25, 0.02 ** 2, 1.0)
+
+
+def second_moment_by_five_fields(S, s, s_i, temporal, integration_temporal):
+    """The second-moment fit as two gradient fields and three integrations,
+    each a separate ``apply_rf`` call."""
+    lt = apply_rf(S, RFSpec(temporal=temporal, s=s, alpha=1, beta=0, normalized=False))
+    lnu = apply_rf(S, RFSpec(temporal=temporal, s=s, alpha=0, beta=1, normalized=False))
+    integration = RFSpec(temporal=integration_temporal, s=s_i, alpha=0, beta=0)
+    y_tt, y_tnu, y_nunu = (
+        apply_rf(replace(S, values=product), integration)
+        for product in (lt.values * lt.values, lt.values * lnu.values, lnu.values * lnu.values)
+    )
+    floor = 1e-6 * float(np.median(y_nunu.values))
+    defined = y_nunu.values > max(floor, 0.0)
+    vhat = np.zeros_like(y_nunu.values)
+    np.divide(-y_tnu.values, y_nunu.values, out=vhat, where=defined)
+    warmup = np.maximum(y_tt.warmup_frames, lt.warmup_frames)
+    return y_tt.values, y_tnu.values, y_nunu.values, vhat, defined, warmup
+
+
+TAU_I = 0.06 ** 2
+SM_WINDOWS = {
+    "default": (None, None),
+    "gauss": (TemporalKernelSpec.gaussian(TAU_A), TemporalKernelSpec.gaussian(TAU_I)),
+}
+
+
+@pytest.mark.parametrize("s, s_i", [(0.0, 0.0), (0.0, 1.0), (S_NU, S_NU), (S_NU, 1.0)])
+@pytest.mark.parametrize("window", sorted(SM_WINDOWS))
+def test_second_moment_is_bitwise_the_five_field_formula(window, s, s_i):
+    L = step_tone_db(duration=0.5)
+    temporal, integration_temporal = SM_WINDOWS[window]
+    sm = second_moment_glissando(L, TAU_A, s, TAU_I, s_i, temporal, integration_temporal)
+    if temporal is None:
+        temporal = SpectrogramFamily("rec-uni", K=4).temporal(TAU_A)
+        integration_temporal = SpectrogramFamily("rec-uni", K=4).temporal(TAU_I)
+    expected = second_moment_by_five_fields(L, s, s_i, temporal, integration_temporal)
+    got = (sm.upsilon_tt, sm.upsilon_tnu, sm.upsilon_nunu, sm.vhat, sm.defined, sm.warmup_frames)
+    for name, a, b in zip(("tt", "tnu", "nunu", "vhat", "defined", "warmup"), got, expected):
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
+
+
+@pytest.mark.parametrize(
+    "window, smoother",
+    [("default", "discrete_recursive_smooth"), ("gauss", "discrete_gaussian_kernel")],
+)
+def test_second_moment_smooths_once_per_scale(window, smoother, monkeypatch):
+    calls = []
+    original = getattr(receptive_fields, smoother)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(receptive_fields, smoother, counted)
+    L = step_tone_db(duration=0.5)
+    second_moment_glissando(L, TAU_A, S_NU, TAU_I, 1.0, *SM_WINDOWS[window])
+    assert len(calls) == 2
 
 
 def test_feature_maps_share_spectrogram_axes():

@@ -9,7 +9,7 @@ from tonescale.receptive_fields import (
     apply_rf,
     glissando_warp,
     rf_kernel_image,
-    spectral_smooth,
+    smooth,
 )
 from tonescale.spectrogram import (
     SpectrogramFamily,
@@ -22,6 +22,7 @@ from tonescale.temporal_scale_space import (
     Distribution,
     TemporalKernelSpec,
     build_ladder,
+    discrete_gaussian_kernel,
     gaussian_derivative_sample,
 )
 
@@ -135,15 +136,55 @@ def test_warp_straightens_matching_chirp():
     assert np.var(ridge_fix) < np.var(ridge_raw) / 100.0
 
 
+GAUSS_1E4 = TemporalKernelSpec.gaussian(1e-4)
+
+
+@pytest.mark.parametrize(
+    "make, name",
+    [
+        (lambda: RFSpec(temporal=GAUSS_1E4, s=math.nan), "spectral scale s"),
+        (lambda: RFSpec(temporal=GAUSS_1E4, s=math.inf), "spectral scale s"),
+        (lambda: RFSpec(temporal=GAUSS_1E4, s=0.25, v=math.nan), "slope v"),
+        (lambda: RFSpec(temporal=GAUSS_1E4, s=0.25, v=-math.inf), "slope v"),
+        (lambda: TemporalKernelSpec.gaussian(math.inf), "tau"),
+        (lambda: TemporalKernelSpec.gaussian(math.nan), "tau"),
+        (lambda: build_ladder(Distribution.UNIFORM, math.nan, 4), "tau_max"),
+        (lambda: build_ladder(Distribution.LOGARITHMIC, math.inf, 4, c=2.0), "tau_max"),
+        (lambda: build_ladder(Distribution.LOGARITHMIC, 1e-4, 4, c=math.inf), "ratio c"),
+        (lambda: FAM.temporal(math.nan), "tau_max"),
+        (lambda: discrete_gaussian_kernel(math.inf), "scale"),
+    ],
+    ids=[
+        "rf-s-nan",
+        "rf-s-inf",
+        "rf-v-nan",
+        "rf-v-inf",
+        "gauss-tau-inf",
+        "gauss-tau-nan",
+        "ladder-tau-nan",
+        "ladder-tau-inf",
+        "ladder-c-inf",
+        "family-tau-nan",
+        "discrete-gauss-inf",
+    ],
+)
+def test_non_finite_receptive_field_parameters_are_refused(make, name):
+    with pytest.raises(ValueError, match="finite") as err:
+        make()
+    assert name in str(err.value)
+
+
 def test_spectral_smooth_reduces_curvature(rng):
     L = tone_db()
     L.values = rng.normal(size=L.values.shape)
-    sm = spectral_smooth(L, 1.0)
-    d2 = np.diff(sm.values, 2, axis=1)
-    d2_raw = np.diff(L.values, 2, axis=1)
+    tk = TemporalKernelSpec.gaussian(4e-4)
+    sm, _ = smooth(L, tk, 1.0)
+    raw, _ = smooth(L, tk, 0.0)
+    d2 = np.diff(sm, 2, axis=1)
+    d2_raw = np.diff(raw, 2, axis=1)
     assert np.abs(d2).mean() < 0.5 * np.abs(d2_raw).mean()
     with pytest.raises(ValueError):
-        spectral_smooth(L, -1.0)
+        smooth(L, tk, -1.0)
 
 
 def test_rf_kernel_image_gaussian_separable_closed_form():

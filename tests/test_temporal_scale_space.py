@@ -27,7 +27,6 @@ from tonescale.temporal_scale_space import (
     gaussian_derivative_sample,
     gaussian_kernel_sample,
     recursive_stage,
-    temporal_derivative_channels,
     warmup_length,
 )
 
@@ -275,30 +274,6 @@ def test_cascade_kernel_numeric_two_stage_peak_position():
     expected = math.log(mu2 / mu1) * mu1 * mu2 / (mu2 - mu1)
     k = cascade_kernel_numeric(lad, dt=2e-5, horizon=13.0)
     assert k.times[np.argmax(k.values)] == pytest.approx(expected, abs=1e-4)
-
-
-def test_temporal_derivative_channels_backward_difference_identity(rng):
-    """First-order scale differences over the cascade equal raw backward
-    differences of adjacent channels divided by the stage constant."""
-    lad = discretize_ladder(
-        build_ladder(Distribution.LOGARITHMIC, tau_max=2e-4, K=5, c=math.sqrt(2.0)),
-        8000.0,
-    )
-    x = rng.normal(size=1200)
-    chans = []
-    cur = x
-    for mu in lad.mus:
-        cur = recursive_stage(cur, mu)
-        chans.append(cur)
-    chans = np.stack(chans)
-    d1 = temporal_derivative_channels(chans, lad, 1)
-    assert d1.shape == (4, 1200)
-    manual = (chans[2] - chans[3]) / lad.mus[3]
-    assert d1[2] == pytest.approx(manual, rel=1e-12, abs=1e-15)
-    d2 = temporal_derivative_channels(chans, lad, 2)
-    assert d2.shape == (3, 1200)
-    with pytest.raises(ValueError):
-        temporal_derivative_channels(chans, lad, 5)
 
 
 def test_discrete_gaussian_kernel_mass_and_variance():

@@ -307,7 +307,8 @@ OPTIONS: dict[str, tuple] = {
         None,
         "per-cell best slope over a comma-separated bank (semitones/s), zeroed where the "
         "band response stays below --c-min; slope resolution grows with --tau-a-ms "
-        "(60 ms suits 10-40 st/s)",
+        "(60 ms suits 10-40 st/s); write a bank that starts with a negative slope "
+        "as --glissando-bank=-12,0,12",
     ),
     "second_moment": (bool, False, "glissando slope map from the smoothed second-moment matrix"),
     "tau_a_ms": (float, 20.0, "second-layer temporal extent sigma_a in ms, squared to tau_a"),
@@ -472,7 +473,8 @@ def _layer1(cfg: dict, wav: str):
     read, so a bad option costs no layer-1 work. Without a configured
     ``nu_max`` the grid stops at 16 kHz, or one bin below the input's
     Nyquist frequency if that is lower: the grid rounds its channel count
-    up, so its top channel then stays below Nyquist.
+    up, so its top channel then stays below Nyquist. A ``--hop-ms`` that
+    rounds to no whole sample at the input rate is refused.
     """
     family = _family(cfg)
     if cfg["compensate_delay"] and not family.causal:
@@ -485,7 +487,13 @@ def _layer1(cfg: dict, wav: str):
     else:  # a bad bin count is reported by build_frequency_grid
         nu_max = min(NU_MAX_DEFAULT, midi_from_frequency(buf.rate / 2.0) - 12.0 / max(bins, 1))
     grid = build_frequency_grid(cfg["nu_min"], nu_max, bins, law)
-    hop = max(1, round(buf.rate * cfg["hop_ms"] / 1000.0))
+    hop = round(buf.rate * cfg["hop_ms"] / 1000.0)
+    if hop < 1:
+        raise CliError(
+            2,
+            f"--hop-ms {cfg['hop_ms']:g} rounds to 0 samples at the input rate of "
+            f"{buf.rate:g} Hz",
+        )
     spec = compute_spectrogram(buf.samples, buf.rate, grid, family, hop=hop)
     if cfg["compensate_delay"]:
         spec = delay_compensate(spec)

@@ -8,7 +8,8 @@ over frames; glissando slopes are estimated either by the maximum over a
 bank of shear-adapted filters or from the smoothed second-moment matrix of
 the spectro-temporal gradient. The second-moment fit smooths once per
 scale: the gradient comes from one smoothed map, and its three products
-are integrated together as one stacked array.
+are integrated together as one stacked array. Ridge points are found for
+the whole band map at once and then linked frame by frame.
 """
 
 from __future__ import annotations
@@ -17,7 +18,14 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from tonescale.receptive_fields import RFSpec, apply_rf, differentiate, smooth
+from tonescale.receptive_fields import (
+    RFSpec,
+    _smooth_channels,
+    _smooth_frames,
+    apply_rf,
+    differentiate,
+    smooth,
+)
 from tonescale.spectrogram import FrequencyGrid, TFMap
 from tonescale.temporal_scale_space import SpectrogramFamily, TemporalKernelSpec
 
@@ -108,34 +116,41 @@ class PartialCurve:
         return float(np.mean(self.nus))
 
 
-def _frame_ridge_points(
-    row: np.ndarray, nu0: float, dnu: float, c_min: float
-) -> list[tuple[float, float]]:
-    """Sub-bin maxima of one frame's band response.
+def _ridge_points(
+    values: np.ndarray, nu0: float, dnu: float, c_min: float
+) -> list[list[tuple[float, float]]]:
+    """Sub-bin maxima of each frame's band response, in ascending frequency.
 
     Zero crossings of the central-difference derivative are located by
     linear interpolation where the second difference is negative and the
     interpolated response clears the threshold. Crossings touching the grid
-    border are discarded.
+    border are discarded, and rows of fewer than 5 channels have none. The
+    whole map is scanned at once; the point list of frame j is element j.
     """
-    n = len(row)
+    n_frames, n = values.shape
     if n < 5:
-        return []
-    d = np.zeros(n)
-    d[1:-1] = (row[2:] - row[:-2]) / (2.0 * dnu)
-    dd = np.full(n, 1.0)
-    dd[1:-1] = (row[2:] - 2.0 * row[1:-1] + row[:-2]) / (dnu * dnu)
-    points = []
-    for i in range(1, n - 2):
-        if d[i] > 0.0 >= d[i + 1] and (d[i] != 0.0 or d[i + 1] != 0.0):
-            frac = d[i] / (d[i] - d[i + 1])
-            if dd[i] >= 0.0 and dd[i + 1] >= 0.0:
-                continue
-            strength = row[i] + frac * (row[i + 1] - row[i])
-            if strength < c_min:
-                continue
-            points.append((nu0 + (i + frac) * dnu, strength))
-    return points
+        return [[] for _ in range(n_frames)]
+    d = np.zeros(values.shape)
+    d[:, 1:-1] = (values[:, 2:] - values[:, :-2]) / (2.0 * dnu)
+    dd = np.full(values.shape, 1.0)
+    dd[:, 1:-1] = (values[:, 2:] - 2.0 * values[:, 1:-1] + values[:, :-2]) / (dnu * dnu)
+    # A crossing lies between channels i and i + 1, for i in 1 .. n - 3.
+    left, right = d[:, 1:-2], d[:, 2:-1]
+    crossing = (left > 0.0) & (0.0 >= right)
+    crossing &= ~((dd[:, 1:-2] >= 0.0) & (dd[:, 2:-1] >= 0.0))
+    frames, i = np.nonzero(crossing)
+    i += 1
+    frac = d[frames, i] / (d[frames, i] - d[frames, i + 1])
+    below = values[frames, i]
+    strength = below + frac * (values[frames, i + 1] - below)
+    kept = ~(strength < c_min)
+    frames = frames[kept]
+    nus = (nu0 + (i[kept] + frac[kept]) * dnu).tolist()
+    strengths = strength[kept].tolist()
+    bounds = np.searchsorted(frames, np.arange(n_frames + 1)).tolist()
+    return [
+        list(zip(nus[lo:hi], strengths[lo:hi])) for lo, hi in zip(bounds[:-1], bounds[1:])
+    ]
 
 
 def extract_partial_curves(
@@ -162,10 +177,11 @@ def extract_partial_curves(
     )
     warm_min = int(warm.min())
     warm_max = int(warm.max())
+    frame_points = _ridge_points(values, nu0, dnu, c_min)
     active: list[dict] = []
     finished: list[dict] = []
     for j in range(n_frames):
-        points = [] if j < warm_min else _frame_ridge_points(values[j], nu0, dnu, c_min)
+        points = [] if j < warm_min else frame_points[j]
         if points and j < warm_max:
             # ridge detection at bin i reads rows i-1..i+2
             kept = []
@@ -300,9 +316,15 @@ def second_moment_glissando(
     smoothed, warm = smooth(S, temporal, s)
     lt = differentiate(S, smoothed, RFSpec(temporal=temporal, s=s, alpha=1, normalized=False))
     lnu = differentiate(S, smoothed, RFSpec(temporal=temporal, s=s, beta=1, normalized=False))
-    products = np.stack([lt * lt, lt * lnu, lnu * lnu], axis=-1)
+    products = np.empty(lt.shape + (3,))
+    np.multiply(lt, lt, out=products[..., 0])
+    np.multiply(lt, lnu, out=products[..., 1])
+    np.multiply(lnu, lnu, out=products[..., 2])
     del smoothed, lt, lnu  # the integration needs only the products
-    integrated, warm_i = smooth(replace(S, values=products), integration_temporal, s_i)
+    # smooth's two passes, with the products released between them
+    integrated, warm_i = _smooth_frames(products, integration_temporal, S.frame_rate)
+    del products
+    integrated = _smooth_channels(integrated, s_i, S.grid.delta_nu)
     y_tt, y_tnu, y_nunu = np.moveaxis(integrated, -1, 0)
     # L_t's backward difference adds one frame to the derivative warm-up.
     warmup = np.maximum(S.warmup_frames + warm_i, S.warmup_frames + warm + 1)

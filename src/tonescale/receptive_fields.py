@@ -15,8 +15,12 @@ sheared kernel.
 
 The temporal kernels themselves are realised only in
 ``temporal_scale_space``: causal smoothing runs
-``discrete_recursive_smooth`` and kernel images sample
-``temporal_profiles``.
+``discrete_recursive_smooth``, Gaussian smoothing applies the taps of
+``discrete_gaussian_kernel`` and kernel images sample
+``temporal_profiles``. A Gaussian temporal window is applied by one real
+FFT of the mirror-padded map rather than by direct correlation; it agrees
+with the direct form to within 1e-12 of the map's largest magnitude, and a
+constant lane stays exactly constant, so its derivatives are exactly 0.
 """
 
 from __future__ import annotations
@@ -25,10 +29,13 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
+from scipy.fft import irfft, next_fast_len, rfft
 from scipy.ndimage import correlate1d
 
 from tonescale.spectrogram import TFMap
 from tonescale.temporal_scale_space import (
+    SampledKernel,
     TemporalKernelSpec,
     discrete_gaussian_kernel,
     discrete_gaussian_smooth,
@@ -93,6 +100,11 @@ def _warp_values(
     warped frame only by a constant frequency relabeling (which the inverse
     warp cancels exactly) but halves the worst-case drift, so long or fast
     glissandi stay on the grid instead of folding at the boundaries.
+
+    The channel axis is mirror-padded once, and each tap reads one
+    contiguous window of the padded row per frame. The mirror repeats every
+    2 n_ch channels, so shifts are taken modulo that period and the padding
+    never exceeds 3 n_ch + 2 columns, however far a frame is shifted.
     """
     n_frames, n_ch = values.shape
     pivot = frame_times[n_frames // 2]
@@ -110,12 +122,17 @@ def _warp_values(
         ],
         axis=1,
     )  # (n_frames, 4) taps at offsets -1, 0, 1, 2
-    rows = np.arange(n_frames)[:, None]
-    cols = np.arange(n_ch)[None, :] + base[:, None]
+    first = int(base.min())
+    start = np.mod(base - first, 2 * n_ch)  # window start of tap -1 in the padded row
+    columns = np.arange(first - 1, first + int(start.max()) + n_ch + 2)
+    padded = values[:, _mirror_indices(columns, n_ch)]
+    windows = sliding_window_view(padded, n_ch, axis=1)
+    rows = np.arange(n_frames)
     out = np.zeros_like(values)
-    for tap, offset in enumerate((-1, 0, 1, 2)):
-        idx = _mirror_indices(cols + offset, n_ch)
-        out += w[:, tap : tap + 1] * values[rows, idx]
+    for tap in range(4):
+        term = windows[rows, start + tap]
+        term *= w[:, tap : tap + 1]
+        out += term
     return out
 
 
@@ -131,6 +148,69 @@ def glissando_warp(S: TFMap, v: float) -> TFMap:
     return replace(S, values=values, metadata={**S.metadata, "warp_v": warp_v})
 
 
+# Lanes per FFT block of the Gaussian window: the block's padded copy and
+# transforms stay in cache, so blocking is faster than one map-sized FFT
+# as well as smaller.
+_FFT_LANES = 32
+
+
+def _gaussian_frames(values: np.ndarray, kernel: SampledKernel) -> np.ndarray:
+    """Correlate every lane with a symmetric discrete Gaussian along frames.
+
+    The result equals ``correlate1d(values, kernel.values, axis=0,
+    mode="reflect")`` to within rounding, a few 1e-15 of the largest
+    magnitude (a test bounds it by 1e-12). Each lane is mirror-padded by the
+    kernel's half-width h and correlated circularly by one real FFT of
+    length ``next_fast_len(n + 2h)``: the wrap-around lands only on padded
+    rows, which are discarded. The transform carries each lane's deviation
+    from its first frame, which is added back afterwards, so a constant lane
+    stays exactly constant.
+    """
+    n = values.shape[0]
+    half = kernel.origin_index
+    lanes = values.reshape(n, -1)
+    size = next_fast_len(n + 2 * half, real=True)
+    taps = np.zeros(size)
+    taps[: half + 1] = kernel.values[half:]
+    taps[size - half :] = kernel.values[:half]
+    gain = rfft(taps).real  # a zero-phase kernel has a real transform
+    rows = _mirror_indices(np.arange(-half, n + half), n)
+    out = np.empty_like(lanes)
+    for lo in range(0, lanes.shape[1], _FFT_LANES):
+        block = slice(lo, lo + _FFT_LANES)
+        first = lanes[0, block]
+        padded = lanes[rows, block]
+        padded -= first
+        spectrum = rfft(padded, n=size, axis=0)
+        del padded
+        spectrum *= gain[:, None]
+        smoothed = irfft(spectrum, n=size, axis=0, overwrite_x=True)
+        out[:, block] = smoothed[half : half + n] + first
+    return out.reshape(values.shape)
+
+
+def _smooth_frames(
+    values: np.ndarray, temporal: TemporalKernelSpec, frame_rate: float
+) -> tuple[np.ndarray, int]:
+    """The temporal pass of ``smooth``: (smoothed along axis 0, warm-up)."""
+    if temporal.kind == "cascade":
+        ladder = discretize_ladder(temporal.ladder, frame_rate)
+        # Steady-state start at the first frame: a constant map stays
+        # constant up to rounding, so rectified derivatives of a flat
+        # baseline carry no settling transient.
+        values = discrete_recursive_smooth(values, ladder, axis=0, steady=True)
+        return values, warmup_length(ladder)
+    kernel = discrete_gaussian_kernel(temporal.tau * frame_rate * frame_rate)
+    return _gaussian_frames(values, kernel), kernel.origin_index
+
+
+def _smooth_channels(values: np.ndarray, s: float, delta_nu: float) -> np.ndarray:
+    """The spectral pass of ``smooth``: the discrete Gaussian along axis 1."""
+    if s > 0:
+        return discrete_gaussian_smooth(values, s / delta_nu ** 2, axis=1)
+    return values
+
+
 def smooth(S: TFMap, temporal: TemporalKernelSpec, s: float) -> tuple[np.ndarray, int]:
     """Separable scale-space smoothing of ``S.values``; returns (smoothed, warm-up).
 
@@ -139,26 +219,20 @@ def smooth(S: TFMap, temporal: TemporalKernelSpec, s: float) -> tuple[np.ndarray
     independent lanes, so stacked maps are smoothed in one pass exactly as
     each would be alone. The warm-up counts the frames the temporal kernel
     adds.
+
+    A cascade window runs as one ``sosfilt``. A Gaussian window is
+    correlated by FFT with mirrored boundaries, within 1e-12 of the map's
+    largest magnitude of the direct correlation, and a constant lane stays
+    exactly constant (see ``_gaussian_frames``).
     """
     if S.kind == "complex":
         raise ValueError("layer 2 needs a real-valued map; convert the spectrogram with to_db")
+    if S.n_frames == 0:
+        raise ValueError("layer 2 needs a map with at least one frame")
     if not 0 <= s < math.inf:
         raise ValueError(f"spectral scale s must be non-negative and finite, got {s}")
-    frame_rate = S.frame_rate
-    if temporal.kind == "cascade":
-        ladder = discretize_ladder(temporal.ladder, frame_rate)
-        # Steady-state start at the first frame: a constant map stays
-        # constant up to rounding, so rectified derivatives of a flat
-        # baseline carry no settling transient.
-        values = discrete_recursive_smooth(S.values, ladder, axis=0, steady=True)
-        warm = warmup_length(ladder)
-    else:
-        kernel = discrete_gaussian_kernel(temporal.tau * frame_rate * frame_rate)
-        values = correlate1d(S.values, kernel.values, axis=0, mode="reflect")
-        warm = kernel.origin_index
-    if s > 0:
-        values = discrete_gaussian_smooth(values, s / S.grid.delta_nu ** 2, axis=1)
-    return values, warm
+    values, warm = _smooth_frames(S.values, temporal, S.frame_rate)
+    return _smooth_channels(values, s, S.grid.delta_nu), warm
 
 
 def _derivative_t(values: np.ndarray, order: int, dt: float) -> np.ndarray:

@@ -267,6 +267,30 @@ def test_cli_rejects_a_hop_longer_than_the_input(tone_wav, tmp_path, capsys):
     assert not out.exists()
 
 
+def test_cli_refuses_a_hop_that_rounds_to_no_sample(tmp_path, capsys, monkeypatch):
+    def unexpected(*args, **kwargs):
+        raise AssertionError("layer 1 ran with a hop of no samples")
+
+    monkeypatch.setattr(cli_io, "compute_spectrogram", unexpected)
+    wav = tmp_path / "t.wav"
+    write_wav(wav, sine(440.0, 0.3, 44100.0), 44100.0)
+    out = tmp_path / "o.csv"
+    argv = ["spectrogram", str(wav), "--hop-ms", "0.01", "--out-csv", str(out)]
+    assert cli_main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --hop-ms 0.01 ") and "44100 Hz" in err
+    assert not out.exists()
+
+
+def test_cli_help_shows_how_to_write_a_bank_with_a_negative_first_member(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert cli_main(["features", "--help"]) == 0
+    assert "--glissando-bank=-12,0,12" in " ".join(capsys.readouterr().out.split())
+    # the spelling the help warns against is taken for a missing value
+    assert cli_main(["features", "x.wav", "--glissando-bank", "-12,0,12"]) == 2
+    assert "expected one argument" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "command", [["spectrogram"], ["features", "--onsets"]], ids=["spectrogram", "features"]
 )

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 
 from tonescale import receptive_fields
 from tonescale.features import (
+    _ridge_points,
     band_response,
     detect_offsets,
     detect_onsets,
@@ -23,6 +25,7 @@ from tonescale.spectrogram import (
     build_frequency_grid,
     channel_delays,
     compute_spectrogram,
+    midi_from_frequency,
     to_db,
 )
 from tonescale.temporal_scale_space import (
@@ -352,3 +355,88 @@ def test_layer2_ops_compose_on_an_onset_map():
     bands = enhance_bands(onset, TAU_A, S_NU)
     assert bands.kind == "band" and np.all(bands.values >= 0.0)
     assert np.all(bands.warmup_frames >= onset.warmup_frames)
+
+
+def ridge_points_of_one_frame(row, nu0, dnu, c_min):
+    """The ridge scan of one frame, channel by channel."""
+    n = len(row)
+    if n < 5:
+        return []
+    d = np.zeros(n)
+    d[1:-1] = (row[2:] - row[:-2]) / (2.0 * dnu)
+    dd = np.full(n, 1.0)
+    dd[1:-1] = (row[2:] - 2.0 * row[1:-1] + row[:-2]) / (dnu * dnu)
+    points = []
+    for i in range(1, n - 2):
+        if d[i] > 0.0 >= d[i + 1] and (d[i] != 0.0 or d[i + 1] != 0.0):
+            frac = d[i] / (d[i] - d[i + 1])
+            if dd[i] >= 0.0 and dd[i + 1] >= 0.0:
+                continue
+            strength = row[i] + frac * (row[i + 1] - row[i])
+            if strength < c_min:
+                continue
+            points.append((nu0 + (i + frac) * dnu, strength))
+    return points
+
+
+@pytest.mark.parametrize("c_min", [3.0, -math.inf])
+@pytest.mark.parametrize("step", [0.0, 2.5], ids=["continuous", "plateaus"])
+@pytest.mark.parametrize("n_ch", [1, 2, 4, 5, 6, 48])
+def test_ridge_scan_is_bitwise_the_per_frame_scan(n_ch, step, c_min, rng):
+    values = rng.normal(0.0, 6.0, size=(80, n_ch))
+    if step:  # whole steps: many neighbours are equal, so derivatives are exactly 0
+        values = step * np.round(values / step)
+    if n_ch >= 7:
+        values[0, :7] = [0.0, 1.0, 5.0, 5.0, 5.0, 1.0, 0.0]  # a flat-topped peak
+        values[1, :7] = [0.0, 4.0, 4.0, 1.0, 4.0, 4.0, 0.0]
+    got = _ridge_points(values, 61.5, 0.25, c_min)
+    assert len(got) == len(values)
+    for j, row in enumerate(values):
+        want = ridge_points_of_one_frame(row, 61.5, 0.25, c_min)
+        got_j = np.array(got[j], dtype=float).reshape(-1, 2)
+        want_j = np.array(want, dtype=float).reshape(-1, 2)
+        assert got_j.tobytes() == want_j.tobytes(), j
+    if n_ch >= 5 and c_min == -math.inf:
+        assert sum(map(len, got)) > 0
+
+
+def default_grid_db_map(seconds, rng):
+    """A dB map of noise on the default CLI grid (368 channels, 1 ms frames)."""
+    grid = build_frequency_grid(midi_from_frequency(80.0), midi_from_frequency(16000.0), 48)
+    hop = 44
+    n_frames = int(seconds * RATE / hop)
+    return TFMap(
+        values=rng.normal(-40.0, 15.0, size=(n_frames, grid.n_channels)),
+        frame_times=np.arange(n_frames) * hop / RATE,
+        grid=grid,
+        sample_rate=RATE,
+        hop=hop,
+        family=FAM,
+        warmup_frames=np.zeros(grid.n_channels, dtype=int),
+        kind="db",
+    )
+
+
+def peak_maps(L, run):
+    """tracemalloc's peak while ``run`` runs, in arrays the size of L's map."""
+    tracemalloc.start()
+    try:
+        run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak / L.values.nbytes
+
+
+def test_second_moment_peak_memory_is_at_most_seven_and_a_half_maps(rng):
+    L = default_grid_db_map(0.5, rng)
+    peak = peak_maps(L, lambda: second_moment_glissando(L, TAU_A, S_NU, TAU_I, 1.0))
+    assert peak <= 7.5
+
+
+def test_glissando_bank_peak_memory_is_at_most_twelve_maps(rng):
+    L = default_grid_db_map(0.5, rng)
+    window = TemporalKernelSpec.gaussian(0.06 ** 2)
+    bank = [-24.0, -12.0, 0.0, 12.0, 24.0]
+    peak = peak_maps(L, lambda: glissando_filterbank(L, bank, 0.06 ** 2, S_NU, window))
+    assert peak <= 12.0

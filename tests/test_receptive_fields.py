@@ -3,9 +3,15 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.ndimage import correlate1d
 
 from tonescale.receptive_fields import (
     RFSpec,
+    _gaussian_frames,
+    _mirror_indices,
+    _warp_values,
     apply_rf,
     glissando_warp,
     rf_kernel_image,
@@ -248,6 +254,14 @@ def test_apply_rf_refuses_a_complex_map():
             apply_rf(S, gauss_spec(v=v))
 
 
+@pytest.mark.parametrize("temporal", [TemporalKernelSpec.gaussian(4e-4), FAM.temporal(4e-4)])
+def test_smooth_refuses_a_map_without_frames(temporal):
+    L = tone_db(duration=0.05)
+    empty = replace(L, values=L.values[:0], frame_times=L.frame_times[:0])
+    with pytest.raises(ValueError, match="at least one frame"):
+        smooth(empty, temporal, 0.25)
+
+
 @pytest.mark.parametrize("alpha", [1, 2])
 def test_causal_temporal_derivative_reads_no_later_frame(alpha, rng):
     L = tone_db(duration=0.3)
@@ -262,3 +276,93 @@ def test_causal_temporal_derivative_reads_no_later_frame(alpha, rng):
     # The first alpha rows have no backward difference and are warm-up.
     assert np.all(before.values[:alpha] == 0.0)
     assert np.all(before.warmup_frames >= L.warmup_frames + alpha)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n_frames=st.integers(1, 400),
+    scale=st.one_of(st.just(0.0), st.floats(1e-3, 2e4)),
+    lanes=st.sampled_from([(1,), (2,), (3,), (2, 3), (3, 2)]),
+    offset=st.integers(-200_000, 200_000).map(lambda milli_db: milli_db / 1000.0),
+    spread=st.one_of(st.just(0.0), st.floats(1e-9, 60.0)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_gaussian_smooth_is_the_direct_reflect_correlation(
+    n_frames, scale, lanes, offset, spread, seed
+):
+    """Frame scales s from 0 (one tap) to 2e4 frames^2 (half-widths of about
+    700 frames, above every drawn map length); 1-3 lanes per frame, or 2-3
+    stacked maps of 2-3 channels. Offsets are whole thousandths of a dB and
+    spreads 0 (constant lanes) or 1e-9-60 dB: near subnormal values (below
+    2.2e-308) the rounding grain of 5e-324, in the reference as in the FFT,
+    is larger than a bound relative to the peak."""
+    values = offset + spread * np.random.default_rng(seed).standard_normal((n_frames, *lanes))
+    kernel = discrete_gaussian_kernel(scale)
+    want = correlate1d(values, kernel.values, axis=0, mode="reflect")
+    if scale == 0.0:  # a Gaussian window has tau > 0; s = 0 is the one-tap kernel
+        got = _gaussian_frames(values, kernel)
+    else:
+        L = tone_db(duration=0.05)
+        S = replace(L, values=values, frame_times=np.arange(n_frames) / L.frame_rate)
+        got, warm = smooth(S, TemporalKernelSpec.gaussian(scale / L.frame_rate ** 2), 0.0)
+        assert warm == kernel.origin_index
+    assert got.shape == values.shape
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(values))
+
+
+def test_gaussian_smooth_keeps_constant_lanes_exactly(rng):
+    L = tone_db(duration=0.3)
+    values = rng.normal(-40.0, 10.0, size=L.values.shape)
+    values[:, ::3] = rng.uniform(-120.0, 20.0, size=values[0, ::3].shape)  # constant lanes
+    S = replace(L, values=values)
+    smoothed, _ = smooth(S, TemporalKernelSpec.gaussian(0.06 ** 2), 0.0)
+    assert np.array_equal(smoothed[:, ::3], values[:, ::3])
+    for alpha in (1, 2):
+        resp = apply_rf(S, gauss_spec(alpha=alpha, s=0.0, tau_a=0.06 ** 2))
+        assert np.all(resp.values[:, ::3] == 0.0)
+
+
+def warp_by_index_arrays(values, frame_times, v, delta_nu):
+    """The Catmull-Rom warp with one mirrored index array per tap."""
+    n_frames, n_ch = values.shape
+    shift = v * (frame_times - frame_times[n_frames // 2]) / delta_nu
+    base = np.floor(shift).astype(int)
+    u = shift - base
+    u2 = u * u
+    u3 = u2 * u
+    w = np.stack(
+        [
+            0.5 * (-u3 + 2.0 * u2 - u),
+            0.5 * (3.0 * u3 - 5.0 * u2 + 2.0),
+            0.5 * (-3.0 * u3 + 4.0 * u2 + u),
+            0.5 * (u3 - u2),
+        ],
+        axis=1,
+    )
+    rows = np.arange(n_frames)[:, None]
+    cols = np.arange(n_ch)[None, :] + base[:, None]
+    out = np.zeros_like(values)
+    for tap, offset in enumerate((-1, 0, 1, 2)):
+        idx = _mirror_indices(cols + offset, n_ch)
+        out += w[:, tap : tap + 1] * values[rows, idx]
+    return out
+
+
+@pytest.mark.parametrize(
+    "n_frames, n_ch, v",
+    [
+        (200, 40, 0.0),
+        (200, 40, 17.0),
+        (201, 40, -24.0),
+        (50, 5, 900.0),  # shifts of up to 90 channels, 18 grids
+        (51, 7, -1500.0),
+        (30, 1, 40.0),  # one channel: every tap reads it
+        (1, 12, 30.0),
+    ],
+)
+def test_warp_values_is_bitwise_the_index_array_gather(n_frames, n_ch, v, rng):
+    values = rng.normal(size=(n_frames, n_ch))
+    frame_times = np.arange(n_frames) * 44 / RATE
+    got = _warp_values(values, frame_times, v, 0.25)
+    want = warp_by_index_arrays(values, frame_times, v, 0.25)
+    assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())

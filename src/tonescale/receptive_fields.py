@@ -143,6 +143,8 @@ def glissando_warp(S: TFMap, v: float) -> TFMap:
     mirror the data at the frequency boundaries; v = 0 is an exact identity.
     The inverse warp is glissando_warp(S, -v) over the same frames.
     """
+    if S.n_frames == 0:
+        raise ValueError("layer 2 needs a map with at least one frame")
     values = _warp_values(S.values, S.frame_times, v, S.grid.delta_nu)
     warp_v = S.metadata.get("warp_v", 0.0) + v
     return replace(S, values=values, metadata={**S.metadata, "warp_v": warp_v})

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.ndimage import correlate1d
 
+from tonescale.features import glissando_filterbank
 from tonescale.receptive_fields import (
     RFSpec,
     _gaussian_frames,
@@ -260,6 +261,22 @@ def test_smooth_refuses_a_map_without_frames(temporal):
     empty = replace(L, values=L.values[:0], frame_times=L.frame_times[:0])
     with pytest.raises(ValueError, match="at least one frame"):
         smooth(empty, temporal, 0.25)
+
+
+@pytest.mark.parametrize(
+    "warped",
+    [
+        lambda S: glissando_warp(S, 10.0),
+        lambda S: apply_rf(S, gauss_spec(v=10.0)),
+        lambda S: glissando_filterbank(S, [-12.0, 12.0], 4e-4, 0.25),
+    ],
+    ids=["glissando_warp", "apply_rf", "glissando_filterbank"],
+)
+def test_warp_refuses_a_map_without_frames(warped):
+    L = tone_db(duration=0.05)
+    empty = replace(L, values=L.values[:0], frame_times=L.frame_times[:0])
+    with pytest.raises(ValueError, match="at least one frame"):
+        warped(empty)
 
 
 @pytest.mark.parametrize("alpha", [1, 2])

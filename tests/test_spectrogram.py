@@ -296,12 +296,95 @@ def test_gauss_kernels_are_built_on_the_calling_thread(monkeypatch):
         return build(s_sampl)
 
     monkeypatch.setattr(spectrogram, "discrete_gaussian_kernel", spy)
+    spectrogram._gauss_kernels.cache_clear()  # earlier tests may have built this grid
     pools = _spy_on_pools(monkeypatch)
     _allow_cpus(monkeypatch, 4)
     grid = build_frequency_grid(60.0, 72.0, 12)
     compute_spectrogram(sine(440.0, 0.2, 8000.0), 8000.0, grid, SpectrogramFamily(kind="gauss"))
     assert pools == [4]
     assert callers == [threading.get_ident()] * grid.n_channels
+
+
+def _bits(a: np.ndarray) -> bytes:
+    return a.dtype.str.encode() + a.tobytes()
+
+
+def test_gauss_kernels_are_reused_with_bitwise_equal_maps(rng):
+    """Cold, warm, and again after another grid evicted nothing it needs."""
+    rate, fam = 8000.0, SpectrogramFamily(kind="gauss")
+    a = build_frequency_grid(50.0, 80.0, 12)
+    b = build_frequency_grid(55.0, 85.0, 24)
+    x = rng.normal(size=2000)
+    spectrogram._gauss_kernels.cache_clear()
+    maps = [compute_spectrogram(x, rate, g, fam, hop=7) for g in (a, a, b, a)]
+    info = spectrogram._gauss_kernels.cache_info()
+    assert (info.misses, info.hits) == (2, 2)
+    cold_b = maps.pop(2)
+    spectrogram._gauss_kernels.cache_clear()
+    assert _bits(compute_spectrogram(x, rate, b, fam, hop=7).values) == _bits(cold_b.values)
+    for S in maps[1:]:
+        assert _bits(S.values) == _bits(maps[0].values)
+        assert np.array_equal(S.warmup_frames, maps[0].warmup_frames)
+
+
+def test_gauss_kernel_memo_is_read_only_and_bounded():
+    spectrogram._gauss_kernels.cache_clear()
+    kept = spectrogram._gauss_kernels.cache_info().maxsize
+    for k in range(kept + 2):
+        kernels = spectrogram._gauss_kernels((10.0 + k, 250.0))
+        for kernel in kernels:
+            with pytest.raises(ValueError, match="read-only"):
+                kernel.values[0] = 0.0
+    assert spectrogram._gauss_kernels.cache_info().currsize == kept
+
+
+def test_discrete_gaussian_kernel_returns_a_fresh_writable_array():
+    first, second = discrete_gaussian_kernel(250.0), discrete_gaussian_kernel(250.0)
+    assert first.values.flags.writeable
+    assert not np.shares_memory(first.values, second.values)
+    first.values[0] = 1.0
+    assert second.values[0] != 1.0
+
+
+def test_two_threads_building_one_grid_get_bitwise_equal_maps(rng):
+    rate, fam = 8000.0, SpectrogramFamily(kind="gauss")
+    grid = build_frequency_grid(45.0, 90.0, 24)
+    x = rng.normal(size=2000)
+    spectrogram._gauss_kernels.cache_clear()
+    results = [None, None]
+    start = threading.Barrier(2, timeout=30)
+
+    def run(i):
+        start.wait()
+        results[i] = compute_spectrogram(x, rate, grid, fam, hop=5)
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(2)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=120)
+    assert not any(t.is_alive() for t in threads)
+    assert _bits(results[0].values) == _bits(results[1].values)
+    assert np.array_equal(results[0].warmup_frames, results[1].warmup_frames)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    w=st.floats(1e-4, math.pi, exclude_max=True),
+    s_sampl=st.just(0.0) | st.floats(1e-3, 5e4),
+)
+def test_modulated_taps_equal_the_full_formula_bitwise(w, s_sampl):
+    """Conjugating the d > 0 half reproduces T[half + d] e^{i w d} bit for bit.
+
+    A channel's w = omega / rate lies in (0, pi), 1e-4 being 7 Hz at 44.1 kHz.
+    Only an imaginary part that is exactly zero (w = 0, or a tap product
+    that underflows at a scale near 1e-308) would come out with the other
+    sign of zero.
+    """
+    kernel = discrete_gaussian_kernel(s_sampl)
+    half = kernel.origin_index
+    full = kernel.values * np.exp(1j * w * np.arange(-half, half + 1))
+    assert _bits(spectrogram._modulated_taps(kernel, w)) == _bits(full)
 
 
 @pytest.mark.parametrize("kind", ["rec-uni", "rec-log"])

@@ -198,8 +198,8 @@ def _smooth_frames(
     if temporal.kind == "cascade":
         ladder = discretize_ladder(temporal.ladder, frame_rate)
         # Steady-state start at the first frame: a constant map stays
-        # constant up to rounding, so rectified derivatives of a flat
-        # baseline carry no settling transient.
+        # exactly constant, so rectified derivatives of a flat baseline
+        # are exactly 0.
         values = discrete_recursive_smooth(values, ladder, axis=0, steady=True)
         return values, warmup_length(ladder)
     kernel = discrete_gaussian_kernel(temporal.tau * frame_rate * frame_rate)
@@ -222,10 +222,12 @@ def smooth(S: TFMap, temporal: TemporalKernelSpec, s: float) -> tuple[np.ndarray
     each would be alone. The warm-up counts the frames the temporal kernel
     adds.
 
-    A cascade window runs as one ``sosfilt``. A Gaussian window is
+    A cascade window runs as one block recursion over every lane (see
+    ``discrete_recursive_smooth``), within 1e-12 of the map's largest
+    magnitude of the stage-by-stage recursion. A Gaussian window is
     correlated by FFT with mirrored boundaries, within 1e-12 of the map's
-    largest magnitude of the direct correlation, and a constant lane stays
-    exactly constant (see ``_gaussian_frames``).
+    largest magnitude of the direct correlation. Either way a constant lane
+    stays exactly constant (see ``_gaussian_frames``).
     """
     if S.kind == "complex":
         raise ValueError("layer 2 needs a real-valued map; convert the spectrogram with to_db")

@@ -20,12 +20,12 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.fft import fft, ifft, next_fast_len
-from scipy.signal import sosfilt
 
 from tonescale.selectivity_analysis import delay_measures
 from tonescale.temporal_scale_space import (
     SampledKernel,
     SpectrogramFamily,
+    _block_cascade,
     cascade_sections,
     discrete_gaussian_kernel,
     discretize_ladder,
@@ -173,10 +173,13 @@ class TFMap:
 
 
 MIN_STAGE_MU_SAMPLES = 1e-6
+# Frames demodulated at a time on the causal path, so its temporaries do
+# not grow with the signal.
+_DEMODULATE_FRAMES = 256
 
 
 def _worker_count(tasks: int) -> int:
-    """Threads for ``tasks`` independent channels: the CPUs this process may use."""
+    """Threads for ``tasks`` independent Gaussian channels: the CPUs this process may use."""
     if hasattr(os, "sched_getaffinity"):
         cpus = len(os.sched_getaffinity(0))
     else:
@@ -251,9 +254,10 @@ def compute_spectrogram(
     e^{-i omega t}.
 
     Causal families fold the carrier into the cascade's poles, a_k becoming
-    a_k e^{i w}, so each channel is one ``sosfilt`` over
-    ``cascade_sections(ladder, w)`` at the full sample rate, kept on the
-    frames.
+    a_k e^{i w}, so all channels run as one block recursion over their
+    ``cascade_sections(ladder, w)`` at the full sample rate, which computes
+    the frames only. It runs on the calling thread; the BLAS library
+    threads its GEMMs, and the map does not depend on its thread count.
 
     The Gaussian family correlates with the truncated discrete Gaussian
     T[half + d], d = -half..half, centered on the frames. The signal is
@@ -262,14 +266,15 @@ def compute_spectrogram(
     whenever hop is. Per channel the taps T[half + d] e^{i w d} are placed
     circularly, transformed and multiplied by X; keeping every hop-th output
     sample aliases the product onto Q bins (decimation in time is aliasing in
-    frequency), so one inverse FFT of length Q gives the frames.
+    frequency), so one inverse FFT of length Q gives the frames. These
+    channels run on a thread pool sized to the CPUs this process may use;
+    each channel is computed and written by one thread alone, so the map
+    does not depend on the thread count.
 
     Both agree with smoothing the modulated signal directly to within 1e-9
-    of the signal peak (the bound tests enforce). The channels run on a
-    thread pool sized to the CPUs this process may use; each channel is
-    computed and written by one thread alone, so the map does not depend on
-    the thread count. Ladders, sections, Gaussian kernels and the
-    degenerate-stage check are done before any thread starts.
+    of the signal peak (the bound tests enforce). Ladders, sections,
+    Gaussian kernels and the degenerate-stage check are done before any
+    channel is computed.
 
     Non-finite samples, a sample rate that is not positive, channels at or
     above the Nyquist frequency, a hop that is not a positive whole number
@@ -292,9 +297,10 @@ def compute_spectrogram(
     n = x.size
     if hop > n:
         raise ValueError(f"hop ({hop} samples) is longer than the signal ({n} samples)")
-    frame_idx = np.arange(0, n, hop)
-    n_frames = len(frame_idx)
-    frame_times = frame_idx / sample_rate
+    n_frames = -(-n // hop)
+    frame_times = np.arange(n_frames, dtype=float)
+    frame_times *= hop
+    frame_times /= sample_rate  # (frame hop) / rate, with no other array of frames
     n_ch = grid.n_channels
     if family.causal:
         ladders = [discretize_ladder(family.ladder(tau), sample_rate) for tau in grid.tau_window]
@@ -304,15 +310,14 @@ def compute_spectrogram(
                     f"channel at nu={nu:.2f} yields a degenerate stage "
                     f"(mu={ladder.mu_min:.3g} samples)"
                 )
-        sections = [
-            cascade_sections(ladder, omega / sample_rate)
-            for ladder, omega in zip(ladders, grid.omega)
-        ]
+        sections = np.stack(
+            [cascade_sections(ladder, omega / sample_rate) for ladder, omega in zip(ladders, grid.omega)]
+        )
         warmup = np.array([-(-warmup_length(ladder) // hop) for ladder in ladders])
-
-        def folded(ch: int) -> np.ndarray:
-            return sosfilt(sections[ch], x)[frame_idx]
-
+        values = _block_cascade(x[:, None], sections, hop).reshape(n_frames, n_ch)
+        for lo in range(0, n_frames, _DEMODULATE_FRAMES):
+            rows = values[lo : lo + _DEMODULATE_FRAMES]
+            rows *= np.exp(-1j * grid.omega * frame_times[lo : lo + _DEMODULATE_FRAMES, None])
     else:
         kernels = _gauss_kernels(tuple((grid.tau_window * sample_rate * sample_rate).tolist()))
         halves = [kernel.origin_index for kernel in kernels]
@@ -320,8 +325,10 @@ def compute_spectrogram(
         q = next_fast_len(-(-(n + max(halves)) // hop))
         m = hop * q
         spectrum = fft(x, m)
+        values = np.empty((n_frames, n_ch), dtype=complex)
 
-        def folded(ch: int) -> np.ndarray:
+        def demodulate(ch: int) -> None:
+            # Runs on a worker thread: numpy and scipy only.
             half = halves[ch]
             taps = _modulated_taps(kernels[ch], grid.omega[ch] / sample_rate)
             placed = np.zeros(m, dtype=complex)
@@ -329,16 +336,11 @@ def compute_spectrogram(
             placed[m - half :] += taps[:half]  # overlaps the head when 2 half >= m
             product = fft(placed, overwrite_x=True)
             product *= spectrum
-            return ifft(product.reshape(hop, q).sum(axis=0) / hop)[:n_frames]
+            folded = ifft(product.reshape(hop, q).sum(axis=0) / hop)[:n_frames]
+            values[:, ch] = folded * np.exp(-1j * grid.omega[ch] * frame_times)
 
-    values = np.empty((n_frames, n_ch), dtype=complex)
-
-    def demodulate(ch: int) -> None:
-        # Runs on a worker thread, as does folded: numpy and scipy only.
-        values[:, ch] = folded(ch) * np.exp(-1j * grid.omega[ch] * frame_times)
-
-    with ThreadPoolExecutor(max_workers=_worker_count(n_ch)) as pool:
-        list(pool.map(demodulate, range(n_ch)))
+        with ThreadPoolExecutor(max_workers=_worker_count(n_ch)) as pool:
+            list(pool.map(demodulate, range(n_ch)))
     return TFMap(
         values=values,
         frame_times=frame_times,

@@ -8,11 +8,21 @@ mu_k. The discrete counterparts (first-order recursive filters and the
 discrete Gaussian) preserve the defining scale-space property: smoothing
 never increases the number of local extrema of a signal.
 
-No other module realises a temporal kernel: ``cascade_sections`` plus
-``scipy.signal.sosfilt`` is the one cascade realisation (layer 2 runs it
-through ``discrete_recursive_smooth``, the causal layer-1 windows with the
-carrier folded into the poles), ``temporal_profiles`` the one kernel
+No other module realises a temporal kernel: ``_block_cascade`` is the one
+cascade realisation (layer 2 runs it through ``discrete_recursive_smooth``
+over ``cascade_sections(ladder)``, the causal layer-1 windows over the
+sections with the carrier folded into the poles, ``cascade_kernel_numeric``
+over its exact-exponential stages), ``temporal_profiles`` the one kernel
 sampler and ``ScaleLadder.support`` the one support rule.
+
+A cascade of first-order sections is time-recursive: its whole past is a
+state of K values (Lindeberg 2016, JMIV, "Time-causal and time-recursive
+spatio-temporal receptive fields"). ``_block_cascade`` advances that state
+a block of samples at a time (Burrus 1972, IEEE Trans. Audio
+Electroacoust. 20(4)): the outputs a block keeps are one matrix product of
+its samples with the sampled impulse response, plus the carried state, so
+the samples of every block, lane and channel go through one GEMM and only
+a K x K step per block is left to Python.
 """
 
 from __future__ import annotations
@@ -23,7 +33,6 @@ from enum import Enum
 
 import numpy as np
 from scipy.ndimage import correlate1d
-from scipy.signal import lfilter, sosfilt
 from scipy.special import ive
 
 
@@ -351,12 +360,15 @@ def cascade_kernel_numeric(
     t = np.arange(n) * dt
     mu1 = ladder.mus[0]
     h = np.exp(-t / mu1) / mu1
-    for mu in ladder.mus[1:]:
+    stages = np.zeros((1, ladder.K - 1, 6))
+    for k, mu in enumerate(ladder.mus[1:]):
         p = math.exp(-dt / mu)
         a_gain = 1.0 - p
         w1 = 1.0 - (mu / dt) * a_gain
         w0 = (mu / dt) * a_gain - p
-        h = lfilter([w1, w0], [1.0, -p], h)
+        stages[0, k] = [w1, w0, 0.0, 1.0, -p, 0.0]
+    if ladder.K > 1:
+        h = _block_cascade(h[:, None], stages, 1)[:, 0, 0]
     mass = float(h.sum() * dt)
     if mass < 1.0 - 1e-8:
         raise ValueError(f"horizon {horizon:g} s captured only {mass:.10f} of the kernel mass")
@@ -364,14 +376,15 @@ def cascade_kernel_numeric(
 
 
 def cascade_sections(ladder: ScaleLadder, omega: float = 0.0) -> np.ndarray:
-    """The K first-order sections of a sample-unit ladder, in ``sosfilt`` form.
+    """The K first-order sections of a sample-unit ladder, one row each.
 
-    Stage k is y[n] = (mu y[n-1] + x[n]) / (1 + mu), the section
-    [1/(1+mu), 0, 0, 1, -mu/(1+mu), 0]. A nonzero ``omega`` (rad/sample)
-    turns each pole into mu e^{i omega}/(1+mu): the cascade of a real x[n]
-    is then e^{i omega n} times the cascade of x[n] e^{-i omega n}, so a
-    modulated signal is smoothed without forming the modulation. This is
-    the only place the stage coefficients are written.
+    A row [b0, b1, 0, 1, a1, 0] is the section y[n] = b0 x[n] + b1 x[n-1]
+    - a1 y[n-1]. Stage k is y[n] = (mu y[n-1] + x[n]) / (1 + mu), the
+    section [1/(1+mu), 0, 0, 1, -mu/(1+mu), 0]. A nonzero ``omega``
+    (rad/sample) turns each pole into mu e^{i omega}/(1+mu): the cascade of
+    a real x[n] is then e^{i omega n} times the cascade of x[n] e^{-i omega n},
+    so a modulated signal is smoothed without forming the modulation. This
+    is the only place the stage coefficients are written.
     """
     if ladder.units != "samples":
         raise ValueError("recursive smoothing expects a ladder in sample units")
@@ -386,14 +399,217 @@ def cascade_sections(ladder: ScaleLadder, omega: float = 0.0) -> np.ndarray:
     return sos
 
 
-def _steady_zi(section: np.ndarray, start: np.ndarray, axis: int) -> np.ndarray:
-    """``sosfilt`` state of one section resting in steady state at ``start``.
+# Block shape of the cascade realisation: a block keeps at most
+# _BLOCK_KEPT outputs, every hop-th, and spans at most _BLOCK_SAMPLES
+# samples unless one hop is longer. The shape depends on the hop alone.
+# OpenBLAS computes each row of a product the same way whatever the row,
+# column and thread counts only while the inner dimension is at most 384
+# (one pass of the sum) and the column count is a multiple of 8 (no edge
+# kernel). So longer blocks are summed in passes of _BLOCK_SAMPLES, and
+# every product's columns are padded to a multiple of _COLUMNS.
+_BLOCK_SAMPLES = 384
+_BLOCK_KEPT = 32
+_COLUMNS = 8
+# Real elements of a block's weights per group of sets, and of one GEMM's
+# output unless that has fewer than _CHUNK_ROWS rows (each GEMM reads the
+# weights once): they bound the temporaries whatever the signal length.
+_WEIGHT_ELEMENTS = 1 << 20
+_CHUNK_ELEMENTS = 1 << 16
+_CHUNK_ROWS = 32
 
-    ``start`` has the input's shape with length 1 along ``axis``; a state
-    y[-1] = start makes the section's delay hold start mu/(1+mu).
+
+def _block_shape(hop: int) -> tuple[int, int]:
+    """(kept outputs, samples) per block: every hop-th sample is kept."""
+    kept = max(1, min(_BLOCK_KEPT, _BLOCK_SAMPLES // hop))
+    return kept, kept * hop
+
+
+def _state_space(sections: np.ndarray):
+    """The cascades of ``sections`` (sets, K, 6) in state-space form.
+
+    z[n] = A z[n-1] + b x[n] and y[n] = c z[n-1] + d x[n], where z holds
+    each section's transposed-direct-form delay. A is lower triangular and
+    is never diagonalised: a uniform ladder repeats one pole K times.
     """
-    state = start * -section[4]
-    return np.concatenate([state, np.zeros_like(state)], axis=axis)[None]
+    b0, b1, a1 = sections[..., 0], sections[..., 1], sections[..., 4]
+    sets, K = b0.shape
+    # Section outputs from the delays: y = D z[n-1] + e x[n].
+    D = np.zeros((sets, K, K), dtype=sections.dtype)
+    for k in range(K):
+        D[:, k, k] = 1.0
+        for j in range(k - 1, -1, -1):
+            D[:, k, j] = D[:, k, j + 1] * b0[:, j + 1]
+    e = np.cumprod(b0, axis=1)
+    # Delays from the outputs: z_k = b1_k y_{k-1} - a1_k y_k, with y_0 = x.
+    E = np.zeros_like(D)
+    diag = np.arange(K)
+    E[:, diag, diag] = -a1
+    E[:, diag[1:], diag[:-1]] = b1[:, 1:]
+    b = (E @ e[:, :, None])[:, :, 0]
+    b[:, 0] += b1[:, 0]
+    return E @ D, b, D[:, -1], e[:, -1]
+
+
+def _power_rows(A: np.ndarray, v: np.ndarray, count: int) -> np.ndarray:
+    """Rows v A^m for m < count, (sets, count, K), by repeated doubling."""
+    rows = np.empty((v.shape[0], count, v.shape[1]), dtype=np.result_type(A, v))
+    rows[:, 0] = v
+    power, done = A, 1
+    while done < count:
+        more = min(done, count - done)
+        np.matmul(rows[:, :more], power, out=rows[:, done : done + more])
+        power, done = power @ power, done + more
+    return rows
+
+
+def _padded(count: int) -> int:
+    return -(-count // _COLUMNS) * _COLUMNS
+
+
+def _block_weights(sections: np.ndarray, hop: int):
+    """GEMM weights, state read-out and block step of each cascade.
+
+    Block-relative, with z the state before the block: the kept output at
+    offset i is sum_j h[i - j] x[j] + c A^i z, and the state after the block
+    is A^B z + sum_j A^(B-1-j) b x[j]. The weights hold, per set, the rows
+    of h for each kept offset (exactly 0 above the diagonal, so no output
+    reads a later sample) and then the K state rows; their columns are
+    ordered (row, set), so a GEMM row comes out as frames x sets, and
+    padded with zeros to a multiple of _COLUMNS real columns, as are the
+    read-out c A^i of each kept offset and the block step A^B.
+    """
+    sets, K = sections.shape[:2]
+    kept, size = _block_shape(hop)
+    A, b, c, d = _state_space(sections)
+    phi = _power_rows(A.transpose(0, 2, 1), b, size)  # A^m b
+    impulse = np.concatenate([d[:, None], (phi[:, :-1] @ c[:, :, None])[:, :, 0]], axis=1)
+    rows = np.arange(1, kept + 1) * hop - 1  # the block ends on a kept sample
+    width = 2 if phi.dtype.kind == "c" else 1
+    weights = np.zeros((size, _padded((kept + K) * sets * width) // width), dtype=phi.dtype)
+    shaped = weights[:, : (kept + K) * sets].reshape(size, kept + K, sets)
+    for r, i in enumerate(rows):
+        shaped[: i + 1, r] = impulse[:, i::-1].T
+    shaped[:, kept:] = phi[:, ::-1].transpose(1, 2, 0)  # A^(B-1-j) b for each sample j
+    first = c[:, None, :] @ np.linalg.matrix_power(A, hop - 1)
+    read_out = np.zeros((sets, K, _padded(kept)), dtype=phi.dtype)
+    read_out[:, :, :kept] = _power_rows(np.linalg.matrix_power(A, hop), first[:, 0], kept).transpose(0, 2, 1)
+    step = np.zeros((sets, _padded(K), _padded(K)), dtype=A.dtype)
+    step[:, :K, :K] = np.linalg.matrix_power(A, size).transpose(0, 2, 1)  # a row z steps as z A^T
+    return weights.view(np.float64), read_out, step
+
+
+def _block_cascade(
+    x: np.ndarray, sections: np.ndarray, hop: int, relative: bool = False, steady: bool = False
+) -> np.ndarray:
+    """Run each cascade of ``sections`` (sets, K, 6) over every lane of
+    ``x`` (samples, lanes); returns outputs 0, hop, 2 hop, ... as
+    (frames, sets, lanes).
+
+    Blocks of B samples end on a kept sample (the signal is led by hop - 1
+    zeros, which leave a resting state at rest). Per chunk of blocks, a GEMM
+    takes the samples of (lane, block) rows to every set's kept outputs and
+    state increments, a real input against complex weights as one real GEMM
+    on their real view and a complex input as two real lanes. One K x K
+    product per block, batched over sets and lanes, then carries the state,
+    and a second GEMM adds c A^i z to the block's outputs. Sets are taken in
+    groups, so that the weights stay bounded, and each chunk has at least
+    _CHUNK_ROWS rows but no more real elements than _CHUNK_ELEMENTS beyond
+    that, so that every temporary does too. Each lane and set is computed
+    the same way whatever the lane, set, thread and sample counts (see
+    ``_BLOCK_SAMPLES``); no product has a single row, since the GEMV path
+    rounds differently.
+
+    The cascades start at rest. A ``relative`` run, for cascades of unit DC
+    gain such as every ladder, works relative to each block's first sample
+    r: the block's deviation from r is smoothed, r added back, and the
+    state kept as its deviation from the steady state at r, so a constant
+    stretch of input settles to its exact value, monotonically, instead of
+    rounding around it. ``steady`` then starts each lane in steady state at
+    its first sample, so a constant lane comes back exactly. (Unit gain is
+    then exact, where rounded coefficients of a stage with time constant mu
+    give a gain off by about mu ulp.)
+    """
+    n, lanes = x.shape
+    if np.iscomplexobj(x):
+        parts = _block_cascade(np.concatenate([x.real, x.imag], axis=1), sections, hop, relative, steady)
+        return parts[..., :lanes] + 1j * parts[..., lanes:]
+    kept, size = _block_shape(hop)
+    sets, K = sections.shape[:2]
+    dtype = np.result_type(sections.dtype, x.dtype)
+    width = 2 if dtype.kind == "c" else 1  # real GEMM columns per weight
+    out = np.empty((-(-n // hop), sets, lanes), dtype=dtype)
+    group = max(1, _WEIGHT_ELEMENTS // (size * (kept + K) * width))
+    for s0 in range(0, sets, group):
+        _cascade_group(x, sections[s0 : s0 + group], hop, relative, steady, out[:, s0 : s0 + group])
+    return out
+
+
+def _cascade_group(x, part, hop, relative, steady, out) -> None:
+    """``_block_cascade`` for one group of sets, written into ``out``."""
+    n, lanes = x.shape
+    g, K = part.shape[:2]
+    kept, size = _block_shape(hop)
+    blocks = -(-out.shape[0] // kept)
+    dtype = out.dtype
+    weights, read_out, step = _block_weights(part, hop)
+    # The state as a row of each set and lane, with a zero second lane
+    # for a lone lane, so that no product has a single row.
+    state = np.zeros((g, max(lanes, 2), step.shape[1]), dtype=dtype)
+    if relative:
+        rest = (part[..., 1] - part[..., 4])[:, None]  # the steady state at 1
+        if not steady:
+            state[:, :lanes, :K] -= rest * x[0][:, None]
+    chunk = max(-(-_CHUNK_ROWS // lanes), _CHUNK_ELEMENTS // (lanes * weights.shape[1]))
+    for b0 in range(0, blocks, chunk):
+        nb = min(chunk, blocks - b0)
+        padded = nb + (lanes * nb == 1)
+        rows = np.zeros((lanes, padded, size))
+        lo = b0 * size - (hop - 1)
+        a, z = max(lo, 0), min(lo + nb * size, n)
+        rows.reshape(lanes, -1)[:, a - lo : z - lo] = x[a:z].T
+        if relative:
+            first = np.arange(b0, b0 + nb + 1) * size - (hop - 1)
+            level = x[np.clip(first, 0, n - 1)].T  # (lanes, nb + 1)
+            rows[:, :nb] -= level[:, :nb, None]
+        rows = rows.reshape(-1, size)
+        product = rows[:, :_BLOCK_SAMPLES] @ weights[:_BLOCK_SAMPLES]
+        for j in range(_BLOCK_SAMPLES, size, _BLOCK_SAMPLES):  # a hop above 384 samples
+            product += rows[:, j : j + _BLOCK_SAMPLES] @ weights[j : j + _BLOCK_SAMPLES]
+        product = product.view(dtype)[:, : (kept + K) * g]
+        product = product.reshape(lanes, padded, kept + K, g)
+        increments = product[:, :nb, kept:].transpose(1, 3, 0, 2)  # (nb, g, lanes, K)
+        if relative:
+            # re-express the state against the next block's level
+            increments += (level[:, :nb] - level[:, 1:]).T[:, None, :, None] * rest
+        states = np.empty((g, state.shape[1], nb + 1, state.shape[2]), dtype=dtype)
+        states[:, :, 0] = state  # states[:, :, q] is the state before block q
+        for q in range(nb):
+            np.matmul(states[:, :, q], step, out=states[:, :, q + 1])
+            states[:, :lanes, q + 1, :K] += increments[q]
+        state = states[:, :, nb].copy()
+        read = states[:, :lanes, :padded, :K].reshape(g, lanes * padded, K) @ read_out
+        kept_out = product[:, :nb, :kept]
+        kept_out += read.reshape(g, lanes, padded, -1)[:, :, :nb, :kept].transpose(1, 2, 3, 0)
+        if relative:
+            kept_out += level[:, :nb, None, None]
+        kept_out = kept_out.transpose(1, 2, 3, 0)  # (nb, kept, g, lanes)
+        target = out[b0 * kept : (b0 + nb) * kept]
+        whole = target.shape[0] // kept  # the last block may run past the end
+        target[: whole * kept].reshape(whole, kept, g, lanes)[...] = kept_out[:whole]
+        if whole < nb:
+            target[whole * kept :] = kept_out[whole, : target.shape[0] - whole * kept]
+        del rows, product, increments, states, read, kept_out  # before the next chunk's
+
+
+def _run_ladder(x: np.ndarray, ladder: ScaleLadder, axis: int, steady: bool) -> np.ndarray:
+    """A sample-unit ladder along ``axis``, from rest or in steady state at
+    each lane's first sample."""
+    if not np.iscomplexobj(x):
+        x = x.astype(np.result_type(x.dtype, np.float64), copy=False)
+    moved = np.moveaxis(x, axis, 0)
+    lanes = moved.reshape(moved.shape[0], -1)
+    y = _block_cascade(lanes, cascade_sections(ladder)[None], 1, relative=True, steady=steady)
+    return np.moveaxis(y.reshape(moved.shape), 0, axis)
 
 
 def recursive_stage(
@@ -401,20 +617,21 @@ def recursive_stage(
 ) -> np.ndarray:
     """One first-order recursive smoothing stage, time constant mu in samples.
 
-    Implements y[n] = y[n-1] + (x[n] - y[n-1]) / (1 + mu). The virtual state
-    y[-1] is zero by default (signals that start at rest); pass ``init`` to
-    start the stage in steady state at that value, e.g. the first sample of
-    a map whose baseline is far from zero. Cascades run all their stages at
-    once through ``discrete_recursive_smooth``.
+    Implements y[n] = y[n-1] + (x[n] - y[n-1]) / (1 + mu), as a one-stage
+    ladder through the cascade realisation. The virtual state y[-1] is zero
+    by default (signals that start at rest); pass ``init`` to start the
+    stage in steady state at that value, e.g. the first sample of a map
+    whose baseline is far from zero. Cascades run all their stages at once
+    through ``discrete_recursive_smooth``.
     """
     tau = mu * mu + mu
     stage = ScaleLadder(Distribution.UNIFORM, tau, 1, None, (tau,), (mu,), units="samples")
-    sos = cascade_sections(stage)
-    if init is None:
-        return sosfilt(sos, x, axis=axis)
     x = np.asarray(x)
-    start = np.broadcast_to(np.asarray(init), np.take(x, [0], axis=axis).shape).astype(x.dtype)
-    return sosfilt(sos, x, axis=axis, zi=_steady_zi(sos[0], start, axis))[0]
+    if init is None:
+        return _run_ladder(x, stage, axis, steady=False)
+    start = np.broadcast_to(np.asarray(init), np.take(x, [0], axis=axis).shape)
+    # a stage resting in steady state at init leaves x - init from rest
+    return start + _run_ladder(x - start, stage, axis, steady=False)
 
 
 def discrete_recursive_smooth(
@@ -422,23 +639,14 @@ def discrete_recursive_smooth(
 ) -> np.ndarray:
     """Run a sample-unit ladder along one axis; returns the output at tau_max.
 
-    The K stages run as one ``sosfilt`` over ``cascade_sections(ladder)``.
-    Complex input stays complex. Every stage starts at rest unless
-    ``steady`` is set; then each stage starts in steady state at its own
-    input's first sample along ``axis`` (the previous stage's first output,
-    taken by a one-sample pass), so a constant signal comes back unchanged
-    up to rounding and the result equals running the stages one by one.
+    The K stages of ``cascade_sections(ladder)`` run as one block
+    recursion. Complex input stays complex. Every stage starts at rest
+    unless ``steady`` is set; then each stage starts in steady state at the
+    input's first sample along ``axis``, so a constant signal comes back
+    exactly. A constant stretch of input settles to its exact value, as a
+    stage-by-stage recursion does, rather than rounding around it.
     """
-    sos = cascade_sections(ladder)
-    x = np.asarray(signal)
-    if not steady:
-        return sosfilt(sos, x, axis=axis)
-    start = np.take(x, [0], axis=axis)
-    zi = []
-    for k in range(ladder.K):
-        zi.append(_steady_zi(sos[k], start, axis))
-        start = sosfilt(sos[k : k + 1], start, axis=axis, zi=zi[-1])[0]
-    return sosfilt(sos, x, axis=axis, zi=np.concatenate(zi))[0]
+    return _run_ladder(np.asarray(signal), ladder, axis, steady)
 
 
 def temporal_profiles(

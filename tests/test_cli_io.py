@@ -1,7 +1,10 @@
 import argparse
 import json
 import math
+import os
 import struct
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -37,6 +40,18 @@ def pcm_fmt(tag: int, channels: int, rate: int, bits: int) -> bytes:
 
 # ---------------------------------------------------------------------------
 # WAV decoding
+
+
+def test_cli_import_leaves_scipy_signal_unloaded():
+    """Every CLI call pays for its imports; the cascades need no scipy.signal,
+    whose import pulls in scipy.stats, interpolate and optimize."""
+    src = os.path.dirname(os.path.dirname(cli_io.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = "import sys, tonescale.cli_io; assert 'scipy.signal' not in sys.modules, 'scipy.signal loaded'"
+    run = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, timeout=120
+    )
+    assert run.returncode == 0, run.stderr
 
 
 def test_wav_pcm16_roundtrip(tmp_path):

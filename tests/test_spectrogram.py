@@ -1,6 +1,9 @@
 import math
+import os
+import subprocess
 import sys
 import threading
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -38,6 +41,9 @@ RATE = 44100.0
 # the modulated signal (the same bound the benchmark checks layer-1 maps
 # against).
 LAYER1_RTOL = 1e-9
+# The causal block recursion against the same folded-pole cascade run one
+# sample at a time by scipy's sosfilt, relative to the signal peak.
+BLOCK_RTOL = 1e-12
 
 
 def _grid_at(omegas) -> FrequencyGrid:
@@ -150,20 +156,58 @@ def test_gauss_and_causal_paths_agree_in_steady_state():
     assert mg == pytest.approx(mr, rel=2e-3)
 
 
+def _folded_by_sosfilt(x, rate: float, grid: FrequencyGrid, fam, hop: int) -> np.ndarray:
+    """The causal map as one sosfilt per channel over the folded-pole
+    sections, sampled on the frames and demodulated there."""
+    t = np.arange(0, x.size, hop) / rate
+    values = np.empty((t.size, grid.n_channels), dtype=complex)
+    for ch, (omega, tau) in enumerate(zip(grid.omega, grid.tau_window)):
+        ladder = discretize_ladder(fam.ladder(tau), rate)
+        z = sosfilt(cascade_sections(ladder, omega / rate), x)[::hop]
+        values[:, ch] = z * np.exp(-1j * omega * t)
+    return values
+
+
 @pytest.mark.parametrize("kind", ["rec-uni", "rec-log"])
 def test_causal_channel_is_the_shared_cascade(kind, rng):
-    """Each causal channel is one sosfilt over the folded-pole sections,
+    """Each causal channel is the folded-pole cascade of ``cascade_sections``,
     sampled on the frames and demodulated there."""
     rate, hop = 8000.0, 7
     grid = build_frequency_grid(60.0, 72.0, 12)
     fam = SpectrogramFamily(kind=kind)
     x = rng.normal(size=1500)
     S = compute_spectrogram(x, rate, grid, fam, hop=hop)
-    for ch in (0, 5, grid.n_channels - 1):
-        omega = grid.omega[ch]
-        ladder = discretize_ladder(fam.ladder(grid.tau_window[ch]), rate)
-        z = sosfilt(cascade_sections(ladder, omega / rate), x)[::hop]
-        assert np.array_equal(S.values[:, ch], z * np.exp(-1j * omega * S.frame_times))
+    want = _folded_by_sosfilt(x, rate, grid, fam, hop)
+    assert np.max(np.abs(S.values - want)) <= BLOCK_RTOL * np.max(np.abs(x))
+
+
+# At hop h a block keeps min(32, 384 // h) frames: lengths from one hop (a
+# single frame, n < B) to a few blocks, rarely a whole number of blocks.
+@settings(max_examples=80, deadline=None)
+@given(
+    kind=st.sampled_from(["rec-uni", "rec-log"]),
+    K=st.integers(1, 8),
+    c=st.floats(1.1, 2.0),
+    hop=st.integers(1, 50),
+    blocks=st.floats(0.0, 3.5),
+    freqs=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=3),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(kind="rec-log", K=7, c=2.0, hop=1, blocks=0.0, freqs=[0.0], seed=1)  # one sample
+@example(kind="rec-uni", K=8, c=2.0, hop=50, blocks=1.0, freqs=[1.0, 0.0], seed=2)
+def test_causal_block_recursion_stays_within_its_bound_of_sosfilt(kind, K, c, hop, blocks, freqs, seed):
+    """Channels log-spaced from 100 Hz to 0.45 of 16 kHz."""
+    rate = 16000.0
+    span = min(32, 384 // hop) * hop
+    n = hop + int(round(blocks * span))
+    lo, hi = math.log(100.0), math.log(0.45 * rate)
+    grid = _grid_at([2.0 * math.pi * math.exp(lo + f * (hi - lo)) for f in freqs])
+    fam = SpectrogramFamily(kind=kind, K=K, c=c)
+    x = np.random.default_rng(seed).normal(size=n)
+    S = compute_spectrogram(x, rate, grid, fam, hop=hop)
+    want = _folded_by_sosfilt(x, rate, grid, fam, hop)
+    assert S.values.shape == want.shape
+    assert np.max(np.abs(S.values - want)) <= BLOCK_RTOL * np.max(np.abs(x))
 
 
 @settings(max_examples=40, deadline=None)
@@ -276,9 +320,36 @@ def _assert_map_ignores_the_worker_count(fam, monkeypatch, rng) -> None:
         assert np.array_equal(S.warmup_frames, maps[0].warmup_frames)
 
 
+_CAUSAL_MAPS = """
+import hashlib, sys
+import numpy as np
+import tonescale as ts
+x = np.random.default_rng(3).normal(size=6000)
+grid = ts.build_frequency_grid(45.0, 100.0, 12)
+digest = hashlib.sha256()
+for hop in (1, 7, 44, 400):
+    S = ts.compute_spectrogram(x, 8000.0, grid, ts.SpectrogramFamily(sys.argv[1]), hop=hop)
+    digest.update(S.values.tobytes())
+print(digest.hexdigest())
+"""
+
+
 @pytest.mark.parametrize("kind", ["rec-uni", "rec-log"])
-def test_causal_map_does_not_depend_on_the_worker_count(kind, monkeypatch, rng):
-    _assert_map_ignores_the_worker_count(SpectrogramFamily(kind=kind), monkeypatch, rng)
+def test_causal_map_does_not_depend_on_the_worker_count(kind):
+    """The causal path runs on the calling thread, and the BLAS library
+    threads its GEMMs: maps are bit for bit the same on one BLAS thread
+    and on two, at hops whose blocks are below and above 384 samples."""
+    src = os.path.dirname(os.path.dirname(spectrogram.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    digests = set()
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": path}
+        run = subprocess.run(
+            [sys.executable, "-c", _CAUSAL_MAPS, kind], env=env, capture_output=True, text=True, timeout=300
+        )
+        assert run.returncode == 0, run.stderr
+        digests.add(run.stdout.strip())
+    assert len(digests) == 1
 
 
 def test_gauss_map_does_not_depend_on_the_worker_count(monkeypatch, rng):
@@ -390,17 +461,53 @@ def test_modulated_taps_equal_the_full_formula_bitwise(w, s_sampl):
 @pytest.mark.parametrize("kind", ["rec-uni", "rec-log"])
 def test_degenerate_stage_is_refused_before_any_worker_starts(kind, monkeypatch):
     # Windows of 3e-4 carrier periods: the upper channels' first stage
-    # constants fall below MIN_STAGE_MU_SAMPLES.
+    # constants fall below MIN_STAGE_MU_SAMPLES. The refusal comes before
+    # the block recursion (and so any BLAS thread) starts; the causal path
+    # never opens the channel pool.
     grid = build_frequency_grid(60.0, 96.0, 12, law=WindowScaleLaw(n=3e-4))
     pools = _spy_on_pools(monkeypatch)
     _allow_cpus(monkeypatch, 4)
+    runs = []
+    block_cascade = spectrogram._block_cascade
+
+    def spy(x, sections, hop):
+        runs.append(len(sections))
+        return block_cascade(x, sections, hop)
+
+    monkeypatch.setattr(spectrogram, "_block_cascade", spy)
     x = sine(440.0, 0.1, 8000.0)
     with pytest.raises(ValueError, match="degenerate stage"):
         compute_spectrogram(x, 8000.0, grid, SpectrogramFamily(kind=kind))
-    assert pools == []
+    assert runs == []
     low = build_frequency_grid(60.0, 62.0, 12, law=WindowScaleLaw(n=3e-4))
     compute_spectrogram(x, 8000.0, low, SpectrogramFamily(kind=kind))
-    assert pools == [low.n_channels]  # 3 channels, fewer than the 4 CPUs
+    assert runs == [low.n_channels]
+    assert pools == []
+
+
+def _extra_bytes(seconds: float, grid: FrequencyGrid, fam) -> int:
+    """Peak bytes that compute_spectrogram allocates beyond its map and
+    frame times."""
+    x = sine(440.0, seconds, 8000.0)
+    tracemalloc.start()
+    try:
+        S = compute_spectrogram(x, 8000.0, grid, fam, hop=8)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak - S.values.nbytes - S.frame_times.nbytes
+
+
+@pytest.mark.parametrize("kind", ["rec-uni", "rec-log"])
+def test_causal_layer1_temporaries_do_not_grow_with_the_signal(kind):
+    """The GEMM runs over chunks of blocks and the carrier is taken off a
+    chunk of frames at a time, so nothing but the map grows with the signal:
+    from 2 to 8 s the map grows by 5.4 MB, the rest by no more than the
+    slack of a few allocator blocks."""
+    grid = build_frequency_grid(45.0, 100.0, 12)
+    fam = SpectrogramFamily(kind=kind)
+    short, long_ = _extra_bytes(2.0, grid, fam), _extra_bytes(8.0, grid, fam)
+    assert long_ - short <= 16 * 1024
 
 
 def test_gauss_path_equals_the_direct_windowed_sum(rng):

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.signal import lfilter, sosfilt
 from scipy.special import ive
@@ -151,7 +153,7 @@ def test_recursive_stage_steady_state_init_keeps_constants_exact():
     mu = 7.0
     x = np.full(50, 0.8)
     y = recursive_stage(x, mu, init=x[0])
-    assert y == pytest.approx(x, abs=0.0)
+    np.testing.assert_array_equal(y, x)
 
 
 def test_recursive_stage_axis_handling(rng):
@@ -175,7 +177,7 @@ def test_discrete_recursive_smooth_variance_additivity(rng):
         chans.append(cur)
     chans = np.stack(chans)
     assert chans.shape == (4, 4000)
-    assert np.array_equal(discrete_recursive_smooth(x, lad), chans[-1])
+    np.testing.assert_allclose(discrete_recursive_smooth(x, lad), chans[-1], rtol=0.0, atol=LAYER2_RTOL)
     n = np.arange(4000)
     mus = np.array(lad.mus)
     for k in range(4):
@@ -186,6 +188,11 @@ def test_discrete_recursive_smooth_variance_additivity(rng):
         assert mass == pytest.approx(1.0, abs=1e-9)
         assert mean == pytest.approx(mus[: k + 1].sum(), rel=1e-9)
         assert var == pytest.approx((mus[: k + 1] ** 2 + mus[: k + 1]).sum(), rel=1e-9)
+
+
+# The cascade realisation against the stage-by-stage recursion, relative to
+# the peak of the input (a map's largest magnitude in layer 2).
+LAYER2_RTOL = 1e-12
 
 
 def _stage_by_stage(x, mus, axis=-1, steady=False):
@@ -202,9 +209,32 @@ def _stage_by_stage(x, mus, axis=-1, steady=False):
     return cur
 
 
+def _one_sosfilt(x, lad, axis=-1, steady=False):
+    """Reference: the cascade as one sosfilt over ``cascade_sections``, each
+    stage started at rest or in steady state at its own input's first sample."""
+    sos = cascade_sections(lad)
+    if not steady:
+        return sosfilt(sos, x, axis=axis)
+    start = np.take(x, [0], axis=axis)
+    zi = []
+    for k in range(lad.K):
+        state = start * -sos[k, 4]
+        zi.append(np.concatenate([state, np.zeros_like(state)], axis=axis)[None])
+        start = sosfilt(sos[k : k + 1], start, axis=axis, zi=zi[-1])[0]
+    return sosfilt(sos, x, axis=axis, zi=np.concatenate(zi))[0]
+
+
+def _assert_within(got, want, peak, rtol):
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert np.max(np.abs(got - want), initial=0.0) <= rtol * peak
+
+
 @pytest.mark.parametrize("distribution", list(Distribution))
 @pytest.mark.parametrize("K", [1, 4, 7])
 def test_one_sosfilt_equals_the_stage_by_stage_cascade(distribution, K, rng):
+    """The oracle is scipy's one sosfilt over the sections, which is the
+    stage-by-stage cascade bit for bit; the block recursion stays within
+    LAYER2_RTOL of the input peak of both."""
     c = math.sqrt(2.0) if distribution is Distribution.LOGARITHMIC else None
     lad = discretize_ladder(build_ladder(distribution, 1e-3, K, c), 1000.0)
     sos = cascade_sections(lad)
@@ -213,17 +243,105 @@ def test_one_sosfilt_equals_the_stage_by_stage_cascade(distribution, K, rng):
     cplx = real * np.exp(-0.7j * np.arange(400))
     grid = rng.normal(size=(120, 9)) * 30.0 - 50.0
     for x in (real, cplx):
-        assert np.array_equal(discrete_recursive_smooth(x, lad), _stage_by_stage(x, lad.mus))
+        want = _stage_by_stage(x, lad.mus)
+        assert np.array_equal(_one_sosfilt(x, lad), want)
+        _assert_within(discrete_recursive_smooth(x, lad), want, np.max(np.abs(x)), LAYER2_RTOL)
     for steady in (False, True):
         for axis, x in ((0, grid), (1, grid.T.copy()), (-1, grid.T.copy())):
-            assert np.array_equal(
-                discrete_recursive_smooth(x, lad, axis=axis, steady=steady),
-                _stage_by_stage(x, lad.mus, axis=axis, steady=steady),
-            )
-        assert np.array_equal(
+            want = _stage_by_stage(x, lad.mus, axis=axis, steady=steady)
+            assert np.array_equal(_one_sosfilt(x, lad, axis=axis, steady=steady), want)
+            got = discrete_recursive_smooth(x, lad, axis=axis, steady=steady)
+            _assert_within(got, want, np.max(np.abs(x)), LAYER2_RTOL)
+        _assert_within(
             recursive_stage(real, lad.mus[0], init=real[0] if steady else None),
             _stage_by_stage(real, lad.mus[:1], steady=steady),
+            np.max(np.abs(real)),
+            LAYER2_RTOL,
         )
+
+
+# A block spans 32 samples at hop 1: lengths of 1, below one block, one
+# block exactly and a few blocks with a remainder.
+@settings(max_examples=150, deadline=None)
+@given(
+    distribution=st.sampled_from(list(Distribution)),
+    K=st.integers(1, 8),
+    c=st.floats(1.1, 2.0),
+    tau_frames=st.floats(0.5, 5e3),
+    n=st.sampled_from([1, 2, 31, 32, 33, 100, 257]),
+    lanes=st.integers(1, 4),
+    axis=st.sampled_from([0, 1, -1]),
+    steady=st.booleans(),
+    complex_input=st.booleans(),
+    offset=st.floats(-200.0, 200.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(Distribution.UNIFORM, 8, 2.0, 5e3, 257, 4, 0, True, True, -200.0, 1)
+def test_discrete_recursive_smooth_stays_within_the_layer2_bound(
+    distribution, K, c, tau_frames, n, lanes, axis, steady, complex_input, offset, seed
+):
+    """Against the sosfilt oracle: both ladders, K 1-8, stage constants
+    from below one frame to about 60 frames (tau up to 5e3 frames^2), real
+    and complex maps on a dB-like offset, every axis, steady and rest
+    starts."""
+    c = c if distribution is Distribution.LOGARITHMIC else None
+    lad = discretize_ladder(build_ladder(distribution, tau_frames, K, c), 1.0)
+    rng = np.random.default_rng(seed)
+    x = offset + 30.0 * rng.normal(size=(n, lanes))
+    if complex_input:
+        x = x * np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, size=x.shape))
+    if axis != 0:
+        x = x.T.copy()
+    want = _one_sosfilt(x, lad, axis=axis, steady=steady)
+    got = discrete_recursive_smooth(x, lad, axis=axis, steady=steady)
+    _assert_within(got, want, np.max(np.abs(x)), LAYER2_RTOL)
+
+
+def test_a_constant_stretch_settles_to_its_exact_value():
+    """A step comes out monotone and reaches its level exactly, from rest and
+    from a steady start, as a stage-by-stage recursion does."""
+    lad = discretize_ladder(build_ladder(Distribution.LOGARITHMIC, 4e-4, 7, math.sqrt(2.0)), 1000.0)
+    after = np.arange(3000) >= 400
+    for steady, before in ((False, 0.0), (True, -60.0)):
+        for sign in (1.0, -1.0):
+            x = sign * np.where(after, 17.25, before)
+            y = discrete_recursive_smooth(x, lad, steady=steady)
+            assert np.all(np.diff(y) * np.sign(x[-1] - x[0]) >= 0.0)
+            assert y[-1] == x[-1]
+            if steady:
+                assert np.all(y[:400] == x[0])
+
+
+@pytest.mark.parametrize(
+    "patch",
+    [
+        {},
+        {"_CHUNK_ELEMENTS": 1, "_CHUNK_ROWS": 1},
+        {"_CHUNK_ELEMENTS": 1 << 24, "_CHUNK_ROWS": 3},
+        {"_WEIGHT_ELEMENTS": 1},
+    ],
+    ids=["default", "one-block-chunks", "one-chunk", "one-set-groups"],
+)
+def test_block_cascade_does_not_depend_on_chunks_groups_or_lanes(patch, monkeypatch, rng):
+    """Maps come out bit for bit the same whatever the chunk and group sizes,
+    and a lane whatever the lanes beside it, for each shape of block."""
+    lad = discretize_ladder(build_ladder(Distribution.UNIFORM, 4e-4, 4), 1000.0)
+    sections = np.stack([cascade_sections(lad, w) for w in (0.3, 1.1, 2.9)])
+    x = rng.normal(size=(1500, 5)) * 20.0 - 40.0
+    block_cascade = temporal_scale_space._block_cascade
+    want = {hop: block_cascade(x, sections, hop) for hop in (1, 7, 400)}
+    ladder = cascade_sections(lad)[None]
+    want_rel = block_cascade(x[:, :3], ladder, 1, relative=True)
+    for name, value in patch.items():
+        monkeypatch.setattr(temporal_scale_space, name, value)
+    for hop, map_ in want.items():
+        assert np.array_equal(block_cascade(x, sections, hop), map_)
+        for lane in (0, 4):
+            alone = block_cascade(x[:, lane : lane + 1], sections, hop)
+            assert np.array_equal(alone[..., 0], map_[..., lane])
+    rel = block_cascade(x[:, :3], ladder, 1, relative=True)
+    assert np.array_equal(rel, want_rel)
+    assert np.array_equal(block_cascade(x[:, 1:2], ladder, 1, relative=True), rel[..., 1:2])
 
 
 def test_folded_sections_demodulate_the_cascade(rng):
@@ -243,8 +361,7 @@ def test_folded_sections_demodulate_the_cascade(rng):
 
 def test_discrete_recursive_smooth_steady_mode_keeps_a_constant_map(rng):
     # Each stage starts in steady state at its own input's first row, so a
-    # constant map has no settling transient; sosfilt's b x + a y form leaves
-    # rounding of a few hundred ulp at most.
+    # constant map has no settling transient and comes back exactly.
     lad = discretize_ladder(
         build_ladder(Distribution.LOGARITHMIC, tau_max=1e-3, K=7, c=math.sqrt(2.0)), 1000.0
     )
@@ -252,7 +369,7 @@ def test_discrete_recursive_smooth_steady_mode_keeps_a_constant_map(rng):
     flat = np.tile(level, (80, 1))
     out = discrete_recursive_smooth(flat, lad, axis=0, steady=True)
     assert out.shape == flat.shape
-    np.testing.assert_allclose(out, flat, rtol=1e-13, atol=0.0)
+    np.testing.assert_array_equal(out, flat)
     assert np.all(out[:, 0] == 0.0)
     # at rest the same map rises from zero instead
     assert abs(discrete_recursive_smooth(flat, lad, axis=0)[0, 1]) < 200.0 * 0.01
@@ -274,6 +391,38 @@ def test_cascade_kernel_numeric_two_stage_peak_position():
     expected = math.log(mu2 / mu1) * mu1 * mu2 / (mu2 - mu1)
     k = cascade_kernel_numeric(lad, dt=2e-5, horizon=13.0)
     assert k.times[np.argmax(k.values)] == pytest.approx(expected, abs=1e-4)
+
+
+def _kernel_by_lfilter(ladder, dt, n):
+    """Reference: the exact-exponential stages of ``cascade_kernel_numeric``
+    as one lfilter each over the sampled first stage, renormalized."""
+    t = np.arange(n) * dt
+    h = np.exp(-t / ladder.mus[0]) / ladder.mus[0]
+    for mu in ladder.mus[1:]:
+        p = math.exp(-dt / mu)
+        w1 = 1.0 - (mu / dt) * (1.0 - p)
+        w0 = (mu / dt) * (1.0 - p) - p
+        h = lfilter([w1, w0], [1.0, -p], h)
+    return h / (h.sum() * dt)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    distribution=st.sampled_from(list(Distribution)),
+    K=st.integers(1, 8),
+    c=st.floats(1.1, 2.0),
+    tau=st.floats(1e-6, 1.0),
+    fineness=st.floats(20.0, 400.0),
+)
+def test_cascade_kernel_numeric_stays_within_its_bound_of_lfilter(distribution, K, c, tau, fineness):
+    """Within 1e-12 of the kernel peak of the stage-by-stage lfilter, for
+    steps from mu_min/20 to mu_min/400."""
+    c = c if distribution is Distribution.LOGARITHMIC else None
+    ladder = build_ladder(distribution, tau, K, c)
+    dt = ladder.mu_min / fineness
+    kernel = cascade_kernel_numeric(ladder, dt)
+    want = _kernel_by_lfilter(ladder, dt, len(kernel.values))
+    assert np.max(np.abs(kernel.values - want)) <= 1e-12 * np.max(want)
 
 
 def test_discrete_gaussian_kernel_mass_and_variance():

@@ -300,7 +300,7 @@ def compute_spectrogram(
     n_frames = -(-n // hop)
     frame_times = np.arange(n_frames, dtype=float)
     frame_times *= hop
-    frame_times /= sample_rate  # (frame hop) / rate, with no other array of frames
+    frame_times /= sample_rate  # index * hop / rate, built in place
     n_ch = grid.n_channels
     if family.causal:
         ladders = [discretize_ladder(family.ladder(tau), sample_rate) for tau in grid.tau_window]

@@ -410,6 +410,11 @@ def cascade_sections(ladder: ScaleLadder, omega: float = 0.0) -> np.ndarray:
 _BLOCK_SAMPLES = 384
 _BLOCK_KEPT = 32
 _COLUMNS = 8
+# Rows per product call. OpenBLAS runs a product of up to 4 * 65536
+# multiply-adds on the calling thread; a threaded call on a block's few
+# rows cost three times the wall time and the second core spinning after
+# it. Layer 1's wide products (thousands of columns) still run threaded.
+_GEMM_ROWS = 192
 # Real elements of a block's weights per group of sets, and of one GEMM's
 # output unless that has fewer than _CHUNK_ROWS rows (each GEMM reads the
 # weights once): they bound the temporaries whatever the signal length.
@@ -464,6 +469,21 @@ def _power_rows(A: np.ndarray, v: np.ndarray, count: int) -> np.ndarray:
 
 def _padded(count: int) -> int:
     return -(-count // _COLUMNS) * _COLUMNS
+
+
+def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b (stacked over leading axes) in calls of at most _GEMM_ROWS + 1
+    rows (never one alone) and _BLOCK_SAMPLES of the inner dimension, so
+    that each output row is rounded the same way whatever the row count."""
+    out = np.empty(a.shape[:-1] + b.shape[-1:], dtype=np.result_type(a, b))
+    bounds = list(range(0, a.shape[-2], _GEMM_ROWS)) + [a.shape[-2]]
+    if len(bounds) > 2 and bounds[-1] - bounds[-2] == 1:
+        del bounds[-2]
+    for lo, hi in zip(bounds, bounds[1:]):
+        np.matmul(a[..., lo:hi, :_BLOCK_SAMPLES], b[..., :_BLOCK_SAMPLES, :], out=out[..., lo:hi, :])
+        for j in range(_BLOCK_SAMPLES, a.shape[-1], _BLOCK_SAMPLES):  # a hop above 384 samples
+            out[..., lo:hi, :] += a[..., lo:hi, j : j + _BLOCK_SAMPLES] @ b[..., j : j + _BLOCK_SAMPLES, :]
+    return out
 
 
 def _block_weights(sections: np.ndarray, hop: int):
@@ -538,6 +558,8 @@ def _block_cascade(
     dtype = np.result_type(sections.dtype, x.dtype)
     width = 2 if dtype.kind == "c" else 1  # real GEMM columns per weight
     out = np.empty((-(-n // hop), sets, lanes), dtype=dtype)
+    if out.size == 0:
+        return out
     group = max(1, _WEIGHT_ELEMENTS // (size * (kept + K) * width))
     for s0 in range(0, sets, group):
         _cascade_group(x, sections[s0 : s0 + group], hop, relative, steady, out[:, s0 : s0 + group])
@@ -571,11 +593,7 @@ def _cascade_group(x, part, hop, relative, steady, out) -> None:
             first = np.arange(b0, b0 + nb + 1) * size - (hop - 1)
             level = x[np.clip(first, 0, n - 1)].T  # (lanes, nb + 1)
             rows[:, :nb] -= level[:, :nb, None]
-        rows = rows.reshape(-1, size)
-        product = rows[:, :_BLOCK_SAMPLES] @ weights[:_BLOCK_SAMPLES]
-        for j in range(_BLOCK_SAMPLES, size, _BLOCK_SAMPLES):  # a hop above 384 samples
-            product += rows[:, j : j + _BLOCK_SAMPLES] @ weights[j : j + _BLOCK_SAMPLES]
-        product = product.view(dtype)[:, : (kept + K) * g]
+        product = _matmul(rows.reshape(-1, size), weights).view(dtype)[:, : (kept + K) * g]
         product = product.reshape(lanes, padded, kept + K, g)
         increments = product[:, :nb, kept:].transpose(1, 3, 0, 2)  # (nb, g, lanes, K)
         if relative:
@@ -587,7 +605,7 @@ def _cascade_group(x, part, hop, relative, steady, out) -> None:
             np.matmul(states[:, :, q], step, out=states[:, :, q + 1])
             states[:, :lanes, q + 1, :K] += increments[q]
         state = states[:, :, nb].copy()
-        read = states[:, :lanes, :padded, :K].reshape(g, lanes * padded, K) @ read_out
+        read = _matmul(states[:, :lanes, :padded, :K].reshape(g, lanes * padded, K), read_out)
         kept_out = product[:, :nb, :kept]
         kept_out += read.reshape(g, lanes, padded, -1)[:, :, :nb, :kept].transpose(1, 2, 3, 0)
         if relative:

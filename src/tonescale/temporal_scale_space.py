@@ -595,28 +595,30 @@ def _cascade_group(x, part, hop, relative, steady, out) -> None:
             rows[:, :nb] -= level[:, :nb, None]
         product = _matmul(rows.reshape(-1, size), weights).view(dtype)[:, : (kept + K) * g]
         product = product.reshape(lanes, padded, kept + K, g)
-        increments = product[:, :nb, kept:].transpose(1, 3, 0, 2)  # (nb, g, lanes, K)
+        # states[:, :, q] is the state before block q, each entry starting
+        # as the increment the block before it adds
+        states = np.zeros((g, state.shape[1], nb + 1, state.shape[2]), dtype=dtype)
+        states[:, :, 0] = state
+        states[:, :lanes, 1:, :K] = product[:, :nb, kept:].transpose(3, 0, 1, 2)
         if relative:
-            # re-express the state against the next block's level
-            increments += (level[:, :nb] - level[:, 1:]).T[:, None, :, None] * rest
-        states = np.empty((g, state.shape[1], nb + 1, state.shape[2]), dtype=dtype)
-        states[:, :, 0] = state  # states[:, :, q] is the state before block q
+            # re-express each state against the next block's level
+            states[:, :lanes, 1:, :K] += (level[:, :nb] - level[:, 1:])[None, :, :, None] * rest[:, :, None]
         for q in range(nb):
-            np.matmul(states[:, :, q], step, out=states[:, :, q + 1])
-            states[:, :lanes, q + 1, :K] += increments[q]
+            states[:, :, q + 1] += states[:, :, q] @ step
         state = states[:, :, nb].copy()
         read = _matmul(states[:, :lanes, :padded, :K].reshape(g, lanes * padded, K), read_out)
-        kept_out = product[:, :nb, :kept]
-        kept_out += read.reshape(g, lanes, padded, -1)[:, :, :nb, :kept].transpose(1, 2, 3, 0)
+        read = read.reshape(g, lanes, padded, -1)[:, :, :nb, :kept]
         if relative:
-            kept_out += level[:, :nb, None, None]
+            read += level[None, :, :nb, None]
+        kept_out = product[:, :nb, :kept]
+        kept_out += read.transpose(1, 2, 3, 0)
         kept_out = kept_out.transpose(1, 2, 3, 0)  # (nb, kept, g, lanes)
         target = out[b0 * kept : (b0 + nb) * kept]
         whole = target.shape[0] // kept  # the last block may run past the end
         target[: whole * kept].reshape(whole, kept, g, lanes)[...] = kept_out[:whole]
         if whole < nb:
             target[whole * kept :] = kept_out[whole, : target.shape[0] - whole * kept]
-        del rows, product, increments, states, read, kept_out  # before the next chunk's
+        del rows, product, states, read, kept_out  # before the next chunk's
 
 
 def _run_ladder(x: np.ndarray, ladder: ScaleLadder, axis: int, steady: bool) -> np.ndarray:

@@ -402,18 +402,20 @@ def cascade_sections(ladder: ScaleLadder, omega: float = 0.0) -> np.ndarray:
 # Block shape of the cascade realisation: a block keeps at most
 # _BLOCK_KEPT outputs, every hop-th, and spans at most _BLOCK_SAMPLES
 # samples unless one hop is longer. The shape depends on the hop alone.
-# OpenBLAS computes each row of a product the same way whatever the row,
-# column and thread counts only while the inner dimension is at most 384
-# (one pass of the sum) and the column count is a multiple of 8 (no edge
-# kernel). So longer blocks are summed in passes of _BLOCK_SAMPLES, and
-# every product's columns are padded to a multiple of _COLUMNS.
+# OpenBLAS (measured: 0.3.31 on AVX-512) computes each row of a product the
+# same way whatever the row, column and thread counts only while the inner
+# dimension is at most 384 (one pass of the sum) and the column count is a
+# multiple of 8 (no edge kernel). So longer blocks are summed in passes of
+# _BLOCK_SAMPLES, and every product's columns are padded to a multiple of
+# _COLUMNS.
 _BLOCK_SAMPLES = 384
 _BLOCK_KEPT = 32
 _COLUMNS = 8
 # Rows per product call. OpenBLAS runs a product of up to 4 * 65536
-# multiply-adds on the calling thread; a threaded call on a block's few
-# rows cost three times the wall time and the second core spinning after
-# it. Layer 1's wide products (thousands of columns) still run threaded.
+# multiply-adds on the calling thread; threaded calls over a chunk of
+# layer-2 rows tripled the wall time of the smoothing on 2 cores and left
+# the second core spinning after each. Layer 1's wide products (thousands
+# of columns) still run threaded.
 _GEMM_ROWS = 192
 # Real elements of a block's weights per group of sets, and of one GEMM's
 # output unless that has fewer than _CHUNK_ROWS rows (each GEMM reads the

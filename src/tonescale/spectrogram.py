@@ -311,7 +311,10 @@ def compute_spectrogram(
                     f"(mu={ladder.mu_min:.3g} samples)"
                 )
         sections = np.stack(
-            [cascade_sections(ladder, omega / sample_rate) for ladder, omega in zip(ladders, grid.omega)]
+            [
+                cascade_sections(ladder, omega / sample_rate)
+                for ladder, omega in zip(ladders, grid.omega)
+            ]
         )
         warmup = np.array([-(-warmup_length(ladder) // hop) for ladder in ladders])
         values = _block_cascade(x[:, None], sections, hop).reshape(n_frames, n_ch)

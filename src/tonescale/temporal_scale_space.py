@@ -481,10 +481,11 @@ def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     bounds = list(range(0, a.shape[-2], _GEMM_ROWS)) + [a.shape[-2]]
     if len(bounds) > 2 and bounds[-1] - bounds[-2] == 1:
         del bounds[-2]
+    step = _BLOCK_SAMPLES
     for lo, hi in zip(bounds, bounds[1:]):
-        np.matmul(a[..., lo:hi, :_BLOCK_SAMPLES], b[..., :_BLOCK_SAMPLES, :], out=out[..., lo:hi, :])
-        for j in range(_BLOCK_SAMPLES, a.shape[-1], _BLOCK_SAMPLES):  # a hop above 384 samples
-            out[..., lo:hi, :] += a[..., lo:hi, j : j + _BLOCK_SAMPLES] @ b[..., j : j + _BLOCK_SAMPLES, :]
+        np.matmul(a[..., lo:hi, :step], b[..., :step, :], out=out[..., lo:hi, :])
+        for j in range(step, a.shape[-1], step):  # a hop above 384 samples
+            out[..., lo:hi, :] += a[..., lo:hi, j : j + step] @ b[..., j : j + step, :]
     return out
 
 
@@ -514,7 +515,8 @@ def _block_weights(sections: np.ndarray, hop: int):
     shaped[:, kept:] = phi[:, ::-1].transpose(1, 2, 0)  # A^(B-1-j) b for each sample j
     first = c[:, None, :] @ np.linalg.matrix_power(A, hop - 1)
     read_out = np.zeros((sets, K, _padded(kept)), dtype=phi.dtype)
-    read_out[:, :, :kept] = _power_rows(np.linalg.matrix_power(A, hop), first[:, 0], kept).transpose(0, 2, 1)
+    rows_out = _power_rows(np.linalg.matrix_power(A, hop), first[:, 0], kept)  # c A^i, kept i
+    read_out[:, :, :kept] = rows_out.transpose(0, 2, 1)
     step = np.zeros((sets, _padded(K), _padded(K)), dtype=A.dtype)
     step[:, :K, :K] = np.linalg.matrix_power(A, size).transpose(0, 2, 1)  # a row z steps as z A^T
     return weights.view(np.float64), read_out, step
@@ -553,7 +555,8 @@ def _block_cascade(
     """
     n, lanes = x.shape
     if np.iscomplexobj(x):
-        parts = _block_cascade(np.concatenate([x.real, x.imag], axis=1), sections, hop, relative, steady)
+        both = np.concatenate([x.real, x.imag], axis=1)
+        parts = _block_cascade(both, sections, hop, relative, steady)
         return parts[..., :lanes] + 1j * parts[..., lanes:]
     kept, size = _block_shape(hop)
     sets, K = sections.shape[:2]
@@ -580,9 +583,9 @@ def _cascade_group(x, part, hop, relative, steady, out) -> None:
     # for a lone lane, so that no product has a single row.
     state = np.zeros((g, max(lanes, 2), step.shape[1]), dtype=dtype)
     if relative:
-        rest = (part[..., 1] - part[..., 4])[:, None]  # the steady state at 1
+        unit_state = (part[..., 1] - part[..., 4])[:, None]  # the steady state at input 1
         if not steady:
-            state[:, :lanes, :K] -= rest * x[0][:, None]
+            state[:, :lanes, :K] -= unit_state * x[0][:, None]
     chunk = max(-(-_CHUNK_ROWS // lanes), _CHUNK_ELEMENTS // (lanes * weights.shape[1]))
     for b0 in range(0, blocks, chunk):
         nb = min(chunk, blocks - b0)
@@ -604,7 +607,8 @@ def _cascade_group(x, part, hop, relative, steady, out) -> None:
         states[:, :lanes, 1:, :K] = product[:, :nb, kept:].transpose(3, 0, 1, 2)
         if relative:
             # re-express each state against the next block's level
-            states[:, :lanes, 1:, :K] += (level[:, :nb] - level[:, 1:])[None, :, :, None] * rest[:, :, None]
+            shift = (level[:, :nb] - level[:, 1:])[None, :, :, None]
+            states[:, :lanes, 1:, :K] += shift * unit_state[:, :, None]
         for q in range(nb):
             states[:, :, q + 1] += states[:, :, q] @ step
         state = states[:, :, nb].copy()
@@ -620,7 +624,7 @@ def _cascade_group(x, part, hop, relative, steady, out) -> None:
         target[: whole * kept].reshape(whole, kept, g, lanes)[...] = kept_out[:whole]
         if whole < nb:
             target[whole * kept :] = kept_out[whole, : target.shape[0] - whole * kept]
-        del rows, product, states, read, kept_out  # before the next chunk's
+        del rows, product, states, read, kept_out  # freed before the next chunk allocates its own
 
 
 def _run_ladder(x: np.ndarray, ladder: ScaleLadder, axis: int, steady: bool) -> np.ndarray:

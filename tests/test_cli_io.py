@@ -47,9 +47,10 @@ def test_cli_import_leaves_scipy_signal_unloaded():
     whose import pulls in scipy.stats, interpolate and optimize."""
     src = os.path.dirname(os.path.dirname(cli_io.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    code = "import sys, tonescale.cli_io; assert 'scipy.signal' not in sys.modules, 'scipy.signal loaded'"
+    code = "import sys, tonescale.cli_io; assert 'scipy.signal' not in sys.modules"
+    env = {**os.environ, "PYTHONPATH": path}
     run = subprocess.run(
-        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, timeout=120
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
     )
     assert run.returncode == 0, run.stderr
 

@@ -195,7 +195,9 @@ def test_causal_channel_is_the_shared_cascade(kind, rng):
 )
 @example(kind="rec-log", K=7, c=2.0, hop=1, blocks=0.0, freqs=[0.0], seed=1)  # one sample
 @example(kind="rec-uni", K=8, c=2.0, hop=50, blocks=1.0, freqs=[1.0, 0.0], seed=2)
-def test_causal_block_recursion_stays_within_its_bound_of_sosfilt(kind, K, c, hop, blocks, freqs, seed):
+def test_causal_block_recursion_stays_within_its_bound_of_sosfilt(
+    kind, K, c, hop, blocks, freqs, seed
+):
     """Channels log-spaced from 100 Hz to 0.45 of 16 kHz."""
     rate = 16000.0
     span = min(32, 384 // hop) * hop
@@ -345,7 +347,11 @@ def test_causal_map_does_not_depend_on_the_worker_count(kind):
     for threads in ("1", "2"):
         env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": path}
         run = subprocess.run(
-            [sys.executable, "-c", _CAUSAL_MAPS, kind], env=env, capture_output=True, text=True, timeout=300
+            [sys.executable, "-c", _CAUSAL_MAPS, kind],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=300,
         )
         assert run.returncode == 0, run.stderr
         digests.add(run.stdout.strip())

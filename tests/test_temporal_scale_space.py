@@ -177,7 +177,8 @@ def test_discrete_recursive_smooth_variance_additivity(rng):
         chans.append(cur)
     chans = np.stack(chans)
     assert chans.shape == (4, 4000)
-    np.testing.assert_allclose(discrete_recursive_smooth(x, lad), chans[-1], rtol=0.0, atol=LAYER2_RTOL)
+    smoothed = discrete_recursive_smooth(x, lad)
+    np.testing.assert_allclose(smoothed, chans[-1], rtol=0.0, atol=LAYER2_RTOL)
     n = np.arange(4000)
     mus = np.array(lad.mus)
     for k in range(4):
@@ -414,7 +415,9 @@ def _kernel_by_lfilter(ladder, dt, n):
     tau=st.floats(1e-6, 1.0),
     fineness=st.floats(20.0, 400.0),
 )
-def test_cascade_kernel_numeric_stays_within_its_bound_of_lfilter(distribution, K, c, tau, fineness):
+def test_cascade_kernel_numeric_stays_within_its_bound_of_lfilter(
+    distribution, K, c, tau, fineness
+):
     """Within 1e-12 of the kernel peak of the stage-by-stage lfilter, for
     steps from mu_min/20 to mu_min/400."""
     c = c if distribution is Distribution.LOGARITHMIC else None

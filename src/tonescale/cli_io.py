@@ -198,13 +198,6 @@ def _write_text(path: str | Path, lines: list[str]) -> None:
         raise OSError(f"{path}: {exc}") from exc
 
 
-def _format_cell(value) -> str:
-    if np.iscomplexobj(np.asarray(value)) or isinstance(value, complex):
-        z = complex(value)
-        return f"{z.real:.6f}{z.imag:+.6f}j"
-    return f"{float(value):.6f}"
-
-
 def write_grid_csv(
     path: str | Path, nu: np.ndarray, frame_times: np.ndarray, values: np.ndarray
 ) -> None:
@@ -220,8 +213,9 @@ def write_grid_csv(
             f"{len(frame_times)} frames x {len(nu)} channels"
         )
     lines = ["nu\t" + "\t".join(f"{float(t):.6f}" for t in frame_times)]
+    cell = ("{0.real:.6f}{0.imag:+.6f}j" if np.iscomplexobj(values) else "{:.6f}").format
     for ch in range(len(nu)):
-        cells = "\t".join(_format_cell(v) for v in values[:, ch])
+        cells = "\t".join(map(cell, values[:, ch].tolist()))
         lines.append(f"{float(nu[ch]):.6f}\t" + cells)
     _write_text(path, lines)
 
@@ -335,8 +329,11 @@ OPTIONS: dict[str, tuple] = {
     "dnu": (float, None, "frequency spacing in semitones for --rf (default: sigma-nu/25)"),
 }
 METAVARS = {"glissando_bank": "V1,V2,..."}
-# Extents refused unless finite and, as named, positive or non-negative.
-EXTENTS = dict.fromkeys(("hop_ms", "tau_a_ms", "tau_i_ms"), "positive")
+# Extents refused unless finite and, as named, positive or non-negative;
+# None stands for a derived default and is not checked.
+EXTENTS = dict.fromkeys(
+    ("hop_ms", "tau_a_ms", "tau_i_ms", "tau", "dt", "t_span", "nu_span", "dnu"), "positive"
+)
 EXTENTS.update(dict.fromkeys(("sigma_nu", "sigma_nu_i", "tau0_ms"), "non-negative"))
 LAYER1_OPTIONS = (
     "family",
@@ -439,7 +436,9 @@ def _merge_settings(args: argparse.Namespace) -> dict:
         else:
             merged[key] = OPTIONS[key][1]
         need, value = EXTENTS.get(key), merged[key]
-        if need and not (0 < value < math.inf or value == 0 and need == "non-negative"):
+        if need is None or value is None:
+            continue
+        if not (0 < value < math.inf or value == 0 and need == "non-negative"):
             raise CliError(2, f"--{key.replace('_', '-')} must be {need} and finite, got {value}")
     return merged
 
@@ -708,13 +707,9 @@ def cmd_kernels(cfg: dict, wav: str | None) -> int:
     if cfg["out_pgm"] is not None:
         raise CliError(2, "PGM output applies to --rf kernel grids; impulse responses are CSV")
     tau = cfg["tau"]
-    if tau <= 0:
-        raise CliError(2, f"tau must be positive, got {tau}")
     family = _family(cfg)
     temporal = family.temporal(tau)
     dt = cfg["dt"] if cfg["dt"] is not None else math.sqrt(tau) / 2000.0
-    if not dt > 0:
-        raise CliError(2, f"dt must be positive, got {dt}")
     if family.kind == "gauss":
         span = 8.0 * math.sqrt(tau)
         t = np.arange(-span, span + dt / 2.0, dt)

@@ -55,7 +55,7 @@ class RFSpec:
     seconds^2; ``s`` is the spectral variance in semitones^2; ``v`` the
     glissando slope in semitones/second; ``alpha``/``beta`` the temporal and
     spectral derivative orders (0..2). When ``normalized`` is set, responses
-    are multiplied by tau_a^{alpha/2} s^{beta/2}.
+    are multiplied by ``normalization``.
     """
 
     temporal: TemporalKernelSpec
@@ -81,6 +81,11 @@ class RFSpec:
     @property
     def tau_a(self) -> float:
         return self.temporal.scale
+
+    @property
+    def normalization(self) -> float:
+        """The scale-normalisation factor tau_a^{alpha/2} s^{beta/2}."""
+        return self.tau_a ** (self.alpha / 2.0) * self.s ** (self.beta / 2.0)
 
 
 def _mirror_indices(idx: np.ndarray, n: int) -> np.ndarray:
@@ -274,7 +279,7 @@ def differentiate(S: TFMap, smoothed: np.ndarray, spec: RFSpec) -> np.ndarray:
     values = _derivative_t(smoothed, spec.alpha, 1.0 / S.frame_rate)
     values = _derivative_nu(values, spec.beta, S.grid.delta_nu)
     if spec.normalized:
-        values = values * (spec.tau_a ** (spec.alpha / 2.0) * spec.s ** (spec.beta / 2.0))
+        values = values * spec.normalization
     return values
 
 
@@ -352,5 +357,5 @@ def rf_kernel_image(
             + g[b] * t2[:, None]
         )
     if spec.normalized:
-        values = values * (spec.tau_a ** (spec.alpha / 2.0) * spec.s ** (spec.beta / 2.0))
+        values = values * spec.normalization
     return KernelImage(t=t, nu=nu, values=values)

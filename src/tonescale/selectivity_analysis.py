@@ -1,11 +1,14 @@
 """Frequency selectivity and temporal delays of the window families.
 
-Closed forms for the dB response of a channel at omega_0 to a sinusoid at
-omega (Gaussian and equal-stage cascade windows), a product form for
-logarithmic cascades, the bandwidth constants C solving R_dB = target, and
-the delay measures (mean, maximum position, inflection points) of the
-time-causal kernels. The table builders regenerate the package's three
-reference tables used by the `analyze` subcommand.
+The dB response of a channel at omega_0 to a sinusoid at omega, the
+bandwidth constants C solving R_dB = target, and the delay measures (mean,
+maximum position, inflection points) of the time-causal kernels. Both
+cascade families are read off the stage time constants mu_k that
+``build_ladder`` writes: a cascade attenuates the detuning C by
+prod_k (1 + 4 pi^2 mu_k^2 C^2)^(-1/2) at unit scale, and its mean delay is
+sum_k mu_k (Lindeberg 2016, JMIV, "Time-causal and time-recursive
+spatio-temporal receptive fields"). The table builders regenerate the
+three reference tables of the `analyze` subcommand.
 """
 
 from __future__ import annotations
@@ -36,13 +39,8 @@ def selectivity_db_at_constant(fam: SpectrogramFamily, C: float) -> float:
     c2 = C * C
     if fam.kind == "gauss":
         return -20.0 * (2.0 * math.pi * math.pi * c2) / math.log(10.0)
-    if fam.kind == "rec-uni":
-        return -10.0 * fam.K * math.log10(1.0 + TWO_PI_SQ * c2 / fam.K)
-    total = math.log10(1.0 + TWO_PI_SQ * fam.c ** (2.0 * (1.0 - fam.K)) * c2)
-    for k in range(2, fam.K + 1):
-        factor = fam.c ** (2.0 * (k - fam.K - 1.0)) * (fam.c * fam.c - 1.0)
-        total += math.log10(1.0 + TWO_PI_SQ * factor * c2)
-    return -10.0 * total
+    # C is dimensionless, so the unit-scale ladder applies
+    return -10.0 * sum(math.log10(1.0 + TWO_PI_SQ * m * m * c2) for m in fam.ladder(1.0).mus)
 
 
 def selectivity_db(fam: SpectrogramFamily, omega_ratio: float, n: float = 8.0) -> float:
@@ -117,12 +115,6 @@ def delay_mean_limit(c: float) -> float:
     return math.sqrt(c * c - 1.0) / (c - 1.0)
 
 
-def _log_mean(K: int, c: float, tau: float) -> float:
-    root = math.sqrt(c * c - 1.0)
-    num = c ** (-float(K)) * (c * c - (root + 1.0) * c + root * c ** float(K))
-    return num / (c - 1.0) * math.sqrt(tau)
-
-
 def _quadratic_refine(values: np.ndarray, i: int, dt: float) -> float:
     """Vertex of the parabola through samples i-1, i, i+1."""
     if i <= 0 or i >= len(values) - 1:
@@ -162,17 +154,17 @@ def _numeric_delays(ladder: ScaleLadder) -> tuple[float, float, float]:
 def delay_measures(ladder: ScaleLadder) -> DelayMeasures:
     """Mean delay, response maximum, and inflection points of a cascade.
 
-    Equal-stage ladders use the closed forms; logarithmic ladders take the
-    mean from its closed form and locate t_max / inflections on the numeric
-    impulse response. A single stage has its maximum at 0 by convention.
+    The mean is the sum of the stage time constants. Equal-stage ladders
+    take t_max and the inflections from the Gamma kernel's closed forms;
+    logarithmic ladders locate them on the numeric impulse response. A
+    single stage has its maximum at 0 by convention.
     """
     if ladder.units != "seconds":
         raise ValueError("delay measures expect a continuous ladder")
     K = ladder.K
-    tau = ladder.tau_max
+    mean = ladder.mu_sum
     if ladder.distribution is Distribution.UNIFORM:
         mu = ladder.mus[0]
-        mean = K * mu
         root = math.sqrt(K - 1.0) if K > 1 else 0.0
         return DelayMeasures(
             mean=mean,
@@ -180,7 +172,6 @@ def delay_measures(ladder: ScaleLadder) -> DelayMeasures:
             t_infl1=(K - 1.0 - root) * mu,
             t_infl2=(K - 1.0 + root) * mu,
         )
-    mean = _log_mean(K, ladder.c, tau)
     if K == 1:
         return DelayMeasures(mean=mean, t_max=0.0, t_infl1=0.0, t_infl2=0.0)
     t_max, t_infl1, t_infl2 = _numeric_delays(ladder)
@@ -218,23 +209,22 @@ def bandwidth_constant_table(n: float = 8.0) -> dict:
     return {"columns": BANDWIDTH_DB_LEVELS, "rows": rows}
 
 
+def _table_ladders(K: int) -> list[ScaleLadder]:
+    """The unit-scale ladders of a delay-table row: uniform, then each ratio."""
+    ladders = [build_ladder(Distribution.UNIFORM, 1.0, K)]
+    return ladders + [build_ladder(Distribution.LOGARITHMIC, 1.0, K, c) for c in LADDER_RATIOS]
+
+
 def delay_mean_table() -> dict:
     """Mean delays in units of sqrt(tau): uniform and logarithmic ladders."""
-    rows = []
-    for K in DELAY_K_RANGE:
-        cells = [math.sqrt(float(K))]
-        cells += [_log_mean(K, c, 1.0) for c in LADDER_RATIOS]
-        rows.append((f"K={K}", cells))
+    rows = [(f"K={K}", [lad.mu_sum for lad in _table_ladders(K)]) for K in DELAY_K_RANGE]
     return {"columns": ("uniform",) + LADDER_RATIO_LABELS, "rows": rows}
 
 
 def delay_max_table() -> dict:
     """Positions of the kernel maximum in units of sqrt(tau)."""
-    rows = []
-    for K in DELAY_K_RANGE:
-        cells = [(K - 1.0) / math.sqrt(float(K))]
-        for c in LADDER_RATIOS:
-            ladder = build_ladder(Distribution.LOGARITHMIC, 1.0, K, c)
-            cells.append(delay_measures(ladder).t_max)
-        rows.append((f"K={K}", cells))
+    rows = [
+        (f"K={K}", [delay_measures(lad).t_max for lad in _table_ladders(K)])
+        for K in DELAY_K_RANGE
+    ]
     return {"columns": ("uniform",) + LADDER_RATIO_LABELS, "rows": rows}

@@ -384,7 +384,8 @@ def cascade_sections(ladder: ScaleLadder, omega: float = 0.0) -> np.ndarray:
     (rad/sample) turns each pole into mu e^{i omega}/(1+mu): the cascade of
     a real x[n] is then e^{i omega n} times the cascade of x[n] e^{-i omega n},
     so a modulated signal is smoothed without forming the modulation. This
-    is the only place the stage coefficients are written.
+    is the only place the layers' stage coefficients are written
+    (``cascade_kernel_numeric`` writes its own exact-exponential stages).
     """
     if ladder.units != "samples":
         raise ValueError("recursive smoothing expects a ladder in sample units")

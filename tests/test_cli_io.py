@@ -9,6 +9,8 @@ import sys
 import numpy as np
 import pytest
 from conftest import sine
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from tonescale import cli_io
 from tonescale.cli_io import (
@@ -192,6 +194,52 @@ def test_grid_csv_complex_roundtrip(tmp_path, rng):
     write_grid_csv(path, nu, times, values)
     _, _, back = read_grid_csv(path)
     np.testing.assert_allclose(back, values, atol=0)
+
+
+def per_cell_format(value) -> str:
+    """The per-cell formatter write_grid_csv used before it formatted whole
+    columns, kept as the oracle for the file bytes."""
+    if np.iscomplexobj(np.asarray(value)) or isinstance(value, complex):
+        z = complex(value)
+        return f"{z.real:.6f}{z.imag:+.6f}j"
+    return f"{float(value):.6f}"
+
+
+# signed zeros, rounding halves at 6 decimals, the carry into a seventh
+# integer digit, a tiny magnitude and the non-finite values
+CSV_EDGE_CELLS = [0.0, -0.0, 5e-7, 2.5e-6, 123.4564995, 999999.9999995, 1e6, 1e-300]
+CSV_EDGE_CELLS += [-x for x in CSV_EDGE_CELLS[2:]] + [math.nan, math.inf, -math.inf]
+csv_cells = st.one_of(st.sampled_from(CSV_EDGE_CELLS), st.floats())
+
+
+@settings(
+    max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(
+    data=st.data(),
+    n_frames=st.integers(1, 6),
+    n_ch=st.integers(1, 4),
+    dtype=st.sampled_from([np.float64, np.float32, np.complex128, np.complex64]),
+)
+def test_grid_csv_bytes_match_the_per_cell_formatter(tmp_path, data, n_frames, n_ch, dtype):
+    shape = (n_frames, n_ch)
+    grid = st.lists(csv_cells, min_size=n_frames * n_ch, max_size=n_frames * n_ch)
+    values = np.zeros(shape, dtype=np.complex128)
+    values.real = np.reshape(data.draw(grid), shape)
+    if np.issubdtype(dtype, np.complexfloating):
+        values.imag = np.reshape(data.draw(grid), shape)
+    else:
+        values = values.real
+    with np.errstate(over="ignore"):
+        values = values.astype(dtype)
+    nu = np.linspace(60.0, 61.0, n_ch)
+    times = np.arange(n_frames) * 0.001
+    path = tmp_path / "grid.csv"
+    write_grid_csv(path, nu, times, values)
+    lines = ["nu\t" + "\t".join(f"{t:.6f}" for t in times)]
+    for ch in range(n_ch):
+        lines.append(f"{nu[ch]:.6f}\t" + "\t".join(map(per_cell_format, values[:, ch])))
+    assert path.read_text() == "\n".join(lines) + "\n"
 
 
 def test_grid_csv_validation(tmp_path):
@@ -494,11 +542,31 @@ def test_cli_spectrogram_is_deterministic(tone_wav, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("family", ["gauss", "rec-uni", "rec-log"])
-@pytest.mark.parametrize("dt", ["0", "-0.001"])
+@pytest.mark.parametrize("dt", ["0", "-0.001", "nan", "inf"])
 def test_cli_kernels_rejects_a_non_positive_dt(family, dt, tmp_path, capsys):
     out = tmp_path / "k.csv"
     assert cli_main(["kernels", "--family", family, "--dt", dt, "--out-csv", str(out)]) == 2
-    assert "error: dt must be positive" in capsys.readouterr().err
+    assert "error: --dt must be positive and finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("key", ["tau", "dt", "t_span", "nu_span", "dnu"])
+def test_cli_kernels_rejects_a_non_finite_extent(key, value, source, tmp_path, capsys):
+    out = tmp_path / "k.csv"
+    flag = "--" + key.replace("_", "-")
+    argv = ["kernels", "--out-csv", str(out)]
+    if key in ("t_span", "nu_span", "dnu"):
+        argv.append("--rf")
+    if source == "flag":
+        argv += [flag, value]
+    else:
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({key: float(value)}))
+        argv += ["--config", str(config)]
+    assert cli_main(argv) == 2
+    assert f"error: {flag} must be positive and finite, got {value}" in capsys.readouterr().err
     assert not out.exists()
 
 

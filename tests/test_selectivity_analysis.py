@@ -1,8 +1,12 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from tonescale.cli_io import cli_main
 from tonescale.selectivity_analysis import (
     BANDWIDTH_DB_LEVELS,
     bandwidth_constant,
@@ -21,6 +25,9 @@ from tonescale.temporal_scale_space import (
     build_ladder,
     cascade_kernel_numeric,
 )
+
+GOLDEN = Path(__file__).parent / "golden"
+TWO_PI_SQ = 4.0 * math.pi * math.pi
 
 
 def numeric_attenuation_db(ladder, C: float) -> float:
@@ -160,3 +167,65 @@ def test_window_family_validation():
         SpectrogramFamily(kind="rec-log", K=4, c=1.0)
     with pytest.raises(ValueError):
         selectivity_db(SpectrogramFamily(kind="gauss"), 1.0, n=-1.0)
+
+
+# The closed forms the cascade selectivity and delays were computed by
+# before both were read off the scale ladder, kept here as oracles.
+
+
+def closed_form_cascade_db(fam: SpectrogramFamily, C: float) -> float:
+    c2 = C * C
+    if fam.kind == "rec-uni":
+        return -10.0 * fam.K * math.log10(1.0 + TWO_PI_SQ * c2 / fam.K)
+    total = math.log10(1.0 + TWO_PI_SQ * fam.c ** (2.0 * (1.0 - fam.K)) * c2)
+    for k in range(2, fam.K + 1):
+        factor = fam.c ** (2.0 * (k - fam.K - 1.0)) * (fam.c * fam.c - 1.0)
+        total += math.log10(1.0 + TWO_PI_SQ * factor * c2)
+    return -10.0 * total
+
+
+def closed_form_log_mean(K: int, c: float, tau: float) -> float:
+    root = math.sqrt(c * c - 1.0)
+    num = c ** (-float(K)) * (c * c - (root + 1.0) * c + root * c ** float(K))
+    return num / (c - 1.0) * math.sqrt(tau)
+
+
+stage_counts = st.integers(1, 10)
+ratios = st.floats(1.0, 4.0, exclude_min=True)
+
+
+@settings(max_examples=200, deadline=None)
+@given(K=stage_counts, c=ratios, C=st.floats(0.0, 10.0))
+def test_cascade_selectivity_matches_the_closed_forms(K, c, C):
+    for fam in (SpectrogramFamily("rec-uni", K=K), SpectrogramFamily("rec-log", K=K, c=c)):
+        want = closed_form_cascade_db(fam, C)
+        assert selectivity_db_at_constant(fam, C) == pytest.approx(want, rel=1e-13)
+
+
+@settings(max_examples=200, deadline=None)
+@given(K=stage_counts, c=ratios)
+def test_delay_means_match_the_closed_forms(K, c):
+    # delay_measures takes a logarithmic ladder's mean from mu_sum; its
+    # numeric t_max would sample at mu_min / 20, which vanishes as c -> 1.
+    # The closed form cancels down to c - 1, so its own rounding error is
+    # about eps / (c - 1): the absolute term covers that, not the ladder.
+    log = build_ladder(Distribution.LOGARITHMIC, 1.0, K, c)
+    want = closed_form_log_mean(K, c, 1.0)
+    assert log.mu_sum == pytest.approx(want, rel=1e-14, abs=2e-15 / (c - 1.0))
+    uni = delay_measures(build_ladder(Distribution.UNIFORM, 1.0, K))
+    assert uni.mean == pytest.approx(math.sqrt(float(K)), rel=1e-14)
+    assert uni.t_max == pytest.approx((K - 1.0) / math.sqrt(float(K)), rel=1e-14, abs=0)
+
+
+def test_delay_tables_match_the_closed_forms():
+    for (label, means), (_, maxima) in zip(delay_mean_table()["rows"], delay_max_table()["rows"]):
+        K = int(label[2:])
+        assert means[0] == pytest.approx(math.sqrt(float(K)), rel=1e-14)
+        assert maxima[0] == pytest.approx((K - 1.0) / math.sqrt(float(K)), rel=1e-14)
+        for got, c in zip(means[1:], (math.sqrt(2.0), 2.0**0.75, 2.0)):
+            assert got == pytest.approx(closed_form_log_mean(K, c, 1.0), rel=1e-14)
+
+
+def test_analyze_stdout_matches_the_golden_tables(capsys):
+    assert cli_main(["analyze"]) == 0
+    assert capsys.readouterr().out == (GOLDEN / "analyze_stdout.txt").read_text()

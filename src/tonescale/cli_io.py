@@ -213,10 +213,14 @@ def write_grid_csv(
             f"{len(frame_times)} frames x {len(nu)} channels"
         )
     lines = ["nu\t" + "\t".join(f"{float(t):.6f}" for t in frame_times)]
-    cell = ("{0.real:.6f}{0.imag:+.6f}j" if np.iscomplexobj(values) else "{:.6f}").format
+    is_complex = np.iscomplexobj(values)
     for ch in range(len(nu)):
-        cells = "\t".join(map(cell, values[:, ch].tolist()))
-        lines.append(f"{float(nu[ch]):.6f}\t" + cells)
+        col = values[:, ch]
+        if is_complex:
+            cells = map("%.6f%+.6fj".__mod__, zip(col.real.tolist(), col.imag.tolist()))
+        else:
+            cells = map("%.6f".__mod__, col.tolist())
+        lines.append(f"{float(nu[ch]):.6f}\t" + "\t".join(cells))
     _write_text(path, lines)
 
 
@@ -495,7 +499,10 @@ def _layer1(cfg: dict, wav: str):
         )
     spec = compute_spectrogram(buf.samples, buf.rate, grid, family, hop=hop)
     if cfg["compensate_delay"]:
-        spec = delay_compensate(spec)
+        try:
+            spec = delay_compensate(spec)
+        except ValueError as exc:  # a ladder ratio too close to 1 for its delays
+            raise CliError(2, str(exc)) from exc
     return spec
 
 

@@ -30,8 +30,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.fft import irfft, next_fast_len, rfft
-from scipy.ndimage import correlate1d
 
 from tonescale.spectrogram import TFMap
 from tonescale.temporal_scale_space import (
@@ -173,6 +171,8 @@ def _gaussian_frames(values: np.ndarray, kernel: SampledKernel) -> np.ndarray:
     from its first frame, which is added back afterwards, so a constant lane
     stays exactly constant.
     """
+    from scipy.fft import irfft, next_fast_len, rfft
+
     n = values.shape[0]
     half = kernel.origin_index
     lanes = values.reshape(n, -1)
@@ -263,6 +263,8 @@ def _derivative_t(values: np.ndarray, order: int, dt: float) -> np.ndarray:
 def _derivative_nu(values: np.ndarray, order: int, dnu: float) -> np.ndarray:
     if order == 0:
         return values
+    from scipy.ndimage import correlate1d
+
     if order == 1:
         return correlate1d(values, [-0.5, 0.0, 0.5], axis=1, mode="reflect") / dnu
     if order == 2:

@@ -27,6 +27,9 @@ from tonescale.temporal_scale_space import (
 )
 
 TWO_PI_SQ = 4.0 * math.pi * math.pi
+# Largest numeric kernel a logarithmic ladder's delays may sample (32 MB);
+# the table ladders need about 28 000 samples.
+MAX_DELAY_SAMPLES = 2**22
 
 
 def _check_periods(n: float) -> None:
@@ -130,6 +133,12 @@ def _numeric_delays(ladder: ScaleLadder) -> tuple[float, float, float]:
     """t_max and both inflection points from the numeric impulse response."""
     tau = ladder.tau_max
     dt = min(math.sqrt(tau) / 2000.0, ladder.mu_min / 20.0)
+    n = math.floor(ladder.support / dt) + 1  # cascade_kernel_numeric's sample count
+    if n > MAX_DELAY_SAMPLES:
+        raise ValueError(
+            f"delays of the logarithmic ladder with c={ladder.c!r} need its kernel at "
+            f"{n} samples, more than {MAX_DELAY_SAMPLES}; use a larger c"
+        )
     kernel = cascade_kernel_numeric(ladder, dt)
     h = kernel.values
     t_max = _quadratic_refine(h, int(np.argmax(h)), dt)
@@ -156,8 +165,10 @@ def delay_measures(ladder: ScaleLadder) -> DelayMeasures:
 
     The mean is the sum of the stage time constants. Equal-stage ladders
     take t_max and the inflections from the Gamma kernel's closed forms;
-    logarithmic ladders locate them on the numeric impulse response. A
-    single stage has its maximum at 0 by convention.
+    logarithmic ladders locate them on the numeric impulse response, and
+    raise ValueError when c is so close to 1 that it would take more than
+    ``MAX_DELAY_SAMPLES`` samples. A single stage has its maximum at 0 by
+    convention.
     """
     if ladder.units != "seconds":
         raise ValueError("delay measures expect a continuous ladder")

@@ -19,7 +19,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.fft import fft, ifft, next_fast_len
 
 from tonescale.selectivity_analysis import delay_measures
 from tonescale.temporal_scale_space import (
@@ -322,6 +321,9 @@ def compute_spectrogram(
             rows = values[lo : lo + _DEMODULATE_FRAMES]
             rows *= np.exp(-1j * grid.omega * frame_times[lo : lo + _DEMODULATE_FRAMES, None])
     else:
+        # Imported here, before the pool starts: only the Gauss family needs SciPy.
+        from scipy.fft import fft, ifft, next_fast_len
+
         kernels = _gauss_kernels(tuple((grid.tau_window * sample_rate * sample_rate).tolist()))
         halves = [kernel.origin_index for kernel in kernels]
         warmup = np.array([-(-half // hop) for half in halves])

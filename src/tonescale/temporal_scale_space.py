@@ -32,8 +32,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.ndimage import correlate1d
-from scipy.special import ive
 
 
 class Distribution(Enum):
@@ -703,6 +701,13 @@ def temporal_profiles(
     return h, h1, h2
 
 
+def ive(v, z):
+    """scipy.special.ive, imported on first use so causal paths never load SciPy."""
+    from scipy.special import ive as scaled_bessel
+
+    return scaled_bessel(v, z)
+
+
 def discrete_gaussian_kernel(s_sampl: float, epsilon: float = 1e-6) -> SampledKernel:
     """Discrete analogue of the Gaussian: T(n; s) = e^{-s} I_n(s).
 
@@ -753,5 +758,7 @@ def discrete_gaussian_smooth(
     """Convolve along one axis with the discrete Gaussian, mirrored boundaries."""
     if s_sampl == 0:
         return np.asarray(x, dtype=float).copy()
+    from scipy.ndimage import correlate1d
+
     kernel = discrete_gaussian_kernel(s_sampl, epsilon)
     return correlate1d(np.asarray(x, dtype=float), kernel.values, axis=axis, mode="reflect")

@@ -44,17 +44,45 @@ def pcm_fmt(tag: int, channels: int, rate: int, bits: int) -> bytes:
 # WAV decoding
 
 
-def test_cli_import_leaves_scipy_signal_unloaded():
-    """Every CLI call pays for its imports; the cascades need no scipy.signal,
-    whose import pulls in scipy.stats, interpolate and optimize."""
+def _run_without_scipy(code: str) -> None:
+    """Run ``code`` in a fresh interpreter, then assert no SciPy module loaded."""
     src = os.path.dirname(os.path.dirname(cli_io.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    code = "import sys, tonescale.cli_io; assert 'scipy.signal' not in sys.modules"
+    check = (
+        "\nimport sys"
+        "\nloaded = sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))"
+        "\nassert not loaded, loaded[:5]"
+    )
     env = {**os.environ, "PYTHONPATH": path}
     run = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+        [sys.executable, "-c", code + check], env=env, capture_output=True, text=True, timeout=120
     )
     assert run.returncode == 0, run.stderr
+
+
+def test_cli_import_leaves_scipy_signal_unloaded():
+    """Every CLI call pays for its imports; importing any SciPy submodule
+    clones the numpy namespace (0.35-0.45 s), so the CLI loads none."""
+    _run_without_scipy("import tonescale.cli_io")
+
+
+def test_causal_commands_run_without_scipy(tmp_path):
+    """Only the Gauss family and layer 2 need SciPy: causal spectrograms,
+    analyze and kernels never import it."""
+    wav = tmp_path / "tone.wav"
+    write_wav(wav, sine(440.0, 0.1, 8000.0, amp=0.5), 8000.0)
+    o = str(tmp_path / "o")
+    commands = [
+        ["spectrogram", str(wav), "--db", "--out-csv", o + ".csv", "--out-pgm", o + ".pgm"],
+        ["spectrogram", str(wav), "--family", "rec-uni", "--out-csv", o + ".csv"],
+        ["spectrogram", str(wav), "--compensate-delay", "--out-csv", o + ".csv"],
+        ["analyze"],
+        ["kernels", "--out-csv", o + ".csv"],
+    ]
+    _run_without_scipy(
+        "from tonescale.cli_io import cli_main\n"
+        f"for argv in {commands!r}:\n    assert cli_main(argv) == 0, argv"
+    )
 
 
 def test_wav_pcm16_roundtrip(tmp_path):
@@ -370,6 +398,18 @@ def test_cli_refuses_delay_compensation_of_gauss_before_any_work(
     argv = [command[0], str(tone_wav), *command[1:], "--family", "gauss", "--compensate-delay"]
     assert cli_main(argv + ["--out-csv", str(out)]) == 2
     assert "error: delay compensation applies to causal families only" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_refuses_delays_of_a_ratio_too_close_to_1(tmp_path, capsys):
+    # Layer 1 accepts c = 1 + 1e-9 on these low channels, but the delay
+    # kernel would need 4.9M samples.
+    wav = tmp_path / "tone.wav"
+    write_wav(wav, sine(440.0, 0.1, 44100.0, amp=0.5), 44100.0)
+    out = tmp_path / "o.csv"
+    argv = ["spectrogram", str(wav), "--c", "1.000000001", "--nu-max", "80", "--compensate-delay"]
+    assert cli_main(argv + ["--out-csv", str(out)]) == 2
+    assert "c=1.000000001" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -130,6 +131,19 @@ def test_two_stage_peak_position_analytic():
     mu1, mu2 = sorted(lad.mus)
     expected = math.log(mu2 / mu1) * mu1 * mu2 / (mu2 - mu1)
     assert delay_measures(lad).t_max == pytest.approx(expected, abs=5e-4)
+
+
+def test_delay_measures_refuse_a_kernel_beyond_the_sample_bound():
+    # At c = 1 + 2**-52 the kernel would take 1e10 samples (77.8 GiB).
+    lad = build_ladder(Distribution.LOGARITHMIC, 1.0, 2, 1 + 2**-52)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=r"c=1\.0000000000000002 .*10439689239 samples"):
+            delay_measures(lad)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_delay_measures_scale_as_sqrt_tau():

@@ -437,6 +437,19 @@ def test_discrete_gaussian_kernel_mass_and_variance():
         assert (n * n * k.values).sum() == pytest.approx(s, rel=1e-8)
 
 
+def test_discrete_gaussian_kernel_calls_ive_through_the_module(monkeypatch):
+    # Tracing wraps temporal_scale_space.ive to count Bessel evaluations.
+    calls = []
+
+    def counting_ive(n, x):
+        calls.append(np.size(n))
+        return ive(n, x)
+
+    monkeypatch.setattr(temporal_scale_space, "ive", counting_ive)
+    discrete_gaussian_kernel(4.0)
+    assert calls
+
+
 def _truncated_gaussian(s, epsilon, n_max):
     """The kernel's truncation rule applied to taps 0..n_max at once."""
     taps = ive(np.arange(n_max + 1), s)

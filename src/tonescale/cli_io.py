@@ -334,11 +334,14 @@ OPTIONS: dict[str, tuple] = {
 }
 METAVARS = {"glissando_bank": "V1,V2,..."}
 # Extents refused unless finite and, as named, positive or non-negative;
-# None stands for a derived default and is not checked.
+# None stands for a derived default and is not checked. A (command, option)
+# key overrides the option's rule for that command: the features may leave
+# the channel axis unsmoothed, but a kernel image needs a spectral extent.
 EXTENTS = dict.fromkeys(
     ("hop_ms", "tau_a_ms", "tau_i_ms", "tau", "dt", "t_span", "nu_span", "dnu"), "positive"
 )
 EXTENTS.update(dict.fromkeys(("sigma_nu", "sigma_nu_i", "tau0_ms"), "non-negative"))
+EXTENTS[("kernels", "sigma_nu")] = "positive"
 LAYER1_OPTIONS = (
     "family",
     "K",
@@ -439,7 +442,7 @@ def _merge_settings(args: argparse.Namespace) -> dict:
             merged[key] = config[key]
         else:
             merged[key] = OPTIONS[key][1]
-        need, value = EXTENTS.get(key), merged[key]
+        need, value = EXTENTS.get((args.command, key), EXTENTS.get(key)), merged[key]
         if need is None or value is None:
             continue
         if not (0 < value < math.inf or value == 0 and need == "non-negative"):
@@ -686,8 +689,6 @@ def cmd_kernels(cfg: dict, wav: str | None) -> int:
 
     if cfg["rf"]:
         sigma_nu = cfg["sigma_nu"]
-        if sigma_nu <= 0:
-            raise CliError(2, f"sigma-nu must be positive, got {sigma_nu}")
         temporal = _family(cfg).temporal((cfg["tau_a_ms"] / 1000.0) ** 2)
         spec = RFSpec(
             temporal=temporal,

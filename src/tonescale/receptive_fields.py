@@ -35,6 +35,8 @@ from tonescale.spectrogram import TFMap
 from tonescale.temporal_scale_space import (
     SampledKernel,
     TemporalKernelSpec,
+    _fft_length,
+    _mirror_indices,
     discrete_gaussian_kernel,
     discrete_gaussian_smooth,
     discrete_recursive_smooth,
@@ -84,14 +86,6 @@ class RFSpec:
     def normalization(self) -> float:
         """The scale-normalisation factor tau_a^{alpha/2} s^{beta/2}."""
         return self.tau_a ** (self.alpha / 2.0) * self.s ** (self.beta / 2.0)
-
-
-def _mirror_indices(idx: np.ndarray, n: int) -> np.ndarray:
-    """Fold indices into [0, n) with edge-repeated mirror symmetry."""
-    if n == 1:
-        return np.zeros_like(idx)
-    m = np.mod(idx, 2 * n)
-    return np.where(m < n, m, 2 * n - 1 - m)
 
 
 def _warp_values(
@@ -162,25 +156,24 @@ _FFT_LANES = 32
 def _gaussian_frames(values: np.ndarray, kernel: SampledKernel) -> np.ndarray:
     """Correlate every lane with a symmetric discrete Gaussian along frames.
 
-    The result equals ``correlate1d(values, kernel.values, axis=0,
-    mode="reflect")`` to within rounding, a few 1e-15 of the largest
+    The result equals ``scipy.ndimage.correlate1d(values, kernel.values,
+    axis=0, mode="reflect")`` to within rounding, a few 1e-15 of the largest
     magnitude (a test bounds it by 1e-12). Each lane is mirror-padded by the
-    kernel's half-width h and correlated circularly by one real FFT of
-    length ``next_fast_len(n + 2h)``: the wrap-around lands only on padded
-    rows, which are discarded. The transform carries each lane's deviation
-    from its first frame, which is added back afterwards, so a constant lane
-    stays exactly constant.
+    kernel's half-width h and correlated circularly by one real FFT of the
+    5-smooth length ``_fft_length(n + 2h)``: the wrap-around lands only on
+    padded rows, which are discarded. numpy's FFT is the pocketfft that
+    ``scipy.fft`` runs, bitwise equal to it, without SciPy's import. The
+    transform carries each lane's deviation from its first frame, which is
+    added back afterwards, so a constant lane stays exactly constant.
     """
-    from scipy.fft import irfft, next_fast_len, rfft
-
     n = values.shape[0]
     half = kernel.origin_index
     lanes = values.reshape(n, -1)
-    size = next_fast_len(n + 2 * half, real=True)
+    size = _fft_length(n + 2 * half)
     taps = np.zeros(size)
     taps[: half + 1] = kernel.values[half:]
     taps[size - half :] = kernel.values[:half]
-    gain = rfft(taps).real  # a zero-phase kernel has a real transform
+    gain = np.fft.rfft(taps).real  # a zero-phase kernel has a real transform
     rows = _mirror_indices(np.arange(-half, n + half), n)
     out = np.empty_like(lanes)
     for lo in range(0, lanes.shape[1], _FFT_LANES):
@@ -188,10 +181,10 @@ def _gaussian_frames(values: np.ndarray, kernel: SampledKernel) -> np.ndarray:
         first = lanes[0, block]
         padded = lanes[rows, block]
         padded -= first
-        spectrum = rfft(padded, n=size, axis=0)
+        spectrum = np.fft.rfft(padded, n=size, axis=0)
         del padded
         spectrum *= gain[:, None]
-        smoothed = irfft(spectrum, n=size, axis=0, overwrite_x=True)
+        smoothed = np.fft.irfft(spectrum, n=size, axis=0)
         out[:, block] = smoothed[half : half + n] + first
     return out.reshape(values.shape)
 
@@ -230,9 +223,11 @@ def smooth(S: TFMap, temporal: TemporalKernelSpec, s: float) -> tuple[np.ndarray
     A cascade window runs as one block recursion over every lane (see
     ``discrete_recursive_smooth``), within 1e-12 of the map's largest
     magnitude of the stage-by-stage recursion. A Gaussian window is
-    correlated by FFT with mirrored boundaries, within 1e-12 of the map's
-    largest magnitude of the direct correlation. Either way a constant lane
-    stays exactly constant (see ``_gaussian_frames``).
+    correlated by numpy's FFT with mirrored boundaries, within 1e-12 of the
+    map's largest magnitude of the direct correlation. Either way a constant
+    lane stays exactly constant (see ``_gaussian_frames``). The channel
+    pass is ``discrete_gaussian_smooth``'s band products, within 1e-15 of
+    the largest magnitude of SciPy's correlate1d; no part loads SciPy.
     """
     if S.kind == "complex":
         raise ValueError("layer 2 needs a real-valued map; convert the spectrogram with to_db")
@@ -260,16 +255,42 @@ def _derivative_t(values: np.ndarray, order: int, dt: float) -> np.ndarray:
     raise ValueError(f"unsupported temporal derivative order {order}")
 
 
+# Cells per pass of the spectral differences: each pass's rows stay in
+# cache through its five elementwise steps.
+_DIFFERENCE_CELLS = 1 << 15
+
+
 def _derivative_nu(values: np.ndarray, order: int, dnu: float) -> np.ndarray:
+    """Central differences along channels, the edge channel repeated.
+
+    Bitwise ``scipy.ndimage.correlate1d`` with the stencil [-0.5, 0, 0.5]
+    or [1, -2, 1] in its "reflect" mode: correlate1d sums a symmetric or
+    antisymmetric stencil as mid * w0 + (left +/- right) * w, in that order.
+    The rows are taken a few at a time, so every step reads cached data.
+    """
     if order == 0:
         return values
-    from scipy.ndimage import correlate1d
-
-    if order == 1:
-        return correlate1d(values, [-0.5, 0.0, 0.5], axis=1, mode="reflect") / dnu
-    if order == 2:
-        return correlate1d(values, [1.0, -2.0, 1.0], axis=1, mode="reflect") / (dnu * dnu)
-    raise ValueError(f"unsupported spectral derivative order {order}")
+    if order not in (1, 2):
+        raise ValueError(f"unsupported spectral derivative order {order}")
+    out = np.empty(values.shape)
+    rows = max(1, _DIFFERENCE_CELLS // max(1, math.prod(values.shape[1:])))
+    pair = np.empty((rows,) + values.shape[1:])
+    for lo in range(0, values.shape[0], rows):
+        mid = values[lo : lo + rows]
+        side = pair[: mid.shape[0]]
+        side[:, 1:] = mid[:, :-1]  # the left neighbours
+        side[:, :1] = mid[:, :1]
+        if order == 1:
+            side[:, :-1] -= mid[:, 1:]  # minus the right neighbours
+            side[:, -1:] -= mid[:, -1:]
+            side *= -0.5
+        else:
+            side[:, :-1] += mid[:, 1:]
+            side[:, -1:] += mid[:, -1:]
+        np.multiply(mid, 0.0 if order == 1 else -2.0, out=out[lo : lo + rows])
+        out[lo : lo + rows] += side
+    out /= dnu if order == 1 else dnu * dnu
+    return out
 
 
 def differentiate(S: TFMap, smoothed: np.ndarray, spec: RFSpec) -> np.ndarray:

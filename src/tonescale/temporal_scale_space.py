@@ -13,7 +13,10 @@ cascade realisation (layer 2 runs it through ``discrete_recursive_smooth``
 over ``cascade_sections(ladder)``, the causal layer-1 windows over the
 sections with the carrier folded into the poles, ``cascade_kernel_numeric``
 over its exact-exponential stages), ``temporal_profiles`` the one kernel
-sampler and ``ScaleLadder.support`` the one support rule.
+sampler and ``ScaleLadder.support`` the one support rule. The discrete
+Gaussian takes its taps from one inverse FFT of its transfer function
+(``ive``) and is applied as small band products
+(``discrete_gaussian_smooth``), so neither needs SciPy.
 
 A cascade of first-order sections is time-recursive: its whole past is a
 state of K values (Lindeberg 2016, JMIV, "Time-causal and time-recursive
@@ -75,8 +78,23 @@ class ScaleLadder:
 
     @property
     def support(self) -> float:
-        """Length past which the cascade's impulse response is negligible."""
-        return self.mu_sum + 10.0 * math.sqrt(self.tau_max)
+        """Length past which the cascade's impulse response is negligible.
+
+        Ten standard deviations past the mean delay, or, if longer, 12.5
+        time constants of the slowest stage past the other stages' mean
+        delays. That stage's exponential tail e^{-t/mu} is the response's
+        tail, and once it carries nearly all of tau, 10 standard deviations
+        no longer cover it: a single stage, or a logarithmic ladder with c
+        near 1 (whose first stage tends to the whole kernel), would leave
+        e^-11 = 1.7e-5 of the mass. Either way at most about 5e-6 lies
+        beyond (6e-7 for the default ladder, 4.7e-6 for c = 2, 3.7e-6 as c
+        tends to 1). Ladders whose slowest stage carries at most (10/11.5)^2
+        of tau keep the first length: every uniform ladder of two or more
+        stages and every logarithmic one with 2 or more stages and
+        sqrt(2) <= c <= 2.
+        """
+        slowest = max(self.mus)
+        return self.mu_sum + max(10.0 * math.sqrt(self.tau_max), 11.5 * slowest)
 
 
 def build_ladder(
@@ -472,12 +490,13 @@ def _padded(count: int) -> int:
     return -(-count // _COLUMNS) * _COLUMNS
 
 
-def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b (stacked over leading axes) in calls of at most _GEMM_ROWS + 1
+def _matmul(a: np.ndarray, b: np.ndarray, rows: int = _GEMM_ROWS, out=None) -> np.ndarray:
+    """a @ b (stacked over leading axes) in calls of at most ``rows`` + 1
     rows (never one alone) and _BLOCK_SAMPLES of the inner dimension, so
     that each output row is rounded the same way whatever the row count."""
-    out = np.empty(a.shape[:-1] + b.shape[-1:], dtype=np.result_type(a, b))
-    bounds = list(range(0, a.shape[-2], _GEMM_ROWS)) + [a.shape[-2]]
+    if out is None:
+        out = np.empty(a.shape[:-1] + b.shape[-1:], dtype=np.result_type(a, b))
+    bounds = list(range(0, a.shape[-2], rows)) + [a.shape[-2]]
     if len(bounds) > 2 and bounds[-1] - bounds[-2] == 1:
         del bounds[-2]
     step = _BLOCK_SAMPLES
@@ -701,11 +720,58 @@ def temporal_profiles(
     return h, h1, h2
 
 
-def ive(v, z):
-    """scipy.special.ive, imported on first use so causal paths never load SciPy."""
-    from scipy.special import ive as scaled_bessel
+def _fft_length(n: int) -> int:
+    """The smallest 5-smooth length (2^a 3^b 5^c) of at least n: pocketfft's
+    fast real lengths, as ``scipy.fft.next_fast_len(n, real=True)``."""
+    best = 1 << max(0, (n - 1).bit_length())
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            best = min(best, p35 << (-(-n // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
 
-    return scaled_bessel(v, z)
+
+def _mirror_indices(idx: np.ndarray, n: int) -> np.ndarray:
+    """Fold indices into [0, n) with edge-repeated mirror symmetry."""
+    if n == 1:
+        return np.zeros_like(idx)
+    m = np.mod(idx, 2 * n)
+    return np.where(m < n, m, 2 * n - 1 - m)
+
+
+# ive's scales stop short of 2^30, where SciPy's ive turns NaN: there a
+# channel's taps would already number hundreds of thousands.
+_IVE_LIMIT = 2.0**30
+
+
+def ive(v, z):
+    """e^{-z} I_v(z) for integer orders v >= 0 and a scale 0 <= z < 2^30.
+
+    These are the taps T(v; z) of the discrete Gaussian, the inverse
+    transform of its transfer function e^{-z(1 - cos theta)} (Lindeberg
+    1990, PAMI, "Scale-space for discrete signals"). The trapezoid rule on
+    M points is one real inverse FFT, whose only error is aliasing,
+    sum_{m != 0} T(v + mM; z); with M >= 2 max(v) + 2 + 16 sqrt(z) + 32
+    every alias lies 16 standard deviations out, below e^{-128} of the
+    peak. The transform is taken of the transfer function minus 1, whose
+    inverse is the unit impulse added back at order 0, so small scales keep
+    their accuracy. Each tap is within a few 1e-16 of SciPy's
+    ``scipy.special.ive``, whose name and arguments this keeps.
+    """
+    orders = np.asarray(v)
+    if orders.dtype.kind not in "iu" or np.any(orders < 0):
+        raise ValueError("ive takes integer orders v >= 0")
+    if not 0 <= z < _IVE_LIMIT:
+        raise ValueError(f"z={z:g} is beyond the range of ive, 0 <= z < 2^30")
+    top = int(orders.max(initial=0))
+    m = _fft_length(2 * top + 2 + math.ceil(16.0 * math.sqrt(z)) + 32)
+    half = np.sin(np.pi / m * np.arange(m // 2 + 1))  # 1 - cos theta = 2 sin^2(theta / 2)
+    taps = np.fft.irfft(np.expm1(-2.0 * z * half * half), n=m)
+    taps[0] += 1.0
+    return taps[orders]
 
 
 def discrete_gaussian_kernel(s_sampl: float, epsilon: float = 1e-6) -> SampledKernel:
@@ -713,17 +779,21 @@ def discrete_gaussian_kernel(s_sampl: float, epsilon: float = 1e-6) -> SampledKe
 
     The infinite kernel is truncated at the smallest half-width N whose taps
     carry more than 1 - epsilon of the mass, then renormalized to sum to
-    exactly 1. Taps are computed with the exponentially scaled modified
-    Bessel function, which is stable for large s. The kernel's standard
-    deviation is sqrt(s), so the search starts at 6 sqrt(s) + 10 taps and
-    doubles only when a small epsilon needs more; the taps and N do not
-    depend on where it starts. An epsilon below the rounding error of the
-    tap sum is refused with ValueError once the taps underflow to 0, and so
-    is a scale at which ive has no finite value (s from about 2^30, e.g. a
-    channel below 10.8 Hz at 44.1 kHz with 8-period windows).
+    exactly 1. The taps come from ``ive``, one real inverse FFT of the
+    kernel's transfer function. The kernel's standard deviation is
+    sqrt(s), so the search starts at 6 sqrt(s) + 10 taps and doubles only
+    when a small epsilon needs more. The transform rounds each tap by about
+    2^-52 of the mass, so the search ends with ValueError once it passes
+    16 sqrt(s) + 64 taps, beyond which every true tap is below e^-96 of the
+    mass and the sum cannot grow, and an epsilon at or below 2^-52 is
+    refused outright. So is a scale beyond ``ive``'s range (s from 2^30,
+    e.g. a channel below 10.8 Hz at 44.1 kHz with 8-period windows).
     """
-    if not 0.0 < epsilon < 1.0:
-        raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
+    if not 2.0**-52 < epsilon < 1.0:
+        raise ValueError(
+            f"epsilon must lie in (2^-52, 1), got {epsilon:g}: the tap sum of the "
+            f"discrete Gaussian at s={s_sampl:g} rounds by 2^-52"
+        )
     if not 0 <= s_sampl < math.inf:
         raise ValueError(f"scale must be non-negative and finite, got {s_sampl}")
     if s_sampl == 0:
@@ -731,15 +801,11 @@ def discrete_gaussian_kernel(s_sampl: float, epsilon: float = 1e-6) -> SampledKe
     n_guess = max(4, int(math.ceil(6.0 * math.sqrt(s_sampl) + 10.0)))
     while True:
         taps = ive(np.arange(n_guess + 1), s_sampl)
-        if not np.isfinite(taps[0]):
-            # ive is NaN from s of about 2^30 on; the search would double forever.
-            raise ValueError(f"discrete Gaussian at s={s_sampl:g} is beyond the range of ive")
         total = taps[0] + 2.0 * np.cumsum(taps[1:])
         hit = np.nonzero(total > 1.0 - epsilon)[0]
         if hit.size:
             break
-        if taps[-1] == 0.0:
-            # Taps fall with n, so every later tap is 0 too and the sum is final.
+        if n_guess > 16.0 * math.sqrt(s_sampl) + 64.0:
             raise ValueError(
                 f"discrete Gaussian at s={s_sampl:g} never carries 1 - epsilon of its mass "
                 f"for epsilon={epsilon:g}: the tap sum's rounding error is larger"
@@ -752,13 +818,64 @@ def discrete_gaussian_kernel(s_sampl: float, epsilon: float = 1e-6) -> SampledKe
     return SampledKernel(values=values, origin_index=n_half, dt=1.0)
 
 
+# Outputs per product of the discrete-Gaussian smoothing: one band of the
+# kernel's Toeplitz matrix serves every block of them.
+_BAND_OUTPUTS = 32
+# Multiply-adds up to which OpenBLAS runs a product on the calling thread.
+_SERIAL_PRODUCT = 4 * 65536
+
+
 def discrete_gaussian_smooth(
     x: np.ndarray, s_sampl: float, axis: int = -1, epsilon: float = 1e-6
 ) -> np.ndarray:
-    """Convolve along one axis with the discrete Gaussian, mirrored boundaries."""
-    if s_sampl == 0:
-        return np.asarray(x, dtype=float).copy()
-    from scipy.ndimage import correlate1d
+    """Correlate along one axis with the discrete Gaussian, mirrored boundaries.
 
+    Equal, to within rounding, to ``scipy.ndimage.correlate1d(x,
+    discrete_gaussian_kernel(s_sampl, epsilon).values, axis, mode="reflect")``:
+    within 1e-15 of the largest magnitude on maps, and 2e-15 where hundreds
+    of taps fold onto a short axis (tests bound both). Every other axis
+    holds independent lanes. Each lane is mirror-padded by the
+    kernel's half-width h, and each block of _BAND_OUTPUTS outputs is one
+    product of the lanes' (32 + 2h)-sample window with one shared band of
+    the kernel's Toeplitz matrix. The products keep ``_matmul``'s rules and
+    stay small enough to run on the calling thread, so a lane comes out
+    bitwise the same whatever lanes are smoothed with it.
+    """
+    x = np.asarray(x, dtype=float)
+    if s_sampl == 0:
+        return x.copy()
     kernel = discrete_gaussian_kernel(s_sampl, epsilon)
-    return correlate1d(np.asarray(x, dtype=float), kernel.values, axis=axis, mode="reflect")
+    h = kernel.origin_index
+    width = _BAND_OUTPUTS + 2 * h
+    band = np.zeros((width, _BAND_OUTPUTS))
+    for j in range(_BAND_OUTPUTS):
+        band[j : j + 2 * h + 1, j] = kernel.values
+    out = np.empty_like(x)
+    lanes, result = np.moveaxis(x, axis, -1), np.moveaxis(out, axis, -1)
+    if out.size == 0:
+        return out
+    if lanes.ndim == 1:
+        lanes, result = lanes[None], result[None]
+    n = lanes.shape[-1]
+    blocks = -(-n // _BAND_OUTPUTS)
+    # The last block's outputs past n read further mirror images; they are dropped.
+    columns = _mirror_indices(np.arange(-h, blocks * _BAND_OUTPUTS + h), n)
+    rows = max(1, _SERIAL_PRODUCT // (_BAND_OUTPUTS * min(width, _BLOCK_SAMPLES)) - 1)
+    step = max(1, rows // math.prod(lanes.shape[1:-1]))  # indices of the first axis per pass
+    for lo in range(0, lanes.shape[0], step):
+        part = np.take(lanes[lo : lo + step], columns, axis=-1).reshape(-1, columns.size)
+        if part.shape[0] == 1:
+            part = np.concatenate([part, np.zeros_like(part)])
+        # (blocks, rows, width) windows, every block's outputs one stacked product
+        windows = np.lib.stride_tricks.as_strided(
+            part,
+            (blocks, part.shape[0], width),
+            (_BAND_OUTPUTS * part.strides[1],) + part.strides,
+            writeable=False,
+        )
+        smoothed = np.empty((part.shape[0], blocks, _BAND_OUTPUTS))
+        _matmul(windows, band, rows, out=smoothed.transpose(1, 0, 2))
+        target = result[lo : lo + step]
+        kept = smoothed.reshape(part.shape[0], -1)[: target.size // n, :n]
+        target[...] = kept.reshape(target.shape)
+    return out

@@ -67,8 +67,9 @@ def test_cli_import_leaves_scipy_signal_unloaded():
 
 
 def test_causal_commands_run_without_scipy(tmp_path):
-    """Only the Gauss family and layer 2 need SciPy: causal spectrograms,
-    analyze and kernels never import it."""
+    """Only the Gauss layer-1 family needs SciPy: causal spectrograms, every
+    layer-2 feature, analyze and kernels (Gauss impulse responses too) never
+    import it."""
     wav = tmp_path / "tone.wav"
     write_wav(wav, sine(440.0, 0.1, 8000.0, amp=0.5), 8000.0)
     o = str(tmp_path / "o")
@@ -76,8 +77,14 @@ def test_causal_commands_run_without_scipy(tmp_path):
         ["spectrogram", str(wav), "--db", "--out-csv", o + ".csv", "--out-pgm", o + ".pgm"],
         ["spectrogram", str(wav), "--family", "rec-uni", "--out-csv", o + ".csv"],
         ["spectrogram", str(wav), "--compensate-delay", "--out-csv", o + ".csv"],
+        ["features", str(wav), "--onsets", "--out-csv", o + ".csv"],
+        ["features", str(wav), "--glissando-bank=-12,0,12", "--out-csv", o + ".csv"],
+        ["features", str(wav), "--second-moment", "--out-csv", o + ".csv"],
+        ["features", str(wav), "--partials", "--out-json", o + ".json"],
         ["analyze"],
         ["kernels", "--out-csv", o + ".csv"],
+        ["kernels", "--family", "gauss", "--out-csv", o + ".csv"],
+        ["kernels", "--rf", "--beta", "2", "--out-csv", o + ".csv"],
     ]
     _run_without_scipy(
         "from tonescale.cli_io import cli_main\n"
@@ -193,6 +200,61 @@ def test_wav_missing_data_chunk(tmp_path):
     path.write_bytes(raw)
     with pytest.raises(ValueError, match="missing data chunk"):
         read_wav(path)
+
+
+def _fuzz_bases() -> list[bytes]:
+    """Valid files of every supported layout, a few frames each."""
+    pcm16 = struct.pack("<6h", 0, 1000, -1000, 32767, -32768, 5)
+    float32 = struct.pack("<4f", 0.25, -0.5, 1.5, 0.0)
+    extensible = struct.pack("<HHIIHHH", 0xFFFE, 2, 8000, 48000, 6, 24, 22)
+    extensible += struct.pack("<HIH", 24, 3, 1) + bytes(14)
+    return [
+        make_wav(pcm_fmt(1, 1, 8000, 16), pcm16),
+        make_wav(pcm_fmt(1, 2, 44100, 16), pcm16, tail=b"LIST" + struct.pack("<I", 3) + b"abc\x00"),
+        make_wav(pcm_fmt(3, 1, 8000, 32), float32),
+        make_wav(pcm_fmt(1, 1, 8000, 32), float32),
+        make_wav(extensible, bytes(range(12))),
+        make_wav(pcm_fmt(1, 3, 8000, 24), bytes(range(18))),
+    ]
+
+
+FUZZ_BASES = _fuzz_bases()
+_edits = st.one_of(
+    st.tuples(st.just("set"), st.integers(0, 80), st.binary(min_size=1, max_size=6)),
+    st.tuples(st.just("cut"), st.integers(0, 80), st.just(b"")),
+    st.tuples(st.just("extend"), st.integers(0, 0), st.binary(min_size=1, max_size=24)),
+    st.tuples(st.just("insert"), st.integers(0, 80), st.binary(min_size=1, max_size=8)),
+)
+
+
+@settings(
+    max_examples=400, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(base=st.integers(0, len(FUZZ_BASES) - 1), edits=st.lists(_edits, min_size=1, max_size=5))
+def test_read_wav_returns_audio_or_value_error_on_mutated_bytes(base, edits, tmp_path):
+    """Header bytes overwritten (sizes, tags, channel counts, rates, bit
+    depths), the file truncated, extended or given inserted bytes: the
+    reader decodes it or names the fault, never failing inside struct or
+    numpy."""
+    raw = bytearray(FUZZ_BASES[base])
+    for kind, at, blob in edits:
+        if kind == "set":
+            raw[at : at + len(blob)] = blob
+        elif kind == "cut":
+            del raw[at:]
+        elif kind == "extend":
+            raw += blob
+        else:
+            raw[at:at] = blob
+    path = tmp_path / "fuzz.wav"
+    path.write_bytes(bytes(raw))
+    try:
+        buf = read_wav(path)
+    except ValueError:
+        return
+    assert buf.rate > 0
+    assert buf.samples.ndim == 1 and buf.samples.dtype == np.float64
+    assert np.all(np.abs(buf.samples) <= 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -401,6 +463,18 @@ def test_cli_refuses_delay_compensation_of_gauss_before_any_work(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("c", ["1.0000001", "1.00001"])
+def test_cli_compensates_delays_of_a_ratio_close_to_1(c, tmp_path):
+    """The delay kernel's support covers its first stage's exponential tail,
+    which carries nearly all of tau as c tends to 1."""
+    wav = tmp_path / "tone.wav"
+    write_wav(wav, sine(440.0, 0.1, 8000.0, amp=0.5), 8000.0)
+    out = tmp_path / "o.csv"
+    argv = ["spectrogram", str(wav), "--c", c, "--compensate-delay", "--out-csv", str(out)]
+    assert cli_main(argv) == 0
+    assert out.exists()
+
+
 def test_cli_refuses_delays_of_a_ratio_too_close_to_1(tmp_path, capsys):
     # Layer 1 accepts c = 1 + 1e-9 on these low channels, but the delay
     # kernel would need 4.9M samples.
@@ -588,6 +662,38 @@ def test_cli_kernels_rejects_a_non_positive_dt(family, dt, tmp_path, capsys):
     assert cli_main(["kernels", "--family", family, "--dt", dt, "--out-csv", str(out)]) == 2
     assert "error: --dt must be positive and finite" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("rf", [True, False])
+def test_cli_kernels_needs_a_positive_sigma_nu(rf, source, tmp_path, capsys):
+    """One rule through EXTENTS: the kernel image needs a spectral extent,
+    while the features accept 0 (no spectral smoothing)."""
+    out = tmp_path / "k.csv"
+    argv = ["kernels", "--out-csv", str(out)] + (["--rf"] if rf else [])
+    if source == "flag":
+        argv += ["--sigma-nu", "0"]
+    else:
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"sigma_nu": 0.0}))
+        argv += ["--config", str(config)]
+    assert cli_main(argv) == 2
+    assert "error: --sigma-nu must be positive and finite, got 0.0" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_cli_features_accept_a_sigma_nu_of_0(source, tone_wav, tmp_path):
+    out = tmp_path / "o.csv"
+    argv = ["features", str(tone_wav), "--onsets", "--out-csv", str(out)]
+    if source == "flag":
+        argv += ["--sigma-nu", "0"]
+    else:
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"sigma_nu": 0.0}))
+        argv += ["--config", str(config)]
+    assert cli_main(argv) == 0
+    assert out.exists()
 
 
 @pytest.mark.parametrize("source", ["flag", "config"])

@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.fft
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.ndimage import correlate1d
@@ -10,6 +11,7 @@ from scipy.ndimage import correlate1d
 from tonescale.features import glissando_filterbank
 from tonescale.receptive_fields import (
     RFSpec,
+    _derivative_nu,
     _gaussian_frames,
     _mirror_indices,
     _warp_values,
@@ -325,6 +327,42 @@ def test_gaussian_smooth_is_the_direct_reflect_correlation(
         assert warm == kernel.origin_index
     assert got.shape == values.shape
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(values))
+
+
+@pytest.mark.parametrize("n_frames", [1, 2, 57, 1003])
+@pytest.mark.parametrize("lanes", [(1,), (368,), (40, 3)])
+def test_gaussian_frames_is_bitwise_scipys_fft(n_frames, lanes, monkeypatch, rng):
+    """numpy.fft and scipy.fft both run pocketfft: the temporal pass is
+    bitwise the same when SciPy's transforms stand in for numpy's."""
+    values = rng.normal(-40.0, 20.0, size=(n_frames, *lanes))
+    kernel = discrete_gaussian_kernel(150.0)
+    got = _gaussian_frames(values, kernel)
+    monkeypatch.setattr(np.fft, "rfft", scipy.fft.rfft)
+    monkeypatch.setattr(np.fft, "irfft", scipy.fft.irfft)
+    assert np.array_equal(_gaussian_frames(values, kernel), got)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n_frames=st.integers(1, 20),
+    n_ch=st.integers(1, 40),
+    order=st.sampled_from([1, 2]),
+    dnu=st.sampled_from([0.25, 0.1, 1.0 / 3.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_spectral_differences_are_bitwise_correlate1d(n_frames, n_ch, order, dnu, seed):
+    """Signed zeros, infinities and NaN included."""
+    rng = np.random.default_rng(seed)
+    values = rng.normal(0.0, 30.0, size=(n_frames, n_ch))
+    specials = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 5.0])
+    mask = rng.random(values.shape) < 0.2
+    values[mask] = rng.choice(specials, size=int(mask.sum()))
+    stencil = [-0.5, 0.0, 0.5] if order == 1 else [1.0, -2.0, 1.0]
+    with np.errstate(invalid="ignore"):
+        want = correlate1d(values, stencil, axis=1, mode="reflect")
+        want /= dnu if order == 1 else dnu * dnu
+        got = _derivative_nu(values, order, dnu)
+    assert got.tobytes() == want.tobytes()
 
 
 def test_gaussian_smooth_keeps_constant_lanes_exactly(rng):

@@ -134,16 +134,39 @@ def test_two_stage_peak_position_analytic():
 
 
 def test_delay_measures_refuse_a_kernel_beyond_the_sample_bound():
-    # At c = 1 + 2**-52 the kernel would take 1e10 samples (77.8 GiB).
+    # At c = 1 + 2**-52 the kernel would take 1.2e10 samples (88 GiB): its
+    # support covers the first stage's exponential tail (12.5 sqrt(tau)).
     lad = build_ladder(Distribution.LOGARITHMIC, 1.0, 2, 1 + 2**-52)
     tracemalloc.start()
     try:
-        with pytest.raises(ValueError, match=r"c=1\.0000000000000002 .*10439689239 samples"):
+        with pytest.raises(ValueError, match=r"c=1\.0000000000000002 .*11863283224 samples"):
             delay_measures(lad)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("c", [1.0 + 1e-7, 1.0 + 1e-5])
+def test_delay_measures_cover_the_first_stage_tail_as_c_tends_to_1(c):
+    """The first stage carries nearly all of tau, so the kernel tends to
+    one exponential of time constant sqrt(tau); 10 sqrt(tau) past the mean
+    left e^-11 of its mass and c = 1 + 1e-7 was refused."""
+    lad = build_ladder(Distribution.LOGARITHMIC, 1.0, 7, c)
+    assert lad.support >= lad.mu_sum - lad.mus[0] + 12.5 * lad.mus[0]
+    d = delay_measures(lad)
+    assert d.mean == lad.mu_sum
+    assert 0.0 < d.t_infl1 < d.t_max < d.t_infl2 < 0.2
+
+
+def test_support_is_ten_deviations_past_the_mean_for_the_table_ladders():
+    """The delay tables and every default output keep their support."""
+    for K in range(2, 12):
+        ladders = [build_ladder(Distribution.UNIFORM, 1.0, K)] + [
+            build_ladder(Distribution.LOGARITHMIC, 1.0, K, c) for c in (2.0**0.5, 2.0**0.75, 2.0)
+        ]
+        for lad in ladders:
+            assert lad.support == lad.mu_sum + 10.0 * math.sqrt(lad.tau_max)
 
 
 def test_delay_measures_scale_as_sqrt_tau():

@@ -8,11 +8,12 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.special
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.signal import fftconvolve, sosfilt
 
-from tonescale import spectrogram
+from tonescale import spectrogram, temporal_scale_space
 from tonescale.spectrogram import (
     FrequencyGrid,
     SpectrogramFamily,
@@ -413,6 +414,29 @@ def test_gauss_kernel_memo_is_read_only_and_bounded():
             with pytest.raises(ValueError, match="read-only"):
                 kernel.values[0] = 0.0
     assert spectrogram._gauss_kernels.cache_info().currsize == kept
+
+
+@pytest.mark.parametrize(
+    "grid",
+    [
+        build_frequency_grid(midi_from_frequency(80.0), midi_from_frequency(16000.0), 48),
+        build_frequency_grid(midi_from_frequency(200.0), midi_from_frequency(16000.0), 12),
+    ],
+    ids=["default-grid", "77-channels"],
+)
+def test_gauss_map_from_transform_taps_matches_scipy_taps(grid, monkeypatch, rng):
+    """The discrete-Gaussian taps by inverse FFT against SciPy's ive: maps
+    within 1e-15 of the signal peak, with the same warm-up."""
+    x = rng.normal(size=2205)
+    fam = SpectrogramFamily(kind="gauss")
+    spectrogram._gauss_kernels.cache_clear()
+    got = compute_spectrogram(x, 44100.0, grid, fam)
+    monkeypatch.setattr(temporal_scale_space, "ive", scipy.special.ive)
+    spectrogram._gauss_kernels.cache_clear()
+    want = compute_spectrogram(x, 44100.0, grid, fam)
+    spectrogram._gauss_kernels.cache_clear()
+    assert np.array_equal(got.warmup_frames, want.warmup_frames)
+    assert np.max(np.abs(got.values - want.values)) <= 1e-15 * np.max(np.abs(x))
 
 
 def test_discrete_gaussian_kernel_returns_a_fresh_writable_array():

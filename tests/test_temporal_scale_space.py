@@ -1,10 +1,13 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.fft import next_fast_len
 from scipy.integrate import quad
+from scipy.ndimage import correlate1d
 from scipy.signal import lfilter, sosfilt
 from scipy.special import ive
 from scipy.stats import gamma as gamma_dist
@@ -487,15 +490,93 @@ def test_discrete_gaussian_tap_search_is_sized_by_sqrt_s(monkeypatch):
 
 
 def test_discrete_gaussian_refuses_an_epsilon_below_rounding():
-    # The tap sum peaks at 1 - 1.7e-15 for s = 123.4, so 1 - 1e-15 is never
-    # reached; the search must stop once the taps underflow to 0.
-    with pytest.raises(ValueError, match=r"s=123\.4 .*epsilon=1e-15"):
-        discrete_gaussian_kernel(123.4, epsilon=1e-15)
+    # The tap sum rounds by about 2^-52, so 1 - 1e-17 (which is 1.0) can only
+    # be passed by rounding; the refusal allocates nothing map-sized.
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=r"1e-17.*s=123\.4"):
+            discrete_gaussian_kernel(123.4, epsilon=1e-17)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("s", [1e-3, 123.4, 1626.5, 2e4])
+def test_discrete_gaussian_search_ends_past_the_kernels_reach(s, monkeypatch):
+    # Taps that never sum past 1 - epsilon (each short by 1e-9): the search
+    # stops at its first length past 16 sqrt(s) + 64 taps.
+    transform_ive = temporal_scale_space.ive
+    orders = []
+
+    def short_ive(n, x):
+        orders.append(np.size(n))
+        return transform_ive(n, x) * (1.0 - 1e-9)
+
+    monkeypatch.setattr(temporal_scale_space, "ive", short_ive)
+    with pytest.raises(ValueError, match="never carries 1 - epsilon"):
+        discrete_gaussian_kernel(s, epsilon=1e-10)
+    assert max(orders) <= 2 * (16.0 * math.sqrt(s) + 64.0) + 1
+
+
+def test_discrete_gaussian_keeps_an_epsilon_of_1e_15():
+    # SciPy's taps at s = 123.4 summed to 1 - 1.7e-15 and were refused;
+    # the transform's sum to 1 - 2.2e-16.
+    kernel = discrete_gaussian_kernel(123.4, epsilon=1e-15)
+    assert 85 <= kernel.origin_index <= 95
+    assert kernel.mass == pytest.approx(1.0, abs=1e-15)
+    assert np.all(kernel.values > 0.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    log_z=st.floats(-3.0, 9.0),
+    extra=st.integers(0, 3000),
+)
+def test_ive_matches_scipy(log_z, extra):
+    """Orders 0 to past the kernel search's first guess, and a few far out.
+    SciPy's own rounding reaches 3.3e-16 of the 40-digit value (at z near
+    0.045 and 0.336), so the bound is 2^-51."""
+    z = 10.0**log_z
+    orders = np.concatenate([np.arange(int(6.0 * math.sqrt(z) + 12)), [extra]])
+    got = temporal_scale_space.ive(orders, z)
+    assert np.max(np.abs(got - ive(orders, z))) <= 2.0**-51
+
+
+def test_ive_refuses_orders_and_scales_outside_its_domain():
+    with pytest.raises(ValueError, match="integer orders"):
+        temporal_scale_space.ive(np.array([0.5]), 1.0)
+    with pytest.raises(ValueError, match="integer orders"):
+        temporal_scale_space.ive(np.array([-1]), 1.0)
+    for z in (-1.0, math.nan, 2.0**30):
+        with pytest.raises(ValueError, match="beyond the range of ive"):
+            temporal_scale_space.ive(np.arange(3), z)
+    assert temporal_scale_space.ive(np.arange(3), 0.0).tolist() == [1.0, 0.0, 0.0]
+
+
+@settings(max_examples=150, deadline=None)
+@given(log_s=st.floats(-3.0, math.log10(2e7)))
+def test_discrete_gaussian_kernel_matches_scipy_taps(log_s):
+    """The same half-width N for epsilon 1e-3, 1e-6 and 1e-9 as with SciPy's
+    taps, and normalised taps within 2^-51."""
+    s = 10.0**log_s
+    for epsilon in (1e-3, 1e-6, 1e-9):
+        got = discrete_gaussian_kernel(s, epsilon)
+        want, n_half = _truncated_gaussian(s, epsilon, int(8.0 * math.sqrt(s) + 20.0))
+        assert got.origin_index == n_half
+        assert np.max(np.abs(got.values - want)) <= 2.0**-51
+
+
+def test_fft_length_is_scipys_fast_real_length():
+    assert [temporal_scale_space._fft_length(n) for n in range(1, 60000)] == [
+        next_fast_len(n, real=True) for n in range(1, 60000)
+    ]
 
 
 def test_discrete_gaussian_refuses_a_scale_beyond_ive():
-    # A 10 Hz channel with 8-period windows at 44.1 kHz: ive is NaN there,
-    # and the tap search used to double until memory ran out.
+    # A 10 Hz channel with 8-period windows at 44.1 kHz: SciPy's ive is NaN
+    # there, ive refuses it, and the tap search once doubled until memory ran
+    # out.
     s = (0.8 * 44100.0) ** 2
     assert s > 2.0**30
     with pytest.raises(ValueError, match="beyond the range of ive"):
@@ -513,6 +594,48 @@ def test_discrete_gaussian_semigroup():
     )
     joint = discrete_gaussian_smooth(x, s1 + s2, epsilon=1e-12)
     assert np.max(np.abs(once - joint)) < 1e-8
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    shape=st.sampled_from([(1,), (7,), (40,), (3, 1), (5, 33), (2, 70, 3), (9, 4, 2), (1, 300)]),
+    axis_pick=st.integers(0, 2),
+    log_s=st.floats(-2.0, 4.5),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_discrete_gaussian_smooth_is_the_reflect_correlation(shape, axis_pick, log_s, seed):
+    """Any axis of 1-3-D arrays, kernels from one to several hundred taps
+    on each side, so often longer than the axis. Where the axis is shorter
+    than the kernel, hundreds of taps read the same few mirrored values, and
+    the two summation orders differ by up to 1.5e-15 of the largest
+    magnitude (1e-15 on maps, below)."""
+    axis = axis_pick % len(shape)
+    s = 10.0**log_s
+    x = np.random.default_rng(seed).normal(-40.0, 20.0, size=shape)
+    got = discrete_gaussian_smooth(x, s, axis=axis)
+    want = correlate1d(x, discrete_gaussian_kernel(s).values, axis=axis, mode="reflect")
+    assert got.shape == x.shape
+    assert np.max(np.abs(got - want)) <= 2e-15 * np.max(np.abs(x))
+
+
+@pytest.mark.parametrize("s", [4.0, 64.0, 2500.0])
+def test_discrete_gaussian_smooth_rows_do_not_depend_on_their_neighbours(s, rng):
+    """A frame alone, or a map of any number of frames, or a stack of maps,
+    smooths each row bitwise the same way, within 1e-15 of the map's
+    largest magnitude of SciPy's correlate1d along either axis."""
+    x = rng.normal(-40.0, 20.0, size=(503, 368))
+    kernel = discrete_gaussian_kernel(s).values
+    for axis in (0, 1):
+        want = correlate1d(x, kernel, axis=axis, mode="reflect")
+        got = discrete_gaussian_smooth(x, s, axis=axis)
+        assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(x))
+    full = discrete_gaussian_smooth(x, s, axis=1)
+    for i in (0, 1, 250, 502):
+        assert np.array_equal(discrete_gaussian_smooth(x[i], s), full[i])
+        assert np.array_equal(discrete_gaussian_smooth(x[i : i + 3], s, axis=1), full[i : i + 3])
+    stack = discrete_gaussian_smooth(np.stack([x, x[::-1]], axis=-1), s, axis=1)
+    assert np.array_equal(stack[..., 0], full)
+    assert np.array_equal(stack[..., 1], full[::-1])
 
 
 def test_discrete_gaussian_smooth_axis_and_identity(rng):

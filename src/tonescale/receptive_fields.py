@@ -267,6 +267,12 @@ def _derivative_nu(values: np.ndarray, order: int, dnu: float) -> np.ndarray:
     or [1, -2, 1] in its "reflect" mode: correlate1d sums a symmetric or
     antisymmetric stencil as mid * w0 + (left +/- right) * w, in that order.
     The rows are taken a few at a time, so every step reads cached data.
+
+    A NaN result may differ from correlate1d's in its sign bit. IEEE 754
+    leaves that sign unspecified, and numpy sets it by position: adding -NaN
+    to +NaN keeps the first operand's sign in the vectorised body of a loop
+    and the second's in its scalar tail, so no operand order matches
+    correlate1d's scalar loop at every cell.
     """
     if order == 0:
         return values

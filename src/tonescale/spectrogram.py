@@ -61,6 +61,10 @@ class WindowScaleLaw:
     p: float = 2.0
 
     def __post_init__(self) -> None:
+        fields = (("n", self.n), ("tau0", self.tau0), ("tau_inf", self.tau_inf), ("p", self.p))
+        for name, value in fields:
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.n <= 0:
             raise ValueError(f"n must be positive, got {self.n}")
         if self.tau0 < 0:
@@ -77,7 +81,11 @@ def window_scale(omega: float, law: WindowScaleLaw) -> float:
         raise ValueError(f"omega must be positive, got {omega}")
     tau = law.tau0 + (2.0 * math.pi * law.n / omega) ** 2
     if law.tau_inf is not None:
-        tau = tau / (1.0 + (tau / law.tau_inf) ** law.p) ** (1.0 / law.p)
+        ratio = tau / law.tau_inf
+        if ratio <= 1.0:
+            tau = tau / (1.0 + ratio**law.p) ** (1.0 / law.p)
+        else:  # the same soft minimum, written so that ratio^p cannot overflow
+            tau = law.tau_inf / (1.0 + ratio ** -law.p) ** (1.0 / law.p)
     return tau
 
 
@@ -120,7 +128,14 @@ def build_frequency_grid(
     count = int(math.ceil((nu_max - nu_min) / step)) + 1
     nu = nu_min + step * np.arange(count)
     omega = OMEGA_REF * 2.0 ** ((nu - NU_REF) / 12.0)
-    tau = np.array([window_scale(w, law) for w in omega])
+    with np.errstate(over="ignore"):
+        tau = np.array([window_scale(w, law) for w in omega])
+    bad = ~(np.isfinite(tau) & (tau > 0))
+    if bad.any():
+        raise ValueError(
+            f"the window law gives a variance of {float(tau[bad][0])} s^2 at "
+            f"nu={nu[bad][0]:.2f}; it must be positive and finite"
+        )
     return FrequencyGrid(
         nu=nu,
         omega=omega,
@@ -175,6 +190,9 @@ MIN_STAGE_MU_SAMPLES = 1e-6
 # Frames demodulated at a time on the causal path, so its temporaries do
 # not grow with the signal.
 _DEMODULATE_FRAMES = 256
+# Spectrum cells a Gauss channel multiplies at a time while folding onto the
+# frame bins, so its products stay far below one signal-length array.
+_FOLD_CELLS = 16384
 
 
 def _worker_count(tasks: int) -> int:
@@ -222,17 +240,37 @@ def _gauss_kernels(scales: tuple[float, ...]) -> tuple[SampledKernel, ...]:
     return kernels
 
 
-def _modulated_taps(kernel: SampledKernel, w: float) -> np.ndarray:
-    """T[half + d] e^{i w d} for d = -half..half.
+def _tap_transform(kernel: SampledKernel, w: float, m: int) -> np.ndarray:
+    """The length-m DFT of the taps T[half + d] e^{i w d}, d = -half..half,
+    placed circularly (half < m), as a real array.
 
-    The exponential is evaluated for d >= 0 only: T is exactly symmetric and
-    e^{-i w d} is the conjugate of e^{i w d} bit for bit, so the d < 0 half
-    is the conjugate of the d > 0 half. (An imaginary part that is exactly
-    zero, as at w = 0, comes out as -0.0 where the full formula gives 0.0.)
+    T is exactly symmetric, so the transform is real:
+    H[k] = sum_d T[half + d] cos((w - 2 pi k / m) d). It is the discrete
+    Hartley transform of the real taps y[d] = T[half + d] (cos w d + sin w d)
+    (Bracewell 1984), which one real FFT gives: with Y = rfft(y),
+    H[k] = Re Y[k] - Im Y[k] for k <= m / 2 and Re Y[m - k] + Im Y[m - k]
+    above. H is written over the placed taps.
     """
+    from scipy.fft import rfft
+
     half = kernel.origin_index
-    right = kernel.values[half:] * np.exp(1j * w * np.arange(half + 1))
-    return np.concatenate([np.conj(right[:0:-1]), right])
+    right = kernel.values[half:]
+    angle = w * np.arange(half + 1)
+    sin = np.sin(angle)
+    cos = np.cos(angle, out=angle)
+    placed = np.zeros(m)
+    np.multiply(right, cos + sin, out=placed[: half + 1])
+    # The d < 0 taps, d = -half..-1; they overlap the head when 2 half >= m.
+    cos -= sin
+    cos *= right
+    placed[m - half :] += cos[:0:-1]
+    del angle, sin, cos  # before the transform: a worker then holds placed and Y alone
+    pairs = rfft(placed).view(float).reshape(-1, 2)
+    re, im = pairs[:, 0], pairs[:, 1]
+    np.subtract(re, im, out=placed[: m // 2 + 1])
+    top = (m - 1) // 2
+    np.add(re[top:0:-1], im[top:0:-1], out=placed[m // 2 + 1 :])
+    return placed
 
 
 def compute_spectrogram(
@@ -262,13 +300,18 @@ def compute_spectrogram(
     T[half + d], d = -half..half, centered on the frames. The signal is
     transformed once, X = fft(x, M) with M = hop Q at least N + the largest
     half, so no frame's sum wraps around; Q is a fast FFT length, and so is M
-    whenever hop is. Per channel the taps T[half + d] e^{i w d} are placed
-    circularly, transformed and multiplied by X; keeping every hop-th output
-    sample aliases the product onto Q bins (decimation in time is aliasing in
-    frequency), so one inverse FFT of length Q gives the frames. These
-    channels run on a thread pool sized to the CPUs this process may use;
-    each channel is computed and written by one thread alone, so the map
-    does not depend on the thread count.
+    whenever hop is. Per channel the transform H of the taps
+    T[half + d] e^{i w d}, placed circularly, is real since T is symmetric;
+    it is the discrete Hartley transform of the real taps
+    T[half + d] (cos w d + sin w d), taken by one real FFT
+    (``_tap_transform``). Keeping every hop-th output sample of the product
+    X H aliases it onto Q bins (decimation in time is aliasing in frequency),
+    so one inverse FFT of length Q gives the frames. The fold multiplies the
+    real and imaginary parts of X by H a few of the (hop, Q) rows at a time
+    and sums them into a Q-long accumulator, so no M-long product is formed.
+    These channels run on a thread pool sized to the CPUs this process may
+    use; each channel is computed and written by one thread alone, so the
+    map does not depend on the thread count.
 
     Both agree with smoothing the modulated signal directly to within 1e-9
     of the signal peak (the bound tests enforce). Ladders, sections,
@@ -321,7 +364,8 @@ def compute_spectrogram(
             rows = values[lo : lo + _DEMODULATE_FRAMES]
             rows *= np.exp(-1j * grid.omega * frame_times[lo : lo + _DEMODULATE_FRAMES, None])
     else:
-        # Imported here, before the pool starts: only the Gauss family needs SciPy.
+        # Imported here, before the pool starts: only the Gauss family needs
+        # SciPy, and the workers' import in _tap_transform finds it loaded.
         from scipy.fft import fft, ifft, next_fast_len
 
         kernels = _gauss_kernels(tuple((grid.tau_window * sample_rate * sample_rate).tolist()))
@@ -331,17 +375,21 @@ def compute_spectrogram(
         m = hop * q
         spectrum = fft(x, m)
         values = np.empty((n_frames, n_ch), dtype=complex)
+        bins = spectrum.view(float).reshape(hop, q, 2)
+        fold_rows = max(1, _FOLD_CELLS // q)
 
         def demodulate(ch: int) -> None:
             # Runs on a worker thread: numpy and scipy only.
-            half = halves[ch]
-            taps = _modulated_taps(kernels[ch], grid.omega[ch] / sample_rate)
-            placed = np.zeros(m, dtype=complex)
-            placed[: half + 1] = taps[half:]
-            placed[m - half :] += taps[:half]  # overlaps the head when 2 half >= m
-            product = fft(placed, overwrite_x=True)
-            product *= spectrum
-            folded = ifft(product.reshape(hop, q).sum(axis=0) / hop)[:n_frames]
+            gain = _tap_transform(kernels[ch], grid.omega[ch] / sample_rate, m).reshape(hop, q)
+            folded = np.zeros((q, 2))
+            scratch = np.empty((min(fold_rows, hop), q))
+            for lo in range(0, hop, fold_rows):
+                hi = min(lo + fold_rows, hop)
+                chunk = scratch[: hi - lo]
+                for part in (0, 1):  # the real and imaginary parts of X, times the real H
+                    np.multiply(bins[lo:hi, :, part], gain[lo:hi], out=chunk)
+                    folded[:, part] += chunk.sum(axis=0)
+            folded = ifft(folded.view(complex)[:, 0] / hop)[:n_frames]
             values[:, ch] = folded * np.exp(-1j * grid.omega[ch] * frame_times)
 
         with ThreadPoolExecutor(max_workers=_worker_count(n_ch)) as pool:

@@ -1,5 +1,15 @@
+import os
+
 import numpy as np
 import pytest
+from hypothesis import settings
+
+# On CI every run starts with an empty example database, so a falsifying
+# example must print the blob that reproduces it. Exploration stays random:
+# hypothesis's own "ci" profile, which this replaces, derandomizes.
+settings.register_profile("ci", print_blob=True, derandomize=False)
+if os.environ.get("CI"):
+    settings.load_profile("ci")
 
 
 @pytest.fixture

@@ -237,3 +237,10 @@ def test_families_order_by_passband_width(K, level):
         assert cs[1] == pytest.approx(cs[2], rel=1e-4)
     else:
         assert cs[1] < cs[2]
+
+
+def test_ci_profile_prints_the_reproducing_blob():
+    """A failure on a fresh CI example database prints the blob that
+    reproduces it, while exploration stays random."""
+    ci = settings.get_profile("ci")
+    assert ci.print_blob and not ci.derandomize

@@ -7,7 +7,7 @@ applies spectro-temporal derivative receptive fields to the dB map, from
 which onset/offset maps, spectral band enhancement, partial-tone curves,
 and glissando estimates are computed. A separate analysis module
 reproduces the filter families' frequency-selectivity and temporal-delay
-characteristics in closed or numeric form.
+characteristics from the closed forms and the exact cascade kernel.
 
 Every time-frequency result of both layers is a ``TFMap`` (complex
 spectrogram, dB map, receptive-field response, onset/offset/band map), so
@@ -23,7 +23,6 @@ from tonescale.temporal_scale_space import (
     SpectrogramFamily,
     TemporalKernelSpec,
     build_ladder,
-    cascade_kernel_numeric,
     discrete_gaussian_kernel,
     discrete_recursive_smooth,
     discretize_ladder,

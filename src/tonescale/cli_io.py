@@ -60,7 +60,6 @@ from tonescale.spectrogram import (
 from tonescale.temporal_scale_space import (
     SpectrogramFamily,
     TemporalKernelSpec,
-    cascade_kernel_numeric,
     temporal_profiles,
 )
 
@@ -502,10 +501,7 @@ def _layer1(cfg: dict, wav: str):
         )
     spec = compute_spectrogram(buf.samples, buf.rate, grid, family, hop=hop)
     if cfg["compensate_delay"]:
-        try:
-            spec = delay_compensate(spec)
-        except ValueError as exc:  # a ladder ratio too close to 1 for its delays
-            raise CliError(2, str(exc)) from exc
+        spec = delay_compensate(spec)
     return spec
 
 
@@ -722,13 +718,9 @@ def cmd_kernels(cfg: dict, wav: str | None) -> int:
         span = 8.0 * math.sqrt(tau)
         t = np.arange(-span, span + dt / 2.0, dt)
         header, cols = ["t", "h"], [t, temporal_profiles(temporal, t)[0]]
-    elif family.kind == "rec-uni":
+    else:
         t = np.arange(0.0, temporal.ladder.support, dt)
         header, cols = ["t", "h", "h_t", "h_tt"], [t, *temporal_profiles(temporal, t)]
-    else:
-        ladder = temporal.ladder
-        kernel = cascade_kernel_numeric(ladder, min(dt, ladder.mu_min / 20.0))
-        header, cols = ["t", "h"], [kernel.times, kernel.values]
     lines = ["\t".join(header)] + ["\t".join(f"{v:.9g}" for v in row) for row in zip(*cols)]
     _write_text(cfg["out_csv"], lines)
     print(f"wrote {cfg['out_csv']}")
@@ -784,7 +776,8 @@ COMMANDS: dict[str, Subcommand] = {
         + ("t_span", "nu_span", "dnu", "out_csv", "out_pgm", "config"),
         "dump impulse responses or receptive-field kernel grids",
         "Default mode writes the temporal impulse response as CSV "
-        "(columns t, h, and for rec-uni also h_t, h_tt). With --rf, samples "
+        "(columns t, h, and for the cascades rec-uni and rec-log also h_t, h_tt, "
+        "from t = 0 to the kernel's support). With --rf, samples "
         "the spectro-temporal kernel on a (t, nu) grid as CSV and/or PGM.",
     ),
 }

@@ -165,7 +165,11 @@ def _gaussian_frames(values: np.ndarray, kernel: SampledKernel) -> np.ndarray:
     ``scipy.fft`` runs, bitwise equal to it, without SciPy's import. The
     transform carries each lane's deviation from its first frame, which is
     added back afterwards, so a constant lane stays exactly constant.
+    Non-finite values raise ValueError, since the transform would spread
+    them over their whole lane.
     """
+    if not np.isfinite(values).all():
+        raise ValueError("input contains non-finite values")
     n = values.shape[0]
     half = kernel.origin_index
     lanes = values.reshape(n, -1)
@@ -227,7 +231,10 @@ def smooth(S: TFMap, temporal: TemporalKernelSpec, s: float) -> tuple[np.ndarray
     map's largest magnitude of the direct correlation. Either way a constant
     lane stays exactly constant (see ``_gaussian_frames``). The channel
     pass is ``discrete_gaussian_smooth``'s band products, within 1e-15 of
-    the largest magnitude of SciPy's correlate1d; no part loads SciPy.
+    the largest magnitude of SciPy's correlate1d; no part loads SciPy. A
+    map with a non-finite value raises ValueError from either temporal
+    window: the cascade would carry it into earlier frames of its block
+    and the FFT into the whole lane.
     """
     if S.kind == "complex":
         raise ValueError("layer 2 needs a real-valued map; convert the spectrogram with to_db")

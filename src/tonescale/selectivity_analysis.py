@@ -7,8 +7,11 @@ cascade families are read off the stage time constants mu_k that
 ``build_ladder`` writes: a cascade attenuates the detuning C by
 prod_k (1 + 4 pi^2 mu_k^2 C^2)^(-1/2) at unit scale, and its mean delay is
 sum_k mu_k (Lindeberg 2016, JMIV, "Time-causal and time-recursive
-spatio-temporal receptive fields"). The table builders regenerate the
-three reference tables of the `analyze` subcommand.
+spatio-temporal receptive fields"). Its maximum and inflection points are
+the zeros of the derivatives of its exact phase-type kernel, the same one
+for uniform and logarithmic ladders, bracketed on a geometric grid and
+refined by Newton steps. The table builders regenerate the three
+reference tables of the `analyze` subcommand.
 """
 
 from __future__ import annotations
@@ -22,14 +25,12 @@ from tonescale.temporal_scale_space import (
     Distribution,
     ScaleLadder,
     SpectrogramFamily,
+    _derivative_columns,
+    _expm,
     build_ladder,
-    cascade_kernel_numeric,
 )
 
 TWO_PI_SQ = 4.0 * math.pi * math.pi
-# Largest numeric kernel a logarithmic ladder's delays may sample (32 MB);
-# the table ladders need about 28 000 samples.
-MAX_DELAY_SAMPLES = 2**22
 
 
 def _check_periods(n: float) -> None:
@@ -118,75 +119,95 @@ def delay_mean_limit(c: float) -> float:
     return math.sqrt(c * c - 1.0) / (c - 1.0)
 
 
-def _quadratic_refine(values: np.ndarray, i: int, dt: float) -> float:
-    """Vertex of the parabola through samples i-1, i, i+1."""
-    if i <= 0 or i >= len(values) - 1:
-        return i * dt
-    denom = values[i - 1] - 2.0 * values[i] + values[i + 1]
-    if denom == 0.0:
-        return i * dt
-    delta = 0.5 * (values[i - 1] - values[i + 1]) / denom
-    return (i + delta) * dt
+# The bracket grid of the delay measures is geometric, from mu_min / 100 to
+# the support, with steps of at most 1/32 octave and at most a quarter of
+# the kernel's relative spread sqrt(tau) / (mu_sum + sqrt(tau)), so that no
+# bracket holds two of the roots (a uniform grid at support / 256 missed
+# the maximum at c = 1 + 1e-7, where it sits at 0.0077 sqrt(tau)).
+_GRID_STEP = math.log(2.0) / 32.0
+# Matrix elements per stacked exponential of the grid (2 MB): every ladder
+# of up to 10 stages takes its whole grid in one, and a long ladder's
+# temporaries stay bounded (about 18 MB at K = 100).
+_GRID_ELEMENTS = 1 << 18
+# Newton steps per root; the bisection safeguard alone would reach an ulp
+# of a bracket within 60.
+_ROOT_STEPS = 100
 
 
-def _numeric_delays(ladder: ScaleLadder) -> tuple[float, float, float]:
-    """t_max and both inflection points from the numeric impulse response."""
-    tau = ladder.tau_max
-    dt = min(math.sqrt(tau) / 2000.0, ladder.mu_min / 20.0)
-    n = math.floor(ladder.support / dt) + 1  # cascade_kernel_numeric's sample count
-    if n > MAX_DELAY_SAMPLES:
-        raise ValueError(
-            f"delays of the logarithmic ladder with c={ladder.c!r} need its kernel at "
-            f"{n} samples, more than {MAX_DELAY_SAMPLES}; use a larger c"
-        )
-    kernel = cascade_kernel_numeric(ladder, dt)
-    h = kernel.values
-    t_max = _quadratic_refine(h, int(np.argmax(h)), dt)
-    d2 = np.diff(h, 2)  # approximates h'' at index i+1
-    sign = np.sign(d2)
-    crossings = np.nonzero((sign[:-1] > 0) & (sign[1:] <= 0))[0]
-    t_infl1 = 0.0
-    t_infl2 = 0.0
-    if crossings.size:
-        i = crossings[0]
-        frac = d2[i] / (d2[i] - d2[i + 1])
-        t_infl1 = (i + 1 + frac) * dt
-    rising = np.nonzero((sign[:-1] < 0) & (sign[1:] >= 0))[0]
-    rising = rising[rising > (crossings[0] if crossings.size else 0)]
-    if rising.size:
-        i = rising[0]
-        frac = d2[i] / (d2[i] - d2[i + 1])
-        t_infl2 = (i + 1 + frac) * dt
-    return t_max, t_infl1, t_infl2
+def _root(f, lo: float, hi: float, f_lo: float, f_hi: float) -> float:
+    """The root of f in [lo, hi], where f changes sign from f_lo to f_hi.
+
+    Newton steps from the chord's zero, bisecting whenever a step would
+    leave the bracket; ``f(x)`` returns f and its derivative at x. The
+    iteration stops once a step is within 4 ulp, which the rounding of f
+    near its root would not let it pass.
+    """
+    rising = f_hi > 0.0
+    x = lo + (hi - lo) * f_lo / (f_lo - f_hi)
+    for _ in range(_ROOT_STEPS):
+        value, slope = f(x)
+        if value == 0.0:
+            return x
+        if (value > 0.0) != rising:
+            lo = x
+        else:
+            hi = x
+        step = value / slope if slope else math.inf
+        if abs(step) <= 4.0 * math.ulp(x):
+            return x
+        x = x - step if lo < x - step < hi else 0.5 * (lo + hi)
+    return x
 
 
 def delay_measures(ladder: ScaleLadder) -> DelayMeasures:
     """Mean delay, response maximum, and inflection points of a cascade.
 
-    The mean is the sum of the stage time constants. Equal-stage ladders
-    take t_max and the inflections from the Gamma kernel's closed forms;
-    logarithmic ladders locate them on the numeric impulse response, and
-    raise ValueError when c is so close to 1 that it would take more than
-    ``MAX_DELAY_SAMPLES`` samples. A single stage has its maximum at 0 by
-    convention.
+    The mean is the sum of the stage time constants. The other three are
+    roots of the exact phase-type kernel h(t) = e_1 e^{Qt} q of any ladder,
+    uniform or logarithmic: t_max of h', t_infl1 the last downward zero of
+    h'' before t_max (0 when h'' starts at or below 0, as for two stages)
+    and t_infl2 the first upward zero of h'' after it. Each is bracketed on
+    one geometric grid, evaluated as one stacked matrix exponential, and
+    refined by safeguarded Newton steps. A single stage has its maximum at
+    0 by convention.
     """
     if ladder.units != "seconds":
         raise ValueError("delay measures expect a continuous ladder")
-    K = ladder.K
     mean = ladder.mu_sum
-    if ladder.distribution is Distribution.UNIFORM:
-        mu = ladder.mus[0]
-        root = math.sqrt(K - 1.0) if K > 1 else 0.0
-        return DelayMeasures(
-            mean=mean,
-            t_max=(K - 1.0) * mu,
-            t_infl1=(K - 1.0 - root) * mu,
-            t_infl2=(K - 1.0 + root) * mu,
-        )
-    if K == 1:
+    if ladder.K == 1:
         return DelayMeasures(mean=mean, t_max=0.0, t_infl1=0.0, t_infl2=0.0)
-    t_max, t_infl1, t_infl2 = _numeric_delays(ladder)
-    return DelayMeasures(mean=mean, t_max=t_max, t_infl1=t_infl1, t_infl2=t_infl2)
+    Q, columns = _derivative_columns(ladder, 4)  # h and its first three derivatives
+    sigma = math.sqrt(ladder.tau_max)
+    step = min(_GRID_STEP, sigma / (4.0 * (mean + sigma)))
+    lo = ladder.mu_min / 100.0
+    grid = np.geomspace(lo, ladder.support, math.ceil(math.log(ladder.support / lo) / step) + 1)
+    rows = np.empty((grid.size, ladder.K))  # e_1 e^{Qt}
+    chunk = max(1, _GRID_ELEMENTS // ladder.K**2)
+    for i in range(0, grid.size, chunk):
+        rows[i : i + chunk] = _expm(Q, grid[i : i + chunk])[:, 0]
+    sampled = rows @ columns
+    slope, curve = sampled[:, 1], sampled[:, 2]
+
+    def root(order: int, j: int) -> float:
+        """The zero of the order-th derivative in the grid's bracket j."""
+
+        def f(x: float) -> tuple[float, float]:
+            row = rows[j] @ _expm(Q, [x - grid[j]])[0]
+            value, derivative = row @ columns[:, order : order + 2]
+            return float(value), float(derivative)
+
+        ends = sampled[j : j + 2, order]
+        return _root(f, float(grid[j]), float(grid[j + 1]), float(ends[0]), float(ends[1]))
+
+    peak = int(np.flatnonzero((slope[:-1] > 0) & (slope[1:] <= 0))[0])
+    down = np.flatnonzero((curve[: peak + 1] > 0) & (curve[1 : peak + 2] <= 0))
+    up = peak + np.flatnonzero((curve[peak:-1] <= 0) & (curve[peak + 1 :] > 0))
+    return DelayMeasures(
+        mean=mean,
+        t_max=root(1, peak),
+        t_infl1=root(2, int(down[-1])) if down.size else 0.0,
+        t_infl2=root(2, int(up[0])),
+    )
 
 
 # Table layouts: the bandwidth table lists one row per window family, the

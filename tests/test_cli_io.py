@@ -22,6 +22,7 @@ from tonescale.cli_io import (
     write_wav,
 )
 from tonescale.spectrogram import midi_from_frequency
+from tonescale.temporal_scale_space import SpectrogramFamily
 
 
 def make_wav(fmt_body: bytes, data_body: bytes, tail: bytes = b"") -> bytes:
@@ -476,15 +477,17 @@ def test_cli_compensates_delays_of_a_ratio_close_to_1(c, tmp_path):
 
 
 def test_cli_refuses_delays_of_a_ratio_too_close_to_1(tmp_path, capsys):
-    # Layer 1 accepts c = 1 + 1e-9 on these low channels, but the delay
-    # kernel would need 4.9M samples.
+    """Layer 1 accepts c = 1 + 1e-9 on these low channels. A delay kernel
+    sampled at mu_min / 20 would have needed 4.9M samples, and the ratio
+    was refused with exit 2; the exact kernel's delays need no samples, so
+    the compensated map is written."""
     wav = tmp_path / "tone.wav"
     write_wav(wav, sine(440.0, 0.1, 44100.0, amp=0.5), 44100.0)
     out = tmp_path / "o.csv"
     argv = ["spectrogram", str(wav), "--c", "1.000000001", "--nu-max", "80", "--compensate-delay"]
-    assert cli_main(argv + ["--out-csv", str(out)]) == 2
-    assert "c=1.000000001" in capsys.readouterr().err
-    assert not out.exists()
+    assert cli_main(argv + ["--out-csv", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    assert out.exists()
 
 
 @pytest.mark.parametrize(
@@ -716,18 +719,21 @@ def test_cli_kernels_rejects_a_non_finite_extent(key, value, source, tmp_path, c
     assert not out.exists()
 
 
-def test_cli_kernels_impulse_is_normalized(tmp_path, capsys):
+@pytest.mark.parametrize("family", ["rec-uni", "rec-log"])
+def test_cli_kernels_impulse_is_normalized(family, tmp_path, capsys):
     out = tmp_path / "kern.csv"
-    code = cli_main(
-        ["kernels", "--family", "rec-uni", "--K", "4", "--tau", "0.04", "--out-csv", str(out)]
-    )
-    assert code == 0
+    argv = ["kernels", "--family", family, "--K", "4", "--tau", "0.04", "--out-csv", str(out)]
+    assert cli_main(argv) == 0
+    assert out.read_text().splitlines()[0] == "t\th\th_t\th_tt"
     rows = np.loadtxt(out, skiprows=1)
     t, h = rows[:, 0], rows[:, 1]
+    assert t[0] == 0.0
+    mean = SpectrogramFamily(family, K=4).ladder(0.04).mu_sum  # 0.4 s for rec-uni
     assert np.trapezoid(h, t) == pytest.approx(1.0, abs=1e-3)
-    assert np.trapezoid(h * t, t) == pytest.approx(0.4, abs=1e-3)
-    # derivative column integrates back to zero net change
+    assert np.trapezoid(h * t, t) == pytest.approx(mean, abs=1e-3)
+    # derivative columns integrate back to zero net change
     assert np.trapezoid(rows[:, 2], t) == pytest.approx(0.0, abs=1e-3)
+    assert np.trapezoid(rows[:, 3], t) == pytest.approx(0.0, abs=1e-2)
     capsys.readouterr()
 
 

@@ -265,6 +265,18 @@ def test_smooth_refuses_a_map_without_frames(temporal):
         smooth(empty, temporal, 0.25)
 
 
+@pytest.mark.parametrize("temporal", [TemporalKernelSpec.gaussian(4e-4), FAM.temporal(4e-4)])
+@pytest.mark.parametrize("bad", [math.nan, -math.inf])
+def test_smooth_refuses_a_non_finite_map(temporal, bad):
+    """A cascade carried a NaN into the earlier frames of its block, and the
+    Gaussian's FFT into every frame of its lane."""
+    L = tone_db(duration=0.05)
+    values = L.values.copy()
+    values[40, 3] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        smooth(replace(L, values=values), temporal, 0.25)
+
+
 @pytest.mark.parametrize(
     "warped",
     [

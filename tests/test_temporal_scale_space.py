@@ -20,7 +20,6 @@ from tonescale.temporal_scale_space import (
     SpectrogramFamily,
     TemporalKernelSpec,
     build_ladder,
-    cascade_kernel_numeric,
     cascade_sections,
     composed_uniform_kernel_dt,
     composed_uniform_kernel_dtt,
@@ -32,6 +31,7 @@ from tonescale.temporal_scale_space import (
     gaussian_derivative_sample,
     gaussian_kernel_sample,
     recursive_stage,
+    temporal_profiles,
     warmup_length,
 )
 
@@ -379,56 +379,49 @@ def test_discrete_recursive_smooth_steady_mode_keeps_a_constant_map(rng):
     assert abs(discrete_recursive_smooth(flat, lad, axis=0)[0, 1]) < 200.0 * 0.01
 
 
-def test_cascade_kernel_numeric_matches_gamma_closed_form():
-    lad = build_ladder(Distribution.UNIFORM, tau_max=0.01, K=4)
-    k = cascade_kernel_numeric(lad, dt=1e-5, horizon=1.5)
-    ref = gamma_dist.pdf(k.times, a=4, scale=lad.mus[0])
-    assert k.mass == pytest.approx(1.0, abs=1e-12)
-    assert np.max(np.abs(k.values - ref)) < 1e-3 * ref.max()
-    assert k.variance == pytest.approx(0.01, rel=1e-4)
+@pytest.mark.parametrize("K", range(1, 11))
+def test_cascade_profiles_match_the_gamma_closed_forms(K):
+    """A uniform ladder's phase-type samples, read off about 25 000 powers
+    of e^{Q dt}, stay within 1e-12 of each Gamma closed form's peak, and
+    the samples at t <= 0 are 0, as the closed forms write them."""
+    lad = build_ladder(Distribution.UNIFORM, 0.04, K)
+    dt = math.sqrt(lad.tau_max) / 2000.0
+    t = np.arange(-50, int(lad.support / dt)) * dt
+    got = temporal_profiles(TemporalKernelSpec.cascade(lad), t)
+    mu = lad.mus[0]
+    closed = (composed_uniform_kernel_sample, composed_uniform_kernel_dt, composed_uniform_kernel_dtt)
+    for values, form in zip(got, closed):
+        want = form(mu, K, t)
+        assert np.max(np.abs(values - want)) <= 1e-12 * np.max(np.abs(want))
+        assert np.all(values[t <= 0] == 0.0)
 
 
-def test_cascade_kernel_numeric_two_stage_peak_position():
-    # Closed form for two distinct stages: t_peak = ln(mu2/mu1) mu1 mu2 / (mu2 - mu1).
-    lad = build_ladder(Distribution.LOGARITHMIC, tau_max=1.0, K=2, c=2.0)
-    mu1, mu2 = sorted(lad.mus)
-    expected = math.log(mu2 / mu1) * mu1 * mu2 / (mu2 - mu1)
-    k = cascade_kernel_numeric(lad, dt=2e-5, horizon=13.0)
-    assert k.times[np.argmax(k.values)] == pytest.approx(expected, abs=1e-4)
+def test_cascade_profiles_sample_any_start_of_the_grid():
+    """A grid that starts after 0 reads the same kernel as one from 0."""
+    lad = build_ladder(Distribution.LOGARITHMIC, 1e-4, 7, math.sqrt(2.0))
+    temporal = TemporalKernelSpec.cascade(lad)
+    t = np.arange(400) * 1e-4
+    whole = temporal_profiles(temporal, t)
+    for part, full in zip(temporal_profiles(temporal, t[137:]), whole):
+        np.testing.assert_allclose(part, full[137:], rtol=0, atol=1e-12 * np.max(np.abs(full)))
+    single = temporal_profiles(temporal, t[137:138])
+    assert [float(v[0]) for v in single] == pytest.approx([float(v[137]) for v in whole], rel=1e-12)
 
 
-def _kernel_by_lfilter(ladder, dt, n):
-    """Reference: the exact-exponential stages of ``cascade_kernel_numeric``
-    as one lfilter each over the sampled first stage, renormalized."""
-    t = np.arange(n) * dt
-    h = np.exp(-t / ladder.mus[0]) / ladder.mus[0]
-    for mu in ladder.mus[1:]:
-        p = math.exp(-dt / mu)
-        w1 = 1.0 - (mu / dt) * (1.0 - p)
-        w0 = (mu / dt) * (1.0 - p) - p
-        h = lfilter([w1, w0], [1.0, -p], h)
-    return h / (h.sum() * dt)
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    distribution=st.sampled_from(list(Distribution)),
-    K=st.integers(1, 8),
-    c=st.floats(1.1, 2.0),
-    tau=st.floats(1e-6, 1.0),
-    fineness=st.floats(20.0, 400.0),
-)
-def test_cascade_kernel_numeric_stays_within_its_bound_of_lfilter(
-    distribution, K, c, tau, fineness
-):
-    """Within 1e-12 of the kernel peak of the stage-by-stage lfilter, for
-    steps from mu_min/20 to mu_min/400."""
-    c = c if distribution is Distribution.LOGARITHMIC else None
-    ladder = build_ladder(distribution, tau, K, c)
-    dt = ladder.mu_min / fineness
-    kernel = cascade_kernel_numeric(ladder, dt)
-    want = _kernel_by_lfilter(ladder, dt, len(kernel.values))
-    assert np.max(np.abs(kernel.values - want)) <= 1e-12 * np.max(want)
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_recursive_smoothing_refuses_a_non_finite_sample(bad):
+    """The block recursion multiplies a whole block at once: a NaN at frame
+    40 of one lane reached frames 32-39, so a causal output read a later
+    frame."""
+    lad = discretize_ladder(
+        build_ladder(Distribution.LOGARITHMIC, 1e-4, 7, math.sqrt(2.0)), 1000.0
+    )
+    x = np.zeros((100, 3))
+    x[40, 1] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        discrete_recursive_smooth(x, lad, axis=0)
+    with pytest.raises(ValueError, match="non-finite"):
+        discrete_recursive_smooth(x.T.astype(complex), lad, axis=1, steady=True)
 
 
 def test_discrete_gaussian_kernel_mass_and_variance():

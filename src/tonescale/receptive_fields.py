@@ -17,10 +17,10 @@ The temporal kernels themselves are realised only in
 ``temporal_scale_space``: causal smoothing runs
 ``discrete_recursive_smooth``, Gaussian smoothing applies the taps of
 ``discrete_gaussian_kernel`` and kernel images sample
-``temporal_profiles``. A Gaussian temporal window is applied by one real
-FFT of the mirror-padded map rather than by direct correlation; it agrees
-with the direct form to within 1e-12 of the map's largest magnitude, and a
-constant lane stays exactly constant, so its derivatives are exactly 0.
+``temporal_profiles``. Every discrete Gaussian of layer 2, along frames
+as along channels, is ``discrete_gaussian_smooth``: the temporal pass
+smooths each lane's deviation from its first frame, so a constant lane
+stays exactly constant and its derivatives are exactly 0.
 """
 
 from __future__ import annotations
@@ -33,9 +33,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from tonescale.spectrogram import TFMap
 from tonescale.temporal_scale_space import (
-    SampledKernel,
     TemporalKernelSpec,
-    _fft_length,
     _mirror_indices,
     discrete_gaussian_kernel,
     discrete_gaussian_smooth,
@@ -102,10 +100,20 @@ def _warp_values(
     contiguous window of the padded row per frame. The mirror repeats every
     2 n_ch channels, so shifts are taken modulo that period and the padding
     never exceeds 3 n_ch + 2 columns, however far a frame is shifted.
+    A slope that is not finite, or that shifts a frame by 2^53 channels or
+    more (where no fraction of a channel is left), raises ValueError.
     """
+    if not math.isfinite(v):
+        raise ValueError(f"glissando slope v must be finite, got {v}")
     n_frames, n_ch = values.shape
     pivot = frame_times[n_frames // 2]
     shift = v * (frame_times - pivot) / delta_nu
+    reach = np.abs(shift).max()
+    if not reach < 2.0 ** 53:
+        raise ValueError(
+            f"glissando slope v = {v} semitones/s shifts a frame by {reach:.3g} "
+            "channels; the warp needs fewer than 2^53"
+        )
     base = np.floor(shift).astype(int)
     u = shift - base
     u2 = u * u
@@ -147,52 +155,6 @@ def glissando_warp(S: TFMap, v: float) -> TFMap:
     return replace(S, values=values, metadata={**S.metadata, "warp_v": warp_v})
 
 
-# Lanes per FFT block of the Gaussian window: the block's padded copy and
-# transforms stay in cache, so blocking is faster than one map-sized FFT
-# as well as smaller.
-_FFT_LANES = 32
-
-
-def _gaussian_frames(values: np.ndarray, kernel: SampledKernel) -> np.ndarray:
-    """Correlate every lane with a symmetric discrete Gaussian along frames.
-
-    The result equals ``scipy.ndimage.correlate1d(values, kernel.values,
-    axis=0, mode="reflect")`` to within rounding, a few 1e-15 of the largest
-    magnitude (a test bounds it by 1e-12). Each lane is mirror-padded by the
-    kernel's half-width h and correlated circularly by one real FFT of the
-    5-smooth length ``_fft_length(n + 2h)``: the wrap-around lands only on
-    padded rows, which are discarded. numpy's FFT is the pocketfft that
-    ``scipy.fft`` runs, bitwise equal to it, without SciPy's import. The
-    transform carries each lane's deviation from its first frame, which is
-    added back afterwards, so a constant lane stays exactly constant.
-    Non-finite values raise ValueError, since the transform would spread
-    them over their whole lane.
-    """
-    if not np.isfinite(values).all():
-        raise ValueError("input contains non-finite values")
-    n = values.shape[0]
-    half = kernel.origin_index
-    lanes = values.reshape(n, -1)
-    size = _fft_length(n + 2 * half)
-    taps = np.zeros(size)
-    taps[: half + 1] = kernel.values[half:]
-    taps[size - half :] = kernel.values[:half]
-    gain = np.fft.rfft(taps).real  # a zero-phase kernel has a real transform
-    rows = _mirror_indices(np.arange(-half, n + half), n)
-    out = np.empty_like(lanes)
-    for lo in range(0, lanes.shape[1], _FFT_LANES):
-        block = slice(lo, lo + _FFT_LANES)
-        first = lanes[0, block]
-        padded = lanes[rows, block]
-        padded -= first
-        spectrum = np.fft.rfft(padded, n=size, axis=0)
-        del padded
-        spectrum *= gain[:, None]
-        smoothed = np.fft.irfft(spectrum, n=size, axis=0)
-        out[:, block] = smoothed[half : half + n] + first
-    return out.reshape(values.shape)
-
-
 def _smooth_frames(
     values: np.ndarray, temporal: TemporalKernelSpec, frame_rate: float
 ) -> tuple[np.ndarray, int]:
@@ -204,8 +166,14 @@ def _smooth_frames(
         # are exactly 0.
         values = discrete_recursive_smooth(values, ladder, axis=0, steady=True)
         return values, warmup_length(ladder)
-    kernel = discrete_gaussian_kernel(temporal.tau * frame_rate * frame_rate)
-    return _gaussian_frames(values, kernel), kernel.origin_index
+    # A NaN would reach every output of its block through the band's zeros.
+    if not np.isfinite(values).all():
+        raise ValueError("input contains non-finite values")
+    s_frames = temporal.tau * frame_rate * frame_rate
+    first = values[:1]
+    smoothed = discrete_gaussian_smooth(values - first, s_frames, axis=0)
+    smoothed += first
+    return smoothed, discrete_gaussian_kernel(s_frames).origin_index
 
 
 def _smooth_channels(values: np.ndarray, s: float, delta_nu: float) -> np.ndarray:
@@ -226,15 +194,15 @@ def smooth(S: TFMap, temporal: TemporalKernelSpec, s: float) -> tuple[np.ndarray
 
     A cascade window runs as one block recursion over every lane (see
     ``discrete_recursive_smooth``), within 1e-12 of the map's largest
-    magnitude of the stage-by-stage recursion. A Gaussian window is
-    correlated by numpy's FFT with mirrored boundaries, within 1e-12 of the
-    map's largest magnitude of the direct correlation. Either way a constant
-    lane stays exactly constant (see ``_gaussian_frames``). The channel
-    pass is ``discrete_gaussian_smooth``'s band products, within 1e-15 of
-    the largest magnitude of SciPy's correlate1d; no part loads SciPy. A
-    map with a non-finite value raises ValueError from either temporal
-    window: the cascade would carry it into earlier frames of its block
-    and the FFT into the whole lane.
+    magnitude of the stage-by-stage recursion. A Gaussian window and the
+    channel pass are ``discrete_gaussian_smooth``'s band products with
+    mirrored boundaries, within 1e-14 of the map's largest magnitude of
+    SciPy's correlate1d; no part loads SciPy. Either way a constant lane
+    stays exactly constant, and a Gaussian lane comes out bitwise the same
+    whatever lanes are smoothed with it. A map with a non-finite value
+    raises ValueError from either temporal window: the cascade would carry
+    it into earlier frames of its block and the band products into the
+    other outputs of theirs.
     """
     if S.kind == "complex":
         raise ValueError("layer 2 needs a real-valued map; convert the spectrogram with to_db")

@@ -414,8 +414,8 @@ def to_db(spec: TFMap, S0: float = 1.0) -> TFMap:
     spectrogram; the floor keeps it finite."""
     if spec.kind != "complex":
         raise ValueError(f"to_db needs a complex spectrogram, got a {spec.kind!r} map")
-    if S0 <= 0:
-        raise ValueError(f"reference level S0 must be positive, got {S0}")
+    if not 0 < S0 < math.inf:
+        raise ValueError(f"reference level S0 must be positive and finite, got {S0}")
     mag = np.maximum(np.abs(spec.values), MAGNITUDE_FLOOR_FACTOR * S0)
     return replace(
         spec,

@@ -437,6 +437,27 @@ def test_cli_refuses_a_hop_that_rounds_to_no_sample(tmp_path, capsys, monkeypatc
     assert not out.exists()
 
 
+def test_cli_refuses_a_glissando_slope_too_large_for_the_warp(tone_wav, tmp_path):
+    """A slope that shifts a frame by 2^53 channels or more is an error
+    message, not a traceback from inside the warp."""
+    src = os.path.dirname(os.path.dirname(cli_io.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out = tmp_path / "o.csv"
+    code = "import sys; from tonescale.cli_io import main; sys.argv[0] = 'tonescale'; main()"
+    argv = ["features", str(tone_wav), "--glissando-bank=1e300", "--out-csv", str(out)]
+    run = subprocess.run(
+        [sys.executable, "-c", code, *argv],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert run.returncode == 1
+    assert run.stderr.startswith("error: glissando slope v = 1e+300")
+    assert "Traceback" not in run.stderr
+    assert not out.exists()
+
+
 def test_cli_help_shows_how_to_write_a_bank_with_a_negative_first_member(capsys, monkeypatch):
     monkeypatch.setenv("COLUMNS", "80")
     assert cli_main(["features", "--help"]) == 0

@@ -3,7 +3,6 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-import scipy.fft
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.ndimage import correlate1d
@@ -12,7 +11,6 @@ from tonescale.features import glissando_filterbank
 from tonescale.receptive_fields import (
     RFSpec,
     _derivative_nu,
-    _gaussian_frames,
     _mirror_indices,
     _warp_values,
     apply_rf,
@@ -32,6 +30,7 @@ from tonescale.temporal_scale_space import (
     TemporalKernelSpec,
     build_ladder,
     discrete_gaussian_kernel,
+    discrete_gaussian_smooth,
     gaussian_derivative_sample,
 )
 
@@ -183,6 +182,33 @@ def test_non_finite_receptive_field_parameters_are_refused(make, name):
     assert name in str(err.value)
 
 
+@pytest.mark.parametrize(
+    "warped",
+    [
+        lambda S: glissando_warp(S, math.nan),
+        lambda S: glissando_warp(S, math.inf),
+        lambda S: glissando_warp(S, -1e300),
+        lambda S: apply_rf(S, gauss_spec(v=1e300)),
+        lambda S: glissando_filterbank(S, [0.0, 1e300], 4e-4, 0.25),
+    ],
+    ids=["warp-nan", "warp-inf", "warp-huge", "apply_rf-huge", "bank-huge"],
+)
+def test_warp_refuses_a_slope_without_a_channel_fraction(warped):
+    """Past 2^53 channels of shift no sub-channel fraction is left, and the
+    integer part no longer fits the warp's window arithmetic."""
+    with pytest.raises(ValueError, match="glissando slope v"):
+        warped(tone_db(duration=0.05))
+
+
+def test_warp_takes_a_shift_of_2_to_the_52_channels():
+    L = tone_db(duration=0.05)
+    reach = np.abs(L.frame_times - L.frame_times[L.n_frames // 2]).max()
+    v = 0.5 * 2.0 ** 53 * L.grid.delta_nu / reach
+    assert np.isfinite(glissando_warp(L, v).values).all()
+    with pytest.raises(ValueError, match="2\\^53"):
+        glissando_warp(L, 4.0 * v)
+
+
 def test_spectral_smooth_reduces_curvature(rng):
     L = tone_db()
     L.values = rng.normal(size=L.values.shape)
@@ -269,7 +295,7 @@ def test_smooth_refuses_a_map_without_frames(temporal):
 @pytest.mark.parametrize("bad", [math.nan, -math.inf])
 def test_smooth_refuses_a_non_finite_map(temporal, bad):
     """A cascade carried a NaN into the earlier frames of its block, and the
-    Gaussian's FFT into every frame of its lane."""
+    Gaussian's band products into every other output of theirs."""
     L = tone_db(duration=0.05)
     values = L.values.copy()
     values[40, 3] = bad
@@ -325,33 +351,39 @@ def test_gaussian_smooth_is_the_direct_reflect_correlation(
     700 frames, above every drawn map length); 1-3 lanes per frame, or 2-3
     stacked maps of 2-3 channels. Offsets are whole thousandths of a dB and
     spreads 0 (constant lanes) or 1e-9-60 dB: near subnormal values (below
-    2.2e-308) the rounding grain of 5e-324, in the reference as in the FFT,
-    is larger than a bound relative to the peak."""
+    2.2e-308) the rounding grain of 5e-324, in the reference as in the band
+    products, is larger than a bound relative to the peak."""
     values = offset + spread * np.random.default_rng(seed).standard_normal((n_frames, *lanes))
     kernel = discrete_gaussian_kernel(scale)
     want = correlate1d(values, kernel.values, axis=0, mode="reflect")
     if scale == 0.0:  # a Gaussian window has tau > 0; s = 0 is the one-tap kernel
-        got = _gaussian_frames(values, kernel)
+        got = discrete_gaussian_smooth(values, 0.0, axis=0)
     else:
         L = tone_db(duration=0.05)
         S = replace(L, values=values, frame_times=np.arange(n_frames) / L.frame_rate)
         got, warm = smooth(S, TemporalKernelSpec.gaussian(scale / L.frame_rate ** 2), 0.0)
         assert warm == kernel.origin_index
     assert got.shape == values.shape
-    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(values))
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(values))
 
 
 @pytest.mark.parametrize("n_frames", [1, 2, 57, 1003])
-@pytest.mark.parametrize("lanes", [(1,), (368,), (40, 3)])
-def test_gaussian_frames_is_bitwise_scipys_fft(n_frames, lanes, monkeypatch, rng):
-    """numpy.fft and scipy.fft both run pocketfft: the temporal pass is
-    bitwise the same when SciPy's transforms stand in for numpy's."""
-    values = rng.normal(-40.0, 20.0, size=(n_frames, *lanes))
-    kernel = discrete_gaussian_kernel(150.0)
-    got = _gaussian_frames(values, kernel)
-    monkeypatch.setattr(np.fft, "rfft", scipy.fft.rfft)
-    monkeypatch.setattr(np.fft, "irfft", scipy.fft.irfft)
-    assert np.array_equal(_gaussian_frames(values, kernel), got)
+@pytest.mark.parametrize("tau", [0.02 ** 2, 0.06 ** 2])
+def test_gaussian_temporal_lanes_do_not_depend_on_their_neighbours(n_frames, tau, rng):
+    """A lane smoothed alone, inside a 368-lane map and inside a stack of
+    three maps comes out bitwise the same (1 ms frames: s = 400 and
+    3600 frames^2)."""
+    L = tone_db(duration=0.05)
+    maps = rng.normal(-40.0, 20.0, size=(n_frames, 368, 3))
+    frame_times = np.arange(n_frames) / 1000.0
+    S = replace(L, values=maps, frame_times=frame_times, sample_rate=44000.0, hop=44)
+    temporal = TemporalKernelSpec.gaussian(tau)
+    stacked, _ = smooth(S, temporal, 0.0)
+    one_map, _ = smooth(replace(S, values=maps[..., 1]), temporal, 0.0)
+    for lane in (0, 5, 367):
+        alone, _ = smooth(replace(S, values=maps[:, lane : lane + 1, 1]), temporal, 0.0)
+        assert alone[:, 0].tobytes() == one_map[:, lane].tobytes()
+        assert alone[:, 0].tobytes() == stacked[:, lane, 1].tobytes()
 
 
 @settings(max_examples=60, deadline=None)

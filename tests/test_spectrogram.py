@@ -869,6 +869,15 @@ def test_spectrogram_rejects_channels_above_nyquist():
     assert compute_spectrogram(x, rate, below, fam).values.shape[1] == below.n_channels
 
 
+@pytest.mark.parametrize("S0", [math.nan, math.inf, 0.0, -1.0])
+def test_to_db_refuses_a_reference_level_that_is_not_positive_and_finite(S0):
+    grid = build_frequency_grid(66.0, 72.0, 12)
+    fam = SpectrogramFamily(kind="rec-uni", K=4)
+    S = compute_spectrogram(sine(440.0, 0.05, RATE), RATE, grid, fam)
+    with pytest.raises(ValueError, match=f"S0 must be positive and finite, got {S0}"):
+        to_db(S, S0=S0)
+
+
 def test_map_kind_is_checked():
     grid = build_frequency_grid(66.0, 72.0, 12)
     fam = SpectrogramFamily(kind="rec-uni", K=4)

@@ -14,6 +14,7 @@ the whole band map at once and then linked frame by frame.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -118,18 +119,19 @@ class PartialCurve:
 
 def _ridge_points(
     values: np.ndarray, nu0: float, dnu: float, c_min: float
-) -> list[list[tuple[float, float]]]:
-    """Sub-bin maxima of each frame's band response, in ascending frequency.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Sub-bin maxima of the band response: (frames, nus, strengths).
 
     Zero crossings of the central-difference derivative are located by
     linear interpolation where the second difference is negative and the
     interpolated response clears the threshold. Crossings touching the grid
     border are discarded, and rows of fewer than 5 channels have none. The
-    whole map is scanned at once; the point list of frame j is element j.
+    whole map is scanned at once; the points come in ascending frame, and
+    within a frame in ascending frequency.
     """
     n_frames, n = values.shape
     if n < 5:
-        return [[] for _ in range(n_frames)]
+        return np.zeros(0, dtype=int), np.zeros(0), np.zeros(0)
     d = np.zeros(values.shape)
     d[:, 1:-1] = (values[:, 2:] - values[:, :-2]) / (2.0 * dnu)
     dd = np.full(values.shape, 1.0)
@@ -144,12 +146,81 @@ def _ridge_points(
     below = values[frames, i]
     strength = below + frac * (values[frames, i + 1] - below)
     kept = ~(strength < c_min)
-    frames = frames[kept]
-    nus = (nu0 + (i[kept] + frac[kept]) * dnu).tolist()
-    strengths = strength[kept].tolist()
+    return frames[kept], nu0 + (i[kept] + frac[kept]) * dnu, strength[kept]
+
+
+def _link_ridges(
+    frames: np.ndarray,
+    nus: np.ndarray,
+    strengths: np.ndarray,
+    n_frames: int,
+    warm: np.ndarray,
+    nu0: float,
+    dnu: float,
+    max_jump: float,
+) -> list[PartialCurve]:
+    """``extract_partial_curves`` on the ridge points of ``_ridge_points``.
+
+    A point at channel i = int((nu - nu0) / dnu) is detected from channels
+    i - 1 .. i + 2, so it is kept from the frame on which all of them have
+    passed their warm-up. Each active curve, in the order the curves were
+    opened or last extended, takes the nearest untaken point of the frame
+    within ``max_jump`` of its last frequency, the last such point on a
+    tie. Its candidates are found by bisection: |nu - last| rounds
+    monotonically on either side of ``last``, so they are one run of the
+    ascending point list.
+    """
+    n_ch = warm.size
+    stencil = np.lib.stride_tricks.sliding_window_view(np.pad(warm, (1, 3), mode="edge"), 4)
+    stencil = stencil.max(axis=1)  # the latest warm-up of channels i - 1 .. i + 2
+    channel = ((nus - nu0) / dnu).astype(int)
+    gate = frames >= stencil[np.clip(channel, 0, n_ch)]
+    frames, nus, strengths = frames[gate], nus[gate].tolist(), strengths[gate].tolist()
     bounds = np.searchsorted(frames, np.arange(n_frames + 1)).tolist()
+    active: list[dict] = []
+    finished: list[dict] = []
+    for j in range(n_frames):
+        first, end = bounds[j], bounds[j + 1]
+        points = nus[first:end]
+        taken = [False] * len(points)
+        survivors = []
+        for curve in active:
+            last = curve["nus"][-1]
+            lo = bisect_left(points, last - max_jump)
+            while lo > 0 and abs(points[lo - 1] - last) <= max_jump:
+                lo -= 1
+            hi = bisect_right(points, last + max_jump, lo)
+            while hi < len(points) and abs(points[hi] - last) <= max_jump:
+                hi += 1
+            best = -1
+            best_dist = max_jump
+            for idx in range(lo, hi):
+                dist = abs(points[idx] - last)
+                if not taken[idx] and dist <= best_dist:
+                    best = idx
+                    best_dist = dist
+            if best >= 0:
+                taken[best] = True
+                curve["frames"].append(j)
+                curve["nus"].append(points[best])
+                curve["strengths"].append(strengths[first + best])
+                survivors.append(curve)
+            else:
+                finished.append(curve)
+        for idx, nu in enumerate(points):
+            if not taken[idx]:
+                strength = strengths[first + idx]
+                survivors.append({"frames": [j], "nus": [nu], "strengths": [strength]})
+        active = survivors
+    finished.extend(active)
+    finished.sort(key=lambda cu: (cu["frames"][0], cu["nus"][0]))
     return [
-        list(zip(nus[lo:hi], strengths[lo:hi])) for lo, hi in zip(bounds[:-1], bounds[1:])
+        PartialCurve(
+            frames=np.array(cu["frames"], dtype=int),
+            nus=np.array(cu["nus"]),
+            strengths=np.array(cu["strengths"]),
+        )
+        for cu in finished
     ]
 
 
@@ -175,54 +246,8 @@ def extract_partial_curves(
         if len(band.warmup_frames)
         else np.zeros(n_ch, dtype=int)
     )
-    warm_min = int(warm.min())
-    warm_max = int(warm.max())
-    frame_points = _ridge_points(values, nu0, dnu, c_min)
-    active: list[dict] = []
-    finished: list[dict] = []
-    for j in range(n_frames):
-        points = [] if j < warm_min else frame_points[j]
-        if points and j < warm_max:
-            # ridge detection at bin i reads rows i-1..i+2
-            kept = []
-            for nu, strength in points:
-                i = int((nu - nu0) / dnu)
-                if j >= int(warm[max(0, i - 1) : min(n_ch, i + 3)].max()):
-                    kept.append((nu, strength))
-            points = kept
-        taken = [False] * len(points)
-        survivors = []
-        for curve in active:
-            best = -1
-            best_dist = max_jump
-            for idx, (nu, _) in enumerate(points):
-                dist = abs(nu - curve["nus"][-1])
-                if not taken[idx] and dist <= best_dist:
-                    best = idx
-                    best_dist = dist
-            if best >= 0:
-                taken[best] = True
-                nu, strength = points[best]
-                curve["frames"].append(j)
-                curve["nus"].append(nu)
-                curve["strengths"].append(strength)
-                survivors.append(curve)
-            else:
-                finished.append(curve)
-        for idx, (nu, strength) in enumerate(points):
-            if not taken[idx]:
-                survivors.append({"frames": [j], "nus": [nu], "strengths": [strength]})
-        active = survivors
-    finished.extend(active)
-    finished.sort(key=lambda cu: (cu["frames"][0], cu["nus"][0]))
-    return [
-        PartialCurve(
-            frames=np.array(cu["frames"], dtype=int),
-            nus=np.array(cu["nus"]),
-            strengths=np.array(cu["strengths"]),
-        )
-        for cu in finished
-    ]
+    points = _ridge_points(values, nu0, dnu, c_min)
+    return _link_ridges(*points, n_frames, warm, nu0, dnu, max_jump)
 
 
 @dataclass
@@ -252,29 +277,24 @@ def glissando_filterbank(
     bank = list(v_bank)
     if not bank:
         raise ValueError("glissando bank must not be empty")
-    order = sorted(bank, key=lambda v: (abs(v), v))
-    vhat = None
-    best = None
-    warmup = None
-    resp0 = None
-    for v in order:
-        resp = band_response(S, tau_a, s, temporal, v=v)
-        if best is None:
-            best = resp.values.copy()
-            vhat = np.full(best.shape, v, dtype=float)
-            warmup = resp.warmup_frames
-            resp0 = resp
-        else:
-            better = resp.values > best
-            best[better] = resp.values[better]
-            vhat[better] = v
+    # a repeated slope gives an equal response, which never replaces
+    order = sorted(dict.fromkeys(bank), key=lambda v: (abs(v), v))
+    first = band_response(S, tau_a, s, temporal, v=order[0])
+    best = first.values
+    vhat = np.full(best.shape, order[0], dtype=float)
+    for v in order[1:]:
+        resp = band_response(S, tau_a, s, temporal, v=v).values
+        better = resp > best
+        best[better] = resp[better]
+        vhat[better] = v
+        del resp, better  # freed before the next member's response
     return GlissandoBankEstimate(
         vhat=vhat,
         response=best,
         bank=tuple(bank),
-        frame_times=resp0.frame_times,
-        grid=resp0.grid,
-        warmup_frames=warmup,
+        frame_times=first.frame_times,
+        grid=first.grid,
+        warmup_frames=first.warmup_frames,
     )
 
 

@@ -8,10 +8,12 @@ mu_k. The discrete counterparts (first-order recursive filters and the
 discrete Gaussian) preserve the defining scale-space property: smoothing
 never increases the number of local extrema of a signal.
 
-No other module realises a temporal kernel: ``_block_cascade`` is the one
-discrete cascade realisation (layer 2 runs it through
-``discrete_recursive_smooth`` over ``cascade_sections(ladder)``, the causal
-layer-1 windows over the sections with the carrier folded into the poles),
+No other module realises a temporal kernel: the block recursion over
+``_block_weights`` is the one discrete cascade realisation, laid out two
+ways (layer 2 runs each ladder time-major through ``_run_ladder`` and
+``discrete_recursive_smooth`` over ``cascade_sections(ladder)``; causal
+layer 1 runs block rows through ``_block_cascade`` over the sections with
+the carrier folded into the poles),
 and ``_phase_type`` the one continuous cascade kernel, h(t) = e_1 e^{Qt} q
 for every ladder, uniform or logarithmic, evaluated by ``_expm``;
 ``temporal_profiles`` samples it (and the Gaussian) and the delay measures
@@ -22,12 +24,11 @@ its transfer function (``ive``) and is applied as small band products
 
 A cascade of first-order sections is time-recursive: its whole past is a
 state of K values (Lindeberg 2016, JMIV, "Time-causal and time-recursive
-spatio-temporal receptive fields"). ``_block_cascade`` advances that state
-a block of samples at a time (Burrus 1972, IEEE Trans. Audio
+spatio-temporal receptive fields"). The block recursion advances that
+state a block of samples at a time (Burrus 1972, IEEE Trans. Audio
 Electroacoust. 20(4)): the outputs a block keeps are one matrix product of
 its samples with the sampled impulse response, plus the carried state, so
-the samples of every block, lane and channel go through one GEMM and only
-a K x K step per block is left to Python.
+only a K x K step per block is left to Python.
 """
 
 from __future__ import annotations
@@ -450,12 +451,13 @@ def cascade_sections(ladder: ScaleLadder, omega: float = 0.0) -> np.ndarray:
 _BLOCK_SAMPLES = 384
 _BLOCK_KEPT = 32
 _COLUMNS = 8
-# Rows per product call. OpenBLAS runs a product of up to 4 * 65536
+# Rows per product call. OpenBLAS runs a product of up to _SERIAL_PRODUCT
 # multiply-adds on the calling thread; threaded calls over a chunk of
 # layer-2 rows tripled the wall time of the smoothing on 2 cores and left
 # the second core spinning after each. Layer 1's wide products (thousands
 # of columns) still run threaded.
 _GEMM_ROWS = 192
+_SERIAL_PRODUCT = 4 * 65536
 # Real elements of a block's weights per group of sets, and of one GEMM's
 # output unless that has fewer than _CHUNK_ROWS rows (each GEMM reads the
 # weights once): they bound the temporaries whatever the signal length.
@@ -562,12 +564,15 @@ def _block_weights(sections: np.ndarray, hop: int):
     return weights.view(np.float64), read_out, step
 
 
-def _block_cascade(
-    x: np.ndarray, sections: np.ndarray, hop: int, relative: bool = False, steady: bool = False
-) -> np.ndarray:
+def _block_cascade(x: np.ndarray, sections: np.ndarray, hop: int) -> np.ndarray:
     """Run each cascade of ``sections`` (sets, K, 6) over every lane of
-    ``x`` (samples, lanes); returns outputs 0, hop, 2 hop, ... as
+    ``x`` (samples, lanes) from rest; returns outputs 0, hop, 2 hop, ... as
     (frames, sets, lanes).
+
+    This is the block-row layout, for causal layer 1: few lanes (the one
+    signal) and many sets (the channels), so a product's free dimension is
+    the blocks. Layer 2's ladders run time-major instead (``_run_ladder``),
+    since there the lanes are many and the sets one.
 
     Blocks of B samples end on a kept sample (the signal is led by hop - 1
     zeros, which leave a resting state at rest). Per chunk of blocks, a GEMM
@@ -582,21 +587,11 @@ def _block_cascade(
     the same way whatever the lane, set, thread and sample counts (see
     ``_BLOCK_SAMPLES``); no product has a single row, since the GEMV path
     rounds differently.
-
-    The cascades start at rest. A ``relative`` run, for cascades of unit DC
-    gain such as every ladder, works relative to each block's first sample
-    r: the block's deviation from r is smoothed, r added back, and the
-    state kept as its deviation from the steady state at r, so a constant
-    stretch of input settles to its exact value, monotonically, instead of
-    rounding around it. ``steady`` then starts each lane in steady state at
-    its first sample, so a constant lane comes back exactly. (Unit gain is
-    then exact, where rounded coefficients of a stage with time constant mu
-    give a gain off by about mu ulp.)
     """
     n, lanes = x.shape
     if np.iscomplexobj(x):
         both = np.concatenate([x.real, x.imag], axis=1)
-        parts = _block_cascade(both, sections, hop, relative, steady)
+        parts = _block_cascade(both, sections, hop)
         return parts[..., :lanes] + 1j * parts[..., lanes:]
     kept, size = _block_shape(hop)
     sets, K = sections.shape[:2]
@@ -607,11 +602,11 @@ def _block_cascade(
         return out
     group = max(1, _WEIGHT_ELEMENTS // (size * (kept + K) * width))
     for s0 in range(0, sets, group):
-        _cascade_group(x, sections[s0 : s0 + group], hop, relative, steady, out[:, s0 : s0 + group])
+        _cascade_group(x, sections[s0 : s0 + group], hop, out[:, s0 : s0 + group])
     return out
 
 
-def _cascade_group(x, part, hop, relative, steady, out) -> None:
+def _cascade_group(x, part, hop, out) -> None:
     """``_block_cascade`` for one group of sets, written into ``out``."""
     n, lanes = x.shape
     g, K = part.shape[:2]
@@ -622,10 +617,6 @@ def _cascade_group(x, part, hop, relative, steady, out) -> None:
     # The state as a row of each set and lane, with a zero second lane
     # for a lone lane, so that no product has a single row.
     state = np.zeros((g, max(lanes, 2), step.shape[1]), dtype=dtype)
-    if relative:
-        unit_state = (part[..., 1] - part[..., 4])[:, None]  # the steady state at input 1
-        if not steady:
-            state[:, :lanes, :K] -= unit_state * x[0][:, None]
     chunk = max(-(-_CHUNK_ROWS // lanes), _CHUNK_ELEMENTS // (lanes * weights.shape[1]))
     for b0 in range(0, blocks, chunk):
         nb = min(chunk, blocks - b0)
@@ -634,10 +625,6 @@ def _cascade_group(x, part, hop, relative, steady, out) -> None:
         lo = b0 * size - (hop - 1)
         a, z = max(lo, 0), min(lo + nb * size, n)
         rows.reshape(lanes, -1)[:, a - lo : z - lo] = x[a:z].T
-        if relative:
-            first = np.arange(b0, b0 + nb + 1) * size - (hop - 1)
-            level = x[np.clip(first, 0, n - 1)].T  # (lanes, nb + 1)
-            rows[:, :nb] -= level[:, :nb, None]
         product = _matmul(rows.reshape(-1, size), weights).view(dtype)[:, : (kept + K) * g]
         product = product.reshape(lanes, padded, kept + K, g)
         # states[:, :, q] is the state before block q, each entry starting
@@ -645,17 +632,11 @@ def _cascade_group(x, part, hop, relative, steady, out) -> None:
         states = np.zeros((g, state.shape[1], nb + 1, state.shape[2]), dtype=dtype)
         states[:, :, 0] = state
         states[:, :lanes, 1:, :K] = product[:, :nb, kept:].transpose(3, 0, 1, 2)
-        if relative:
-            # re-express each state against the next block's level
-            shift = (level[:, :nb] - level[:, 1:])[None, :, :, None]
-            states[:, :lanes, 1:, :K] += shift * unit_state[:, :, None]
         for q in range(nb):
             states[:, :, q + 1] += states[:, :, q] @ step
         state = states[:, :, nb].copy()
         read = _matmul(states[:, :lanes, :padded, :K].reshape(g, lanes * padded, K), read_out)
         read = read.reshape(g, lanes, padded, -1)[:, :, :nb, :kept]
-        if relative:
-            read += level[None, :, :nb, None]
         kept_out = product[:, :nb, :kept]
         kept_out += read.transpose(1, 2, 3, 0)
         kept_out = kept_out.transpose(1, 2, 3, 0)  # (nb, kept, g, lanes)
@@ -669,13 +650,66 @@ def _cascade_group(x, part, hop, relative, steady, out) -> None:
 
 def _run_ladder(x: np.ndarray, ladder: ScaleLadder, axis: int, steady: bool) -> np.ndarray:
     """A sample-unit ladder along ``axis``, from rest or in steady state at
-    each lane's first sample."""
-    if not np.iscomplexobj(x):
-        x = x.astype(np.result_type(x.dtype, np.float64), copy=False)
+    each lane's first sample, in the time-major layout.
+
+    The lanes stay as the map lays them out, (samples, lanes), and each
+    block of _BLOCK_KEPT samples is one product of the ladder's transposed
+    block weights with the block's own rows, less the block's first row r:
+    its outputs and state increments for every lane at once. The state, K
+    rows of lanes, is kept as its deviation from the steady state at r, so
+    a constant stretch settles to its exact value, monotonically, instead
+    of rounding around it, and ``steady`` (that deviation 0 at the start)
+    brings a constant lane back exactly. Lanes go in chunks of a multiple
+    of _COLUMNS, zero-padded, that keep every product within
+    _SERIAL_PRODUCT, so a lane comes out bitwise the same whatever lanes
+    run beside it. A complex map runs as its real view.
+    """
+    x = x.astype(np.result_type(x.dtype, np.float64), copy=False)
     moved = np.moveaxis(x, axis, 0)
     lanes = moved.reshape(moved.shape[0], -1)
-    y = _block_cascade(lanes, cascade_sections(ladder)[None], 1, relative=True, steady=steady)
-    return np.moveaxis(y.reshape(moved.shape), 0, axis)
+    if lanes.dtype.kind == "c":
+        lanes = np.ascontiguousarray(lanes).view(np.float64)
+    out = np.empty(lanes.shape)
+    if out.size:
+        sections = cascade_sections(ladder)
+        weights, read_out, step = _block_weights(sections[None], 1)
+        kept, K = _BLOCK_KEPT, ladder.K
+        unit = (sections[:, 1] - sections[:, 4])[:, None]  # the steady state at input 1
+        ladder_blocks = (weights[:, : kept + K].T, read_out[0].T, step[0].T, unit, steady)
+        chunk = max(1, _SERIAL_PRODUCT // ((kept + K) * kept * _COLUMNS)) * _COLUMNS
+        for lo in range(0, lanes.shape[1], chunk):
+            _ladder_lanes(lanes[:, lo : lo + chunk], *ladder_blocks, out[:, lo : lo + chunk])
+    return np.moveaxis(out.view(x.dtype).reshape(moved.shape), 0, axis)
+
+
+def _ladder_lanes(x, weights, read_out, step, unit, steady, out) -> None:
+    """``_run_ladder`` for one chunk of lanes, written into ``out``."""
+    n, lanes = x.shape
+    kept, K = read_out.shape
+    width = _padded(lanes)
+    block = np.zeros((kept, width))
+    level = np.zeros(width)  # the block's first row
+    shift = np.zeros(width)  # its level less the next block's
+    state = np.zeros((step.shape[0], width))
+    if not steady:
+        state[:K, :lanes] -= unit * x[0]
+    product = np.empty((kept + K, width))
+    read = np.empty((kept, width))
+    carried = np.empty_like(state)
+    for lo in range(0, n, kept):
+        hi = min(lo + kept, n)
+        level[:lanes] = x[lo]
+        np.subtract(x[lo:hi], level[:lanes], out=block[: hi - lo, :lanes])
+        np.subtract(0.0, level[:lanes], out=block[hi - lo :, :lanes])  # past the end
+        _matmul(weights, block, out=product)
+        _matmul(read_out, state[:K], out=read)  # c A^i z for each kept offset i
+        read += level
+        np.add(product[: hi - lo, :lanes], read[: hi - lo, :lanes], out=out[lo:hi])
+        np.subtract(level[:lanes], x[min(hi, n - 1)], out=shift[:lanes])
+        increment = product[kept:]
+        increment += shift * unit  # re-expressed against the next block's level
+        _matmul(step, state, out=carried)
+        np.add(increment, carried[:K], out=state[:K])
 
 
 def recursive_stage(
@@ -706,7 +740,11 @@ def discrete_recursive_smooth(
     """Run a sample-unit ladder along one axis; returns the output at tau_max.
 
     The K stages of ``cascade_sections(ladder)`` run as one block
-    recursion. Complex input stays complex. Every stage starts at rest
+    recursion in the time-major layout (``_run_ladder``): the signal is
+    read along ``axis`` as (samples, lanes), and each block of 32 samples
+    is one product with every lane of a chunk, where causal layer 1's
+    block-row layout (``_block_cascade``) takes the blocks of few lanes
+    through one product. Complex input stays complex. Every stage starts at rest
     unless ``steady`` is set; then each stage starts in steady state at the
     input's first sample along ``axis``, so a constant signal comes back
     exactly. A constant stretch of input settles to its exact value, as a
@@ -846,8 +884,6 @@ def discrete_gaussian_kernel(s_sampl: float, epsilon: float = 1e-6) -> SampledKe
 # Outputs per product of the discrete-Gaussian smoothing: one band of the
 # kernel's Toeplitz matrix serves every block of them.
 _BAND_OUTPUTS = 32
-# Multiply-adds up to which OpenBLAS runs a product on the calling thread.
-_SERIAL_PRODUCT = 4 * 65536
 
 
 def discrete_gaussian_smooth(

@@ -4,9 +4,12 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from tonescale import receptive_fields
+from tonescale import receptive_fields, temporal_scale_space
 from tonescale.features import (
+    _link_ridges,
     _ridge_points,
     band_response,
     detect_offsets,
@@ -32,7 +35,9 @@ from tonescale.temporal_scale_space import (
     Distribution,
     TemporalKernelSpec,
     build_ladder,
+    discrete_recursive_smooth,
     discretize_ladder,
+    recursive_stage,
 )
 
 from conftest import exponential_chirp, sine
@@ -389,15 +394,129 @@ def test_ridge_scan_is_bitwise_the_per_frame_scan(n_ch, step, c_min, rng):
     if n_ch >= 7:
         values[0, :7] = [0.0, 1.0, 5.0, 5.0, 5.0, 1.0, 0.0]  # a flat-topped peak
         values[1, :7] = [0.0, 4.0, 4.0, 1.0, 4.0, 4.0, 0.0]
-    got = _ridge_points(values, 61.5, 0.25, c_min)
-    assert len(got) == len(values)
+    frames, nus, strengths = _ridge_points(values, 61.5, 0.25, c_min)
+    assert np.all(np.diff(frames) >= 0) and np.all((0 <= frames) & (frames < len(values)))
     for j, row in enumerate(values):
         want = ridge_points_of_one_frame(row, 61.5, 0.25, c_min)
-        got_j = np.array(got[j], dtype=float).reshape(-1, 2)
+        got_j = np.stack([nus[frames == j], strengths[frames == j]], axis=1)
         want_j = np.array(want, dtype=float).reshape(-1, 2)
         assert got_j.tobytes() == want_j.tobytes(), j
     if n_ch >= 5 and c_min == -math.inf:
-        assert sum(map(len, got)) > 0
+        assert frames.size > 0
+
+
+def link_by_full_scan(frame_points, warm, nu0, dnu, max_jump):
+    """The linker oracle: every point of a frame against every active curve,
+    each point gated against its warm-up stencil on its own."""
+    n_ch = len(warm)
+    warm_min, warm_max = int(warm.min()), int(warm.max())
+    active, finished = [], []
+    for j in range(len(frame_points)):
+        points = [] if j < warm_min else frame_points[j]
+        if points and j < warm_max:
+            kept = []
+            for nu, strength in points:
+                i = int((nu - nu0) / dnu)
+                if j >= int(warm[max(0, i - 1) : min(n_ch, i + 3)].max()):
+                    kept.append((nu, strength))
+            points = kept
+        taken = [False] * len(points)
+        survivors = []
+        for curve in active:
+            best, best_dist = -1, max_jump
+            for idx, (nu, _) in enumerate(points):
+                dist = abs(nu - curve["nus"][-1])
+                if not taken[idx] and dist <= best_dist:
+                    best, best_dist = idx, dist
+            if best >= 0:
+                taken[best] = True
+                nu, strength = points[best]
+                curve["frames"].append(j)
+                curve["nus"].append(nu)
+                curve["strengths"].append(strength)
+                survivors.append(curve)
+            else:
+                finished.append(curve)
+        for idx, (nu, strength) in enumerate(points):
+            if not taken[idx]:
+                survivors.append({"frames": [j], "nus": [nu], "strengths": [strength]})
+        active = survivors
+    finished.extend(active)
+    finished.sort(key=lambda cu: (cu["frames"][0], cu["nus"][0]))
+    return finished
+
+
+@st.composite
+def ridge_frames(draw):
+    """Frames of ridge points on a lattice of quarter channels, so that
+    distances of exactly ``max_jump`` and ties are common: a point between
+    channels i and i + 1 (1 <= i <= n_ch - 3) lies at i + frac, frac in
+    (0, 1], and gates against channels i - 1 .. i + 2 during warm-up."""
+    n_ch = draw(st.integers(5, 12))
+    point = st.tuples(st.integers(5, 4 * (n_ch - 2)), st.floats(3.0, 60.0))
+    frame = st.lists(point, max_size=6, unique_by=lambda p: p[0]).map(sorted)
+    frames = draw(st.lists(frame, max_size=14))
+    warm = draw(st.lists(st.integers(0, 6), min_size=n_ch, max_size=n_ch))
+    return np.array(warm), frames
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    layout=ridge_frames(),
+    nu0=st.sampled_from([61.5, -2.0, 0.0]),
+    dnu=st.sampled_from([0.25, 1.0 / 3.0, 1.0 / 48.0]),
+    jump=st.sampled_from([0, 1, 2, 3, 4, 6, 8, None]),
+)
+@example(
+    layout=(np.zeros(6, dtype=int), [[(6, 5.0), (10, 6.0)], [(8, 7.0)], []]),
+    nu0=61.5,
+    dnu=0.25,
+    jump=2,
+)
+@example(
+    layout=(np.array([3, 0, 0, 0, 0, 0, 2]), [[(5, 4.0), (20, 4.0)]] * 5),
+    nu0=0.0,
+    dnu=1.0 / 3.0,
+    jump=None,
+)
+def test_ridge_linker_is_bitwise_the_full_scan(layout, nu0, dnu, jump):
+    """Frames, frequencies and strengths of every curve, in order, against
+    the full scan: exact ``max_jump`` distances (``jump`` quarter channels,
+    or 1 semitone), equal-distance ties, empty frames and stencils at both
+    edges of the grid during warm-up."""
+    warm, frames = layout
+    max_jump = 1.0 if jump is None else jump * dnu / 4.0
+    frame_points = [[(nu0 + q / 4.0 * dnu, c) for q, c in frame] for frame in frames]
+    points = [(j, nu, c) for j, frame in enumerate(frame_points) for nu, c in frame]
+    got = _link_ridges(
+        np.array([p[0] for p in points], dtype=int),
+        np.array([p[1] for p in points], dtype=float),
+        np.array([p[2] for p in points], dtype=float),
+        len(frames),
+        warm,
+        nu0,
+        dnu,
+        max_jump,
+    )
+    want = link_by_full_scan(frame_points, warm, nu0, dnu, max_jump)
+    assert len(got) == len(want)
+    for curve, cu in zip(got, want):
+        assert curve.frames.tobytes() == np.array(cu["frames"], dtype=int).tobytes()
+        assert curve.nus.tobytes() == np.array(cu["nus"]).tobytes()
+        assert curve.strengths.tobytes() == np.array(cu["strengths"]).tobytes()
+
+
+@pytest.mark.parametrize(
+    "last, nu",
+    [(1.3779326785796648, 0.3779326785796648), (-1.946066276384646, -0.9460662763846458)],
+)
+def test_ridge_linker_takes_a_point_past_the_rounded_bisection_bound(last, nu):
+    """|nu - last| rounds to exactly max_jump = 1 although nu lies just
+    outside last -/+ 1 as rounded, where bisection alone would not look."""
+    assert abs(nu - last) <= 1.0 and not (last - 1.0 <= nu <= last + 1.0)
+    points = np.array([0, 1]), np.array([last, nu]), np.array([5.0, 6.0])
+    curves = _link_ridges(*points, 2, np.zeros(10, dtype=int), -5.0, 1.0, 1.0)
+    assert len(curves) == 1 and curves[0].nus.tolist() == [last, nu]
 
 
 def default_grid_db_map(seconds, rng):
@@ -440,3 +559,43 @@ def test_glissando_bank_peak_memory_is_at_most_twelve_maps(rng):
     bank = [-24.0, -12.0, 0.0, 12.0, 24.0]
     peak = peak_maps(L, lambda: glissando_filterbank(L, bank, 0.06 ** 2, S_NU, window))
     assert peak <= 12.0
+
+
+def test_layer2_cascade_products_run_on_the_calling_thread(monkeypatch, rng):
+    """Every product of the layer-2 cascades (the smoothing pass, the
+    second-moment integration over a 1104-lane stack, a long ladder and one
+    stage) stays within the 4 * 65536 multiply-adds OpenBLAS runs serially."""
+    sizes = []
+    matmul = temporal_scale_space._matmul
+
+    def spy(a, b, *args, **kwargs):
+        sizes.append(a.shape[-2] * a.shape[-1] * b.shape[-1] * math.prod(a.shape[:-2]))
+        return matmul(a, b, *args, **kwargs)
+
+    monkeypatch.setattr(temporal_scale_space, "_matmul", spy)
+    L = default_grid_db_map(0.2, rng)
+    apply_rf(L, RFSpec(temporal=FAM.temporal(TAU_A), s=0.0))
+    second_moment_glissando(L, TAU_A, 0.0, 0.06 ** 2, 0.0)  # s = 0: no band products
+    long = build_ladder(Distribution.LOGARITHMIC, 4e-3, 12, math.sqrt(2.0))
+    long = discretize_ladder(long, 1000.0)
+    discrete_recursive_smooth(L.values, long, axis=0)
+    recursive_stage(L.values, 3.5, axis=0)
+    assert len(sizes) > 100
+    assert max(sizes) <= 4 * 65536
+
+
+def test_glissando_bank_visits_a_repeated_slope_once(monkeypatch):
+    L = step_tone_db(duration=0.4)
+    want = glissando_filterbank(L, (-12.0, 0.0, 12.0), TAU_A, S_NU)
+    slopes = []
+    band = receptive_fields.apply_rf
+
+    def spy(S, spec):
+        slopes.append(spec.v)
+        return band(S, spec)
+
+    monkeypatch.setattr("tonescale.features.apply_rf", spy)
+    got = glissando_filterbank(L, (12.0, 0.0, -12.0, 12.0, 0.0), TAU_A, S_NU)
+    assert slopes == [0.0, -12.0, 12.0]
+    assert got.bank == (12.0, 0.0, -12.0, 12.0, 0.0)
+    assert np.array_equal(got.vhat, want.vhat) and np.array_equal(got.response, want.response)

@@ -334,8 +334,6 @@ def test_block_cascade_does_not_depend_on_chunks_groups_or_lanes(patch, monkeypa
     x = rng.normal(size=(1500, 5)) * 20.0 - 40.0
     block_cascade = temporal_scale_space._block_cascade
     want = {hop: block_cascade(x, sections, hop) for hop in (1, 7, 400)}
-    ladder = cascade_sections(lad)[None]
-    want_rel = block_cascade(x[:, :3], ladder, 1, relative=True)
     for name, value in patch.items():
         monkeypatch.setattr(temporal_scale_space, name, value)
     for hop, map_ in want.items():
@@ -343,9 +341,34 @@ def test_block_cascade_does_not_depend_on_chunks_groups_or_lanes(patch, monkeypa
         for lane in (0, 4):
             alone = block_cascade(x[:, lane : lane + 1], sections, hop)
             assert np.array_equal(alone[..., 0], map_[..., lane])
-    rel = block_cascade(x[:, :3], ladder, 1, relative=True)
-    assert np.array_equal(rel, want_rel)
-    assert np.array_equal(block_cascade(x[:, 1:2], ladder, 1, relative=True), rel[..., 1:2])
+
+
+@pytest.mark.parametrize("steady", [False, True], ids=["rest", "steady"])
+def test_a_ladder_lane_does_not_depend_on_the_lanes_beside_it(steady, rng):
+    """A lane alone comes out bitwise as inside maps of every width around
+    the column multiple and the lane chunk, at the front and the back."""
+    lad = discretize_ladder(build_ladder(Distribution.LOGARITHMIC, 4e-4, 7, math.sqrt(2.0)), 1000.0)
+    kept, columns = temporal_scale_space._BLOCK_KEPT, temporal_scale_space._COLUMNS
+    chunk = temporal_scale_space._SERIAL_PRODUCT // ((kept + lad.K) * kept) // columns * columns
+    assert chunk > 9  # lanes per time-major product
+    x = rng.normal(size=(100, 1104)) * 20.0 - 40.0
+    for j in (0, 1103):
+        alone = discrete_recursive_smooth(x[:, j : j + 1], lad, axis=0, steady=steady)
+        for lanes in (2, 7, 8, 9, chunk - 1, chunk + 1, 1104):
+            part = x[:, :lanes] if j == 0 else x[:, -lanes:]
+            got = discrete_recursive_smooth(part, lad, axis=0, steady=steady)
+            assert np.array_equal(got[:, 0 if j == 0 else -1], alone[:, 0]), lanes
+
+
+@pytest.mark.parametrize("steady", [False, True], ids=["rest", "steady"])
+def test_a_complex_map_runs_as_its_real_and_imaginary_parts(steady, rng):
+    lad = discretize_ladder(build_ladder(Distribution.UNIFORM, 4e-4, 4), 1000.0)
+    x = (rng.normal(size=(75, 3, 5)) + 1j * rng.normal(size=(75, 3, 5))) * 20.0
+    for axis in (0, 1, -1):
+        got = discrete_recursive_smooth(x, lad, axis=axis, steady=steady)
+        assert got.dtype == complex and got.shape == x.shape
+        for part, alone in ((got.real, x.real), (got.imag, x.imag)):
+            assert np.array_equal(part, discrete_recursive_smooth(alone, lad, axis=axis, steady=steady))
 
 
 def test_folded_sections_demodulate_the_cascade(rng):
@@ -365,18 +388,22 @@ def test_folded_sections_demodulate_the_cascade(rng):
 
 def test_discrete_recursive_smooth_steady_mode_keeps_a_constant_map(rng):
     # Each stage starts in steady state at its own input's first row, so a
-    # constant map has no settling transient and comes back exactly.
+    # constant map has no settling transient and comes back exactly, in
+    # every lane chunk and across a part block.
     lad = discretize_ladder(
         build_ladder(Distribution.LOGARITHMIC, tau_max=1e-3, K=7, c=math.sqrt(2.0)), 1000.0
     )
-    level = np.concatenate([[0.0, -200.0], rng.normal(size=30) * 40.0])
-    flat = np.tile(level, (80, 1))
+    level = np.concatenate([[0.0, -200.0], rng.normal(size=1102) * 40.0])
+    flat = np.tile(level, (1500, 1))
     out = discrete_recursive_smooth(flat, lad, axis=0, steady=True)
     assert out.shape == flat.shape
     np.testing.assert_array_equal(out, flat)
     assert np.all(out[:, 0] == 0.0)
-    # at rest the same map rises from zero instead
-    assert abs(discrete_recursive_smooth(flat, lad, axis=0)[0, 1]) < 200.0 * 0.01
+    # at rest the same map rises from zero instead, monotonically to exactly its level
+    rest = discrete_recursive_smooth(flat, lad, axis=0)
+    assert abs(rest[0, 1]) < 200.0 * 0.01
+    assert np.array_equal(rest[-1], level)
+    assert np.all(np.diff(rest, axis=0) * np.sign(level) >= 0.0)
 
 
 @pytest.mark.parametrize("K", range(1, 11))

@@ -290,10 +290,10 @@ def compute_spectrogram(
     response on the frame comb only and multiplies those samples by
     e^{-i omega t}.
 
-    Causal families fold the carrier into the cascade's poles, a_k becoming
-    a_k e^{i w}, so all channels run as one block recursion over their
-    ``cascade_sections(ladder, w)`` at the full sample rate, which computes
-    the frames only. It runs on the calling thread; the BLAS library
+    Causal families fold the carrier into the cascade's poles, each pole
+    p_k becoming p_k e^{i w}, so all channels run as one block recursion over
+    their stages [gain, pole] from ``cascade_sections(ladder, w)`` at the
+    full sample rate, which computes the frames only. It runs on the calling thread; the BLAS library
     threads its GEMMs, and the map does not depend on its thread count.
 
     The Gaussian family correlates with the truncated discrete Gaussian
@@ -314,7 +314,7 @@ def compute_spectrogram(
     map does not depend on the thread count.
 
     Both agree with smoothing the modulated signal directly to within 1e-9
-    of the signal peak (the bound tests enforce). Ladders, sections,
+    of the signal peak (the bound tests enforce). Ladders, stages,
     Gaussian kernels and the degenerate-stage check are done before any
     channel is computed.
 
@@ -359,7 +359,7 @@ def compute_spectrogram(
             ]
         )
         warmup = np.array([-(-warmup_length(ladder) // hop) for ladder in ladders])
-        values = _block_cascade(x[:, None], sections, hop).reshape(n_frames, n_ch)
+        values = _block_cascade(x, sections, hop)
         for lo in range(0, n_frames, _DEMODULATE_FRAMES):
             rows = values[lo : lo + _DEMODULATE_FRAMES]
             rows *= np.exp(-1j * grid.omega * frame_times[lo : lo + _DEMODULATE_FRAMES, None])

@@ -10,19 +10,19 @@ never increases the number of local extrema of a signal.
 
 No other module realises a temporal kernel: the block recursion over
 ``_block_weights`` is the one discrete cascade realisation, laid out two
-ways (layer 2 runs each ladder time-major through ``_run_ladder`` and
-``discrete_recursive_smooth`` over ``cascade_sections(ladder)``; causal
-layer 1 runs block rows through ``_block_cascade`` over the sections with
-the carrier folded into the poles),
-and ``_phase_type`` the one continuous cascade kernel, h(t) = e_1 e^{Qt} q
-for every ladder, uniform or logarithmic, evaluated by ``_expm``;
-``temporal_profiles`` samples it (and the Gaussian) and the delay measures
-find its maximum and inflection points. ``ScaleLadder.support`` is the one
+ways over the stages [gain, pole] of ``cascade_sections`` (layer 2 runs
+each ladder time-major through ``_run_ladder`` and
+``discrete_recursive_smooth``; causal layer 1 runs the block rows of its
+one signal through ``_block_cascade``, with the carrier folded into the
+poles), and ``_phase_type`` the one continuous cascade kernel,
+h(t) = e_1 e^{Qt} q for every ladder, uniform or logarithmic, evaluated
+by ``_expm``; ``temporal_profiles`` samples it (and the Gaussian) and the
+delay measures find its maximum and inflection points. ``ScaleLadder.support`` is the one
 support rule. The discrete Gaussian takes its taps from one inverse FFT of
 its transfer function (``ive``) and is applied as small band products
 (``discrete_gaussian_smooth``), so neither needs SciPy.
 
-A cascade of first-order sections is time-recursive: its whole past is a
+A cascade of first-order stages is time-recursive: its whole past is a
 state of K values (Lindeberg 2016, JMIV, "Time-causal and time-recursive
 spatio-temporal receptive fields"). The block recursion advances that
 state a block of samples at a time (Burrus 1972, IEEE Trans. Audio
@@ -250,35 +250,21 @@ class SpectrogramFamily:
 
 @dataclass(eq=False)
 class SampledKernel:
-    """A kernel sampled on a uniform grid.
+    """A discrete kernel: weights on unit sample spacing.
 
-    ``values`` are density samples; the kernel's mass is sum(values) * dt,
-    so discrete unit-spacing kernels (dt = 1) carry their weights directly.
-    ``origin_index`` is the sample position of t = 0.
+    ``origin_index`` is the sample position of n = 0.
     """
 
     values: np.ndarray
     origin_index: int
-    dt: float
 
     @property
     def times(self) -> np.ndarray:
-        return (np.arange(len(self.values)) - self.origin_index) * self.dt
+        return np.arange(len(self.values)) - self.origin_index
 
     @property
     def mass(self) -> float:
-        return float(np.sum(self.values) * self.dt)
-
-    @property
-    def mean(self) -> float:
-        w = self.values * self.dt
-        return float(np.sum(self.times * w) / np.sum(w))
-
-    @property
-    def variance(self) -> float:
-        w = self.values * self.dt
-        m = self.mean
-        return float(np.sum((self.times - m) ** 2 * w) / np.sum(w))
+        return float(np.sum(self.values))
 
 
 def gaussian_kernel_sample(tau: float, t, delta: float = 0.0):
@@ -415,16 +401,16 @@ def _derivative_columns(ladder: ScaleLadder, orders: int) -> tuple[np.ndarray, n
 
 
 def cascade_sections(ladder: ScaleLadder, omega: float = 0.0) -> np.ndarray:
-    """The K first-order sections of a sample-unit ladder, one row each.
+    """The K first-order stages of a sample-unit ladder, one [gain, pole] row each.
 
-    A row [b0, b1, 0, 1, a1, 0] is the section y[n] = b0 x[n] + b1 x[n-1]
-    - a1 y[n-1]. Stage k is y[n] = (mu y[n-1] + x[n]) / (1 + mu), the
-    section [1/(1+mu), 0, 0, 1, -mu/(1+mu), 0]. A nonzero ``omega``
+    Stage k is y[n] = y[n-1] + (x[n] - y[n-1]) / (1 + mu) = gain x[n] +
+    pole y[n-1], with gain 1/(1+mu) and pole mu/(1+mu). A nonzero ``omega``
     (rad/sample) turns each pole into mu e^{i omega}/(1+mu): the cascade of
     a real x[n] is then e^{i omega n} times the cascade of x[n] e^{-i omega n},
-    so a modulated signal is smoothed without forming the modulation. This
-    is the only place the layers' stage coefficients are written; the
-    continuous kernel of a ladder in seconds is ``_phase_type``'s.
+    so a modulated signal is smoothed without forming the modulation. The
+    rows take the pole's dtype. This is the only place the layers' stage
+    coefficients are written; the continuous kernel of a ladder in seconds
+    is ``_phase_type``'s.
     """
     if ladder.units != "samples":
         raise ValueError("recursive smoothing expects a ladder in sample units")
@@ -432,11 +418,7 @@ def cascade_sections(ladder: ScaleLadder, omega: float = 0.0) -> np.ndarray:
     pole = mus / (1.0 + mus)
     if omega:
         pole = pole * np.exp(1j * omega)
-    sos = np.zeros((ladder.K, 6), dtype=pole.dtype)
-    sos[:, 0] = 1.0 / (1.0 + mus)
-    sos[:, 3] = 1.0
-    sos[:, 4] = -pole
-    return sos
+    return np.stack([1.0 / (1.0 + mus), pole], axis=1)
 
 
 # Block shape of the cascade realisation: a block keeps at most
@@ -472,30 +454,24 @@ def _block_shape(hop: int) -> tuple[int, int]:
     return kept, kept * hop
 
 
-def _state_space(sections: np.ndarray):
-    """The cascades of ``sections`` (sets, K, 6) in state-space form.
+def _state_space(stages: np.ndarray):
+    """The cascades of ``stages`` (sets, K, 2) in state-space form.
 
-    z[n] = A z[n-1] + b x[n] and y[n] = c z[n-1] + d x[n], where z holds
-    each section's transposed-direct-form delay. A is lower triangular and
-    is never diagonalised: a uniform ladder repeats one pole K times.
+    z[n] = A z[n-1] + b x[n] and y[n] = c z[n-1] + d x[n], where z_k =
+    pole_k y_k[n-1] is stage k's pole times its last output. A is lower
+    triangular and is never diagonalised: a uniform ladder repeats one pole
+    K times.
     """
-    b0, b1, a1 = sections[..., 0], sections[..., 1], sections[..., 4]
-    sets, K = b0.shape
-    # Section outputs from the delays: y = D z[n-1] + e x[n].
-    D = np.zeros((sets, K, K), dtype=sections.dtype)
+    gain, pole = stages[..., 0], stages[..., 1]
+    sets, K = gain.shape
+    # Stage outputs from the state: y = D z[n-1] + e x[n].
+    D = np.zeros((sets, K, K), dtype=stages.dtype)
     for k in range(K):
         D[:, k, k] = 1.0
         for j in range(k - 1, -1, -1):
-            D[:, k, j] = D[:, k, j + 1] * b0[:, j + 1]
-    e = np.cumprod(b0, axis=1)
-    # Delays from the outputs: z_k = b1_k y_{k-1} - a1_k y_k, with y_0 = x.
-    E = np.zeros_like(D)
-    diag = np.arange(K)
-    E[:, diag, diag] = -a1
-    E[:, diag[1:], diag[:-1]] = b1[:, 1:]
-    b = (E @ e[:, :, None])[:, :, 0]
-    b[:, 0] += b1[:, 0]
-    return E @ D, b, D[:, -1], e[:, -1]
+            D[:, k, j] = D[:, k, j + 1] * gain[:, j + 1]
+    e = np.cumprod(gain, axis=1)
+    return pole[:, :, None] * D, pole * e, D[:, -1], e[:, -1]
 
 
 def _power_rows(A: np.ndarray, v: np.ndarray, count: int) -> np.ndarray:
@@ -565,41 +541,32 @@ def _block_weights(sections: np.ndarray, hop: int):
 
 
 def _block_cascade(x: np.ndarray, sections: np.ndarray, hop: int) -> np.ndarray:
-    """Run each cascade of ``sections`` (sets, K, 6) over every lane of
-    ``x`` (samples, lanes) from rest; returns outputs 0, hop, 2 hop, ... as
-    (frames, sets, lanes).
+    """Run each cascade of ``sections`` (sets, K, 2), the [gain, pole] rows
+    of ``cascade_sections``, over the real signal ``x`` from rest; returns
+    outputs 0, hop, 2 hop, ... as (frames, sets).
 
-    This is the block-row layout, for causal layer 1: few lanes (the one
-    signal) and many sets (the channels), so a product's free dimension is
-    the blocks. Layer 2's ladders run time-major instead (``_run_ladder``),
-    since there the lanes are many and the sets one.
+    This is the block-row layout, for causal layer 1: one signal and many
+    sets (the channels), so a product's free dimension is the blocks.
+    Layer 2's ladders run time-major instead (``_run_ladder``), since there
+    the lanes are many and the sets one.
 
     Blocks of B samples end on a kept sample (the signal is led by hop - 1
     zeros, which leave a resting state at rest). Per chunk of blocks, a GEMM
-    takes the samples of (lane, block) rows to every set's kept outputs and
-    state increments, a real input against complex weights as one real GEMM
-    on their real view and a complex input as two real lanes. One K x K
-    product per block, batched over sets and lanes, then carries the state,
-    and a second GEMM adds c A^i z to the block's outputs. Sets are taken in
-    groups, so that the weights stay bounded, and each chunk has at least
-    _CHUNK_ROWS rows but no more real elements than _CHUNK_ELEMENTS beyond
-    that, so that every temporary does too. Each lane and set is computed
-    the same way whatever the lane, set, thread and sample counts (see
+    takes the samples of each block row to every set's kept outputs and
+    state increments, the real signal against complex weights as one real
+    GEMM on their real view. One K x K product per block, batched over sets,
+    then carries the state, and a second GEMM adds c A^i z to the block's
+    outputs. Sets are taken in groups, so that the weights stay bounded, and
+    each chunk has at least _CHUNK_ROWS rows but no more real elements than
+    _CHUNK_ELEMENTS beyond that, so that every temporary does too. Each set
+    is computed the same way whatever the set, thread and sample counts (see
     ``_BLOCK_SAMPLES``); no product has a single row, since the GEMV path
     rounds differently.
     """
-    n, lanes = x.shape
-    if np.iscomplexobj(x):
-        both = np.concatenate([x.real, x.imag], axis=1)
-        parts = _block_cascade(both, sections, hop)
-        return parts[..., :lanes] + 1j * parts[..., lanes:]
     kept, size = _block_shape(hop)
     sets, K = sections.shape[:2]
-    dtype = np.result_type(sections.dtype, x.dtype)
-    width = 2 if dtype.kind == "c" else 1  # real GEMM columns per weight
-    out = np.empty((-(-n // hop), sets, lanes), dtype=dtype)
-    if out.size == 0:
-        return out
+    width = 2 if sections.dtype.kind == "c" else 1  # real GEMM columns per weight
+    out = np.empty((-(-x.size // hop), sets), dtype=sections.dtype)
     group = max(1, _WEIGHT_ELEMENTS // (size * (kept + K) * width))
     for s0 in range(0, sets, group):
         _cascade_group(x, sections[s0 : s0 + group], hop, out[:, s0 : s0 + group])
@@ -608,41 +575,38 @@ def _block_cascade(x: np.ndarray, sections: np.ndarray, hop: int) -> np.ndarray:
 
 def _cascade_group(x, part, hop, out) -> None:
     """``_block_cascade`` for one group of sets, written into ``out``."""
-    n, lanes = x.shape
     g, K = part.shape[:2]
     kept, size = _block_shape(hop)
     blocks = -(-out.shape[0] // kept)
     dtype = out.dtype
     weights, read_out, step = _block_weights(part, hop)
-    # The state as a row of each set and lane, with a zero second lane
-    # for a lone lane, so that no product has a single row.
-    state = np.zeros((g, max(lanes, 2), step.shape[1]), dtype=dtype)
-    chunk = max(-(-_CHUNK_ROWS // lanes), _CHUNK_ELEMENTS // (lanes * weights.shape[1]))
+    # The state as a row of each set, with a zero second row, so that no
+    # product has a single row.
+    state = np.zeros((g, 2, step.shape[1]), dtype=dtype)
+    chunk = max(_CHUNK_ROWS, _CHUNK_ELEMENTS // weights.shape[1])
     for b0 in range(0, blocks, chunk):
         nb = min(chunk, blocks - b0)
-        padded = nb + (lanes * nb == 1)
-        rows = np.zeros((lanes, padded, size))
+        padded = nb + (nb == 1)
+        rows = np.zeros((padded, size))
         lo = b0 * size - (hop - 1)
-        a, z = max(lo, 0), min(lo + nb * size, n)
-        rows.reshape(lanes, -1)[:, a - lo : z - lo] = x[a:z].T
-        product = _matmul(rows.reshape(-1, size), weights).view(dtype)[:, : (kept + K) * g]
-        product = product.reshape(lanes, padded, kept + K, g)
+        a, z = max(lo, 0), min(lo + nb * size, x.size)
+        rows.reshape(-1)[a - lo : z - lo] = x[a:z]
+        product = _matmul(rows, weights).view(dtype)[:, : (kept + K) * g]
+        product = product.reshape(padded, kept + K, g)
         # states[:, :, q] is the state before block q, each entry starting
         # as the increment the block before it adds
-        states = np.zeros((g, state.shape[1], nb + 1, state.shape[2]), dtype=dtype)
+        states = np.zeros((g, 2, nb + 1, state.shape[2]), dtype=dtype)
         states[:, :, 0] = state
-        states[:, :lanes, 1:, :K] = product[:, :nb, kept:].transpose(3, 0, 1, 2)
+        states[:, 0, 1:, :K] = product[:nb, kept:].transpose(2, 0, 1)
         for q in range(nb):
             states[:, :, q + 1] += states[:, :, q] @ step
         state = states[:, :, nb].copy()
-        read = _matmul(states[:, :lanes, :padded, :K].reshape(g, lanes * padded, K), read_out)
-        read = read.reshape(g, lanes, padded, -1)[:, :, :nb, :kept]
-        kept_out = product[:, :nb, :kept]
-        kept_out += read.transpose(1, 2, 3, 0)
-        kept_out = kept_out.transpose(1, 2, 3, 0)  # (nb, kept, g, lanes)
+        read = _matmul(states[:, 0, :padded, :K], read_out)[:, :nb, :kept]
+        kept_out = product[:nb, :kept]
+        kept_out += read.transpose(1, 2, 0)  # (nb, kept, g)
         target = out[b0 * kept : (b0 + nb) * kept]
         whole = target.shape[0] // kept  # the last block may run past the end
-        target[: whole * kept].reshape(whole, kept, g, lanes)[...] = kept_out[:whole]
+        target[: whole * kept].reshape(whole, kept, g)[...] = kept_out[:whole]
         if whole < nb:
             target[whole * kept :] = kept_out[whole, : target.shape[0] - whole * kept]
         del rows, product, states, read, kept_out  # freed before the next chunk allocates its own
@@ -674,7 +638,7 @@ def _run_ladder(x: np.ndarray, ladder: ScaleLadder, axis: int, steady: bool) -> 
         sections = cascade_sections(ladder)
         weights, read_out, step = _block_weights(sections[None], 1)
         kept, K = _BLOCK_KEPT, ladder.K
-        unit = (sections[:, 1] - sections[:, 4])[:, None]  # the steady state at input 1
+        unit = sections[:, 1:]  # the pole column, the steady state at input 1
         ladder_blocks = (weights[:, : kept + K].T, read_out[0].T, step[0].T, unit, steady)
         chunk = max(1, _SERIAL_PRODUCT // ((kept + K) * kept * _COLUMNS)) * _COLUMNS
         for lo in range(0, lanes.shape[1], chunk):
@@ -710,28 +674,6 @@ def _ladder_lanes(x, weights, read_out, step, unit, steady, out) -> None:
         increment += shift * unit  # re-expressed against the next block's level
         _matmul(step, state, out=carried)
         np.add(increment, carried[:K], out=state[:K])
-
-
-def recursive_stage(
-    x: np.ndarray, mu: float, axis: int = -1, init: np.ndarray | float | None = None
-) -> np.ndarray:
-    """One first-order recursive smoothing stage, time constant mu in samples.
-
-    Implements y[n] = y[n-1] + (x[n] - y[n-1]) / (1 + mu), as a one-stage
-    ladder through the cascade realisation. The virtual state y[-1] is zero
-    by default (signals that start at rest); pass ``init`` to start the
-    stage in steady state at that value, e.g. the first sample of a map
-    whose baseline is far from zero. Cascades run all their stages at once
-    through ``discrete_recursive_smooth``.
-    """
-    tau = mu * mu + mu
-    stage = ScaleLadder(Distribution.UNIFORM, tau, 1, None, (tau,), (mu,), units="samples")
-    x = np.asarray(x)
-    if init is None:
-        return _run_ladder(x, stage, axis, steady=False)
-    start = np.broadcast_to(np.asarray(init), np.take(x, [0], axis=axis).shape)
-    # a stage resting in steady state at init leaves x - init from rest
-    return start + _run_ladder(x - start, stage, axis, steady=False)
 
 
 def discrete_recursive_smooth(
@@ -860,7 +802,7 @@ def discrete_gaussian_kernel(s_sampl: float, epsilon: float = 1e-6) -> SampledKe
     if not 0 <= s_sampl < math.inf:
         raise ValueError(f"scale must be non-negative and finite, got {s_sampl}")
     if s_sampl == 0:
-        return SampledKernel(values=np.array([1.0]), origin_index=0, dt=1.0)
+        return SampledKernel(values=np.array([1.0]), origin_index=0)
     n_guess = max(4, int(math.ceil(6.0 * math.sqrt(s_sampl) + 10.0)))
     while True:
         taps = ive(np.arange(n_guess + 1), s_sampl)
@@ -878,7 +820,7 @@ def discrete_gaussian_kernel(s_sampl: float, epsilon: float = 1e-6) -> SampledKe
     half = taps[: n_half + 1]
     values = np.concatenate([half[:0:-1], half])
     values = values / values.sum()
-    return SampledKernel(values=values, origin_index=n_half, dt=1.0)
+    return SampledKernel(values=values, origin_index=n_half)
 
 
 # Outputs per product of the discrete-Gaussian smoothing: one band of the
@@ -894,9 +836,10 @@ def discrete_gaussian_smooth(
     Equal, to within rounding, to ``scipy.ndimage.correlate1d(x,
     discrete_gaussian_kernel(s_sampl, epsilon).values, axis, mode="reflect")``:
     within 1e-15 of the largest magnitude on maps, and 2e-15 where hundreds
-    of taps fold onto a short axis (tests bound both). Every other axis
-    holds independent lanes. Each lane is mirror-padded by the
-    kernel's half-width h, and each block of _BAND_OUTPUTS outputs is one
+    of taps fold onto a short axis (tests bound both). On an axis of one
+    sample every tap folds onto it, so the result is x times the tap sum.
+    Every other axis holds independent lanes. Each lane is mirror-padded by
+    the kernel's half-width h, and each block of _BAND_OUTPUTS outputs is one
     product of the lanes' (32 + 2h)-sample window with one shared band of
     the kernel's Toeplitz matrix. The products keep ``_matmul``'s rules and
     stay small enough to run on the calling thread, so a lane comes out
@@ -915,6 +858,8 @@ def discrete_gaussian_smooth(
     lanes, result = np.moveaxis(x, axis, -1), np.moveaxis(out, axis, -1)
     if out.size == 0:
         return out
+    if lanes.shape[-1] == 1:  # every tap folds onto the one sample
+        return x * kernel.values.sum()
     if lanes.ndim == 1:
         lanes, result = lanes[None], result[None]
     n = lanes.shape[-1]

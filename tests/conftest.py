@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
+from tonescale.temporal_scale_space import Distribution, ScaleLadder
+
 # On CI every run starts with an empty example database, so a falsifying
 # example must print the blob that reproduces it. Exploration stays random:
 # hypothesis's own "ci" profile, which this replaces, derandomizes.
@@ -43,3 +45,23 @@ def count_local_extrema(x: np.ndarray) -> int:
     maxima = (mid > x[:-2]) & (mid > x[2:])
     minima = (mid < x[:-2]) & (mid < x[2:])
     return int(np.count_nonzero(maxima) + np.count_nonzero(minima))
+
+
+def one_stage_ladder(mu: float) -> ScaleLadder:
+    """A sample-unit ladder of one first-order stage with time constant mu."""
+    tau = mu * mu + mu
+    return ScaleLadder(Distribution.UNIFORM, tau, 1, None, (tau,), (mu,), units="samples")
+
+
+def sos_rows(ladder: ScaleLadder, omega: float = 0.0) -> np.ndarray:
+    """scipy's second-order sections of a sample-unit ladder, built from its
+    time constants: stage mu is [1/(1+mu), 0, 0, 1, -mu e^{i omega}/(1+mu), 0]."""
+    mus = np.asarray(ladder.mus, dtype=float)
+    pole = mus / (1.0 + mus)
+    if omega:
+        pole = pole * np.exp(1j * omega)
+    sos = np.zeros((ladder.K, 6), dtype=pole.dtype)
+    sos[:, 0] = 1.0 / (1.0 + mus)
+    sos[:, 3] = 1.0
+    sos[:, 4] = -pole
+    return sos

@@ -46,10 +46,9 @@ from tonescale.temporal_scale_space import (
     discrete_recursive_smooth,
     discretize_ladder,
     gaussian_kernel_sample,
-    recursive_stage,
 )
 
-from conftest import count_local_extrema, exponential_chirp, sine
+from conftest import count_local_extrema, exponential_chirp, one_stage_ladder, sine
 
 RATE = 44100.0
 HOP = 44
@@ -192,7 +191,7 @@ def test_criterion_05_scale_space_property_suite():
     tau = 0.37
     tgrid = np.arange(-10.0, 10.0, 1e-3) * math.sqrt(tau)
     norm_errs.append(abs(float(np.trapezoid(gaussian_kernel_sample(tau, tgrid), tgrid)) - 1.0))
-    dc = recursive_stage(np.ones(512), 4.0)[-1]
+    dc = discrete_recursive_smooth(np.ones(512), one_stage_ladder(4.0))[-1]
     norm_errs.append(abs(float(dc) - 1.0))
     assert max(norm_errs) <= 1e-9
 

@@ -37,10 +37,9 @@ from tonescale.temporal_scale_space import (
     build_ladder,
     discrete_recursive_smooth,
     discretize_ladder,
-    recursive_stage,
 )
 
-from conftest import exponential_chirp, sine
+from conftest import exponential_chirp, one_stage_ladder, sine
 
 RATE = 44100.0
 FAM = SpectrogramFamily(kind="rec-log", K=7, c=math.sqrt(2.0))
@@ -579,7 +578,7 @@ def test_layer2_cascade_products_run_on_the_calling_thread(monkeypatch, rng):
     long = build_ladder(Distribution.LOGARITHMIC, 4e-3, 12, math.sqrt(2.0))
     long = discretize_ladder(long, 1000.0)
     discrete_recursive_smooth(L.values, long, axis=0)
-    recursive_stage(L.values, 3.5, axis=0)
+    discrete_recursive_smooth(L.values, one_stage_ladder(3.5), axis=0)
     assert len(sizes) > 100
     assert max(sizes) <= 4 * 65536
 

@@ -29,13 +29,12 @@ from tonescale.spectrogram import (
     window_scale,
 )
 from tonescale.temporal_scale_space import (
-    cascade_sections,
     discrete_gaussian_kernel,
     discrete_recursive_smooth,
     discretize_ladder,
 )
 
-from conftest import sine
+from conftest import sine, sos_rows
 
 RATE = 44100.0
 # Layer 1 folds the carrier into the window (the causal poles, the Gaussian
@@ -172,20 +171,21 @@ def test_gauss_and_causal_paths_agree_in_steady_state():
 
 
 def _folded_by_sosfilt(x, rate: float, grid: FrequencyGrid, fam, hop: int) -> np.ndarray:
-    """The causal map as one sosfilt per channel over the folded-pole
-    sections, sampled on the frames and demodulated there."""
+    """The causal map as one sosfilt per channel over folded-pole sections
+    built from the ladder's time constants, sampled on the frames and
+    demodulated there."""
     t = np.arange(0, x.size, hop) / rate
     values = np.empty((t.size, grid.n_channels), dtype=complex)
     for ch, (omega, tau) in enumerate(zip(grid.omega, grid.tau_window)):
         ladder = discretize_ladder(fam.ladder(tau), rate)
-        z = sosfilt(cascade_sections(ladder, omega / rate), x)[::hop]
+        z = sosfilt(sos_rows(ladder, omega / rate), x)[::hop]
         values[:, ch] = z * np.exp(-1j * omega * t)
     return values
 
 
 @pytest.mark.parametrize("kind", ["rec-uni", "rec-log"])
 def test_causal_channel_is_the_shared_cascade(kind, rng):
-    """Each causal channel is the folded-pole cascade of ``cascade_sections``,
+    """Each causal channel is the folded-pole cascade of its ladder,
     sampled on the frames and demodulated there."""
     rate, hop = 8000.0, 7
     grid = build_frequency_grid(60.0, 72.0, 12)

@@ -30,12 +30,11 @@ from tonescale.temporal_scale_space import (
     discretize_ladder,
     gaussian_derivative_sample,
     gaussian_kernel_sample,
-    recursive_stage,
     temporal_profiles,
     warmup_length,
 )
 
-from conftest import count_local_extrema
+from conftest import count_local_extrema, one_stage_ladder, sos_rows
 
 
 def test_gaussian_kernel_is_normalized_density():
@@ -140,30 +139,33 @@ def test_discretized_ladder_matches_scale_levels_exactly():
         discretize_ladder(lad, rate)
 
 
+# A recursive stage, y[n] = y[n-1] + (x[n] - y[n-1]) / (1 + mu), is a
+# one-stage ladder.
 def test_recursive_stage_impulse_response_is_geometric():
     mu = 3.0
     x = np.zeros(64)
     x[0] = 1.0
-    y = recursive_stage(x, mu)
+    y = discrete_recursive_smooth(x, one_stage_ladder(mu))
     n = np.arange(64)
     expected = (mu / (1.0 + mu)) ** n / (1.0 + mu)
     assert y == pytest.approx(expected, rel=1e-12)
     # unit DC gain
-    assert recursive_stage(np.ones(4000), mu)[-1] == pytest.approx(1.0, abs=1e-6)
+    assert discrete_recursive_smooth(np.ones(4000), one_stage_ladder(mu))[-1] == pytest.approx(
+        1.0, abs=1e-6
+    )
 
 
 def test_recursive_stage_steady_state_init_keeps_constants_exact():
-    mu = 7.0
     x = np.full(50, 0.8)
-    y = recursive_stage(x, mu, init=x[0])
+    y = discrete_recursive_smooth(x, one_stage_ladder(7.0), steady=True)
     np.testing.assert_array_equal(y, x)
 
 
 def test_recursive_stage_axis_handling(rng):
     x = rng.normal(size=(30, 5))
-    mu = 2.5
-    per_col = np.stack([recursive_stage(x[:, j], mu) for j in range(5)], axis=1)
-    assert recursive_stage(x, mu, axis=0) == pytest.approx(per_col, rel=1e-14)
+    stage = one_stage_ladder(2.5)
+    per_col = np.stack([discrete_recursive_smooth(x[:, j], stage) for j in range(5)], axis=1)
+    assert discrete_recursive_smooth(x, stage, axis=0) == pytest.approx(per_col, rel=1e-14)
 
 
 def test_discrete_recursive_smooth_variance_additivity(rng):
@@ -176,7 +178,7 @@ def test_discrete_recursive_smooth_variance_additivity(rng):
     chans = []
     cur = x
     for mu in lad.mus:
-        cur = recursive_stage(cur, mu)
+        cur = discrete_recursive_smooth(cur, one_stage_ladder(mu))
         chans.append(cur)
     chans = np.stack(chans)
     assert chans.shape == (4, 4000)
@@ -214,9 +216,10 @@ def _stage_by_stage(x, mus, axis=-1, steady=False):
 
 
 def _one_sosfilt(x, lad, axis=-1, steady=False):
-    """Reference: the cascade as one sosfilt over ``cascade_sections``, each
-    stage started at rest or in steady state at its own input's first sample."""
-    sos = cascade_sections(lad)
+    """Reference: the cascade as one sosfilt over sections built from the
+    ladder's time constants, each stage started at rest or in steady state
+    at its own input's first sample."""
+    sos = sos_rows(lad)
     if not steady:
         return sosfilt(sos, x, axis=axis)
     start = np.take(x, [0], axis=axis)
@@ -238,11 +241,14 @@ def _assert_within(got, want, peak, rtol):
 def test_one_sosfilt_equals_the_stage_by_stage_cascade(distribution, K, rng):
     """The oracle is scipy's one sosfilt over the sections, which is the
     stage-by-stage cascade bit for bit; the block recursion stays within
-    LAYER2_RTOL of the input peak of both."""
+    LAYER2_RTOL of the input peak of both. Its stages are the rows
+    [1/(1+mu), mu/(1+mu)]."""
     c = math.sqrt(2.0) if distribution is Distribution.LOGARITHMIC else None
     lad = discretize_ladder(build_ladder(distribution, 1e-3, K, c), 1000.0)
-    sos = cascade_sections(lad)
-    assert sos.shape == (K, 6) and sos.dtype == float
+    mus = np.array(lad.mus)
+    stages = cascade_sections(lad)
+    assert stages.dtype == float
+    assert np.array_equal(stages, np.stack([1.0 / (1.0 + mus), mus / (1.0 + mus)], axis=1))
     real = rng.normal(size=400) * 30.0 - 50.0
     cplx = real * np.exp(-0.7j * np.arange(400))
     grid = rng.normal(size=(120, 9)) * 30.0 - 50.0
@@ -257,7 +263,7 @@ def test_one_sosfilt_equals_the_stage_by_stage_cascade(distribution, K, rng):
             got = discrete_recursive_smooth(x, lad, axis=axis, steady=steady)
             _assert_within(got, want, np.max(np.abs(x)), LAYER2_RTOL)
         _assert_within(
-            recursive_stage(real, lad.mus[0], init=real[0] if steady else None),
+            discrete_recursive_smooth(real, one_stage_ladder(lad.mus[0]), steady=steady),
             _stage_by_stage(real, lad.mus[:1], steady=steady),
             np.max(np.abs(real)),
             LAYER2_RTOL,
@@ -327,20 +333,22 @@ def test_a_constant_stretch_settles_to_its_exact_value():
     ids=["default", "one-block-chunks", "one-chunk", "one-set-groups"],
 )
 def test_block_cascade_does_not_depend_on_chunks_groups_or_lanes(patch, monkeypatch, rng):
-    """Maps come out bit for bit the same whatever the chunk and group sizes,
-    and a lane whatever the lanes beside it, for each shape of block."""
+    """Maps of the one signal come out bit for bit the same whatever the
+    chunk and group sizes, and a set alone as beside the others, for each
+    shape of block."""
     lad = discretize_ladder(build_ladder(Distribution.UNIFORM, 4e-4, 4), 1000.0)
     sections = np.stack([cascade_sections(lad, w) for w in (0.3, 1.1, 2.9)])
-    x = rng.normal(size=(1500, 5)) * 20.0 - 40.0
+    x = rng.normal(size=1500) * 20.0 - 40.0
     block_cascade = temporal_scale_space._block_cascade
     want = {hop: block_cascade(x, sections, hop) for hop in (1, 7, 400)}
     for name, value in patch.items():
         monkeypatch.setattr(temporal_scale_space, name, value)
     for hop, map_ in want.items():
+        assert map_.shape == (-(-x.size // hop), 3)
         assert np.array_equal(block_cascade(x, sections, hop), map_)
-        for lane in (0, 4):
-            alone = block_cascade(x[:, lane : lane + 1], sections, hop)
-            assert np.array_equal(alone[..., 0], map_[..., lane])
+        for s in (0, 2):
+            alone = block_cascade(x, sections[s : s + 1], hop)
+            assert np.array_equal(alone[:, 0], map_[:, s])
 
 
 @pytest.mark.parametrize("steady", [False, True], ids=["rest", "steady"])
@@ -372,16 +380,18 @@ def test_a_complex_map_runs_as_its_real_and_imaginary_parts(steady, rng):
 
 
 def test_folded_sections_demodulate_the_cascade(rng):
-    """Poles turned by e^{i w} smooth x as the plain poles smooth x e^{-i w n}."""
+    """Poles turned by e^{i w} smooth x as the plain poles smooth x e^{-i w n};
+    the gains stay real."""
     lad = discretize_ladder(build_ladder(Distribution.UNIFORM, 1e-4, 5), 8000.0)
     w = 0.9
-    sos = cascade_sections(lad, w)
+    stages = cascade_sections(lad, w)
     plain = cascade_sections(lad)
-    assert np.array_equal(sos[:, [0, 1, 2, 3, 5]], plain[:, [0, 1, 2, 3, 5]])
-    np.testing.assert_allclose(sos[:, 4], plain[:, 4] * np.exp(1j * w), rtol=1e-15)
+    assert stages.shape == (5, 2) and stages.dtype == complex
+    assert np.array_equal(stages[:, 0], plain[:, 0])
+    np.testing.assert_allclose(stages[:, 1], plain[:, 1] * np.exp(1j * w), rtol=1e-15)
     x = rng.normal(size=2000)
     n = np.arange(x.size)
-    folded = sosfilt(sos, x) * np.exp(-1j * w * n)
+    folded = sosfilt(sos_rows(lad, w), x) * np.exp(-1j * w * n)
     direct = discrete_recursive_smooth(x * np.exp(-1j * w * n), lad)
     np.testing.assert_allclose(folded, direct, rtol=0.0, atol=1e-12 * np.max(np.abs(x)))
 
@@ -623,12 +633,17 @@ def test_discrete_gaussian_semigroup():
     log_s=st.floats(-2.0, 4.5),
     seed=st.integers(0, 2**32 - 1),
 )
+# An axis of one sample, where summing several hundred taps in correlate1d's
+# order and the band products' once differed by 2.06e-15 of the largest
+# magnitude; the tap sum times x is within 7.4e-16.
+@example((1, 300), 0, 3.907002700393673, 3630)
 def test_discrete_gaussian_smooth_is_the_reflect_correlation(shape, axis_pick, log_s, seed):
     """Any axis of 1-3-D arrays, kernels from one to several hundred taps
     on each side, so often longer than the axis. Where the axis is shorter
     than the kernel, hundreds of taps read the same few mirrored values, and
     the two summation orders differ by up to 1.5e-15 of the largest
-    magnitude (1e-15 on maps, below)."""
+    magnitude (1e-15 on maps, below); on an axis of one sample the result
+    is x times the tap sum."""
     axis = axis_pick % len(shape)
     s = 10.0**log_s
     x = np.random.default_rng(seed).normal(-40.0, 20.0, size=shape)

@@ -166,9 +166,6 @@ def _smooth_frames(
         # are exactly 0.
         values = discrete_recursive_smooth(values, ladder, axis=0, steady=True)
         return values, warmup_length(ladder)
-    # A NaN would reach every output of its block through the band's zeros.
-    if not np.isfinite(values).all():
-        raise ValueError("input contains non-finite values")
     s_frames = temporal.tau * frame_rate * frame_rate
     first = values[:1]
     smoothed = discrete_gaussian_smooth(values - first, s_frames, axis=0)
@@ -291,8 +288,9 @@ def differentiate(S: TFMap, smoothed: np.ndarray, spec: RFSpec) -> np.ndarray:
 def apply_rf(S: TFMap, spec: RFSpec) -> TFMap:
     """Apply a spectro-temporal receptive field to a real-valued map.
 
-    The response is an "rf" map on the input's axes whose metadata holds
-    the RFSpec ("rf_spec") and the warm-up the second layer added. Nonzero
+    The response is an "rf" map on the input's axes. Its metadata extends
+    the input's with the RFSpec ("rf_spec") and the warm-up the second
+    layer added, so a delay-compensated map stays marked as such. Nonzero
     glissando slopes are handled by warping to the co-moving frame,
     applying the separable operator there, and warping back. The operator
     is ``differentiate`` of ``smooth``. Complex spectrograms are refused:
@@ -301,15 +299,16 @@ def apply_rf(S: TFMap, spec: RFSpec) -> TFMap:
     if spec.v != 0.0:
         inner = apply_rf(glissando_warp(S, spec.v), replace(spec, v=0.0))
         values = _warp_values(inner.values, S.frame_times, -spec.v, S.grid.delta_nu)
-        return replace(inner, values=values, metadata={**inner.metadata, "rf_spec": spec})
-    values, layer2_warm = smooth(S, spec.temporal, spec.s)
-    warmup = S.warmup_frames + layer2_warm + spec.alpha
+        warm = inner.metadata["layer2_warmup_frames"]
+    else:
+        smoothed, warm = smooth(S, spec.temporal, spec.s)
+        values = differentiate(S, smoothed, spec)
     return replace(
         S,
-        values=differentiate(S, values, spec),
-        warmup_frames=warmup,
+        values=values,
+        warmup_frames=S.warmup_frames + warm + spec.alpha,
         kind="rf",
-        metadata={"rf_spec": spec, "layer2_warmup_frames": layer2_warm},
+        metadata={**S.metadata, "rf_spec": spec, "layer2_warmup_frames": warm},
     )
 
 

@@ -5,8 +5,9 @@ bandwidth constants C solving R_dB = target, and the delay measures (mean,
 maximum position, inflection points) of the time-causal kernels. Both
 cascade families are read off the stage time constants mu_k that
 ``build_ladder`` writes: a cascade attenuates the detuning C by
-prod_k (1 + 4 pi^2 mu_k^2 C^2)^(-1/2) at unit scale, and its mean delay is
-sum_k mu_k (Lindeberg 2016, JMIV, "Time-causal and time-recursive
+prod_k (1 + 4 pi^2 mu_k^2 C^2)^(-1/2) at unit scale, its bandwidth
+constant is the one root of that product at the target level, and its mean
+delay is sum_k mu_k (Lindeberg 2016, JMIV, "Time-causal and time-recursive
 spatio-temporal receptive fields"). Its maximum and inflection points are
 the zeros of the derivatives of its exact phase-type kernel, the same one
 for uniform and logarithmic ladders, bracketed on a geometric grid and
@@ -22,12 +23,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from tonescale.temporal_scale_space import (
-    Distribution,
     ScaleLadder,
     SpectrogramFamily,
     _derivative_columns,
     _expm,
-    build_ladder,
 )
 
 TWO_PI_SQ = 4.0 * math.pi * math.pi
@@ -38,13 +37,18 @@ def _check_periods(n: float) -> None:
         raise ValueError(f"periods-per-window n must be positive, got {n}")
 
 
+def _unit_rates(fam: SpectrogramFamily) -> list[float]:
+    """4 pi^2 mu_k^2 for each stage of the family's unit-scale ladder: C is
+    dimensionless, so the unit-scale ladder applies."""
+    return [TWO_PI_SQ * m * m for m in fam.ladder(1.0).mus]
+
+
 def selectivity_db_at_constant(fam: SpectrogramFamily, C: float) -> float:
     """R_dB as a function of the dimensionless detuning C = n (omega - omega_0)/omega."""
     c2 = C * C
     if fam.kind == "gauss":
         return -20.0 * (2.0 * math.pi * math.pi * c2) / math.log(10.0)
-    # C is dimensionless, so the unit-scale ladder applies
-    return -10.0 * sum(math.log10(1.0 + TWO_PI_SQ * m * m * c2) for m in fam.ladder(1.0).mus)
+    return -10.0 * sum(math.log10(1.0 + a * c2) for a in _unit_rates(fam))
 
 
 def selectivity_db(fam: SpectrogramFamily, omega_ratio: float, n: float = 8.0) -> float:
@@ -60,32 +64,29 @@ def selectivity_db(fam: SpectrogramFamily, omega_ratio: float, n: float = 8.0) -
 def bandwidth_constant(fam: SpectrogramFamily, target_db: float) -> float:
     """The detuning constant C at which the response has dropped to target_db.
 
-    Gaussian and equal-stage families invert in closed form; logarithmic
-    cascades bisect the monotone dB response to a residual below 1e-4 dB.
+    The Gaussian inverts in closed form. A cascade solves
+    sum_k ln(1 + a_k u) = -target_db ln(10) / 10 for u = C^2, with
+    a_k = 4 pi^2 mu_k^2 of its unit-scale stages. The left side is
+    increasing and concave in u, so Newton steps from u = 0 stay below the
+    root and rise monotonically; the iteration stops once a step no longer
+    raises u, at the root to rounding. A target that is not negative and
+    finite is refused, as is one whose C^2 exceeds the float range.
     """
-    if target_db >= 0:
-        raise ValueError(f"target level must be negative dB, got {target_db}")
+    if not -math.inf < target_db < 0:
+        raise ValueError(f"target level must be negative and finite dB, got {target_db}")
     if fam.kind == "gauss":
         return math.sqrt(math.log(10.0)) / (2.0 * math.pi) * math.sqrt(-target_db / 10.0)
-    if fam.kind == "rec-uni":
-        return (
-            math.sqrt(fam.K)
-            / (2.0 * math.pi)
-            * math.sqrt(10.0 ** (-target_db / (10.0 * fam.K)) - 1.0)
-        )
-    lo, hi = 1e-6, 10.0
-    if selectivity_db_at_constant(fam, hi) > target_db:
-        raise ValueError(f"target {target_db} dB out of bisection range")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        val = selectivity_db_at_constant(fam, mid)
-        if abs(val - target_db) < 1e-4:
-            return mid
-        if val > target_db:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    rates = _unit_rates(fam)
+    level = -target_db * math.log(10.0) / 10.0
+    u = 0.0
+    while True:
+        value = sum(math.log1p(a * u) for a in rates) - level
+        if not value < math.inf:
+            raise ValueError(f"target {target_db} dB puts C^2 beyond the float range")
+        raised = u - value / sum(a / (1.0 + a * u) for a in rates)
+        if not raised > u:
+            return math.sqrt(u)
+        u = raised
 
 
 def relative_bandwidth(C: float, n: float) -> tuple[float, float]:
@@ -112,11 +113,6 @@ class DelayMeasures:
     t_max: float
     t_infl1: float
     t_infl2: float
-
-
-def delay_mean_limit(c: float) -> float:
-    """Large-K limit of the logarithmic-ladder mean delay, per sqrt(tau)."""
-    return math.sqrt(c * c - 1.0) / (c - 1.0)
 
 
 # The bracket grid of the delay measures is geometric, from mu_min / 100 to
@@ -243,8 +239,9 @@ def bandwidth_constant_table(n: float = 8.0) -> dict:
 
 def _table_ladders(K: int) -> list[ScaleLadder]:
     """The unit-scale ladders of a delay-table row: uniform, then each ratio."""
-    ladders = [build_ladder(Distribution.UNIFORM, 1.0, K)]
-    return ladders + [build_ladder(Distribution.LOGARITHMIC, 1.0, K, c) for c in LADDER_RATIOS]
+    families = [SpectrogramFamily("rec-uni", K=K)]
+    families += [SpectrogramFamily("rec-log", K=K, c=c) for c in LADDER_RATIOS]
+    return [fam.ladder(1.0) for fam in families]
 
 
 def delay_mean_table() -> dict:

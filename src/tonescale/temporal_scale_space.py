@@ -52,24 +52,28 @@ class ScaleLadder:
     ``levels`` are variances (seconds^2 for continuous ladders, samples^2 for
     discrete ones); ``mus`` are the matching stage time constants in seconds
     or samples. Continuous ladders satisfy sum(mu_k^2) = tau_max; discrete
-    ladders satisfy sum(mu_k^2 + mu_k) = tau_max in sample^2 units.
+    ladders satisfy sum(mu_k^2 + mu_k) = tau_max in sample^2 units. The
+    stage constants are the whole description of a cascade: its kernel,
+    selectivity and delays are read off them.
     """
 
-    distribution: Distribution
-    tau_max: float
-    K: int
-    c: float | None
     levels: tuple[float, ...]
     mus: tuple[float, ...]
     units: str = "seconds"  # "seconds" or "samples"
 
     def __post_init__(self) -> None:
-        if len(self.levels) != self.K or len(self.mus) != self.K:
-            raise ValueError("ladder must carry exactly K levels and K time constants")
+        if not self.mus or len(self.levels) != len(self.mus):
+            raise ValueError("ladder must carry one scale level per stage, and at least one stage")
         if any(b <= a for a, b in zip(self.levels, self.levels[1:])):
             raise ValueError("scale levels must be strictly increasing")
-        if not math.isclose(self.levels[-1], self.tau_max, rel_tol=1e-12):
-            raise ValueError("top scale level must equal tau_max")
+
+    @property
+    def tau_max(self) -> float:
+        return self.levels[-1]
+
+    @property
+    def K(self) -> int:
+        return len(self.mus)
 
     @property
     def mu_min(self) -> float:
@@ -111,7 +115,9 @@ def build_ladder(
     Logarithmic ladders place tau_k = c^{2(k-K)} tau_max with
     mu_1 = c^{1-K} sqrt(tau_max) and mu_k = c^{k-K-1} sqrt(c^2-1) sqrt(tau_max)
     for k >= 2; uniform ladders place tau_k = (k/K) tau_max with equal stage
-    constants mu_k = sqrt(tau_max / K).
+    constants mu_k = sqrt(tau_max / K). Either way the top level is written
+    as exactly 1.0 * tau_max. This is the only function that tells the two
+    distributions apart.
     """
     if not 0 < tau_max < math.inf:
         raise ValueError(f"tau_max must be positive and finite, got {tau_max}")
@@ -131,7 +137,7 @@ def build_ladder(
     else:
         levels = tuple((k / K) * tau_max for k in range(1, K + 1))
         mus = tuple(math.sqrt(tau_max / K) for _ in range(K))
-    return ScaleLadder(distribution, tau_max, K, c, levels, mus, units="seconds")
+    return ScaleLadder(levels, mus, units="seconds")
 
 
 def discretize_ladder(ladder: ScaleLadder, sample_rate: float) -> ScaleLadder:
@@ -152,15 +158,7 @@ def discretize_ladder(ladder: ScaleLadder, sample_rate: float) -> ScaleLadder:
         dtau = tau - prev
         mus.append((math.sqrt(1.0 + 4.0 * dtau) - 1.0) / 2.0)
         prev = tau
-    return ScaleLadder(
-        ladder.distribution,
-        levels[-1],
-        ladder.K,
-        ladder.c,
-        levels,
-        tuple(mus),
-        units="samples",
-    )
+    return ScaleLadder(levels, tuple(mus), units="samples")
 
 
 def warmup_length(ladder: ScaleLadder) -> int:
@@ -185,8 +183,8 @@ class TemporalKernelSpec:
             if self.tau is None or not 0 < self.tau < math.inf:
                 raise ValueError(f"gaussian kernels need a finite tau > 0, got {self.tau}")
         elif self.kind == "cascade":
-            if self.ladder is None or self.ladder.K < 1:
-                raise ValueError("cascade kernels need a ladder with K >= 1")
+            if self.ladder is None:
+                raise ValueError("cascade kernels need a ladder")
         else:
             raise ValueError(f"unknown kernel kind {self.kind!r}")
 
@@ -229,17 +227,13 @@ class SpectrogramFamily:
     def causal(self) -> bool:
         return self.kind != "gauss"
 
-    @property
-    def distribution(self) -> Distribution:
-        if self.kind == "rec-uni":
-            return Distribution.UNIFORM
-        if self.kind == "rec-log":
-            return Distribution.LOGARITHMIC
-        raise ValueError("gaussian family has no ladder distribution")
-
     def ladder(self, tau: float) -> ScaleLadder:
-        c = self.c if self.kind == "rec-log" else None
-        return build_ladder(self.distribution, tau, self.K, c)
+        """The family's cascade ladder at variance tau (seconds^2)."""
+        if self.kind == "rec-uni":
+            return build_ladder(Distribution.UNIFORM, tau, self.K)
+        if self.kind == "rec-log":
+            return build_ladder(Distribution.LOGARITHMIC, tau, self.K, self.c)
+        raise ValueError("gaussian family has no scale ladder")
 
     def temporal(self, tau: float) -> TemporalKernelSpec:
         """The family's temporal kernel at variance tau (seconds^2)."""
@@ -292,47 +286,6 @@ def gaussian_derivative_sample(tau: float, t, order: int, delta: float = 0.0):
     else:
         raise ValueError(f"unsupported derivative order {order}")
     out = g * factor
-    return out if out.ndim else float(out)
-
-
-def composed_uniform_kernel_sample(mu: float, K: int, t):
-    """Closed form for K cascaded equal-mu integrators.
-
-    h(t) = t^{K-1} e^{-t/mu} / (mu^K Gamma(K)) for t > 0, and 0 otherwise.
-    """
-    if mu <= 0:
-        raise ValueError(f"mu must be positive, got {mu}")
-    if K < 1:
-        raise ValueError(f"K must be >= 1, got {K}")
-    t = np.asarray(t, dtype=float)
-    out = np.zeros_like(t)
-    pos = t > 0
-    tp = t[pos]
-    log_h = (K - 1) * np.log(tp) - tp / mu - K * math.log(mu) - math.lgamma(K)
-    out[pos] = np.exp(log_h)
-    return out if out.ndim else float(out)
-
-
-def composed_uniform_kernel_dt(mu: float, K: int, t):
-    """First temporal derivative of the composed equal-mu kernel (t > 0)."""
-    t = np.asarray(t, dtype=float)
-    h = composed_uniform_kernel_sample(mu, K, t)
-    out = np.zeros_like(np.asarray(t, dtype=float))
-    pos = t > 0
-    tp = t[pos]
-    out[pos] = -np.asarray(h)[pos] * (tp - (K - 1) * mu) / (mu * tp)
-    return out if out.ndim else float(out)
-
-
-def composed_uniform_kernel_dtt(mu: float, K: int, t):
-    """Second temporal derivative of the composed equal-mu kernel (t > 0)."""
-    t = np.asarray(t, dtype=float)
-    h = composed_uniform_kernel_sample(mu, K, t)
-    out = np.zeros_like(np.asarray(t, dtype=float))
-    pos = t > 0
-    tp = t[pos]
-    num = (K * K - 3 * K + 2) * mu * mu - 2.0 * (K - 1) * mu * tp + tp * tp
-    out[pos] = np.asarray(h)[pos] * num / (mu * mu * tp * tp)
     return out if out.ndim else float(out)
 
 
@@ -709,8 +662,8 @@ def temporal_profiles(
     Gaussians use their closed forms. Every cascade, uniform or
     logarithmic, is its phase-type density (see ``_phase_type``): the
     samples at t > 0 are the rows e_1 e^{Q t_0} P^m, for P = e^{Q dt}, times
-    q, Q q and Q^2 q, and the samples at t <= 0 are 0, as the Gamma closed
-    forms write them. ``t`` is an ascending uniform grid in seconds.
+    q, Q q and Q^2 q, and the samples at t <= 0 are 0. ``t`` is an
+    ascending uniform grid in seconds.
     """
     if temporal.kind == "gaussian":
         return tuple(gaussian_derivative_sample(temporal.tau, t, k) for k in range(3))
@@ -843,9 +796,13 @@ def discrete_gaussian_smooth(
     product of the lanes' (32 + 2h)-sample window with one shared band of
     the kernel's Toeplitz matrix. The products keep ``_matmul``'s rules and
     stay small enough to run on the calling thread, so a lane comes out
-    bitwise the same whatever lanes are smoothed with it.
+    bitwise the same whatever lanes are smoothed with it. Non-finite input
+    raises ValueError: through the band's zeros a NaN or infinity would
+    reach every output of its block.
     """
     x = np.asarray(x, dtype=float)
+    if not np.isfinite(x).all():
+        raise ValueError("input contains non-finite values")
     if s_sampl == 0:
         return x.copy()
     kernel = discrete_gaussian_kernel(s_sampl, epsilon)

@@ -1,10 +1,11 @@
+import math
 import os
 
 import numpy as np
 import pytest
 from hypothesis import settings
 
-from tonescale.temporal_scale_space import Distribution, ScaleLadder
+from tonescale.temporal_scale_space import ScaleLadder
 
 # On CI every run starts with an empty example database, so a falsifying
 # example must print the blob that reproduces it. Exploration stays random:
@@ -50,7 +51,7 @@ def count_local_extrema(x: np.ndarray) -> int:
 def one_stage_ladder(mu: float) -> ScaleLadder:
     """A sample-unit ladder of one first-order stage with time constant mu."""
     tau = mu * mu + mu
-    return ScaleLadder(Distribution.UNIFORM, tau, 1, None, (tau,), (mu,), units="samples")
+    return ScaleLadder((tau,), (mu,), units="samples")
 
 
 def sos_rows(ladder: ScaleLadder, omega: float = 0.0) -> np.ndarray:
@@ -65,3 +66,57 @@ def sos_rows(ladder: ScaleLadder, omega: float = 0.0) -> np.ndarray:
     sos[:, 3] = 1.0
     sos[:, 4] = -pole
     return sos
+
+
+# Closed forms of uniform cascades and logarithmic ladders. The library
+# reads every cascade off its stage constants; these are the oracles the
+# tests hold it to.
+
+
+def composed_uniform_kernel_sample(mu: float, K: int, t):
+    """Closed form for K cascaded equal-mu integrators.
+
+    h(t) = t^{K-1} e^{-t/mu} / (mu^K Gamma(K)) for t > 0, and 0 otherwise.
+    """
+    t = np.asarray(t, dtype=float)
+    out = np.zeros_like(t)
+    pos = t > 0
+    tp = t[pos]
+    log_h = (K - 1) * np.log(tp) - tp / mu - K * math.log(mu) - math.lgamma(K)
+    out[pos] = np.exp(log_h)
+    return out if out.ndim else float(out)
+
+
+def composed_uniform_kernel_dt(mu: float, K: int, t):
+    """First temporal derivative of the composed equal-mu kernel (t > 0)."""
+    t = np.asarray(t, dtype=float)
+    h = composed_uniform_kernel_sample(mu, K, t)
+    out = np.zeros_like(t)
+    pos = t > 0
+    tp = t[pos]
+    out[pos] = -np.asarray(h)[pos] * (tp - (K - 1) * mu) / (mu * tp)
+    return out if out.ndim else float(out)
+
+
+def composed_uniform_kernel_dtt(mu: float, K: int, t):
+    """Second temporal derivative of the composed equal-mu kernel (t > 0)."""
+    t = np.asarray(t, dtype=float)
+    h = composed_uniform_kernel_sample(mu, K, t)
+    out = np.zeros_like(t)
+    pos = t > 0
+    tp = t[pos]
+    num = (K * K - 3 * K + 2) * mu * mu - 2.0 * (K - 1) * mu * tp + tp * tp
+    out[pos] = np.asarray(h)[pos] * num / (mu * mu * tp * tp)
+    return out if out.ndim else float(out)
+
+
+def uniform_bandwidth_constant(K: int, target_db: float) -> float:
+    """C at which K equal stages of unit total variance fall to target_db:
+    sqrt(K) / (2 pi) sqrt(10^(-target_db / (10 K)) - 1)."""
+    per_stage = -target_db * math.log(10.0) / (10.0 * K)
+    return math.sqrt(K) / (2.0 * math.pi) * math.sqrt(math.expm1(per_stage))
+
+
+def delay_mean_limit(c: float) -> float:
+    """Large-K limit of the logarithmic-ladder mean delay, per sqrt(tau)."""
+    return math.sqrt(c * c - 1.0) / (c - 1.0)

@@ -41,14 +41,19 @@ from tonescale.temporal_scale_space import (
     Distribution,
     TemporalKernelSpec,
     build_ladder,
-    composed_uniform_kernel_sample,
     discrete_gaussian_kernel,
     discrete_recursive_smooth,
     discretize_ladder,
     gaussian_kernel_sample,
 )
 
-from conftest import count_local_extrema, exponential_chirp, one_stage_ladder, sine
+from conftest import (
+    composed_uniform_kernel_sample,
+    count_local_extrema,
+    exponential_chirp,
+    one_stage_ladder,
+    sine,
+)
 
 RATE = 44100.0
 HOP = 44

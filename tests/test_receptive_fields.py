@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.ndimage import correlate1d
 
-from tonescale.features import glissando_filterbank
+from tonescale.features import detect_onsets, glissando_filterbank
 from tonescale.receptive_fields import (
     RFSpec,
     _derivative_nu,
@@ -23,6 +23,7 @@ from tonescale.spectrogram import (
     WindowScaleLaw,
     build_frequency_grid,
     compute_spectrogram,
+    delay_compensate,
     to_db,
 )
 from tonescale.temporal_scale_space import (
@@ -273,6 +274,25 @@ def test_apply_rf_warmup_accounts_for_both_layers():
         ),
     )
     assert np.all(resp.warmup_frames > L.warmup_frames)
+
+
+@pytest.mark.parametrize("v", [0.0, 12.0])
+def test_apply_rf_extends_the_input_metadata(v):
+    """A response keeps what its input's metadata records. It replaced it,
+    so an onset map of a delay-compensated spectrogram could be shifted a
+    second time: by 95 frames of 1 ms at the 80 Hz channel of an 8 kHz map."""
+    grid = build_frequency_grid(64.0, 74.0, 48, law=WindowScaleLaw(n=8.0))
+    S = compute_spectrogram(sine(440.0, 0.3, RATE), RATE, grid, FAM, hop=44)
+    L = to_db(delay_compensate(S))
+    resp = apply_rf(L, gauss_spec(alpha=1, v=v))
+    for key, value in L.metadata.items():
+        assert resp.metadata[key] is value
+    assert resp.metadata["rf_spec"] == gauss_spec(alpha=1, v=v)
+    assert "warp_v" not in resp.metadata
+    warped = glissando_warp(L, 5.0)
+    assert apply_rf(warped, gauss_spec(v=v)).metadata["warp_v"] == 5.0
+    with pytest.raises(ValueError, match="already delay-compensated"):
+        delay_compensate(detect_onsets(L, 4e-4, 0.25))
 
 
 def test_apply_rf_refuses_a_complex_map():

@@ -9,11 +9,10 @@ from hypothesis import strategies as st
 
 from tonescale.cli_io import cli_main
 from tonescale.selectivity_analysis import (
-    BANDWIDTH_DB_LEVELS,
     bandwidth_constant,
     bandwidth_constant_table,
+    bandwidth_family_rows,
     delay_max_table,
-    delay_mean_limit,
     delay_mean_table,
     delay_measures,
     relative_bandwidth,
@@ -27,6 +26,8 @@ from tonescale.temporal_scale_space import (
     build_ladder,
     temporal_profiles,
 )
+
+from conftest import delay_mean_limit, uniform_bandwidth_constant
 
 GOLDEN = Path(__file__).parent / "golden"
 TWO_PI_SQ = 4.0 * math.pi * math.pi
@@ -83,17 +84,46 @@ def test_selectivity_from_frequency_ratio():
     )
 
 
+# Levels from a fraction of a dB to far below any table column.
+ROOT_LEVELS = (-0.01, -0.1, -1.0, -3.0, -10.0, -20.0, -30.0, -60.0, -120.0)
+
+
 def test_bandwidth_constant_inverts_selectivity():
-    for fam in (
-        SpectrogramFamily(kind="gauss"),
-        SpectrogramFamily(kind="rec-uni", K=4),
-        SpectrogramFamily(kind="rec-log", K=7, c=math.sqrt(2.0)),
-    ):
-        for level in BANDWIDTH_DB_LEVELS:
-            C = bandwidth_constant(fam, level)
-            assert selectivity_db_at_constant(fam, C) == pytest.approx(level, abs=1e-4)
-    with pytest.raises(ValueError):
-        bandwidth_constant(SpectrogramFamily(kind="gauss"), 0.0)
+    """Each Table-1 family's C is the root of its dB response to within
+    1e-12 dB (the bisection it replaced stopped at 1e-4 dB)."""
+    for label, fam in bandwidth_family_rows():
+        for level in ROOT_LEVELS:
+            got = selectivity_db_at_constant(fam, bandwidth_constant(fam, level))
+            assert abs(got - level) <= 1e-12, (label, level, got)
+
+
+@pytest.mark.parametrize("K", [1, 2, 3, 4, 7, 10, 30, 100])
+def test_uniform_bandwidth_constant_matches_the_gamma_closed_form(K):
+    fam = SpectrogramFamily("rec-uni", K=K)
+    for level in ROOT_LEVELS:
+        want = uniform_bandwidth_constant(K, level)
+        assert bandwidth_constant(fam, level) == pytest.approx(want, rel=1e-14, abs=0.0)
+
+
+def test_single_stage_logarithmic_root_is_finite_at_deep_targets():
+    """One stage of unit time constant falls to -80 dB at C = sqrt(10^8 - 1)
+    / (2 pi); the bisection's bracket [1e-6, 10] refused it."""
+    fam = SpectrogramFamily("rec-log", K=1, c=2.0)
+    want = math.sqrt(1e8 - 1.0) / (2.0 * math.pi)
+    assert bandwidth_constant(fam, -80.0) == pytest.approx(want, rel=1e-14)
+
+
+@pytest.mark.parametrize("kind", ["gauss", "rec-uni", "rec-log"])
+@pytest.mark.parametrize("level", [math.nan, -math.inf, 0.0, 3.0, math.inf])
+def test_bandwidth_constant_refuses_a_target_that_is_not_negative_and_finite(kind, level):
+    with pytest.raises(ValueError, match="negative and finite"):
+        bandwidth_constant(SpectrogramFamily(kind), level)
+
+
+@pytest.mark.parametrize("kind", ["rec-uni", "rec-log"])
+def test_bandwidth_constant_refuses_a_root_beyond_the_float_range(kind):
+    with pytest.raises(ValueError, match="float range"):
+        bandwidth_constant(SpectrogramFamily(kind, K=2), -1e5)
 
 
 def test_bandwidth_constant_monotone_in_level():

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -21,9 +22,6 @@ from tonescale.temporal_scale_space import (
     TemporalKernelSpec,
     build_ladder,
     cascade_sections,
-    composed_uniform_kernel_dt,
-    composed_uniform_kernel_dtt,
-    composed_uniform_kernel_sample,
     discrete_gaussian_kernel,
     discrete_gaussian_smooth,
     discrete_recursive_smooth,
@@ -34,7 +32,14 @@ from tonescale.temporal_scale_space import (
     warmup_length,
 )
 
-from conftest import count_local_extrema, one_stage_ladder, sos_rows
+from conftest import (
+    composed_uniform_kernel_dt,
+    composed_uniform_kernel_dtt,
+    composed_uniform_kernel_sample,
+    count_local_extrema,
+    one_stage_ladder,
+    sos_rows,
+)
 
 
 def test_gaussian_kernel_is_normalized_density():
@@ -124,6 +129,29 @@ def test_ladder_rejects_bad_arguments():
         build_ladder(Distribution.UNIFORM, tau_max=1.0, K=0)
     with pytest.raises(ValueError):
         build_ladder(Distribution.LOGARITHMIC, tau_max=1.0, K=3, c=1.0)
+    with pytest.raises(ValueError, match="no scale ladder"):
+        SpectrogramFamily("gauss").ladder(1.0)
+    # levels and stage constants must pair up, at least one of each, and
+    # the levels must rise
+    bad = [((), ()), ((1.0, 2.0), (1.0,)), ((1.0,), (0.5, 0.5)), ((1.0, 1.0), (1.0, 0.0))]
+    for levels, mus in bad:
+        with pytest.raises(ValueError):
+            ScaleLadder(levels, mus)
+
+
+def test_ladder_is_its_levels_and_stage_constants():
+    """A ladder holds its levels, stage constants and units; tau_max and K
+    are read off them, and the top level is tau_max exactly."""
+    assert [f.name for f in dataclasses.fields(ScaleLadder)] == ["levels", "mus", "units"]
+    for tau in (0.3, 1e-4, 7.0):
+        for lad in (
+            build_ladder(Distribution.UNIFORM, tau, 5),
+            build_ladder(Distribution.LOGARITHMIC, tau, 5, 2.0**0.75),
+        ):
+            assert lad.tau_max == tau and lad.levels[-1] == 1.0 * tau
+            assert lad.K == len(lad.mus) == 5
+    disc = discretize_ladder(build_ladder(Distribution.UNIFORM, 1e-4, 3), 8000.0)
+    assert (disc.tau_max, disc.K, disc.units) == (disc.levels[-1], 3, "samples")
 
 
 def test_discretized_ladder_matches_scale_levels_exactly():
@@ -459,6 +487,20 @@ def test_recursive_smoothing_refuses_a_non_finite_sample(bad):
         discrete_recursive_smooth(x, lad, axis=0)
     with pytest.raises(ValueError, match="non-finite"):
         discrete_recursive_smooth(x.T.astype(complex), lad, axis=1, steady=True)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("s", [0.0, 0.25, 40.0])
+def test_gaussian_smoothing_refuses_a_non_finite_sample(bad, s):
+    """Each band product reads a whole window of samples: a NaN at sample 40
+    of one lane would reach every output of its block through the band's
+    zeros."""
+    x = np.zeros((3, 100))
+    x[1, 40] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        discrete_gaussian_smooth(x, s, axis=1)
+    with pytest.raises(ValueError, match="non-finite"):
+        discrete_gaussian_smooth(x.T, s, axis=0)
 
 
 def test_discrete_gaussian_kernel_mass_and_variance():

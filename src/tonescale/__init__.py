@@ -17,12 +17,10 @@ matching layer-2 temporal kernel, and the selectivity and delay functions.
 """
 
 from tonescale.temporal_scale_space import (
-    Distribution,
     SampledKernel,
     ScaleLadder,
     SpectrogramFamily,
     TemporalKernelSpec,
-    build_ladder,
     discrete_gaussian_kernel,
     discrete_recursive_smooth,
     discretize_ladder,

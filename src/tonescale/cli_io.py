@@ -337,7 +337,7 @@ METAVARS = {"glissando_bank": "V1,V2,..."}
 # key overrides the option's rule for that command: the features may leave
 # the channel axis unsmoothed, but a kernel image needs a spectral extent.
 EXTENTS = dict.fromkeys(
-    ("hop_ms", "tau_a_ms", "tau_i_ms", "tau", "dt", "t_span", "nu_span", "dnu"), "positive"
+    ("n", "hop_ms", "tau_a_ms", "tau_i_ms", "tau", "dt", "t_span", "nu_span", "dnu"), "positive"
 )
 EXTENTS.update(dict.fromkeys(("sigma_nu", "sigma_nu_i", "tau0_ms"), "non-negative"))
 EXTENTS[("kernels", "sigma_nu")] = "positive"

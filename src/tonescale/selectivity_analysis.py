@@ -4,11 +4,11 @@ The dB response of a channel at omega_0 to a sinusoid at omega, the
 bandwidth constants C solving R_dB = target, and the delay measures (mean,
 maximum position, inflection points) of the time-causal kernels. Both
 cascade families are read off the stage time constants mu_k that
-``build_ladder`` writes: a cascade attenuates the detuning C by
-prod_k (1 + 4 pi^2 mu_k^2 C^2)^(-1/2) at unit scale, its bandwidth
-constant is the one root of that product at the target level, and its mean
-delay is sum_k mu_k (Lindeberg 2016, JMIV, "Time-causal and time-recursive
-spatio-temporal receptive fields"). Its maximum and inflection points are
+``SpectrogramFamily.ladder`` alone writes: a cascade attenuates the
+detuning C by prod_k (1 + 4 pi^2 mu_k^2 C^2)^(-1/2) at unit scale, its
+bandwidth constant is the one root of that product at the target level,
+and its mean delay is sum_k mu_k (Lindeberg 2016, JMIV, "Time-causal and
+time-recursive spatio-temporal receptive fields"). Its maximum and inflection points are
 the zeros of the derivatives of its exact phase-type kernel, the same one
 for uniform and logarithmic ladders, bracketed on a geometric grid and
 refined by Newton steps. The table builders regenerate the three
@@ -33,8 +33,8 @@ TWO_PI_SQ = 4.0 * math.pi * math.pi
 
 
 def _check_periods(n: float) -> None:
-    if n <= 0:
-        raise ValueError(f"periods-per-window n must be positive, got {n}")
+    if not 0 < n < math.inf:
+        raise ValueError(f"periods-per-window n must be positive and finite, got {n}")
 
 
 def _unit_rates(fam: SpectrogramFamily) -> list[float]:
@@ -55,8 +55,8 @@ def selectivity_db(fam: SpectrogramFamily, omega_ratio: float, n: float = 8.0) -
     """dB response of a channel centered at omega_0 to a tone at omega,
     parameterized by omega/omega_0, for windows spanning n carrier periods."""
     _check_periods(n)
-    if omega_ratio <= 0:
-        raise ValueError(f"omega ratio must be positive, got {omega_ratio}")
+    if not 0 < omega_ratio < math.inf:
+        raise ValueError(f"omega ratio must be positive and finite, got {omega_ratio}")
     C = n * (omega_ratio - 1.0) / omega_ratio
     return selectivity_db_at_constant(fam, abs(C))
 
@@ -95,8 +95,9 @@ def relative_bandwidth(C: float, n: float) -> tuple[float, float]:
     The band edges sit at omega_0 / (1 -+ C/n); the linear fraction is
     (2 C/n) / (1 - (C/n)^2) and the semitone width 12 log2 of the edge ratio.
     """
-    if C < 0 or n <= 0:
-        raise ValueError("C must be non-negative and n positive")
+    _check_periods(n)
+    if not 0 <= C < math.inf:
+        raise ValueError(f"C must be non-negative and finite, got {C}")
     q = C / n
     if q >= 1.0:
         raise ValueError(f"C = {C:g} >= n = {n:g} puts the band edge at infinity")

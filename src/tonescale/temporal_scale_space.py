@@ -1,12 +1,13 @@
 """Temporal scale-space kernels and their discrete realizations.
 
 Two kernel families are provided: non-causal Gaussians, parameterized by a
-variance tau and an optional time delay, and time-causal cascades of
-first-order integrators ("truncated exponentials"), parameterized by a scale
-ladder of intermediate levels tau_k realized with per-stage time constants
-mu_k. The discrete counterparts (first-order recursive filters and the
-discrete Gaussian) preserve the defining scale-space property: smoothing
-never increases the number of local extrema of a signal.
+variance tau, and time-causal cascades of first-order integrators
+("truncated exponentials"), parameterized by a scale ladder of intermediate
+levels tau_k realized with per-stage time constants mu_k, uniform or
+logarithmic, which ``SpectrogramFamily.ladder`` alone writes. The discrete
+counterparts (first-order recursive filters and the discrete Gaussian)
+preserve the defining scale-space property: smoothing never increases the
+number of local extrema of a signal.
 
 No other module realises a temporal kernel: the block recursion over
 ``_block_weights`` is the one discrete cascade realisation, laid out two
@@ -17,10 +18,11 @@ one signal through ``_block_cascade``, with the carrier folded into the
 poles), and ``_phase_type`` the one continuous cascade kernel,
 h(t) = e_1 e^{Qt} q for every ladder, uniform or logarithmic, evaluated
 by ``_expm``; ``temporal_profiles`` samples it (and the Gaussian) and the
-delay measures find its maximum and inflection points. ``ScaleLadder.support`` is the one
-support rule. The discrete Gaussian takes its taps from one inverse FFT of
-its transfer function (``ive``) and is applied as small band products
-(``discrete_gaussian_smooth``), so neither needs SciPy.
+delay measures find its maximum and inflection points.
+``ScaleLadder.support`` is the one support rule. The discrete Gaussian
+takes its taps from one inverse FFT of its transfer function (``ive``) and
+is applied as small band products (``discrete_gaussian_smooth``), so
+neither needs SciPy.
 
 A cascade of first-order stages is time-recursive: its whole past is a
 state of K values (Lindeberg 2016, JMIV, "Time-causal and time-recursive
@@ -34,15 +36,10 @@ only a K x K step per block is left to Python.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
-
-
-class Distribution(Enum):
-    UNIFORM = "uniform"
-    LOGARITHMIC = "logarithmic"
 
 
 @dataclass(frozen=True)
@@ -62,6 +59,8 @@ class ScaleLadder:
     units: str = "seconds"  # "seconds" or "samples"
 
     def __post_init__(self) -> None:
+        if self.units not in ("seconds", "samples"):
+            raise ValueError(f"ladder units must be 'seconds' or 'samples', got {self.units!r}")
         if not self.mus or len(self.levels) != len(self.mus):
             raise ValueError("ladder must carry one scale level per stage, and at least one stage")
         if any(b <= a for a, b in zip(self.levels, self.levels[1:])):
@@ -102,42 +101,6 @@ class ScaleLadder:
         """
         slowest = max(self.mus)
         return self.mu_sum + max(10.0 * math.sqrt(self.tau_max), 11.5 * slowest)
-
-
-def build_ladder(
-    distribution: Distribution,
-    tau_max: float,
-    K: int,
-    c: float | None = None,
-) -> ScaleLadder:
-    """Construct a continuous scale ladder in seconds units.
-
-    Logarithmic ladders place tau_k = c^{2(k-K)} tau_max with
-    mu_1 = c^{1-K} sqrt(tau_max) and mu_k = c^{k-K-1} sqrt(c^2-1) sqrt(tau_max)
-    for k >= 2; uniform ladders place tau_k = (k/K) tau_max with equal stage
-    constants mu_k = sqrt(tau_max / K). Either way the top level is written
-    as exactly 1.0 * tau_max. This is the only function that tells the two
-    distributions apart.
-    """
-    if not 0 < tau_max < math.inf:
-        raise ValueError(f"tau_max must be positive and finite, got {tau_max}")
-    if K < 1:
-        raise ValueError(f"stage count K must be >= 1, got {K}")
-    if distribution is Distribution.LOGARITHMIC:
-        if c is None or not 1 < c < math.inf:
-            raise ValueError(f"logarithmic ladders need a finite ratio c > 1, got {c}")
-        levels = tuple(c ** (2.0 * (k - K)) * tau_max for k in range(1, K + 1))
-        sigma = math.sqrt(tau_max)
-        mus = [c ** (1.0 - K) * sigma]
-        mus += [
-            c ** (k - K - 1.0) * math.sqrt(c * c - 1.0) * sigma
-            for k in range(2, K + 1)
-        ]
-        mus = tuple(mus)
-    else:
-        levels = tuple((k / K) * tau_max for k in range(1, K + 1))
-        mus = tuple(math.sqrt(tau_max / K) for _ in range(K))
-    return ScaleLadder(levels, mus, units="seconds")
 
 
 def discretize_ladder(ladder: ScaleLadder, sample_rate: float) -> ScaleLadder:
@@ -208,7 +171,8 @@ class SpectrogramFamily:
 
     One family defines the spectrogram windows, their frequency selectivity
     and delays, and the matching second-layer temporal kernels. ``K`` is the
-    cascade stage count and ``c`` the logarithmic ladder ratio.
+    cascade stage count, a whole number >= 1, and ``c`` the logarithmic
+    ladder ratio, finite and > 1; gauss ignores both, rec-uni ignores ``c``.
     """
 
     kind: str
@@ -218,22 +182,43 @@ class SpectrogramFamily:
     def __post_init__(self) -> None:
         if self.kind not in ("gauss", "rec-uni", "rec-log"):
             raise ValueError(f"unknown family kind {self.kind!r}")
-        if self.kind != "gauss" and self.K < 1:
-            raise ValueError(f"cascade families need K >= 1, got {self.K}")
-        if self.kind == "rec-log" and (self.c is None or self.c <= 1):
-            raise ValueError("rec-log needs a ratio c > 1")
+        if self.kind != "gauss" and not (isinstance(self.K, numbers.Integral) and self.K >= 1):
+            raise ValueError(f"cascade families need a whole stage count K >= 1, got {self.K!r}")
+        if self.kind == "rec-log" and (self.c is None or not 1 < self.c < math.inf):
+            raise ValueError(f"rec-log needs a finite ratio c > 1, got {self.c}")
 
     @property
     def causal(self) -> bool:
         return self.kind != "gauss"
 
     def ladder(self, tau: float) -> ScaleLadder:
-        """The family's cascade ladder at variance tau (seconds^2)."""
-        if self.kind == "rec-uni":
-            return build_ladder(Distribution.UNIFORM, tau, self.K)
+        """The family's continuous cascade ladder at variance tau (seconds^2).
+
+        Logarithmic ladders place tau_k = c^{2(k-K)} tau with
+        mu_1 = c^{1-K} sqrt(tau) and mu_k = c^{k-K-1} sqrt(c^2-1) sqrt(tau)
+        for k >= 2; uniform ladders place tau_k = (k/K) tau with equal stage
+        constants mu_k = sqrt(tau / K). Either way the top level is written
+        as exactly 1.0 * tau. No other code writes a ladder's stage
+        constants.
+        """
+        if self.kind == "gauss":
+            raise ValueError("gaussian family has no scale ladder")
+        if not 0 < tau < math.inf:
+            raise ValueError(f"ladder scale tau must be positive and finite, got {tau}")
+        K, c = self.K, self.c
         if self.kind == "rec-log":
-            return build_ladder(Distribution.LOGARITHMIC, tau, self.K, self.c)
-        raise ValueError("gaussian family has no scale ladder")
+            levels = tuple(c ** (2.0 * (k - K)) * tau for k in range(1, K + 1))
+            sigma = math.sqrt(tau)
+            mus = [c ** (1.0 - K) * sigma]
+            mus += [
+                c ** (k - K - 1.0) * math.sqrt(c * c - 1.0) * sigma
+                for k in range(2, K + 1)
+            ]
+            mus = tuple(mus)
+        else:
+            levels = tuple((k / K) * tau for k in range(1, K + 1))
+            mus = tuple(math.sqrt(tau / K) for _ in range(K))
+        return ScaleLadder(levels, mus, units="seconds")
 
     def temporal(self, tau: float) -> TemporalKernelSpec:
         """The family's temporal kernel at variance tau (seconds^2)."""
@@ -261,18 +246,18 @@ class SampledKernel:
         return float(np.sum(self.values))
 
 
-def gaussian_kernel_sample(tau: float, t, delta: float = 0.0):
-    """Evaluate the time-shifted Gaussian (1/sqrt(2 pi tau)) exp(-(t-delta)^2 / 2 tau)."""
+def gaussian_kernel_sample(tau: float, t):
+    """Evaluate the Gaussian (1/sqrt(2 pi tau)) exp(-t^2 / 2 tau)."""
     if tau <= 0:
         raise ValueError(f"tau must be positive, got {tau}")
-    u = np.asarray(t, dtype=float) - delta
+    u = np.asarray(t, dtype=float)
     out = np.exp(-u * u / (2.0 * tau)) / math.sqrt(2.0 * math.pi * tau)
     return out if out.ndim else float(out)
 
-def gaussian_derivative_sample(tau: float, t, order: int, delta: float = 0.0):
+def gaussian_derivative_sample(tau: float, t, order: int):
     """Analytic derivatives of the Gaussian kernel, orders 0..4."""
-    g = gaussian_kernel_sample(tau, t, delta)
-    u = np.asarray(t, dtype=float) - delta
+    g = gaussian_kernel_sample(tau, t)
+    u = np.asarray(t, dtype=float)
     if order == 0:
         factor = np.ones_like(u)
     elif order == 1:

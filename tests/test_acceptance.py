@@ -38,9 +38,7 @@ from tonescale.spectrogram import (
     to_db,
 )
 from tonescale.temporal_scale_space import (
-    Distribution,
     TemporalKernelSpec,
-    build_ladder,
     discrete_gaussian_kernel,
     discrete_recursive_smooth,
     discretize_ladder,
@@ -180,7 +178,7 @@ def test_criterion_05_scale_space_property_suite():
     g = np.random.default_rng(20240817)
 
     # non-creation of local extrema on 1000 random signals
-    lad = discretize_ladder(build_ladder(Distribution.UNIFORM, 1e-4, 3), 8000.0)
+    lad = discretize_ladder(SpectrogramFamily("rec-uni", K=3).ladder(1e-4), 8000.0)
     violations = 0
     for _ in range(1000):
         x = g.normal(size=256)
@@ -226,7 +224,7 @@ def test_criterion_05_scale_space_property_suite():
     # cascade structure: log-ladder variances telescope exactly, and
     # discretization conserves the total variance exactly
     for K, c in ((4, math.sqrt(2.0)), (7, 2.0)):
-        ladder = build_ladder(Distribution.LOGARITHMIC, 1e-3, K, c=c)
+        ladder = SpectrogramFamily("rec-log", K=K, c=c).ladder(1e-3)
         acc = 0.0
         for k, mu in enumerate(ladder.mus, start=1):
             acc += mu * mu
@@ -352,7 +350,7 @@ def test_criterion_08_glissando_estimation():
 
 def test_criterion_09_onset_timing():
     frame_rate = RATE / HOP
-    lad = discretize_ladder(build_ladder(Distribution.UNIFORM, 0.02**2, 4), frame_rate)
+    lad = discretize_ladder(SpectrogramFamily("rec-uni", K=4).ladder(0.02**2), frame_rate)
     t_max_frames = 3.0 * lad.mus[0]
 
     # step presented in the dB domain: peak lands t_max after the step

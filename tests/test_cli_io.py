@@ -401,6 +401,23 @@ def test_cli_analyze_rejects_unknown_table(capsys):
     assert "--out-csv needs --table" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("n", ["nan", "inf", "0", "-8"])
+def test_cli_analyze_refuses_a_bad_window_length_before_any_table(n, capsys):
+    assert cli_main(["analyze", "--n", n]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: --n must be positive and finite")
+
+
+@pytest.mark.parametrize("c", ["nan", "inf", "1", "0.5"])
+def test_cli_kernels_refuses_a_bad_ratio_before_writing(c, tmp_path, capsys):
+    out = tmp_path / "k.csv"
+    assert cli_main(["kernels", "--c", c, "--out-csv", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "ratio c > 1" in err
+    assert not out.exists()
+
+
 def test_cli_requires_an_output(tone_wav, capsys):
     assert cli_main(["spectrogram", str(tone_wav)]) == 2
     assert "error: no output requested" in capsys.readouterr().err
@@ -526,6 +543,8 @@ def test_cli_refuses_delays_of_a_ratio_too_close_to_1(tmp_path, capsys):
         (["features", "--second-moment", "--sigma-nu-i", "nan"], "--sigma-nu-i"),
         (["features", "--glissando-bank", "nan,0"], "--glissando-bank"),
         (["features", "--glissando-bank", "0,inf"], "--glissando-bank"),
+        (["spectrogram", "--n", "nan"], "--n must"),
+        (["features", "--onsets", "--n", "0"], "--n must"),
     ],
     ids=[
         "hop-zero",
@@ -540,6 +559,8 @@ def test_cli_refuses_delays_of_a_ratio_too_close_to_1(tmp_path, capsys):
         "sigma-nu-i-nan",
         "bank-nan",
         "bank-inf",
+        "n-nan",
+        "n-zero",
     ],
 )
 def test_cli_refuses_bad_extents_before_reading_the_wav(

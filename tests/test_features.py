@@ -32,9 +32,7 @@ from tonescale.spectrogram import (
     to_db,
 )
 from tonescale.temporal_scale_space import (
-    Distribution,
     TemporalKernelSpec,
-    build_ladder,
     discrete_recursive_smooth,
     discretize_ladder,
 )
@@ -84,7 +82,7 @@ def test_onset_map_peaks_at_smoothing_delay_after_a_db_step():
     # the step is smeared by the causal smoothing kernel; the derivative
     # peaks at the kernel maximum after the step
     frame_rate = RATE / 44
-    lad = discretize_ladder(build_ladder(Distribution.UNIFORM, TAU_A, 4), frame_rate)
+    lad = discretize_ladder(SpectrogramFamily("rec-uni", K=4).ladder(TAU_A), frame_rate)
     t_max_frames = 3 * lad.mus[0]
     step_frame = t_on * frame_rate
     assert abs(peak_frame - (step_frame + t_max_frames)) <= 1.5
@@ -343,7 +341,7 @@ def test_onset_peak_time_respects_delay_compensation_bound():
     ch = int(np.argmin(np.abs(grid.nu - 69.0)))
     frame_rate = RATE / 44
     peak_t = np.argmax(onset.values[:, ch]) / frame_rate
-    lad = discretize_ladder(build_ladder(Distribution.UNIFORM, TAU_A, 4), frame_rate)
+    lad = discretize_ladder(SpectrogramFamily("rec-uni", K=4).ladder(TAU_A), frame_rate)
     t_max2 = 3 * lad.mus[0] / frame_rate
     t_infl1_2 = (3 - math.sqrt(3)) * lad.mus[0] / frame_rate
     slack = t_max2 - t_infl1_2 + 2.0 / frame_rate
@@ -575,7 +573,7 @@ def test_layer2_cascade_products_run_on_the_calling_thread(monkeypatch, rng):
     L = default_grid_db_map(0.2, rng)
     apply_rf(L, RFSpec(temporal=FAM.temporal(TAU_A), s=0.0))
     second_moment_glissando(L, TAU_A, 0.0, 0.06 ** 2, 0.0)  # s = 0: no band products
-    long = build_ladder(Distribution.LOGARITHMIC, 4e-3, 12, math.sqrt(2.0))
+    long = SpectrogramFamily("rec-log", K=12, c=math.sqrt(2.0)).ladder(4e-3)
     long = discretize_ladder(long, 1000.0)
     discrete_recursive_smooth(L.values, long, axis=0)
     discrete_recursive_smooth(L.values, one_stage_ladder(3.5), axis=0)

@@ -1,9 +1,10 @@
 """Invariant checks driven by hypothesis.
 
 Each property pins an algebraic contract of the pipeline: linearity and
-shift covariance of the recursive smoother, kernel mass and semigroup
-structure, dB reference scaling, warp invertibility, and the ordering of
-the bandwidth constants across window families.
+shift covariance of the recursive smoother, the time recursion of the
+logarithmic ladder, kernel mass and semigroup structure, dB reference
+scaling, warp invertibility, and the ordering of the bandwidth constants
+across window families.
 """
 
 import functools
@@ -28,15 +29,13 @@ from tonescale.spectrogram import (
     to_db,
 )
 from tonescale.temporal_scale_space import (
-    Distribution,
     TemporalKernelSpec,
-    build_ladder,
     discrete_gaussian_kernel,
     discrete_recursive_smooth,
     discretize_ladder,
 )
 
-from conftest import count_local_extrema, sine
+from conftest import count_local_extrema, one_stage_ladder, sine
 
 RATE = 4000.0
 
@@ -67,7 +66,7 @@ def flat_db_spec() -> TFMap:
 
 
 def discrete_ladder(tau: float, K: int):
-    return discretize_ladder(build_ladder(Distribution.UNIFORM, tau, K), 1.0)
+    return discretize_ladder(SpectrogramFamily("rec-uni", K=K).ladder(tau), 1.0)
 
 
 @settings(max_examples=40, deadline=None)
@@ -115,9 +114,60 @@ def test_discrete_gaussian_keeps_unit_mass(s):
     rate=st.sampled_from([8000.0, 44100.0]),
 )
 def test_ladder_discretization_conserves_variance(tau, K, c, rate):
-    lad = discretize_ladder(build_ladder(Distribution.LOGARITHMIC, tau, K, c=c), rate)
+    lad = discretize_ladder(SpectrogramFamily("rec-log", K=K, c=c).ladder(tau), rate)
     per_stage = [mu * mu + mu for mu in lad.mus]
     assert sum(per_stage) == pytest.approx(rate * rate * tau, rel=1e-9)
+
+
+# Unit roundoff of float64.
+UNIT_ROUNDOFF = 2.0**-53
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    K=st.integers(2, 10),
+    c=st.sampled_from([math.sqrt(2.0), 2.0**0.75, 2.0]),
+    tau=st.floats(0.5, 1e3),
+    steady=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_log_ladder_is_time_recursive(K, c, tau, steady, seed):
+    """A K-stage log ladder at tau is the (K - 1)-stage ladder at tau / c^2
+    followed by one stage (Lindeberg 2016, JMIV): its first K - 1 levels and
+    stage constants are the shorter ladder's to a few ulp, and smoothing
+    with the shorter ladder and then the last stage is one K-stage pass.
+
+    With u the unit roundoff: each level and stage constant is a power of c
+    (within 2u) times tau or its square root, times sqrt(c^2 - 1) for the
+    later stages; the shorter ladder also rounds c^2 and tau / c^2. That
+    is at most six roundings a side, so the two agree within 12u.
+
+    The passes agree within a bound in P, the input peak. Each pass
+    runs a unit-gain ladder relative to each block's first sample, so every
+    term it rounds is at most 2P; a kept output sums at most 32 + K such
+    terms (non-negative weights adding up to at most 1), the level and the
+    block difference, so it is off by at most 2 (34 + K) u P. The state
+    carries a block's rounding into the blocks after it, weighted by the
+    tail of the impulse response, which adds up to at most mu_sum / 32
+    blocks more. Three passes (two on one side) give
+    3 (1 + mu_sum / 32) 2 (34 + K) u P, under 1e-13 of P here. The
+    discretised stage constants differ by rounding as well, and a stage
+    of constant mu moves its output by at most 2 |dmu| / (1 + mu) of P.
+    """
+    long = SpectrogramFamily("rec-log", K=K, c=c).ladder(tau)
+    short = SpectrogramFamily("rec-log", K=K - 1, c=c).ladder(tau / (c * c))
+    assert long.levels[:-1] == pytest.approx(short.levels, rel=12 * UNIT_ROUNDOFF, abs=0.0)
+    assert long.mus[:-1] == pytest.approx(short.mus, rel=12 * UNIT_ROUNDOFF, abs=0.0)
+
+    long, short = discretize_ladder(long, 1.0), discretize_ladder(short, 1.0)
+    x = np.random.default_rng(seed).normal(size=(480, 8)) * 30.0 - 50.0
+    one = discrete_recursive_smooth(x, long, axis=0, steady=steady)
+    two = discrete_recursive_smooth(x, short, axis=0, steady=steady)
+    two = discrete_recursive_smooth(two, one_stage_ladder(long.mus[-1]), axis=0, steady=steady)
+    rounding = 3.0 * (1.0 + long.mu_sum / 32.0) * 2.0 * (34 + K) * UNIT_ROUNDOFF
+    drift = sum(2.0 * abs(a - b) / (1.0 + b) for a, b in zip(long.mus, short.mus))
+    peak = np.max(np.abs(x))
+    assert np.max(np.abs(one - two)) <= (rounding + drift) * peak
 
 
 @settings(max_examples=10, deadline=None)

@@ -27,9 +27,7 @@ from tonescale.spectrogram import (
     to_db,
 )
 from tonescale.temporal_scale_space import (
-    Distribution,
     TemporalKernelSpec,
-    build_ladder,
     discrete_gaussian_kernel,
     discrete_gaussian_smooth,
     gaussian_derivative_sample,
@@ -65,7 +63,7 @@ def test_rfspec_validation():
     with pytest.raises(ValueError):
         RFSpec(temporal=tk, s=0.25, alpha=3)
     # cascade with K stages supports temporal orders below K only
-    lad = build_ladder(Distribution.UNIFORM, 1e-4, 2)
+    lad = SpectrogramFamily("rec-uni", K=2).ladder(1e-4)
     with pytest.raises(ValueError):
         RFSpec(temporal=TemporalKernelSpec.cascade(lad), s=0.25, alpha=2)
 
@@ -87,7 +85,7 @@ def test_smoothing_only_rf_preserves_constants():
     flat.values = np.full_like(L.values, -7.5)
     for tk in (
         TemporalKernelSpec.gaussian(4e-4),
-        TemporalKernelSpec.cascade(build_ladder(Distribution.UNIFORM, 4e-4, 4)),
+        TemporalKernelSpec.cascade(SpectrogramFamily("rec-uni", K=4).ladder(4e-4)),
     ):
         resp = apply_rf(flat, RFSpec(temporal=tk, s=0.25))
         assert resp.values == pytest.approx(np.full_like(flat.values, -7.5), abs=1e-9)
@@ -157,10 +155,10 @@ GAUSS_1E4 = TemporalKernelSpec.gaussian(1e-4)
         (lambda: RFSpec(temporal=GAUSS_1E4, s=0.25, v=-math.inf), "slope v"),
         (lambda: TemporalKernelSpec.gaussian(math.inf), "tau"),
         (lambda: TemporalKernelSpec.gaussian(math.nan), "tau"),
-        (lambda: build_ladder(Distribution.UNIFORM, math.nan, 4), "tau_max"),
-        (lambda: build_ladder(Distribution.LOGARITHMIC, math.inf, 4, c=2.0), "tau_max"),
-        (lambda: build_ladder(Distribution.LOGARITHMIC, 1e-4, 4, c=math.inf), "ratio c"),
-        (lambda: FAM.temporal(math.nan), "tau_max"),
+        (lambda: SpectrogramFamily("rec-uni", K=4).ladder(math.nan), "ladder scale tau"),
+        (lambda: SpectrogramFamily("rec-log", K=4, c=2.0).ladder(math.inf), "ladder scale tau"),
+        (lambda: SpectrogramFamily("rec-log", K=4, c=math.inf).ladder(1e-4), "ratio c"),
+        (lambda: FAM.temporal(math.nan), "ladder scale tau"),
         (lambda: discrete_gaussian_kernel(math.inf), "scale"),
     ],
     ids=[
@@ -253,7 +251,7 @@ def test_rf_kernel_image_velocity_shears_the_kernel():
 
 
 def test_rf_kernel_image_cascade_uses_causal_profile():
-    lad = build_ladder(Distribution.UNIFORM, 4e-4, 4)
+    lad = SpectrogramFamily("rec-uni", K=4).ladder(4e-4)
     spec = RFSpec(temporal=TemporalKernelSpec.cascade(lad), s=0.25)
     img = rf_kernel_image(spec, t_span=0.15, nu_span=1.5, dt=1e-3, dnu=0.25)
     # causal kernels are rendered for t >= 0 only and vanish at the origin
@@ -268,7 +266,7 @@ def test_apply_rf_warmup_accounts_for_both_layers():
     resp = apply_rf(
         L,
         RFSpec(
-            temporal=TemporalKernelSpec.cascade(build_ladder(Distribution.UNIFORM, 4e-4, 4)),
+            temporal=TemporalKernelSpec.cascade(SpectrogramFamily("rec-uni", K=4).ladder(4e-4)),
             s=0.25,
             alpha=1,
         ),

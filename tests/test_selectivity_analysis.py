@@ -20,10 +20,8 @@ from tonescale.selectivity_analysis import (
     selectivity_db_at_constant,
 )
 from tonescale.temporal_scale_space import (
-    Distribution,
     SpectrogramFamily,
     TemporalKernelSpec,
-    build_ladder,
     temporal_profiles,
 )
 
@@ -58,7 +56,7 @@ def test_gaussian_selectivity_closed_form():
 @pytest.mark.parametrize("K", [4, 7])
 def test_uniform_selectivity_matches_numeric_fourier(K):
     fam = SpectrogramFamily(kind="rec-uni", K=K)
-    lad = build_ladder(Distribution.UNIFORM, 1.0, K)
+    lad = SpectrogramFamily("rec-uni", K=K).ladder(1.0)
     for C in (0.15, 0.4):
         assert selectivity_db_at_constant(fam, C) == pytest.approx(
             numeric_attenuation_db(lad, C), abs=5e-3
@@ -68,7 +66,7 @@ def test_uniform_selectivity_matches_numeric_fourier(K):
 @pytest.mark.parametrize("c", [math.sqrt(2.0), 2.0])
 def test_logarithmic_selectivity_matches_numeric_fourier(c):
     fam = SpectrogramFamily(kind="rec-log", K=7, c=c)
-    lad = build_ladder(Distribution.LOGARITHMIC, 1.0, 7, c=c)
+    lad = SpectrogramFamily("rec-log", K=7, c=c).ladder(1.0)
     for C in (0.15, 0.4):
         assert selectivity_db_at_constant(fam, C) == pytest.approx(
             numeric_attenuation_db(lad, C), abs=5e-3
@@ -142,8 +140,27 @@ def test_relative_bandwidth_small_constant_limit():
         relative_bandwidth(8.0, 8.0)
 
 
+@pytest.mark.parametrize("n", [math.nan, math.inf, -math.inf, 0.0, -8.0])
+def test_window_length_must_be_positive_and_finite(n):
+    for fam in (SpectrogramFamily("gauss"), SpectrogramFamily("rec-log")):
+        with pytest.raises(ValueError, match="n must be positive and finite"):
+            selectivity_db(fam, 1.0, n=n)
+    with pytest.raises(ValueError, match="n must be positive and finite"):
+        relative_bandwidth(0.1, n)
+    with pytest.raises(ValueError, match="n must be positive and finite"):
+        bandwidth_constant_table(n)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, -0.1])
+def test_detuning_and_frequency_ratio_must_be_finite(value):
+    with pytest.raises(ValueError, match="C must be non-negative and finite"):
+        relative_bandwidth(value, 8.0)
+    with pytest.raises(ValueError, match="omega ratio must be positive and finite"):
+        selectivity_db(SpectrogramFamily("gauss"), value)
+
+
 def test_uniform_delays_closed_forms():
-    lad = build_ladder(Distribution.UNIFORM, 0.25, 4)
+    lad = SpectrogramFamily("rec-uni", K=4).ladder(0.25)
     d = delay_measures(lad)
     mu = math.sqrt(0.25 / 4)
     assert d.mean == pytest.approx(math.sqrt(4 * 0.25), rel=1e-12)
@@ -153,7 +170,7 @@ def test_uniform_delays_closed_forms():
 
 
 def test_log_delay_mean_matches_numeric_first_moment():
-    lad = build_ladder(Distribution.LOGARITHMIC, 1.0, 5, c=math.sqrt(2.0))
+    lad = SpectrogramFamily("rec-log", K=5, c=math.sqrt(2.0)).ladder(1.0)
     d = delay_measures(lad)
     t, h = sampled_kernel(lad, 1e-4)
     numeric_mean = float(np.trapezoid(h * t, t))
@@ -170,7 +187,7 @@ def test_log_delay_mean_matches_numeric_first_moment():
 def test_two_stage_peak_position_analytic(c):
     """K = 2 stages peak at ln(mu2/mu1) mu1 mu2 / (mu2 - mu1), written with
     log1p of the exact difference so that it holds as mu2 tends to mu1."""
-    lad = build_ladder(Distribution.LOGARITHMIC, 1.0, 2, c=c)
+    lad = SpectrogramFamily("rec-log", K=2, c=c).ladder(1.0)
     mu1, mu2 = sorted(lad.mus)
     gap = mu2 - mu1
     expected = math.log1p(gap / mu1) * mu1 * mu2 / gap if gap else mu1
@@ -182,7 +199,7 @@ def test_delay_measures_refuse_a_kernel_beyond_the_sample_bound():
     would take 1.2e10 samples (88 GiB), and the delays were refused; the
     bracket grid is geometric, so they come out finite and ordered in
     bounded memory."""
-    lad = build_ladder(Distribution.LOGARITHMIC, 1.0, 2, 1 + 2**-52)
+    lad = SpectrogramFamily("rec-log", K=2, c=1 + 2**-52).ladder(1.0)
     tracemalloc.start()
     try:
         d = delay_measures(lad)
@@ -199,7 +216,7 @@ def test_delay_measures_cover_the_first_stage_tail_as_c_tends_to_1(c):
     """The first stage carries nearly all of tau, so the kernel tends to
     one exponential of time constant sqrt(tau); 10 sqrt(tau) past the mean
     left e^-11 of its mass and c = 1 + 1e-7 was refused."""
-    lad = build_ladder(Distribution.LOGARITHMIC, 1.0, 7, c)
+    lad = SpectrogramFamily("rec-log", K=7, c=c).ladder(1.0)
     assert lad.support >= lad.mu_sum - lad.mus[0] + 12.5 * lad.mus[0]
     d = delay_measures(lad)
     assert d.mean == lad.mu_sum
@@ -209,18 +226,18 @@ def test_delay_measures_cover_the_first_stage_tail_as_c_tends_to_1(c):
 def test_support_is_ten_deviations_past_the_mean_for_the_table_ladders():
     """The delay tables and every default output keep their support."""
     for K in range(2, 12):
-        ladders = [build_ladder(Distribution.UNIFORM, 1.0, K)] + [
-            build_ladder(Distribution.LOGARITHMIC, 1.0, K, c) for c in (2.0**0.5, 2.0**0.75, 2.0)
+        ladders = [SpectrogramFamily("rec-uni", K=K).ladder(1.0)] + [
+            SpectrogramFamily("rec-log", K=K, c=c).ladder(1.0) for c in (2.0**0.5, 2.0**0.75, 2.0)
         ]
         for lad in ladders:
             assert lad.support == lad.mu_sum + 10.0 * math.sqrt(lad.tau_max)
 
 
 def test_delay_measures_scale_as_sqrt_tau():
-    unit = delay_measures(build_ladder(Distribution.LOGARITHMIC, 1.0, 4, c=2.0))
+    unit = delay_measures(SpectrogramFamily("rec-log", K=4, c=2.0).ladder(1.0))
     assert unit.t_max == pytest.approx(1.014, abs=5e-4)
     for tau in (0.01, 9.0):
-        d = delay_measures(build_ladder(Distribution.LOGARITHMIC, tau, 4, c=2.0))
+        d = delay_measures(SpectrogramFamily("rec-log", K=4, c=2.0).ladder(tau))
         for got, want in zip(
             (d.t_max, d.t_infl1, d.t_infl2), (unit.t_max, unit.t_infl1, unit.t_infl2)
         ):
@@ -232,7 +249,7 @@ def test_delay_mean_limit_is_the_large_K_asymptote():
     limit = delay_mean_limit(c)
     assert limit == pytest.approx(math.sqrt(c * c - 1) / (c - 1), rel=1e-12)
     # stage time constants sum to the mean delay; a deep ladder approaches it
-    lad = build_ladder(Distribution.LOGARITHMIC, 1.0, 60, c=c)
+    lad = SpectrogramFamily("rec-log", K=60, c=c).ladder(1.0)
     assert lad.mu_sum == pytest.approx(limit, abs=1e-3)
 
 
@@ -296,10 +313,10 @@ def test_delay_means_match_the_closed_forms(K, c):
     # delay_measures takes a logarithmic ladder's mean from mu_sum. The
     # closed form cancels down to c - 1, so its own rounding error is
     # about eps / (c - 1): the absolute term covers that, not the ladder.
-    log = build_ladder(Distribution.LOGARITHMIC, 1.0, K, c)
+    log = SpectrogramFamily("rec-log", K=K, c=c).ladder(1.0)
     want = closed_form_log_mean(K, c, 1.0)
     assert log.mu_sum == pytest.approx(want, rel=1e-14, abs=2e-15 / (c - 1.0))
-    uni = delay_measures(build_ladder(Distribution.UNIFORM, 1.0, K))
+    uni = delay_measures(SpectrogramFamily("rec-uni", K=K).ladder(1.0))
     assert uni.mean == pytest.approx(math.sqrt(float(K)), rel=1e-14)
     assert uni.t_max == pytest.approx((K - 1.0) / math.sqrt(float(K)), rel=1e-14, abs=0)
 
@@ -330,16 +347,15 @@ def simpson_moments(ladder, per_octave: int = 512) -> tuple[np.ndarray, np.ndarr
 
 
 @settings(max_examples=100, deadline=None)
-@given(distribution=st.sampled_from(list(Distribution)), K=stage_counts, c=ratios)
-@example(distribution=Distribution.LOGARITHMIC, K=7, c=1.0 + 2.0**-52)
-@example(distribution=Distribution.LOGARITHMIC, K=7, c=1.0 + 1e-7)
-@example(distribution=Distribution.LOGARITHMIC, K=10, c=4.0)
-def test_cascade_kernel_moments_and_delays(distribution, K, c):
+@given(kind=st.sampled_from(["rec-uni", "rec-log"]), K=stage_counts, c=ratios)
+@example(kind="rec-log", K=7, c=1.0 + 2.0**-52)
+@example(kind="rec-log", K=7, c=1.0 + 1e-7)
+@example(kind="rec-log", K=10, c=4.0)
+def test_cascade_kernel_moments_and_delays(kind, K, c):
     """Every cascade is one phase-type kernel: its samples integrate to
     mass 1, mean mu_sum and variance tau_max, and its delays are the zeros
     of h' and h'' in order, at the closed forms for uniform ladders."""
-    c = c if distribution is Distribution.LOGARITHMIC else None
-    ladder = build_ladder(distribution, 1.0, K, c)
+    ladder = SpectrogramFamily(kind, K=K, c=c).ladder(1.0)
     moments, peaks = simpson_moments(ladder)
     assert moments == pytest.approx([1.0, ladder.mu_sum, ladder.tau_max], rel=1e-9)
     d = delay_measures(ladder)
@@ -359,7 +375,7 @@ def test_cascade_kernel_moments_and_delays(distribution, K, c):
         assert d.t_infl1 == 0.0  # h'' starts below 0
     else:
         assert abs(at(d.t_infl1, 2)) <= 1e-9 * peaks[2]
-    if distribution is Distribution.UNIFORM:
+    if kind == "rec-uni":
         mu, root = ladder.mus[0], math.sqrt(K - 1.0)
         want = ((K - 1.0) * mu, (K - 1.0 - root) * mu, (K - 1.0 + root) * mu)
         assert (d.t_max, d.t_infl1, d.t_infl2) == pytest.approx(want, rel=1e-12, abs=1e-15)

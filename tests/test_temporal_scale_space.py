@@ -16,11 +16,9 @@ from scipy.stats import gamma as gamma_dist
 from tonescale import temporal_scale_space
 
 from tonescale.temporal_scale_space import (
-    Distribution,
     ScaleLadder,
     SpectrogramFamily,
     TemporalKernelSpec,
-    build_ladder,
     cascade_sections,
     discrete_gaussian_kernel,
     discrete_gaussian_smooth,
@@ -48,13 +46,6 @@ def test_gaussian_kernel_is_normalized_density():
     assert mass == pytest.approx(1.0, abs=1e-12)
     peak = gaussian_kernel_sample(tau, 0.0)
     assert peak == pytest.approx(1.0 / math.sqrt(2.0 * math.pi * tau), rel=1e-14)
-
-
-def test_gaussian_kernel_delay_shifts_the_peak():
-    tau, delta = 0.2, 1.3
-    t = np.linspace(-2, 4, 6001)
-    vals = gaussian_kernel_sample(tau, t, delta=delta)
-    assert t[np.argmax(vals)] == pytest.approx(delta, abs=1e-3)
 
 
 @pytest.mark.parametrize("order", [1, 2, 3, 4])
@@ -108,14 +99,14 @@ def test_composed_uniform_derivatives_match_finite_differences(K):
 
 
 def test_uniform_ladder_levels_and_stage_constants():
-    lad = build_ladder(Distribution.UNIFORM, tau_max=0.64, K=4)
+    lad = SpectrogramFamily("rec-uni", K=4).ladder(0.64)
     assert lad.levels == pytest.approx([0.16, 0.32, 0.48, 0.64])
     assert lad.mus == pytest.approx([0.4, 0.4, 0.4, 0.4])
 
 
 def test_logarithmic_ladder_variances_telescope():
     # Stage variances must add up to the running scale levels.
-    lad = build_ladder(Distribution.LOGARITHMIC, tau_max=1.0, K=7, c=math.sqrt(2.0))
+    lad = SpectrogramFamily("rec-log", K=7, c=math.sqrt(2.0)).ladder(1.0)
     running = np.cumsum(np.square(lad.mus))
     assert running == pytest.approx(lad.levels, rel=1e-12)
     ratios = np.array(lad.levels[1:]) / np.array(lad.levels[:-1])
@@ -123,14 +114,28 @@ def test_logarithmic_ladder_variances_telescope():
 
 
 def test_ladder_rejects_bad_arguments():
-    with pytest.raises(ValueError):
-        build_ladder(Distribution.UNIFORM, tau_max=-1.0, K=3)
-    with pytest.raises(ValueError):
-        build_ladder(Distribution.UNIFORM, tau_max=1.0, K=0)
-    with pytest.raises(ValueError):
-        build_ladder(Distribution.LOGARITHMIC, tau_max=1.0, K=3, c=1.0)
+    """The family refuses a bad K or c when it is built, not when its
+    ladder is first asked for; the ladder refuses a bad scale."""
+    for kind in ("rec-uni", "rec-log"):
+        for tau in (-1.0, 0.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="ladder scale tau"):
+                SpectrogramFamily(kind, K=3).ladder(tau)
+        for K in (0, -1, 2.5, 3.0, "3", None):
+            with pytest.raises(ValueError, match="whole stage count"):
+                SpectrogramFamily(kind, K=K)
+    for c in (1.0, 0.5, math.nan, math.inf, None):
+        with pytest.raises(ValueError, match="finite ratio c > 1"):
+            SpectrogramFamily("rec-log", K=3, c=c)
+    # gauss ignores K and c, rec-uni ignores c
+    uniform = SpectrogramFamily("rec-uni", K=3).ladder(1.0)
+    for c in (1.0, math.nan, math.inf, None):
+        assert SpectrogramFamily("rec-uni", K=3, c=c).ladder(1.0) == uniform
+        assert not SpectrogramFamily("gauss", K=2.5, c=c).causal
+    assert SpectrogramFamily("rec-uni", K=np.int64(3)).ladder(1.0).K == 3
     with pytest.raises(ValueError, match="no scale ladder"):
         SpectrogramFamily("gauss").ladder(1.0)
+    with pytest.raises(ValueError, match="units"):
+        ScaleLadder((1.0,), (1.0,), units="second")
     # levels and stage constants must pair up, at least one of each, and
     # the levels must rise
     bad = [((), ()), ((1.0, 2.0), (1.0,)), ((1.0,), (0.5, 0.5)), ((1.0, 1.0), (1.0, 0.0))]
@@ -145,19 +150,19 @@ def test_ladder_is_its_levels_and_stage_constants():
     assert [f.name for f in dataclasses.fields(ScaleLadder)] == ["levels", "mus", "units"]
     for tau in (0.3, 1e-4, 7.0):
         for lad in (
-            build_ladder(Distribution.UNIFORM, tau, 5),
-            build_ladder(Distribution.LOGARITHMIC, tau, 5, 2.0**0.75),
+            SpectrogramFamily("rec-uni", K=5).ladder(tau),
+            SpectrogramFamily("rec-log", K=5, c=2.0**0.75).ladder(tau),
         ):
             assert lad.tau_max == tau and lad.levels[-1] == 1.0 * tau
             assert lad.K == len(lad.mus) == 5
-    disc = discretize_ladder(build_ladder(Distribution.UNIFORM, 1e-4, 3), 8000.0)
+    disc = discretize_ladder(SpectrogramFamily("rec-uni", K=3).ladder(1e-4), 8000.0)
     assert (disc.tau_max, disc.K, disc.units) == (disc.levels[-1], 3, "samples")
 
 
 def test_discretized_ladder_matches_scale_levels_exactly():
     rate = 16000.0
     lad = discretize_ladder(
-        build_ladder(Distribution.LOGARITHMIC, tau_max=4e-4, K=5, c=2.0), rate
+        SpectrogramFamily("rec-log", K=5, c=2.0).ladder(4e-4), rate
     )
     mus = np.array(lad.mus)
     # mu^2 + mu telescopes to the discrete scale levels with no residual
@@ -198,7 +203,7 @@ def test_recursive_stage_axis_handling(rng):
 
 def test_discrete_recursive_smooth_variance_additivity(rng):
     lad = discretize_ladder(
-        build_ladder(Distribution.LOGARITHMIC, tau_max=1e-4, K=4, c=math.sqrt(2.0)),
+        SpectrogramFamily("rec-log", K=4, c=math.sqrt(2.0)).ladder(1e-4),
         8000.0,
     )
     x = np.zeros(4000)
@@ -264,15 +269,14 @@ def _assert_within(got, want, peak, rtol):
     assert np.max(np.abs(got - want), initial=0.0) <= rtol * peak
 
 
-@pytest.mark.parametrize("distribution", list(Distribution))
+@pytest.mark.parametrize("kind", ["rec-uni", "rec-log"])
 @pytest.mark.parametrize("K", [1, 4, 7])
-def test_one_sosfilt_equals_the_stage_by_stage_cascade(distribution, K, rng):
+def test_one_sosfilt_equals_the_stage_by_stage_cascade(kind, K, rng):
     """The oracle is scipy's one sosfilt over the sections, which is the
     stage-by-stage cascade bit for bit; the block recursion stays within
     LAYER2_RTOL of the input peak of both. Its stages are the rows
     [1/(1+mu), mu/(1+mu)]."""
-    c = math.sqrt(2.0) if distribution is Distribution.LOGARITHMIC else None
-    lad = discretize_ladder(build_ladder(distribution, 1e-3, K, c), 1000.0)
+    lad = discretize_ladder(SpectrogramFamily(kind, K=K, c=math.sqrt(2.0)).ladder(1e-3), 1000.0)
     mus = np.array(lad.mus)
     stages = cascade_sections(lad)
     assert stages.dtype == float
@@ -302,7 +306,7 @@ def test_one_sosfilt_equals_the_stage_by_stage_cascade(distribution, K, rng):
 # block exactly and a few blocks with a remainder.
 @settings(max_examples=150, deadline=None)
 @given(
-    distribution=st.sampled_from(list(Distribution)),
+    kind=st.sampled_from(["rec-uni", "rec-log"]),
     K=st.integers(1, 8),
     c=st.floats(1.1, 2.0),
     tau_frames=st.floats(0.5, 5e3),
@@ -314,16 +318,15 @@ def test_one_sosfilt_equals_the_stage_by_stage_cascade(distribution, K, rng):
     offset=st.floats(-200.0, 200.0),
     seed=st.integers(0, 2**32 - 1),
 )
-@example(Distribution.UNIFORM, 8, 2.0, 5e3, 257, 4, 0, True, True, -200.0, 1)
+@example("rec-uni", 8, 2.0, 5e3, 257, 4, 0, True, True, -200.0, 1)
 def test_discrete_recursive_smooth_stays_within_the_layer2_bound(
-    distribution, K, c, tau_frames, n, lanes, axis, steady, complex_input, offset, seed
+    kind, K, c, tau_frames, n, lanes, axis, steady, complex_input, offset, seed
 ):
     """Against the sosfilt oracle: both ladders, K 1-8, stage constants
     from below one frame to about 60 frames (tau up to 5e3 frames^2), real
     and complex maps on a dB-like offset, every axis, steady and rest
     starts."""
-    c = c if distribution is Distribution.LOGARITHMIC else None
-    lad = discretize_ladder(build_ladder(distribution, tau_frames, K, c), 1.0)
+    lad = discretize_ladder(SpectrogramFamily(kind, K=K, c=c).ladder(tau_frames), 1.0)
     rng = np.random.default_rng(seed)
     x = offset + 30.0 * rng.normal(size=(n, lanes))
     if complex_input:
@@ -338,7 +341,7 @@ def test_discrete_recursive_smooth_stays_within_the_layer2_bound(
 def test_a_constant_stretch_settles_to_its_exact_value():
     """A step comes out monotone and reaches its level exactly, from rest and
     from a steady start, as a stage-by-stage recursion does."""
-    lad = discretize_ladder(build_ladder(Distribution.LOGARITHMIC, 4e-4, 7, math.sqrt(2.0)), 1000.0)
+    lad = discretize_ladder(SpectrogramFamily("rec-log").ladder(4e-4), 1000.0)
     after = np.arange(3000) >= 400
     for steady, before in ((False, 0.0), (True, -60.0)):
         for sign in (1.0, -1.0):
@@ -364,7 +367,7 @@ def test_block_cascade_does_not_depend_on_chunks_groups_or_lanes(patch, monkeypa
     """Maps of the one signal come out bit for bit the same whatever the
     chunk and group sizes, and a set alone as beside the others, for each
     shape of block."""
-    lad = discretize_ladder(build_ladder(Distribution.UNIFORM, 4e-4, 4), 1000.0)
+    lad = discretize_ladder(SpectrogramFamily("rec-uni", K=4).ladder(4e-4), 1000.0)
     sections = np.stack([cascade_sections(lad, w) for w in (0.3, 1.1, 2.9)])
     x = rng.normal(size=1500) * 20.0 - 40.0
     block_cascade = temporal_scale_space._block_cascade
@@ -383,7 +386,7 @@ def test_block_cascade_does_not_depend_on_chunks_groups_or_lanes(patch, monkeypa
 def test_a_ladder_lane_does_not_depend_on_the_lanes_beside_it(steady, rng):
     """A lane alone comes out bitwise as inside maps of every width around
     the column multiple and the lane chunk, at the front and the back."""
-    lad = discretize_ladder(build_ladder(Distribution.LOGARITHMIC, 4e-4, 7, math.sqrt(2.0)), 1000.0)
+    lad = discretize_ladder(SpectrogramFamily("rec-log").ladder(4e-4), 1000.0)
     kept, columns = temporal_scale_space._BLOCK_KEPT, temporal_scale_space._COLUMNS
     chunk = temporal_scale_space._SERIAL_PRODUCT // ((kept + lad.K) * kept) // columns * columns
     assert chunk > 9  # lanes per time-major product
@@ -398,7 +401,7 @@ def test_a_ladder_lane_does_not_depend_on_the_lanes_beside_it(steady, rng):
 
 @pytest.mark.parametrize("steady", [False, True], ids=["rest", "steady"])
 def test_a_complex_map_runs_as_its_real_and_imaginary_parts(steady, rng):
-    lad = discretize_ladder(build_ladder(Distribution.UNIFORM, 4e-4, 4), 1000.0)
+    lad = discretize_ladder(SpectrogramFamily("rec-uni", K=4).ladder(4e-4), 1000.0)
     x = (rng.normal(size=(75, 3, 5)) + 1j * rng.normal(size=(75, 3, 5))) * 20.0
     for axis in (0, 1, -1):
         got = discrete_recursive_smooth(x, lad, axis=axis, steady=steady)
@@ -410,7 +413,7 @@ def test_a_complex_map_runs_as_its_real_and_imaginary_parts(steady, rng):
 def test_folded_sections_demodulate_the_cascade(rng):
     """Poles turned by e^{i w} smooth x as the plain poles smooth x e^{-i w n};
     the gains stay real."""
-    lad = discretize_ladder(build_ladder(Distribution.UNIFORM, 1e-4, 5), 8000.0)
+    lad = discretize_ladder(SpectrogramFamily("rec-uni", K=5).ladder(1e-4), 8000.0)
     w = 0.9
     stages = cascade_sections(lad, w)
     plain = cascade_sections(lad)
@@ -429,7 +432,7 @@ def test_discrete_recursive_smooth_steady_mode_keeps_a_constant_map(rng):
     # constant map has no settling transient and comes back exactly, in
     # every lane chunk and across a part block.
     lad = discretize_ladder(
-        build_ladder(Distribution.LOGARITHMIC, tau_max=1e-3, K=7, c=math.sqrt(2.0)), 1000.0
+        SpectrogramFamily("rec-log", K=7, c=math.sqrt(2.0)).ladder(1e-3), 1000.0
     )
     level = np.concatenate([[0.0, -200.0], rng.normal(size=1102) * 40.0])
     flat = np.tile(level, (1500, 1))
@@ -449,7 +452,7 @@ def test_cascade_profiles_match_the_gamma_closed_forms(K):
     """A uniform ladder's phase-type samples, read off about 25 000 powers
     of e^{Q dt}, stay within 1e-12 of each Gamma closed form's peak, and
     the samples at t <= 0 are 0, as the closed forms write them."""
-    lad = build_ladder(Distribution.UNIFORM, 0.04, K)
+    lad = SpectrogramFamily("rec-uni", K=K).ladder(0.04)
     dt = math.sqrt(lad.tau_max) / 2000.0
     t = np.arange(-50, int(lad.support / dt)) * dt
     got = temporal_profiles(TemporalKernelSpec.cascade(lad), t)
@@ -463,7 +466,7 @@ def test_cascade_profiles_match_the_gamma_closed_forms(K):
 
 def test_cascade_profiles_sample_any_start_of_the_grid():
     """A grid that starts after 0 reads the same kernel as one from 0."""
-    lad = build_ladder(Distribution.LOGARITHMIC, 1e-4, 7, math.sqrt(2.0))
+    lad = SpectrogramFamily("rec-log", K=7, c=math.sqrt(2.0)).ladder(1e-4)
     temporal = TemporalKernelSpec.cascade(lad)
     t = np.arange(400) * 1e-4
     whole = temporal_profiles(temporal, t)
@@ -479,7 +482,7 @@ def test_recursive_smoothing_refuses_a_non_finite_sample(bad):
     40 of one lane reached frames 32-39, so a causal output read a later
     frame."""
     lad = discretize_ladder(
-        build_ladder(Distribution.LOGARITHMIC, 1e-4, 7, math.sqrt(2.0)), 1000.0
+        SpectrogramFamily("rec-log", K=7, c=math.sqrt(2.0)).ladder(1e-4), 1000.0
     )
     x = np.zeros((100, 3))
     x[40, 1] = bad
@@ -723,7 +726,7 @@ def test_discrete_gaussian_smooth_axis_and_identity(rng):
 
 
 def test_smoothing_never_creates_local_extrema(rng):
-    lad = discretize_ladder(build_ladder(Distribution.UNIFORM, tau_max=1e-4, K=3), 8000.0)
+    lad = discretize_ladder(SpectrogramFamily("rec-uni", K=3).ladder(1e-4), 8000.0)
     for _ in range(50):
         x = rng.normal(size=256)
         before = count_local_extrema(x)
@@ -732,7 +735,7 @@ def test_smoothing_never_creates_local_extrema(rng):
 
 
 def test_warmup_length_scales_with_stage_constants():
-    lad = discretize_ladder(build_ladder(Distribution.UNIFORM, tau_max=1e-4, K=4), 8000.0)
+    lad = discretize_ladder(SpectrogramFamily("rec-uni", K=4).ladder(1e-4), 8000.0)
     assert warmup_length(lad) == math.ceil(5.0 * sum(lad.mus))
 
 
@@ -740,6 +743,6 @@ def test_family_temporal_kernel_matches_its_ladder():
     tau = 0.02 ** 2
     assert SpectrogramFamily("gauss").temporal(tau) == TemporalKernelSpec.gaussian(tau)
     uni = SpectrogramFamily("rec-uni", K=4).temporal(tau)
-    assert uni.ladder == build_ladder(Distribution.UNIFORM, tau, 4)
+    assert uni.ladder == SpectrogramFamily("rec-uni", K=4).ladder(tau)
     log = SpectrogramFamily("rec-log", K=7, c=2.0).temporal(tau)
-    assert log.ladder == build_ladder(Distribution.LOGARITHMIC, tau, 7, 2.0)
+    assert log.ladder == SpectrogramFamily("rec-log", K=7, c=2.0).ladder(tau)

@@ -23,12 +23,12 @@ from tonescale.spectrogram import (
     frequency_from_midi,
     midi_from_frequency,
 )
-from tonescale.temporal_scale_space import SpectrogramFamily
+from tonescale.temporal_scale_space import FAMILY_KINDS, SpectrogramFamily
 
 
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--family", choices=("gauss", "rec-uni", "rec-log"), default="rec-log")
+    ap.add_argument("--family", choices=FAMILY_KINDS, default="rec-log")
     ap.add_argument("--K", type=int, default=7)
     ap.add_argument("--c", type=float, default=math.sqrt(2.0))
     ap.add_argument("--n", type=float, default=8.0)

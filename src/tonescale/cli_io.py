@@ -58,6 +58,7 @@ from tonescale.spectrogram import (
     to_db,
 )
 from tonescale.temporal_scale_space import (
+    FAMILY_KINDS,
     SpectrogramFamily,
     TemporalKernelSpec,
     temporal_profiles,
@@ -266,7 +267,6 @@ def write_grid_pgm(path: str | Path, values: np.ndarray, lo: float, hi: float) -
 # ---------------------------------------------------------------------------
 # Option table
 
-FAMILIES = ("gauss", "rec-uni", "rec-log")
 NU_MAX_DEFAULT = midi_from_frequency(16000.0)
 
 # destination -> (type, default, help). The flag is "--" plus the destination
@@ -274,7 +274,7 @@ NU_MAX_DEFAULT = midi_from_frequency(16000.0)
 # default; a tuple type lists the choices of a string option. Help texts
 # that name their own default describe one derived at run time.
 OPTIONS: dict[str, tuple] = {
-    "family": (FAMILIES, "rec-log", "temporal window family"),
+    "family": (FAMILY_KINDS, "rec-log", "temporal window family"),
     "K": (int, 7, "cascade stages"),
     "c": (float, math.sqrt(2.0), "logarithmic ladder ratio"),
     "n": (float, 8.0, "carrier periods per window extent; analyze uses it for table 1"),
@@ -468,7 +468,11 @@ def _parse_bank(raw) -> list[float] | None:
 
 
 def _family(cfg: dict) -> SpectrogramFamily:
-    return SpectrogramFamily(kind=cfg["family"], K=cfg["K"], c=cfg["c"])
+    """The configured window family; a bad ``--K`` or ``--c`` is a bad argument."""
+    try:
+        return SpectrogramFamily(kind=cfg["family"], K=cfg["K"], c=cfg["c"])
+    except ValueError as exc:
+        raise CliError(2, str(exc)) from exc
 
 
 def _layer1(cfg: dict, wav: str):
@@ -693,13 +697,12 @@ def cmd_kernels(cfg: dict, wav: str | None) -> int:
             alpha=cfg["alpha"],
             beta=cfg["beta"],
         )
-        sigma_t = math.sqrt(temporal.scale)
+        sigma_t = math.sqrt(temporal.tau)
         if cfg["t_span"] is not None:
             t_span = cfg["t_span"]
-        elif temporal.kind == "gaussian":
-            t_span = 4.0 * sigma_t
         else:
-            t_span = temporal.ladder.mu_sum + 4.0 * sigma_t
+            delay = temporal.ladder.mu_sum if temporal.family.causal else 0.0
+            t_span = delay + 4.0 * sigma_t
         nu_span = cfg["nu_span"] if cfg["nu_span"] is not None else 4.0 * sigma_nu
         dt = cfg["dt"] if cfg["dt"] is not None else sigma_t / 50.0
         dnu = cfg["dnu"] if cfg["dnu"] is not None else sigma_nu / 25.0
@@ -714,13 +717,13 @@ def cmd_kernels(cfg: dict, wav: str | None) -> int:
     family = _family(cfg)
     temporal = family.temporal(tau)
     dt = cfg["dt"] if cfg["dt"] is not None else math.sqrt(tau) / 2000.0
-    if family.kind == "gauss":
+    if family.causal:
+        t = np.arange(0.0, temporal.ladder.support, dt)
+        header, cols = ["t", "h", "h_t", "h_tt"], [t, *temporal_profiles(temporal, t)]
+    else:
         span = 8.0 * math.sqrt(tau)
         t = np.arange(-span, span + dt / 2.0, dt)
         header, cols = ["t", "h"], [t, temporal_profiles(temporal, t)[0]]
-    else:
-        t = np.arange(0.0, temporal.ladder.support, dt)
-        header, cols = ["t", "h", "h_t", "h_tt"], [t, *temporal_profiles(temporal, t)]
     lines = ["\t".join(header)] + ["\t".join(f"{v:.9g}" for v in row) for row in zip(*cols)]
     _write_text(cfg["out_csv"], lines)
     print(f"wrote {cfg['out_csv']}")

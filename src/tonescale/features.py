@@ -9,7 +9,8 @@ bank of shear-adapted filters or from the smoothed second-moment matrix of
 the spectro-temporal gradient. The second-moment fit smooths once per
 scale: the gradient comes from one smoothed map, and its three products
 are integrated together as one stacked array. Ridge points are found for
-the whole band map at once and then linked frame by frame.
+the whole band map at once and then linked frame by frame. An explicit
+``temporal`` kernel must sit at the scale passed with it (tau_a, tau_i).
 """
 
 from __future__ import annotations
@@ -31,9 +32,16 @@ from tonescale.spectrogram import FrequencyGrid, TFMap
 from tonescale.temporal_scale_space import SpectrogramFamily, TemporalKernelSpec
 
 
-def _default_temporal(tau_a: float) -> TemporalKernelSpec:
-    """Time-causal uniform cascade with four stages at scale tau_a."""
-    return SpectrogramFamily("rec-uni", K=4).temporal(tau_a)
+def _temporal_at(
+    tau: float, temporal: TemporalKernelSpec | None, name: str = "tau_a"
+) -> TemporalKernelSpec:
+    """``temporal`` (by default the four-stage uniform cascade) at scale tau;
+    a kernel at another variance would silently override tau, so it is refused."""
+    if temporal is None:
+        return SpectrogramFamily("rec-uni", K=4).temporal(tau)
+    if temporal.tau != tau:
+        raise ValueError(f"temporal kernel has tau = {temporal.tau:g} but {name} = {tau:g}")
+    return temporal
 
 
 def _warmup_mask(warmup_frames, n_frames: int) -> np.ndarray:
@@ -53,9 +61,7 @@ def temporal_derivative_response(
 ) -> TFMap:
     """Scale-normalized first temporal derivative sqrt(tau_a) d_t of the
     smoothed dB map; the shared core of onset and offset detection."""
-    if temporal is None:
-        temporal = _default_temporal(tau_a)
-    spec = RFSpec(temporal=temporal, s=s, alpha=1, beta=0, normalized=True)
+    spec = RFSpec(temporal=_temporal_at(tau_a, temporal), s=s, alpha=1, beta=0, normalized=True)
     return apply_rf(S, spec)
 
 
@@ -85,8 +91,7 @@ def band_response(
     """Unrectified band strength -D_nunu = -s d_nunu of the smoothed dB map."""
     if s <= 0:
         raise ValueError(f"band enhancement needs s > 0, got {s}")
-    if temporal is None:
-        temporal = _default_temporal(tau_a)
+    temporal = _temporal_at(tau_a, temporal)
     spec = RFSpec(temporal=temporal, s=s, v=v, alpha=0, beta=2, normalized=True)
     resp = apply_rf(S, spec)
     resp.values = -resp.values
@@ -329,10 +334,8 @@ def second_moment_glissando(
     """
     if not (tau_i >= tau_a and s_i >= s):
         raise ValueError("integration scales must be at least the derivative scales")
-    if temporal is None:
-        temporal = _default_temporal(tau_a)
-    if integration_temporal is None:
-        integration_temporal = _default_temporal(tau_i)
+    temporal = _temporal_at(tau_a, temporal)
+    integration_temporal = _temporal_at(tau_i, integration_temporal, "tau_i")
     smoothed, warm = smooth(S, temporal, s)
     lt = differentiate(S, smoothed, RFSpec(temporal=temporal, s=s, alpha=1, normalized=False))
     lnu = differentiate(S, smoothed, RFSpec(temporal=temporal, s=s, beta=1, normalized=False))

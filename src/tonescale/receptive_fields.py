@@ -49,11 +49,12 @@ from tonescale.temporal_scale_space import (
 class RFSpec:
     """Spectro-temporal receptive field parameters.
 
-    ``temporal`` carries the temporal smoothing family with scale tau_a in
-    seconds^2; ``s`` is the spectral variance in semitones^2; ``v`` the
+    ``temporal`` is the temporal kernel, a window family at variance tau_a
+    (seconds^2): the Gaussian of the gauss family or a cascade family's
+    ladder at tau_a. ``s`` is the spectral variance in semitones^2; ``v`` the
     glissando slope in semitones/second; ``alpha``/``beta`` the temporal and
-    spectral derivative orders (0..2). When ``normalized`` is set, responses
-    are multiplied by ``normalization``.
+    spectral derivative orders (0..2), ``alpha`` below a cascade's K. When
+    ``normalized`` is set, responses are multiplied by ``normalization``.
     """
 
     temporal: TemporalKernelSpec
@@ -70,15 +71,15 @@ class RFSpec:
             raise ValueError(f"glissando slope v must be finite, got {self.v}")
         if not (0 <= self.alpha <= 2) or not (0 <= self.beta <= 2):
             raise ValueError("derivative orders alpha and beta must lie in 0..2")
-        if self.temporal.kind == "cascade" and self.alpha >= self.temporal.ladder.K:
+        if self.temporal.family.causal and self.alpha >= self.temporal.family.K:
             raise ValueError(
                 f"temporal derivative order {self.alpha} needs more than "
-                f"{self.alpha} cascade stages (K={self.temporal.ladder.K})"
+                f"{self.alpha} cascade stages (K={self.temporal.family.K})"
             )
 
     @property
     def tau_a(self) -> float:
-        return self.temporal.scale
+        return self.temporal.tau
 
     @property
     def normalization(self) -> float:
@@ -159,7 +160,7 @@ def _smooth_frames(
     values: np.ndarray, temporal: TemporalKernelSpec, frame_rate: float
 ) -> tuple[np.ndarray, int]:
     """The temporal pass of ``smooth``: (smoothed along axis 0, warm-up)."""
-    if temporal.kind == "cascade":
+    if temporal.family.causal:
         ladder = discretize_ladder(temporal.ladder, frame_rate)
         # Steady-state start at the first frame: a constant map stays
         # exactly constant, so rectified derivatives of a flat baseline
@@ -337,10 +338,8 @@ def rf_kernel_image(
         raise ValueError("spans and spacings must be positive")
     if spec.s <= 0:
         raise ValueError("kernel rendering needs a positive spectral scale s")
-    if spec.temporal.kind == "gaussian":
-        t = np.arange(-t_span, t_span + dt / 2.0, dt)
-    else:
-        t = np.arange(0.0, t_span + dt / 2.0, dt)
+    start = 0.0 if spec.temporal.family.causal else -t_span
+    t = np.arange(start, t_span + dt / 2.0, dt)
     nu = np.arange(-nu_span, nu_span + dnu / 2.0, dnu)
     t0, t1, t2 = temporal_profiles(spec.temporal, t)
     u = nu[None, :] - spec.v * t[:, None]

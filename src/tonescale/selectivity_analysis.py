@@ -46,7 +46,7 @@ def _unit_rates(fam: SpectrogramFamily) -> list[float]:
 def selectivity_db_at_constant(fam: SpectrogramFamily, C: float) -> float:
     """R_dB as a function of the dimensionless detuning C = n (omega - omega_0)/omega."""
     c2 = C * C
-    if fam.kind == "gauss":
+    if not fam.causal:
         return -20.0 * (2.0 * math.pi * math.pi * c2) / math.log(10.0)
     return -10.0 * sum(math.log10(1.0 + a * c2) for a in _unit_rates(fam))
 
@@ -74,7 +74,7 @@ def bandwidth_constant(fam: SpectrogramFamily, target_db: float) -> float:
     """
     if not -math.inf < target_db < 0:
         raise ValueError(f"target level must be negative and finite dB, got {target_db}")
-    if fam.kind == "gauss":
+    if not fam.causal:
         return math.sqrt(math.log(10.0)) / (2.0 * math.pi) * math.sqrt(-target_db / 10.0)
     rates = _unit_rates(fam)
     level = -target_db * math.log(10.0) / 10.0

@@ -1,13 +1,14 @@
 """Temporal scale-space kernels and their discrete realizations.
 
-Two kernel families are provided: non-causal Gaussians, parameterized by a
-variance tau, and time-causal cascades of first-order integrators
-("truncated exponentials"), parameterized by a scale ladder of intermediate
-levels tau_k realized with per-stage time constants mu_k, uniform or
-logarithmic, which ``SpectrogramFamily.ladder`` alone writes. The discrete
-counterparts (first-order recursive filters and the discrete Gaussian)
-preserve the defining scale-space property: smoothing never increases the
-number of local extrema of a signal.
+A temporal kernel (``TemporalKernelSpec``) is a window family
+(``SpectrogramFamily``) at a variance tau: the non-causal Gaussian for
+gauss, and for rec-uni and rec-log the time-causal cascade of first-order
+integrators ("truncated exponentials") over the family's scale ladder,
+levels tau_k with stage time constants mu_k, uniform or logarithmic,
+which ``SpectrogramFamily.ladder`` alone writes. The discrete counterparts
+(first-order recursive filters and the discrete Gaussian) preserve the
+defining scale-space property: smoothing never increases the number of
+local extrema of a signal.
 
 No other module realises a temporal kernel: the block recursion over
 ``_block_weights`` is the one discrete cascade realisation, laid out two
@@ -129,45 +130,12 @@ def warmup_length(ladder: ScaleLadder) -> int:
     return int(math.ceil(5.0 * ladder.mu_sum))
 
 
-@dataclass(frozen=True)
-class TemporalKernelSpec:
-    """A temporal smoothing kernel: non-causal Gaussian or time-causal cascade.
-
-    Gaussian kernels carry a variance ``tau`` (seconds^2); cascades carry a
-    continuous scale ladder.
-    """
-
-    kind: str  # "gaussian" or "cascade"
-    tau: float | None = None
-    ladder: ScaleLadder | None = None
-
-    def __post_init__(self) -> None:
-        if self.kind == "gaussian":
-            if self.tau is None or not 0 < self.tau < math.inf:
-                raise ValueError(f"gaussian kernels need a finite tau > 0, got {self.tau}")
-        elif self.kind == "cascade":
-            if self.ladder is None:
-                raise ValueError("cascade kernels need a ladder")
-        else:
-            raise ValueError(f"unknown kernel kind {self.kind!r}")
-
-    @staticmethod
-    def gaussian(tau: float) -> "TemporalKernelSpec":
-        return TemporalKernelSpec(kind="gaussian", tau=tau)
-
-    @staticmethod
-    def cascade(ladder: ScaleLadder) -> "TemporalKernelSpec":
-        return TemporalKernelSpec(kind="cascade", ladder=ladder)
-
-    @property
-    def scale(self) -> float:
-        """Total temporal variance of the kernel."""
-        return self.tau if self.kind == "gaussian" else self.ladder.tau_max
+FAMILY_KINDS = ("gauss", "rec-uni", "rec-log")
 
 
 @dataclass(frozen=True)
 class SpectrogramFamily:
-    """Temporal window family: "gauss", "rec-uni", or "rec-log".
+    """Temporal window family, one of ``FAMILY_KINDS``.
 
     One family defines the spectrogram windows, their frequency selectivity
     and delays, and the matching second-layer temporal kernels. ``K`` is the
@@ -180,9 +148,9 @@ class SpectrogramFamily:
     c: float | None = math.sqrt(2.0)
 
     def __post_init__(self) -> None:
-        if self.kind not in ("gauss", "rec-uni", "rec-log"):
+        if self.kind not in FAMILY_KINDS:
             raise ValueError(f"unknown family kind {self.kind!r}")
-        if self.kind != "gauss" and not (isinstance(self.K, numbers.Integral) and self.K >= 1):
+        if self.causal and not (isinstance(self.K, numbers.Integral) and self.K >= 1):
             raise ValueError(f"cascade families need a whole stage count K >= 1, got {self.K!r}")
         if self.kind == "rec-log" and (self.c is None or not 1 < self.c < math.inf):
             raise ValueError(f"rec-log needs a finite ratio c > 1, got {self.c}")
@@ -201,7 +169,7 @@ class SpectrogramFamily:
         as exactly 1.0 * tau. No other code writes a ladder's stage
         constants.
         """
-        if self.kind == "gauss":
+        if not self.causal:
             raise ValueError("gaussian family has no scale ladder")
         if not 0 < tau < math.inf:
             raise ValueError(f"ladder scale tau must be positive and finite, got {tau}")
@@ -222,9 +190,33 @@ class SpectrogramFamily:
 
     def temporal(self, tau: float) -> TemporalKernelSpec:
         """The family's temporal kernel at variance tau (seconds^2)."""
-        if self.kind == "gauss":
-            return TemporalKernelSpec.gaussian(tau)
-        return TemporalKernelSpec.cascade(self.ladder(tau))
+        return TemporalKernelSpec(self, tau)
+
+
+@dataclass(frozen=True)
+class TemporalKernelSpec:
+    """A temporal smoothing kernel: a window family at variance ``tau`` (seconds^2).
+
+    The Gaussian of variance tau for gauss; otherwise the cascade of
+    ``family.ladder(tau)``, whose top level is tau.
+    """
+
+    family: SpectrogramFamily
+    tau: float
+
+    def __post_init__(self) -> None:
+        if not 0 < self.tau < math.inf:
+            what = "ladder scale" if self.family.causal else "gaussian variance"
+            raise ValueError(f"{what} tau must be positive and finite, got {self.tau}")
+
+    @staticmethod
+    def gaussian(tau: float) -> TemporalKernelSpec:
+        return TemporalKernelSpec(SpectrogramFamily("gauss"), tau)
+
+    @property
+    def ladder(self) -> ScaleLadder:
+        """The cascade's continuous ladder; the gauss family has none."""
+        return self.family.ladder(self.tau)
 
 
 @dataclass(eq=False)
@@ -650,7 +642,7 @@ def temporal_profiles(
     q, Q q and Q^2 q, and the samples at t <= 0 are 0. ``t`` is an
     ascending uniform grid in seconds.
     """
-    if temporal.kind == "gaussian":
+    if not temporal.family.causal:
         return tuple(gaussian_derivative_sample(temporal.tau, t, k) for k in range(3))
     t = np.asarray(t, dtype=float)
     Q, columns = _derivative_columns(temporal.ladder, 3)

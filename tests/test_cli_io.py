@@ -412,9 +412,21 @@ def test_cli_analyze_refuses_a_bad_window_length_before_any_table(n, capsys):
 @pytest.mark.parametrize("c", ["nan", "inf", "1", "0.5"])
 def test_cli_kernels_refuses_a_bad_ratio_before_writing(c, tmp_path, capsys):
     out = tmp_path / "k.csv"
-    assert cli_main(["kernels", "--c", c, "--out-csv", str(out)]) == 1
+    assert cli_main(["kernels", "--c", c, "--out-csv", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "ratio c > 1" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["kernels", "spectrogram"])
+def test_cli_refuses_a_bad_stage_count_as_a_bad_argument(command, tmp_path, capsys):
+    """--K 0 exits 2, as every bad argument does, before any WAV is read:
+    the missing WAV would exit 1."""
+    out = tmp_path / "k.csv"
+    wav = [str(tmp_path / "missing.wav")] if command == "spectrogram" else []
+    assert cli_main([command, *wav, "--K", "0", "--out-csv", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "stage count K >= 1" in err
     assert not out.exists()
 
 

@@ -258,6 +258,42 @@ def test_second_moment_requires_integration_scales_above_derivation():
         second_moment_glissando(L, 0.05 ** 2, 0.25, 0.02 ** 2, 1.0)
 
 
+@pytest.mark.parametrize("detect", [detect_onsets, detect_offsets])
+def test_derivative_features_refuse_a_kernel_at_another_scale(detect):
+    """tau_a was ignored when a kernel came with it: onset maps at 1e-4 and
+    9e-4 were bitwise equal."""
+    L = synthetic_db_step(duration=0.2)
+    with pytest.raises(ValueError, match="tau_a"):
+        detect(L, 9e-4, S_NU, FAM.temporal(1e-4))
+    assert detect(L, 1e-4, S_NU, FAM.temporal(1e-4)).values.shape == L.values.shape
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda L, t: band_response(L, 9e-4, S_NU, t),
+        lambda L, t: enhance_bands(L, 9e-4, S_NU, t),
+        lambda L, t: glissando_filterbank(L, [0.0, 12.0], 9e-4, S_NU, t),
+    ],
+    ids=["band_response", "enhance_bands", "glissando_filterbank"],
+)
+def test_band_features_refuse_a_kernel_at_another_scale(make):
+    L = synthetic_db_step(duration=0.2)
+    with pytest.raises(ValueError, match="tau_a"):
+        make(L, TemporalKernelSpec.gaussian(1e-4))
+
+
+def test_second_moment_refuses_kernels_at_other_scales():
+    """The tau_i >= tau_a check read the arguments the kernels overrode, so a
+    derivative window wider than the integration window went through."""
+    L = synthetic_db_step(duration=0.2)
+    wide, narrow = TemporalKernelSpec.gaussian(9e-4), TemporalKernelSpec.gaussian(1e-4)
+    with pytest.raises(ValueError, match="tau_a"):
+        second_moment_glissando(L, 1e-4, S_NU, 9e-4, 1.0, wide, narrow)
+    with pytest.raises(ValueError, match="tau_i"):
+        second_moment_glissando(L, 9e-4, S_NU, 9e-4, 1.0, wide, narrow)
+
+
 def second_moment_by_five_fields(S, s, s_i, temporal, integration_temporal):
     """The second-moment fit as two gradient fields and three integrations,
     each a separate ``apply_rf`` call."""

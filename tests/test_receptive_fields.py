@@ -63,9 +63,8 @@ def test_rfspec_validation():
     with pytest.raises(ValueError):
         RFSpec(temporal=tk, s=0.25, alpha=3)
     # cascade with K stages supports temporal orders below K only
-    lad = SpectrogramFamily("rec-uni", K=2).ladder(1e-4)
-    with pytest.raises(ValueError):
-        RFSpec(temporal=TemporalKernelSpec.cascade(lad), s=0.25, alpha=2)
+    with pytest.raises(ValueError, match="K=2"):
+        RFSpec(temporal=SpectrogramFamily("rec-uni", K=2).temporal(1e-4), s=0.25, alpha=2)
 
 
 def test_zero_order_rf_is_pure_smoothing():
@@ -85,7 +84,7 @@ def test_smoothing_only_rf_preserves_constants():
     flat.values = np.full_like(L.values, -7.5)
     for tk in (
         TemporalKernelSpec.gaussian(4e-4),
-        TemporalKernelSpec.cascade(SpectrogramFamily("rec-uni", K=4).ladder(4e-4)),
+        SpectrogramFamily("rec-uni", K=4).temporal(4e-4),
     ):
         resp = apply_rf(flat, RFSpec(temporal=tk, s=0.25))
         assert resp.values == pytest.approx(np.full_like(flat.values, -7.5), abs=1e-9)
@@ -251,8 +250,9 @@ def test_rf_kernel_image_velocity_shears_the_kernel():
 
 
 def test_rf_kernel_image_cascade_uses_causal_profile():
-    lad = SpectrogramFamily("rec-uni", K=4).ladder(4e-4)
-    spec = RFSpec(temporal=TemporalKernelSpec.cascade(lad), s=0.25)
+    temporal = SpectrogramFamily("rec-uni", K=4).temporal(4e-4)
+    lad = temporal.ladder
+    spec = RFSpec(temporal=temporal, s=0.25)
     img = rf_kernel_image(spec, t_span=0.15, nu_span=1.5, dt=1e-3, dnu=0.25)
     # causal kernels are rendered for t >= 0 only and vanish at the origin
     assert img.t[0] == 0.0
@@ -266,7 +266,7 @@ def test_apply_rf_warmup_accounts_for_both_layers():
     resp = apply_rf(
         L,
         RFSpec(
-            temporal=TemporalKernelSpec.cascade(SpectrogramFamily("rec-uni", K=4).ladder(4e-4)),
+            temporal=SpectrogramFamily("rec-uni", K=4).temporal(4e-4),
             s=0.25,
             alpha=1,
         ),

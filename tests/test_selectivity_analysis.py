@@ -21,7 +21,6 @@ from tonescale.selectivity_analysis import (
 )
 from tonescale.temporal_scale_space import (
     SpectrogramFamily,
-    TemporalKernelSpec,
     temporal_profiles,
 )
 
@@ -31,16 +30,16 @@ GOLDEN = Path(__file__).parent / "golden"
 TWO_PI_SQ = 4.0 * math.pi * math.pi
 
 
-def sampled_kernel(ladder, dt: float) -> tuple[np.ndarray, np.ndarray]:
-    """(t, h): the cascade kernel sampled from 0 to its support."""
-    t = np.arange(0.0, ladder.support, dt)
-    return t, temporal_profiles(TemporalKernelSpec.cascade(ladder), t)[0]
+def sampled_kernel(fam, dt: float) -> tuple[np.ndarray, np.ndarray]:
+    """(t, h): the family's unit-scale cascade kernel sampled from 0 to its support."""
+    t = np.arange(0.0, fam.ladder(1.0).support, dt)
+    return t, temporal_profiles(fam.temporal(1.0), t)[0]
 
 
-def numeric_attenuation_db(ladder, C: float) -> float:
-    """Fourier magnitude of the cascade kernel at detuning C, by quadrature."""
-    t, h = sampled_kernel(ladder, 2e-4)
-    omega = 2.0 * math.pi * C / math.sqrt(ladder.tau_max)
+def numeric_attenuation_db(fam, C: float) -> float:
+    """Fourier magnitude of the unit-scale cascade kernel at detuning C, by quadrature."""
+    t, h = sampled_kernel(fam, 2e-4)
+    omega = 2.0 * math.pi * C
     z = np.trapezoid(h * np.exp(-1j * omega * t), t)
     return 20.0 * math.log10(abs(z))
 
@@ -56,20 +55,18 @@ def test_gaussian_selectivity_closed_form():
 @pytest.mark.parametrize("K", [4, 7])
 def test_uniform_selectivity_matches_numeric_fourier(K):
     fam = SpectrogramFamily(kind="rec-uni", K=K)
-    lad = SpectrogramFamily("rec-uni", K=K).ladder(1.0)
     for C in (0.15, 0.4):
         assert selectivity_db_at_constant(fam, C) == pytest.approx(
-            numeric_attenuation_db(lad, C), abs=5e-3
+            numeric_attenuation_db(fam, C), abs=5e-3
         )
 
 
 @pytest.mark.parametrize("c", [math.sqrt(2.0), 2.0])
 def test_logarithmic_selectivity_matches_numeric_fourier(c):
     fam = SpectrogramFamily(kind="rec-log", K=7, c=c)
-    lad = SpectrogramFamily("rec-log", K=7, c=c).ladder(1.0)
     for C in (0.15, 0.4):
         assert selectivity_db_at_constant(fam, C) == pytest.approx(
-            numeric_attenuation_db(lad, C), abs=5e-3
+            numeric_attenuation_db(fam, C), abs=5e-3
         )
 
 
@@ -170,9 +167,10 @@ def test_uniform_delays_closed_forms():
 
 
 def test_log_delay_mean_matches_numeric_first_moment():
-    lad = SpectrogramFamily("rec-log", K=5, c=math.sqrt(2.0)).ladder(1.0)
+    fam = SpectrogramFamily("rec-log", K=5, c=math.sqrt(2.0))
+    lad = fam.ladder(1.0)
     d = delay_measures(lad)
-    t, h = sampled_kernel(lad, 1e-4)
+    t, h = sampled_kernel(fam, 1e-4)
     numeric_mean = float(np.trapezoid(h * t, t))
     assert d.mean == pytest.approx(numeric_mean, abs=1e-4)
     # stage constants sum to the mean of the composed kernel
@@ -321,13 +319,14 @@ def test_delay_means_match_the_closed_forms(K, c):
     assert uni.t_max == pytest.approx((K - 1.0) / math.sqrt(float(K)), rel=1e-14, abs=0)
 
 
-def simpson_moments(ladder, per_octave: int = 512) -> tuple[np.ndarray, np.ndarray]:
-    """(mass, mean, variance) of the sampled kernel, and the peaks of |h|,
+def simpson_moments(fam, per_octave: int = 512) -> tuple[np.ndarray, np.ndarray]:
+    """(mass, mean, variance) of the family's sampled unit-scale kernel, and the peaks of |h|,
     |h'| and |h''|, by Simpson's rule on octaves from mu_min / 64 to three
     supports, each sampled uniformly (a stiff ladder's fast stages need a
     fine step only near 0). The first segment starts at 2^-40 of the
     first octave, so a single stage's jump at 0 stays out of the sum."""
-    temporal = TemporalKernelSpec.cascade(ladder)
+    temporal = fam.temporal(1.0)
+    ladder = temporal.ladder
     t0 = ladder.mu_min / 64.0
     octaves = math.ceil(math.log2(3.0 * ladder.support / t0))
     edges = t0 * 2.0 ** np.array([-40.0] + list(range(octaves + 1)))
@@ -355,8 +354,9 @@ def test_cascade_kernel_moments_and_delays(kind, K, c):
     """Every cascade is one phase-type kernel: its samples integrate to
     mass 1, mean mu_sum and variance tau_max, and its delays are the zeros
     of h' and h'' in order, at the closed forms for uniform ladders."""
-    ladder = SpectrogramFamily(kind, K=K, c=c).ladder(1.0)
-    moments, peaks = simpson_moments(ladder)
+    fam = SpectrogramFamily(kind, K=K, c=c)
+    ladder = fam.ladder(1.0)
+    moments, peaks = simpson_moments(fam)
     assert moments == pytest.approx([1.0, ladder.mu_sum, ladder.tau_max], rel=1e-9)
     d = delay_measures(ladder)
     assert d.mean == ladder.mu_sum
@@ -364,7 +364,7 @@ def test_cascade_kernel_moments_and_delays(kind, K, c):
         assert (d.t_max, d.t_infl1, d.t_infl2) == (0.0, 0.0, 0.0)
         return
     assert 0.0 <= d.t_infl1 < d.t_max < d.t_infl2
-    temporal = TemporalKernelSpec.cascade(ladder)
+    temporal = fam.temporal(1.0)
 
     def at(t: float, order: int) -> float:
         return float(temporal_profiles(temporal, np.array([t]))[order][0])

@@ -452,10 +452,11 @@ def test_cascade_profiles_match_the_gamma_closed_forms(K):
     """A uniform ladder's phase-type samples, read off about 25 000 powers
     of e^{Q dt}, stay within 1e-12 of each Gamma closed form's peak, and
     the samples at t <= 0 are 0, as the closed forms write them."""
-    lad = SpectrogramFamily("rec-uni", K=K).ladder(0.04)
+    temporal = SpectrogramFamily("rec-uni", K=K).temporal(0.04)
+    lad = temporal.ladder
     dt = math.sqrt(lad.tau_max) / 2000.0
     t = np.arange(-50, int(lad.support / dt)) * dt
-    got = temporal_profiles(TemporalKernelSpec.cascade(lad), t)
+    got = temporal_profiles(temporal, t)
     mu = lad.mus[0]
     closed = (composed_uniform_kernel_sample, composed_uniform_kernel_dt, composed_uniform_kernel_dtt)
     for values, form in zip(got, closed):
@@ -466,8 +467,7 @@ def test_cascade_profiles_match_the_gamma_closed_forms(K):
 
 def test_cascade_profiles_sample_any_start_of_the_grid():
     """A grid that starts after 0 reads the same kernel as one from 0."""
-    lad = SpectrogramFamily("rec-log", K=7, c=math.sqrt(2.0)).ladder(1e-4)
-    temporal = TemporalKernelSpec.cascade(lad)
+    temporal = SpectrogramFamily("rec-log", K=7, c=math.sqrt(2.0)).temporal(1e-4)
     t = np.arange(400) * 1e-4
     whole = temporal_profiles(temporal, t)
     for part, full in zip(temporal_profiles(temporal, t[137:]), whole):
@@ -746,3 +746,20 @@ def test_family_temporal_kernel_matches_its_ladder():
     assert uni.ladder == SpectrogramFamily("rec-uni", K=4).ladder(tau)
     log = SpectrogramFamily("rec-log", K=7, c=2.0).temporal(tau)
     assert log.ladder == SpectrogramFamily("rec-log", K=7, c=2.0).ladder(tau)
+
+
+def test_temporal_kernel_is_a_family_at_a_variance():
+    """A kernel is the pair (family, tau): its ladder is derived, and a
+    sample-unit ladder, which would read as a variance of samples^2, has
+    no way in."""
+    assert [f.name for f in dataclasses.fields(TemporalKernelSpec)] == ["family", "tau"]
+    fam = SpectrogramFamily("rec-uni", K=4)
+    temporal = TemporalKernelSpec(fam, 4e-4)
+    assert temporal == fam.temporal(4e-4) and temporal.ladder.tau_max == temporal.tau
+    with pytest.raises(ValueError, match="no scale ladder"):
+        TemporalKernelSpec.gaussian(4e-4).ladder
+    for bad in (0.0, -1e-4, math.nan, math.inf):
+        with pytest.raises(ValueError, match="gaussian variance tau"):
+            TemporalKernelSpec.gaussian(bad)
+        with pytest.raises(ValueError, match="ladder scale tau"):
+            fam.temporal(bad)

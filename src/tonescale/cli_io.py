@@ -478,7 +478,8 @@ def _family(cfg: dict) -> SpectrogramFamily:
 def _layer1(cfg: dict, wav: str):
     """Shared first-layer pipeline: WAV, grid, family, spectrogram, compensation.
 
-    Delay compensation of a non-causal family is refused before the WAV is
+    Delay compensation of a non-causal family, a bin count below 1 and a
+    channel range that is empty or not finite are refused before the WAV is
     read, so a bad option costs no layer-1 work. Without a configured
     ``nu_max`` the grid stops at 16 kHz, or one bin below the input's
     Nyquist frequency if that is lower: the grid rounds its channel count
@@ -488,14 +489,18 @@ def _layer1(cfg: dict, wav: str):
     family = _family(cfg)
     if cfg["compensate_delay"] and not family.causal:
         raise CliError(2, "delay compensation applies to causal families only")
+    bins, nu_min, nu_max = cfg["bins_per_octave"], cfg["nu_min"], cfg["nu_max"]
+    if bins < 1:
+        raise CliError(2, f"--bins-per-octave must be at least 1, got {bins}")
+    if not math.isfinite(nu_min):
+        raise CliError(2, f"--nu-min must be finite, got {nu_min}")
+    if nu_max is not None and not nu_min < nu_max < math.inf:
+        raise CliError(2, f"--nu-max must be finite and above --nu-min ({nu_min}), got {nu_max}")
     buf = read_wav(wav)
     law = WindowScaleLaw(n=cfg["n"], tau0=(cfg["tau0_ms"] / 1000.0) ** 2)
-    bins = cfg["bins_per_octave"]
-    if cfg["nu_max"] is not None:
-        nu_max = cfg["nu_max"]
-    else:  # a bad bin count is reported by build_frequency_grid
-        nu_max = min(NU_MAX_DEFAULT, midi_from_frequency(buf.rate / 2.0) - 12.0 / max(bins, 1))
-    grid = build_frequency_grid(cfg["nu_min"], nu_max, bins, law)
+    if nu_max is None:
+        nu_max = min(NU_MAX_DEFAULT, midi_from_frequency(buf.rate / 2.0) - 12.0 / bins)
+    grid = build_frequency_grid(nu_min, nu_max, bins, law)
     hop = round(buf.rate * cfg["hop_ms"] / 1000.0)
     if hop < 1:
         raise CliError(
@@ -536,6 +541,9 @@ def _symmetric_range(values: np.ndarray) -> tuple[float, float]:
 
 def cmd_spectrogram(cfg: dict, wav: str) -> int:
     _require_output(cfg)
+    lo, hi = cfg["db_min"], cfg["db_max"]
+    if not -math.inf < lo < hi < math.inf:
+        raise CliError(2, f"--db-min ({lo}) must be below --db-max ({hi}), both finite")
     spec = _layer1(cfg, wav)
     want_db = cfg["db"]
     values = to_db(spec).values if want_db else spec.values
@@ -579,9 +587,18 @@ def cmd_features(cfg: dict, wav: str) -> int:
     elif cfg["out_json"] is None:
         raise CliError(2, "no output requested (--partials writes --out-json)")
 
-    log = to_db(_layer1(cfg, wav))
+    # The feature functions' own scale checks, made before any layer-1 work.
     tau_a = (cfg["tau_a_ms"] / 1000.0) ** 2
     s = cfg["sigma_nu"] ** 2
+    tau_i = (cfg["tau_i_ms"] / 1000.0) ** 2
+    s_i = cfg["sigma_nu_i"] ** 2
+    if sel in ("bands", "partials", "glissando_bank") and s <= 0:
+        raise CliError(2, f"--{sel.replace('_', '-')} needs a positive --sigma-nu")
+    if sel == "second_moment" and not (tau_i >= tau_a and s_i >= s):
+        raise CliError(
+            2, "--second-moment needs --tau-i-ms >= --tau-a-ms and --sigma-nu-i >= --sigma-nu"
+        )
+    log = to_db(_layer1(cfg, wav))
 
     if sel == "partials":
         band = band_response(log, tau_a, s)
@@ -622,8 +639,6 @@ def cmd_features(cfg: dict, wav: str) -> int:
         values = np.where(mask, est.vhat, 0.0)
         times, grid = est.frame_times, est.grid
     else:  # second_moment
-        tau_i = (cfg["tau_i_ms"] / 1000.0) ** 2
-        s_i = cfg["sigma_nu_i"] ** 2
         field = second_moment_glissando(log, tau_a, s, tau_i, s_i)
         values = np.where(field.defined, field.vhat, 0.0)
         times, grid = field.frame_times, field.grid
@@ -690,13 +705,16 @@ def cmd_kernels(cfg: dict, wav: str | None) -> int:
     if cfg["rf"]:
         sigma_nu = cfg["sigma_nu"]
         temporal = _family(cfg).temporal((cfg["tau_a_ms"] / 1000.0) ** 2)
-        spec = RFSpec(
-            temporal=temporal,
-            s=sigma_nu**2,
-            v=cfg["v"],
-            alpha=cfg["alpha"],
-            beta=cfg["beta"],
-        )
+        try:  # a field RFSpec refuses (a derivative order, a slope) is a bad argument
+            spec = RFSpec(
+                temporal=temporal,
+                s=sigma_nu**2,
+                v=cfg["v"],
+                alpha=cfg["alpha"],
+                beta=cfg["beta"],
+            )
+        except ValueError as exc:
+            raise CliError(2, str(exc)) from exc
         sigma_t = math.sqrt(temporal.tau)
         if cfg["t_span"] is not None:
             t_span = cfg["t_span"]

@@ -25,6 +25,7 @@ from tonescale.temporal_scale_space import (
     SampledKernel,
     SpectrogramFamily,
     _block_cascade,
+    _fft_length,
     cascade_sections,
     discrete_gaussian_kernel,
     discretize_ladder,
@@ -251,8 +252,6 @@ def _tap_transform(kernel: SampledKernel, w: float, m: int) -> np.ndarray:
     H[k] = Re Y[k] - Im Y[k] for k <= m / 2 and Re Y[m - k] + Im Y[m - k]
     above. H is written over the placed taps.
     """
-    from scipy.fft import rfft
-
     half = kernel.origin_index
     right = kernel.values[half:]
     angle = w * np.arange(half + 1)
@@ -265,12 +264,19 @@ def _tap_transform(kernel: SampledKernel, w: float, m: int) -> np.ndarray:
     cos *= right
     placed[m - half :] += cos[:0:-1]
     del angle, sin, cos  # before the transform: a worker then holds placed and Y alone
-    pairs = rfft(placed).view(float).reshape(-1, 2)
+    pairs = np.fft.rfft(placed).view(float).reshape(-1, 2)
     re, im = pairs[:, 0], pairs[:, 1]
     np.subtract(re, im, out=placed[: m // 2 + 1])
     top = (m - 1) // 2
     np.add(re[top:0:-1], im[top:0:-1], out=placed[m // 2 + 1 :])
     return placed
+
+
+def _real_spectrum(x: np.ndarray, m: int) -> np.ndarray:
+    """fft(x, m) of a real x: its real FFT, then the conjugate mirror. Each
+    value equals ``scipy.fft.fft(x, m)``'s; numpy's complex ``fft`` of x does not."""
+    half = np.fft.rfft(x, m)
+    return np.concatenate((half, half[(m - 1) // 2 : 0 : -1].conj()))
 
 
 def compute_spectrogram(
@@ -298,17 +304,17 @@ def compute_spectrogram(
 
     The Gaussian family correlates with the truncated discrete Gaussian
     T[half + d], d = -half..half, centered on the frames. The signal is
-    transformed once, X = fft(x, M) with M = hop Q at least N + the largest
-    half, so no frame's sum wraps around; Q is a fast FFT length, and so is M
-    whenever hop is. Per channel the transform H of the taps
-    T[half + d] e^{i w d}, placed circularly, is real since T is symmetric;
-    it is the discrete Hartley transform of the real taps
-    T[half + d] (cos w d + sin w d), taken by one real FFT
+    transformed once, X = fft(x, M) (``_real_spectrum``), with M = hop Q at
+    least N + the largest half, so no frame's sum wraps around; Q is a fast
+    FFT length, and so is M whenever hop is. Per channel the transform H of
+    the taps T[half + d] e^{i w d}, placed circularly, is real since T is
+    symmetric: the discrete Hartley transform of the real taps
+    T[half + d] (cos w d + sin w d), one real ``numpy.fft`` transform
     (``_tap_transform``). Keeping every hop-th output sample of the product
     X H aliases it onto Q bins (decimation in time is aliasing in frequency),
-    so one inverse FFT of length Q gives the frames. The fold multiplies the
-    real and imaginary parts of X by H a few of the (hop, Q) rows at a time
-    and sums them into a Q-long accumulator, so no M-long product is formed.
+    so one inverse FFT of length Q gives the frames. The fold multiplies X by
+    the real H a few of the (hop, Q) rows at a time and sums them into a
+    Q-long accumulator, so no M-long product is formed.
     These channels run on a thread pool sized to the CPUs this process may
     use; each channel is computed and written by one thread alone, so the
     map does not depend on the thread count.
@@ -364,32 +370,25 @@ def compute_spectrogram(
             rows = values[lo : lo + _DEMODULATE_FRAMES]
             rows *= np.exp(-1j * grid.omega * frame_times[lo : lo + _DEMODULATE_FRAMES, None])
     else:
-        # Imported here, before the pool starts: only the Gauss family needs
-        # SciPy, and the workers' import in _tap_transform finds it loaded.
-        from scipy.fft import fft, ifft, next_fast_len
-
         kernels = _gauss_kernels(tuple((grid.tau_window * sample_rate * sample_rate).tolist()))
         halves = [kernel.origin_index for kernel in kernels]
         warmup = np.array([-(-half // hop) for half in halves])
-        q = next_fast_len(-(-(n + max(halves)) // hop))
+        q = _fft_length(-(-(n + max(halves)) // hop), (3, 5, 7, 11))
         m = hop * q
-        spectrum = fft(x, m)
+        bins = _real_spectrum(x, m).reshape(hop, q)
         values = np.empty((n_frames, n_ch), dtype=complex)
-        bins = spectrum.view(float).reshape(hop, q, 2)
         fold_rows = max(1, _FOLD_CELLS // q)
 
         def demodulate(ch: int) -> None:
-            # Runs on a worker thread: numpy and scipy only.
+            # Runs on a worker thread: numpy only.
             gain = _tap_transform(kernels[ch], grid.omega[ch] / sample_rate, m).reshape(hop, q)
-            folded = np.zeros((q, 2))
-            scratch = np.empty((min(fold_rows, hop), q))
+            folded = np.zeros(q, dtype=complex)
+            scratch = np.empty((min(fold_rows, hop), q), dtype=complex)
             for lo in range(0, hop, fold_rows):
-                hi = min(lo + fold_rows, hop)
-                chunk = scratch[: hi - lo]
-                for part in (0, 1):  # the real and imaginary parts of X, times the real H
-                    np.multiply(bins[lo:hi, :, part], gain[lo:hi], out=chunk)
-                    folded[:, part] += chunk.sum(axis=0)
-            folded = ifft(folded.view(complex)[:, 0] / hop)[:n_frames]
+                chunk = scratch[: min(fold_rows, hop - lo)]
+                np.multiply(bins[lo : lo + fold_rows], gain[lo : lo + fold_rows], out=chunk)
+                folded += chunk.sum(axis=0)
+            folded = np.fft.ifft(folded / hop)[:n_frames]
             values[:, ch] = folded * np.exp(-1j * grid.omega[ch] * frame_times)
 
         with ThreadPoolExecutor(max_workers=_worker_count(n_ch)) as pool:

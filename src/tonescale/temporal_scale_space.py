@@ -141,10 +141,12 @@ class SpectrogramFamily:
     and delays, and the matching second-layer temporal kernels. ``K`` is the
     cascade stage count, a whole number >= 1, and ``c`` the logarithmic
     ladder ratio, finite and > 1; gauss ignores both, rec-uni ignores ``c``.
+    An ignored field is set to None, so families that build the same
+    kernels compare equal.
     """
 
     kind: str
-    K: int = 7
+    K: int | None = 7
     c: float | None = math.sqrt(2.0)
 
     def __post_init__(self) -> None:
@@ -154,6 +156,10 @@ class SpectrogramFamily:
             raise ValueError(f"cascade families need a whole stage count K >= 1, got {self.K!r}")
         if self.kind == "rec-log" and (self.c is None or not 1 < self.c < math.inf):
             raise ValueError(f"rec-log needs a finite ratio c > 1, got {self.c}")
+        if not self.causal:
+            object.__setattr__(self, "K", None)
+        if self.kind != "rec-log":
+            object.__setattr__(self, "c", None)
 
     @property
     def causal(self) -> bool:
@@ -655,18 +661,18 @@ def temporal_profiles(
     return out[:, 0], out[:, 1], out[:, 2]
 
 
-def _fft_length(n: int) -> int:
-    """The smallest 5-smooth length (2^a 3^b 5^c) of at least n: pocketfft's
-    fast real lengths, as ``scipy.fft.next_fast_len(n, real=True)``."""
+def _fft_length(n: int, odd_primes: tuple[int, ...] = (3, 5)) -> int:
+    """The least length >= n whose odd prime factors lie in ``odd_primes``:
+    SciPy's ``next_fast_len(n, real=True)``; with (3, 5, 7, 11), ``next_fast_len(n)``."""
     best = 1 << max(0, (n - 1).bit_length())
-    p5 = 1
-    while p5 < best:
-        p35 = p5
-        while p35 < best:
-            best = min(best, p35 << (-(-n // p35) - 1).bit_length())
-            p35 *= 3
-        p5 *= 5
-    return best
+    odd = [1]
+    for p in odd_primes:
+        for k in list(odd):
+            k *= p
+            while k < best:
+                odd.append(k)
+                k *= p
+    return min(k << (-(-n // k) - 1).bit_length() for k in odd)
 
 
 def _mirror_indices(idx: np.ndarray, n: int) -> np.ndarray:

@@ -67,10 +67,9 @@ def test_cli_import_leaves_scipy_signal_unloaded():
     _run_without_scipy("import tonescale.cli_io")
 
 
-def test_causal_commands_run_without_scipy(tmp_path):
-    """Only the Gauss layer-1 family needs SciPy: causal spectrograms, every
-    layer-2 feature, analyze and kernels (Gauss impulse responses too) never
-    import it."""
+def test_every_command_runs_without_scipy(tmp_path):
+    """SciPy is a test-only dependency: spectrograms of every family, every
+    layer-2 feature, analyze and kernels never import it."""
     wav = tmp_path / "tone.wav"
     write_wav(wav, sine(440.0, 0.1, 8000.0, amp=0.5), 8000.0)
     o = str(tmp_path / "o")
@@ -78,6 +77,8 @@ def test_causal_commands_run_without_scipy(tmp_path):
         ["spectrogram", str(wav), "--db", "--out-csv", o + ".csv", "--out-pgm", o + ".pgm"],
         ["spectrogram", str(wav), "--family", "rec-uni", "--out-csv", o + ".csv"],
         ["spectrogram", str(wav), "--compensate-delay", "--out-csv", o + ".csv"],
+        ["spectrogram", str(wav), "--family", "gauss", "--db", "--out-csv", o + ".csv"],
+        ["features", str(wav), "--family", "gauss", "--bands", "--out-csv", o + ".csv"],
         ["features", str(wav), "--onsets", "--out-csv", o + ".csv"],
         ["features", str(wav), "--glissando-bank=-12,0,12", "--out-csv", o + ".csv"],
         ["features", str(wav), "--second-moment", "--out-csv", o + ".csv"],
@@ -586,6 +587,74 @@ def test_cli_refuses_bad_extents_before_reading_the_wav(
     assert cli_main([argv[0], str(tone_wav), *argv[1:], "--out-csv", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and flag in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["features", "--bands", "--sigma-nu", "0"], "--bands needs a positive --sigma-nu"),
+        (["features", "--partials", "--sigma-nu", "0"], "--partials needs a positive --sigma-nu"),
+        (
+            ["features", "--glissando-bank=-12,0,12", "--sigma-nu", "0"],
+            "--glissando-bank needs a positive --sigma-nu",
+        ),
+        (["features", "--second-moment", "--tau-i-ms", "10"], "--tau-i-ms >= --tau-a-ms"),
+        (["features", "--second-moment", "--sigma-nu", "2"], "--sigma-nu-i >= --sigma-nu"),
+        (["spectrogram", "--db-min", "0", "--db-max", "-60"], "--db-min (0.0) must be below"),
+        (["spectrogram", "--db-min", "nan"], "--db-min (nan) must be below"),
+        (["spectrogram", "--nu-min", "90", "--nu-max", "80"], "--nu-max must be finite and above"),
+        (["features", "--onsets", "--nu-min", "nan"], "--nu-min must be finite"),
+        (["spectrogram", "--bins-per-octave", "0"], "--bins-per-octave must be at least 1"),
+    ],
+    ids=[
+        "bands-sigma-nu-zero",
+        "partials-sigma-nu-zero",
+        "bank-sigma-nu-zero",
+        "second-moment-tau-i-below-tau-a",
+        "second-moment-sigma-nu-i-below-sigma-nu",
+        "db-range-reversed",
+        "db-min-nan",
+        "nu-range-reversed",
+        "nu-min-nan",
+        "bins-zero",
+    ],
+)
+def test_cli_refuses_bad_scales_and_ranges_before_reading_the_wav(
+    argv, flag, tone_wav, tmp_path, capsys, monkeypatch
+):
+    """Each of these failed with exit 1, after the WAV was read (and for the
+    feature scales after layer 1 had run; a reversed dB range after the CSV
+    was written); they are bad arguments, so they exit 2 before any work."""
+
+    def unexpected(*args, **kwargs):
+        raise AssertionError("the WAV was read before the option check")
+
+    monkeypatch.setattr(cli_io, "read_wav", unexpected)
+    outs = [tmp_path / name for name in ("o.csv", "o.pgm", "o.json")]
+    files = ["--out-json", str(outs[2])] if "--partials" in argv else []
+    files += ["--out-csv", str(outs[0]), "--out-pgm", str(outs[1])]
+    assert cli_main([argv[0], str(tone_wav), *argv[1:], *files]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and flag in err
+    assert not any(out.exists() for out in outs)
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--alpha", "2", "--K", "2"], "temporal derivative order 2 needs more than 2"),
+        (["--alpha", "3"], "alpha and beta must lie in 0..2"),
+        (["--v", "nan"], "glissando slope v must be finite"),
+    ],
+    ids=["alpha-2-of-2-stages", "alpha-3", "v-nan"],
+)
+def test_cli_kernels_refuses_a_receptive_field_it_cannot_build(argv, message, tmp_path, capsys):
+    """RFSpec's refusals are bad arguments: exit 2, no file (they exited 1)."""
+    out = tmp_path / "k.csv"
+    assert cli_main(["kernels", "--rf", *argv, "--out-csv", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err and "Traceback" not in err
     assert not out.exists()
 
 

@@ -563,6 +563,22 @@ def test_real_tap_transform_matches_the_complex_tap_fft(w, s_sampl, spread):
     assert np.max(np.abs(got - scipy.fft.fft(placed))) <= TAP_TRANSFORM_ATOL
 
 
+@pytest.mark.parametrize("m", [22050, 22051])
+def test_real_spectrum_is_scipys_complex_fft_bitwise(m, rng):
+    """The real FFT plus its conjugate mirror equals SciPy's complex FFT of
+    the real signal, zero-padded to m, value for value, for even and odd m;
+    numpy's complex FFT differs in about half the bins. The only bits that
+    differ are the signs of the zero imaginary parts at bins 0 and m / 2
+    (+0 here, -0 in SciPy's), which compare equal."""
+    x = rng.normal(size=20000)
+    got, want = spectrogram._real_spectrum(x, m), scipy.fft.fft(x, m)
+    assert got.dtype == np.complex128
+    assert np.array_equal(got, want)
+    differ = np.flatnonzero(got.view(np.int64) != want.view(np.int64))
+    assert set(differ) <= {1, m + 1} and not got.view(float)[differ].any()
+    assert not np.array_equal(np.fft.fft(x, m), want)
+
+
 def _gauss_by_complex_taps(x, rate: float, grid: FrequencyGrid, hop: int):
     """The Gauss map and warm-up by the complex tap transform: per channel
     the taps T[half + d] e^{i w d} placed circularly at length M, one

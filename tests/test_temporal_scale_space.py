@@ -113,6 +113,21 @@ def test_logarithmic_ladder_variances_telescope():
     assert ratios == pytest.approx(np.full(6, 2.0), rel=1e-12)
 
 
+def test_families_that_build_the_same_kernels_compare_equal():
+    """The fields a kind ignores are None: K and c for gauss, c for rec-uni.
+    A map's RFSpec then compares equal for the same smoothing."""
+    gauss = SpectrogramFamily("gauss", K=4, c=2.0)
+    assert (gauss.K, gauss.c) == (None, None)
+    assert gauss == SpectrogramFamily("gauss")
+    assert gauss.temporal(1e-4) == TemporalKernelSpec.gaussian(1e-4)
+    uniform = SpectrogramFamily("rec-uni", c=2.0)
+    assert (uniform.K, uniform.c) == (7, None)
+    assert uniform == SpectrogramFamily("rec-uni")
+    assert uniform.temporal(1e-4) == SpectrogramFamily("rec-uni").temporal(1e-4)
+    assert SpectrogramFamily("rec-uni", K=4) != SpectrogramFamily("rec-uni")
+    assert SpectrogramFamily("rec-log", c=2.0) != SpectrogramFamily("rec-log")
+
+
 def test_ladder_rejects_bad_arguments():
     """The family refuses a bad K or c when it is built, not when its
     ladder is first asked for; the ladder refuses a bad scale."""
@@ -645,6 +660,13 @@ def test_discrete_gaussian_kernel_matches_scipy_taps(log_s):
 def test_fft_length_is_scipys_fast_real_length():
     assert [temporal_scale_space._fft_length(n) for n in range(1, 60000)] == [
         next_fast_len(n, real=True) for n in range(1, 60000)
+    ]
+
+
+def test_fft_length_over_3_to_11_is_scipys_fast_complex_length():
+    """The Gauss layer-1 frame-bin count Q: pocketfft's 11-smooth lengths."""
+    assert [temporal_scale_space._fft_length(n, (3, 5, 7, 11)) for n in range(1, 60000)] == [
+        next_fast_len(n) for n in range(1, 60000)
     ]
 
 

@@ -332,15 +332,22 @@ OPTIONS: dict[str, tuple] = {
     "dnu": (float, None, "frequency spacing in semitones for --rf (default: sigma-nu/25)"),
 }
 METAVARS = {"glissando_bank": "V1,V2,..."}
-# Extents refused unless finite and, as named, positive or non-negative;
+# Numbers refused unless finite and, as named, positive or non-negative;
 # None stands for a derived default and is not checked. A (command, option)
 # key overrides the option's rule for that command: the features may leave
 # the channel axis unsmoothed, but a kernel image needs a spectral extent.
+# A threshold may have either sign, but a NaN one admits nothing.
 EXTENTS = dict.fromkeys(
     ("n", "hop_ms", "tau_a_ms", "tau_i_ms", "tau", "dt", "t_span", "nu_span", "dnu"), "positive"
 )
 EXTENTS.update(dict.fromkeys(("sigma_nu", "sigma_nu_i", "tau0_ms"), "non-negative"))
 EXTENTS[("kernels", "sigma_nu")] = "positive"
+EXTENTS["c_min"] = "finite"
+EXTENT_RULES = {
+    "positive": lambda value: 0 < value < math.inf,
+    "non-negative": lambda value: 0 <= value < math.inf,
+    "finite": math.isfinite,
+}
 LAYER1_OPTIONS = (
     "family",
     "K",
@@ -354,8 +361,6 @@ LAYER1_OPTIONS = (
     "compensate_delay",
     "out_csv",
     "out_pgm",
-    "db_min",
-    "db_max",
     "config",
 )
 
@@ -435,17 +440,13 @@ def _merge_settings(args: argparse.Namespace) -> dict:
     merged = {}
     for key in keys:
         flag = getattr(args, key)
-        if flag is not None:
-            merged[key] = flag
-        elif key in config:
-            merged[key] = config[key]
-        else:
-            merged[key] = OPTIONS[key][1]
+        merged[key] = flag if flag is not None else config.get(key, OPTIONS[key][1])
         need, value = EXTENTS.get((args.command, key), EXTENTS.get(key)), merged[key]
         if need is None or value is None:
             continue
-        if not (0 < value < math.inf or value == 0 and need == "non-negative"):
-            raise CliError(2, f"--{key.replace('_', '-')} must be {need} and finite, got {value}")
+        if not EXTENT_RULES[need](value):
+            rule = need if need == "finite" else f"{need} and finite"
+            raise CliError(2, f"--{key.replace('_', '-')} must be {rule}, got {value}")
     return merged
 
 
@@ -706,13 +707,7 @@ def cmd_kernels(cfg: dict, wav: str | None) -> int:
         sigma_nu = cfg["sigma_nu"]
         temporal = _family(cfg).temporal((cfg["tau_a_ms"] / 1000.0) ** 2)
         try:  # a field RFSpec refuses (a derivative order, a slope) is a bad argument
-            spec = RFSpec(
-                temporal=temporal,
-                s=sigma_nu**2,
-                v=cfg["v"],
-                alpha=cfg["alpha"],
-                beta=cfg["beta"],
-            )
+            spec = RFSpec(temporal, sigma_nu**2, cfg["v"], cfg["alpha"], cfg["beta"])
         except ValueError as exc:
             raise CliError(2, str(exc)) from exc
         sigma_t = math.sqrt(temporal.tau)
@@ -767,7 +762,7 @@ COMMANDS: dict[str, Subcommand] = {
     "spectrogram": Subcommand(
         cmd_spectrogram,
         True,
-        LAYER1_OPTIONS + ("db",),
+        LAYER1_OPTIONS + ("db", "db_min", "db_max"),
         "compute a multi-scale spectrogram of a WAV file",
         "Complex (or dB) spectrogram on a log-frequency grid. "
         "PGM output always renders the dB map over [--db-min, --db-max].",
@@ -837,8 +832,7 @@ def cli_main(argv: Sequence[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse exits 2 on bad flags, 0 on --help
-        code = exc.code
-        return int(code) if code is not None else 0
+        return int(exc.code or 0)
     try:
         cfg = _merge_settings(args)
         return COMMANDS[args.command].handler(cfg, getattr(args, "wav", None))

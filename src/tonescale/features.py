@@ -240,8 +240,13 @@ def extract_partial_curves(
     ``max_jump`` semitones per frame; unmatched points open new curves and
     curves that miss a frame are closed. A point is admitted only once every
     channel in its detection stencil has passed its own warm-up, so slow
-    low-frequency channels do not gate the rest of the grid.
+    low-frequency channels do not gate the rest of the grid. ``c_min`` must
+    be finite and ``max_jump`` positive and finite.
     """
+    if not np.isfinite(c_min):
+        raise ValueError(f"c_min must be finite, got {c_min}")
+    if not 0 < max_jump < np.inf:
+        raise ValueError(f"max_jump must be positive and finite, got {max_jump}")
     values = band.values
     nu0 = float(band.grid.nu[0])
     dnu = band.grid.delta_nu
@@ -368,5 +373,7 @@ def second_moment_glissando(
 
 
 def ridge_mask(values: np.ndarray, warmup_frames, c_min: float = 3.0) -> np.ndarray:
-    """Cells whose band response clears c_min, outside warm-up frames."""
+    """Cells whose band response clears a finite c_min, outside warm-up frames."""
+    if not np.isfinite(c_min):
+        raise ValueError(f"c_min must be finite, got {c_min}")
     return (values >= c_min) & ~_warmup_mask(warmup_frames, values.shape[0])

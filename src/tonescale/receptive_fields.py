@@ -14,18 +14,19 @@ operator, and warping back, which is equivalent to convolving with the
 sheared kernel.
 
 The temporal kernels themselves are realised only in
-``temporal_scale_space``: causal smoothing runs
-``discrete_recursive_smooth``, Gaussian smoothing applies the taps of
-``discrete_gaussian_kernel`` and kernel images sample
-``temporal_profiles``. Every discrete Gaussian of layer 2, along frames
-as along channels, is ``discrete_gaussian_smooth``: the temporal pass
-smooths each lane's deviation from its first frame, so a constant lane
-stays exactly constant and its derivatives are exactly 0.
+``temporal_scale_space``: each smoothing pass builds its kernel once (a
+discretised ladder for ``discrete_recursive_smooth``, a
+``discrete_gaussian_kernel`` for ``discrete_gaussian_smooth``, along
+frames as along channels) and reads its warm-up off it; kernel images
+sample ``temporal_profiles``. The Gaussian temporal pass smooths each
+lane's deviation from its first frame, so a constant lane stays exactly
+constant and its derivatives are exactly 0.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -53,8 +54,8 @@ class RFSpec:
     (seconds^2): the Gaussian of the gauss family or a cascade family's
     ladder at tau_a. ``s`` is the spectral variance in semitones^2; ``v`` the
     glissando slope in semitones/second; ``alpha``/``beta`` the temporal and
-    spectral derivative orders (0..2), ``alpha`` below a cascade's K. When
-    ``normalized`` is set, responses are multiplied by ``normalization``.
+    spectral derivative orders, whole numbers 0..2, ``alpha`` below a
+    cascade's K. ``normalized`` multiplies responses by ``normalization``.
     """
 
     temporal: TemporalKernelSpec
@@ -69,8 +70,11 @@ class RFSpec:
             raise ValueError(f"spectral scale s must be non-negative and finite, got {self.s}")
         if not math.isfinite(self.v):
             raise ValueError(f"glissando slope v must be finite, got {self.v}")
-        if not (0 <= self.alpha <= 2) or not (0 <= self.beta <= 2):
-            raise ValueError("derivative orders alpha and beta must lie in 0..2")
+        orders = (self.alpha, self.beta)
+        if not all(isinstance(k, numbers.Integral) and 0 <= k <= 2 for k in orders):
+            raise ValueError(
+                f"derivative orders alpha and beta must lie in 0..2 as whole numbers, got {orders}"
+            )
         if self.temporal.family.causal and self.alpha >= self.temporal.family.K:
             raise ValueError(
                 f"temporal derivative order {self.alpha} needs more than "
@@ -167,17 +171,17 @@ def _smooth_frames(
         # are exactly 0.
         values = discrete_recursive_smooth(values, ladder, axis=0, steady=True)
         return values, warmup_length(ladder)
-    s_frames = temporal.tau * frame_rate * frame_rate
+    kernel = discrete_gaussian_kernel(temporal.tau * frame_rate * frame_rate)
     first = values[:1]
-    smoothed = discrete_gaussian_smooth(values - first, s_frames, axis=0)
+    smoothed = discrete_gaussian_smooth(values - first, kernel, axis=0)
     smoothed += first
-    return smoothed, discrete_gaussian_kernel(s_frames).origin_index
+    return smoothed, kernel.origin_index
 
 
 def _smooth_channels(values: np.ndarray, s: float, delta_nu: float) -> np.ndarray:
     """The spectral pass of ``smooth``: the discrete Gaussian along axis 1."""
     if s > 0:
-        return discrete_gaussian_smooth(values, s / delta_nu ** 2, axis=1)
+        return discrete_gaussian_smooth(values, discrete_gaussian_kernel(s / delta_nu ** 2), axis=1)
     return values
 
 
@@ -188,7 +192,7 @@ def smooth(S: TFMap, temporal: TemporalKernelSpec, s: float) -> tuple[np.ndarray
     variance ``s`` semitones^2 along the channel axis. Trailing axes are
     independent lanes, so stacked maps are smoothed in one pass exactly as
     each would be alone. The warm-up counts the frames the temporal kernel
-    adds.
+    adds, read off the one kernel each pass builds.
 
     A cascade window runs as one block recursion over every lane in the
     map's own time-major layout, each 32-frame block one product with all

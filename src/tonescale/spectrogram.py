@@ -119,6 +119,8 @@ def build_frequency_grid(
     law: WindowScaleLaw | None = None,
 ) -> FrequencyGrid:
     """Channels equally spaced in MIDI semitones covering [nu_min, nu_max]."""
+    if not (math.isfinite(nu_min) and math.isfinite(nu_max)):
+        raise ValueError(f"nu_min and nu_max must be finite, got {nu_min} and {nu_max}")
     if nu_min >= nu_max:
         raise ValueError("nu_min must be below nu_max")
     if bins_per_octave < 1:

@@ -20,10 +20,10 @@ poles), and ``_phase_type`` the one continuous cascade kernel,
 h(t) = e_1 e^{Qt} q for every ladder, uniform or logarithmic, evaluated
 by ``_expm``; ``temporal_profiles`` samples it (and the Gaussian) and the
 delay measures find its maximum and inflection points.
-``ScaleLadder.support`` is the one support rule. The discrete Gaussian
-takes its taps from one inverse FFT of its transfer function (``ive``) and
-is applied as small band products (``discrete_gaussian_smooth``), so
-neither needs SciPy.
+``ScaleLadder.support`` is the one support rule. ``discrete_gaussian_kernel``
+takes the discrete Gaussian's taps from one inverse FFT of its transfer
+function (``ive``), and ``discrete_gaussian_smooth`` applies the built
+kernel as small band products, as a ladder is applied; neither needs SciPy.
 
 A cascade of first-order stages is time-recursive: its whole past is a
 state of K values (Lindeberg 2016, JMIV, "Time-causal and time-recursive
@@ -41,6 +41,7 @@ import numbers
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 
 @dataclass(frozen=True)
@@ -116,13 +117,9 @@ def discretize_ladder(ladder: ScaleLadder, sample_rate: float) -> ScaleLadder:
     if sample_rate <= 0:
         raise ValueError(f"sample rate must be positive, got {sample_rate}")
     levels = tuple(sample_rate * sample_rate * tau for tau in ladder.levels)
-    prev = 0.0
-    mus = []
-    for tau in levels:
-        dtau = tau - prev
-        mus.append((math.sqrt(1.0 + 4.0 * dtau) - 1.0) / 2.0)
-        prev = tau
-    return ScaleLadder(levels, tuple(mus), units="samples")
+    steps = (tau - prev for prev, tau in zip((0.0,) + levels, levels))
+    mus = tuple((math.sqrt(1.0 + 4.0 * dtau) - 1.0) / 2.0 for dtau in steps)
+    return ScaleLadder(levels, mus, units="samples")
 
 
 def warmup_length(ladder: ScaleLadder) -> int:
@@ -183,12 +180,8 @@ class SpectrogramFamily:
         if self.kind == "rec-log":
             levels = tuple(c ** (2.0 * (k - K)) * tau for k in range(1, K + 1))
             sigma = math.sqrt(tau)
-            mus = [c ** (1.0 - K) * sigma]
-            mus += [
-                c ** (k - K - 1.0) * math.sqrt(c * c - 1.0) * sigma
-                for k in range(2, K + 1)
-            ]
-            mus = tuple(mus)
+            later = (c ** (k - K - 1.0) * math.sqrt(c * c - 1.0) * sigma for k in range(2, K + 1))
+            mus = (c ** (1.0 - K) * sigma, *later)
         else:
             levels = tuple((k / K) * tau for k in range(1, K + 1))
             mus = tuple(math.sqrt(tau / K) for _ in range(K))
@@ -764,46 +757,46 @@ def discrete_gaussian_kernel(s_sampl: float, epsilon: float = 1e-6) -> SampledKe
 _BAND_OUTPUTS = 32
 
 
-def discrete_gaussian_smooth(
-    x: np.ndarray, s_sampl: float, axis: int = -1, epsilon: float = 1e-6
-) -> np.ndarray:
-    """Correlate along one axis with the discrete Gaussian, mirrored boundaries.
+def discrete_gaussian_smooth(x: np.ndarray, kernel: SampledKernel, axis: int = -1) -> np.ndarray:
+    """Correlate along one axis with a discrete Gaussian kernel, mirrored boundaries.
 
-    Equal, to within rounding, to ``scipy.ndimage.correlate1d(x,
-    discrete_gaussian_kernel(s_sampl, epsilon).values, axis, mode="reflect")``:
-    within 1e-15 of the largest magnitude on maps, and 2e-15 where hundreds
-    of taps fold onto a short axis (tests bound both). On an axis of one
-    sample every tap folds onto it, so the result is x times the tap sum.
-    Every other axis holds independent lanes. Each lane is mirror-padded by
-    the kernel's half-width h, and each block of _BAND_OUTPUTS outputs is one
-    product of the lanes' (32 + 2h)-sample window with one shared band of
-    the kernel's Toeplitz matrix. The products keep ``_matmul``'s rules and
-    stay small enough to run on the calling thread, so a lane comes out
-    bitwise the same whatever lanes are smoothed with it. Non-finite input
-    raises ValueError: through the band's zeros a NaN or infinity would
-    reach every output of its block.
+    A kernel whose length is not 2 origin_index + 1 is refused. Equal, to
+    within rounding, to ``scipy.ndimage.correlate1d(x, kernel.values, axis,
+    mode="reflect")``: within 1e-15 of the largest magnitude on maps, and
+    2e-15 where hundreds of taps fold onto a short axis (tests bound both).
+    On an axis of one sample every tap folds onto it, and the kernel of
+    s = 0 is one tap of 1, so either result is x times the tap sum (a copy,
+    -0.0 kept, for s = 0). Every other axis holds independent lanes. Each
+    lane is mirror-padded by the kernel's half-width h, and each block of
+    _BAND_OUTPUTS outputs is one product of the lanes' (32 + 2h)-sample
+    window with one shared band of the kernel's Toeplitz matrix. The
+    products keep ``_matmul``'s rules and stay small enough to run on the
+    calling thread, so a lane comes out bitwise the same whatever lanes are
+    smoothed with it. Non-finite input raises ValueError: through the
+    band's zeros a NaN or infinity would reach every output of its block.
     """
+    taps, h = kernel.values, kernel.origin_index
+    if taps.shape != (2 * h + 1,):
+        raise ValueError(
+            f"a symmetric kernel has 2 * origin_index + 1 = {2 * h + 1} taps, got {taps.shape}"
+        )
     x = np.asarray(x, dtype=float)
     if not np.isfinite(x).all():
         raise ValueError("input contains non-finite values")
-    if s_sampl == 0:
-        return x.copy()
-    kernel = discrete_gaussian_kernel(s_sampl, epsilon)
-    h = kernel.origin_index
-    width = _BAND_OUTPUTS + 2 * h
-    band = np.zeros((width, _BAND_OUTPUTS))
-    for j in range(_BAND_OUTPUTS):
-        band[j : j + 2 * h + 1, j] = kernel.values
     out = np.empty_like(x)
     lanes, result = np.moveaxis(x, axis, -1), np.moveaxis(out, axis, -1)
+    if h == 0 or lanes.shape[-1] == 1:  # every tap lands on the one sample
+        return x * taps.sum()
     if out.size == 0:
         return out
-    if lanes.shape[-1] == 1:  # every tap folds onto the one sample
-        return x * kernel.values.sum()
     if lanes.ndim == 1:
         lanes, result = lanes[None], result[None]
     n = lanes.shape[-1]
     blocks = -(-n // _BAND_OUTPUTS)
+    width = _BAND_OUTPUTS + 2 * h
+    # band[i, j] = taps[i - j]: output j of a block reads window samples j .. j + 2h
+    band = sliding_window_view(np.pad(taps, _BAND_OUTPUTS - 1), _BAND_OUTPUTS)[:, ::-1]
+    band = np.ascontiguousarray(band)
     # The last block's outputs past n read further mirror images; they are dropped.
     columns = _mirror_indices(np.arange(-h, blocks * _BAND_OUTPUTS + h), n)
     rows = max(1, _SERIAL_PRODUCT // (_BAND_OUTPUTS * min(width, _BLOCK_SAMPLES)) - 1)
@@ -813,12 +806,7 @@ def discrete_gaussian_smooth(
         if part.shape[0] == 1:
             part = np.concatenate([part, np.zeros_like(part)])
         # (blocks, rows, width) windows, every block's outputs one stacked product
-        windows = np.lib.stride_tricks.as_strided(
-            part,
-            (blocks, part.shape[0], width),
-            (_BAND_OUTPUTS * part.strides[1],) + part.strides,
-            writeable=False,
-        )
+        windows = sliding_window_view(part, width, axis=1)[:, ::_BAND_OUTPUTS].swapaxes(0, 1)
         smoothed = np.empty((part.shape[0], blocks, _BAND_OUTPUTS))
         _matmul(windows, band, rows, out=smoothed.transpose(1, 0, 2))
         target = result[lo : lo + step]

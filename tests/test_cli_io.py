@@ -558,6 +558,8 @@ def test_cli_refuses_delays_of_a_ratio_too_close_to_1(tmp_path, capsys):
         (["features", "--glissando-bank", "0,inf"], "--glissando-bank"),
         (["spectrogram", "--n", "nan"], "--n must"),
         (["features", "--onsets", "--n", "0"], "--n must"),
+        (["features", "--partials", "--c-min", "nan"], "--c-min must be finite, got nan"),
+        (["features", "--glissando-bank=-12,0,12", "--c-min=-inf"], "--c-min must be finite"),
     ],
     ids=[
         "hop-zero",
@@ -574,6 +576,8 @@ def test_cli_refuses_delays_of_a_ratio_too_close_to_1(tmp_path, capsys):
         "bank-inf",
         "n-nan",
         "n-zero",
+        "partials-c-min-nan",
+        "bank-c-min-inf",
     ],
 )
 def test_cli_refuses_bad_extents_before_reading_the_wav(
@@ -905,12 +909,15 @@ LAYER1_FLAGS = {
     "compensate_delay": (None, None, True),
     "out_csv": (str, None, False),
     "out_pgm": (str, None, False),
-    "db_min": (float, None, False),
-    "db_max": (float, None, False),
     "config": (str, None, False),
 }
 SURFACE = {
-    "spectrogram": {**LAYER1_FLAGS, "db": (None, None, True)},
+    "spectrogram": {
+        **LAYER1_FLAGS,
+        "db": (None, None, True),
+        "db_min": (float, None, False),
+        "db_max": (float, None, False),
+    },
     "features": {
         **LAYER1_FLAGS,
         "onsets": (None, None, True),
@@ -968,11 +975,9 @@ LAYER1_MERGED = {
     "compensate_delay": False,
     "out_csv": None,
     "out_pgm": None,
-    "db_min": -60.0,
-    "db_max": 0.0,
 }
 MERGED = {
-    "spectrogram": {**LAYER1_MERGED, "db": False},
+    "spectrogram": {**LAYER1_MERGED, "db": False, "db_min": -60.0, "db_max": 0.0},
     "features": {
         **LAYER1_MERGED,
         "tau_a_ms": 20.0,
@@ -1067,12 +1072,24 @@ def test_cli_merged_defaults(command, tone_wav, tmp_path, monkeypatch):
     assert _merged_settings(monkeypatch, argv + ["--config", str(config)]) == MERGED[command]
 
 
+@pytest.mark.parametrize("flag", ["--db-min", "--db-max"])
+def test_cli_features_has_no_pgm_range(flag, tone_wav, tmp_path, capsys):
+    """Feature PGMs render over their own range, so the spectrogram's dB
+    range is not a features option (it was accepted and ignored)."""
+    out = tmp_path / "o.pgm"
+    argv = ["features", str(tone_wav), "--onsets", flag, "5", "--out-pgm", str(out)]
+    assert cli_main(argv) == 2
+    assert f"unrecognized arguments: {flag} 5" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "command,key",
     [
         ("spectrogram", "tau"),
         ("spectrogram", "onsets"),
         ("features", "db"),
+        ("features", "db_min"),
         ("features", "table"),
         ("analyze", "family"),
         ("kernels", "nu_min"),

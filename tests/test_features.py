@@ -177,6 +177,32 @@ def test_partial_curves_track_three_partials():
         assert len(c.nus) == len(c.frames) == len(c.strengths)
 
 
+def two_tone_band(duration=0.6):
+    grid = build_frequency_grid(64.0, 84.0, 48, law=WindowScaleLaw(n=8.0))
+    x = sine(440.0, duration, RATE) + 0.5 * sine(880.0, duration, RATE)
+    return band_response(to_db(compute_spectrogram(x, RATE, grid, FAM, hop=44)), TAU_A, S_NU)
+
+
+@pytest.mark.parametrize("c_min", [math.nan, math.inf, -math.inf])
+def test_partial_thresholds_must_be_finite(c_min):
+    """A NaN c_min once gave 4 curves where 3 gave 2, and a NaN ridge mask
+    was empty."""
+    band = two_tone_band()
+    with pytest.raises(ValueError, match="c_min must be finite"):
+        extract_partial_curves(band, c_min=c_min)
+    with pytest.raises(ValueError, match="c_min must be finite"):
+        ridge_mask(band.values, band.warmup_frames, c_min)
+
+
+@pytest.mark.parametrize("max_jump", [math.nan, -1.0, 0.0, math.inf])
+def test_partial_curves_need_a_positive_finite_max_jump(max_jump):
+    """nan, -1 and 0 once linked nothing: every ridge point became a curve."""
+    band = two_tone_band()
+    assert len(extract_partial_curves(band, c_min=3.0)) == 2
+    with pytest.raises(ValueError, match="max_jump must be positive and finite"):
+        extract_partial_curves(band, c_min=3.0, max_jump=max_jump)
+
+
 def test_partial_curve_follows_slow_chirp():
     grid = build_frequency_grid(62.0, 76.0, 48, law=WindowScaleLaw(n=8.0))
     x = exponential_chirp(67.0, 3.0, 1.2, RATE)
@@ -335,10 +361,12 @@ def test_second_moment_is_bitwise_the_five_field_formula(window, s, s_i):
 
 
 @pytest.mark.parametrize(
-    "window, smoother",
-    [("default", "discrete_recursive_smooth"), ("gauss", "discrete_gaussian_kernel")],
+    "window, smoother, count",
+    [("default", "discrete_recursive_smooth", 2), ("gauss", "discrete_gaussian_kernel", 4)],
 )
-def test_second_moment_smooths_once_per_scale(window, smoother, monkeypatch):
+def test_second_moment_smooths_once_per_scale(window, smoother, count, monkeypatch):
+    """One temporal pass per scale; a Gaussian pass and the channel pass at
+    each scale build one kernel each."""
     calls = []
     original = getattr(receptive_fields, smoother)
 
@@ -349,7 +377,7 @@ def test_second_moment_smooths_once_per_scale(window, smoother, monkeypatch):
     monkeypatch.setattr(receptive_fields, smoother, counted)
     L = step_tone_db(duration=0.5)
     second_moment_glissando(L, TAU_A, S_NU, TAU_I, 1.0, *SM_WINDOWS[window])
-    assert len(calls) == 2
+    assert len(calls) == count
 
 
 def test_feature_maps_share_spectrogram_axes():

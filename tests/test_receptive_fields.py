@@ -7,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.ndimage import correlate1d
 
+from tonescale import receptive_fields, temporal_scale_space
 from tonescale.features import detect_onsets, glissando_filterbank
 from tonescale.receptive_fields import (
     RFSpec,
@@ -65,6 +66,38 @@ def test_rfspec_validation():
     # cascade with K stages supports temporal orders below K only
     with pytest.raises(ValueError, match="K=2"):
         RFSpec(temporal=SpectrogramFamily("rec-uni", K=2).temporal(1e-4), s=0.25, alpha=2)
+
+
+@pytest.mark.parametrize("orders", [{"alpha": 1.5}, {"beta": 0.5}, {"alpha": 1.0}, {"beta": "1"}])
+def test_rfspec_takes_only_whole_derivative_orders(orders):
+    """alpha = 1.5 was accepted, and rf_kernel_image then raised TypeError."""
+    tk = TemporalKernelSpec.gaussian(1e-4)
+    with pytest.raises(ValueError, match="whole numbers"):
+        RFSpec(temporal=tk, s=0.25, **orders)
+    spec = RFSpec(temporal=tk, s=0.25, alpha=np.int64(1), beta=2)
+    assert rf_kernel_image(spec, 0.02, 1.0, 1e-3, 0.1).values.shape == (41, 21)
+
+
+def test_each_gaussian_kernel_is_built_once(monkeypatch):
+    """A Gaussian temporal pass builds its kernel once and reads the warm-up
+    off it (it built the kernel a second time for the warm-up), and each
+    bank member builds one temporal and one spectral kernel."""
+    calls = []
+    real = temporal_scale_space.discrete_gaussian_kernel
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    for module in (temporal_scale_space, receptive_fields):
+        monkeypatch.setattr(module, "discrete_gaussian_kernel", counted)
+    L = tone_db(duration=0.3)
+    smooth(L, TemporalKernelSpec.gaussian(0.06**2), 0.0)
+    assert len(calls) == 1
+    calls.clear()
+    bank_tau = 0.06**2
+    glissando_filterbank(L, [-24.0, -12.0, 0.0, 12.0, 24.0], bank_tau, 0.25, TemporalKernelSpec.gaussian(bank_tau))
+    assert len(calls) == 10
 
 
 def test_zero_order_rf_is_pure_smoothing():
@@ -375,7 +408,7 @@ def test_gaussian_smooth_is_the_direct_reflect_correlation(
     kernel = discrete_gaussian_kernel(scale)
     want = correlate1d(values, kernel.values, axis=0, mode="reflect")
     if scale == 0.0:  # a Gaussian window has tau > 0; s = 0 is the one-tap kernel
-        got = discrete_gaussian_smooth(values, 0.0, axis=0)
+        got = discrete_gaussian_smooth(values, kernel, axis=0)
     else:
         L = tone_db(duration=0.05)
         S = replace(L, values=values, frame_times=np.arange(n_frames) / L.frame_rate)

@@ -96,6 +96,17 @@ def test_window_scale_law_rejects_non_finite_parameters(field, bad):
         WindowScaleLaw(**{field: bad})
 
 
+@pytest.mark.parametrize(
+    "nu_min, nu_max, shown",
+    [(math.nan, 72.0, "nan"), (60.0, math.nan, "nan"), (60.0, math.inf, "inf"), (-math.inf, 72.0, "-inf")],
+)
+def test_grid_refuses_a_non_finite_span(nu_min, nu_max, shown):
+    """A NaN edge raised "cannot convert float NaN to integer" and an infinite
+    nu_max an OverflowError, which the CLI's handler does not take."""
+    with pytest.raises(ValueError, match=f"nu_min and nu_max must be finite, got .*{shown}"):
+        build_frequency_grid(nu_min, nu_max, 12)
+
+
 @pytest.mark.parametrize("n", [1e160, 1e-200], ids=["overflows", "underflows"])
 def test_grid_refuses_a_window_variance_that_is_not_positive_and_finite(n):
     with pytest.raises(ValueError, match="must be positive and finite"):

@@ -16,6 +16,7 @@ from scipy.stats import gamma as gamma_dist
 from tonescale import temporal_scale_space
 
 from tonescale.temporal_scale_space import (
+    SampledKernel,
     ScaleLadder,
     SpectrogramFamily,
     TemporalKernelSpec,
@@ -516,9 +517,9 @@ def test_gaussian_smoothing_refuses_a_non_finite_sample(bad, s):
     x = np.zeros((3, 100))
     x[1, 40] = bad
     with pytest.raises(ValueError, match="non-finite"):
-        discrete_gaussian_smooth(x, s, axis=1)
+        discrete_gaussian_smooth(x, discrete_gaussian_kernel(s), axis=1)
     with pytest.raises(ValueError, match="non-finite"):
-        discrete_gaussian_smooth(x.T, s, axis=0)
+        discrete_gaussian_smooth(x.T, discrete_gaussian_kernel(s), axis=0)
 
 
 def test_discrete_gaussian_kernel_mass_and_variance():
@@ -686,10 +687,9 @@ def test_discrete_gaussian_semigroup():
     s1, s2 = 3.0, 5.0
     x = np.zeros(257)
     x[128] = 1.0
-    once = discrete_gaussian_smooth(
-        discrete_gaussian_smooth(x, s1, epsilon=1e-12), s2, epsilon=1e-12
-    )
-    joint = discrete_gaussian_smooth(x, s1 + s2, epsilon=1e-12)
+    k1, k2, k12 = (discrete_gaussian_kernel(s, epsilon=1e-12) for s in (s1, s2, s1 + s2))
+    once = discrete_gaussian_smooth(discrete_gaussian_smooth(x, k1), k2)
+    joint = discrete_gaussian_smooth(x, k12)
     assert np.max(np.abs(once - joint)) < 1e-8
 
 
@@ -714,8 +714,9 @@ def test_discrete_gaussian_smooth_is_the_reflect_correlation(shape, axis_pick, l
     axis = axis_pick % len(shape)
     s = 10.0**log_s
     x = np.random.default_rng(seed).normal(-40.0, 20.0, size=shape)
-    got = discrete_gaussian_smooth(x, s, axis=axis)
-    want = correlate1d(x, discrete_gaussian_kernel(s).values, axis=axis, mode="reflect")
+    kernel = discrete_gaussian_kernel(s)
+    got = discrete_gaussian_smooth(x, kernel, axis=axis)
+    want = correlate1d(x, kernel.values, axis=axis, mode="reflect")
     assert got.shape == x.shape
     assert np.max(np.abs(got - want)) <= 2e-15 * np.max(np.abs(x))
 
@@ -726,34 +727,55 @@ def test_discrete_gaussian_smooth_rows_do_not_depend_on_their_neighbours(s, rng)
     smooths each row bitwise the same way, within 1e-15 of the map's
     largest magnitude of SciPy's correlate1d along either axis."""
     x = rng.normal(-40.0, 20.0, size=(503, 368))
-    kernel = discrete_gaussian_kernel(s).values
+    kernel = discrete_gaussian_kernel(s)
     for axis in (0, 1):
-        want = correlate1d(x, kernel, axis=axis, mode="reflect")
-        got = discrete_gaussian_smooth(x, s, axis=axis)
+        want = correlate1d(x, kernel.values, axis=axis, mode="reflect")
+        got = discrete_gaussian_smooth(x, kernel, axis=axis)
         assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(x))
-    full = discrete_gaussian_smooth(x, s, axis=1)
+    full = discrete_gaussian_smooth(x, kernel, axis=1)
     for i in (0, 1, 250, 502):
-        assert np.array_equal(discrete_gaussian_smooth(x[i], s), full[i])
-        assert np.array_equal(discrete_gaussian_smooth(x[i : i + 3], s, axis=1), full[i : i + 3])
-    stack = discrete_gaussian_smooth(np.stack([x, x[::-1]], axis=-1), s, axis=1)
+        assert np.array_equal(discrete_gaussian_smooth(x[i], kernel), full[i])
+        assert np.array_equal(discrete_gaussian_smooth(x[i : i + 3], kernel, axis=1), full[i : i + 3])
+    stack = discrete_gaussian_smooth(np.stack([x, x[::-1]], axis=-1), kernel, axis=1)
     assert np.array_equal(stack[..., 0], full)
     assert np.array_equal(stack[..., 1], full[::-1])
 
 
 def test_discrete_gaussian_smooth_axis_and_identity(rng):
     x = rng.normal(size=(7, 31))
-    assert discrete_gaussian_smooth(x, 0.0, axis=1) == pytest.approx(x)
-    y0 = np.stack([discrete_gaussian_smooth(x[i], 2.0) for i in range(7)])
-    assert discrete_gaussian_smooth(x, 2.0, axis=1) == pytest.approx(y0, rel=1e-13)
+    assert discrete_gaussian_smooth(x, discrete_gaussian_kernel(0.0), axis=1) == pytest.approx(x)
+    kernel = discrete_gaussian_kernel(2.0)
+    y0 = np.stack([discrete_gaussian_smooth(x[i], kernel) for i in range(7)])
+    assert discrete_gaussian_smooth(x, kernel, axis=1) == pytest.approx(y0, rel=1e-13)
+
+
+@pytest.mark.parametrize(
+    "kernel",
+    [SampledKernel(np.full(4, 0.25), 1), SampledKernel(np.ones(3) / 3, 2), SampledKernel(np.ones((1, 1)), 0)],
+    ids=["even-length", "off-centre", "two-dimensional"],
+)
+def test_discrete_gaussian_smooth_refuses_a_kernel_not_centred_on_its_origin(kernel):
+    with pytest.raises(ValueError, match="2 \\* origin_index \\+ 1"):
+        discrete_gaussian_smooth(np.zeros(10), kernel)
+
+
+def test_discrete_gaussian_smooth_at_s_0_is_a_copy_that_keeps_negative_zeros(rng):
+    x = rng.normal(size=(5, 40))
+    x[:, ::3] = -0.0
+    for axis in (0, 1):
+        got = discrete_gaussian_smooth(x, discrete_gaussian_kernel(0.0), axis=axis)
+        assert got is not x and np.array_equal(np.signbit(got), np.signbit(x))
+        assert got.tobytes() == x.tobytes()
 
 
 def test_smoothing_never_creates_local_extrema(rng):
     lad = discretize_ladder(SpectrogramFamily("rec-uni", K=3).ladder(1e-4), 8000.0)
+    kernel = discrete_gaussian_kernel(4.0)
     for _ in range(50):
         x = rng.normal(size=256)
         before = count_local_extrema(x)
         assert count_local_extrema(discrete_recursive_smooth(x, lad)) <= before
-        assert count_local_extrema(discrete_gaussian_smooth(x, 4.0)) <= before
+        assert count_local_extrema(discrete_gaussian_smooth(x, kernel)) <= before
 
 
 def test_warmup_length_scales_with_stage_constants():

@@ -13,15 +13,19 @@ on the default grid at hops 1, 44 and 441; every layer-2 feature on a
 rec-log dB map at the CLI's settings, including the 5-member Gaussian bank;
 ``discrete_gaussian_smooth`` along every axis of 1-3-D arrays, with
 length-1 axes and s = 0; ``discrete_recursive_smooth`` for K 1-12 on both
-ladders, from rest and steady; and the output files of seven CLI commands
-on a seeded WAV. ``--tiny`` records a few of each in about a second.
+ladders, from rest and steady; and seven CLI commands on a seeded WAV,
+with the bad arguments the CLI refuses and two runtime failures. Each CLI
+case records its exit code and the files it created, its stdout, its
+stderr and each file. ``--tiny`` records a few of each in about a second.
 
 ``compare A B`` prints, per artifact, "bitwise" or the largest difference
-relative to the artifact's peak in A, and exits 1 if an artifact is missing
-from either side, changes shape or dtype, or differs past its class's
-bound: 1e-9 of the peak for layer 1, 1e-12 for layer 2 and the smoothers,
-and one unit in the last printed place of each number (one grey level of a
-PGM pixel) for CLI output.
+relative to the artifact's peak in A, then the largest gap per class, and
+exits 1 if an artifact is missing from either side, changes shape or
+dtype, or differs past its class's bound: 1e-9 of the peak for layer 1,
+1e-12 for layer 2 and the smoothers, and one unit in the last printed place
+of each number (one grey level of a PGM pixel) for CLI output, whose first
+line (the exit code and the files created) must match exactly. A changed
+stderr message is listed but never fails.
 
 No digest is kept in the repository: maps are bitwise equal only within one
 BLAS build, so both records should come from the same machine.
@@ -51,7 +55,7 @@ BANK, BANK_TAU_A = (-24.0, -12.0, 0.0, 12.0, 24.0), 0.060**2
 BANK_FLAG = "--glissando-bank=" + ",".join(f"{v:g}" for v in BANK)
 # (lowest and highest channel in Hz, bins per octave)
 GRID, TINY_GRID = (80.0, 16000.0, 48), (1000.0, 8000.0, 6)
-BOUNDS = {"layer1": 1e-9, "layer2": 1e-12, "cli": "one printed unit"}
+BOUNDS = {"layer1": 1e-9, "layer2": 1e-12, "cli": "one printed unit", "message": "none"}
 CLI_RUNS = (
     ("spec-db", ["spectrogram", "--db", "--out-csv", "{o}.csv", "--out-pgm", "{o}.pgm"]),
     ("spec-uni", ["spectrogram", "--family", "rec-uni", "--out-csv", "{o}.csv"]),
@@ -60,6 +64,37 @@ CLI_RUNS = (
     ("sm", ["features", "--second-moment", "--out-csv", "{o}.csv"]),
     ("bank", ["features", BANK_FLAG, "--tau-a-ms", "60", "--out-csv", "{o}.csv"]),
     ("analyze", ["analyze"]),
+)
+# Bad arguments (exit 2, all but the last before the WAV is read), then two
+# runtime failures (exit 1); the first two are in the tiny set too.
+CLI_REFUSALS = (
+    ("bad-c", ["kernels", "--c", "1", "--out-csv", "{o}.csv"]),
+    ("bad-sigma-nu", ["features", "--bands", "--sigma-nu", "0", "--out-csv", "{o}.csv"]),
+    ("bad-n", ["analyze", "--n", "nan"]),
+    ("bad-K", ["spectrogram", "--K", "0", "--out-csv", "{o}.csv"]),
+    ("bad-hop", ["spectrogram", "--hop-ms", "0", "--out-csv", "{o}.csv"]),
+    ("bad-tau0", ["spectrogram", "--tau0-ms", "-1", "--out-csv", "{o}.csv"]),
+    ("bad-tau-a", ["features", "--onsets", "--tau-a-ms", "0", "--out-csv", "{o}.csv"]),
+    ("bad-bank", ["features", "--glissando-bank=nan,0", "--out-csv", "{o}.csv"]),
+    ("bad-c-min", ["features", "--partials", "--c-min", "nan", "--out-json", "{o}.json"]),
+    ("bad-level", ["features", "--partials", "--min-level-db", "nan", "--out-json", "{o}.json"]),
+    ("bad-sm-order", ["features", "--second-moment", "--tau-i-ms", "10", "--out-csv", "{o}.csv"]),
+    ("bad-db-range", ["spectrogram", "--db-min", "0", "--db-max", "-60", "--out-pgm", "{o}.pgm"]),
+    ("bad-nu-range", ["spectrogram", "--nu-min", "90", "--nu-max", "80", "--out-csv", "{o}.csv"]),
+    ("bad-nu-max", ["spectrogram", "--nu-max", "1e6", "--out-csv", "{o}.csv"]),
+    ("bad-bins", ["spectrogram", "--bins-per-octave", "0", "--out-csv", "{o}.csv"]),
+    (
+        "bad-delay",
+        ["spectrogram", "--family", "gauss", "--compensate-delay", "--out-csv", "{o}.csv"],
+    ),
+    ("bad-alpha", ["kernels", "--rf", "--alpha", "2", "--K", "2", "--out-csv", "{o}.csv"]),
+    ("bad-tau", ["kernels", "--tau", "nan", "--out-csv", "{o}.csv"]),
+    ("bad-dt", ["kernels", "--dt", "0", "--out-csv", "{o}.csv"]),
+    ("bad-t-span", ["kernels", "--rf", "--t-span", "inf", "--out-pgm", "{o}.pgm"]),
+    ("bad-pgm", ["kernels", "--out-pgm", "{o}.pgm"]),
+    ("bad-hop-rate", ["spectrogram", "--hop-ms", "0.01", "--out-csv", "{o}.csv"]),
+    ("fail-nyquist", ["spectrogram", "--nu-max", "140", "--out-csv", "{o}.csv"]),
+    ("fail-slope", ["features", "--glissando-bank=1e300", "--out-csv", "{o}.csv"]),
 )
 NUMBER = re.compile(r"[-+]?(\d+)(?:\.(\d*))?(?:[eE]([-+]?\d+))?")
 
@@ -166,20 +201,25 @@ def cli(tiny: bool):
 
     lo, hi, bins = TINY_GRID
     flags = ["--nu-min", repr(midi(lo)), "--nu-max", repr(midi(hi)), "--bins-per-octave", str(bins)]
+    runs = [(*run, tiny) for run in (CLI_RUNS[:1] if tiny else CLI_RUNS)]
+    runs += [(*run, False) for run in (CLI_REFUSALS[:2] if tiny else CLI_REFUSALS)]
     with tempfile.TemporaryDirectory() as tmp:
         wav = Path(tmp) / "clip.wav"
         write_wav(wav, signal(4, 0.3 if tiny else 0.5))
-        for kind, template in CLI_RUNS[:1] if tiny else CLI_RUNS:
+        for kind, template, small_grid in runs:
             argv = [a.format(o=Path(tmp) / kind) for a in template]
-            if kind != "analyze":
+            if argv[0] in ("spectrogram", "features"):
                 argv[1:1] = [str(wav)]
-                argv += flags if tiny else []
-            printed = io.StringIO()
-            with contextlib.redirect_stdout(printed):
+                argv += flags if small_grid else []
+            before, printed, errors = set(Path(tmp).iterdir()), io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(printed), contextlib.redirect_stderr(errors):
                 code = cli_main(argv)
-            text = f"exit {code}\n" + printed.getvalue().replace(tmp, "{out}")
-            yield f"cli/{kind}/stdout", _bytes(text.encode())
-            for path in sorted(Path(tmp).glob(f"{kind}.*")):
+            made = sorted(set(Path(tmp).iterdir()) - before)
+            head = f"exit {code}, files: {' '.join(path.name for path in made) or 'none'}\n"
+            texts = {"stdout": head + printed.getvalue(), "stderr": errors.getvalue()}
+            for stream, text in texts.items():
+                yield f"cli/{kind}/{stream}", _bytes(text.replace(tmp, "{out}").encode())
+            for path in made:
                 yield f"cli/{kind}/{path.suffix[1:]}", _bytes(path.read_bytes())
 
 
@@ -201,7 +241,7 @@ def record(out: Path, tiny: bool) -> int:
             file = f"{len(artifacts):04d}.npy"
             np.save(out / file, value)
             artifacts[name] = {
-                "class": cls,
+                "class": "message" if name.endswith("/stderr") else cls,
                 "shape": list(value.shape),
                 "dtype": str(value.dtype),
                 "sha256": hashlib.sha256(value.tobytes()).hexdigest(),
@@ -217,15 +257,18 @@ def record(out: Path, tiny: bool) -> int:
 def _numbers(raw: np.ndarray):
     """(values, units, skeleton) of a CLI output: each number of a text file
     with one unit in its last printed place and the text around the numbers,
-    or each byte of a binary file with a unit of 1 and no skeleton."""
+    or each byte of a binary file with a unit of 1 and no skeleton. The
+    "exit" line heading a run's stdout stays whole in the skeleton, so its
+    exit code and file list must match exactly."""
     try:
         text = raw.tobytes().decode("ascii")
     except UnicodeDecodeError:
         return raw.astype(float), np.ones(raw.size), None
+    head, text = text.partition("\n")[::2] if text.startswith("exit ") else ("", text)
     found = list(NUMBER.finditer(text))
     values = np.array([float(m.group()) for m in found])
     units = np.array([10.0 ** (int(m.group(3) or 0) - len(m.group(2) or "")) for m in found])
-    return values, units, NUMBER.sub("#", text)
+    return values, units, head + "\n" + NUMBER.sub("#", text)
 
 
 def _difference(cls: str, a: np.ndarray, b: np.ndarray) -> tuple[float, bool]:
@@ -245,7 +288,7 @@ def _difference(cls: str, a: np.ndarray, b: np.ndarray) -> tuple[float, bool]:
 def compare(a_dir: Path, b_dir: Path) -> int:
     a = json.loads((a_dir / "manifest.json").read_text())["artifacts"]
     b = json.loads((b_dir / "manifest.json").read_text())["artifacts"]
-    failed = 0
+    failed, gaps = 0, dict.fromkeys(BOUNDS, 0.0)
     for name in sorted(set(b) - set(a)):
         print(f"{name}: only in B")
         failed += 1
@@ -253,19 +296,25 @@ def compare(a_dir: Path, b_dir: Path) -> int:
         other = b.get(name)
         if other is None:
             verdict, ok = "only in A", False
+        elif other["sha256"] == meta["sha256"]:
+            verdict, ok = "bitwise", True
+        elif meta["class"] == "message":
+            verdict, ok = "changed (a message, listed only)", True
+            gaps["message"] += 1
         elif (other["shape"], other["dtype"]) != (meta["shape"], meta["dtype"]):
             was, now = (f"{m['dtype']}{tuple(m['shape'])}" for m in (meta, other))
             verdict, ok = f"{was} became {now}", False
-        elif other["sha256"] == meta["sha256"]:
-            verdict, ok = "bitwise", True
         else:
             arrays = np.load(a_dir / meta["file"]), np.load(b_dir / other["file"])
             gap, ok = _difference(meta["class"], *arrays)
+            gaps[meta["class"]] = max(gaps[meta["class"]], gap)
             verdict = f"{gap:.3g} of peak"
             if not ok:
                 verdict += f", past the {meta['class']} bound ({BOUNDS[meta['class']]})"
         print(f"{name}: {verdict}")
         failed += not ok
+    shown = [f"{cls} {gap:.3g}" for cls, gap in gaps.items() if cls != "message"]
+    print(f"largest gap per class: {', '.join(shown)}; {gaps['message']:g} messages changed")
     same = sum(b.get(name, {}).get("sha256") == meta["sha256"] for name, meta in a.items())
     print(f"{len(a)} artifacts in A, {same} bitwise, {failed} past their bound or unmatched")
     return 1 if failed else 0

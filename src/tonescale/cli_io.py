@@ -16,13 +16,15 @@ any option of the subcommand by its destination name; explicit flags
 override the file, which overrides the table defaults, and any other key
 is an error.
 
-Exit codes: 0 success, 2 bad arguments, 1 runtime failure. Identical
-inputs and settings produce byte-identical CSV/PGM/JSON outputs.
+Exit codes: 0 success, 2 bad arguments, 1 runtime failure; a command builds
+the library objects it needs before it reads the WAV, and a refused one exits
+2 naming its flags. Identical inputs and settings give byte-identical outputs.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import struct
@@ -34,6 +36,7 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from tonescale.features import (
+    TEMPORAL_FAMILY,
     band_response,
     detect_offsets,
     detect_onsets,
@@ -332,17 +335,17 @@ OPTIONS: dict[str, tuple] = {
     "dnu": (float, None, "frequency spacing in semitones for --rf (default: sigma-nu/25)"),
 }
 METAVARS = {"glissando_bank": "V1,V2,..."}
-# Numbers refused unless finite and, as named, positive or non-negative;
-# None stands for a derived default and is not checked. A (command, option)
-# key overrides the option's rule for that command: the features may leave
-# the channel axis unsmoothed, but a kernel image needs a spectral extent.
-# A threshold may have either sign, but a NaN one admits nothing.
-EXTENTS = dict.fromkeys(
-    ("n", "hop_ms", "tau_a_ms", "tau_i_ms", "tau", "dt", "t_span", "nu_span", "dnu"), "positive"
-)
-EXTENTS.update(dict.fromkeys(("sigma_nu", "sigma_nu_i", "tau0_ms"), "non-negative"))
-EXTENTS[("kernels", "sigma_nu")] = "positive"
-EXTENTS["c_min"] = "finite"
+# The CLI's own rules; the library object a command builds refuses every
+# other value. EXTENTS bounds what the CLI converts (hop and spacing
+# positive; extents it squares non-negative, as a variance loses their sign)
+# and its thresholds (finite: a NaN admits nothing). None is a derived
+# default; a (command, option) key overrides a rule: a kernel image needs a
+# spectral extent. Commands add output, selector and dB-range rules, and two
+# the library makes only after layer 1: integration scales at least the
+# derivative scales, and delay compensation of causal families only.
+EXTENTS = dict.fromkeys(("hop_ms", "dt", ("kernels", "sigma_nu")), "positive")
+EXTENTS.update(dict.fromkeys(("tau_a_ms", "tau_i_ms", "tau0_ms", "sigma_nu"), "non-negative"))
+EXTENTS.update(sigma_nu_i="non-negative", c_min="finite", min_level_db="finite")
 EXTENT_RULES = {
     "positive": lambda value: 0 < value < math.inf,
     "non-negative": lambda value: 0 <= value < math.inf,
@@ -463,45 +466,40 @@ def _parse_bank(raw) -> list[float] | None:
         raise CliError(2, f"bad glissando bank value in {raw!r}") from exc
     if not vals:
         raise CliError(2, "glissando bank must not be empty")
-    if not all(map(math.isfinite, vals)):
-        raise CliError(2, f"--glissando-bank members must be finite, got {raw!r}")
     return vals
 
 
-def _family(cfg: dict) -> SpectrogramFamily:
-    """The configured window family; a bad ``--K`` or ``--c`` is a bad argument."""
+@contextlib.contextmanager
+def _refused_as(*keys: str):
+    """Exit 2, the flags of ``keys`` ahead of the library's text, on a refusal."""
     try:
-        return SpectrogramFamily(kind=cfg["family"], K=cfg["K"], c=cfg["c"])
+        yield
     except ValueError as exc:
-        raise CliError(2, str(exc)) from exc
+        flags = ", ".join("--" + key.replace("_", "-") for key in keys)
+        raise CliError(2, f"{flags}: {exc}") from exc
 
 
 def _layer1(cfg: dict, wav: str):
-    """Shared first-layer pipeline: WAV, grid, family, spectrogram, compensation.
+    """Shared first-layer pipeline: family, law and grid, then WAV, spectrogram, compensation.
 
-    Delay compensation of a non-causal family, a bin count below 1 and a
-    channel range that is empty or not finite are refused before the WAV is
-    read, so a bad option costs no layer-1 work. Without a configured
-    ``nu_max`` the grid stops at 16 kHz, or one bin below the input's
-    Nyquist frequency if that is lower: the grid rounds its channel count
-    up, so its top channel then stays below Nyquist. A ``--hop-ms`` that
-    rounds to no whole sample at the input rate is refused.
+    What does not need the input's rate is built before the WAV is read. The
+    grid stops at ``nu_max``, or else at 16 kHz, lowered after the read to one
+    bin below the input's Nyquist frequency if that is lower; a ``--hop-ms``
+    that rounds to no whole sample at the input rate is refused.
     """
-    family = _family(cfg)
+    with _refused_as("family", "K", "c"):
+        family = SpectrogramFamily(kind=cfg["family"], K=cfg["K"], c=cfg["c"])
     if cfg["compensate_delay"] and not family.causal:
         raise CliError(2, "delay compensation applies to causal families only")
-    bins, nu_min, nu_max = cfg["bins_per_octave"], cfg["nu_min"], cfg["nu_max"]
-    if bins < 1:
-        raise CliError(2, f"--bins-per-octave must be at least 1, got {bins}")
-    if not math.isfinite(nu_min):
-        raise CliError(2, f"--nu-min must be finite, got {nu_min}")
-    if nu_max is not None and not nu_min < nu_max < math.inf:
-        raise CliError(2, f"--nu-max must be finite and above --nu-min ({nu_min}), got {nu_max}")
+    with _refused_as("n", "tau0_ms"):
+        law = WindowScaleLaw(n=cfg["n"], tau0=(cfg["tau0_ms"] / 1000.0) ** 2)
+    nu_min, nu_max, bins = cfg["nu_min"], cfg["nu_max"], cfg["bins_per_octave"]
+    with _refused_as("nu_min", "nu_max", "bins_per_octave"):
+        grid = build_frequency_grid(nu_min, NU_MAX_DEFAULT if nu_max is None else nu_max, bins, law)
     buf = read_wav(wav)
-    law = WindowScaleLaw(n=cfg["n"], tau0=(cfg["tau0_ms"] / 1000.0) ** 2)
-    if nu_max is None:
-        nu_max = min(NU_MAX_DEFAULT, midi_from_frequency(buf.rate / 2.0) - 12.0 / bins)
-    grid = build_frequency_grid(nu_min, nu_max, bins, law)
+    top = midi_from_frequency(buf.rate / 2.0) - 12.0 / bins
+    if nu_max is None and top < NU_MAX_DEFAULT:
+        grid = build_frequency_grid(nu_min, top, bins, law)
     hop = round(buf.rate * cfg["hop_ms"] / 1000.0)
     if hop < 1:
         raise CliError(
@@ -588,21 +586,25 @@ def cmd_features(cfg: dict, wav: str) -> int:
     elif cfg["out_json"] is None:
         raise CliError(2, "no output requested (--partials writes --out-json)")
 
-    # The feature functions' own scale checks, made before any layer-1 work.
-    tau_a = (cfg["tau_a_ms"] / 1000.0) ** 2
-    s = cfg["sigma_nu"] ** 2
-    tau_i = (cfg["tau_i_ms"] / 1000.0) ** 2
-    s_i = cfg["sigma_nu_i"] ** 2
-    if sel in ("bands", "partials", "glissando_bank") and s <= 0:
-        raise CliError(2, f"--{sel.replace('_', '-')} needs a positive --sigma-nu")
+    tau_a, s = (cfg["tau_a_ms"] / 1000.0) ** 2, cfg["sigma_nu"] ** 2
+    tau_i, s_i = (cfg["tau_i_ms"] / 1000.0) ** 2, cfg["sigma_nu_i"] ** 2
     if sel == "second_moment" and not (tau_i >= tau_a and s_i >= s):
         raise CliError(
             2, "--second-moment needs --tau-i-ms >= --tau-a-ms and --sigma-nu-i >= --sigma-nu"
         )
+    # The bank's window is zero-phase: causal smoothing displaces a moving
+    # ridge and biases the per-cell argmax toward the fastest bank member.
+    window = TemporalKernelSpec.gaussian if bank is not None else TEMPORAL_FAMILY.temporal
+    with _refused_as("tau_a_ms"):
+        temporal = window(tau_a)
+    if sel in ("bands", "partials", "glissando_bank"):
+        with _refused_as("sigma_nu", *(["glissando_bank"] if bank is not None else [])):
+            for v in bank or [0.0]:
+                RFSpec(temporal, s, v, beta=2)
     log = to_db(_layer1(cfg, wav))
 
     if sel == "partials":
-        band = band_response(log, tau_a, s)
+        band = band_response(log, tau_a, s, temporal)
         curves = extract_partial_curves(band, c_min=cfg["c_min"])
         floor = cfg["min_level_db"]
         scored = [(curve, _curve_median_level(log, curve)) for curve in curves]
@@ -628,19 +630,15 @@ def cmd_features(cfg: dict, wav: str) -> int:
 
     if sel in ("onsets", "offsets", "bands"):
         detect = {"onsets": detect_onsets, "offsets": detect_offsets, "bands": enhance_bands}[sel]
-        fm = detect(log, tau_a, s)
+        fm = detect(log, tau_a, s, temporal)
         values, times, grid = fm.values, fm.frame_times, fm.grid
     elif sel == "glissando_bank":
-        # zero-phase window: causal smoothing displaces a moving ridge and
-        # biases the per-cell argmax toward the fastest bank member
-        est = glissando_filterbank(
-            log, bank, tau_a, s, temporal=TemporalKernelSpec.gaussian(tau_a)
-        )
+        est = glissando_filterbank(log, bank, tau_a, s, temporal)
         mask = ridge_mask(est.response, est.warmup_frames, cfg["c_min"])
         values = np.where(mask, est.vhat, 0.0)
         times, grid = est.frame_times, est.grid
     else:  # second_moment
-        field = second_moment_glissando(log, tau_a, s, tau_i, s_i)
+        field = second_moment_glissando(log, tau_a, s, tau_i, s_i, temporal)
         values = np.where(field.defined, field.vhat, 0.0)
         times, grid = field.frame_times, field.grid
 
@@ -683,8 +681,10 @@ def cmd_analyze(cfg: dict, wav: str | None) -> int:
         raise CliError(2, "--out-csv needs --table to pick a single table")
     if choice is not None and int(choice) not in (1, 2, 3):
         raise CliError(2, f"no table {choice}; choose 1, 2, or 3")
+    with _refused_as("n"):  # built whichever tables print, so a bad --n is always refused
+        table1 = bandwidth_constant_table(n)
     builders = {
-        1: (f"Table 1: bandwidth constants C (n={n:g})", lambda: bandwidth_constant_table(n)),
+        1: (f"Table 1: bandwidth constants C (n={n:g})", lambda: table1),
         2: ("Table 2: mean delay in units of sqrt(tau)", delay_mean_table),
         3: ("Table 3: kernel maximum position in units of sqrt(tau)", delay_max_table),
     }
@@ -702,33 +702,32 @@ def cmd_analyze(cfg: dict, wav: str | None) -> int:
 
 def cmd_kernels(cfg: dict, wav: str | None) -> int:
     _require_output(cfg)
+    if cfg["out_pgm"] is not None and not cfg["rf"]:
+        raise CliError(2, "PGM output applies to --rf kernel grids; impulse responses are CSV")
+    with _refused_as("family", "K", "c"):
+        family = SpectrogramFamily(kind=cfg["family"], K=cfg["K"], c=cfg["c"])
 
     if cfg["rf"]:
         sigma_nu = cfg["sigma_nu"]
-        temporal = _family(cfg).temporal((cfg["tau_a_ms"] / 1000.0) ** 2)
-        try:  # a field RFSpec refuses (a derivative order, a slope) is a bad argument
+        with _refused_as("tau_a_ms"):
+            temporal = family.temporal((cfg["tau_a_ms"] / 1000.0) ** 2)
+        with _refused_as("alpha", "beta", "v"):
             spec = RFSpec(temporal, sigma_nu**2, cfg["v"], cfg["alpha"], cfg["beta"])
-        except ValueError as exc:
-            raise CliError(2, str(exc)) from exc
         sigma_t = math.sqrt(temporal.tau)
-        if cfg["t_span"] is not None:
-            t_span = cfg["t_span"]
-        else:
-            delay = temporal.ladder.mu_sum if temporal.family.causal else 0.0
-            t_span = delay + 4.0 * sigma_t
+        delay = temporal.ladder.mu_sum if family.causal else 0.0
+        t_span = cfg["t_span"] if cfg["t_span"] is not None else delay + 4.0 * sigma_t
         nu_span = cfg["nu_span"] if cfg["nu_span"] is not None else 4.0 * sigma_nu
         dt = cfg["dt"] if cfg["dt"] is not None else sigma_t / 50.0
         dnu = cfg["dnu"] if cfg["dnu"] is not None else sigma_nu / 25.0
-        img = rf_kernel_image(spec, t_span, nu_span, dt, dnu)
+        with _refused_as("t_span", "nu_span", "dt", "dnu"):
+            img = rf_kernel_image(spec, t_span, nu_span, dt, dnu)
         pgm = lambda: (img.values, *_symmetric_range(img.values))  # noqa: E731
         _write_grid(cfg, img.nu, img.t, img.values, pgm)
         return 0
 
-    if cfg["out_pgm"] is not None:
-        raise CliError(2, "PGM output applies to --rf kernel grids; impulse responses are CSV")
     tau = cfg["tau"]
-    family = _family(cfg)
-    temporal = family.temporal(tau)
+    with _refused_as("tau"):
+        temporal = family.temporal(tau)
     dt = cfg["dt"] if cfg["dt"] is not None else math.sqrt(tau) / 2000.0
     if family.causal:
         t = np.arange(0.0, temporal.ladder.support, dt)

@@ -32,13 +32,17 @@ from tonescale.spectrogram import FrequencyGrid, TFMap
 from tonescale.temporal_scale_space import SpectrogramFamily, TemporalKernelSpec
 
 
+# The temporal family of a feature given no kernel: the four-stage uniform cascade.
+TEMPORAL_FAMILY = SpectrogramFamily("rec-uni", K=4)
+
+
 def _temporal_at(
     tau: float, temporal: TemporalKernelSpec | None, name: str = "tau_a"
 ) -> TemporalKernelSpec:
-    """``temporal`` (by default the four-stage uniform cascade) at scale tau;
-    a kernel at another variance would silently override tau, so it is refused."""
+    """``temporal`` (by default ``TEMPORAL_FAMILY``) at scale tau; a kernel
+    at another variance would silently override tau, so it is refused."""
     if temporal is None:
-        return SpectrogramFamily("rec-uni", K=4).temporal(tau)
+        return TEMPORAL_FAMILY.temporal(tau)
     if temporal.tau != tau:
         raise ValueError(f"temporal kernel has tau = {temporal.tau:g} but {name} = {tau:g}")
     return temporal
@@ -89,8 +93,6 @@ def band_response(
     v: float = 0.0,
 ) -> TFMap:
     """Unrectified band strength -D_nunu = -s d_nunu of the smoothed dB map."""
-    if s <= 0:
-        raise ValueError(f"band enhancement needs s > 0, got {s}")
     temporal = _temporal_at(tau_a, temporal)
     spec = RFSpec(temporal=temporal, s=s, v=v, alpha=0, beta=2, normalized=True)
     resp = apply_rf(S, spec)

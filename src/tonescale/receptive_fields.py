@@ -75,6 +75,8 @@ class RFSpec:
             raise ValueError(
                 f"derivative orders alpha and beta must lie in 0..2 as whole numbers, got {orders}"
             )
+        if self.normalized and self.beta >= 1 and self.s == 0:  # s^{beta/2} would zero it
+            raise ValueError(f"a normalized spectral derivative needs s > 0, got s = {self.s}")
         if self.temporal.family.causal and self.alpha >= self.temporal.family.K:
             raise ValueError(
                 f"temporal derivative order {self.alpha} needs more than "
@@ -338,8 +340,9 @@ def rf_kernel_image(
     The temporal factor and its derivatives come from ``temporal_profiles``.
     Spans are in seconds and semitones.
     """
-    if t_span <= 0 or nu_span <= 0 or dt <= 0 or dnu <= 0:
-        raise ValueError("spans and spacings must be positive")
+    for name, value in (("t_span", t_span), ("nu_span", nu_span), ("dt", dt), ("dnu", dnu)):
+        if not 0 < value < math.inf:
+            raise ValueError(f"{name} must be positive and finite, got {value}")
     if spec.s <= 0:
         raise ValueError("kernel rendering needs a positive spectral scale s")
     start = 0.0 if spec.temporal.family.causal else -t_span

@@ -122,23 +122,26 @@ def build_frequency_grid(
     if not (math.isfinite(nu_min) and math.isfinite(nu_max)):
         raise ValueError(f"nu_min and nu_max must be finite, got {nu_min} and {nu_max}")
     if nu_min >= nu_max:
-        raise ValueError("nu_min must be below nu_max")
+        raise ValueError(f"nu_min must be below nu_max, got {nu_min} and {nu_max}")
     if bins_per_octave < 1:
-        raise ValueError("bins_per_octave must be >= 1")
+        raise ValueError(f"bins_per_octave must be at least 1, got {bins_per_octave}")
     if law is None:
         law = WindowScaleLaw()
     step = 12.0 / bins_per_octave
-    count = int(math.ceil((nu_max - nu_min) / step)) + 1
-    nu = nu_min + step * np.arange(count)
+    steps = np.ceil((nu_max - nu_min) / step)
+    # tau falls as omega rises, under the soft bound too: the end channels bound the rest
+    for end in (nu_min, nu_min + step * steps):
+        with np.errstate(over="ignore"):
+            omega = OMEGA_REF * np.exp2((end - NU_REF) / 12.0)
+            tau = window_scale(omega, law)
+        if not (omega < math.inf and 0 < tau < math.inf):
+            raise ValueError(
+                f"the window law gives a variance of {tau} s^2 at nu={end:.2f} "
+                f"(omega = {omega:.6g} rad/s); both must be positive and finite"
+            )
+    nu = nu_min + step * np.arange(int(steps) + 1)
     omega = OMEGA_REF * 2.0 ** ((nu - NU_REF) / 12.0)
-    with np.errstate(over="ignore"):
-        tau = np.array([window_scale(w, law) for w in omega])
-    bad = ~(np.isfinite(tau) & (tau > 0))
-    if bad.any():
-        raise ValueError(
-            f"the window law gives a variance of {float(tau[bad][0])} s^2 at "
-            f"nu={nu[bad][0]:.2f}; it must be positive and finite"
-        )
+    tau = np.array([window_scale(w, law) for w in omega])
     return FrequencyGrid(
         nu=nu,
         omega=omega,

@@ -402,33 +402,107 @@ def test_cli_analyze_rejects_unknown_table(capsys):
     assert "--out-csv needs --table" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("n", ["nan", "inf", "0", "-8"])
-def test_cli_analyze_refuses_a_bad_window_length_before_any_table(n, capsys):
-    assert cli_main(["analyze", "--n", n]) == 2
+POSITIVE, NON_NEGATIVE = "must be positive and finite", "must be non-negative and finite"
+
+
+def _extent_rows(key: str) -> list:
+    """A non-finite kernels extent, by flag and from the config file."""
+    flag, rf = "--" + key.replace("_", "-"), ["--rf"] if key in ("t_span", "nu_span", "dnu") else []
+    return [
+        (["kernels", *rf, *source], flag, f"{key} {POSITIVE}, got {value}")
+        for value in ("nan", "inf")
+        for source in ([flag, value], [{key: float(value)}])
+    ]
+
+
+# Every bad argument the CLI refuses before it reads the WAV or writes a
+# file: (argv, flag named in the message, library or CLI text). A dict in
+# argv is written as a config file and passed with --config.
+REFUSALS = [
+    *[(["analyze", "--n", n], "--n:", "n " + POSITIVE) for n in ("nan", "inf", "0", "-8")],
+    *[(["kernels", "--c", c], "--c:", "ratio c > 1") for c in ("nan", "inf", "1", "0.5")],
+    *[([cmd, "--K", "0"], "--K", "stage count K >= 1") for cmd in ("kernels", "spectrogram")],
+    (["spectrogram", "--hop-ms", "0"], "--hop-ms", POSITIVE + ", got 0.0"),
+    (["spectrogram", "--hop-ms", "-5"], "--hop-ms", POSITIVE + ", got -5.0"),
+    (["spectrogram", "--hop-ms", "nan"], "--hop-ms", POSITIVE + ", got nan"),
+    (["spectrogram", {"hop_ms": 0}], "--hop-ms", POSITIVE + ", got 0.0"),
+    (["spectrogram", "--tau0-ms", "-1"], "--tau0-ms", NON_NEGATIVE),
+    (["features", "--onsets", "--tau-a-ms", "-20"], "--tau-a-ms", NON_NEGATIVE),
+    (["features", "--onsets", "--tau-a-ms", "inf"], "--tau-a-ms", NON_NEGATIVE),
+    (["features", "--onsets", "--tau-a-ms", "0"], "--tau-a-ms:", "tau " + POSITIVE),
+    (["features", "--onsets", "--sigma-nu", "-0.5"], "--sigma-nu", NON_NEGATIVE),
+    (["features", "--onsets", "--sigma-nu", "inf"], "--sigma-nu", NON_NEGATIVE),
+    (["features", "--second-moment", "--tau-i-ms", "-60"], "--tau-i-ms", NON_NEGATIVE),
+    (["features", "--second-moment", "--sigma-nu-i", "nan"], "--sigma-nu-i", NON_NEGATIVE),
+    (["features", "--glissando-bank", "nan,0"], "--glissando-bank:", "v must be finite, got nan"),
+    (["features", "--glissando-bank", "0,inf"], "--glissando-bank:", "v must be finite, got inf"),
+    (["spectrogram", "--n", "nan"], "--n,", "n must be finite, got nan"),
+    (["features", "--onsets", "--n", "0"], "--n,", "n must be positive, got 0.0"),
+    (["features", "--partials", "--c-min", "nan"], "--c-min", "must be finite, got nan"),
+    (["features", "--glissando-bank=-12,0,12", "--c-min=-inf"], "--c-min", "must be finite"),
+    (["features", "--partials", "--min-level-db", "nan"], "--min-level-db", "finite, got nan"),
+    *[
+        (["features", sel, "--sigma-nu", "0"], "--sigma-nu", "spectral derivative needs s > 0")
+        for sel in ("--bands", "--partials", "--glissando-bank=-12,0,12")
+    ],
+    (["features", "--second-moment", "--tau-i-ms", "10"], "--tau-i-ms >= --tau-a-ms", ""),
+    (["features", "--second-moment", "--sigma-nu", "2"], "--sigma-nu-i >= --sigma-nu", ""),
+    (["spectrogram", "--db-min", "0", "--db-max", "-60"], "--db-min (0.0) must be below", ""),
+    (["spectrogram", "--db-min", "nan"], "--db-min (nan) must be below", ""),
+    (["spectrogram", "--nu-min", "90", "--nu-max", "80"], "--nu-max", "nu_min must be below"),
+    (["features", "--onsets", "--nu-min", "nan"], "--nu-min", "must be finite, got nan"),
+    (["spectrogram", "--bins-per-octave", "0"], "--bins-per-octave:", "at least 1, got 0"),
+    (["spectrogram", "--nu-max", "1e6"], "--nu-max", "window law gives a variance of 0.0"),
+    (["kernels", "--rf", "--alpha", "2", "--K", "2"], "--alpha", "order 2 needs more than 2"),
+    (["kernels", "--rf", "--alpha", "3"], "--alpha", "alpha and beta must lie in 0..2"),
+    (["kernels", "--rf", "--v", "nan"], "--v:", "glissando slope v must be finite"),
+    (["kernels", "--rf", "--tau-a-ms", "0"], "--tau-a-ms:", "tau " + POSITIVE),
+    *[
+        (["kernels", "--family", family, "--dt", dt], "--dt", POSITIVE)
+        for family in ("gauss", "rec-uni", "rec-log")
+        for dt in ("0", "-0.001", "nan", "inf")
+    ],
+    *[
+        (["kernels", *rf, *source], "--sigma-nu", POSITIVE + ", got 0.0")
+        for rf in ([], ["--rf"])
+        for source in (["--sigma-nu", "0"], [{"sigma_nu": 0.0}])
+    ],
+    *[row for key in ("tau", "dt", "t_span", "nu_span", "dnu") for row in _extent_rows(key)],
+]
+
+
+@pytest.mark.parametrize(
+    "argv, flag, text",
+    REFUSALS,
+    ids=[" ".join(map(str, argv)).replace("--", "") for argv, _, _ in REFUSALS],
+)
+def test_cli_refuses_a_bad_argument_before_any_work(
+    argv, flag, text, tone_wav, tmp_path, capsys, monkeypatch
+):
+    """Exit 2, the flag and the reason in the message, no traceback, no
+    output, and no WAV read: a bad option costs no input or layer-1 work."""
+
+    def unexpected(*args, **kwargs):
+        raise AssertionError("the WAV was read before the option check")
+
+    monkeypatch.setattr(cli_io, "read_wav", unexpected)
+    outs = [tmp_path / name for name in ("o.csv", "o.pgm", "o.json")]
+    command, *rest = argv
+    files = ["--out-csv", str(outs[0])]
+    if command != "kernels" or "--rf" in rest:
+        files += ["--out-pgm", str(outs[1])]
+    if "--partials" in rest:
+        files += ["--out-json", str(outs[2])]
+    if isinstance(rest[-1], dict):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps(rest[-1]))
+        rest[-1:] = ["--config", str(config)]
+    wav = [str(tone_wav)] if cli_io.COMMANDS[command].takes_wav else []
+    assert cli_main([command, *wav, *rest, *([] if command == "analyze" else files)]) == 2
     out, err = capsys.readouterr()
-    assert out == ""
-    assert err.startswith("error: --n must be positive and finite")
-
-
-@pytest.mark.parametrize("c", ["nan", "inf", "1", "0.5"])
-def test_cli_kernels_refuses_a_bad_ratio_before_writing(c, tmp_path, capsys):
-    out = tmp_path / "k.csv"
-    assert cli_main(["kernels", "--c", c, "--out-csv", str(out)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and "ratio c > 1" in err
-    assert not out.exists()
-
-
-@pytest.mark.parametrize("command", ["kernels", "spectrogram"])
-def test_cli_refuses_a_bad_stage_count_as_a_bad_argument(command, tmp_path, capsys):
-    """--K 0 exits 2, as every bad argument does, before any WAV is read:
-    the missing WAV would exit 1."""
-    out = tmp_path / "k.csv"
-    wav = [str(tmp_path / "missing.wav")] if command == "spectrogram" else []
-    assert cli_main([command, *wav, "--K", "0", "--out-csv", str(out)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and "stage count K >= 1" in err
-    assert not out.exists()
+    assert out == "" and err.startswith("error: ") and "Traceback" not in err
+    assert flag in err and text in err
+    assert not any(path.exists() for path in outs)
 
 
 def test_cli_requires_an_output(tone_wav, capsys):
@@ -539,137 +613,6 @@ def test_cli_refuses_delays_of_a_ratio_too_close_to_1(tmp_path, capsys):
     assert cli_main(argv + ["--out-csv", str(out)]) == 0
     assert capsys.readouterr().err == ""
     assert out.exists()
-
-
-@pytest.mark.parametrize(
-    "argv, flag",
-    [
-        (["spectrogram", "--hop-ms", "0"], "--hop-ms"),
-        (["spectrogram", "--hop-ms", "-5"], "--hop-ms"),
-        (["spectrogram", "--hop-ms", "nan"], "--hop-ms"),
-        (["spectrogram", "--tau0-ms", "-1"], "--tau0-ms"),
-        (["features", "--onsets", "--tau-a-ms", "-20"], "--tau-a-ms"),
-        (["features", "--onsets", "--tau-a-ms", "inf"], "--tau-a-ms"),
-        (["features", "--onsets", "--sigma-nu", "-0.5"], "--sigma-nu must"),
-        (["features", "--onsets", "--sigma-nu", "inf"], "--sigma-nu must"),
-        (["features", "--second-moment", "--tau-i-ms", "-60"], "--tau-i-ms"),
-        (["features", "--second-moment", "--sigma-nu-i", "nan"], "--sigma-nu-i"),
-        (["features", "--glissando-bank", "nan,0"], "--glissando-bank"),
-        (["features", "--glissando-bank", "0,inf"], "--glissando-bank"),
-        (["spectrogram", "--n", "nan"], "--n must"),
-        (["features", "--onsets", "--n", "0"], "--n must"),
-        (["features", "--partials", "--c-min", "nan"], "--c-min must be finite, got nan"),
-        (["features", "--glissando-bank=-12,0,12", "--c-min=-inf"], "--c-min must be finite"),
-    ],
-    ids=[
-        "hop-zero",
-        "hop-negative",
-        "hop-nan",
-        "tau0-negative",
-        "tau-a-negative",
-        "tau-a-inf",
-        "sigma-nu-negative",
-        "sigma-nu-inf",
-        "tau-i-negative",
-        "sigma-nu-i-nan",
-        "bank-nan",
-        "bank-inf",
-        "n-nan",
-        "n-zero",
-        "partials-c-min-nan",
-        "bank-c-min-inf",
-    ],
-)
-def test_cli_refuses_bad_extents_before_reading_the_wav(
-    argv, flag, tone_wav, tmp_path, capsys, monkeypatch
-):
-    def unexpected(*args, **kwargs):
-        raise AssertionError("the WAV was read before the option check")
-
-    monkeypatch.setattr(cli_io, "read_wav", unexpected)
-    out = tmp_path / "o.csv"
-    assert cli_main([argv[0], str(tone_wav), *argv[1:], "--out-csv", str(out)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and flag in err
-    assert not out.exists()
-
-
-@pytest.mark.parametrize(
-    "argv, flag",
-    [
-        (["features", "--bands", "--sigma-nu", "0"], "--bands needs a positive --sigma-nu"),
-        (["features", "--partials", "--sigma-nu", "0"], "--partials needs a positive --sigma-nu"),
-        (
-            ["features", "--glissando-bank=-12,0,12", "--sigma-nu", "0"],
-            "--glissando-bank needs a positive --sigma-nu",
-        ),
-        (["features", "--second-moment", "--tau-i-ms", "10"], "--tau-i-ms >= --tau-a-ms"),
-        (["features", "--second-moment", "--sigma-nu", "2"], "--sigma-nu-i >= --sigma-nu"),
-        (["spectrogram", "--db-min", "0", "--db-max", "-60"], "--db-min (0.0) must be below"),
-        (["spectrogram", "--db-min", "nan"], "--db-min (nan) must be below"),
-        (["spectrogram", "--nu-min", "90", "--nu-max", "80"], "--nu-max must be finite and above"),
-        (["features", "--onsets", "--nu-min", "nan"], "--nu-min must be finite"),
-        (["spectrogram", "--bins-per-octave", "0"], "--bins-per-octave must be at least 1"),
-    ],
-    ids=[
-        "bands-sigma-nu-zero",
-        "partials-sigma-nu-zero",
-        "bank-sigma-nu-zero",
-        "second-moment-tau-i-below-tau-a",
-        "second-moment-sigma-nu-i-below-sigma-nu",
-        "db-range-reversed",
-        "db-min-nan",
-        "nu-range-reversed",
-        "nu-min-nan",
-        "bins-zero",
-    ],
-)
-def test_cli_refuses_bad_scales_and_ranges_before_reading_the_wav(
-    argv, flag, tone_wav, tmp_path, capsys, monkeypatch
-):
-    """Each of these failed with exit 1, after the WAV was read (and for the
-    feature scales after layer 1 had run; a reversed dB range after the CSV
-    was written); they are bad arguments, so they exit 2 before any work."""
-
-    def unexpected(*args, **kwargs):
-        raise AssertionError("the WAV was read before the option check")
-
-    monkeypatch.setattr(cli_io, "read_wav", unexpected)
-    outs = [tmp_path / name for name in ("o.csv", "o.pgm", "o.json")]
-    files = ["--out-json", str(outs[2])] if "--partials" in argv else []
-    files += ["--out-csv", str(outs[0]), "--out-pgm", str(outs[1])]
-    assert cli_main([argv[0], str(tone_wav), *argv[1:], *files]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and flag in err
-    assert not any(out.exists() for out in outs)
-
-
-@pytest.mark.parametrize(
-    "argv, message",
-    [
-        (["--alpha", "2", "--K", "2"], "temporal derivative order 2 needs more than 2"),
-        (["--alpha", "3"], "alpha and beta must lie in 0..2"),
-        (["--v", "nan"], "glissando slope v must be finite"),
-    ],
-    ids=["alpha-2-of-2-stages", "alpha-3", "v-nan"],
-)
-def test_cli_kernels_refuses_a_receptive_field_it_cannot_build(argv, message, tmp_path, capsys):
-    """RFSpec's refusals are bad arguments: exit 2, no file (they exited 1)."""
-    out = tmp_path / "k.csv"
-    assert cli_main(["kernels", "--rf", *argv, "--out-csv", str(out)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and message in err and "Traceback" not in err
-    assert not out.exists()
-
-
-def test_cli_refuses_a_bad_extent_from_the_config_file(tone_wav, tmp_path, capsys):
-    config = tmp_path / "cfg.json"
-    config.write_text(json.dumps({"hop_ms": 0}))
-    out = tmp_path / "o.csv"
-    argv = ["spectrogram", str(tone_wav), "--config", str(config), "--out-csv", str(out)]
-    assert cli_main(argv) == 2
-    assert "error: --hop-ms must be positive and finite, got 0.0" in capsys.readouterr().err
-    assert not out.exists()
 
 
 def test_cli_config_precedence(tone_wav, tmp_path, capsys):
@@ -785,33 +728,6 @@ def test_cli_spectrogram_is_deterministic(tone_wav, tmp_path, capsys):
     capsys.readouterr()
 
 
-@pytest.mark.parametrize("family", ["gauss", "rec-uni", "rec-log"])
-@pytest.mark.parametrize("dt", ["0", "-0.001", "nan", "inf"])
-def test_cli_kernels_rejects_a_non_positive_dt(family, dt, tmp_path, capsys):
-    out = tmp_path / "k.csv"
-    assert cli_main(["kernels", "--family", family, "--dt", dt, "--out-csv", str(out)]) == 2
-    assert "error: --dt must be positive and finite" in capsys.readouterr().err
-    assert not out.exists()
-
-
-@pytest.mark.parametrize("source", ["flag", "config"])
-@pytest.mark.parametrize("rf", [True, False])
-def test_cli_kernels_needs_a_positive_sigma_nu(rf, source, tmp_path, capsys):
-    """One rule through EXTENTS: the kernel image needs a spectral extent,
-    while the features accept 0 (no spectral smoothing)."""
-    out = tmp_path / "k.csv"
-    argv = ["kernels", "--out-csv", str(out)] + (["--rf"] if rf else [])
-    if source == "flag":
-        argv += ["--sigma-nu", "0"]
-    else:
-        config = tmp_path / "cfg.json"
-        config.write_text(json.dumps({"sigma_nu": 0.0}))
-        argv += ["--config", str(config)]
-    assert cli_main(argv) == 2
-    assert "error: --sigma-nu must be positive and finite, got 0.0" in capsys.readouterr().err
-    assert not out.exists()
-
-
 @pytest.mark.parametrize("source", ["flag", "config"])
 def test_cli_features_accept_a_sigma_nu_of_0(source, tone_wav, tmp_path):
     out = tmp_path / "o.csv"
@@ -824,26 +740,6 @@ def test_cli_features_accept_a_sigma_nu_of_0(source, tone_wav, tmp_path):
         argv += ["--config", str(config)]
     assert cli_main(argv) == 0
     assert out.exists()
-
-
-@pytest.mark.parametrize("source", ["flag", "config"])
-@pytest.mark.parametrize("value", ["nan", "inf"])
-@pytest.mark.parametrize("key", ["tau", "dt", "t_span", "nu_span", "dnu"])
-def test_cli_kernels_rejects_a_non_finite_extent(key, value, source, tmp_path, capsys):
-    out = tmp_path / "k.csv"
-    flag = "--" + key.replace("_", "-")
-    argv = ["kernels", "--out-csv", str(out)]
-    if key in ("t_span", "nu_span", "dnu"):
-        argv.append("--rf")
-    if source == "flag":
-        argv += [flag, value]
-    else:
-        config = tmp_path / "cfg.json"
-        config.write_text(json.dumps({key: float(value)}))
-        argv += ["--config", str(config)]
-    assert cli_main(argv) == 2
-    assert f"error: {flag} must be positive and finite, got {value}" in capsys.readouterr().err
-    assert not out.exists()
 
 
 @pytest.mark.parametrize("family", ["rec-uni", "rec-log"])

@@ -2,7 +2,8 @@
 
 Two records of one tree must compare bitwise, also when the second runs on
 one CPU (one layer-1 worker, single-threaded BLAS), and a change past an
-artifact's bound must fail the comparison.
+artifact's bound, or a changed exit code, must fail the comparison; a
+changed error message is listed without failing it.
 """
 
 import hashlib
@@ -36,7 +37,8 @@ def assert_bitwise(a, b):
     done = parity("compare", a, b)
     lines = done.stdout.splitlines()
     assert done.returncode == 0, done.stdout
-    assert len(lines) > 40 and all(line.endswith(": bitwise") for line in lines[:-1])
+    assert len(lines) > 40 and all(line.endswith(": bitwise") for line in lines[:-2])
+    assert lines[-2] == "largest gap per class: layer1 0, layer2 0, cli 0; 0 messages changed"
 
 
 @pytest.fixture(scope="module")
@@ -60,27 +62,39 @@ def test_a_record_on_one_cpu_compares_bitwise(first, tmp_path):
         ("layer2/band-response", 1e-10, "past the layer2 bound"),
         ("layer1/rec-log/hop44", 1e-8, "past the layer1 bound"),
         ("layer1/rec-log/hop44", 1e-12, "of peak"),
-        ("cli/spec-db/csv", None, "past the cli bound"),
+        ("cli/spec-db/csv", "cell", "past the cli bound"),
+        ("cli/spec-db/stdout", "exit", "past the cli bound"),
+        ("cli/bad-c/stdout", "exit", "past the cli bound"),
+        ("cli/bad-c/stderr", "message", "listed only"),
     ],
 )
 def test_compare_fails_past_the_class_bound(first, tmp_path, name, change, verdict):
+    """A changed number fails past its class's bound, a changed exit code at
+    once; a changed error message is listed only."""
     changed = tmp_path / "changed"
     shutil.copytree(first, changed)
     manifest = json.loads((changed / "manifest.json").read_text())
     meta = manifest["artifacts"][name]
     values = np.load(changed / meta["file"])
-    if change is None:  # a CSV cell moved by two units in its last place
-        text = values.tobytes().decode()
-        cell = text.split("\t")[2]
-        moved = f"{float(cell) + 2e-6:.6f}"
-        values = np.frombuffer(text.replace(cell, moved, 1).encode(), dtype=np.uint8)
-        assert moved != cell and len(moved) == len(cell)
-    else:
+    if isinstance(change, float):
         values = values + change * np.max(np.abs(values))
+    else:
+        text = values.tobytes().decode()
+        if change == "cell":  # a CSV cell moved by two units in its last place
+            cell = text.split("\t")[2]
+            moved = f"{float(cell) + 2e-6:.6f}"
+            assert moved != cell and len(moved) == len(cell)
+        elif change == "exit":  # one unit, within the bound of any other printed number
+            code = int(text.split(",")[0].split()[1])
+            cell, moved = f"exit {code},", f"exit {code - 1 if code else 1},"
+        else:
+            cell, moved = "error: ", "error: changed "
+        assert cell in text
+        values = np.frombuffer(text.replace(cell, moved, 1).encode(), dtype=np.uint8)
     np.save(changed / meta["file"], values)
     meta["sha256"] = hashlib.sha256(values.tobytes()).hexdigest()
     (changed / "manifest.json").write_text(json.dumps(manifest))
     done = parity("compare", first, changed)
     line = [line for line in done.stdout.splitlines() if line.startswith(name + ":")]
     assert line and verdict in line[0]
-    assert done.returncode == (0 if verdict == "of peak" else 1)
+    assert done.returncode == (1 if "past" in verdict else 0)

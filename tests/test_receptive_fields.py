@@ -213,6 +213,26 @@ def test_non_finite_receptive_field_parameters_are_refused(make, name):
     assert name in str(err.value)
 
 
+@pytest.mark.parametrize("beta", [1, 2])
+def test_rfspec_refuses_a_normalized_spectral_derivative_at_s_0(beta):
+    """s^{beta/2} would zero the field, so band_response has no check of its own."""
+    with pytest.raises(ValueError, match="spectral derivative needs s > 0, got s = 0.0"):
+        RFSpec(temporal=GAUSS_1E4, s=0.0, beta=beta)
+    RFSpec(temporal=GAUSS_1E4, s=0.0, beta=beta, normalized=False)
+    RFSpec(temporal=GAUSS_1E4, s=0.0, alpha=1)
+    with pytest.raises(ValueError, match="needs s > 0"):
+        glissando_filterbank(tone_db(duration=0.05), [0.0], 4e-4, 0.0)
+
+
+@pytest.mark.parametrize("name", ["t_span", "nu_span", "dt", "dnu"])
+@pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf])
+def test_rf_kernel_image_names_a_bad_span_or_spacing(name, value):
+    """NaN and inf reached numpy as "arange: cannot compute length"."""
+    spans = {"t_span": 0.02, "nu_span": 1.0, "dt": 1e-3, "dnu": 0.1, name: value}
+    with pytest.raises(ValueError, match=f"^{name} must be positive and finite, got {value}$"):
+        rf_kernel_image(gauss_spec(), **spans)
+
+
 @pytest.mark.parametrize(
     "warped",
     [

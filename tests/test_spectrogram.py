@@ -113,6 +113,25 @@ def test_grid_refuses_a_window_variance_that_is_not_positive_and_finite(n):
         build_frequency_grid(60.0, 72.0, 12, law=WindowScaleLaw(n=n))
 
 
+@pytest.mark.parametrize(
+    "law", [WindowScaleLaw(), WindowScaleLaw(tau0=1e-6)], ids=["zero-variance", "omega-overflows"]
+)
+def test_grid_refuses_a_wide_span_from_its_end_channels(law, monkeypatch):
+    """The window variance falls as omega rises, so the end channels bound
+    the rest; nu_max = 1e6 evaluated the law on about 4M channels first."""
+    calls = []
+    real = spectrogram.window_scale
+
+    def counted(omega, law):
+        calls.append(omega)
+        return real(omega, law)
+
+    monkeypatch.setattr(spectrogram, "window_scale", counted)
+    with pytest.raises(ValueError, match="at nu=1000000.00 .*must be positive and finite"):
+        build_frequency_grid(60.0, 1e6, 48, law)
+    assert len(calls) <= 2
+
+
 def test_window_scale_soft_upper_bound_eases_low_frequencies():
     # With a bounded law the longest windows pull toward tau_max.
     law = WindowScaleLaw(n=8.0, tau_inf=0.01, p=2.0)

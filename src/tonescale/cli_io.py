@@ -337,7 +337,8 @@ OPTIONS: dict[str, tuple] = {
 METAVARS = {"glissando_bank": "V1,V2,..."}
 # The CLI's own rules; the library object a command builds refuses every
 # other value. EXTENTS bounds what the CLI converts (hop and spacing
-# positive; extents it squares non-negative, as a variance loses their sign)
+# positive; extents it squares non-negative, as a variance loses their sign,
+# and ``_variance`` refuses a square past the float range)
 # and its thresholds (finite: a NaN admits nothing). None is a derived
 # default; a (command, option) key overrides a rule: a kernel image needs a
 # spectral extent. Commands add output, selector and dB-range rules, and two
@@ -479,6 +480,17 @@ def _refused_as(*keys: str):
         raise CliError(2, f"{flags}: {exc}") from exc
 
 
+def _variance(cfg: dict, key: str) -> float:
+    """The square of an extent option, in seconds for a ``_ms`` key; a
+    square past the float range is refused (exit 2)."""
+    value = cfg[key] / 1000.0 if key.endswith("_ms") else cfg[key]
+    try:
+        return value**2
+    except OverflowError:
+        flag = "--" + key.replace("_", "-")
+        raise CliError(2, f"{flag}: {cfg[key]} squares past the float range") from None
+
+
 def _layer1(cfg: dict, wav: str):
     """Shared first-layer pipeline: family, law and grid, then WAV, spectrogram, compensation.
 
@@ -492,7 +504,7 @@ def _layer1(cfg: dict, wav: str):
     if cfg["compensate_delay"] and not family.causal:
         raise CliError(2, "delay compensation applies to causal families only")
     with _refused_as("n", "tau0_ms"):
-        law = WindowScaleLaw(n=cfg["n"], tau0=(cfg["tau0_ms"] / 1000.0) ** 2)
+        law = WindowScaleLaw(n=cfg["n"], tau0=_variance(cfg, "tau0_ms"))
     nu_min, nu_max, bins = cfg["nu_min"], cfg["nu_max"], cfg["bins_per_octave"]
     with _refused_as("nu_min", "nu_max", "bins_per_octave"):
         grid = build_frequency_grid(nu_min, NU_MAX_DEFAULT if nu_max is None else nu_max, bins, law)
@@ -586,8 +598,8 @@ def cmd_features(cfg: dict, wav: str) -> int:
     elif cfg["out_json"] is None:
         raise CliError(2, "no output requested (--partials writes --out-json)")
 
-    tau_a, s = (cfg["tau_a_ms"] / 1000.0) ** 2, cfg["sigma_nu"] ** 2
-    tau_i, s_i = (cfg["tau_i_ms"] / 1000.0) ** 2, cfg["sigma_nu_i"] ** 2
+    tau_a, s = _variance(cfg, "tau_a_ms"), _variance(cfg, "sigma_nu")
+    tau_i, s_i = _variance(cfg, "tau_i_ms"), _variance(cfg, "sigma_nu_i")
     if sel == "second_moment" and not (tau_i >= tau_a and s_i >= s):
         raise CliError(
             2, "--second-moment needs --tau-i-ms >= --tau-a-ms and --sigma-nu-i >= --sigma-nu"
@@ -710,9 +722,9 @@ def cmd_kernels(cfg: dict, wav: str | None) -> int:
     if cfg["rf"]:
         sigma_nu = cfg["sigma_nu"]
         with _refused_as("tau_a_ms"):
-            temporal = family.temporal((cfg["tau_a_ms"] / 1000.0) ** 2)
+            temporal = family.temporal(_variance(cfg, "tau_a_ms"))
         with _refused_as("alpha", "beta", "v"):
-            spec = RFSpec(temporal, sigma_nu**2, cfg["v"], cfg["alpha"], cfg["beta"])
+            spec = RFSpec(temporal, _variance(cfg, "sigma_nu"), cfg["v"], cfg["alpha"], cfg["beta"])
         sigma_t = math.sqrt(temporal.tau)
         delay = temporal.ladder.mu_sum if family.causal else 0.0
         t_span = cfg["t_span"] if cfg["t_span"] is not None else delay + 4.0 * sigma_t

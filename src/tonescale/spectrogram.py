@@ -304,8 +304,10 @@ def compute_spectrogram(
     Causal families fold the carrier into the cascade's poles, each pole
     p_k becoming p_k e^{i w}, so all channels run as one block recursion over
     their stages [gain, pole] from ``cascade_sections(ladder, w)`` at the
-    full sample rate, which computes the frames only. It runs on the calling thread; the BLAS library
-    threads its GEMMs, and the map does not depend on its thread count.
+    full sample rate, which computes the frames only. It runs on the calling
+    thread with OpenBLAS held to one thread, process-wide, while the GEMMs
+    run (the count is restored after); the map does not depend on the BLAS
+    thread count.
 
     The Gaussian family correlates with the truncated discrete Gaussian
     T[half + d], d = -half..half, centered on the frames. The signal is

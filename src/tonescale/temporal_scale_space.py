@@ -36,8 +36,12 @@ only a K x K step per block is left to Python.
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
 import math
 import numbers
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -366,7 +370,7 @@ _COLUMNS = 8
 # multiply-adds on the calling thread; threaded calls over a chunk of
 # layer-2 rows tripled the wall time of the smoothing on 2 cores and left
 # the second core spinning after each. Layer 1's wide products (thousands
-# of columns) still run threaded.
+# of columns) run with OpenBLAS held to one thread (``_one_blas_thread``).
 _GEMM_ROWS = 192
 _SERIAL_PRODUCT = 4 * 65536
 # Real elements of a block's weights per group of sets, and of one GEMM's
@@ -375,6 +379,56 @@ _SERIAL_PRODUCT = 4 * 65536
 _WEIGHT_ELEMENTS = 1 << 20
 _CHUNK_ELEMENTS = 1 << 16
 _CHUNK_ROWS = 32
+
+
+@functools.cache
+def _openblas_threads():
+    """numpy's OpenBLAS thread-count (get, set) calls, or None on a BLAS
+    build that does not export them (the names of numpy 2's wheels)."""
+    try:
+        lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
+        get, put = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+    except (AttributeError, OSError):
+        return None
+    get.argtypes, get.restype = [], ctypes.c_int
+    put.argtypes, put.restype = [ctypes.c_int], None
+    return get, put
+
+
+# The BLAS thread count is process-global, so its cap is too: a lock and
+# the number of holders, and the count to restore when the last one leaves.
+_BLAS_CAP = threading.Lock()
+_blas_capped = {"holders": 0, "restore": 1}
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Hold OpenBLAS to one thread until the last of any concurrent holders
+    leaves, then restore the count it had.
+
+    After each threaded product OpenBLAS's helper thread spins for a while,
+    CPU time that buys causal layer 1 little wall time on a few cores. Its
+    products come out bitwise the same on any thread count (see
+    ``_BLOCK_SAMPLES``), so the cap changes speed only; on a build without
+    the calls it does nothing.
+    """
+    calls = _openblas_threads()
+    if calls is None:
+        yield
+        return
+    get, put = calls
+    with _BLAS_CAP:
+        if _blas_capped["holders"] == 0:
+            _blas_capped["restore"] = get()
+            put(1)
+        _blas_capped["holders"] += 1
+    try:
+        yield
+    finally:
+        with _BLAS_CAP:
+            _blas_capped["holders"] -= 1
+            if _blas_capped["holders"] == 0:
+                put(_blas_capped["restore"])
 
 
 def _block_shape(hop: int) -> tuple[int, int]:
@@ -490,15 +544,17 @@ def _block_cascade(x: np.ndarray, sections: np.ndarray, hop: int) -> np.ndarray:
     _CHUNK_ELEMENTS beyond that, so that every temporary does too. Each set
     is computed the same way whatever the set, thread and sample counts (see
     ``_BLOCK_SAMPLES``); no product has a single row, since the GEMV path
-    rounds differently.
+    rounds differently. The products run with OpenBLAS held to one thread
+    (``_one_blas_thread``).
     """
     kept, size = _block_shape(hop)
     sets, K = sections.shape[:2]
     width = 2 if sections.dtype.kind == "c" else 1  # real GEMM columns per weight
     out = np.empty((-(-x.size // hop), sets), dtype=sections.dtype)
     group = max(1, _WEIGHT_ELEMENTS // (size * (kept + K) * width))
-    for s0 in range(0, sets, group):
-        _cascade_group(x, sections[s0 : s0 + group], hop, out[:, s0 : s0 + group])
+    with _one_blas_thread():
+        for s0 in range(0, sets, group):
+            _cascade_group(x, sections[s0 : s0 + group], hop, out[:, s0 : s0 + group])
     return out
 
 

@@ -468,6 +468,18 @@ REFUSALS = [
         for source in (["--sigma-nu", "0"], [{"sigma_nu": 0.0}])
     ],
     *[row for key in ("tau", "dt", "t_span", "nu_span", "dnu") for row in _extent_rows(key)],
+    *[
+        (argv + [flag, "1e200"], flag + ":", "1e+200 squares past the float range")
+        for argv, flag in (
+            (["spectrogram"], "--tau0-ms"),
+            (["features", "--onsets"], "--tau-a-ms"),
+            (["features", "--second-moment"], "--tau-i-ms"),
+            (["features", "--onsets"], "--sigma-nu"),
+            (["features", "--second-moment"], "--sigma-nu-i"),
+            (["kernels", "--rf"], "--tau-a-ms"),
+            (["kernels", "--rf"], "--sigma-nu"),
+        )
+    ],
 ]
 
 

@@ -416,6 +416,8 @@ _CAUSAL_MAPS = """
 import hashlib, sys
 import numpy as np
 import tonescale as ts
+if sys.argv[2] == "uncapped":  # the fallback of a BLAS build without thread-count calls
+    ts.temporal_scale_space._openblas_threads = lambda: None
 x = np.random.default_rng(3).normal(size=6000)
 grid = ts.build_frequency_grid(45.0, 100.0, 12)
 digest = hashlib.sha256()
@@ -428,16 +430,18 @@ print(digest.hexdigest())
 
 @pytest.mark.parametrize("kind", ["rec-uni", "rec-log"])
 def test_causal_map_does_not_depend_on_the_worker_count(kind):
-    """The causal path runs on the calling thread, and the BLAS library
-    threads its GEMMs: maps are bit for bit the same on one BLAS thread
-    and on two, at hops whose blocks are below and above 384 samples."""
+    """The causal path runs on the calling thread with BLAS held to one
+    thread: maps are bit for bit the same started on one BLAS thread and
+    on two, and on two with the cap gone (a BLAS build without
+    thread-count calls), at hops whose blocks are below and above 384
+    samples."""
     src = os.path.dirname(os.path.dirname(spectrogram.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     digests = set()
-    for threads in ("1", "2"):
+    for threads, cap in (("1", "capped"), ("2", "capped"), ("2", "uncapped")):
         env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": path}
         run = subprocess.run(
-            [sys.executable, "-c", _CAUSAL_MAPS, kind],
+            [sys.executable, "-c", _CAUSAL_MAPS, kind, cap],
             env=env,
             capture_output=True,
             text=True,

@@ -1,5 +1,9 @@
+import contextlib
 import dataclasses
 import math
+import sys
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -396,6 +400,94 @@ def test_block_cascade_does_not_depend_on_chunks_groups_or_lanes(patch, monkeypa
         for s in (0, 2):
             alone = block_cascade(x, sections[s : s + 1], hop)
             assert np.array_equal(alone[:, 0], map_[:, s])
+
+
+@pytest.fixture
+def blas_threads():
+    """The BLAS thread-count getter, with the count set to 2 and restored after."""
+    calls = temporal_scale_space._openblas_threads()
+    if calls is None:
+        pytest.skip("this BLAS build exports no thread-count calls")
+    get, put = calls
+    before = get()
+    put(2)
+    yield get
+    put(before)
+
+
+@pytest.mark.parametrize("raises", [False, True], ids=["returns", "raises"])
+def test_block_cascade_runs_its_products_on_one_blas_thread(raises, blas_threads, monkeypatch, rng):
+    """The BLAS count reads 1 inside every product of the block recursion
+    and the count from before once the call has left, also when it raises."""
+    lad = discretize_ladder(SpectrogramFamily("rec-log").ladder(4e-4), 1000.0)
+    sections = np.stack([cascade_sections(lad, w) for w in (0.3, 1.1)])
+    counts, matmul = [], temporal_scale_space._matmul
+
+    def spy(*args, **kwargs):
+        counts.append(blas_threads())
+        if raises:
+            raise RuntimeError("a product failed")
+        return matmul(*args, **kwargs)
+
+    monkeypatch.setattr(temporal_scale_space, "_matmul", spy)
+    with pytest.raises(RuntimeError) if raises else contextlib.nullcontext():
+        temporal_scale_space._block_cascade(rng.normal(size=500), sections, 7)
+    assert counts and set(counts) == {1}
+    assert blas_threads() == 2
+
+
+def test_the_blas_cap_restores_the_count_when_its_last_holder_leaves(blas_threads, monkeypatch):
+    """Holders that overlap, as concurrent causal calls do, may leave in any
+    order; the count comes back only with the last of them, also when more
+    threads than cores take and leave the cap at a short switch interval."""
+    cap = temporal_scale_space._one_blas_thread
+    first, second = cap(), cap()
+    first.__enter__()
+    second.__enter__()
+    first.__exit__(None, None, None)
+    assert blas_threads() == 1
+    second.__exit__(None, None, None)
+    assert blas_threads() == 2
+
+    def yielding(call):  # a thread switch before every BLAS call widens any race
+        def switched(*args):
+            time.sleep(0)
+            return call(*args)
+
+        return switched
+
+    calls = tuple(map(yielding, temporal_scale_space._openblas_threads()))
+    monkeypatch.setattr(temporal_scale_space, "_openblas_threads", lambda: calls)
+    seen = []
+
+    def hold():
+        for _ in range(200):
+            with cap():
+                seen.append(blas_threads())
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=hold) for _ in range(8)]
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(worker.is_alive() for worker in workers)
+    assert len(seen) == 1600 and set(seen) == {1}
+    assert blas_threads() == 2
+
+
+def test_the_blas_cap_finds_its_calls_on_numpy_openblas_builds():
+    """A numpy built on scipy-openblas exports the thread-count calls that
+    the cap uses; a build that lost them would run causal layer 1 threaded
+    again without a word."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    if "scipy-openblas" not in str(blas.get("name")):
+        pytest.skip(f"numpy is built on {blas.get('name')}, not scipy-openblas")
+    assert temporal_scale_space._openblas_threads() is not None
 
 
 @pytest.mark.parametrize("steady", [False, True], ids=["rest", "steady"])

@@ -13,7 +13,9 @@ on the default grid at hops 1, 44 and 441; every layer-2 feature on a
 rec-log dB map at the CLI's settings, including the 5-member Gaussian bank;
 ``discrete_gaussian_smooth`` along every axis of 1-3-D arrays, with
 length-1 axes and s = 0; ``discrete_recursive_smooth`` for K 1-12 on both
-ladders, from rest and steady; and seven CLI commands on a seeded WAV,
+ladders, from rest and steady; Gauss layer 1, ``to_db`` and
+``enhance_bands`` on the gauss-corpus bench's 77-channel grid at its
+settings, on a 1 s clip; and seven CLI commands on a seeded WAV,
 with the bad arguments the CLI refuses and two runtime failures. Each CLI
 case records its exit code and the files it created, its stdout, its
 stderr and each file. ``--tiny`` records a few of each in about a second.
@@ -33,6 +35,7 @@ BLAS build, so both records should come from the same machine.
 
 import argparse
 import contextlib
+import functools
 import hashlib
 import inspect
 import io
@@ -55,6 +58,7 @@ BANK, BANK_TAU_A = (-24.0, -12.0, 0.0, 12.0, 24.0), 0.060**2
 BANK_FLAG = "--glissando-bank=" + ",".join(f"{v:g}" for v in BANK)
 # (lowest and highest channel in Hz, bins per octave)
 GRID, TINY_GRID = (80.0, 16000.0, 48), (1000.0, 8000.0, 6)
+CORPUS_GRID = (200.0, 16000.0, 12)  # the gauss-corpus bench's, 77 channels
 BOUNDS = {"layer1": 1e-9, "layer2": 1e-12, "cli": "one printed unit", "message": "none"}
 CLI_RUNS = (
     ("spec-db", ["spectrogram", "--db", "--out-csv", "{o}.csv", "--out-pgm", "{o}.pgm"]),
@@ -129,8 +133,8 @@ def _gaussian_smooth(ts, x, s, axis):
     return ts.discrete_gaussian_smooth(x, s, axis=axis)
 
 
-def _grid(ts, tiny: bool):
-    lo, hi, bins = TINY_GRID if tiny else GRID
+def _grid(ts, tiny: bool, grid=None):
+    lo, hi, bins = grid or (TINY_GRID if tiny else GRID)
     return ts.build_frequency_grid(ts.midi_from_frequency(lo), ts.midi_from_frequency(hi), bins)
 
 
@@ -195,6 +199,30 @@ def smoothers(tiny: bool):
                 yield f"{name}/complex", smooth(cplx, ladder, axis=1, steady=steady)
 
 
+@functools.cache
+def _corpus_maps(tiny: bool):
+    """The gauss-corpus bench's op: Gauss layer 1, to_db and enhance_bands."""
+    import tonescale as ts
+
+    x, family = signal(5, 0.2 if tiny else 1.0), ts.SpectrogramFamily("gauss")
+    spec = ts.compute_spectrogram(x, RATE, _grid(ts, tiny, CORPUS_GRID), family, HOP)
+    log = ts.to_db(spec)
+    return spec, log, ts.enhance_bands(log, TAU_A, S)
+
+
+def corpus_layer1(tiny: bool):
+    spec, log, _ = _corpus_maps(tiny)
+    yield "gauss-corpus/spectrogram", spec.values
+    yield "gauss-corpus/spectrogram/warmup", np.asarray(spec.warmup_frames)
+    yield "gauss-corpus/db", log.values
+
+
+def corpus_layer2(tiny: bool):
+    bands = _corpus_maps(tiny)[2]
+    yield "gauss-corpus/bands", bands.values
+    yield "gauss-corpus/bands/warmup", np.asarray(bands.warmup_frames)
+
+
 def cli(tiny: bool):
     from tonescale import midi_from_frequency as midi
     from tonescale.cli_io import cli_main
@@ -227,7 +255,14 @@ def _bytes(raw: bytes) -> np.ndarray:
     return np.frombuffer(raw, dtype=np.uint8)
 
 
-SETS = (("layer1", layer1), ("layer2", layer2), ("layer2", smoothers), ("cli", cli))
+SETS = (
+    ("layer1", layer1),
+    ("layer2", layer2),
+    ("layer2", smoothers),
+    ("layer1", corpus_layer1),
+    ("layer2", corpus_layer2),
+    ("cli", cli),
+)
 
 
 def record(out: Path, tiny: bool) -> int:

@@ -850,8 +850,8 @@ def cli_main(argv: Sequence[str] | None = None) -> int:
     except CliError as exc:
         print(f"error: {exc.message}", file=sys.stderr)
         return exc.code
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (OSError, ValueError, MemoryError) as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 1
 
 

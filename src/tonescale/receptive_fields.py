@@ -198,7 +198,7 @@ def smooth(S: TFMap, temporal: TemporalKernelSpec, s: float) -> tuple[np.ndarray
 
     A cascade window runs as one block recursion over every lane in the
     map's own time-major layout, each 32-frame block one product with all
-    the lanes of a chunk (see ``discrete_recursive_smooth``), within 1e-12
+    the lanes (see ``discrete_recursive_smooth``), within 1e-12
     of the map's largest magnitude of the stage-by-stage recursion. A Gaussian window and the
     channel pass are ``discrete_gaussian_smooth``'s band products with
     mirrored boundaries, within 1e-14 of the map's largest magnitude of

@@ -450,8 +450,9 @@ def delay_compensate(spec: TFMap) -> TFMap:
 
     Shifts are rounded to whole frames; the residual sub-frame delay is
     recorded per channel in the metadata. The vacated tail keeps the last
-    observed value so no artificial transient is created. A map that is
-    already compensated is refused, since a second shift would double it.
+    observed value so no artificial transient is created; a channel whose
+    shift reaches past the map holds that value in every frame. A map that
+    is already compensated is refused, since a second shift would double it.
     """
     if not spec.family.causal:
         raise ValueError("delay compensation applies to causal families only")
@@ -462,8 +463,8 @@ def delay_compensate(spec: TFMap) -> TFMap:
     shifts = np.rint(delays / hop_seconds).astype(int)
     values = spec.values.copy()
     n_frames = values.shape[0]
-    for ch, shift in enumerate(shifts):
-        if 0 < shift < n_frames:
+    for ch, shift in enumerate(np.minimum(shifts, n_frames - 1)):
+        if shift > 0:
             values[:-shift, ch] = values[shift:, ch]
             values[-shift:, ch] = values[-shift - 1, ch]
     return replace(

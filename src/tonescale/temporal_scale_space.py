@@ -362,20 +362,15 @@ def cascade_sections(ladder: ScaleLadder, omega: float = 0.0) -> np.ndarray:
 # dimension is at most 384 (one pass of the sum) and the column count is a
 # multiple of 8 (no edge kernel). So longer blocks are summed in passes of
 # _BLOCK_SAMPLES, and every product's columns are padded to a multiple of
-# _COLUMNS.
+# _COLUMNS. Every product runs with OpenBLAS held to one thread
+# (``_one_blas_thread``).
 _BLOCK_SAMPLES = 384
 _BLOCK_KEPT = 32
 _COLUMNS = 8
-# Rows per product call. OpenBLAS runs a product of up to _SERIAL_PRODUCT
-# multiply-adds on the calling thread; threaded calls over a chunk of
-# layer-2 rows tripled the wall time of the smoothing on 2 cores and left
-# the second core spinning after each. Layer 1's wide products (thousands
-# of columns) run with OpenBLAS held to one thread (``_one_blas_thread``).
-_GEMM_ROWS = 192
-_SERIAL_PRODUCT = 4 * 65536
-# Real elements of a block's weights per group of sets, and of one GEMM's
-# output unless that has fewer than _CHUNK_ROWS rows (each GEMM reads the
-# weights once): they bound the temporaries whatever the signal length.
+# Real elements of a block's weights per group of sets, and of one pass's
+# rows unless that leaves fewer than _CHUNK_ROWS of them (a block-row GEMM
+# reads the weights once per pass, a band product its window copy): they
+# bound the temporaries whatever the signal length.
 _WEIGHT_ELEMENTS = 1 << 20
 _CHUNK_ELEMENTS = 1 << 16
 _CHUNK_ROWS = 32
@@ -407,10 +402,11 @@ def _one_blas_thread():
     leaves, then restore the count it had.
 
     After each threaded product OpenBLAS's helper thread spins for a while,
-    CPU time that buys causal layer 1 little wall time on a few cores. Its
-    products come out bitwise the same on any thread count (see
-    ``_BLOCK_SAMPLES``), so the cap changes speed only; on a build without
-    the calls it does nothing.
+    CPU time that buys layer 1's wide products little wall time on a few
+    cores and tripled the wall time of layer 2's small ones on 2. Products
+    come out bitwise the same on any thread count (see ``_BLOCK_SAMPLES``),
+    so the cap changes speed only; on a build without the calls it does
+    nothing.
     """
     calls = _openblas_threads()
     if calls is None:
@@ -473,20 +469,17 @@ def _padded(count: int) -> int:
     return -(-count // _COLUMNS) * _COLUMNS
 
 
-def _matmul(a: np.ndarray, b: np.ndarray, rows: int = _GEMM_ROWS, out=None) -> np.ndarray:
-    """a @ b (stacked over leading axes) in calls of at most ``rows`` + 1
-    rows (never one alone) and _BLOCK_SAMPLES of the inner dimension, so
-    that each output row is rounded the same way whatever the row count."""
+def _matmul(a: np.ndarray, b: np.ndarray, out=None) -> np.ndarray:
+    """a @ b (stacked over leading axes) in passes of _BLOCK_SAMPLES of the
+    inner dimension, so that each output row is rounded the same way
+    whatever the row count. Callers pass at least two rows: the GEMV path
+    of a single row rounds differently."""
     if out is None:
         out = np.empty(a.shape[:-1] + b.shape[-1:], dtype=np.result_type(a, b))
-    bounds = list(range(0, a.shape[-2], rows)) + [a.shape[-2]]
-    if len(bounds) > 2 and bounds[-1] - bounds[-2] == 1:
-        del bounds[-2]
     step = _BLOCK_SAMPLES
-    for lo, hi in zip(bounds, bounds[1:]):
-        np.matmul(a[..., lo:hi, :step], b[..., :step, :], out=out[..., lo:hi, :])
-        for j in range(step, a.shape[-1], step):  # a hop above 384 samples
-            out[..., lo:hi, :] += a[..., lo:hi, j : j + step] @ b[..., j : j + step, :]
+    np.matmul(a[..., :step], b[..., :step, :], out=out)
+    for j in range(step, a.shape[-1], step):  # a hop or a band above 384 samples
+        out += a[..., j : j + step] @ b[..., j : j + step, :]
     return out
 
 
@@ -608,10 +601,11 @@ def _run_ladder(x: np.ndarray, ladder: ScaleLadder, axis: int, steady: bool) -> 
     rows of lanes, is kept as its deviation from the steady state at r, so
     a constant stretch settles to its exact value, monotonically, instead
     of rounding around it, and ``steady`` (that deviation 0 at the start)
-    brings a constant lane back exactly. Lanes go in chunks of a multiple
-    of _COLUMNS, zero-padded, that keep every product within
-    _SERIAL_PRODUCT, so a lane comes out bitwise the same whatever lanes
-    run beside it. A complex map runs as its real view.
+    brings a constant lane back exactly. All lanes, zero-padded to a
+    multiple of _COLUMNS, go through each product at once, with OpenBLAS
+    held to one thread (``_one_blas_thread``), so a lane comes out bitwise
+    the same whatever lanes run beside it. A complex map runs as its real
+    view.
     """
     x = x.astype(np.result_type(x.dtype, np.float64), copy=False)
     moved = np.moveaxis(x, axis, 0)
@@ -622,17 +616,15 @@ def _run_ladder(x: np.ndarray, ladder: ScaleLadder, axis: int, steady: bool) -> 
     if out.size:
         sections = cascade_sections(ladder)
         weights, read_out, step = _block_weights(sections[None], 1)
-        kept, K = _BLOCK_KEPT, ladder.K
         unit = sections[:, 1:]  # the pole column, the steady state at input 1
-        ladder_blocks = (weights[:, : kept + K].T, read_out[0].T, step[0].T, unit, steady)
-        chunk = max(1, _SERIAL_PRODUCT // ((kept + K) * kept * _COLUMNS)) * _COLUMNS
-        for lo in range(0, lanes.shape[1], chunk):
-            _ladder_lanes(lanes[:, lo : lo + chunk], *ladder_blocks, out[:, lo : lo + chunk])
+        weights = weights[:, : _BLOCK_KEPT + ladder.K].T
+        with _one_blas_thread():
+            _ladder_lanes(lanes, weights, read_out[0].T, step[0].T, unit, steady, out)
     return np.moveaxis(out.view(x.dtype).reshape(moved.shape), 0, axis)
 
 
 def _ladder_lanes(x, weights, read_out, step, unit, steady, out) -> None:
-    """``_run_ladder`` for one chunk of lanes, written into ``out``."""
+    """``_run_ladder``'s block recursion over all the lanes, written into ``out``."""
     n, lanes = x.shape
     kept, K = read_out.shape
     width = _padded(lanes)
@@ -669,12 +661,12 @@ def discrete_recursive_smooth(
     The K stages of ``cascade_sections(ladder)`` run as one block
     recursion in the time-major layout (``_run_ladder``): the signal is
     read along ``axis`` as (samples, lanes), and each block of 32 samples
-    is one product with every lane of a chunk, where causal layer 1's
-    block-row layout (``_block_cascade``) takes the blocks of few lanes
-    through one product. Complex input stays complex. Every stage starts at rest
-    unless ``steady`` is set; then each stage starts in steady state at the
-    input's first sample along ``axis``, so a constant signal comes back
-    exactly. A constant stretch of input settles to its exact value, as a
+    is one product with every lane, where causal layer 1's block-row
+    layout (``_block_cascade``) takes the blocks of few lanes through one
+    product; either runs with OpenBLAS held to one thread. Complex input
+    stays complex. Every stage starts at rest unless ``steady`` is set;
+    then each stage starts in steady state at the input's first sample
+    along ``axis``, so a constant signal comes back exactly. A constant stretch of input settles to its exact value, as a
     stage-by-stage recursion does, rather than rounding around it.
     Non-finite input raises ValueError: each block's outputs are one
     product with all of its samples, so a NaN or infinity would reach the
@@ -825,11 +817,14 @@ def discrete_gaussian_smooth(x: np.ndarray, kernel: SampledKernel, axis: int = -
     -0.0 kept, for s = 0). Every other axis holds independent lanes. Each
     lane is mirror-padded by the kernel's half-width h, and each block of
     _BAND_OUTPUTS outputs is one product of the lanes' (32 + 2h)-sample
-    window with one shared band of the kernel's Toeplitz matrix. The
-    products keep ``_matmul``'s rules and stay small enough to run on the
-    calling thread, so a lane comes out bitwise the same whatever lanes are
-    smoothed with it. Non-finite input raises ValueError: through the
-    band's zeros a NaN or infinity would reach every output of its block.
+    window with one shared band of the kernel's Toeplitz matrix. Lanes are
+    gathered in passes of at least _CHUNK_ROWS, and no more than
+    _CHUNK_ELEMENTS of the mirrored copy beyond that. The products keep
+    ``_matmul``'s rules and run with OpenBLAS held to one thread
+    (``_one_blas_thread``), so a lane comes out bitwise the same whatever
+    lanes are smoothed with it and whatever the pass size. Non-finite input
+    raises ValueError: through the band's zeros a NaN or infinity would
+    reach every output of its block.
     """
     taps, h = kernel.values, kernel.origin_index
     if taps.shape != (2 * h + 1,):
@@ -855,17 +850,18 @@ def discrete_gaussian_smooth(x: np.ndarray, kernel: SampledKernel, axis: int = -
     band = np.ascontiguousarray(band)
     # The last block's outputs past n read further mirror images; they are dropped.
     columns = _mirror_indices(np.arange(-h, blocks * _BAND_OUTPUTS + h), n)
-    rows = max(1, _SERIAL_PRODUCT // (_BAND_OUTPUTS * min(width, _BLOCK_SAMPLES)) - 1)
+    rows = max(_CHUNK_ROWS, _CHUNK_ELEMENTS // columns.size)
     step = max(1, rows // math.prod(lanes.shape[1:-1]))  # indices of the first axis per pass
-    for lo in range(0, lanes.shape[0], step):
-        part = np.take(lanes[lo : lo + step], columns, axis=-1).reshape(-1, columns.size)
-        if part.shape[0] == 1:
-            part = np.concatenate([part, np.zeros_like(part)])
-        # (blocks, rows, width) windows, every block's outputs one stacked product
-        windows = sliding_window_view(part, width, axis=1)[:, ::_BAND_OUTPUTS].swapaxes(0, 1)
-        smoothed = np.empty((part.shape[0], blocks, _BAND_OUTPUTS))
-        _matmul(windows, band, rows, out=smoothed.transpose(1, 0, 2))
-        target = result[lo : lo + step]
-        kept = smoothed.reshape(part.shape[0], -1)[: target.size // n, :n]
-        target[...] = kept.reshape(target.shape)
+    with _one_blas_thread():
+        for lo in range(0, lanes.shape[0], step):
+            part = np.take(lanes[lo : lo + step], columns, axis=-1).reshape(-1, columns.size)
+            if part.shape[0] == 1:
+                part = np.concatenate([part, np.zeros_like(part)])
+            # (blocks, rows, width) windows, every block's outputs one stacked product
+            windows = sliding_window_view(part, width, axis=1)[:, ::_BAND_OUTPUTS].swapaxes(0, 1)
+            smoothed = np.empty((part.shape[0], blocks, _BAND_OUTPUTS))
+            _matmul(windows, band, out=smoothed.transpose(1, 0, 2))
+            target = result[lo : lo + step]
+            kept = smoothed.reshape(part.shape[0], -1)[: target.size // n, :n]
+            target[...] = kept.reshape(target.shape)
     return out

@@ -530,6 +530,32 @@ def test_cli_missing_input_is_a_runtime_error(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "sampler, argv, message",
+    [
+        ("temporal_profiles", ["kernels"], "Unable to allocate 89.0 TiB for an array"),
+        ("rf_kernel_image", ["kernels", "--rf"], ""),
+    ],
+    ids=["impulse", "rf-bare"],
+)
+def test_cli_reports_running_out_of_memory_as_a_runtime_error(
+    sampler, argv, message, tmp_path, monkeypatch, capsys
+):
+    """A sampling step too fine to allocate (``--dt 1e-12`` asks numpy for
+    tens of TiB) is an error line with exit 1 and no file, not a traceback.
+    The sampler raises in place of a real allocation, which a host that
+    overcommits memory could grant and then kill the process for."""
+
+    def exhausted(*args, **kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(cli_io, sampler, exhausted)
+    out = tmp_path / "k.csv"
+    assert cli_main([*argv, "--out-csv", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {message or 'out of memory'}\n"
+    assert not out.exists()
+
+
 def test_cli_rejects_a_hop_longer_than_the_input(tone_wav, tmp_path, capsys):
     out = tmp_path / "o.csv"
     argv = ["spectrogram", str(tone_wav), "--hop-ms", "900", "--out-csv", str(out)]

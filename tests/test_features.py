@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from tonescale import receptive_fields, temporal_scale_space
+from tonescale import receptive_fields
 from tonescale.features import (
     _link_ridges,
     _ridge_points,
@@ -33,11 +33,10 @@ from tonescale.spectrogram import (
 )
 from tonescale.temporal_scale_space import (
     TemporalKernelSpec,
-    discrete_recursive_smooth,
     discretize_ladder,
 )
 
-from conftest import exponential_chirp, one_stage_ladder, sine
+from conftest import exponential_chirp, sine
 
 RATE = 44100.0
 FAM = SpectrogramFamily(kind="rec-log", K=7, c=math.sqrt(2.0))
@@ -620,29 +619,6 @@ def test_glissando_bank_peak_memory_is_at_most_twelve_maps(rng):
     bank = [-24.0, -12.0, 0.0, 12.0, 24.0]
     peak = peak_maps(L, lambda: glissando_filterbank(L, bank, 0.06 ** 2, S_NU, window))
     assert peak <= 12.0
-
-
-def test_layer2_cascade_products_run_on_the_calling_thread(monkeypatch, rng):
-    """Every product of the layer-2 cascades (the smoothing pass, the
-    second-moment integration over a 1104-lane stack, a long ladder and one
-    stage) stays within the 4 * 65536 multiply-adds OpenBLAS runs serially."""
-    sizes = []
-    matmul = temporal_scale_space._matmul
-
-    def spy(a, b, *args, **kwargs):
-        sizes.append(a.shape[-2] * a.shape[-1] * b.shape[-1] * math.prod(a.shape[:-2]))
-        return matmul(a, b, *args, **kwargs)
-
-    monkeypatch.setattr(temporal_scale_space, "_matmul", spy)
-    L = default_grid_db_map(0.2, rng)
-    apply_rf(L, RFSpec(temporal=FAM.temporal(TAU_A), s=0.0))
-    second_moment_glissando(L, TAU_A, 0.0, 0.06 ** 2, 0.0)  # s = 0: no band products
-    long = SpectrogramFamily("rec-log", K=12, c=math.sqrt(2.0)).ladder(4e-3)
-    long = discretize_ladder(long, 1000.0)
-    discrete_recursive_smooth(L.values, long, axis=0)
-    discrete_recursive_smooth(L.values, one_stage_ladder(3.5), axis=0)
-    assert len(sizes) > 100
-    assert max(sizes) <= 4 * 65536
 
 
 def test_glissando_bank_visits_a_repeated_slope_once(monkeypatch):

@@ -815,6 +815,21 @@ def test_delay_compensate_advances_low_channels_more():
     assert np.max(np.abs(C.metadata["delay_residual_seconds"])) <= S.hop / S.sample_rate / 2
 
 
+def test_delay_compensate_holds_the_last_value_where_a_shift_passes_the_map(rng):
+    """A shift longer than the map vacates every frame of its channel, which
+    then holds its last observed value throughout, as the vacated tail of
+    any shorter shift does; the metadata keeps the full shift."""
+    grid = build_frequency_grid(40.0, 70.0, 2)
+    S = compute_spectrogram(rng.normal(size=400), 8000.0, grid, SpectrogramFamily("rec-log"), hop=8)
+    C = delay_compensate(S)
+    shifts = C.metadata["delay_shift_frames"]
+    assert S.n_frames == 50 and shifts[0] > 50 and shifts[1] > 50
+    for ch in range(grid.n_channels):
+        k = min(int(shifts[ch]), S.n_frames - 1)
+        assert np.array_equal(C.values[: S.n_frames - k, ch], S.values[k:, ch])
+        assert np.all(C.values[S.n_frames - k :, ch] == S.values[-1, ch])
+
+
 def test_delay_compensate_rejects_noncausal():
     grid = build_frequency_grid(66.0, 72.0, 12, law=WindowScaleLaw(n=8.0))
     x = sine(440.0, 0.3, RATE)

@@ -415,12 +415,52 @@ def blas_threads():
     put(before)
 
 
+def _driver_runs(driver, rng):
+    """Calls of one driver of the block and band products. Causal layer 1
+    runs two folded cascades over one signal. Layer 2 runs on a 200-frame
+    map of the default grid (368 channels, 1 ms frames): the ladders of the
+    smoothing pass at tau_a, of the second-moment integration over the
+    1104-lane stack of its three products, a K = 12 ladder and one stage;
+    the channel pass, on the map and the stack, and the bank's 60 ms
+    Gaussian window, whose band is wider than one inner pass."""
+    if driver == "_block_cascade":
+        lad = discretize_ladder(SpectrogramFamily("rec-log").ladder(4e-4), 1000.0)
+        sections = np.stack([cascade_sections(lad, w) for w in (0.3, 1.1)])
+        x = rng.normal(size=500)
+        return [lambda: temporal_scale_space._block_cascade(x, sections, 7)]
+    L = rng.normal(-40.0, 15.0, size=(200, 368))
+    stack = np.stack([L * L, -L, 2.0 * L], axis=-1)
+    if driver == "discrete_recursive_smooth":
+        smooth = discrete_recursive_smooth
+        scales = ((7, 0.02**2), (7, 0.06**2), (12, 4e-3))
+        ladders = (SpectrogramFamily("rec-log", K=K).ladder(tau) for K, tau in scales)
+        tau_a, tau_i, long = (discretize_ladder(lad, 1000.0) for lad in ladders)
+        return [
+            lambda: smooth(L, tau_a, axis=0, steady=True),
+            lambda: smooth(stack, tau_i, axis=0, steady=True),
+            lambda: smooth(L, long, axis=0),
+            lambda: smooth(L, one_stage_ladder(3.5), axis=0),
+        ]
+    smooth = discrete_gaussian_smooth
+    channels, window = discrete_gaussian_kernel(4.0), discrete_gaussian_kernel(0.06**2 * 1e6)
+    return [
+        lambda: smooth(L, channels, axis=1),
+        lambda: smooth(stack, channels, axis=1),
+        lambda: smooth(L, window, axis=0),
+    ]
+
+
+DRIVERS = ["_block_cascade", "discrete_recursive_smooth", "discrete_gaussian_smooth"]
+
+
+@pytest.mark.parametrize("driver", DRIVERS)
 @pytest.mark.parametrize("raises", [False, True], ids=["returns", "raises"])
-def test_block_cascade_runs_its_products_on_one_blas_thread(raises, blas_threads, monkeypatch, rng):
-    """The BLAS count reads 1 inside every product of the block recursion
-    and the count from before once the call has left, also when it raises."""
-    lad = discretize_ladder(SpectrogramFamily("rec-log").ladder(4e-4), 1000.0)
-    sections = np.stack([cascade_sections(lad, w) for w in (0.3, 1.1)])
+def test_each_driver_runs_its_products_on_one_blas_thread(
+    driver, raises, blas_threads, monkeypatch, rng
+):
+    """The BLAS count reads 1 inside every product of causal layer 1's
+    block rows, layer 2's ladders and its band products, and the count from
+    before once each call has left, also when a product raises."""
     counts, matmul = [], temporal_scale_space._matmul
 
     def spy(*args, **kwargs):
@@ -429,11 +469,14 @@ def test_block_cascade_runs_its_products_on_one_blas_thread(raises, blas_threads
             raise RuntimeError("a product failed")
         return matmul(*args, **kwargs)
 
+    runs = _driver_runs(driver, rng)
     monkeypatch.setattr(temporal_scale_space, "_matmul", spy)
-    with pytest.raises(RuntimeError) if raises else contextlib.nullcontext():
-        temporal_scale_space._block_cascade(rng.normal(size=500), sections, 7)
-    assert counts and set(counts) == {1}
-    assert blas_threads() == 2
+    for run in runs:
+        before = len(counts)
+        with pytest.raises(RuntimeError) if raises else contextlib.nullcontext():
+            run()
+        assert len(counts) > before and set(counts) == {1}
+        assert blas_threads() == 2
 
 
 def test_the_blas_cap_restores_the_count_when_its_last_holder_leaves(blas_threads, monkeypatch):
@@ -493,15 +536,14 @@ def test_the_blas_cap_finds_its_calls_on_numpy_openblas_builds():
 @pytest.mark.parametrize("steady", [False, True], ids=["rest", "steady"])
 def test_a_ladder_lane_does_not_depend_on_the_lanes_beside_it(steady, rng):
     """A lane alone comes out bitwise as inside maps of every width around
-    the column multiple and the lane chunk, at the front and the back."""
+    the column multiple, up to the second-moment stack's 1104 lanes, at the
+    front and the back."""
     lad = discretize_ladder(SpectrogramFamily("rec-log").ladder(4e-4), 1000.0)
-    kept, columns = temporal_scale_space._BLOCK_KEPT, temporal_scale_space._COLUMNS
-    chunk = temporal_scale_space._SERIAL_PRODUCT // ((kept + lad.K) * kept) // columns * columns
-    assert chunk > 9  # lanes per time-major product
+    assert temporal_scale_space._COLUMNS == 8  # lanes are padded to a multiple of it
     x = rng.normal(size=(100, 1104)) * 20.0 - 40.0
     for j in (0, 1103):
         alone = discrete_recursive_smooth(x[:, j : j + 1], lad, axis=0, steady=steady)
-        for lanes in (2, 7, 8, 9, chunk - 1, chunk + 1, 1104):
+        for lanes in (2, 7, 8, 9, 1104):
             part = x[:, :lanes] if j == 0 else x[:, -lanes:]
             got = discrete_recursive_smooth(part, lad, axis=0, steady=steady)
             assert np.array_equal(got[:, 0 if j == 0 else -1], alone[:, 0]), lanes
@@ -814,10 +856,11 @@ def test_discrete_gaussian_smooth_is_the_reflect_correlation(shape, axis_pick, l
 
 
 @pytest.mark.parametrize("s", [4.0, 64.0, 2500.0])
-def test_discrete_gaussian_smooth_rows_do_not_depend_on_their_neighbours(s, rng):
+def test_discrete_gaussian_smooth_rows_do_not_depend_on_their_neighbours(s, monkeypatch, rng):
     """A frame alone, or a map of any number of frames, or a stack of maps,
-    smooths each row bitwise the same way, within 1e-15 of the map's
-    largest magnitude of SciPy's correlate1d along either axis."""
+    smooths each row bitwise the same way, whatever the pass size, within
+    1e-15 of the map's largest magnitude of SciPy's correlate1d along either
+    axis."""
     x = rng.normal(-40.0, 20.0, size=(503, 368))
     kernel = discrete_gaussian_kernel(s)
     for axis in (0, 1):
@@ -831,6 +874,12 @@ def test_discrete_gaussian_smooth_rows_do_not_depend_on_their_neighbours(s, rng)
     stack = discrete_gaussian_smooth(np.stack([x, x[::-1]], axis=-1), kernel, axis=1)
     assert np.array_equal(stack[..., 0], full)
     assert np.array_equal(stack[..., 1], full[::-1])
+    along_frames = discrete_gaussian_smooth(x, kernel, axis=0)
+    for rows, elements in ((1, 1), (3, 1 << 24)):  # one lane per pass, or every lane in one
+        for name, value in (("_CHUNK_ROWS", rows), ("_CHUNK_ELEMENTS", elements)):
+            monkeypatch.setattr(temporal_scale_space, name, value)
+        assert np.array_equal(discrete_gaussian_smooth(x, kernel, axis=1), full)
+        assert np.array_equal(discrete_gaussian_smooth(x, kernel, axis=0), along_frames)
 
 
 def test_discrete_gaussian_smooth_axis_and_identity(rng):

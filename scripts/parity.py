@@ -9,7 +9,9 @@
 tree records under its own PYTHONPATH. It writes every artifact of the set
 as DIR/<index>.npy, and DIR/manifest.json with each artifact's class,
 shape, dtype and SHA-256. The set covers Gauss, rec-log and rec-uni layer 1
-on the default grid at hops 1, 44 and 441; every layer-2 feature on a
+on the default grid at hops 1, 44 and 441; Gauss layer 1 on that grid on a
+4.5 s clip, where every octave runs in more than one overlap-save block,
+and at 8 and 22.05 kHz on grids below Nyquist; every layer-2 feature on a
 rec-log dB map at the CLI's settings, including the 5-member Gaussian bank;
 ``discrete_gaussian_smooth`` along every axis of 1-3-D arrays, with
 length-1 axes and s = 0; ``discrete_recursive_smooth`` for K 1-12 on both
@@ -59,6 +61,10 @@ BANK_FLAG = "--glissando-bank=" + ",".join(f"{v:g}" for v in BANK)
 # (lowest and highest channel in Hz, bins per octave)
 GRID, TINY_GRID = (80.0, 16000.0, 48), (1000.0, 8000.0, 6)
 CORPUS_GRID = (200.0, 16000.0, 12)  # the gauss-corpus bench's, 77 channels
+# Long enough at HOP that every octave of GRID runs in more than one
+# overlap-save block; and grids below Nyquist at two lower rates.
+LONG_SECONDS = 4.5
+RATE_GRIDS = ((8000, (80.0, 3500.0, 48)), (22050, (80.0, 10000.0, 48)))
 BOUNDS = {"layer1": 1e-9, "layer2": 1e-12, "cli": "one printed unit", "message": "none"}
 CLI_RUNS = (
     ("spec-db", ["spectrogram", "--db", "--out-csv", "{o}.csv", "--out-pgm", "{o}.pgm"]),
@@ -103,11 +109,11 @@ CLI_REFUSALS = (
 NUMBER = re.compile(r"[-+]?(\d+)(?:\.(\d*))?(?:[eE]([-+]?\d+))?")
 
 
-def signal(seed: int, seconds: float) -> np.ndarray:
+def signal(seed: int, seconds: float, rate: int = RATE) -> np.ndarray:
     """A seeded chord, chirp, step tone and noise on the PCM-16 grid, so a
     WAV of it reads back exactly."""
     rng = np.random.default_rng(seed)
-    t = np.arange(int(round(seconds * RATE))) / RATE
+    t = np.arange(int(round(seconds * rate))) / rate
     x = 1e-3 * rng.standard_normal(t.size)
     for f0 in 440.0 * 2.0 ** (rng.uniform(-14.0, 13.0, size=3) / 12.0):
         x += 0.07 * (t >= rng.uniform(0.0, 0.15) * seconds) * np.sin(2.0 * np.pi * f0 * t)
@@ -147,6 +153,22 @@ def layer1(tiny: bool):
             spec = ts.compute_spectrogram(x, RATE, grid, ts.SpectrogramFamily(kind), hop=hop)
             yield f"layer1/{kind}/hop{hop}", spec.values
             yield f"layer1/{kind}/hop{hop}/warmup", np.asarray(spec.warmup_frames)
+
+
+def gauss_blocks(tiny: bool):
+    """Gauss layer 1 where its overlap-save blocks show: the default grid on
+    a clip long enough that every octave runs in more than one block, and
+    grids below Nyquist at 8 and 22.05 kHz with their 1 ms hops."""
+    import tonescale as ts
+
+    family = ts.SpectrogramFamily("gauss")
+    runs = [(RATE, GRID, LONG_SECONDS, HOP)] if not tiny else []
+    runs += [(rate, grid, 0.3 if tiny else 1.0, None) for rate, grid in RATE_GRIDS]
+    for rate, grid, seconds, hop in runs:
+        x = signal(6, seconds, rate)
+        spec = ts.compute_spectrogram(x, rate, _grid(ts, tiny, grid), family, hop)
+        yield f"layer1/gauss/{rate}Hz/{seconds:g}s/hop{spec.hop}", spec.values
+        yield f"layer1/gauss/{rate}Hz/{seconds:g}s/hop{spec.hop}/warmup", spec.warmup_frames
 
 
 def layer2(tiny: bool):
@@ -257,6 +279,7 @@ def _bytes(raw: bytes) -> np.ndarray:
 
 SETS = (
     ("layer1", layer1),
+    ("layer1", gauss_blocks),
     ("layer2", layer2),
     ("layer2", smoothers),
     ("layer1", corpus_layer1),

@@ -26,7 +26,6 @@ constant and its derivatives are exactly 0.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -35,6 +34,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from tonescale.spectrogram import TFMap
 from tonescale.temporal_scale_space import (
     TemporalKernelSpec,
+    _integer,
     _mirror_indices,
     discrete_gaussian_kernel,
     discrete_gaussian_smooth,
@@ -71,7 +71,7 @@ class RFSpec:
         if not math.isfinite(self.v):
             raise ValueError(f"glissando slope v must be finite, got {self.v}")
         orders = (self.alpha, self.beta)
-        if not all(isinstance(k, numbers.Integral) and 0 <= k <= 2 for k in orders):
+        if not all(_integer(k) and 0 <= k <= 2 for k in orders):
             raise ValueError(
                 f"derivative orders alpha and beta must lie in 0..2 as whole numbers, got {orders}"
             )

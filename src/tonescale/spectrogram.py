@@ -12,6 +12,7 @@ frequency axis is expressed in MIDI semitones.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import numbers
 import os
@@ -26,6 +27,9 @@ from tonescale.temporal_scale_space import (
     SpectrogramFamily,
     _block_cascade,
     _fft_length,
+    _integer,
+    _matmul,
+    _one_blas_thread,
     cascade_sections,
     discrete_gaussian_kernel,
     discretize_ladder,
@@ -112,6 +116,14 @@ class FrequencyGrid:
         return 12.0 / self.bins_per_octave
 
 
+def _whole(value) -> bool:
+    """Whether a count is a whole number: an integer (``_integer``) or a
+    real without a fraction, never a bool."""
+    if isinstance(value, numbers.Integral):
+        return _integer(value)
+    return isinstance(value, numbers.Real) and float(value).is_integer()
+
+
 def build_frequency_grid(
     nu_min: float,
     nu_max: float,
@@ -123,8 +135,11 @@ def build_frequency_grid(
         raise ValueError(f"nu_min and nu_max must be finite, got {nu_min} and {nu_max}")
     if nu_min >= nu_max:
         raise ValueError(f"nu_min must be below nu_max, got {nu_min} and {nu_max}")
-    if bins_per_octave < 1:
-        raise ValueError(f"bins_per_octave must be at least 1, got {bins_per_octave}")
+    if not (_whole(bins_per_octave) and bins_per_octave >= 1):
+        raise ValueError(
+            f"bins_per_octave must be a whole number at least 1, got {bins_per_octave!r}"
+        )
+    bins_per_octave = int(bins_per_octave)
     if law is None:
         law = WindowScaleLaw()
     step = 12.0 / bins_per_octave
@@ -196,9 +211,19 @@ MIN_STAGE_MU_SAMPLES = 1e-6
 # Frames demodulated at a time on the causal path, so its temporaries do
 # not grow with the signal.
 _DEMODULATE_FRAMES = 256
-# Spectrum cells a Gauss channel multiplies at a time while folding onto the
-# frame bins, so its products stay far below one signal-length array.
-_FOLD_CELLS = 16384
+# Gaussian channels run by overlap-save in groups, one per octave of kernel
+# half-width h below the longest. A group's blocks take at least
+# _BLOCK_HALVES times its largest h: 3 h of frames, the h samples each
+# frame reads past them, and the h samples of lead before the first.
+_BLOCK_HALVES = 5
+# A batch of a group's channels folds as one product: as many channels as
+# keep their stacked tap transforms within _BATCH_ELEMENTS reals, at least
+# one and at most _BATCH_CHANNELS.
+_BATCH_ELEMENTS = 1 << 15
+_BATCH_CHANNELS = 8
+# Real elements of block spectra transformed, and of a batch's products
+# folded, at a time, so that no temporary grows with the signal.
+_FOLD_ELEMENTS = 1 << 14
 
 
 def _worker_count(tasks: int) -> int:
@@ -214,9 +239,8 @@ def _frame_hop(hop, sample_rate: float) -> int:
     """Samples between frames: 1 ms by default, else a positive whole number."""
     if hop is None:
         return max(1, int(round(sample_rate / 1000.0)))  # 1 ms frames
-    if not isinstance(hop, numbers.Integral):
-        if not (isinstance(hop, numbers.Real) and float(hop).is_integer()):
-            raise ValueError(f"hop must be a whole number of samples, got {hop!r}")
+    if not _whole(hop):
+        raise ValueError(f"hop must be a whole number of samples, got {hop!r}")
     if hop <= 0:
         raise ValueError(f"hop must be positive, got {hop}")
     return int(hop)
@@ -277,11 +301,130 @@ def _tap_transform(kernel: SampledKernel, w: float, m: int) -> np.ndarray:
     return placed
 
 
-def _real_spectrum(x: np.ndarray, m: int) -> np.ndarray:
-    """fft(x, m) of a real x: its real FFT, then the conjugate mirror. Each
-    value equals ``scipy.fft.fft(x, m)``'s; numpy's complex ``fft`` of x does not."""
-    half = np.fft.rfft(x, m)
-    return np.concatenate((half, half[(m - 1) // 2 : 0 : -1].conj()))
+def _block_groups(halves: list[int], n: int, hop: int) -> list[tuple]:
+    """The overlap-save groups of the Gaussian channels, one per octave of
+    kernel half-width below the longest: (channels, their largest
+    half-width h, q, frames per block, blocks).
+
+    A group's blocks are the least hop q >= _BLOCK_HALVES h samples, q
+    11-smooth, so that they do not depend on the signal length. Where that
+    is over half the group's whole-signal length (the least hop q >= N + h),
+    the group takes that length as one block instead, which holds every
+    frame: so short a signal would save too little on the channels' tap
+    transforms to pay for the overlap.
+    """
+    fast = functools.partial(_fft_length, odd_primes=(3, 5, 7, 11))
+    n_frames = -(-n // hop)
+    longest = max(halves)
+    octaves = np.array([(longest // max(half, 1)).bit_length() for half in halves])
+    groups = []
+    for octave in np.unique(octaves):
+        channels = np.flatnonzero(octaves == octave)
+        half = max(halves[ch] for ch in channels)
+        whole = fast(-(-(n + half) // hop))
+        q = fast(max(1, -(-_BLOCK_HALVES * half // hop)))
+        if 2 * q > whole:
+            q, per_block = whole, n_frames
+        else:  # the frames whose h samples on either side lie in the block
+            per_block = (hop * q - 2 * half - 1) // hop + 1
+        groups.append((channels, half, q, per_block, -(-n_frames // per_block)))
+    return groups
+
+
+def _block_spectra(x: np.ndarray, half: int, advance: int, span, planes: np.ndarray) -> None:
+    """Write the spectra of blocks span[0] to span[1] - 1 into ``planes``
+    (q, blocks, 2, hop): the real and imaginary parts of bin r q + c of
+    block b at [c, b, :, r].
+
+    Block b holds x[b advance + i] at i < hop q - half and the half samples
+    before x[b advance] at its end (zeros outside the signal), so that its
+    frames fall on samples 0, hop, 2 hop, ... of its circular product with
+    the taps. Its spectrum is a real FFT and its conjugate mirror, each
+    value ``scipy.fft.fft``'s of the block, written into the planes without
+    forming the full spectrum.
+    """
+    q, _, _, hop = planes.shape
+    size = hop * q
+    lo, hi = span
+    first = lo * advance - half  # the first sample these blocks read
+    segment = np.zeros((hi - lo - 1) * advance + size)
+    a, b = max(first, 0), min(x.size, first + segment.size)
+    if b > a:
+        segment[a - first : b - first] = x[a:b]
+    windows = np.lib.stride_tricks.sliding_window_view(segment, size)[::advance]
+    rows = np.concatenate((windows[:, half:], windows[:, :half]), axis=1)
+    del segment, windows
+    spectra = np.fft.rfft(rows)
+    del rows
+    # Bin j is spectra[j] below top and conj(spectra[size - j]) from there.
+    bins = planes[:, lo:hi].transpose(1, 3, 0, 2)  # [b, r, c] holds bin r q + c
+    top = size // 2 + 1
+    row, col = divmod(top, q)
+    lower = spectra.view(float)
+    bins[:, :row] = lower[:, : 2 * row * q].reshape(hi - lo, row, q, 2)
+    if row < hop:
+        bins[:, row, :col] = lower[:, 2 * row * q : 2 * top].reshape(hi - lo, col, 2)
+        upper = spectra[:, size - top : 0 : -1]
+        bins[:, row, col:, 0] = upper[:, : q - col].real
+        np.negative(upper[:, : q - col].imag, out=bins[:, row, col:, 1])
+        upper = upper[:, q - col :].reshape(hi - lo, hop - 1 - row, q)
+        bins[:, row + 1 :, :, 0] = upper.real
+        np.negative(upper.imag, out=bins[:, row + 1 :, :, 1])
+
+
+def _fold_batch(kernels, w, carriers, frame_times, values, planes, per_block, batch) -> None:
+    """The frames of the Gaussian channels ``batch`` from their group's
+    block ``planes`` (q, 2 blocks, hop), written into ``values``.
+
+    Each channel's real transfer function H at hop q (``_tap_transform``)
+    is stacked as (q, hop, channels), so that one product per chunk of
+    blocks, (q, 2 blocks, hop) @ (q, hop, channels), multiplies every block
+    spectrum by every H and sums the hop rows of each bin: the fold onto q
+    bins that keeping every hop-th sample of the circular product is. One
+    inverse FFT of length q per block and channel then gives the frames,
+    of which the first ``per_block`` are kept, and the carriers take off the
+    modulation. Runs on a worker thread: numpy only.
+    """
+    q, rows, hop = planes.shape
+    width = len(batch)
+    gains = None
+    for i, ch in enumerate(batch):
+        gain = _tap_transform(kernels[ch], w[ch], hop * q)
+        if gains is None:  # after the first transform, whose scratch is freed by then
+            gains = np.empty((q, hop, width))
+        gains[:, :, i] = gain.reshape(hop, q).T
+        del gain
+    n_frames = values.shape[0]
+    step = max(1, _FOLD_ELEMENTS // (2 * q * width))
+    for lo in range(0, rows // 2, step):
+        hi = min(rows // 2, lo + step)
+        product = _matmul(planes[:, 2 * lo : 2 * hi], gains)
+        folded = product.reshape(q, hi - lo, 2, width).transpose(1, 3, 0, 2)
+        folded = np.ascontiguousarray(folded).view(complex)[..., 0]
+        del product
+        folded /= hop
+        frames = np.fft.ifft(folded)[:, :, :per_block]
+        del folded
+        f0, f1 = lo * per_block, min(n_frames, hi * per_block)
+        out = frames.transpose(0, 2, 1).reshape(-1, width)[: f1 - f0]
+        del frames
+        out *= np.exp(carriers[batch] * frame_times[f0:f1, None])
+        values[f0:f1, batch] = out
+
+
+def _gauss_group(pool, x, fold, hop, channels, half, q, per_block, blocks) -> None:
+    """One overlap-save group on ``pool``: its block spectra, then its
+    channels' batches (``fold``). The spectra are freed on return, before
+    the next group builds its own."""
+    planes = np.empty((q, blocks, 2, hop))
+    step = max(1, _FOLD_ELEMENTS // (hop * q))
+    spans = [(lo, min(blocks, lo + step)) for lo in range(0, blocks, step)]
+    spectra = functools.partial(_block_spectra, x, half, hop * per_block)
+    list(pool.map(spectra, spans, itertools.repeat(planes)))
+    planes = planes.reshape(q, 2 * blocks, hop)
+    width = max(1, min(_BATCH_CHANNELS, _BATCH_ELEMENTS // (hop * q)))
+    batches = [channels[i : i + width] for i in range(0, len(channels), width)]
+    list(pool.map(fold, itertools.repeat(planes), itertools.repeat(per_block), batches))
 
 
 def compute_spectrogram(
@@ -310,21 +453,31 @@ def compute_spectrogram(
     thread count.
 
     The Gaussian family correlates with the truncated discrete Gaussian
-    T[half + d], d = -half..half, centered on the frames. The signal is
-    transformed once, X = fft(x, M) (``_real_spectrum``), with M = hop Q at
-    least N + the largest half, so no frame's sum wraps around; Q is a fast
-    FFT length, and so is M whenever hop is. Per channel the transform H of
-    the taps T[half + d] e^{i w d}, placed circularly, is real since T is
-    symmetric: the discrete Hartley transform of the real taps
+    T[half + d], d = -half..half, centered on the frames, by overlap-save
+    (Stockham 1966). The channels are grouped by octave of half-width
+    (``_block_groups``); a group's blocks are hop Q samples, Q 11-smooth,
+    about 5 times its largest half-width h, or one block of the whole
+    signal (hop Q >= N + h, so no frame's sum wraps around) where that is
+    not twice as long. The spectra of the group's blocks are built once,
+    each a real FFT and its conjugate mirror, as real and imaginary planes
+    (Q, 2 blocks, hop) (``_block_spectra``). Per channel the transform H of
+    the taps T[half + d] e^{i w d}, placed circularly at hop Q, is real since
+    T is symmetric: the discrete Hartley transform of the real taps
     T[half + d] (cos w d + sin w d), one real ``numpy.fft`` transform
-    (``_tap_transform``). Keeping every hop-th output sample of the product
-    X H aliases it onto Q bins (decimation in time is aliasing in frequency),
-    so one inverse FFT of length Q gives the frames. The fold multiplies X by
-    the real H a few of the (hop, Q) rows at a time and sums them into a
-    Q-long accumulator, so no M-long product is formed.
-    These channels run on a thread pool sized to the CPUs this process may
-    use; each channel is computed and written by one thread alone, so the
-    map does not depend on the thread count.
+    (``_tap_transform``). Keeping every hop-th output sample of a block's
+    product with H aliases it onto Q bins (decimation in time is aliasing in
+    frequency), so a batch of channels folds every block at once as one
+    product (Q, 2 blocks, hop) @ (Q, hop, channels), and one inverse FFT of
+    length Q per block and channel gives its frames (``_fold_batch``).
+    The spectra are built, and the batches folded, on a thread pool sized to
+    the CPUs this process may use, with OpenBLAS held to one thread; each
+    channel is computed and written by one thread alone, with the same
+    blocks and batches whatever the thread count, so the map does not
+    depend on it. A group's spectra take about 1.5 to 2 complex values per
+    signal sample, or one per sample of its one block; each worker holds
+    beyond them a batch's stacked transforms (at most 1 << 15 reals, or one
+    channel's hop Q), one transform's scratch and a fold of bounded size,
+    none of which grows with the signal once the blocks are shorter than it.
 
     Both agree with smoothing the modulated signal directly to within 1e-9
     of the signal peak (the bound tests enforce). Ladders, stages,
@@ -380,26 +533,15 @@ def compute_spectrogram(
         kernels = _gauss_kernels(tuple((grid.tau_window * sample_rate * sample_rate).tolist()))
         halves = [kernel.origin_index for kernel in kernels]
         warmup = np.array([-(-half // hop) for half in halves])
-        q = _fft_length(-(-(n + max(halves)) // hop), (3, 5, 7, 11))
-        m = hop * q
-        bins = _real_spectrum(x, m).reshape(hop, q)
         values = np.empty((n_frames, n_ch), dtype=complex)
-        fold_rows = max(1, _FOLD_CELLS // q)
-
-        def demodulate(ch: int) -> None:
-            # Runs on a worker thread: numpy only.
-            gain = _tap_transform(kernels[ch], grid.omega[ch] / sample_rate, m).reshape(hop, q)
-            folded = np.zeros(q, dtype=complex)
-            scratch = np.empty((min(fold_rows, hop), q), dtype=complex)
-            for lo in range(0, hop, fold_rows):
-                chunk = scratch[: min(fold_rows, hop - lo)]
-                np.multiply(bins[lo : lo + fold_rows], gain[lo : lo + fold_rows], out=chunk)
-                folded += chunk.sum(axis=0)
-            folded = np.fft.ifft(folded / hop)[:n_frames]
-            values[:, ch] = folded * np.exp(-1j * grid.omega[ch] * frame_times)
-
-        with ThreadPoolExecutor(max_workers=_worker_count(n_ch)) as pool:
-            list(pool.map(demodulate, range(n_ch)))
+        fold = functools.partial(
+            _fold_batch, kernels, grid.omega / sample_rate, -1j * grid.omega, frame_times, values
+        )
+        # The cap is left last, after the pool has finished every task, also
+        # when one raises.
+        with _one_blas_thread(), ThreadPoolExecutor(max_workers=_worker_count(n_ch)) as pool:
+            for group in _block_groups(halves, n, hop):
+                _gauss_group(pool, x, fold, hop, *group)
     return TFMap(
         values=values,
         frame_times=frame_times,

@@ -131,6 +131,12 @@ def warmup_length(ladder: ScaleLadder) -> int:
     return int(math.ceil(5.0 * ladder.mu_sum))
 
 
+def _integer(value) -> bool:
+    """Whether a count is an integer, and not a bool, which Python takes
+    for one."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 FAMILY_KINDS = ("gauss", "rec-uni", "rec-log")
 
 
@@ -153,7 +159,7 @@ class SpectrogramFamily:
     def __post_init__(self) -> None:
         if self.kind not in FAMILY_KINDS:
             raise ValueError(f"unknown family kind {self.kind!r}")
-        if self.causal and not (isinstance(self.K, numbers.Integral) and self.K >= 1):
+        if self.causal and not (_integer(self.K) and self.K >= 1):
             raise ValueError(f"cascade families need a whole stage count K >= 1, got {self.K!r}")
         if self.kind == "rec-log" and (self.c is None or not 1 < self.c < math.inf):
             raise ValueError(f"rec-log needs a finite ratio c > 1, got {self.c}")

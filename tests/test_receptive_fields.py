@@ -68,9 +68,13 @@ def test_rfspec_validation():
         RFSpec(temporal=SpectrogramFamily("rec-uni", K=2).temporal(1e-4), s=0.25, alpha=2)
 
 
-@pytest.mark.parametrize("orders", [{"alpha": 1.5}, {"beta": 0.5}, {"alpha": 1.0}, {"beta": "1"}])
+@pytest.mark.parametrize(
+    "orders",
+    [{"alpha": 1.5}, {"beta": 0.5}, {"alpha": 1.0}, {"beta": "1"}, {"alpha": True}, {"beta": True}],
+)
 def test_rfspec_takes_only_whole_derivative_orders(orders):
-    """alpha = 1.5 was accepted, and rf_kernel_image then raised TypeError."""
+    """alpha = 1.5 was accepted, and rf_kernel_image then raised TypeError;
+    alpha = True was taken as a first derivative."""
     tk = TemporalKernelSpec.gaussian(1e-4)
     with pytest.raises(ValueError, match="whole numbers"):
         RFSpec(temporal=tk, s=0.25, **orders)

@@ -132,6 +132,20 @@ def test_grid_refuses_a_wide_span_from_its_end_channels(law, monkeypatch):
     assert len(calls) <= 2
 
 
+@pytest.mark.parametrize("bins", [True, 12.5, 0.5, math.nan, "12"])
+def test_grid_refuses_a_bins_per_octave_that_is_not_a_whole_count(bins):
+    """True was taken as 1 bin per octave, and 12.5 gave 14 channels at
+    0.96-semitone steps."""
+    with pytest.raises(ValueError, match="bins_per_octave must be a whole number at least 1"):
+        build_frequency_grid(60.0, 72.0, bins)
+
+
+def test_grid_takes_a_whole_float_bins_per_octave():
+    grid = build_frequency_grid(60.0, 72.0, 12.0)
+    assert type(grid.bins_per_octave) is int
+    assert np.array_equal(grid.nu, build_frequency_grid(60.0, 72.0, 12).nu)
+
+
 def test_window_scale_soft_upper_bound_eases_low_frequencies():
     # With a bounded law the longest windows pull toward tau_max.
     law = WindowScaleLaw(n=8.0, tau_inf=0.01, p=2.0)
@@ -389,9 +403,20 @@ def _allow_cpus(monkeypatch, cpus: int) -> None:
 
 
 def _assert_map_ignores_the_worker_count(fam, monkeypatch, rng) -> None:
-    rate = 8000.0
+    """On 1, 4 and 64 allowed CPUs and on a CPU count of 3, over a signal
+    long enough that the Gauss channels run in blocks (3 or more per group),
+    in batches of which the last is partial."""
+    rate, hop = 8000.0, 11
     grid = build_frequency_grid(60.0, 72.0, 12)
-    x = rng.normal(size=3000)
+    x = rng.normal(size=16000)
+    kernels = spectrogram._gauss_kernels(tuple((grid.tau_window * rate * rate).tolist()))
+    groups = spectrogram._block_groups([k.origin_index for k in kernels], x.size, hop)
+    assert max(blocks for *_, blocks in groups) >= 3
+    widths = [
+        min(spectrogram._BATCH_CHANNELS, spectrogram._BATCH_ELEMENTS // (hop * q))
+        for _, _, q, _, _ in groups
+    ]
+    assert any(len(g[0]) > w and len(g[0]) % w for g, w in zip(groups, widths))
     pools = _spy_on_pools(monkeypatch)
     maps = []
     interval = sys.getswitchinterval()
@@ -399,13 +424,13 @@ def _assert_map_ignores_the_worker_count(fam, monkeypatch, rng) -> None:
     try:
         for cpus in (1, 4, 64):
             _allow_cpus(monkeypatch, cpus)
-            maps.append(compute_spectrogram(x, rate, grid, fam, hop=11))
+            maps.append(compute_spectrogram(x, rate, grid, fam, hop=hop))
     finally:
         sys.setswitchinterval(interval)
     # Without an affinity mask the CPU count is the limit.
     monkeypatch.delattr(spectrogram.os, "sched_getaffinity", raising=False)
     monkeypatch.setattr(spectrogram.os, "cpu_count", lambda: 3)
-    maps.append(compute_spectrogram(x, rate, grid, fam, hop=11))
+    maps.append(compute_spectrogram(x, rate, grid, fam, hop=hop))
     assert pools == [1, 4, grid.n_channels, 3]
     for S in maps[1:]:
         assert np.array_equal(S.values, maps[0].values)
@@ -597,16 +622,20 @@ def test_real_tap_transform_matches_the_complex_tap_fft(w, s_sampl, spread):
     assert np.max(np.abs(got - scipy.fft.fft(placed))) <= TAP_TRANSFORM_ATOL
 
 
-@pytest.mark.parametrize("m", [22050, 22051])
-def test_real_spectrum_is_scipys_complex_fft_bitwise(m, rng):
-    """The real FFT plus its conjugate mirror equals SciPy's complex FFT of
-    the real signal, zero-padded to m, value for value, for even and odd m;
-    numpy's complex FFT differs in about half the bins. The only bits that
-    differ are the signs of the zero imaginary parts at bins 0 and m / 2
-    (+0 here, -0 in SciPy's), which compare equal."""
+@pytest.mark.parametrize("hop, q, half", [(2, 11025, 0), (1, 22051, 1000), (7, 3150, 2049)])
+def test_one_block_spectrum_is_scipys_complex_fft_bitwise(hop, q, half, rng):
+    """A block that holds the whole signal (its lead before the signal is
+    zeros) has, as a real FFT plus its conjugate mirror, SciPy's complex FFT
+    of the signal zero-padded to m = hop q, value for value, for even and
+    odd m; numpy's complex FFT differs in about half the bins. The only bits
+    that differ are the signs of the zero imaginary parts at bins 0 and
+    m / 2 (+0 here, -0 in SciPy's), which compare equal."""
+    m = hop * q
     x = rng.normal(size=20000)
-    got, want = spectrogram._real_spectrum(x, m), scipy.fft.fft(x, m)
-    assert got.dtype == np.complex128
+    planes = np.empty((q, 1, 2, hop))
+    spectrogram._block_spectra(x, half, m, (0, 1), planes)
+    got = np.ascontiguousarray(planes.transpose(1, 3, 0, 2)).view(complex).reshape(m)
+    want = scipy.fft.fft(x, m)
     assert np.array_equal(got, want)
     differ = np.flatnonzero(got.view(np.int64) != want.view(np.int64))
     assert set(differ) <= {1, m + 1} and not got.view(float)[differ].any()
@@ -702,6 +731,30 @@ def test_causal_layer1_temporaries_do_not_grow_with_the_signal(kind):
     assert long_ - short <= 16 * 1024
 
 
+def test_gauss_layer1_temporaries_do_not_grow_with_the_signal(monkeypatch):
+    """A group's blocks and batches do not depend on the signal length once
+    every group runs in blocks, so on one worker nothing but the map, the
+    frame times and the block spectra of one group grows with the signal:
+    from 2 to 8 s the map grows by 4.4 MB and the largest group's spectra
+    by 1.3 MB, the rest by no more than the slack of a few allocator
+    blocks. The kernels are built before either call is traced."""
+    rate, hop = 8000.0, 8
+    grid = build_frequency_grid(55.0, 100.0, 12)
+    fam = SpectrogramFamily(kind="gauss")
+    _allow_cpus(monkeypatch, 1)
+    kernels = spectrogram._gauss_kernels(tuple((grid.tau_window * rate * rate).tolist()))
+    halves = [kernel.origin_index for kernel in kernels]
+
+    def beyond_spectra(seconds: float) -> int:
+        groups = spectrogram._block_groups(halves, int(seconds * rate), hop)
+        assert all(blocks > 1 for *_, blocks in groups)
+        spectra = max(16 * hop * q * blocks for _, _, q, _, blocks in groups)
+        return _extra_bytes(seconds, grid, fam) - spectra
+
+    short, long_ = beyond_spectra(2.0), beyond_spectra(8.0)
+    assert abs(long_ - short) <= 16 * 1024
+
+
 @pytest.mark.parametrize(
     "grid, seconds",
     [(_DEFAULT_GRID, 2.0), (_GRID_77, 1.0)],
@@ -710,13 +763,14 @@ def test_causal_layer1_temporaries_do_not_grow_with_the_signal(kind):
 def test_gauss_layer1_temporaries_stay_within_one_complex_array_per_worker(
     grid, seconds, monkeypatch
 ):
-    """On one worker, the Gauss path holds beyond its map, its frame times
-    and the shared signal spectrum X (one complex array of M samples) about
-    one more complex M-array: a channel's placed real taps and their half
-    spectrum. Tap-length temporaries and the pool's per-channel bookkeeping
-    add 17% (77 channels, 1 s) and 38% (368 channels, 2 s) of one. The
-    complex taps this replaced added 55% and 83%, and forming the M-long
-    product of X and the real H before the fold adds 74% and 92%."""
+    """On one worker, the Gauss path holds beyond its map and its frame
+    times at most 2.5 complex arrays of M samples, M the whole-signal
+    transform length (hop Q >= N + the largest half-width): one group's
+    block spectra (up to 1.65 such arrays) and a batch's tap transforms
+    with their scratch. It peaks at 2.11 (77 channels, 1 s) and 2.07
+    (368 channels, 2 s). The whole-signal spectrum and per-channel M-long
+    transforms this replaced peaked at 2.17 and 2.38; wider batches for the
+    long blocks reach 2.51 on the 77-channel grid."""
     rate, fam = 44100.0, SpectrogramFamily(kind="gauss")
     x = sine(440.0, seconds, rate)
     _allow_cpus(monkeypatch, 1)
@@ -735,28 +789,38 @@ def test_gauss_layer1_temporaries_stay_within_one_complex_array_per_worker(
     assert extra <= 1.5 * 16 * m
 
 
-def test_gauss_path_equals_the_direct_windowed_sum(rng):
+@pytest.mark.parametrize("hop", [1, 7, 441])
+def test_gauss_path_equals_the_direct_windowed_sum(hop, rng):
     """S[j] = sum_k T[k] x[m] e^{-i omega m / rate} with m = j hop + k - half,
-    summed directly over the samples inside the signal."""
-    rate, hop = 8000.0, 7
-    x = rng.normal(size=1500)
+    summed directly over the samples inside the signal, within 1e-12 of the
+    signal peak: at the first, second, middle and last frames of every
+    channel, and on both sides of every block seam of its overlap-save
+    group. Hop 441 sums its bins in two passes of the product's inner
+    dimension (384 and 57 rows)."""
+    rate = 8000.0
+    x = rng.normal(size=2500)
     grid = build_frequency_grid(45.0, 100.0, 6, law=WindowScaleLaw(n=8.0))
     S = compute_spectrogram(x, rate, grid, SpectrogramFamily(kind="gauss"), hop=hop)
-    halves = []
-    for ch in range(grid.n_channels):
-        kernel = discrete_gaussian_kernel(grid.tau_window[ch] * rate * rate)
-        half = kernel.origin_index
-        halves.append(half)
+    kernels = [discrete_gaussian_kernel(tau * rate * rate) for tau in grid.tau_window]
+    halves = [kernel.origin_index for kernel in kernels]
+    groups = spectrogram._block_groups(halves, x.size, hop)
+    seams = {}
+    for channels, _, _, per_block, blocks in groups:
+        for ch in channels:
+            seams[ch] = [f for b in range(1, blocks) for f in (b * per_block - 1, b * per_block)]
+    for ch, (kernel, half) in enumerate(zip(kernels, halves)):
         assert S.warmup_frames[ch] == -(-half // hop)
-        for j in (0, 1, S.n_frames // 2, S.n_frames - 1):
+        for j in {0, 1, S.n_frames // 2, S.n_frames - 1, *seams[ch]}:
             m = j * hop + np.arange(2 * half + 1) - half
             inside = (m >= 0) & (m < x.size)
             mi = m[inside]
             carrier = np.exp(-1j * grid.omega[ch] * mi / rate)
             direct = np.sum(kernel.values[inside] * x[mi] * carrier)
             assert abs(S.values[j, ch] - direct) <= 1e-12 * np.max(np.abs(x))
-    # the lowest channels' kernels are longer than the signal
-    assert max(halves) > x.size
+    # groups of 3 blocks or more, and one whose kernels outlast the signal,
+    # which runs as one block
+    assert max(blocks for *_, blocks in groups) >= 3
+    assert any(blocks == 1 and half > x.size for _, half, _, _, blocks in groups)
 
 
 def test_db_conversion_floor_and_reference():
@@ -898,7 +962,7 @@ def test_spectrogram_accepts_an_integral_float_hop(kind):
         assert np.array_equal(S.values, want.values)
 
 
-@pytest.mark.parametrize("hop", [44.5, float("nan"), float("inf"), "44", 0, -3, 0.0])
+@pytest.mark.parametrize("hop", [44.5, float("nan"), float("inf"), "44", 0, -3, 0.0, True])
 def test_spectrogram_rejects_a_hop_that_is_not_a_positive_whole_number(hop):
     grid = build_frequency_grid(60.0, 72.0, 12)
     x = sine(440.0, 0.1, 8000.0)

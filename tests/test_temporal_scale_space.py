@@ -17,7 +17,7 @@ from scipy.signal import lfilter, sosfilt
 from scipy.special import ive
 from scipy.stats import gamma as gamma_dist
 
-from tonescale import temporal_scale_space
+from tonescale import spectrogram, temporal_scale_space
 
 from tonescale.temporal_scale_space import (
     SampledKernel,
@@ -140,7 +140,7 @@ def test_ladder_rejects_bad_arguments():
         for tau in (-1.0, 0.0, math.nan, math.inf):
             with pytest.raises(ValueError, match="ladder scale tau"):
                 SpectrogramFamily(kind, K=3).ladder(tau)
-        for K in (0, -1, 2.5, 3.0, "3", None):
+        for K in (0, -1, 2.5, 3.0, "3", None, True):  # True was a one-stage cascade
             with pytest.raises(ValueError, match="whole stage count"):
                 SpectrogramFamily(kind, K=K)
     for c in (1.0, 0.5, math.nan, math.inf, None):
@@ -428,6 +428,11 @@ def _driver_runs(driver, rng):
         sections = np.stack([cascade_sections(lad, w) for w in (0.3, 1.1)])
         x = rng.normal(size=500)
         return [lambda: temporal_scale_space._block_cascade(x, sections, 7)]
+    if driver == "gauss_layer1":  # its products run on the channel pool's threads
+        grid = spectrogram.build_frequency_grid(60.0, 72.0, 12)
+        x = rng.normal(size=16000)
+        family = SpectrogramFamily("gauss")
+        return [lambda: spectrogram.compute_spectrogram(x, 8000.0, grid, family, hop=11)]
     L = rng.normal(-40.0, 15.0, size=(200, 368))
     stack = np.stack([L * L, -L, 2.0 * L], axis=-1)
     if driver == "discrete_recursive_smooth":
@@ -450,7 +455,7 @@ def _driver_runs(driver, rng):
     ]
 
 
-DRIVERS = ["_block_cascade", "discrete_recursive_smooth", "discrete_gaussian_smooth"]
+DRIVERS = ["_block_cascade", "gauss_layer1", "discrete_recursive_smooth", "discrete_gaussian_smooth"]
 
 
 @pytest.mark.parametrize("driver", DRIVERS)
@@ -459,8 +464,9 @@ def test_each_driver_runs_its_products_on_one_blas_thread(
     driver, raises, blas_threads, monkeypatch, rng
 ):
     """The BLAS count reads 1 inside every product of causal layer 1's
-    block rows, layer 2's ladders and its band products, and the count from
-    before once each call has left, also when a product raises."""
+    block rows, Gauss layer 1's batch folds, layer 2's ladders and its band
+    products, and the count from before once each call has left, also when
+    a product raises."""
     counts, matmul = [], temporal_scale_space._matmul
 
     def spy(*args, **kwargs):
@@ -471,6 +477,7 @@ def test_each_driver_runs_its_products_on_one_blas_thread(
 
     runs = _driver_runs(driver, rng)
     monkeypatch.setattr(temporal_scale_space, "_matmul", spy)
+    monkeypatch.setattr(spectrogram, "_matmul", spy)
     for run in runs:
         before = len(counts)
         with pytest.raises(RuntimeError) if raises else contextlib.nullcontext():

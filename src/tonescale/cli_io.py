@@ -16,9 +16,11 @@ any option of the subcommand by its destination name; explicit flags
 override the file, which overrides the table defaults, and any other key
 is an error.
 
-Exit codes: 0 success, 2 bad arguments, 1 runtime failure; a command builds
-the library objects it needs before it reads the WAV, and a refused one exits
-2 naming its flags. Identical inputs and settings give byte-identical outputs.
+Exit codes: 0 success, 2 bad arguments, 1 runtime failure. The library owns
+every rule on a value it takes: a command builds the library objects it needs
+before it reads the WAV, and a refused one exits 2 naming its flags. The CLI
+owns only the rules of its unit conversions (``EXTENTS``) and of its outputs
+and selectors. Identical inputs and settings give byte-identical outputs.
 """
 
 from __future__ import annotations
@@ -37,14 +39,18 @@ import numpy as np
 
 from tonescale.features import (
     TEMPORAL_FAMILY,
+    band_field,
     band_response,
+    bank_fields,
     detect_offsets,
     detect_onsets,
     enhance_bands,
     extract_partial_curves,
     glissando_filterbank,
     ridge_mask,
+    ridge_threshold,
     second_moment_glissando,
+    second_moment_kernels,
 )
 from tonescale.receptive_fields import RFSpec, rf_kernel_image
 from tonescale.selectivity_analysis import (
@@ -55,6 +61,7 @@ from tonescale.selectivity_analysis import (
 from tonescale.spectrogram import (
     WindowScaleLaw,
     build_frequency_grid,
+    channel_delays,
     compute_spectrogram,
     delay_compensate,
     midi_from_frequency,
@@ -249,14 +256,19 @@ def read_grid_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     return np.array(nu), frame_times, values
 
 
+def _grey_range(lo: float, hi: float, where: str = "") -> None:
+    """Refuse a PGM grey range [lo, hi] unless lo < hi, both finite."""
+    if not -math.inf < lo < hi < math.inf:
+        raise ValueError(f"{where}bad grayscale range [{lo}, {hi}]: needs finite lo < hi")
+
+
 def write_grid_pgm(path: str | Path, values: np.ndarray, lo: float, hi: float) -> None:
     """Binary PGM (P5): width = frames, height = channels, top row = highest
     nu. Pixels map [lo, hi] to [0, 255] with clamping, rounding half up."""
     v = np.asarray(values, dtype=np.float64)
     if v.size == 0:
         raise ValueError(f"{path}: refusing to write an empty grid")
-    if hi <= lo:
-        raise ValueError(f"{path}: bad grayscale range [{lo}, {hi}]")
+    _grey_range(lo, hi, f"{path}: ")
     x = np.clip((v - lo) / (hi - lo), 0.0, 1.0)
     pix = np.floor(255.0 * x + 0.5).astype(np.uint8)
     img = pix.T[::-1, :]  # (channels, frames), row 0 = highest nu
@@ -335,38 +347,25 @@ OPTIONS: dict[str, tuple] = {
     "dnu": (float, None, "frequency spacing in semitones for --rf (default: sigma-nu/25)"),
 }
 METAVARS = {"glissando_bank": "V1,V2,..."}
-# The CLI's own rules; the library object a command builds refuses every
-# other value. EXTENTS bounds what the CLI converts (hop and spacing
-# positive; extents it squares non-negative, as a variance loses their sign,
-# and ``_variance`` refuses a square past the float range)
-# and its thresholds (finite: a NaN admits nothing). None is a derived
-# default; a (command, option) key overrides a rule: a kernel image needs a
-# spectral extent. Commands add output, selector and dB-range rules, and two
-# the library makes only after layer 1: integration scales at least the
-# derivative scales, and delay compensation of causal families only.
-EXTENTS = dict.fromkeys(("hop_ms", "dt", ("kernels", "sigma_nu")), "positive")
-EXTENTS.update(dict.fromkeys(("tau_a_ms", "tau_i_ms", "tau0_ms", "sigma_nu"), "non-negative"))
-EXTENTS.update(sigma_nu_i="non-negative", c_min="finite", min_level_db="finite")
-EXTENT_RULES = {
-    "positive": lambda value: 0 < value < math.inf,
-    "non-negative": lambda value: 0 <= value < math.inf,
-    "finite": math.isfinite,
-}
-LAYER1_OPTIONS = (
-    "family",
-    "K",
-    "c",
-    "n",
-    "tau0_ms",
-    "bins_per_octave",
-    "nu_min",
-    "nu_max",
-    "hop_ms",
-    "compensate_delay",
-    "out_csv",
-    "out_pgm",
-    "config",
-)
+# The rules of the CLI's own unit conversions; the library object a command
+# builds refuses every other value. EXTENTS bounds what the CLI converts (hop
+# and spacing positive; extents it squares non-negative, as a variance loses
+# their sign, and ``_variance`` refuses a square past the float range) and
+# the level floor it applies itself (finite: a NaN admits nothing), each as
+# (what the value must be, test). None is a derived default; a (command,
+# option) key overrides a rule: a kernel image needs a spectral extent.
+POSITIVE = ("positive and finite", lambda value: 0 < value < math.inf)
+NON_NEGATIVE = ("non-negative and finite", lambda value: 0 <= value < math.inf)
+EXTENTS = dict.fromkeys(("hop_ms", "dt", ("kernels", "sigma_nu")), POSITIVE)
+EXTENTS.update(dict.fromkeys(("tau_a_ms", "tau_i_ms", "tau0_ms", "sigma_nu"), NON_NEGATIVE))
+EXTENTS.update(sigma_nu_i=NON_NEGATIVE, min_level_db=("finite", math.isfinite))
+SELECTORS = ("onsets", "offsets", "bands", "partials", "glissando_bank", "second_moment")
+LAYER1_OPTIONS = ("family", "K", "c", "n", "tau0_ms", "bins_per_octave", "nu_min", "nu_max")
+LAYER1_OPTIONS += ("hop_ms", "compensate_delay", "out_csv", "out_pgm", "config")
+
+
+def _flag(key: str) -> str:
+    return "--" + key.replace("_", "-")
 
 
 def _help(key: str) -> str:
@@ -444,13 +443,10 @@ def _merge_settings(args: argparse.Namespace) -> dict:
     merged = {}
     for key in keys:
         flag = getattr(args, key)
-        merged[key] = flag if flag is not None else config.get(key, OPTIONS[key][1])
-        need, value = EXTENTS.get((args.command, key), EXTENTS.get(key)), merged[key]
-        if need is None or value is None:
-            continue
-        if not EXTENT_RULES[need](value):
-            rule = need if need == "finite" else f"{need} and finite"
-            raise CliError(2, f"--{key.replace('_', '-')} must be {rule}, got {value}")
+        merged[key] = value = flag if flag is not None else config.get(key, OPTIONS[key][1])
+        need, test = EXTENTS.get((args.command, key), EXTENTS.get(key, (None, None)))
+        if need is not None and value is not None and not test(value):
+            raise CliError(2, f"{_flag(key)} must be {need}, got {value}")
     return merged
 
 
@@ -462,12 +458,9 @@ def _parse_bank(raw) -> list[float] | None:
     else:
         toks = [tok for tok in str(raw).split(",") if tok.strip()]
     try:
-        vals = [float(tok) for tok in toks]
+        return [float(tok) for tok in toks]
     except ValueError as exc:
         raise CliError(2, f"bad glissando bank value in {raw!r}") from exc
-    if not vals:
-        raise CliError(2, "glissando bank must not be empty")
-    return vals
 
 
 @contextlib.contextmanager
@@ -476,8 +469,7 @@ def _refused_as(*keys: str):
     try:
         yield
     except ValueError as exc:
-        flags = ", ".join("--" + key.replace("_", "-") for key in keys)
-        raise CliError(2, f"{flags}: {exc}") from exc
+        raise CliError(2, f"{', '.join(map(_flag, keys))}: {exc}") from exc
 
 
 def _variance(cfg: dict, key: str) -> float:
@@ -487,8 +479,7 @@ def _variance(cfg: dict, key: str) -> float:
     try:
         return value**2
     except OverflowError:
-        flag = "--" + key.replace("_", "-")
-        raise CliError(2, f"{flag}: {cfg[key]} squares past the float range") from None
+        raise CliError(2, f"{_flag(key)}: {cfg[key]} squares past the float range") from None
 
 
 def _layer1(cfg: dict, wav: str):
@@ -497,29 +488,28 @@ def _layer1(cfg: dict, wav: str):
     What does not need the input's rate is built before the WAV is read. The
     grid stops at ``nu_max``, or else at 16 kHz, lowered after the read to one
     bin below the input's Nyquist frequency if that is lower; a ``--hop-ms``
-    that rounds to no whole sample at the input rate is refused.
+    that rounds to no whole sample at the input rate, or past the float
+    range, is refused.
     """
     with _refused_as("family", "K", "c"):
         family = SpectrogramFamily(kind=cfg["family"], K=cfg["K"], c=cfg["c"])
-    if cfg["compensate_delay"] and not family.causal:
-        raise CliError(2, "delay compensation applies to causal families only")
     with _refused_as("n", "tau0_ms"):
         law = WindowScaleLaw(n=cfg["n"], tau0=_variance(cfg, "tau0_ms"))
     nu_min, nu_max, bins = cfg["nu_min"], cfg["nu_max"], cfg["bins_per_octave"]
     with _refused_as("nu_min", "nu_max", "bins_per_octave"):
         grid = build_frequency_grid(nu_min, NU_MAX_DEFAULT if nu_max is None else nu_max, bins, law)
+    if cfg["compensate_delay"]:
+        with _refused_as("compensate_delay", "family"):
+            channel_delays(grid, family)
     buf = read_wav(wav)
     top = midi_from_frequency(buf.rate / 2.0) - 12.0 / bins
     if nu_max is None and top < NU_MAX_DEFAULT:
         grid = build_frequency_grid(nu_min, top, bins, law)
-    hop = round(buf.rate * cfg["hop_ms"] / 1000.0)
-    if hop < 1:
-        raise CliError(
-            2,
-            f"--hop-ms {cfg['hop_ms']:g} rounds to 0 samples at the input rate of "
-            f"{buf.rate:g} Hz",
-        )
-    spec = compute_spectrogram(buf.samples, buf.rate, grid, family, hop=hop)
+    hop = buf.rate * cfg["hop_ms"] / 1000.0
+    if not 0.5 < hop < math.inf:  # round(hop) is a whole number from 1
+        at = f"{hop:g} samples at the input rate of {buf.rate:g} Hz"
+        raise CliError(2, f"--hop-ms {cfg['hop_ms']:g} is {at}, which rounds to no whole sample")
+    spec = compute_spectrogram(buf.samples, buf.rate, grid, family, hop=round(hop))
     if cfg["compensate_delay"]:
         spec = delay_compensate(spec)
     return spec
@@ -552,9 +542,8 @@ def _symmetric_range(values: np.ndarray) -> tuple[float, float]:
 
 def cmd_spectrogram(cfg: dict, wav: str) -> int:
     _require_output(cfg)
-    lo, hi = cfg["db_min"], cfg["db_max"]
-    if not -math.inf < lo < hi < math.inf:
-        raise CliError(2, f"--db-min ({lo}) must be below --db-max ({hi}), both finite")
+    with _refused_as("db_min", "db_max"):
+        _grey_range(cfg["db_min"], cfg["db_max"])
     spec = _layer1(cfg, wav)
     want_db = cfg["db"]
     values = to_db(spec).values if want_db else spec.values
@@ -579,19 +568,10 @@ def _curve_median_level(log, curve) -> float:
 
 def cmd_features(cfg: dict, wav: str) -> int:
     bank = _parse_bank(cfg["glissando_bank"])
-    selectors = [
-        name
-        for name in ("onsets", "offsets", "bands", "partials", "second_moment")
-        if cfg[name]
-    ]
-    if bank is not None:
-        selectors.append("glissando_bank")
+    # a bank is chosen when given at all, the other selectors when set
+    selectors = [name for name in SELECTORS if cfg[name] not in (None, False)]
     if len(selectors) != 1:
-        raise CliError(
-            2,
-            "choose exactly one of --onsets --offsets --bands --partials "
-            "--glissando-bank --second-moment",
-        )
+        raise CliError(2, "choose exactly one of " + " ".join(map(_flag, SELECTORS)))
     sel = selectors[0]
     if sel != "partials":
         _require_output(cfg)
@@ -600,19 +580,22 @@ def cmd_features(cfg: dict, wav: str) -> int:
 
     tau_a, s = _variance(cfg, "tau_a_ms"), _variance(cfg, "sigma_nu")
     tau_i, s_i = _variance(cfg, "tau_i_ms"), _variance(cfg, "sigma_nu_i")
-    if sel == "second_moment" and not (tau_i >= tau_a and s_i >= s):
-        raise CliError(
-            2, "--second-moment needs --tau-i-ms >= --tau-a-ms and --sigma-nu-i >= --sigma-nu"
-        )
     # The bank's window is zero-phase: causal smoothing displaces a moving
     # ridge and biases the per-cell argmax toward the fastest bank member.
     window = TemporalKernelSpec.gaussian if bank is not None else TEMPORAL_FAMILY.temporal
     with _refused_as("tau_a_ms"):
         temporal = window(tau_a)
-    if sel in ("bands", "partials", "glissando_bank"):
-        with _refused_as("sigma_nu", *(["glissando_bank"] if bank is not None else [])):
-            for v in bank or [0.0]:
-                RFSpec(temporal, s, v, beta=2)
+    with _refused_as("c_min"):
+        ridge_threshold(cfg["c_min"])
+    if sel == "second_moment":
+        with _refused_as("tau_a_ms", "sigma_nu", "tau_i_ms", "sigma_nu_i"):
+            second_moment_kernels(tau_a, s, tau_i, s_i, temporal)
+    elif sel == "glissando_bank":
+        with _refused_as("sigma_nu", "glissando_bank"):
+            bank_fields(bank, tau_a, s, temporal)
+    elif sel in ("bands", "partials"):
+        with _refused_as("sigma_nu"):
+            band_field(tau_a, s, temporal)
     log = to_db(_layer1(cfg, wav))
 
     if sel == "partials":
@@ -782,7 +765,7 @@ COMMANDS: dict[str, Subcommand] = {
         cmd_features,
         True,
         LAYER1_OPTIONS
-        + ("onsets", "offsets", "bands", "partials", "glissando_bank", "second_moment")
+        + SELECTORS
         + ("tau_a_ms", "sigma_nu", "tau_i_ms", "sigma_nu_i", "c_min", "min_level_db", "out_json"),
         "compute an auditory feature map from a WAV file",
         "Choose exactly one feature selector. Maps are computed "
@@ -823,7 +806,7 @@ def build_parser() -> argparse.ArgumentParser:
         # default None marks "not given", so config values can fill it in
         for key in command.options:
             kind = OPTIONS[key][0]
-            flag = "--" + key.replace("_", "-")
+            flag = _flag(key)
             if kind is bool:
                 p.add_argument(flag, action="store_true", default=None, help=_help(key))
             else:

@@ -85,26 +85,24 @@ def detect_offsets(
     return _rectify(resp, -resp.values, "offset")
 
 
+def band_field(
+    tau_a: float, s: float, temporal: TemporalKernelSpec | None = None, v: float = 0.0
+) -> RFSpec:
+    """The field of ``band_response``: s d_nunu at (tau_a, s), sheared by v."""
+    return RFSpec(temporal=_temporal_at(tau_a, temporal), s=s, v=v, beta=2)
+
+
 def band_response(
-    S: TFMap,
-    tau_a: float,
-    s: float,
-    temporal: TemporalKernelSpec | None = None,
-    v: float = 0.0,
+    S: TFMap, tau_a: float, s: float, temporal: TemporalKernelSpec | None = None, v: float = 0.0
 ) -> TFMap:
     """Unrectified band strength -D_nunu = -s d_nunu of the smoothed dB map."""
-    temporal = _temporal_at(tau_a, temporal)
-    spec = RFSpec(temporal=temporal, s=s, v=v, alpha=0, beta=2, normalized=True)
-    resp = apply_rf(S, spec)
+    resp = apply_rf(S, band_field(tau_a, s, temporal, v))
     resp.values = -resp.values
     return resp
 
 
 def enhance_bands(
-    S: TFMap,
-    tau_a: float,
-    s: float,
-    temporal: TemporalKernelSpec | None = None,
+    S: TFMap, tau_a: float, s: float, temporal: TemporalKernelSpec | None = None
 ) -> TFMap:
     """Rectified -D_nunu: fine s sharpens partial tones, coarse s formants."""
     resp = band_response(S, tau_a, s, temporal)
@@ -232,9 +230,7 @@ def _link_ridges(
 
 
 def extract_partial_curves(
-    band: TFMap,
-    c_min: float = 3.0,
-    max_jump: float = 1.0,
+    band: TFMap, c_min: float = 3.0, max_jump: float = 1.0
 ) -> list[PartialCurve]:
     """Link per-frame sub-bin ridge points into partial-tone curves.
 
@@ -243,10 +239,9 @@ def extract_partial_curves(
     curves that miss a frame are closed. A point is admitted only once every
     channel in its detection stencil has passed its own warm-up, so slow
     low-frequency channels do not gate the rest of the grid. ``c_min`` must
-    be finite and ``max_jump`` positive and finite.
+    be finite (``ridge_threshold``) and ``max_jump`` positive and finite.
     """
-    if not np.isfinite(c_min):
-        raise ValueError(f"c_min must be finite, got {c_min}")
+    ridge_threshold(c_min)
     if not 0 < max_jump < np.inf:
         raise ValueError(f"max_jump must be positive and finite, got {max_jump}")
     values = band.values
@@ -274,39 +269,44 @@ class GlissandoBankEstimate:
     warmup_frames: np.ndarray
 
 
+def bank_fields(
+    v_bank, tau_a: float, s: float, temporal: TemporalKernelSpec | None = None
+) -> list[RFSpec]:
+    """The band field of each distinct slope of a non-empty bank, smallest
+    |v| first, then negative v: the order ``glissando_filterbank`` visits."""
+    order = sorted(dict.fromkeys(v_bank), key=lambda v: (abs(v), v))
+    if not order:
+        raise ValueError("glissando bank must not be empty")
+    return [band_field(tau_a, s, temporal, v) for v in order]
+
+
 def glissando_filterbank(
-    S: TFMap,
-    v_bank,
-    tau_a: float,
-    s: float,
-    temporal: TemporalKernelSpec | None = None,
+    S: TFMap, v_bank, tau_a: float, s: float, temporal: TemporalKernelSpec | None = None
 ) -> GlissandoBankEstimate:
     """Per cell, the bank slope whose adapted band response is largest.
 
     Ties break toward the smallest |v| (then toward negative v) by visiting
-    the bank in that order and replacing only on strict improvement.
+    the bank in that order (``bank_fields``) and replacing only on strict
+    improvement.
     """
-    bank = list(v_bank)
-    if not bank:
-        raise ValueError("glissando bank must not be empty")
-    # a repeated slope gives an equal response, which never replaces
-    order = sorted(dict.fromkeys(bank), key=lambda v: (abs(v), v))
-    first = band_response(S, tau_a, s, temporal, v=order[0])
-    best = first.values
-    vhat = np.full(best.shape, order[0], dtype=float)
-    for v in order[1:]:
-        resp = band_response(S, tau_a, s, temporal, v=v).values
-        better = resp > best
-        best[better] = resp[better]
-        vhat[better] = v
-        del resp, better  # freed before the next member's response
+    bank = tuple(v_bank)
+    first, *rest = bank_fields(bank, tau_a, s, temporal)
+    resp = apply_rf(S, first)
+    least = resp.values  # s d_nunu, whose least value is the largest band response
+    vhat = np.full(least.shape, first.v, dtype=float)
+    for field in rest:
+        values = apply_rf(S, field).values
+        better = values < least
+        least[better] = values[better]
+        vhat[better] = field.v
+        del values, better  # freed before the next member's response
     return GlissandoBankEstimate(
         vhat=vhat,
-        response=best,
-        bank=tuple(bank),
-        frame_times=first.frame_times,
-        grid=first.grid,
-        warmup_frames=first.warmup_frames,
+        response=-least,
+        bank=bank,
+        frame_times=resp.frame_times,
+        grid=resp.grid,
+        warmup_frames=resp.warmup_frames,
     )
 
 
@@ -324,6 +324,16 @@ class SecondMomentField:
     warmup_frames: np.ndarray
 
 
+def second_moment_kernels(
+    tau_a: float, s: float, tau_i: float, s_i: float, temporal=None, integration_temporal=None
+) -> tuple[TemporalKernelSpec, TemporalKernelSpec]:
+    """The derivative and integration kernels of ``second_moment_glissando``,
+    whose integration scales (tau_i, s_i) must be finite and at least (tau_a, s)."""
+    if not (tau_i >= tau_a and s <= s_i < np.inf):
+        raise ValueError("integration scales must be finite and at least the derivative scales")
+    return _temporal_at(tau_a, temporal), _temporal_at(tau_i, integration_temporal, "tau_i")
+
+
 def second_moment_glissando(
     S: TFMap,
     tau_a: float,
@@ -339,10 +349,9 @@ def second_moment_glissando(
     vhat = -Y_tnu / Y_nunu is a slope in semitones/second. Cells whose
     Y_nunu falls below 1e-6 times the field median are marked undefined.
     """
-    if not (tau_i >= tau_a and s_i >= s):
-        raise ValueError("integration scales must be at least the derivative scales")
-    temporal = _temporal_at(tau_a, temporal)
-    integration_temporal = _temporal_at(tau_i, integration_temporal, "tau_i")
+    temporal, integration_temporal = second_moment_kernels(
+        tau_a, s, tau_i, s_i, temporal, integration_temporal
+    )
     smoothed, warm = smooth(S, temporal, s)
     lt = differentiate(S, smoothed, RFSpec(temporal=temporal, s=s, alpha=1, normalized=False))
     lnu = differentiate(S, smoothed, RFSpec(temporal=temporal, s=s, beta=1, normalized=False))
@@ -374,8 +383,13 @@ def second_moment_glissando(
     )
 
 
-def ridge_mask(values: np.ndarray, warmup_frames, c_min: float = 3.0) -> np.ndarray:
-    """Cells whose band response clears a finite c_min, outside warm-up frames."""
+def ridge_threshold(c_min: float) -> float:
+    """``c_min`` if finite: no cell clears NaN or +inf, and every cell -inf."""
     if not np.isfinite(c_min):
         raise ValueError(f"c_min must be finite, got {c_min}")
-    return (values >= c_min) & ~_warmup_mask(warmup_frames, values.shape[0])
+    return c_min
+
+
+def ridge_mask(values: np.ndarray, warmup_frames, c_min: float = 3.0) -> np.ndarray:
+    """Cells whose band response clears a finite c_min, outside warm-up frames."""
+    return (values >= ridge_threshold(c_min)) & ~_warmup_mask(warmup_frames, values.shape[0])

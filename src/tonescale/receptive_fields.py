@@ -110,17 +110,17 @@ def _warp_values(
     A slope that is not finite, or that shifts a frame by 2^53 channels or
     more (where no fraction of a channel is left), raises ValueError.
     """
-    if not math.isfinite(v):
-        raise ValueError(f"glissando slope v must be finite, got {v}")
     n_frames, n_ch = values.shape
-    pivot = frame_times[n_frames // 2]
-    shift = v * (frame_times - pivot) / delta_nu
-    reach = np.abs(shift).max()
+    offsets = frame_times - frame_times[n_frames // 2]
+    # In Python floats, so that a slope that is not finite gives a NaN or
+    # infinite reach (inf * 0 at the pivot) without a numpy warning.
+    reach = abs(float(v)) * float(np.abs(offsets).max()) / delta_nu
     if not reach < 2.0 ** 53:
         raise ValueError(
             f"glissando slope v = {v} semitones/s shifts a frame by {reach:.3g} "
             "channels; the warp needs fewer than 2^53"
         )
+    shift = v * offsets / delta_nu
     base = np.floor(shift).astype(int)
     u = shift - base
     u2 = u * u
@@ -148,6 +148,12 @@ def _warp_values(
     return out
 
 
+def _need_frames(S: TFMap) -> None:
+    """Refuse a map without frames, which no layer-2 operator can read."""
+    if S.n_frames == 0:
+        raise ValueError("layer 2 needs a map with at least one frame")
+
+
 def glissando_warp(S: TFMap, v: float) -> TFMap:
     """Warp nu' = nu - v (t - t_mid): a ridge gliding at v becomes constant-nu.
 
@@ -155,8 +161,7 @@ def glissando_warp(S: TFMap, v: float) -> TFMap:
     mirror the data at the frequency boundaries; v = 0 is an exact identity.
     The inverse warp is glissando_warp(S, -v) over the same frames.
     """
-    if S.n_frames == 0:
-        raise ValueError("layer 2 needs a map with at least one frame")
+    _need_frames(S)
     values = _warp_values(S.values, S.frame_times, v, S.grid.delta_nu)
     warp_v = S.metadata.get("warp_v", 0.0) + v
     return replace(S, values=values, metadata={**S.metadata, "warp_v": warp_v})
@@ -168,11 +173,11 @@ def _smooth_frames(
     """The temporal pass of ``smooth``: (smoothed along axis 0, warm-up)."""
     if temporal.family.causal:
         ladder = discretize_ladder(temporal.ladder, frame_rate)
+        warm = warmup_length(ladder)  # a warm-up too long to count is refused before smoothing
         # Steady-state start at the first frame: a constant map stays
         # exactly constant, so rectified derivatives of a flat baseline
         # are exactly 0.
-        values = discrete_recursive_smooth(values, ladder, axis=0, steady=True)
-        return values, warmup_length(ladder)
+        return discrete_recursive_smooth(values, ladder, axis=0, steady=True), warm
     kernel = discrete_gaussian_kernel(temporal.tau * frame_rate * frame_rate)
     first = values[:1]
     smoothed = discrete_gaussian_smooth(values - first, kernel, axis=0)
@@ -211,10 +216,8 @@ def smooth(S: TFMap, temporal: TemporalKernelSpec, s: float) -> tuple[np.ndarray
     """
     if S.kind == "complex":
         raise ValueError("layer 2 needs a real-valued map; convert the spectrogram with to_db")
-    if S.n_frames == 0:
-        raise ValueError("layer 2 needs a map with at least one frame")
-    if not 0 <= s < math.inf:
-        raise ValueError(f"spectral scale s must be non-negative and finite, got {s}")
+    _need_frames(S)
+    RFSpec(temporal, s)  # refuses a spectral scale that is not non-negative and finite
     values, warm = _smooth_frames(S.values, temporal, S.frame_rate)
     return _smooth_channels(values, s, S.grid.delta_nu), warm
 
@@ -224,15 +227,13 @@ def _derivative_t(values: np.ndarray, order: int, dt: float) -> np.ndarray:
         return values
     # Backward differences keep the feature path causal: frame n reads only
     # frames n - order .. n, and the first ``order`` rows (counted as warm-up
-    # by apply_rf) are zero.
+    # by apply_rf) are zero. ``RFSpec`` holds the order to 0..2.
     out = np.zeros_like(values)
     if order == 1:
         out[1:] = (values[1:] - values[:-1]) / dt
-        return out
-    if order == 2:
+    else:
         out[2:] = (values[2:] - 2.0 * values[1:-1] + values[:-2]) / (dt * dt)
-        return out
-    raise ValueError(f"unsupported temporal derivative order {order}")
+    return out
 
 
 # Cells per pass of the spectral differences: each pass's rows stay in
@@ -256,8 +257,6 @@ def _derivative_nu(values: np.ndarray, order: int, dnu: float) -> np.ndarray:
     """
     if order == 0:
         return values
-    if order not in (1, 2):
-        raise ValueError(f"unsupported spectral derivative order {order}")
     out = np.empty(values.shape)
     rows = max(1, _DIFFERENCE_CELLS // max(1, math.prod(values.shape[1:])))
     pair = np.empty((rows,) + values.shape[1:])
@@ -329,11 +328,7 @@ class KernelImage:
 
 
 def rf_kernel_image(
-    spec: RFSpec,
-    t_span: float,
-    nu_span: float,
-    dt: float,
-    dnu: float,
+    spec: RFSpec, t_span: float, nu_span: float, dt: float, dnu: float
 ) -> KernelImage:
     """Sample the receptive-field kernel d_t^alpha d_nu^beta [g(nu - v t; s) T(t)].
 

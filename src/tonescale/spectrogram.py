@@ -125,10 +125,7 @@ def _whole(value) -> bool:
 
 
 def build_frequency_grid(
-    nu_min: float,
-    nu_max: float,
-    bins_per_octave: int,
-    law: WindowScaleLaw | None = None,
+    nu_min: float, nu_max: float, bins_per_octave: int, law: WindowScaleLaw | None = None
 ) -> FrequencyGrid:
     """Channels equally spaced in MIDI semitones covering [nu_min, nu_max]."""
     if not (math.isfinite(nu_min) and math.isfinite(nu_max)):
@@ -574,15 +571,21 @@ def to_db(spec: TFMap, S0: float = 1.0) -> TFMap:
     )
 
 
+@functools.cache
+def _unit_delays(family: SpectrogramFamily):
+    """The delay measures of a causal family's ladder at unit scale."""
+    if not family.causal:
+        raise ValueError("delay measures and compensation apply to causal families only")
+    return delay_measures(family.ladder(1.0))
+
+
 def channel_delays(grid: FrequencyGrid, family: SpectrogramFamily) -> dict:
     """Per-channel temporal delay measures (seconds) of the window family.
 
     Both cascade families are self-similar in sqrt(tau), so the delays are
-    measured once at unit scale and rescaled by sqrt(tau) per channel.
+    measured once per family at unit scale and rescaled by sqrt(tau) per channel.
     """
-    if not family.causal:
-        raise ValueError("delay measures apply to causal families only")
-    unit = delay_measures(family.ladder(1.0))
+    unit = _unit_delays(family)
     root = np.sqrt(grid.tau_window)
     return {"t_max": unit.t_max * root, "t_infl1": unit.t_infl1 * root}
 
@@ -596,8 +599,6 @@ def delay_compensate(spec: TFMap) -> TFMap:
     shift reaches past the map holds that value in every frame. A map that
     is already compensated is refused, since a second shift would double it.
     """
-    if not spec.family.causal:
-        raise ValueError("delay compensation applies to causal families only")
     if "delay_shift_frames" in spec.metadata:
         raise ValueError("map is already delay-compensated")
     hop_seconds = spec.hop / spec.sample_rate

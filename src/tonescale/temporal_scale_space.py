@@ -127,8 +127,12 @@ def discretize_ladder(ladder: ScaleLadder, sample_rate: float) -> ScaleLadder:
 
 
 def warmup_length(ladder: ScaleLadder) -> int:
-    """Number of initial samples dominated by the zero initial state."""
-    return int(math.ceil(5.0 * ladder.mu_sum))
+    """Number of initial samples dominated by the zero initial state; a count
+    from 2^53 is refused, so that the layers' sums of warm-ups stay exact."""
+    span = 5.0 * ladder.mu_sum
+    if not span < 2.0**53:
+        raise ValueError(f"a cascade warm-up of {span:.3g} samples is not below 2^53")
+    return int(math.ceil(span))
 
 
 def _integer(value) -> bool:
@@ -184,8 +188,7 @@ class SpectrogramFamily:
         """
         if not self.causal:
             raise ValueError("gaussian family has no scale ladder")
-        if not 0 < tau < math.inf:
-            raise ValueError(f"ladder scale tau must be positive and finite, got {tau}")
+        self.temporal(tau)  # the kernel refuses a scale that is not positive and finite
         K, c = self.K, self.c
         if self.kind == "rec-log":
             levels = tuple(c ** (2.0 * (k - K)) * tau for k in range(1, K + 1))

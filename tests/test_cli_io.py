@@ -372,6 +372,13 @@ def test_grid_pgm_dimensions_and_orientation(tmp_path):
 def test_grid_pgm_validation(tmp_path):
     with pytest.raises(ValueError, match="bad grayscale range"):
         write_grid_pgm(tmp_path / "r.pgm", np.ones((2, 2)), 1.0, 1.0)
+    # a NaN floor once wrote cast-garbage pixels, an infinite ceiling a black image
+    path = tmp_path / "n.pgm"
+    for lo, hi in ((math.nan, 1.0), (0.0, math.inf), (-math.inf, 0.0), (0.0, -60.0)):
+        with pytest.raises(ValueError) as refused:
+            write_grid_pgm(path, np.ones((2, 2)), lo, hi)
+        assert str(refused.value).startswith(f"{path}: bad grayscale range [{lo}, {hi}]")
+        assert not path.exists()
     with pytest.raises(ValueError, match="empty grid"):
         write_grid_pgm(tmp_path / "e.pgm", np.zeros((0, 3)), 0.0, 1.0)
 
@@ -403,6 +410,8 @@ def test_cli_analyze_rejects_unknown_table(capsys):
 
 
 POSITIVE, NON_NEGATIVE = "must be positive and finite", "must be non-negative and finite"
+SM_FLAGS = "--tau-a-ms, --sigma-nu, --tau-i-ms, --sigma-nu-i:"
+DB_FLAGS = "--db-min, --db-max:"
 
 
 def _extent_rows(key: str) -> list:
@@ -445,10 +454,16 @@ REFUSALS = [
         (["features", sel, "--sigma-nu", "0"], "--sigma-nu", "spectral derivative needs s > 0")
         for sel in ("--bands", "--partials", "--glissando-bank=-12,0,12")
     ],
-    (["features", "--second-moment", "--tau-i-ms", "10"], "--tau-i-ms >= --tau-a-ms", ""),
-    (["features", "--second-moment", "--sigma-nu", "2"], "--sigma-nu-i >= --sigma-nu", ""),
-    (["spectrogram", "--db-min", "0", "--db-max", "-60"], "--db-min (0.0) must be below", ""),
-    (["spectrogram", "--db-min", "nan"], "--db-min (nan) must be below", ""),
+    *[
+        (["features", "--second-moment", *extent], SM_FLAGS, "at least the derivative scales")
+        for extent in (["--tau-i-ms", "10"], ["--sigma-nu", "2"])
+    ],
+    (["features", "--glissando-bank", ","], "--glissando-bank:", "bank must not be empty"),
+    (["features", {"glissando_bank": []}], "--glissando-bank:", "bank must not be empty"),
+    (["features", "--onsets", "--c-min", "inf"], "--c-min:", "c_min must be finite, got inf"),
+    (["spectrogram", "--db-min", "0", "--db-max", "-60"], DB_FLAGS, "range [0.0, -60.0]"),
+    (["spectrogram", "--db-min", "nan"], DB_FLAGS, "bad grayscale range [nan, 0.0]"),
+    (["spectrogram", "--db-max", "inf"], DB_FLAGS, "bad grayscale range [-60.0, inf]"),
     (["spectrogram", "--nu-min", "90", "--nu-max", "80"], "--nu-max", "nu_min must be below"),
     (["features", "--onsets", "--nu-min", "nan"], "--nu-min", "must be finite, got nan"),
     (["spectrogram", "--bins-per-octave", "0"], "--bins-per-octave:", "at least 1, got 0"),
@@ -579,6 +594,42 @@ def test_cli_refuses_a_hop_that_rounds_to_no_sample(tmp_path, capsys, monkeypatc
     assert not out.exists()
 
 
+def test_cli_refuses_a_hop_past_the_float_range(tmp_path, capsys, monkeypatch):
+    """1e308 ms is inf samples, which once ended in an OverflowError traceback."""
+
+    def unexpected(*args, **kwargs):
+        raise AssertionError("layer 1 ran with a hop of inf samples")
+
+    monkeypatch.setattr(cli_io, "compute_spectrogram", unexpected)
+    wav = tmp_path / "t.wav"
+    write_wav(wav, sine(440.0, 0.3, 44100.0), 44100.0)
+    out = tmp_path / "o.csv"
+    argv = ["spectrogram", str(wav), "--hop-ms", "1e308", "--out-csv", str(out)]
+    assert cli_main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --hop-ms 1e+308 is inf samples ") and "44100 Hz" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--onsets", "--tau-a-ms", "1e150"],
+        ["--second-moment", "--tau-i-ms", "1e150"],
+        ["--onsets", "--tau0-ms", "1e150"],
+    ],
+    ids=["tau-a", "tau-i", "tau0"],
+)
+def test_cli_reports_a_warm_up_past_2_to_the_53_as_exit_1(argv, tone_wav, tmp_path, capsys):
+    """A cascade at 1e300 s^2 once ended in an OverflowError traceback where
+    its warm-up count was summed."""
+    out = tmp_path / "o.csv"
+    assert cli_main(["features", str(tone_wav), *argv, "--out-csv", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: a cascade warm-up of ") and err.endswith("not below 2^53\n")
+    assert err.count("\n") == 1 and not out.exists()
+
+
 def test_cli_refuses_a_glissando_slope_too_large_for_the_warp(tone_wav, tmp_path):
     """A slope that shifts a frame by 2^53 channels or more is an error
     message, not a traceback from inside the warp."""
@@ -623,7 +674,11 @@ def test_cli_refuses_delay_compensation_of_gauss_before_any_work(
     out = tmp_path / "o.csv"
     argv = [command[0], str(tone_wav), *command[1:], "--family", "gauss", "--compensate-delay"]
     assert cli_main(argv + ["--out-csv", str(out)]) == 2
-    assert "error: delay compensation applies to causal families only" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err == (
+        "error: --compensate-delay, --family: "
+        "delay measures and compensation apply to causal families only\n"
+    )
     assert not out.exists()
 
 

@@ -11,14 +11,18 @@ from tonescale import receptive_fields
 from tonescale.features import (
     _link_ridges,
     _ridge_points,
+    band_field,
     band_response,
+    bank_fields,
     detect_offsets,
     detect_onsets,
     enhance_bands,
     extract_partial_curves,
     glissando_filterbank,
     ridge_mask,
+    ridge_threshold,
     second_moment_glissando,
+    second_moment_kernels,
 )
 from tonescale.receptive_fields import RFSpec, apply_rf
 from tonescale.spectrogram import (
@@ -191,6 +195,9 @@ def test_partial_thresholds_must_be_finite(c_min):
         extract_partial_curves(band, c_min=c_min)
     with pytest.raises(ValueError, match="c_min must be finite"):
         ridge_mask(band.values, band.warmup_frames, c_min)
+    with pytest.raises(ValueError, match=f"^c_min must be finite, got {c_min}$"):
+        ridge_threshold(c_min)  # the one rule, which the CLI checks before reading a WAV
+    assert ridge_threshold(-3.5) == -3.5
 
 
 @pytest.mark.parametrize("max_jump", [math.nan, -1.0, 0.0, math.inf])
@@ -232,8 +239,34 @@ def test_glissando_bank_ties_break_toward_zero_on_steady_tone():
 
 def test_glissando_bank_empty_rejected():
     L = step_tone_db()
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="glissando bank must not be empty"):
         glissando_filterbank(L, (), TAU_A, S_NU)
+    with pytest.raises(ValueError, match="glissando bank must not be empty"):
+        glissando_filterbank(L, iter(()), TAU_A, S_NU)
+    with pytest.raises(ValueError, match="glissando bank must not be empty"):
+        bank_fields([], TAU_A, S_NU)
+
+
+def test_band_fields_are_built_in_one_place():
+    """``band_response`` and the bank build their fields with ``band_field``,
+    which refuses what the CLI refuses before it reads a WAV: a spectral
+    scale of 0 under the normalized second derivative, and a slope that is
+    not finite. The bank's fields come in its visiting order, repeats
+    dropped."""
+    window = TemporalKernelSpec.gaussian(TAU_A)
+    for make in (lambda: band_field(TAU_A, 0.0), lambda: bank_fields([-12.0], TAU_A, 0.0)):
+        with pytest.raises(ValueError, match="spectral derivative needs s > 0"):
+            make()
+    for bank in ([math.nan, 0.0], [0.0, math.inf]):
+        with pytest.raises(ValueError, match="glissando slope v must be finite"):
+            bank_fields(bank, TAU_A, S_NU, window)
+    with pytest.raises(ValueError, match="tau_a"):
+        band_field(9e-4, S_NU, window)
+    fields = bank_fields([12.0, 0.0, -12.0, 12.0], TAU_A, S_NU, window)
+    assert [field.v for field in fields] == [0.0, -12.0, 12.0]
+    assert fields[1] == band_field(TAU_A, S_NU, window, -12.0)
+    assert fields[1] == RFSpec(window, S_NU, -12.0, alpha=0, beta=2, normalized=True)
+    assert band_field(TAU_A, S_NU).temporal == SpectrogramFamily("rec-uni", K=4).temporal(TAU_A)
 
 
 def test_glissando_bank_picks_matching_slope_on_chirp():
@@ -279,8 +312,32 @@ def test_second_moment_estimates_chirp_slope():
 
 def test_second_moment_requires_integration_scales_above_derivation():
     L = step_tone_db()
-    with pytest.raises(ValueError):
-        second_moment_glissando(L, 0.05 ** 2, 0.25, 0.02 ** 2, 1.0)
+    for scales in (
+        (0.05**2, 0.25, 0.02**2, 1.0),
+        (0.02**2, 0.25, 0.01**2, 1.0),  # the CLI's --tau-i-ms 10
+        (0.02**2, 2.0**2, 0.06**2, 1.0),  # the CLI's --sigma-nu 2
+        (0.02**2, 0.25, 0.06**2, math.nan),
+        (0.02**2, 0.25, 0.06**2, math.inf),  # once refused only after the temporal pass
+    ):
+        with pytest.raises(ValueError, match="at least the derivative scales"):
+            second_moment_glissando(L, *scales)
+        with pytest.raises(ValueError, match="at least the derivative scales"):
+            second_moment_kernels(*scales)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda L: detect_onsets(L, 1e294, S_NU),
+        lambda L: second_moment_glissando(L, TAU_A, S_NU, 1e294, 1.0),
+    ],
+    ids=["onsets", "second_moment"],
+)
+def test_layer2_refuses_a_warm_up_from_2_to_the_53_frames(make):
+    """A cascade at tau = 1e294 s^2 warms up over about 1e150 frames, a count
+    whose sum with the map's warm-up once ended in OverflowError."""
+    with pytest.raises(ValueError, match="not below 2\\^53"):
+        make(synthetic_db_step(duration=0.2))
 
 
 @pytest.mark.parametrize("detect", [detect_onsets, detect_offsets])

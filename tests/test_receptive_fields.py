@@ -242,15 +242,18 @@ def test_rf_kernel_image_names_a_bad_span_or_spacing(name, value):
     [
         lambda S: glissando_warp(S, math.nan),
         lambda S: glissando_warp(S, math.inf),
+        lambda S: glissando_warp(S, np.float64(-np.inf)),
         lambda S: glissando_warp(S, -1e300),
         lambda S: apply_rf(S, gauss_spec(v=1e300)),
         lambda S: glissando_filterbank(S, [0.0, 1e300], 4e-4, 0.25),
     ],
-    ids=["warp-nan", "warp-inf", "warp-huge", "apply_rf-huge", "bank-huge"],
+    ids=["warp-nan", "warp-inf", "warp-numpy-inf", "warp-huge", "apply_rf-huge", "bank-huge"],
 )
 def test_warp_refuses_a_slope_without_a_channel_fraction(warped):
     """Past 2^53 channels of shift no sub-channel fraction is left, and the
-    integer part no longer fits the warp's window arithmetic."""
+    integer part no longer fits the warp's window arithmetic. A slope that
+    is not finite shifts by no number at all, and is refused without a
+    numpy warning (inf times the middle frame's 0 offset)."""
     with pytest.raises(ValueError, match="glissando slope v"):
         warped(tone_db(duration=0.05))
 

@@ -895,11 +895,23 @@ def test_delay_compensate_holds_the_last_value_where_a_shift_passes_the_map(rng)
 
 
 def test_delay_compensate_rejects_noncausal():
+    """One rule, in ``channel_delays``, which the CLI calls before it reads a WAV."""
     grid = build_frequency_grid(66.0, 72.0, 12, law=WindowScaleLaw(n=8.0))
     x = sine(440.0, 0.3, RATE)
     S = compute_spectrogram(x, RATE, grid, SpectrogramFamily(kind="gauss"), hop=44)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^delay measures and compensation apply to causal"):
         delay_compensate(S)
+    with pytest.raises(ValueError, match="^delay measures and compensation apply to causal"):
+        channel_delays(grid, SpectrogramFamily(kind="gauss"))
+
+
+@pytest.mark.parametrize("kind", ["rec-uni", "rec-log"])
+def test_spectrogram_refuses_a_warm_up_from_2_to_the_53_samples(kind):
+    """tau0 = 1e294 s^2 once gave an object-dtype warm-up array, which the
+    layer-2 sums then overflowed."""
+    grid = build_frequency_grid(66.0, 72.0, 12, law=WindowScaleLaw(tau0=1e294))
+    with pytest.raises(ValueError, match="not below 2\\^53"):
+        compute_spectrogram(sine(440.0, 0.05, RATE), RATE, grid, SpectrogramFamily(kind), hop=44)
 
 
 def test_delay_compensate_refuses_a_compensated_map():

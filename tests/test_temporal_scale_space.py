@@ -931,6 +931,19 @@ def test_warmup_length_scales_with_stage_constants():
     assert warmup_length(lad) == math.ceil(5.0 * sum(lad.mus))
 
 
+def test_warmup_length_refuses_a_count_from_2_to_the_53():
+    """Counts stay exact in the layers' int64 sums: 5 * 2^50 is kept, 5 *
+    2^51 and a ladder at tau = 1e294 s^2 (once a Python int past int64) are
+    refused."""
+    assert warmup_length(ScaleLadder((1.0,), (2.0**50,), units="samples")) == 5 * 2**50
+    for ladder in (
+        ScaleLadder((1.0,), (2.0**51,), units="samples"),
+        discretize_ladder(SpectrogramFamily("rec-log").ladder(1e294), 1000.0),
+    ):
+        with pytest.raises(ValueError, match="not below 2\\^53"):
+            warmup_length(ladder)
+
+
 def test_family_temporal_kernel_matches_its_ladder():
     tau = 0.02 ** 2
     assert SpectrogramFamily("gauss").temporal(tau) == TemporalKernelSpec.gaussian(tau)

@@ -6,11 +6,13 @@ coarse scales) come from the rectified negated second spectral derivative;
 partial-tone curves are sub-bin ridge lines of that band response linked
 over frames; glissando slopes are estimated either by the maximum over a
 bank of shear-adapted filters or from the smoothed second-moment matrix of
-the spectro-temporal gradient. The second-moment fit smooths once per
-scale: the gradient comes from one smoothed map, and its three products
-are integrated together as one stacked array. Ridge points are found for
-the whole band map at once and then linked frame by frame. An explicit
-``temporal`` kernel must sit at the scale passed with it (tau_a, tau_i).
+the spectro-temporal gradient. The second-moment fit runs one temporal
+pass per scale: L_t and L_nu come from the same temporally smoothed map
+and one channel Gaussian, L_nu with the derivative folded into its taps,
+and the three products are integrated together as one stacked array.
+Ridge points are found for the whole band map at once and then linked
+frame by frame. An explicit ``temporal`` kernel must sit at the scale
+passed with it (tau_a, tau_i).
 """
 
 from __future__ import annotations
@@ -22,11 +24,11 @@ import numpy as np
 
 from tonescale.receptive_fields import (
     RFSpec,
+    _channel_gaussian,
+    _derivative_t,
     _smooth_channels,
     _smooth_frames,
     apply_rf,
-    differentiate,
-    smooth,
 )
 from tonescale.spectrogram import FrequencyGrid, TFMap
 from tonescale.temporal_scale_space import SpectrogramFamily, TemporalKernelSpec
@@ -352,18 +354,22 @@ def second_moment_glissando(
     temporal, integration_temporal = second_moment_kernels(
         tau_a, s, tau_i, s_i, temporal, integration_temporal
     )
-    smoothed, warm = smooth(S, temporal, s)
-    lt = differentiate(S, smoothed, RFSpec(temporal=temporal, s=s, alpha=1, normalized=False))
-    lnu = differentiate(S, smoothed, RFSpec(temporal=temporal, s=s, beta=1, normalized=False))
+    RFSpec(temporal, s)  # refuses a negative s before the temporal pass
+    dnu = S.grid.delta_nu
+    frames, warm = _smooth_frames(S, temporal)
+    gaussian = _channel_gaussian(s, dnu)
+    lt = _derivative_t(_smooth_channels(frames, gaussian, dnu), 1, 1.0 / S.frame_rate)
+    lnu = _smooth_channels(frames, gaussian, dnu, beta=1)  # overwrites frames
+    del frames
     products = np.empty(lt.shape + (3,))
     np.multiply(lt, lt, out=products[..., 0])
     np.multiply(lt, lnu, out=products[..., 1])
     np.multiply(lnu, lnu, out=products[..., 2])
-    del smoothed, lt, lnu  # the integration needs only the products
+    del lt, lnu  # the integration needs only the products
     # smooth's two passes, with the products released between them
-    integrated, warm_i = _smooth_frames(products, integration_temporal, S.frame_rate)
+    integrated, warm_i = _smooth_frames(replace(S, values=products), integration_temporal)
     del products
-    integrated = _smooth_channels(integrated, s_i, S.grid.delta_nu)
+    integrated = _smooth_channels(integrated, _channel_gaussian(s_i, dnu), dnu)
     y_tt, y_tnu, y_nunu = np.moveaxis(integrated, -1, 0)
     # L_t's backward difference adds one frame to the derivative warm-up.
     warmup = np.maximum(S.warmup_frames + warm_i, S.warmup_frames + warm + 1)

@@ -1,13 +1,14 @@
 """Second-layer spectro-temporal receptive fields over the dB spectrogram.
 
-A receptive field here is a separable smoothing (``smooth``: causal cascade
-or Gaussian over frame time, Gaussian over log-frequency) followed by
-small-stencil derivatives of order up to two along each axis
-(``differentiate``: backward differences in time, so a causal field reads
+A receptive field here is a separable pass (``apply_rf``): a causal
+cascade or Gaussian over frame time, then over log-frequency the discrete
+Gaussian with the central difference of order beta folded into its taps,
+then a backward difference of order alpha in time (so a causal field reads
 no later frame), optionally scale-normalized by tau_a^{alpha/2}
-s^{beta/2}. Fields at one scale share one smoothing: a map is smoothed
-once per scale and differentiated as often as needed, and stacked maps
-(trailing axes) are smoothed together in one pass. Glissando adaptation
+s^{beta/2}. A central difference commutes with the discrete Gaussian, so
+each spectral derivative is one band product, not a second pass over the
+map. ``smooth`` is the beta = 0 pass without the time difference; stacked
+maps (trailing axes) are smoothed together in one pass. Glissando adaptation
 (a shear of the time-frequency plane at v semitones/second) is realized by
 warping the spectrogram along the frequency axis, applying the separable
 operator, and warping back, which is equivalent to convolving with the
@@ -33,6 +34,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from tonescale.spectrogram import TFMap
 from tonescale.temporal_scale_space import (
+    SampledKernel,
     TemporalKernelSpec,
     _integer,
     _mirror_indices,
@@ -167,10 +169,13 @@ def glissando_warp(S: TFMap, v: float) -> TFMap:
     return replace(S, values=values, metadata={**S.metadata, "warp_v": warp_v})
 
 
-def _smooth_frames(
-    values: np.ndarray, temporal: TemporalKernelSpec, frame_rate: float
-) -> tuple[np.ndarray, int]:
-    """The temporal pass of ``smooth``: (smoothed along axis 0, warm-up)."""
+def _smooth_frames(S: TFMap, temporal: TemporalKernelSpec) -> tuple[np.ndarray, int]:
+    """The temporal pass of a real map with frames: (values smoothed along
+    axis 0, warm-up)."""
+    if S.kind == "complex":
+        raise ValueError("layer 2 needs a real-valued map; convert the spectrogram with to_db")
+    _need_frames(S)
+    values, frame_rate = S.values, S.frame_rate
     if temporal.family.causal:
         ladder = discretize_ladder(temporal.ladder, frame_rate)
         warm = warmup_length(ladder)  # a warm-up too long to count is refused before smoothing
@@ -185,11 +190,30 @@ def _smooth_frames(
     return smoothed, kernel.origin_index
 
 
-def _smooth_channels(values: np.ndarray, s: float, delta_nu: float) -> np.ndarray:
-    """The spectral pass of ``smooth``: the discrete Gaussian along axis 1."""
-    if s > 0:
-        return discrete_gaussian_smooth(values, discrete_gaussian_kernel(s / delta_nu ** 2), axis=1)
-    return values
+def _channel_gaussian(s: float, delta_nu: float) -> SampledKernel:
+    """The discrete Gaussian of variance s semitones^2 along channels."""
+    return discrete_gaussian_kernel(s / delta_nu**2)
+
+
+def _smooth_channels(
+    values: np.ndarray, gaussian: SampledKernel, delta_nu: float, beta: int = 0
+) -> np.ndarray:
+    """The spectral pass: d_nu^beta of the discrete Gaussian ``gaussian`` along axis 1.
+
+    The central difference [-1/2, 0, 1/2] or [1, -2, 1] commutes with the
+    discrete Gaussian (Lindeberg 1990, PAMI, "Scale-space for discrete
+    signals"), so for beta >= 1 it is folded into the taps, centred one
+    channel further out, and applied by the same band products. Those taps
+    sum to 0 only up to rounding, so a derivative pass first subtracts each
+    frame's first channel from ``values``, in place: a frame flat along nu
+    gives exactly 0.
+    """
+    if beta == 0:
+        return discrete_gaussian_smooth(values, gaussian, axis=1)
+    values -= values[:, :1]
+    stencil = np.array([-0.5, 0.0, 0.5] if beta == 1 else [1.0, -2.0, 1.0]) / delta_nu**beta
+    taps = SampledKernel(np.convolve(stencil, gaussian.values), gaussian.origin_index + 1)
+    return discrete_gaussian_smooth(values, taps, axis=1)
 
 
 def smooth(S: TFMap, temporal: TemporalKernelSpec, s: float) -> tuple[np.ndarray, int]:
@@ -214,12 +238,11 @@ def smooth(S: TFMap, temporal: TemporalKernelSpec, s: float) -> tuple[np.ndarray
     it into earlier frames of its block and the band products into the
     other outputs of theirs.
     """
-    if S.kind == "complex":
-        raise ValueError("layer 2 needs a real-valued map; convert the spectrogram with to_db")
-    _need_frames(S)
     RFSpec(temporal, s)  # refuses a spectral scale that is not non-negative and finite
-    values, warm = _smooth_frames(S.values, temporal, S.frame_rate)
-    return _smooth_channels(values, s, S.grid.delta_nu), warm
+    values, warm = _smooth_frames(S, temporal)
+    if s > 0:
+        values = _smooth_channels(values, _channel_gaussian(s, S.grid.delta_nu), S.grid.delta_nu)
+    return values, warm
 
 
 def _derivative_t(values: np.ndarray, order: int, dt: float) -> np.ndarray:
@@ -236,61 +259,6 @@ def _derivative_t(values: np.ndarray, order: int, dt: float) -> np.ndarray:
     return out
 
 
-# Cells per pass of the spectral differences: each pass's rows stay in
-# cache through its five elementwise steps.
-_DIFFERENCE_CELLS = 1 << 15
-
-
-def _derivative_nu(values: np.ndarray, order: int, dnu: float) -> np.ndarray:
-    """Central differences along channels, the edge channel repeated.
-
-    Bitwise ``scipy.ndimage.correlate1d`` with the stencil [-0.5, 0, 0.5]
-    or [1, -2, 1] in its "reflect" mode: correlate1d sums a symmetric or
-    antisymmetric stencil as mid * w0 + (left +/- right) * w, in that order.
-    The rows are taken a few at a time, so every step reads cached data.
-
-    A NaN result may differ from correlate1d's in its sign bit. IEEE 754
-    leaves that sign unspecified, and numpy sets it by position: adding -NaN
-    to +NaN keeps the first operand's sign in the vectorised body of a loop
-    and the second's in its scalar tail, so no operand order matches
-    correlate1d's scalar loop at every cell.
-    """
-    if order == 0:
-        return values
-    out = np.empty(values.shape)
-    rows = max(1, _DIFFERENCE_CELLS // max(1, math.prod(values.shape[1:])))
-    pair = np.empty((rows,) + values.shape[1:])
-    for lo in range(0, values.shape[0], rows):
-        mid = values[lo : lo + rows]
-        side = pair[: mid.shape[0]]
-        side[:, 1:] = mid[:, :-1]  # the left neighbours
-        side[:, :1] = mid[:, :1]
-        if order == 1:
-            side[:, :-1] -= mid[:, 1:]  # minus the right neighbours
-            side[:, -1:] -= mid[:, -1:]
-            side *= -0.5
-        else:
-            side[:, :-1] += mid[:, 1:]
-            side[:, -1:] += mid[:, -1:]
-        np.multiply(mid, 0.0 if order == 1 else -2.0, out=out[lo : lo + rows])
-        out[lo : lo + rows] += side
-    out /= dnu if order == 1 else dnu * dnu
-    return out
-
-
-def differentiate(S: TFMap, smoothed: np.ndarray, spec: RFSpec) -> np.ndarray:
-    """d_t^alpha d_nu^beta of values smoothed on the axes of ``S``.
-
-    Scale-normalized by tau_a^{alpha/2} s^{beta/2} when ``spec.normalized``;
-    the first ``alpha`` frames are zero (see ``_derivative_t``).
-    """
-    values = _derivative_t(smoothed, spec.alpha, 1.0 / S.frame_rate)
-    values = _derivative_nu(values, spec.beta, S.grid.delta_nu)
-    if spec.normalized:
-        values = values * spec.normalization
-    return values
-
-
 def apply_rf(S: TFMap, spec: RFSpec) -> TFMap:
     """Apply a spectro-temporal receptive field to a real-valued map.
 
@@ -299,16 +267,22 @@ def apply_rf(S: TFMap, spec: RFSpec) -> TFMap:
     layer added, so a delay-compensated map stays marked as such. Nonzero
     glissando slopes are handled by warping to the co-moving frame,
     applying the separable operator there, and warping back. The operator
-    is ``differentiate`` of ``smooth``. Complex spectrograms are refused:
-    take their dB map first.
+    is the temporal pass of ``smooth``, then the channel Gaussian with
+    d_nu^beta folded into its taps, then d_t^alpha (``_derivative_t``), and
+    the normalization. Complex spectrograms are refused: take their dB map
+    first.
     """
     if spec.v != 0.0:
         inner = apply_rf(glissando_warp(S, spec.v), replace(spec, v=0.0))
         values = _warp_values(inner.values, S.frame_times, -spec.v, S.grid.delta_nu)
         warm = inner.metadata["layer2_warmup_frames"]
     else:
-        smoothed, warm = smooth(S, spec.temporal, spec.s)
-        values = differentiate(S, smoothed, spec)
+        values, warm = _smooth_frames(S, spec.temporal)
+        dnu = S.grid.delta_nu
+        values = _smooth_channels(values, _channel_gaussian(spec.s, dnu), dnu, spec.beta)
+        values = _derivative_t(values, spec.alpha, 1.0 / S.frame_rate)
+        if spec.normalized:
+            values *= spec.normalization
     return replace(
         S,
         values=values,

@@ -118,8 +118,8 @@ def discretize_ladder(ladder: ScaleLadder, sample_rate: float) -> ScaleLadder:
     """
     if ladder.units != "seconds":
         raise ValueError("ladder is already in sample units")
-    if sample_rate <= 0:
-        raise ValueError(f"sample rate must be positive, got {sample_rate}")
+    if not 0 < sample_rate < math.inf:
+        raise ValueError(f"sample rate must be positive and finite, got {sample_rate}")
     levels = tuple(sample_rate * sample_rate * tau for tau in ladder.levels)
     steps = (tau - prev for prev, tau in zip((0.0,) + levels, levels))
     mus = tuple((math.sqrt(1.0 + 4.0 * dtau) - 1.0) / 2.0 for dtau in steps)
@@ -252,8 +252,8 @@ class SampledKernel:
 
 def gaussian_kernel_sample(tau: float, t):
     """Evaluate the Gaussian (1/sqrt(2 pi tau)) exp(-t^2 / 2 tau)."""
-    if tau <= 0:
-        raise ValueError(f"tau must be positive, got {tau}")
+    if not 0 < tau < math.inf:
+        raise ValueError(f"tau must be positive and finite, got {tau}")
     u = np.asarray(t, dtype=float)
     out = np.exp(-u * u / (2.0 * tau)) / math.sqrt(2.0 * math.pi * tau)
     return out if out.ndim else float(out)
@@ -815,9 +815,11 @@ _BAND_OUTPUTS = 32
 
 
 def discrete_gaussian_smooth(x: np.ndarray, kernel: SampledKernel, axis: int = -1) -> np.ndarray:
-    """Correlate along one axis with a discrete Gaussian kernel, mirrored boundaries.
+    """Correlate along one axis with a centred kernel, mirrored boundaries.
 
-    A kernel whose length is not 2 origin_index + 1 is refused. Equal, to
+    The kernel is a discrete Gaussian, or one with a central difference
+    folded into its taps (layer 2's spectral derivatives); one whose length
+    is not 2 origin_index + 1 is refused. Equal, to
     within rounding, to ``scipy.ndimage.correlate1d(x, kernel.values, axis,
     mode="reflect")``: within 1e-15 of the largest magnitude on maps, and
     2e-15 where hundreds of taps fold onto a short axis (tests bound both).
@@ -838,7 +840,7 @@ def discrete_gaussian_smooth(x: np.ndarray, kernel: SampledKernel, axis: int = -
     taps, h = kernel.values, kernel.origin_index
     if taps.shape != (2 * h + 1,):
         raise ValueError(
-            f"a symmetric kernel has 2 * origin_index + 1 = {2 * h + 1} taps, got {taps.shape}"
+            f"a centred kernel has 2 * origin_index + 1 = {2 * h + 1} taps, got {taps.shape}"
         )
     x = np.asarray(x, dtype=float)
     if not np.isfinite(x).all():

@@ -4,6 +4,7 @@ import os
 import numpy as np
 import pytest
 from hypothesis import settings
+from scipy.ndimage import correlate1d
 
 from tonescale.temporal_scale_space import ScaleLadder
 
@@ -120,3 +121,11 @@ def uniform_bandwidth_constant(K: int, target_db: float) -> float:
 def delay_mean_limit(c: float) -> float:
     """Large-K limit of the logarithmic-ladder mean delay, per sqrt(tau)."""
     return math.sqrt(c * c - 1.0) / (c - 1.0)
+
+
+def central_difference(values: np.ndarray, order: int, dnu: float) -> np.ndarray:
+    """The spectral derivative as a pass of its own over a smoothed map:
+    [-1/2, 0, 1/2] or [1, -2, 1] along axis 1, the edge channel repeated,
+    over dnu^order."""
+    stencil = [-0.5, 0.0, 0.5] if order == 1 else [1.0, -2.0, 1.0]
+    return correlate1d(values, stencil, axis=1, mode="reflect") / dnu**order

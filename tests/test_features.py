@@ -24,7 +24,7 @@ from tonescale.features import (
     second_moment_glissando,
     second_moment_kernels,
 )
-from tonescale.receptive_fields import RFSpec, apply_rf
+from tonescale.receptive_fields import RFSpec, apply_rf, smooth
 from tonescale.spectrogram import (
     SpectrogramFamily,
     TFMap,
@@ -40,7 +40,7 @@ from tonescale.temporal_scale_space import (
     discretize_ladder,
 )
 
-from conftest import exponential_chirp, sine
+from conftest import central_difference, exponential_chirp, sine
 
 RATE = 44100.0
 FAM = SpectrogramFamily(kind="rec-log", K=7, c=math.sqrt(2.0))
@@ -416,6 +416,38 @@ def test_second_moment_is_bitwise_the_five_field_formula(window, s, s_i):
         assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
 
 
+def second_moment_by_stencil(S, s, s_i, temporal, integration_temporal):
+    """The three integrated products, with L_nu the stencil pass over the
+    smoothed map."""
+    smoothed, _ = smooth(S, temporal, s)
+    lt = receptive_fields._derivative_t(smoothed, 1, 1.0 / S.frame_rate)
+    lnu = central_difference(smoothed, 1, S.grid.delta_nu)
+    products = (lt * lt, lt * lnu, lnu * lnu)
+    return [smooth(replace(S, values=p), integration_temporal, s_i)[0] for p in products]
+
+
+@pytest.mark.parametrize("s, s_i", [(0.0, 1.0), (S_NU, S_NU), (S_NU, 1.0)])
+@pytest.mark.parametrize("window", sorted(SM_WINDOWS))
+def test_second_moment_is_within_1e_12_of_the_stencil_pass(window, s, s_i):
+    """L_nu from the folded channel pass moves each integrated product by at
+    most 1e-12 of its peak, and the slope by as little where Y_nunu is at
+    least 1e-4 of its peak; below that the ratio magnifies Y_nunu's
+    rounding."""
+    L = step_tone_db(duration=0.5)
+    temporal, integration_temporal = SM_WINDOWS[window]
+    if temporal is None:
+        temporal = SpectrogramFamily("rec-uni", K=4).temporal(TAU_A)
+        integration_temporal = SpectrogramFamily("rec-uni", K=4).temporal(TAU_I)
+    sm = second_moment_glissando(L, TAU_A, s, TAU_I, s_i, temporal, integration_temporal)
+    want = second_moment_by_stencil(L, s, s_i, temporal, integration_temporal)
+    for got, ref in zip((sm.upsilon_tt, sm.upsilon_tnu, sm.upsilon_nunu), want):
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+    y_tnu, y_nunu = want[1], want[2]
+    kept = y_nunu >= 1e-4 * np.max(y_nunu)
+    vhat = -y_tnu[kept] / y_nunu[kept]
+    assert np.max(np.abs(sm.vhat[kept] - vhat)) <= 1e-12 * np.max(np.abs(vhat))
+
+
 @pytest.mark.parametrize(
     "window, smoother, count",
     [("default", "discrete_recursive_smooth", 2), ("gauss", "discrete_gaussian_kernel", 4)],
@@ -434,6 +466,26 @@ def test_second_moment_smooths_once_per_scale(window, smoother, count, monkeypat
     L = step_tone_db(duration=0.5)
     second_moment_glissando(L, TAU_A, S_NU, TAU_I, 1.0, *SM_WINDOWS[window])
     assert len(calls) == count
+
+
+@pytest.mark.parametrize("level", ["silence", "ramp"])
+@pytest.mark.parametrize("window", sorted(SM_WINDOWS))
+def test_maps_flat_along_frequency_give_exactly_zero_bands(window, level, rng):
+    """A spectral derivative's taps sum to 0 only up to rounding: unless
+    each frame's level is taken out first, a flat frame at -200 dB gave a
+    band response of order 1e-16, and the second moment counted such
+    cells as defined."""
+    L = default_grid_db_map(0.3, rng)
+    if level == "silence":
+        frames = np.full(L.n_frames, -200.0)
+    else:
+        frames = np.linspace(-120.0, 10.0, L.n_frames)
+    L = replace(L, values=frames[:, None] * np.ones(L.grid.n_channels))
+    temporal, integration_temporal = SM_WINDOWS[window]
+    assert np.all(band_response(L, TAU_A, S_NU, temporal).values == 0.0)
+    assert np.all(enhance_bands(L, TAU_A, S_NU, temporal).values == 0.0)
+    sm = second_moment_glissando(L, TAU_A, S_NU, TAU_I, 1.0, temporal, integration_temporal)
+    assert not sm.defined.any()
 
 
 def test_feature_maps_share_spectrogram_axes():

@@ -53,6 +53,15 @@ def test_gaussian_kernel_is_normalized_density():
     assert peak == pytest.approx(1.0 / math.sqrt(2.0 * math.pi * tau), rel=1e-14)
 
 
+@pytest.mark.parametrize("tau", [0.0, -1.0, math.nan, math.inf])
+def test_gaussian_kernel_refuses_a_scale_that_is_not_positive_and_finite(tau):
+    """A NaN scale gave NaN samples and an infinite one zeros."""
+    with pytest.raises(ValueError, match="positive and finite"):
+        gaussian_kernel_sample(tau, 0.0)
+    with pytest.raises(ValueError, match="positive and finite"):
+        gaussian_derivative_sample(tau, 0.0, 1)
+
+
 @pytest.mark.parametrize("order", [1, 2, 3, 4])
 def test_gaussian_derivatives_match_finite_differences(order):
     tau = 0.41
@@ -190,6 +199,15 @@ def test_discretized_ladder_matches_scale_levels_exactly():
     assert lad.levels[-1] == pytest.approx(rate * rate * 4e-4, rel=1e-12)
     with pytest.raises(ValueError):
         discretize_ladder(lad, rate)
+
+
+@pytest.mark.parametrize("rate", [0.0, -8000.0, math.nan, math.inf])
+def test_discretize_ladder_refuses_a_rate_that_is_not_positive_and_finite(rate):
+    """A NaN rate gave a ladder of NaN levels and stage constants, and an
+    infinite one was refused only as levels that do not increase."""
+    ladder = SpectrogramFamily("rec-uni", K=4).ladder(1e-4)
+    with pytest.raises(ValueError, match=f"sample rate must be positive and finite, got {rate}"):
+        discretize_ladder(ladder, rate)
 
 
 # A recursive stage, y[n] = y[n-1] + (x[n] - y[n-1]) / (1 + mu), is a

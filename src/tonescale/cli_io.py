@@ -70,7 +70,6 @@ from tonescale.spectrogram import (
 from tonescale.temporal_scale_space import (
     FAMILY_KINDS,
     SpectrogramFamily,
-    TemporalKernelSpec,
     temporal_profiles,
 )
 
@@ -580,26 +579,23 @@ def cmd_features(cfg: dict, wav: str) -> int:
 
     tau_a, s = _variance(cfg, "tau_a_ms"), _variance(cfg, "sigma_nu")
     tau_i, s_i = _variance(cfg, "tau_i_ms"), _variance(cfg, "sigma_nu_i")
-    # The bank's window is zero-phase: causal smoothing displaces a moving
-    # ridge and biases the per-cell argmax toward the fastest bank member.
-    window = TemporalKernelSpec.gaussian if bank is not None else TEMPORAL_FAMILY.temporal
-    with _refused_as("tau_a_ms"):
-        temporal = window(tau_a)
+    with _refused_as("tau_a_ms"):  # every window refuses it; the library picks each feature's
+        TEMPORAL_FAMILY.temporal(tau_a)
     with _refused_as("c_min"):
         ridge_threshold(cfg["c_min"])
     if sel == "second_moment":
         with _refused_as("tau_a_ms", "sigma_nu", "tau_i_ms", "sigma_nu_i"):
-            second_moment_kernels(tau_a, s, tau_i, s_i, temporal)
+            second_moment_kernels(tau_a, s, tau_i, s_i)
     elif sel == "glissando_bank":
         with _refused_as("sigma_nu", "glissando_bank"):
-            bank_fields(bank, tau_a, s, temporal)
+            bank_fields(bank, tau_a, s)
     elif sel in ("bands", "partials"):
         with _refused_as("sigma_nu"):
-            band_field(tau_a, s, temporal)
+            band_field(tau_a, s)
     log = to_db(_layer1(cfg, wav))
 
     if sel == "partials":
-        band = band_response(log, tau_a, s, temporal)
+        band = band_response(log, tau_a, s)
         curves = extract_partial_curves(band, c_min=cfg["c_min"])
         floor = cfg["min_level_db"]
         scored = [(curve, _curve_median_level(log, curve)) for curve in curves]
@@ -625,15 +621,15 @@ def cmd_features(cfg: dict, wav: str) -> int:
 
     if sel in ("onsets", "offsets", "bands"):
         detect = {"onsets": detect_onsets, "offsets": detect_offsets, "bands": enhance_bands}[sel]
-        fm = detect(log, tau_a, s, temporal)
+        fm = detect(log, tau_a, s)
         values, times, grid = fm.values, fm.frame_times, fm.grid
     elif sel == "glissando_bank":
-        est = glissando_filterbank(log, bank, tau_a, s, temporal)
+        est = glissando_filterbank(log, bank, tau_a, s)
         mask = ridge_mask(est.response, est.warmup_frames, cfg["c_min"])
         values = np.where(mask, est.vhat, 0.0)
         times, grid = est.frame_times, est.grid
     else:  # second_moment
-        field = second_moment_glissando(log, tau_a, s, tau_i, s_i, temporal)
+        field = second_moment_glissando(log, tau_a, s, tau_i, s_i)
         values = np.where(field.defined, field.vhat, 0.0)
         times, grid = field.frame_times, field.grid
 

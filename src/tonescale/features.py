@@ -3,16 +3,16 @@
 Onset and offset maps are the rectified halves of the normalized first
 temporal derivative; spectral bands (partials at fine scales, formants at
 coarse scales) come from the rectified negated second spectral derivative;
-partial-tone curves are sub-bin ridge lines of that band response linked
-over frames; glissando slopes are estimated either by the maximum over a
-bank of shear-adapted filters or from the smoothed second-moment matrix of
-the spectro-temporal gradient. The second-moment fit runs one temporal
-pass per scale: L_t and L_nu come from the same temporally smoothed map
-and one channel Gaussian, L_nu with the derivative folded into its taps,
-and the three products are integrated together as one stacked array.
-Ridge points are found for the whole band map at once and then linked
-frame by frame. An explicit ``temporal`` kernel must sit at the scale
-passed with it (tau_a, tau_i).
+partial-tone curves are sub-bin ridge lines of that band response, found
+for the whole map at once and linked frame by frame; glissando slopes are
+estimated either by the maximum over a bank of shear-adapted filters or
+from the smoothed second-moment matrix of the spectro-temporal gradient.
+The second-moment fit runs one temporal pass per scale: L_t and L_nu come
+from the same temporally smoothed map and one channel Gaussian, L_nu with
+the derivative folded into its taps, and the three products go to the
+integration passes as one stacked array. Without a ``temporal`` kernel the
+bank smooths with the zero-phase Gaussian at tau_a, every other feature
+with ``TEMPORAL_FAMILY``; a kernel given must sit at its scale.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ from tonescale.receptive_fields import (
     RFSpec,
     _channel_gaussian,
     _derivative_t,
+    _layer2_values,
     _smooth_channels,
     _smooth_frames,
     apply_rf,
@@ -275,10 +276,15 @@ def bank_fields(
     v_bank, tau_a: float, s: float, temporal: TemporalKernelSpec | None = None
 ) -> list[RFSpec]:
     """The band field of each distinct slope of a non-empty bank, smallest
-    |v| first, then negative v: the order ``glissando_filterbank`` visits."""
+    |v| first, then negative v: the order ``glissando_filterbank`` visits.
+    Alone among the features, the window defaults to the zero-phase Gaussian
+    at tau_a: causal smoothing displaces a moving ridge and biases the
+    per-cell argmax toward the fastest bank member."""
     order = sorted(dict.fromkeys(v_bank), key=lambda v: (abs(v), v))
     if not order:
         raise ValueError("glissando bank must not be empty")
+    if temporal is None:
+        temporal = TemporalKernelSpec.gaussian(tau_a)
     return [band_field(tau_a, s, temporal, v) for v in order]
 
 
@@ -289,7 +295,7 @@ def glissando_filterbank(
 
     Ties break toward the smallest |v| (then toward negative v) by visiting
     the bank in that order (``bank_fields``) and replacing only on strict
-    improvement.
+    improvement. Without ``temporal`` the window is ``bank_fields``' Gaussian.
     """
     bank = tuple(v_bank)
     first, *rest = bank_fields(bank, tau_a, s, temporal)
@@ -329,11 +335,13 @@ class SecondMomentField:
 def second_moment_kernels(
     tau_a: float, s: float, tau_i: float, s_i: float, temporal=None, integration_temporal=None
 ) -> tuple[TemporalKernelSpec, TemporalKernelSpec]:
-    """The derivative and integration kernels of ``second_moment_glissando``,
-    whose integration scales (tau_i, s_i) must be finite and at least (tau_a, s)."""
+    """The kernels of ``second_moment_glissando``: (tau_a, s) are refused by their owners,
+    then (tau_i, s_i) unless finite and at least (tau_a, s)."""
+    temporal = _temporal_at(tau_a, temporal)
+    RFSpec(temporal, s)
     if not (tau_i >= tau_a and s <= s_i < np.inf):
         raise ValueError("integration scales must be finite and at least the derivative scales")
-    return _temporal_at(tau_a, temporal), _temporal_at(tau_i, integration_temporal, "tau_i")
+    return temporal, _temporal_at(tau_i, integration_temporal, "tau_i")
 
 
 def second_moment_glissando(
@@ -354,9 +362,8 @@ def second_moment_glissando(
     temporal, integration_temporal = second_moment_kernels(
         tau_a, s, tau_i, s_i, temporal, integration_temporal
     )
-    RFSpec(temporal, s)  # refuses a negative s before the temporal pass
     dnu = S.grid.delta_nu
-    frames, warm = _smooth_frames(S, temporal)
+    frames, warm = _smooth_frames(_layer2_values(S), S.frame_rate, temporal)
     gaussian = _channel_gaussian(s, dnu)
     lt = _derivative_t(_smooth_channels(frames, gaussian, dnu), 1, 1.0 / S.frame_rate)
     lnu = _smooth_channels(frames, gaussian, dnu, beta=1)  # overwrites frames
@@ -367,7 +374,7 @@ def second_moment_glissando(
     np.multiply(lnu, lnu, out=products[..., 2])
     del lt, lnu  # the integration needs only the products
     # smooth's two passes, with the products released between them
-    integrated, warm_i = _smooth_frames(replace(S, values=products), integration_temporal)
+    integrated, warm_i = _smooth_frames(products, S.frame_rate, integration_temporal)
     del products
     integrated = _smooth_channels(integrated, _channel_gaussian(s_i, dnu), dnu)
     y_tt, y_tnu, y_nunu = np.moveaxis(integrated, -1, 0)

@@ -8,11 +8,11 @@ no later frame), optionally scale-normalized by tau_a^{alpha/2}
 s^{beta/2}. A central difference commutes with the discrete Gaussian, so
 each spectral derivative is one band product, not a second pass over the
 map. ``smooth`` is the beta = 0 pass without the time difference; stacked
-maps (trailing axes) are smoothed together in one pass. Glissando adaptation
-(a shear of the time-frequency plane at v semitones/second) is realized by
-warping the spectrogram along the frequency axis, applying the separable
-operator, and warping back, which is equivalent to convolving with the
-sheared kernel.
+maps (trailing axes) are smoothed together in one pass. A glissando-adapted
+field (a shear of the time-frequency plane at v semitones/second) is the
+same one pass between two warps along frequency: ``glissando_warp`` to the
+co-moving frame, the passes on its values, and the inverse warp, which is
+equivalent to convolving with the sheared kernel. Every pass takes arrays.
 
 The temporal kernels themselves are realised only in
 ``temporal_scale_space``: each smoothing pass builds its kernel once (a
@@ -150,10 +150,13 @@ def _warp_values(
     return out
 
 
-def _need_frames(S: TFMap) -> None:
-    """Refuse a map without frames, which no layer-2 operator can read."""
+def _layer2_values(S: TFMap) -> np.ndarray:
+    """``S.values``, refused unless real with a frame: what every layer-2 operator reads."""
+    if S.kind == "complex":
+        raise ValueError("layer 2 needs a real-valued map; convert the spectrogram with to_db")
     if S.n_frames == 0:
         raise ValueError("layer 2 needs a map with at least one frame")
+    return S.values
 
 
 def glissando_warp(S: TFMap, v: float) -> TFMap:
@@ -163,19 +166,15 @@ def glissando_warp(S: TFMap, v: float) -> TFMap:
     mirror the data at the frequency boundaries; v = 0 is an exact identity.
     The inverse warp is glissando_warp(S, -v) over the same frames.
     """
-    _need_frames(S)
-    values = _warp_values(S.values, S.frame_times, v, S.grid.delta_nu)
+    values = _warp_values(_layer2_values(S), S.frame_times, v, S.grid.delta_nu)
     warp_v = S.metadata.get("warp_v", 0.0) + v
     return replace(S, values=values, metadata={**S.metadata, "warp_v": warp_v})
 
 
-def _smooth_frames(S: TFMap, temporal: TemporalKernelSpec) -> tuple[np.ndarray, int]:
-    """The temporal pass of a real map with frames: (values smoothed along
-    axis 0, warm-up)."""
-    if S.kind == "complex":
-        raise ValueError("layer 2 needs a real-valued map; convert the spectrogram with to_db")
-    _need_frames(S)
-    values, frame_rate = S.values, S.frame_rate
+def _smooth_frames(
+    values: np.ndarray, frame_rate: float, temporal: TemporalKernelSpec
+) -> tuple[np.ndarray, int]:
+    """The temporal pass at ``frame_rate``: (values smoothed along axis 0, warm-up)."""
     if temporal.family.causal:
         ladder = discretize_ladder(temporal.ladder, frame_rate)
         warm = warmup_length(ladder)  # a warm-up too long to count is refused before smoothing
@@ -239,7 +238,7 @@ def smooth(S: TFMap, temporal: TemporalKernelSpec, s: float) -> tuple[np.ndarray
     other outputs of theirs.
     """
     RFSpec(temporal, s)  # refuses a spectral scale that is not non-negative and finite
-    values, warm = _smooth_frames(S, temporal)
+    values, warm = _smooth_frames(_layer2_values(S), S.frame_rate, temporal)
     if s > 0:
         values = _smooth_channels(values, _channel_gaussian(s, S.grid.delta_nu), S.grid.delta_nu)
     return values, warm
@@ -264,25 +263,22 @@ def apply_rf(S: TFMap, spec: RFSpec) -> TFMap:
 
     The response is an "rf" map on the input's axes. Its metadata extends
     the input's with the RFSpec ("rf_spec") and the warm-up the second
-    layer added, so a delay-compensated map stays marked as such. Nonzero
-    glissando slopes are handled by warping to the co-moving frame,
-    applying the separable operator there, and warping back. The operator
-    is the temporal pass of ``smooth``, then the channel Gaussian with
-    d_nu^beta folded into its taps, then d_t^alpha (``_derivative_t``), and
-    the normalization. Complex spectrograms are refused: take their dB map
-    first.
+    layer added, so a delay-compensated map stays marked as such. One pass
+    over arrays: for v != 0 the warp to the co-moving frame
+    (``glissando_warp``), then the temporal pass of ``smooth``, the channel
+    Gaussian with d_nu^beta folded into its taps, d_t^alpha
+    (``_derivative_t``) and the normalization, and for v != 0 the inverse
+    warp. Complex spectrograms are refused: take their dB map first.
     """
+    values = glissando_warp(S, spec.v).values if spec.v != 0.0 else _layer2_values(S)
+    values, warm = _smooth_frames(values, S.frame_rate, spec.temporal)
+    dnu = S.grid.delta_nu
+    values = _smooth_channels(values, _channel_gaussian(spec.s, dnu), dnu, spec.beta)
+    values = _derivative_t(values, spec.alpha, 1.0 / S.frame_rate)
+    if spec.normalized:
+        values *= spec.normalization
     if spec.v != 0.0:
-        inner = apply_rf(glissando_warp(S, spec.v), replace(spec, v=0.0))
-        values = _warp_values(inner.values, S.frame_times, -spec.v, S.grid.delta_nu)
-        warm = inner.metadata["layer2_warmup_frames"]
-    else:
-        values, warm = _smooth_frames(S, spec.temporal)
-        dnu = S.grid.delta_nu
-        values = _smooth_channels(values, _channel_gaussian(spec.s, dnu), dnu, spec.beta)
-        values = _derivative_t(values, spec.alpha, 1.0 / S.frame_rate)
-        if spec.normalized:
-            values *= spec.normalization
+        values = _warp_values(values, S.frame_times, -spec.v, dnu)
     return replace(
         S,
         values=values,

@@ -1,5 +1,6 @@
 import math
 import os
+import sys
 
 import numpy as np
 import pytest
@@ -129,3 +130,25 @@ def central_difference(values: np.ndarray, order: int, dnu: float) -> np.ndarray
     over dnu^order."""
     stencil = [-0.5, 0.0, 0.5] if order == 1 else [1.0, -2.0, 1.0]
     return correlate1d(values, stencil, axis=1, mode="reflect") / dnu**order
+
+
+def count_calls(monkeypatch, name: str) -> list[tuple]:
+    """Record the arguments of every call to the function ``name``, patched
+    in each loaded tonescale module that holds it, so a call made through
+    any module's import is counted."""
+    calls = []
+    targets = [
+        module
+        for key, module in list(sys.modules.items())
+        if (key == "tonescale" or key.startswith("tonescale.")) and hasattr(module, name)
+    ]
+    real = next(getattr(m, name) for m in targets if getattr(m, name).__module__ == m.__name__)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    for module in targets:
+        if getattr(module, name) is real:
+            monkeypatch.setattr(module, name, counted)
+    return calls

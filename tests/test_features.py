@@ -40,7 +40,7 @@ from tonescale.temporal_scale_space import (
     discretize_ladder,
 )
 
-from conftest import central_difference, exponential_chirp, sine
+from conftest import central_difference, count_calls, exponential_chirp, sine
 
 RATE = 44100.0
 FAM = SpectrogramFamily(kind="rec-log", K=7, c=math.sqrt(2.0))
@@ -290,6 +290,25 @@ def test_glissando_bank_picks_matching_slope_on_chirp():
     assert np.mean(est.vhat[mask] == v0) >= 0.9
 
 
+@pytest.mark.parametrize("v0", [-40.0, 40.0])
+def test_the_bank_default_window_finds_fast_glissandi(v0):
+    """Criterion 08's chirps through ``glissando_filterbank`` given no
+    ``temporal``. With the rec-uni cascade as the bank's default no ridge
+    cell cleared c_min = 4 at +-40 st/s, and at c_min = 1 it put 0 % (-40)
+    and 31 % (+40) of them on the nearest member; the zero-phase Gaussian
+    puts every cell there."""
+    grid = build_frequency_grid(50.0, 90.0, 48, law=WindowScaleLaw(n=8.0))
+    bank = (-40.0, -20.0, -10.0, 0.0, 10.0, 20.0, 40.0)
+    x = exponential_chirp(70.0 - v0 * 0.75, v0, 1.5, RATE)
+    L = to_db(compute_spectrogram(x, RATE, grid, FAM, hop=44))
+    est = glissando_filterbank(L, bank, 0.06 ** 2, 0.35 ** 2)
+    warm = np.ceil(est.warmup_frames * 1.2).astype(int)
+    mask = ridge_mask(est.response.copy(), warm, 4.0)
+    mask[:, (grid.nu < 58.0) | (grid.nu > 82.0)] = False
+    assert mask.sum() > 100
+    assert np.mean(est.vhat[mask] == v0) >= 0.9
+
+
 def test_second_moment_estimates_chirp_slope():
     grid = build_frequency_grid(55.0, 85.0, 48, law=WindowScaleLaw(n=8.0))
     v0 = 10.0
@@ -323,6 +342,22 @@ def test_second_moment_requires_integration_scales_above_derivation():
             second_moment_glissando(L, *scales)
         with pytest.raises(ValueError, match="at least the derivative scales"):
             second_moment_kernels(*scales)
+
+
+@pytest.mark.parametrize(
+    "scales, text",
+    [
+        ((math.nan, 0.25, 4e-3, 1.0), "ladder scale tau must be positive and finite, got nan"),
+        ((4e-4, math.nan, 4e-3, 1.0), "spectral scale s must be non-negative and finite"),
+        ((4e-4, -1.0, 4e-3, 1.0), "spectral scale s must be non-negative and finite"),
+    ],
+    ids=["tau_a-nan", "s-nan", "s-negative"],
+)
+def test_second_moment_kernels_refuse_a_bad_derivative_scale_through_its_owner(scales, text):
+    """A NaN tau_a or s read as integration scales below the derivative
+    scales, and s = -1 went through until ``second_moment_glissando``."""
+    with pytest.raises(ValueError, match=text):
+        second_moment_kernels(*scales)
 
 
 @pytest.mark.parametrize(
@@ -455,14 +490,7 @@ def test_second_moment_is_within_1e_12_of_the_stencil_pass(window, s, s_i):
 def test_second_moment_smooths_once_per_scale(window, smoother, count, monkeypatch):
     """One temporal pass per scale; a Gaussian pass and the channel pass at
     each scale build one kernel each."""
-    calls = []
-    original = getattr(receptive_fields, smoother)
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(receptive_fields, smoother, counted)
+    calls = count_calls(monkeypatch, smoother)
     L = step_tone_db(duration=0.5)
     second_moment_glissando(L, TAU_A, S_NU, TAU_I, 1.0, *SM_WINDOWS[window])
     assert len(calls) == count
@@ -731,17 +759,12 @@ def test_glissando_bank_peak_memory_is_at_most_twelve_maps(rng):
 
 
 def test_glissando_bank_visits_a_repeated_slope_once(monkeypatch):
+    """``apply_rf`` is entered once per distinct slope, sheared or not: a
+    sheared field warps around its own one pass instead of calling itself."""
     L = step_tone_db(duration=0.4)
     want = glissando_filterbank(L, (-12.0, 0.0, 12.0), TAU_A, S_NU)
-    slopes = []
-    band = receptive_fields.apply_rf
-
-    def spy(S, spec):
-        slopes.append(spec.v)
-        return band(S, spec)
-
-    monkeypatch.setattr("tonescale.features.apply_rf", spy)
+    calls = count_calls(monkeypatch, "apply_rf")
     got = glissando_filterbank(L, (12.0, 0.0, -12.0, 12.0, 0.0), TAU_A, S_NU)
-    assert slopes == [0.0, -12.0, 12.0]
+    assert [spec.v for _, spec in calls] == [0.0, -12.0, 12.0]
     assert got.bank == (12.0, 0.0, -12.0, 12.0, 0.0)
     assert np.array_equal(got.vhat, want.vhat) and np.array_equal(got.response, want.response)

@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.ndimage import correlate1d
 
-from tonescale import receptive_fields, temporal_scale_space
-from tonescale.features import detect_onsets, glissando_filterbank
+from tonescale import receptive_fields
+from tonescale.features import detect_onsets, glissando_filterbank, second_moment_glissando
 from tonescale.receptive_fields import (
     RFSpec,
     _mirror_indices,
@@ -34,7 +34,7 @@ from tonescale.temporal_scale_space import (
     gaussian_derivative_sample,
 )
 
-from conftest import central_difference, exponential_chirp, sine
+from conftest import central_difference, count_calls, exponential_chirp, sine
 
 RATE = 44100.0
 FAM = SpectrogramFamily(kind="rec-log", K=7, c=math.sqrt(2.0))
@@ -86,15 +86,7 @@ def test_each_gaussian_kernel_is_built_once(monkeypatch):
     """A Gaussian temporal pass builds its kernel once and reads the warm-up
     off it (it built the kernel a second time for the warm-up), and each
     bank member builds one temporal and one spectral kernel."""
-    calls = []
-    real = temporal_scale_space.discrete_gaussian_kernel
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return real(*args, **kwargs)
-
-    for module in (temporal_scale_space, receptive_fields):
-        monkeypatch.setattr(module, "discrete_gaussian_kernel", counted)
+    calls = count_calls(monkeypatch, "discrete_gaussian_kernel")
     L = tone_db(duration=0.3)
     smooth(L, TemporalKernelSpec.gaussian(0.06**2), 0.0)
     assert len(calls) == 1
@@ -359,6 +351,24 @@ def test_apply_rf_refuses_a_complex_map():
     for v in (0.0, 10.0):
         with pytest.raises(ValueError, match="real-valued map"):
             apply_rf(S, gauss_spec(v=v))
+
+
+@pytest.mark.parametrize(
+    "operator",
+    [
+        lambda S: glissando_warp(S, 10.0),
+        lambda S: smooth(S, TemporalKernelSpec.gaussian(4e-4), 0.25),
+        lambda S: second_moment_glissando(S, 4e-4, 0.25, 4e-3, 1.0),
+    ],
+    ids=["glissando_warp", "smooth", "second_moment"],
+)
+def test_every_layer2_operator_refuses_a_complex_map(operator):
+    """The check ``apply_rf`` makes refuses for every other layer-2
+    operator too; the warp once shifted a complex map without complaint."""
+    grid = build_frequency_grid(64.0, 74.0, 48, law=WindowScaleLaw(n=8.0))
+    S = compute_spectrogram(sine(440.0, 0.2, RATE), RATE, grid, FAM, hop=44)
+    with pytest.raises(ValueError, match="real-valued map"):
+        operator(S)
 
 
 @pytest.mark.parametrize("temporal", [TemporalKernelSpec.gaussian(4e-4), FAM.temporal(4e-4)])

@@ -17,8 +17,10 @@ rec-log dB map at the CLI's settings, including the 5-member Gaussian bank;
 length-1 axes and s = 0; ``discrete_recursive_smooth`` for K 1-12 on both
 ladders, from rest and steady; Gauss layer 1, ``to_db`` and
 ``enhance_bands`` on the gauss-corpus bench's 77-channel grid at its
-settings, on a 1 s clip; and seven CLI commands on a seeded WAV,
-with the bad arguments the CLI refuses and two runtime failures. Each CLI
+settings, on a 1 s clip; seven CLI commands on a seeded WAV, the
+``kernels`` files of each family and of a sheared second-derivative field,
+and ``analyze``'s table 2 as CSV, with the bad arguments the CLI refuses
+and two runtime failures. Each CLI
 case records its exit code and the files it created, its stdout, its
 stderr and each file. ``--tiny`` records a few of each in about a second.
 
@@ -74,6 +76,15 @@ CLI_RUNS = (
     ("sm", ["features", "--second-moment", "--out-csv", "{o}.csv"]),
     ("bank", ["features", BANK_FLAG, "--tau-a-ms", "60", "--out-csv", "{o}.csv"]),
     ("analyze", ["analyze"]),
+    ("kernels-gauss", ["kernels", "--family", "gauss", "--out-csv", "{o}.csv"]),
+    ("kernels-uni", ["kernels", "--family", "rec-uni", "--out-csv", "{o}.csv"]),
+    ("kernels-log", ["kernels", "--family", "rec-log", "--out-csv", "{o}.csv"]),
+    (
+        "kernels-rf",
+        ["kernels", "--rf", "--beta", "2", "--v", "12", "--out-csv", "{o}.csv"]
+        + ["--out-pgm", "{o}.pgm"],
+    ),
+    ("table2", ["analyze", "--table", "2", "--out-csv", "{o}.csv"]),
 )
 # Bad arguments (exit 2, all but the last before the WAV is read), then two
 # runtime failures (exit 1); the first two are in the tiny set too.

@@ -600,11 +600,12 @@ def cmd_features(cfg: dict, wav: str) -> int:
         floor = cfg["min_level_db"]
         scored = [(curve, _curve_median_level(log, curve)) for curve in curves]
         kept = [(curve, lv) for curve, lv in scored if lv >= floor]
+        times = log.frame_times  # computed on each access: once here, not per point
         payload = {
             "curves": [
                 {
                     "frames": [int(j) for j in curve.frames],
-                    "times": [round(float(log.frame_times[j]), 9) for j in curve.frames],
+                    "times": [round(float(times[j]), 9) for j in curve.frames],
                     "nus": [round(float(x), 9) for x in curve.nus],
                     "strengths": [round(float(x), 9) for x in curve.strengths],
                     "mean_nu": round(float(curve.mean_nu), 9),
@@ -621,17 +622,14 @@ def cmd_features(cfg: dict, wav: str) -> int:
 
     if sel in ("onsets", "offsets", "bands"):
         detect = {"onsets": detect_onsets, "offsets": detect_offsets, "bands": enhance_bands}[sel]
-        fm = detect(log, tau_a, s)
-        values, times, grid = fm.values, fm.frame_times, fm.grid
+        values = detect(log, tau_a, s).values
     elif sel == "glissando_bank":
         est = glissando_filterbank(log, bank, tau_a, s)
         mask = ridge_mask(est.response, est.warmup_frames, cfg["c_min"])
         values = np.where(mask, est.vhat, 0.0)
-        times, grid = est.frame_times, est.grid
     else:  # second_moment
         field = second_moment_glissando(log, tau_a, s, tau_i, s_i)
         values = np.where(field.defined, field.vhat, 0.0)
-        times, grid = field.frame_times, field.grid
 
     def pgm():
         # rectified maps render on [0, max]; signed slope maps symmetrically
@@ -639,7 +637,7 @@ def cmd_features(cfg: dict, wav: str) -> int:
             return values, *_symmetric_range(values)
         return values, 0.0, float(np.max(values)) or 1.0
 
-    _write_grid(cfg, grid.nu, times, values, pgm)
+    _write_grid(cfg, log.grid.nu, log.frame_times, values, pgm)  # every feature keeps log's axes
     return 0
 
 

@@ -31,7 +31,7 @@ from tonescale.receptive_fields import (
     _smooth_frames,
     apply_rf,
 )
-from tonescale.spectrogram import FrequencyGrid, TFMap
+from tonescale.spectrogram import TFMap
 from tonescale.temporal_scale_space import SpectrogramFamily, TemporalKernelSpec
 
 
@@ -267,8 +267,6 @@ class GlissandoBankEstimate:
     vhat: np.ndarray  # (n_frames, n_channels) semitones/second
     response: np.ndarray  # band response at the selected slope
     bank: tuple[float, ...]
-    frame_times: np.ndarray
-    grid: FrequencyGrid
     warmup_frames: np.ndarray
 
 
@@ -312,8 +310,6 @@ def glissando_filterbank(
         vhat=vhat,
         response=-least,
         bank=bank,
-        frame_times=resp.frame_times,
-        grid=resp.grid,
         warmup_frames=resp.warmup_frames,
     )
 
@@ -327,8 +323,6 @@ class SecondMomentField:
     upsilon_nunu: np.ndarray
     vhat: np.ndarray  # -Y_tnu / Y_nunu where defined, else 0
     defined: np.ndarray  # bool mask of cells above the stability floor
-    frame_times: np.ndarray
-    grid: FrequencyGrid
     warmup_frames: np.ndarray
 
 
@@ -390,8 +384,6 @@ def second_moment_glissando(
         upsilon_nunu=y_nunu,
         vhat=vhat,
         defined=defined,
-        frame_times=S.frame_times,
-        grid=S.grid,
         warmup_frames=warmup,
     )
 

@@ -178,11 +178,12 @@ class TFMap:
     ``warmup_frames`` counts, per channel, the leading frames dominated by
     the zero initial state of every smoothing applied so far. Settings that
     only some kinds have (the dB reference ``S0``, the ``RFSpec`` under
-    "rf_spec", delay shifts) live in ``metadata``.
+    "rf_spec", delay shifts) live in ``metadata``. Frame j starts j hop
+    samples into the signal: ``frame_times`` is read off that index, never
+    stored, so a map cut to its first frames keeps its comb.
     """
 
     values: np.ndarray  # (n_frames, n_channels)
-    frame_times: np.ndarray  # seconds
     grid: FrequencyGrid
     sample_rate: float
     hop: int  # samples between frames
@@ -203,10 +204,15 @@ class TFMap:
     def frame_rate(self) -> float:
         return self.sample_rate / self.hop
 
+    @property
+    def frame_times(self) -> np.ndarray:
+        """Seconds of each frame: index * hop / sample_rate."""
+        return np.arange(self.n_frames, dtype=float) * self.hop / self.sample_rate
+
 
 MIN_STAGE_MU_SAMPLES = 1e-6
-# Frames demodulated at a time on the causal path, so its temporaries do
-# not grow with the signal.
+# Frames of a causal map demodulated at a time (a Gauss batch demodulates
+# its own folds), so the carriers' temporaries do not grow with the signal.
 _DEMODULATE_FRAMES = 256
 # Gaussian channels run by overlap-save in groups, one per octave of kernel
 # half-width h below the longest. A group's blocks take at least
@@ -224,7 +230,8 @@ _FOLD_ELEMENTS = 1 << 14
 
 
 def _worker_count(tasks: int) -> int:
-    """Threads for ``tasks`` independent Gaussian channels: the CPUs this process may use."""
+    """Threads for the Gaussian branch's pool, whose tasks are block-spectra
+    spans and channel batches: the CPUs this process may use, at most ``tasks``."""
     if hasattr(os, "sched_getaffinity"):
         cpus = len(os.sched_getaffinity(0))
     else:
@@ -369,7 +376,16 @@ def _block_spectra(x: np.ndarray, half: int, advance: int, span, planes: np.ndar
         np.negative(upper.imag, out=bins[:, row + 1 :, :, 1])
 
 
-def _fold_batch(kernels, w, carriers, frame_times, values, planes, per_block, batch) -> None:
+def _demodulate(block: np.ndarray, first: int, omega, hop: int, sample_rate: float) -> None:
+    """Take the carriers e^{-i omega t} off frames first, first + 1, ... of
+    ``block`` (frames, channels at ``omega``), in place. Each t is read off
+    the absolute frame index as ``TFMap.frame_times`` reads it, so the bits
+    do not depend on where a block starts."""
+    t = np.arange(first, first + len(block), dtype=float) * hop / sample_rate
+    block *= np.exp(-1j * omega * t[:, None])
+
+
+def _fold_batch(kernels, omega, sample_rate, values, planes, per_block, batch) -> None:
     """The frames of the Gaussian channels ``batch`` from their group's
     block ``planes`` (q, 2 blocks, hop), written into ``values``.
 
@@ -379,14 +395,15 @@ def _fold_batch(kernels, w, carriers, frame_times, values, planes, per_block, ba
     spectrum by every H and sums the hop rows of each bin: the fold onto q
     bins that keeping every hop-th sample of the circular product is. One
     inverse FFT of length q per block and channel then gives the frames,
-    of which the first ``per_block`` are kept, and the carriers take off the
-    modulation. Runs on a worker thread: numpy only.
+    of which the first ``per_block`` are kept, and ``_demodulate`` takes
+    the carriers (channels at ``omega``, rad/s) off them on this thread.
+    Runs on a worker thread: numpy only.
     """
     q, rows, hop = planes.shape
     width = len(batch)
     gains = None
     for i, ch in enumerate(batch):
-        gain = _tap_transform(kernels[ch], w[ch], hop * q)
+        gain = _tap_transform(kernels[ch], omega[ch] / sample_rate, hop * q)
         if gains is None:  # after the first transform, whose scratch is freed by then
             gains = np.empty((q, hop, width))
         gains[:, :, i] = gain.reshape(hop, q).T
@@ -405,7 +422,7 @@ def _fold_batch(kernels, w, carriers, frame_times, values, planes, per_block, ba
         f0, f1 = lo * per_block, min(n_frames, hi * per_block)
         out = frames.transpose(0, 2, 1).reshape(-1, width)[: f1 - f0]
         del frames
-        out *= np.exp(carriers[batch] * frame_times[f0:f1, None])
+        _demodulate(out, f0, omega[batch], hop, sample_rate)
         values[f0:f1, batch] = out
 
 
@@ -439,7 +456,7 @@ def compute_spectrogram(
     (w = omega / rate) equals e^{-i w n} times smoothing the real x[n] with
     the window modulated by e^{i w n}, so each channel computes the folded
     response on the frame comb only and multiplies those samples by
-    e^{-i omega t}.
+    e^{-i omega t}, t read off the absolute frame index (``_demodulate``).
 
     Causal families fold the carrier into the cascade's poles, each pole
     p_k becoming p_k e^{i w}, so all channels run as one block recursion over
@@ -484,7 +501,9 @@ def compute_spectrogram(
     Non-finite samples, a sample rate that is not positive, channels at or
     above the Nyquist frequency, a hop that is not a positive whole number
     and a hop longer than the signal are rejected: each would silently
-    corrupt the map, leave nothing but warm-up or fail deep inside.
+    corrupt the map, leave nothing but warm-up or fail deep inside. A
+    channel whose warm-up outlasts the clip is not: it reports
+    ``warmup_frames >= n_frames``, and layer 2 finds nothing there.
     """
     x = np.asarray(signal, dtype=float)
     if x.ndim != 1 or x.size == 0:
@@ -503,10 +522,6 @@ def compute_spectrogram(
     if hop > n:
         raise ValueError(f"hop ({hop} samples) is longer than the signal ({n} samples)")
     n_frames = -(-n // hop)
-    frame_times = np.arange(n_frames, dtype=float)
-    frame_times *= hop
-    frame_times /= sample_rate  # index * hop / rate, built in place
-    n_ch = grid.n_channels
     if family.causal:
         ladders = [discretize_ladder(family.ladder(tau), sample_rate) for tau in grid.tau_window]
         for nu, ladder in zip(grid.nu, ladders):
@@ -521,32 +536,27 @@ def compute_spectrogram(
                 for ladder, omega in zip(ladders, grid.omega)
             ]
         )
-        warmup = np.array([-(-warmup_length(ladder) // hop) for ladder in ladders])
+        reach = [warmup_length(ladder) for ladder in ladders]  # samples
         values = _block_cascade(x, sections, hop)
         for lo in range(0, n_frames, _DEMODULATE_FRAMES):
-            rows = values[lo : lo + _DEMODULATE_FRAMES]
-            rows *= np.exp(-1j * grid.omega * frame_times[lo : lo + _DEMODULATE_FRAMES, None])
+            _demodulate(values[lo : lo + _DEMODULATE_FRAMES], lo, grid.omega, hop, sample_rate)
     else:
         kernels = _gauss_kernels(tuple((grid.tau_window * sample_rate * sample_rate).tolist()))
-        halves = [kernel.origin_index for kernel in kernels]
-        warmup = np.array([-(-half // hop) for half in halves])
-        values = np.empty((n_frames, n_ch), dtype=complex)
-        fold = functools.partial(
-            _fold_batch, kernels, grid.omega / sample_rate, -1j * grid.omega, frame_times, values
-        )
+        reach = [kernel.origin_index for kernel in kernels]  # half-widths, samples
+        values = np.empty((n_frames, grid.n_channels), dtype=complex)
+        fold = functools.partial(_fold_batch, kernels, grid.omega, sample_rate, values)
         # The cap is left last, after the pool has finished every task, also
         # when one raises.
-        with _one_blas_thread(), ThreadPoolExecutor(max_workers=_worker_count(n_ch)) as pool:
-            for group in _block_groups(halves, n, hop):
+        with _one_blas_thread(), ThreadPoolExecutor(_worker_count(grid.n_channels)) as pool:
+            for group in _block_groups(reach, n, hop):
                 _gauss_group(pool, x, fold, hop, *group)
     return TFMap(
         values=values,
-        frame_times=frame_times,
         grid=grid,
         sample_rate=sample_rate,
         hop=hop,
         family=family,
-        warmup_frames=warmup,
+        warmup_frames=-(-np.array(reach) // hop),
         kind="complex",
     )
 

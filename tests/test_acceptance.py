@@ -357,13 +357,11 @@ def test_criterion_09_onset_timing():
     grid = build_frequency_grid(64.0, 74.0, 48, law=WindowScaleLaw(n=8.0))
     j0 = 400
     n_frames = 1000
-    frame_times = np.arange(n_frames) * HOP / RATE
     values = np.where(np.arange(n_frames)[:, None] >= j0, 0.0, -60.0) * np.ones(
         (1, grid.n_channels)
     )
     L = TFMap(
         values=values,
-        frame_times=frame_times,
         grid=grid,
         sample_rate=RATE,
         hop=HOP,

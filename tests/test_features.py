@@ -24,6 +24,7 @@ from tonescale.features import (
     second_moment_glissando,
     second_moment_kernels,
 )
+from tonescale.cli_io import read_grid_csv, write_grid_csv
 from tonescale.receptive_fields import RFSpec, apply_rf, smooth
 from tonescale.spectrogram import (
     SpectrogramFamily,
@@ -66,7 +67,6 @@ def synthetic_db_step(t_on=0.4, duration=1.0, lo=-60.0, hi=0.0, span=(64.0, 74.0
     )
     return TFMap(
         values=values,
-        frame_times=frame_times,
         grid=grid,
         sample_rate=RATE,
         hop=hop,
@@ -526,6 +526,49 @@ def test_feature_maps_share_spectrogram_axes():
     assert onset.kind == "onset"
 
 
+def test_a_map_cut_to_its_first_frames_keeps_its_comb(tmp_path):
+    """Frame times are read off the frame index, so a map cut to its first
+    frames carries the first frame times: the sheared fields, the bank and
+    the grid writer all take it."""
+    L = step_tone_db(t_on=0.2, duration=0.5)
+    head = replace(L, values=L.values[:200])
+    assert head.frame_times.tobytes() == L.frame_times[:200].tobytes()
+    for v in (-12.0, 12.0):
+        assert apply_rf(head, band_field(TAU_A, S_NU, v=v)).n_frames == 200
+    assert glissando_filterbank(head, (-12.0, 0.0, 12.0), TAU_A, S_NU).vhat.shape[0] == 200
+    bands = enhance_bands(head, TAU_A, S_NU)
+    write_grid_csv(tmp_path / "bands.csv", bands.grid.nu, bands.frame_times, bands.values)
+    _, times, values = read_grid_csv(tmp_path / "bands.csv")
+    assert values.shape == (200, L.grid.n_channels)
+    assert times[-1] == pytest.approx(L.frame_times[199], abs=1e-6)
+
+
+@pytest.mark.parametrize("kind, dead", [("rec-log", 168), ("gauss", 111)])
+def test_channels_whose_warm_up_outlasts_the_clip_are_reported_not_refused(kind, dead):
+    """On a 0.1 s clip on the default grid the lowest channels are warm-up
+    in every frame: layer 1 reports them through ``warmup_frames`` and does
+    not raise, and layer 2 finds nothing there. A tone in those channels
+    and one above them, at a 4 ms layer-2 window, leave band responses
+    above c_min in the dead channels and ridges elsewhere."""
+    grid = build_frequency_grid(midi_from_frequency(80.0), midi_from_frequency(16000.0), 48)
+    t = np.arange(int(0.1 * RATE)) / RATE
+    x = 0.01 * np.random.default_rng(11).standard_normal(t.size)
+    x += 0.5 * np.sin(2 * np.pi * 700.0 * t) + 0.5 * np.sin(2 * np.pi * 3000.0 * t)
+    L = to_db(compute_spectrogram(x, RATE, grid, SpectrogramFamily(kind)))
+    outlasting = L.warmup_frames >= L.n_frames
+    assert np.count_nonzero(outlasting) == dead
+    tau_a = 0.004**2
+    for feature in (detect_onsets, enhance_bands):
+        assert not feature(L, tau_a, S_NU).values[:, outlasting].any()
+    band = band_response(L, tau_a, S_NU)
+    assert (band.values[:, outlasting] >= 3.0).any()
+    assert not ridge_mask(band.values, band.warmup_frames, 3.0)[:, outlasting].any()
+    curves = extract_partial_curves(band, c_min=3.0)
+    assert curves
+    dead_nu = grid.nu[outlasting].max() + 0.5 * grid.delta_nu
+    assert all(curve.nus.min() > dead_nu for curve in curves)
+
+
 def test_onset_peak_time_respects_delay_compensation_bound():
     """Compensating layer-1 delays moves the onset peak of a step to within
     the layer-2 window of the physical step time."""
@@ -723,7 +766,6 @@ def default_grid_db_map(seconds, rng):
     n_frames = int(seconds * RATE / hop)
     return TFMap(
         values=rng.normal(-40.0, 15.0, size=(n_frames, grid.n_channels)),
-        frame_times=np.arange(n_frames) * hop / RATE,
         grid=grid,
         sample_rate=RATE,
         hop=hop,

@@ -58,7 +58,6 @@ def flat_db_spec() -> TFMap:
     n_frames = 160
     return TFMap(
         values=np.full((n_frames, grid.n_channels), -7.5),
-        frame_times=np.arange(n_frames) * 8 / RATE,
         grid=grid,
         sample_rate=RATE,
         hop=8,

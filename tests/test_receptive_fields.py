@@ -374,7 +374,7 @@ def test_every_layer2_operator_refuses_a_complex_map(operator):
 @pytest.mark.parametrize("temporal", [TemporalKernelSpec.gaussian(4e-4), FAM.temporal(4e-4)])
 def test_smooth_refuses_a_map_without_frames(temporal):
     L = tone_db(duration=0.05)
-    empty = replace(L, values=L.values[:0], frame_times=L.frame_times[:0])
+    empty = replace(L, values=L.values[:0])
     with pytest.raises(ValueError, match="at least one frame"):
         smooth(empty, temporal, 0.25)
 
@@ -410,7 +410,7 @@ def test_smooth_refuses_a_non_finite_map(temporal, bad):
 )
 def test_warp_refuses_a_map_without_frames(warped):
     L = tone_db(duration=0.05)
-    empty = replace(L, values=L.values[:0], frame_times=L.frame_times[:0])
+    empty = replace(L, values=L.values[:0])
     with pytest.raises(ValueError, match="at least one frame"):
         warped(empty)
 
@@ -456,7 +456,7 @@ def test_gaussian_smooth_is_the_direct_reflect_correlation(
         got = discrete_gaussian_smooth(values, kernel, axis=0)
     else:
         L = tone_db(duration=0.05)
-        S = replace(L, values=values, frame_times=np.arange(n_frames) / L.frame_rate)
+        S = replace(L, values=values)
         got, warm = smooth(S, TemporalKernelSpec.gaussian(scale / L.frame_rate ** 2), 0.0)
         assert warm == kernel.origin_index
     assert got.shape == values.shape
@@ -471,8 +471,7 @@ def test_gaussian_temporal_lanes_do_not_depend_on_their_neighbours(n_frames, tau
     3600 frames^2)."""
     L = tone_db(duration=0.05)
     maps = rng.normal(-40.0, 20.0, size=(n_frames, 368, 3))
-    frame_times = np.arange(n_frames) / 1000.0
-    S = replace(L, values=maps, frame_times=frame_times, sample_rate=44000.0, hop=44)
+    S = replace(L, values=maps, sample_rate=44000.0, hop=44)
     temporal = TemporalKernelSpec.gaussian(tau)
     stacked, _ = smooth(S, temporal, 0.0)
     one_map, _ = smooth(replace(S, values=maps[..., 1]), temporal, 0.0)

@@ -189,6 +189,24 @@ def test_spectrogram_frame_times_and_warmup_shapes():
     assert S.warmup_frames[0] > S.warmup_frames[-1]
 
 
+@pytest.mark.parametrize("kind", ["rec-log", "rec-uni"])
+@pytest.mark.parametrize("hop", [1, 7, 44, 441])
+def test_causal_layer1_reads_no_later_sample(kind, hop):
+    """The map of a prefix of a signal is bitwise the prefix of the whole
+    signal's map, in values and in warm-up: no causal frame reads a later
+    sample, and each frame's carrier is read off its absolute index, so a
+    stream of blocks can equal the batch map."""
+    rate = 22050.0
+    x = np.random.default_rng(29).standard_normal(int(0.3 * rate))
+    grid = build_frequency_grid(50.0, 100.0, 12)
+    fam = SpectrogramFamily(kind=kind, K=4)
+    whole = compute_spectrogram(x, rate, grid, fam, hop=hop)
+    for cut in (3001, 4999, 6613):
+        head = compute_spectrogram(x[:cut], rate, grid, fam, hop=hop)
+        assert head.values.tobytes() == whole.values[: head.n_frames].tobytes()
+        assert head.warmup_frames.tobytes() == whole.warmup_frames.tobytes()
+
+
 def test_spectrogram_linearity(rng):
     grid = build_frequency_grid(65.0, 73.0, 24, law=WindowScaleLaw(n=8.0))
     fam = SpectrogramFamily(kind="rec-uni", K=4)
@@ -707,8 +725,7 @@ def test_degenerate_stage_is_refused_before_any_worker_starts(kind, monkeypatch)
 
 
 def _extra_bytes(seconds: float, grid: FrequencyGrid, fam) -> int:
-    """Peak bytes that compute_spectrogram allocates beyond its map and
-    frame times."""
+    """Peak bytes that compute_spectrogram allocates beyond its map."""
     x = sine(440.0, seconds, 8000.0)
     tracemalloc.start()
     try:
@@ -716,7 +733,7 @@ def _extra_bytes(seconds: float, grid: FrequencyGrid, fam) -> int:
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    return peak - S.values.nbytes - S.frame_times.nbytes
+    return peak - S.values.nbytes
 
 
 @pytest.mark.parametrize("kind", ["rec-uni", "rec-log"])
@@ -733,8 +750,8 @@ def test_causal_layer1_temporaries_do_not_grow_with_the_signal(kind):
 
 def test_gauss_layer1_temporaries_do_not_grow_with_the_signal(monkeypatch):
     """A group's blocks and batches do not depend on the signal length once
-    every group runs in blocks, so on one worker nothing but the map, the
-    frame times and the block spectra of one group grows with the signal:
+    every group runs in blocks, so on one worker nothing but the map and
+    the block spectra of one group grows with the signal:
     from 2 to 8 s the map grows by 4.4 MB and the largest group's spectra
     by 1.3 MB, the rest by no more than the slack of a few allocator
     blocks. The kernels are built before either call is traced."""
@@ -785,7 +802,7 @@ def test_gauss_layer1_temporaries_stay_within_one_complex_array_per_worker(
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    extra = peak - S.values.nbytes - S.frame_times.nbytes - 16 * m
+    extra = peak - S.values.nbytes - 16 * m
     assert extra <= 1.5 * 16 * m
 
 

@@ -13,16 +13,19 @@ on the default grid at hops 1, 44 and 441; Gauss layer 1 on that grid on a
 4.5 s clip, where every octave runs in more than one overlap-save block,
 and at 8 and 22.05 kHz on grids below Nyquist; every layer-2 feature on a
 rec-log dB map at the CLI's settings, including the 5-member Gaussian bank;
-``discrete_gaussian_smooth`` along every axis of 1-3-D arrays, with
-length-1 axes and s = 0; ``discrete_recursive_smooth`` for K 1-12 on both
-ladders, from rest and steady; Gauss layer 1, ``to_db`` and
-``enhance_bands`` on the gauss-corpus bench's 77-channel grid at its
+the bank and a causal glissando-adapted band field (rec-uni, K = 4,
+tau = (10 ms)^2, s = 0.25, v = 12 semitones/s) on that map and on its
+first half of frames; ``discrete_gaussian_smooth`` along every axis of
+1-3-D arrays, with length-1 axes and s = 0; ``discrete_recursive_smooth``
+for K 1-12 on both ladders, from rest and steady; Gauss layer 1, ``to_db``
+and ``enhance_bands`` on the gauss-corpus bench's 77-channel grid at its
 settings, on a 1 s clip; seven CLI commands on a seeded WAV, the
 ``kernels`` files of each family and of a sheared second-derivative field,
-and ``analyze``'s table 2 as CSV, with the bad arguments the CLI refuses
-and two runtime failures. Each CLI
-case records its exit code and the files it created, its stdout, its
-stderr and each file. ``--tiny`` records a few of each in about a second.
+and ``analyze``'s tables 1-3 as CSV; ``spectrogram --db`` and ``features
+--onsets`` as CSV on seeded WAVs at 8 and 22.05 kHz; and the bad
+arguments the CLI refuses and two runtime failures. Each CLI case records
+its exit code and the files it created, its stdout, its stderr and each
+file. ``--tiny`` records a few of each in about a second.
 
 ``compare A B`` prints, per artifact, "bitwise" or the largest difference
 relative to the artifact's peak in A, then the largest gap per class, and
@@ -49,6 +52,7 @@ import re
 import struct
 import sys
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -59,6 +63,9 @@ HOP = 44
 # semitones^2), c_min, and the Gaussian bank's slopes and window.
 TAU_A, S, TAU_I, S_I, C_MIN = 0.020**2, 0.5**2, 0.060**2, 1.0**2, 3.0
 BANK, BANK_TAU_A = (-24.0, -12.0, 0.0, 12.0, 24.0), 0.060**2
+# A causal glissando-adapted band field: rec-uni K = 4 at tau (seconds^2),
+# s = S, sheared at V semitones/second.
+FIELD_K, FIELD_TAU, FIELD_V = 4, 0.010**2, 12.0
 BANK_FLAG = "--glissando-bank=" + ",".join(f"{v:g}" for v in BANK)
 # (lowest and highest channel in Hz, bins per octave)
 GRID, TINY_GRID = (80.0, 16000.0, 48), (1000.0, 8000.0, 6)
@@ -84,14 +91,21 @@ CLI_RUNS = (
         ["kernels", "--rf", "--beta", "2", "--v", "12", "--out-csv", "{o}.csv"]
         + ["--out-pgm", "{o}.pgm"],
     ),
+    ("table1", ["analyze", "--table", "1", "--out-csv", "{o}.csv"]),
     ("table2", ["analyze", "--table", "2", "--out-csv", "{o}.csv"]),
+    ("table3", ["analyze", "--table", "3", "--out-csv", "{o}.csv"]),
+)
+# Runs on a seeded WAV at each rate of RATE_GRIDS, on its grid.
+RATE_RUNS = (
+    ("spec-db", ["spectrogram", "--db", "--out-csv", "{o}.csv"]),
+    ("onsets-csv", ["features", "--onsets", "--out-csv", "{o}.csv"]),
 )
 # Bad arguments (exit 2, all but the last before the WAV is read), then two
 # runtime failures (exit 1); the first two are in the tiny set too.
 CLI_REFUSALS = (
     ("bad-c", ["kernels", "--c", "1", "--out-csv", "{o}.csv"]),
     ("bad-sigma-nu", ["features", "--bands", "--sigma-nu", "0", "--out-csv", "{o}.csv"]),
-    ("bad-n", ["analyze", "--n", "nan"]),
+    ("bad-n", ["spectrogram", "--n", "nan", "--out-csv", "{o}.csv"]),
     ("bad-K", ["spectrogram", "--K", "0", "--out-csv", "{o}.csv"]),
     ("bad-hop", ["spectrogram", "--hop-ms", "0", "--out-csv", "{o}.csv"]),
     ("bad-tau0", ["spectrogram", "--tau0-ms", "-1", "--out-csv", "{o}.csv"]),
@@ -134,10 +148,10 @@ def signal(seed: int, seconds: float, rate: int = RATE) -> np.ndarray:
     return np.round(x * 32768.0) / 32768.0
 
 
-def write_wav(path: Path, samples: np.ndarray) -> None:
-    """Mono 16-bit PCM at RATE."""
+def write_wav(path: Path, samples: np.ndarray, rate: int = RATE) -> None:
+    """Mono 16-bit PCM at ``rate``."""
     pcm = np.round(samples * 32768.0).astype("<i2").tobytes()
-    fmt = struct.pack("<IHHIIHH", 16, 1, 1, RATE, 2 * RATE, 2, 16)
+    fmt = struct.pack("<IHHIIHH", 16, 1, 1, rate, 2 * rate, 2, 16)
     body = b"WAVEfmt " + fmt + b"data" + struct.pack("<I", len(pcm)) + pcm
     path.write_bytes(b"RIFF" + struct.pack("<I", len(body)) + body)
 
@@ -202,9 +216,16 @@ def layer2(tiny: bool):
     for field in ("upsilon_tt", "upsilon_tnu", "upsilon_nunu", "vhat", "defined", "warmup_frames"):
         yield f"layer2/second-moment/{field}", np.asarray(getattr(sm, field))
     window = ts.TemporalKernelSpec.gaussian(BANK_TAU_A)
-    est = ts.glissando_filterbank(log, BANK[1:4] if tiny else BANK, BANK_TAU_A, S, window)
-    for field in ("vhat", "response", "warmup_frames"):
-        yield f"layer2/bank/{field}", np.asarray(getattr(est, field))
+    causal = ts.SpectrogramFamily("rec-uni", K=FIELD_K).temporal(FIELD_TAU)
+    half = replace(log, values=log.values[: log.n_frames // 2])
+    bank = BANK[1:4] if tiny else BANK
+    for part, part_map in (("", log), ("half/", half)):
+        est = ts.glissando_filterbank(part_map, bank, BANK_TAU_A, S, window)
+        for field in ("vhat", "response", "warmup_frames"):
+            yield f"layer2/bank/{part}{field}", np.asarray(getattr(est, field))
+        resp = ts.apply_rf(part_map, ts.RFSpec(causal, S, v=FIELD_V, beta=2))
+        yield f"layer2/glissando-field/{part}values", resp.values
+        yield f"layer2/glissando-field/{part}warmup", np.asarray(resp.warmup_frames)
 
 
 def smoothers(tiny: bool):
@@ -260,18 +281,25 @@ def cli(tiny: bool):
     from tonescale import midi_from_frequency as midi
     from tonescale.cli_io import cli_main
 
-    lo, hi, bins = TINY_GRID
-    flags = ["--nu-min", repr(midi(lo)), "--nu-max", repr(midi(hi)), "--bins-per-octave", str(bins)]
-    runs = [(*run, tiny) for run in (CLI_RUNS[:1] if tiny else CLI_RUNS)]
-    runs += [(*run, False) for run in (CLI_REFUSALS[:2] if tiny else CLI_REFUSALS)]
+    def flags(grid):  # the flags of a (lowest Hz, highest Hz, bins per octave) grid
+        lo, hi, bins = grid
+        return [f"--nu-min={midi(lo)!r}", f"--nu-max={midi(hi)!r}", f"--bins-per-octave={bins}"]
+
     with tempfile.TemporaryDirectory() as tmp:
         wav = Path(tmp) / "clip.wav"
         write_wav(wav, signal(4, 0.3 if tiny else 0.5))
-        for kind, template, small_grid in runs:
+        extra = flags(TINY_GRID) if tiny else []
+        runs = [(kind, argv, wav, extra) for kind, argv in CLI_RUNS[: 1 if tiny else None]]
+        runs += [(kind, argv, wav, []) for kind, argv in CLI_REFUSALS[: 2 if tiny else None]]
+        for rate, grid in () if tiny else RATE_GRIDS:
+            rate_wav = Path(tmp) / f"clip-{rate}Hz.wav"
+            write_wav(rate_wav, signal(7, 0.5, rate), rate)
+            runs += [(f"{kind}-{rate}Hz", argv, rate_wav, flags(grid)) for kind, argv in RATE_RUNS]
+        for kind, template, clip, grid_flags in runs:
             argv = [a.format(o=Path(tmp) / kind) for a in template]
             if argv[0] in ("spectrogram", "features"):
-                argv[1:1] = [str(wav)]
-                argv += flags if small_grid else []
+                argv[1:1] = [str(clip)]
+                argv += grid_flags
             before, printed, errors = set(Path(tmp).iterdir()), io.StringIO(), io.StringIO()
             with contextlib.redirect_stdout(printed), contextlib.redirect_stderr(errors):
                 code = cli_main(argv)

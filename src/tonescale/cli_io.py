@@ -291,7 +291,7 @@ OPTIONS: dict[str, tuple] = {
     "family": (FAMILY_KINDS, "rec-log", "temporal window family"),
     "K": (int, 7, "cascade stages"),
     "c": (float, math.sqrt(2.0), "logarithmic ladder ratio"),
-    "n": (float, 8.0, "carrier periods per window extent; analyze uses it for table 1"),
+    "n": (float, 8.0, "carrier periods per window extent"),
     "tau0_ms": (float, 0.0, "base window extent sigma_0 in ms, added in variance"),
     "bins_per_octave": (int, 48, "log-frequency grid density"),
     "nu_min": (float, midi_from_frequency(80.0), "lowest channel in MIDI units, 69 being 440 Hz"),
@@ -664,16 +664,13 @@ def _write_table_csv(path: str | Path, table: dict) -> None:
 
 
 def cmd_analyze(cfg: dict, wav: str | None) -> int:
-    n = cfg["n"]
     choice = cfg["table"]
     if cfg["out_csv"] is not None and choice is None:
         raise CliError(2, "--out-csv needs --table to pick a single table")
     if choice is not None and int(choice) not in (1, 2, 3):
         raise CliError(2, f"no table {choice}; choose 1, 2, or 3")
-    with _refused_as("n"):  # built whichever tables print, so a bad --n is always refused
-        table1 = bandwidth_constant_table(n)
     builders = {
-        1: (f"Table 1: bandwidth constants C (n={n:g})", lambda: table1),
+        1: ("Table 1: bandwidth constants C", bandwidth_constant_table),
         2: ("Table 2: mean delay in units of sqrt(tau)", delay_mean_table),
         3: ("Table 3: kernel maximum position in units of sqrt(tau)", delay_max_table),
     }
@@ -768,7 +765,7 @@ COMMANDS: dict[str, Subcommand] = {
     "analyze": Subcommand(
         cmd_analyze,
         False,
-        ("table", "n", "out_csv", "config"),
+        ("table", "out_csv", "config"),
         "print the reference tables",
         "Bandwidth constants (table 1), mean delays (table 2), "
         "and kernel maximum positions (table 3). Without --table, prints all three.",

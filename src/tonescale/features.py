@@ -367,7 +367,7 @@ def second_moment_glissando(
     np.multiply(lt, lnu, out=products[..., 1])
     np.multiply(lnu, lnu, out=products[..., 2])
     del lt, lnu  # the integration needs only the products
-    # smooth's two passes, with the products released between them
+    # the temporal pass, then the channel pass, with the products released between them
     integrated, warm_i = _smooth_frames(products, S.frame_rate, integration_temporal)
     del products
     integrated = _smooth_channels(integrated, _channel_gaussian(s_i, dnu), dnu)

@@ -7,12 +7,13 @@ then a backward difference of order alpha in time (so a causal field reads
 no later frame), optionally scale-normalized by tau_a^{alpha/2}
 s^{beta/2}. A central difference commutes with the discrete Gaussian, so
 each spectral derivative is one band product, not a second pass over the
-map. ``smooth`` is the beta = 0 pass without the time difference; stacked
-maps (trailing axes) are smoothed together in one pass. A glissando-adapted
-field (a shear of the time-frequency plane at v semitones/second) is the
-same one pass between two warps along frequency: ``glissando_warp`` to the
-co-moving frame, the passes on its values, and the inverse warp, which is
-equivalent to convolving with the sheared kernel. Every pass takes arrays.
+map. Every field is a derivative of one scale-space map, which is
+``apply_rf`` at alpha = beta = v = 0. A glissando-adapted field (a shear of
+the time-frequency plane at v semitones/second) is the same one pass
+between two warps along frequency: ``glissando_warp`` to the co-moving
+frame, the passes on its values, and the inverse warp, which is equivalent
+to convolving with the sheared kernel. Every pass takes arrays; stacked
+maps (trailing axes) go through the passes together, as each would alone.
 
 The temporal kernels themselves are realised only in
 ``temporal_scale_space``: each smoothing pass builds its kernel once (a
@@ -53,11 +54,12 @@ class RFSpec:
     """Spectro-temporal receptive field parameters.
 
     ``temporal`` is the temporal kernel, a window family at variance tau_a
-    (seconds^2): the Gaussian of the gauss family or a cascade family's
-    ladder at tau_a. ``s`` is the spectral variance in semitones^2; ``v`` the
-    glissando slope in semitones/second; ``alpha``/``beta`` the temporal and
-    spectral derivative orders, whole numbers 0..2, ``alpha`` below a
-    cascade's K. ``normalized`` multiplies responses by ``normalization``.
+    = ``temporal.tau`` (seconds^2): the Gaussian of the gauss family or a
+    cascade family's ladder at tau_a. ``s`` is the spectral variance in
+    semitones^2; ``v`` the glissando slope in semitones/second;
+    ``alpha``/``beta`` the temporal and spectral derivative orders, whole
+    numbers 0..2, ``alpha`` below a cascade's K. ``normalized`` multiplies
+    responses by ``normalization``.
     """
 
     temporal: TemporalKernelSpec
@@ -86,13 +88,9 @@ class RFSpec:
             )
 
     @property
-    def tau_a(self) -> float:
-        return self.temporal.tau
-
-    @property
     def normalization(self) -> float:
         """The scale-normalisation factor tau_a^{alpha/2} s^{beta/2}."""
-        return self.tau_a ** (self.alpha / 2.0) * self.s ** (self.beta / 2.0)
+        return self.temporal.tau ** (self.alpha / 2.0) * self.s ** (self.beta / 2.0)
 
 
 def _warp_values(
@@ -215,35 +213,6 @@ def _smooth_channels(
     return discrete_gaussian_smooth(values, taps, axis=1)
 
 
-def smooth(S: TFMap, temporal: TemporalKernelSpec, s: float) -> tuple[np.ndarray, int]:
-    """Separable scale-space smoothing of ``S.values``; returns (smoothed, warm-up).
-
-    ``temporal`` runs along the frame axis, the discrete Gaussian of
-    variance ``s`` semitones^2 along the channel axis. Trailing axes are
-    independent lanes, so stacked maps are smoothed in one pass exactly as
-    each would be alone. The warm-up counts the frames the temporal kernel
-    adds, read off the one kernel each pass builds.
-
-    A cascade window runs as one block recursion over every lane in the
-    map's own time-major layout, each 32-frame block one product with all
-    the lanes (see ``discrete_recursive_smooth``), within 1e-12
-    of the map's largest magnitude of the stage-by-stage recursion. A Gaussian window and the
-    channel pass are ``discrete_gaussian_smooth``'s band products with
-    mirrored boundaries, within 1e-14 of the map's largest magnitude of
-    SciPy's correlate1d; no part loads SciPy. Either way a constant lane
-    stays exactly constant, and a Gaussian lane comes out bitwise the same
-    whatever lanes are smoothed with it. A map with a non-finite value
-    raises ValueError from either temporal window: the cascade would carry
-    it into earlier frames of its block and the band products into the
-    other outputs of theirs.
-    """
-    RFSpec(temporal, s)  # refuses a spectral scale that is not non-negative and finite
-    values, warm = _smooth_frames(_layer2_values(S), S.frame_rate, temporal)
-    if s > 0:
-        values = _smooth_channels(values, _channel_gaussian(s, S.grid.delta_nu), S.grid.delta_nu)
-    return values, warm
-
-
 def _derivative_t(values: np.ndarray, order: int, dt: float) -> np.ndarray:
     if order == 0:
         return values
@@ -261,14 +230,22 @@ def _derivative_t(values: np.ndarray, order: int, dt: float) -> np.ndarray:
 def apply_rf(S: TFMap, spec: RFSpec) -> TFMap:
     """Apply a spectro-temporal receptive field to a real-valued map.
 
-    The response is an "rf" map on the input's axes. Its metadata extends
-    the input's with the RFSpec ("rf_spec") and the warm-up the second
-    layer added, so a delay-compensated map stays marked as such. One pass
-    over arrays: for v != 0 the warp to the co-moving frame
-    (``glissando_warp``), then the temporal pass of ``smooth``, the channel
-    Gaussian with d_nu^beta folded into its taps, d_t^alpha
-    (``_derivative_t``) and the normalization, and for v != 0 the inverse
-    warp. Complex spectrograms are refused: take their dB map first.
+    The response is an "rf" map on the input's axes; its metadata extends
+    the input's with the RFSpec ("rf_spec"), so a delay-compensated map
+    stays marked as such, and its warm-up adds the frames the temporal
+    kernel and d_t^alpha add. One pass over arrays: for v != 0 the warp to
+    the co-moving frame (``glissando_warp``), the temporal pass, the channel
+    Gaussian with d_nu^beta folded into its taps, d_t^alpha and the
+    normalization, and for v != 0 the inverse warp; at alpha = beta = v = 0
+    that is the scale-space map. A cascade runs as the block recursion of
+    ``discrete_recursive_smooth``, within 1e-12 of the map's peak of the
+    stage-by-stage recursion; a Gaussian window and the channel pass as
+    ``discrete_gaussian_smooth``'s band products with mirrored boundaries,
+    within 1e-14 of SciPy's correlate1d. A constant lane stays exactly
+    constant. Complex maps are refused (take their dB map first), and so is
+    a non-finite value by either temporal window: the cascade would carry it
+    into earlier frames of its block and the band products into the other
+    outputs of theirs.
     """
     values = glissando_warp(S, spec.v).values if spec.v != 0.0 else _layer2_values(S)
     values, warm = _smooth_frames(values, S.frame_rate, spec.temporal)
@@ -284,7 +261,7 @@ def apply_rf(S: TFMap, spec: RFSpec) -> TFMap:
         values=values,
         warmup_frames=S.warmup_frames + warm + spec.alpha,
         kind="rf",
-        metadata={**S.metadata, "rf_spec": spec, "layer2_warmup_frames": warm},
+        metadata={**S.metadata, "rf_spec": spec},
     )
 
 

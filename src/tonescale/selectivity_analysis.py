@@ -225,13 +225,12 @@ def bandwidth_family_rows() -> list[tuple[str, SpectrogramFamily]]:
     return rows
 
 
-def bandwidth_constant_table(n: float = 8.0) -> dict:
+def bandwidth_constant_table() -> dict:
     """Bandwidth constants C for each family at -3, -10, -20, -30 dB.
 
-    C is the detuning in units of 1/n, so the constants hold for any
-    positive window length n; n is only checked.
+    C is the detuning in units of 1/n, so one table holds for every
+    positive window length n.
     """
-    _check_periods(n)
     rows = []
     for label, fam in bandwidth_family_rows():
         rows.append((label, [bandwidth_constant(fam, db) for db in BANDWIDTH_DB_LEVELS]))

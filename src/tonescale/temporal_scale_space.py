@@ -13,17 +13,17 @@ local extrema of a signal.
 No other module realises a temporal kernel: the block recursion over
 ``_block_weights`` is the one discrete cascade realisation, laid out two
 ways over the stages [gain, pole] of ``cascade_sections`` (layer 2 runs
-each ladder time-major through ``_run_ladder`` and
-``discrete_recursive_smooth``; causal layer 1 runs the block rows of its
-one signal through ``_block_cascade``, with the carrier folded into the
-poles), and ``_phase_type`` the one continuous cascade kernel,
-h(t) = e_1 e^{Qt} q for every ladder, uniform or logarithmic, evaluated
-by ``_expm``; ``temporal_profiles`` samples it (and the Gaussian) and the
-delay measures find its maximum and inflection points.
-``ScaleLadder.support`` is the one support rule. ``discrete_gaussian_kernel``
-takes the discrete Gaussian's taps from one inverse FFT of its transfer
-function (``ive``), and ``discrete_gaussian_smooth`` applies the built
-kernel as small band products, as a ladder is applied; neither needs SciPy.
+each ladder time-major through ``discrete_recursive_smooth``; causal
+layer 1 runs the block rows of its one signal through ``_block_cascade``,
+with the carrier folded into the poles), and ``_phase_type`` the one
+continuous cascade kernel, h(t) = e_1 e^{Qt} q for every ladder, uniform
+or logarithmic, evaluated by ``_expm``; ``temporal_profiles`` samples it
+(and the Gaussian) and the delay measures find its maximum and inflection
+points. ``ScaleLadder.support`` is the one support rule.
+``discrete_gaussian_kernel`` takes the discrete Gaussian's taps from one
+inverse FFT of its transfer function (``ive``), and
+``discrete_gaussian_smooth`` applies the built kernel as small band
+products, as a ladder is applied; neither needs SciPy.
 
 A cascade of first-order stages is time-recursive: its whole past is a
 state of K values (Lindeberg 2016, JMIV, "Time-causal and time-recursive
@@ -532,8 +532,8 @@ def _block_cascade(x: np.ndarray, sections: np.ndarray, hop: int) -> np.ndarray:
 
     This is the block-row layout, for causal layer 1: one signal and many
     sets (the channels), so a product's free dimension is the blocks.
-    Layer 2's ladders run time-major instead (``_run_ladder``), since there
-    the lanes are many and the sets one.
+    Layer 2's ladders run time-major instead (``discrete_recursive_smooth``),
+    since there the lanes are many and the sets one.
 
     Blocks of B samples end on a kept sample (the signal is led by hop - 1
     zeros, which leave a resting state at rest). Per chunk of blocks, a GEMM
@@ -599,41 +599,8 @@ def _cascade_group(x, part, hop, out) -> None:
         del rows, product, states, read, kept_out  # freed before the next chunk allocates its own
 
 
-def _run_ladder(x: np.ndarray, ladder: ScaleLadder, axis: int, steady: bool) -> np.ndarray:
-    """A sample-unit ladder along ``axis``, from rest or in steady state at
-    each lane's first sample, in the time-major layout.
-
-    The lanes stay as the map lays them out, (samples, lanes), and each
-    block of _BLOCK_KEPT samples is one product of the ladder's transposed
-    block weights with the block's own rows, less the block's first row r:
-    its outputs and state increments for every lane at once. The state, K
-    rows of lanes, is kept as its deviation from the steady state at r, so
-    a constant stretch settles to its exact value, monotonically, instead
-    of rounding around it, and ``steady`` (that deviation 0 at the start)
-    brings a constant lane back exactly. All lanes, zero-padded to a
-    multiple of _COLUMNS, go through each product at once, with OpenBLAS
-    held to one thread (``_one_blas_thread``), so a lane comes out bitwise
-    the same whatever lanes run beside it. A complex map runs as its real
-    view.
-    """
-    x = x.astype(np.result_type(x.dtype, np.float64), copy=False)
-    moved = np.moveaxis(x, axis, 0)
-    lanes = moved.reshape(moved.shape[0], -1)
-    if lanes.dtype.kind == "c":
-        lanes = np.ascontiguousarray(lanes).view(np.float64)
-    out = np.empty(lanes.shape)
-    if out.size:
-        sections = cascade_sections(ladder)
-        weights, read_out, step = _block_weights(sections[None], 1)
-        unit = sections[:, 1:]  # the pole column, the steady state at input 1
-        weights = weights[:, : _BLOCK_KEPT + ladder.K].T
-        with _one_blas_thread():
-            _ladder_lanes(lanes, weights, read_out[0].T, step[0].T, unit, steady, out)
-    return np.moveaxis(out.view(x.dtype).reshape(moved.shape), 0, axis)
-
-
 def _ladder_lanes(x, weights, read_out, step, unit, steady, out) -> None:
-    """``_run_ladder``'s block recursion over all the lanes, written into ``out``."""
+    """``discrete_recursive_smooth``'s block recursion over all the lanes, written into ``out``."""
     n, lanes = x.shape
     kept, K = read_out.shape
     width = _padded(lanes)
@@ -667,24 +634,39 @@ def discrete_recursive_smooth(
 ) -> np.ndarray:
     """Run a sample-unit ladder along one axis; returns the output at tau_max.
 
-    The K stages of ``cascade_sections(ladder)`` run as one block
-    recursion in the time-major layout (``_run_ladder``): the signal is
-    read along ``axis`` as (samples, lanes), and each block of 32 samples
-    is one product with every lane, where causal layer 1's block-row
-    layout (``_block_cascade``) takes the blocks of few lanes through one
-    product; either runs with OpenBLAS held to one thread. Complex input
-    stays complex. Every stage starts at rest unless ``steady`` is set;
-    then each stage starts in steady state at the input's first sample
-    along ``axis``, so a constant signal comes back exactly. A constant stretch of input settles to its exact value, as a
-    stage-by-stage recursion does, rather than rounding around it.
-    Non-finite input raises ValueError: each block's outputs are one
-    product with all of its samples, so a NaN or infinity would reach the
-    outputs before it, not only those after.
+    The K stages of ``cascade_sections(ladder)`` run as one block recursion
+    in the time-major layout: the lanes stay as the signal lays them out
+    along ``axis``, (samples, lanes), and each block of _BLOCK_KEPT samples
+    is one product of the transposed block weights with every lane's rows,
+    less the block's first row r (causal layer 1's ``_block_cascade`` runs
+    block rows instead). The state is kept as its deviation from the steady
+    state at r, so a constant stretch settles to its exact value rather than
+    rounding around it; with ``steady`` every stage starts in steady state
+    at the first sample, else at rest, so a constant signal comes back
+    exactly. Lanes are zero-padded to a multiple of _COLUMNS and OpenBLAS
+    held to one thread, so a lane comes out bitwise the same whatever lanes
+    run beside it. Complex input stays complex, run as its real view.
+    Non-finite input raises ValueError: each block's outputs are one product
+    with all of its samples, so a NaN or infinity would reach the outputs
+    before it, not only those after.
     """
-    signal = np.asarray(signal)
-    if not np.isfinite(signal).all():
+    x = np.asarray(signal)
+    if not np.isfinite(x).all():
         raise ValueError("input contains non-finite values")
-    return _run_ladder(signal, ladder, axis, steady)
+    sections = cascade_sections(ladder)  # refuses a ladder in seconds, even for an empty input
+    x = x.astype(np.result_type(x.dtype, np.float64), copy=False)
+    moved = np.moveaxis(x, axis, 0)
+    lanes = moved.reshape(moved.shape[0], math.prod(moved.shape[1:]))
+    if lanes.dtype.kind == "c":
+        lanes = np.ascontiguousarray(lanes).view(np.float64)
+    out = np.empty(lanes.shape)
+    if out.size:
+        weights, read_out, step = _block_weights(sections[None], 1)
+        unit = sections[:, 1:]  # the pole column, the steady state at input 1
+        weights = weights[:, : _BLOCK_KEPT + ladder.K].T
+        with _one_blas_thread():
+            _ladder_lanes(lanes, weights, read_out[0].T, step[0].T, unit, steady, out)
+    return np.moveaxis(out.view(x.dtype).reshape(moved.shape), 0, axis)
 
 
 def temporal_profiles(

@@ -103,7 +103,7 @@ def table_values(table: dict) -> np.ndarray:
 
 def test_criterion_01_bandwidth_constant_table():
     start = time.perf_counter()
-    got = table_values(bandwidth_constant_table(8.0))
+    got = table_values(bandwidth_constant_table())
     assert cli_main(["analyze", "--table", "1"]) == 0
     elapsed = time.perf_counter() - start
     diff = np.abs(got - np.array(TABLE1))

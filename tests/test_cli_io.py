@@ -428,7 +428,6 @@ def _extent_rows(key: str) -> list:
 # file: (argv, flag named in the message, library or CLI text). A dict in
 # argv is written as a config file and passed with --config.
 REFUSALS = [
-    *[(["analyze", "--n", n], "--n:", "n " + POSITIVE) for n in ("nan", "inf", "0", "-8")],
     *[(["kernels", "--c", c], "--c:", "ratio c > 1") for c in ("nan", "inf", "1", "0.5")],
     *[([cmd, "--K", "0"], "--K", "stage count K >= 1") for cmd in ("kernels", "spectrogram")],
     (["spectrogram", "--hop-ms", "0"], "--hop-ms", POSITIVE + ", got 0.0"),
@@ -925,7 +924,6 @@ SURFACE = {
     },
     "analyze": {
         "table": (int, None, False),
-        "n": (float, None, False),
         "out_csv": (str, None, False),
         "config": (str, None, False),
     },
@@ -983,7 +981,7 @@ MERGED = {
         "glissando_bank": None,
         "out_json": None,
     },
-    "analyze": {"table": None, "n": 8.0, "out_csv": None},
+    "analyze": {"table": None, "out_csv": None},
     "kernels": {
         "family": "rec-log",
         "K": 7,

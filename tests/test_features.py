@@ -25,7 +25,7 @@ from tonescale.features import (
     second_moment_kernels,
 )
 from tonescale.cli_io import read_grid_csv, write_grid_csv
-from tonescale.receptive_fields import RFSpec, apply_rf, smooth
+from tonescale.receptive_fields import RFSpec, apply_rf
 from tonescale.spectrogram import (
     SpectrogramFamily,
     TFMap,
@@ -454,11 +454,12 @@ def test_second_moment_is_bitwise_the_five_field_formula(window, s, s_i):
 def second_moment_by_stencil(S, s, s_i, temporal, integration_temporal):
     """The three integrated products, with L_nu the stencil pass over the
     smoothed map."""
-    smoothed, _ = smooth(S, temporal, s)
+    smoothed = apply_rf(S, RFSpec(temporal, s)).values
     lt = receptive_fields._derivative_t(smoothed, 1, 1.0 / S.frame_rate)
     lnu = central_difference(smoothed, 1, S.grid.delta_nu)
     products = (lt * lt, lt * lnu, lnu * lnu)
-    return [smooth(replace(S, values=p), integration_temporal, s_i)[0] for p in products]
+    integration = RFSpec(integration_temporal, s_i)
+    return [apply_rf(replace(S, values=p), integration).values for p in products]
 
 
 @pytest.mark.parametrize("s, s_i", [(0.0, 1.0), (S_NU, S_NU), (S_NU, 1.0)])

@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tonescale.features import detect_onsets, enhance_bands
-from tonescale.receptive_fields import RFSpec, apply_rf, glissando_warp, smooth
+from tonescale.receptive_fields import RFSpec, apply_rf, glissando_warp
 from tonescale.selectivity_analysis import (
     bandwidth_constant,
     selectivity_db_at_constant,
@@ -312,7 +312,8 @@ def test_time_scaling_carries_onsets_and_bands_to_tau_over_c_squared(
     delta = max(abs(q / p - 1.0) for p, q in zip(ladder_a.mus, ladder_b.mus)) + 4.0 * u
     rounding = 2.0 * (2.0 * (34 + K) * (1.0 + ladder_a.mu_sum / 32.0) + 64.0) * u
     level = max(np.max(np.abs(la.values)), np.max(np.abs(lb.values)))
-    carried, _ = smooth(replace(la, values=np.abs(lb.values - la.values)), temporal, s)
+    gap = replace(la, values=np.abs(lb.values - la.values))
+    carried = apply_rf(gap, RFSpec(temporal, s)).values
     g = carried + (2.0 * K * delta + rounding) * level
     before = np.vstack([g[:1], g[:-1]])
     left, right = np.hstack([g[:, :1], g[:, :-1]]), np.hstack([g[:, 1:], g[:, -1:]])

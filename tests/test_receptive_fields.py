@@ -11,12 +11,14 @@ from tonescale import receptive_fields
 from tonescale.features import detect_onsets, glissando_filterbank, second_moment_glissando
 from tonescale.receptive_fields import (
     RFSpec,
+    _channel_gaussian,
     _mirror_indices,
+    _smooth_channels,
+    _smooth_frames,
     _warp_values,
     apply_rf,
     glissando_warp,
     rf_kernel_image,
-    smooth,
 )
 from tonescale.spectrogram import (
     SpectrogramFamily,
@@ -84,12 +86,12 @@ def test_rfspec_takes_only_whole_derivative_orders(orders):
 
 def test_each_gaussian_kernel_is_built_once(monkeypatch):
     """A Gaussian temporal pass builds its kernel once and reads the warm-up
-    off it (it built the kernel a second time for the warm-up), and each
-    bank member builds one temporal and one spectral kernel."""
+    off it (it built the kernel a second time for the warm-up): a field
+    builds one temporal and one spectral kernel, as each bank member does."""
     calls = count_calls(monkeypatch, "discrete_gaussian_kernel")
     L = tone_db(duration=0.3)
-    smooth(L, TemporalKernelSpec.gaussian(0.06**2), 0.0)
-    assert len(calls) == 1
+    apply_rf(L, RFSpec(TemporalKernelSpec.gaussian(0.06**2), 0.25))
+    assert len(calls) == 2
     calls.clear()
     bank_tau = 0.06**2
     glissando_filterbank(L, [-24.0, -12.0, 0.0, 12.0, 24.0], bank_tau, 0.25, TemporalKernelSpec.gaussian(bank_tau))
@@ -263,13 +265,11 @@ def test_spectral_smooth_reduces_curvature(rng):
     L = tone_db()
     L.values = rng.normal(size=L.values.shape)
     tk = TemporalKernelSpec.gaussian(4e-4)
-    sm, _ = smooth(L, tk, 1.0)
-    raw, _ = smooth(L, tk, 0.0)
+    sm = apply_rf(L, RFSpec(tk, 1.0)).values
+    raw = apply_rf(L, RFSpec(tk, 0.0)).values
     d2 = np.diff(sm, 2, axis=1)
     d2_raw = np.diff(raw, 2, axis=1)
     assert np.abs(d2).mean() < 0.5 * np.abs(d2_raw).mean()
-    with pytest.raises(ValueError):
-        smooth(L, tk, -1.0)
 
 
 def test_rf_kernel_image_gaussian_separable_closed_form():
@@ -357,10 +357,9 @@ def test_apply_rf_refuses_a_complex_map():
     "operator",
     [
         lambda S: glissando_warp(S, 10.0),
-        lambda S: smooth(S, TemporalKernelSpec.gaussian(4e-4), 0.25),
         lambda S: second_moment_glissando(S, 4e-4, 0.25, 4e-3, 1.0),
     ],
-    ids=["glissando_warp", "smooth", "second_moment"],
+    ids=["glissando_warp", "second_moment"],
 )
 def test_every_layer2_operator_refuses_a_complex_map(operator):
     """The check ``apply_rf`` makes refuses for every other layer-2
@@ -376,7 +375,7 @@ def test_smooth_refuses_a_map_without_frames(temporal):
     L = tone_db(duration=0.05)
     empty = replace(L, values=L.values[:0])
     with pytest.raises(ValueError, match="at least one frame"):
-        smooth(empty, temporal, 0.25)
+        apply_rf(empty, RFSpec(temporal, 0.25))
 
 
 def test_causal_pass_refuses_a_map_at_a_nan_rate():
@@ -384,7 +383,7 @@ def test_causal_pass_refuses_a_map_at_a_nan_rate():
     warm-up of nan samples."""
     L = tone_db(duration=0.05)
     with pytest.raises(ValueError, match="sample rate must be positive and finite, got nan"):
-        smooth(replace(L, sample_rate=math.nan), FAM.temporal(4e-4), 0.25)
+        apply_rf(replace(L, sample_rate=math.nan), RFSpec(FAM.temporal(4e-4), 0.25))
 
 
 @pytest.mark.parametrize("temporal", [TemporalKernelSpec.gaussian(4e-4), FAM.temporal(4e-4)])
@@ -396,7 +395,7 @@ def test_smooth_refuses_a_non_finite_map(temporal, bad):
     values = L.values.copy()
     values[40, 3] = bad
     with pytest.raises(ValueError, match="non-finite"):
-        smooth(replace(L, values=values), temporal, 0.25)
+        apply_rf(replace(L, values=values), RFSpec(temporal, 0.25))
 
 
 @pytest.mark.parametrize(
@@ -457,8 +456,9 @@ def test_gaussian_smooth_is_the_direct_reflect_correlation(
     else:
         L = tone_db(duration=0.05)
         S = replace(L, values=values)
-        got, warm = smooth(S, TemporalKernelSpec.gaussian(scale / L.frame_rate ** 2), 0.0)
-        assert warm == kernel.origin_index
+        resp = apply_rf(S, RFSpec(TemporalKernelSpec.gaussian(scale / L.frame_rate ** 2), 0.0))
+        got = resp.values
+        assert np.all(resp.warmup_frames - S.warmup_frames == kernel.origin_index)
     assert got.shape == values.shape
     assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(values))
 
@@ -469,27 +469,28 @@ def test_gaussian_temporal_lanes_do_not_depend_on_their_neighbours(n_frames, tau
     """A lane smoothed alone, inside a 368-lane map and inside a stack of
     three maps comes out bitwise the same (1 ms frames: s = 400 and
     3600 frames^2)."""
-    L = tone_db(duration=0.05)
     maps = rng.normal(-40.0, 20.0, size=(n_frames, 368, 3))
-    S = replace(L, values=maps, sample_rate=44000.0, hop=44)
     temporal = TemporalKernelSpec.gaussian(tau)
-    stacked, _ = smooth(S, temporal, 0.0)
-    one_map, _ = smooth(replace(S, values=maps[..., 1]), temporal, 0.0)
+    stacked, _ = _smooth_frames(maps, 1000.0, temporal)
+    one_map, _ = _smooth_frames(maps[..., 1], 1000.0, temporal)
     for lane in (0, 5, 367):
-        alone, _ = smooth(replace(S, values=maps[:, lane : lane + 1, 1]), temporal, 0.0)
+        alone, _ = _smooth_frames(maps[:, lane : lane + 1, 1], 1000.0, temporal)
         assert alone[:, 0].tobytes() == one_map[:, lane].tobytes()
         assert alone[:, 0].tobytes() == stacked[:, lane, 1].tobytes()
 
 
 def smoothed_then_differenced(S, spec):
-    """``apply_rf`` with the spectral derivative as a second pass: ``smooth``,
-    the time difference, then ``central_difference`` of the smoothed map."""
+    """``apply_rf`` with the spectral derivative as a second pass: the
+    temporal and channel passes, the time difference, then
+    ``central_difference`` of the smoothed map."""
     if spec.v != 0.0:
         inner = smoothed_then_differenced(glissando_warp(S, spec.v), replace(spec, v=0.0))
         return _warp_values(inner, S.frame_times, -spec.v, S.grid.delta_nu)
-    smoothed, _ = smooth(S, spec.temporal, spec.s)
+    dnu = S.grid.delta_nu
+    smoothed, _ = _smooth_frames(S.values, S.frame_rate, spec.temporal)
+    smoothed = _smooth_channels(smoothed, _channel_gaussian(spec.s, dnu), dnu)
     values = receptive_fields._derivative_t(smoothed, spec.alpha, 1.0 / S.frame_rate)
-    values = central_difference(values, spec.beta, S.grid.delta_nu)
+    values = central_difference(values, spec.beta, dnu)
     return values * spec.normalization if spec.normalized else values
 
 
@@ -551,7 +552,7 @@ def test_gaussian_smooth_keeps_constant_lanes_exactly(rng):
     values = rng.normal(-40.0, 10.0, size=L.values.shape)
     values[:, ::3] = rng.uniform(-120.0, 20.0, size=values[0, ::3].shape)  # constant lanes
     S = replace(L, values=values)
-    smoothed, _ = smooth(S, TemporalKernelSpec.gaussian(0.06 ** 2), 0.0)
+    smoothed = apply_rf(S, gauss_spec(s=0.0, tau_a=0.06 ** 2)).values
     assert np.array_equal(smoothed[:, ::3], values[:, ::3])
     for alpha in (1, 2):
         resp = apply_rf(S, gauss_spec(alpha=alpha, s=0.0, tau_a=0.06 ** 2))

@@ -144,8 +144,6 @@ def test_window_length_must_be_positive_and_finite(n):
             selectivity_db(fam, 1.0, n=n)
     with pytest.raises(ValueError, match="n must be positive and finite"):
         relative_bandwidth(0.1, n)
-    with pytest.raises(ValueError, match="n must be positive and finite"):
-        bandwidth_constant_table(n)
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, -0.1])
@@ -252,7 +250,7 @@ def test_delay_mean_limit_is_the_large_K_asymptote():
 
 
 def test_table_builders_have_expected_shape():
-    t1 = bandwidth_constant_table(8.0)
+    t1 = bandwidth_constant_table()
     assert list(t1["columns"]) == [-3.0, -10.0, -20.0, -30.0]
     assert len(t1["rows"]) == 9  # gauss + 2 K-values x (uniform + 3 ratios)
     assert all(len(cells) == 4 for _, cells in t1["rows"])

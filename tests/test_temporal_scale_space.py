@@ -681,6 +681,24 @@ def test_gaussian_smoothing_refuses_a_non_finite_sample(bad, s):
         discrete_gaussian_smooth(x.T, discrete_gaussian_kernel(s), axis=0)
 
 
+@pytest.mark.parametrize(
+    "shape, axis", [((0,), 0), ((0, 3), 0), ((0, 0), 0), ((4, 0), -1), ((3, 0), 0)]
+)
+def test_smoothers_return_an_empty_input_empty(shape, axis):
+    """An empty smoothing axis raised numpy's reshape error from the cascade,
+    and zero lanes let it take a ladder in seconds, which every other input
+    is refused; the Gaussian returned each empty input as it is shaped.
+    The cascade keeps a complex input complex, empty or not."""
+    ladder = SpectrogramFamily("rec-uni", K=4).ladder(1e-4)
+    got = discrete_gaussian_smooth(np.zeros(shape), discrete_gaussian_kernel(0.25), axis=axis)
+    assert (got.shape, got.dtype) == (shape, np.float64)
+    for x in (np.zeros(shape), np.zeros(shape, dtype=complex)):
+        got = discrete_recursive_smooth(x, discretize_ladder(ladder, 1000.0), axis=axis)
+        assert (got.shape, got.dtype) == (shape, x.dtype)
+        with pytest.raises(ValueError, match="sample units"):
+            discrete_recursive_smooth(x, ladder, axis=axis)
+
+
 def test_discrete_gaussian_kernel_mass_and_variance():
     for s in (0.5, 4.0, 100.0):
         k = discrete_gaussian_kernel(s, epsilon=1e-10)

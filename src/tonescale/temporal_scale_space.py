@@ -796,6 +796,24 @@ def discrete_gaussian_kernel(s_sampl: float, epsilon: float = 1e-6) -> SampledKe
 _BAND_OUTPUTS = 32
 
 
+def _folded_taps(taps: np.ndarray, h: int, n: int) -> np.ndarray:
+    """A centred kernel of half-width h > n folded onto offsets -n .. n,
+    equal in effect on a mirrored axis of n samples.
+
+    The mirrored lane has period 2n, so every tap whose offset t - h has the
+    same residue mod 2n reads the same sample: those taps are summed once,
+    exactly rounded (``math.fsum``). Offsets -n and n share residue n and
+    each take half its sum.
+    """
+    residues = (np.arange(taps.size) - h) % (2 * n)
+    order = np.argsort(residues, kind="stable")
+    counts = np.bincount(residues, minlength=2 * n)
+    sums = np.array([math.fsum(g) for g in np.split(taps[order], np.cumsum(counts)[:-1])])
+    folded = sums[np.arange(-n, n + 1) % (2 * n)]
+    folded[[0, -1]] = sums[n] / 2.0
+    return folded
+
+
 def discrete_gaussian_smooth(x: np.ndarray, kernel: SampledKernel, axis: int = -1) -> np.ndarray:
     """Correlate along one axis with a centred kernel, mirrored boundaries.
 
@@ -810,7 +828,10 @@ def discrete_gaussian_smooth(x: np.ndarray, kernel: SampledKernel, axis: int = -
     -0.0 kept, for s = 0). Every other axis holds independent lanes. Each
     lane is mirror-padded by the kernel's half-width h, and each block of
     _BAND_OUTPUTS outputs is one product of the lanes' (32 + 2h)-sample
-    window with one shared band of the kernel's Toeplitz matrix. Lanes are
+    window with one shared band of the kernel's Toeplitz matrix. A kernel
+    whose half-width h passes the axis length n is first folded onto one
+    period of the mirrored lane (``_folded_taps``), so that each output sums
+    2n + 1 taps, not hundreds that read the same few samples. Lanes are
     gathered in passes of at least _CHUNK_ROWS, and no more than
     _CHUNK_ELEMENTS of the mirrored copy beyond that. The products keep
     ``_matmul``'s rules and run with OpenBLAS held to one thread
@@ -836,6 +857,8 @@ def discrete_gaussian_smooth(x: np.ndarray, kernel: SampledKernel, axis: int = -
     if lanes.ndim == 1:
         lanes, result = lanes[None], result[None]
     n = lanes.shape[-1]
+    if h > n:
+        taps, h = _folded_taps(taps, h, n), n
     blocks = -(-n // _BAND_OUTPUTS)
     width = _BAND_OUTPUTS + 2 * h
     # band[i, j] = taps[i - j]: output j of a block reads window samples j .. j + 2h

@@ -618,18 +618,20 @@ def cmd_features(cfg: dict, wav: str) -> int:
         dropped = len(scored) - len(kept)
         note = f"; dropped {dropped} below --min-level-db" if dropped else ""
         print(f"wrote {cfg['out_json']} ({len(kept)} curves{note})")
+        _warn_warm_channels(band.warmup_frames, band.n_frames)
         return 0
 
     if sel in ("onsets", "offsets", "bands"):
         detect = {"onsets": detect_onsets, "offsets": detect_offsets, "bands": enhance_bands}[sel]
-        values = detect(log, tau_a, s).values
+        resp = detect(log, tau_a, s)
+        values, warm = resp.values, resp.warmup_frames
     elif sel == "glissando_bank":
         est = glissando_filterbank(log, bank, tau_a, s)
         mask = ridge_mask(est.response, est.warmup_frames, cfg["c_min"])
-        values = np.where(mask, est.vhat, 0.0)
+        values, warm = np.where(mask, est.vhat, 0.0), est.warmup_frames
     else:  # second_moment
         field = second_moment_glissando(log, tau_a, s, tau_i, s_i)
-        values = np.where(field.defined, field.vhat, 0.0)
+        values, warm = np.where(field.defined, field.vhat, 0.0), field.warmup_frames
 
     def pgm():
         # rectified maps render on [0, max]; signed slope maps symmetrically
@@ -638,7 +640,19 @@ def cmd_features(cfg: dict, wav: str) -> int:
         return values, 0.0, float(np.max(values)) or 1.0
 
     _write_grid(cfg, log.grid.nu, log.frame_times, values, pgm)  # every feature keeps log's axes
+    _warn_warm_channels(warm, log.n_frames)
     return 0
+
+
+def _warn_warm_channels(warmup_frames, n_frames: int) -> None:
+    """Say on stderr how many channels of a written feature are warm-up in every frame."""
+    warm = int(np.count_nonzero(np.asarray(warmup_frames) >= n_frames))
+    if warm:
+        print(
+            f"warning: {warm} of {len(warmup_frames)} channels are warm-up in all {n_frames} "
+            "frames; the input is shorter than their warm-up",
+            file=sys.stderr,
+        )
 
 
 def _column_label(col) -> str:

@@ -7,10 +7,8 @@ partial-tone curves are sub-bin ridge lines of that band response, found
 for the whole map at once and linked frame by frame; glissando slopes are
 estimated either by the maximum over a bank of shear-adapted filters or
 from the smoothed second-moment matrix of the spectro-temporal gradient.
-The second-moment fit runs one temporal pass per scale: L_t and L_nu come
-from the same temporally smoothed map and one channel Gaussian, L_nu with
-the derivative folded into its taps, and the three products go to the
-integration passes as one stacked array. Without a ``temporal`` kernel the
+The second-moment fit reads L_t and L_nu off one ``ScaleSpace`` and its
+three stacked products' integration off a second. Without a ``temporal`` kernel the
 bank smooths with the zero-phase Gaussian at tau_a, every other feature
 with ``TEMPORAL_FAMILY``; a kernel given must sit at its scale.
 """
@@ -22,15 +20,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from tonescale.receptive_fields import (
-    RFSpec,
-    _channel_gaussian,
-    _derivative_t,
-    _layer2_values,
-    _smooth_channels,
-    _smooth_frames,
-    apply_rf,
-)
+from tonescale.receptive_fields import RFSpec, ScaleSpace, _layer2_values, apply_rf
 from tonescale.spectrogram import TFMap
 from tonescale.temporal_scale_space import SpectrogramFamily, TemporalKernelSpec
 
@@ -357,23 +347,20 @@ def second_moment_glissando(
         tau_a, s, tau_i, s_i, temporal, integration_temporal
     )
     dnu = S.grid.delta_nu
-    frames, warm = _smooth_frames(_layer2_values(S), S.frame_rate, temporal)
-    gaussian = _channel_gaussian(s, dnu)
-    lt = _derivative_t(_smooth_channels(frames, gaussian, dnu), 1, 1.0 / S.frame_rate)
-    lnu = _smooth_channels(frames, gaussian, dnu, beta=1)  # overwrites frames
-    del frames
+    space = ScaleSpace(_layer2_values(S), S.frame_rate, dnu, temporal, s)
+    lt, lnu = space.fields((1, 0), (0, 1))
     products = np.empty(lt.shape + (3,))
     np.multiply(lt, lt, out=products[..., 0])
     np.multiply(lt, lnu, out=products[..., 1])
     np.multiply(lnu, lnu, out=products[..., 2])
     del lt, lnu  # the integration needs only the products
     # the temporal pass, then the channel pass, with the products released between them
-    integrated, warm_i = _smooth_frames(products, S.frame_rate, integration_temporal)
+    integration = ScaleSpace(products, S.frame_rate, dnu, integration_temporal, s_i)
     del products
-    integrated = _smooth_channels(integrated, _channel_gaussian(s_i, dnu), dnu)
+    (integrated,) = integration.fields((0, 0))
     y_tt, y_tnu, y_nunu = np.moveaxis(integrated, -1, 0)
     # L_t's backward difference adds one frame to the derivative warm-up.
-    warmup = np.maximum(S.warmup_frames + warm_i, S.warmup_frames + warm + 1)
+    warmup = np.maximum(S.warmup_frames + integration.warmup, S.warmup_frames + space.warmup + 1)
     floor = 1e-6 * float(np.median(y_nunu))
     defined = y_nunu > max(floor, 0.0)
     vhat = np.zeros_like(y_nunu)

@@ -1,19 +1,19 @@
 """Second-layer spectro-temporal receptive fields over the dB spectrogram.
 
-A receptive field here is a separable pass (``apply_rf``): a causal
-cascade or Gaussian over frame time, then over log-frequency the discrete
-Gaussian with the central difference of order beta folded into its taps,
-then a backward difference of order alpha in time (so a causal field reads
-no later frame), optionally scale-normalized by tau_a^{alpha/2}
-s^{beta/2}. A central difference commutes with the discrete Gaussian, so
-each spectral derivative is one band product, not a second pass over the
-map. Every field is a derivative of one scale-space map, which is
-``apply_rf`` at alpha = beta = v = 0. A glissando-adapted field (a shear of
-the time-frequency plane at v semitones/second) is the same one pass
+Every field is a derivative of one scale-space map L = T(.; tau) *
+g(.; s) * f, and one owner, ``ScaleSpace``, reads them all: a causal
+cascade or Gaussian over frame time, once, then per field over
+log-frequency the discrete Gaussian with the central difference of order
+beta folded into its taps (a central difference commutes with it, so each
+spectral derivative is one band product), then a backward difference of
+order alpha in time, so a causal field reads no later frame. ``apply_rf``
+reads one field, optionally scale-normalized by tau_a^{alpha/2}
+s^{beta/2}; at alpha = beta = v = 0 it is L. A glissando-adapted field (a
+shear of the time-frequency plane at v semitones/second) is the same pass
 between two warps along frequency: ``glissando_warp`` to the co-moving
 frame, the passes on its values, and the inverse warp, which is equivalent
-to convolving with the sheared kernel. Every pass takes arrays; stacked
-maps (trailing axes) go through the passes together, as each would alone.
+to convolving with the sheared kernel. Stacked maps (trailing axes) go
+through the passes together, as each would alone.
 
 The temporal kernels themselves are realised only in
 ``temporal_scale_space``: each smoothing pass builds its kernel once (a
@@ -187,44 +187,60 @@ def _smooth_frames(
     return smoothed, kernel.origin_index
 
 
-def _channel_gaussian(s: float, delta_nu: float) -> SampledKernel:
-    """The discrete Gaussian of variance s semitones^2 along channels."""
-    return discrete_gaussian_kernel(s / delta_nu**2)
+class ScaleSpace:
+    """The scale-space map L = T(.; tau) * g(.; s) * f of ``values``, read once.
 
+    The constructor runs the temporal pass at ``frame_rate``, ``warmup``
+    frames long, and builds the channel Gaussian of variance s semitones^2
+    (channels ``delta_nu`` apart); ``fields`` runs the channel passes."""
 
-def _smooth_channels(
-    values: np.ndarray, gaussian: SampledKernel, delta_nu: float, beta: int = 0
-) -> np.ndarray:
-    """The spectral pass: d_nu^beta of the discrete Gaussian ``gaussian`` along axis 1.
+    def __init__(self, values, frame_rate: float, delta_nu: float, temporal, s: float) -> None:
+        self._frames, self.warmup = _smooth_frames(values, frame_rate, temporal)
+        self._gaussian = discrete_gaussian_kernel(s / delta_nu**2)
+        self._dt, self._delta_nu = 1.0 / frame_rate, delta_nu
 
-    The central difference [-1/2, 0, 1/2] or [1, -2, 1] commutes with the
-    discrete Gaussian (Lindeberg 1990, PAMI, "Scale-space for discrete
-    signals"), so for beta >= 1 it is folded into the taps, centred one
-    channel further out, and applied by the same band products. Those taps
-    sum to 0 only up to rounding, so a derivative pass first subtracts each
-    frame's first channel from ``values``, in place: a frame flat along nu
-    gives exactly 0.
-    """
-    if beta == 0:
-        return discrete_gaussian_smooth(values, gaussian, axis=1)
-    values -= values[:, :1]
-    stencil = np.array([-0.5, 0.0, 0.5] if beta == 1 else [1.0, -2.0, 1.0]) / delta_nu**beta
-    taps = SampledKernel(np.convolve(stencil, gaussian.values), gaussian.origin_index + 1)
-    return discrete_gaussian_smooth(values, taps, axis=1)
+    def fields(self, *orders: tuple[int, int]) -> list[np.ndarray]:
+        """The unnormalized d_t^alpha d_nu^beta L of each (alpha, beta), orders 0..2.
 
-
-def _derivative_t(values: np.ndarray, order: int, dt: float) -> np.ndarray:
-    if order == 0:
-        return values
-    # Backward differences keep the feature path causal: frame n reads only
-    # frames n - order .. n, and the first ``order`` rows (counted as warm-up
-    # by apply_rf) are zero. ``RFSpec`` holds the order to 0..2.
-    out = np.zeros_like(values)
-    if order == 1:
-        out[1:] = (values[1:] - values[:-1]) / dt
-    else:
-        out[2:] = (values[2:] - 2.0 * values[1:-1] + values[:-2]) / (dt * dt)
-    return out
+        Each field is one channel pass. The central difference [-1/2, 0,
+        1/2] or [1, -2, 1] commutes with the discrete Gaussian (Lindeberg
+        1990, PAMI, "Scale-space for discrete signals"), so for beta >= 1 it
+        is folded into the taps, centred one channel further out. Those taps
+        sum to 0 only up to rounding, so each frame's first channel is taken
+        off first: a frame flat along nu gives exactly 0. A backward
+        difference of order alpha follows, so frame n reads only frames
+        n - alpha .. n (the first alpha rows are 0). The last field takes
+        over the temporal pass's array and the others copy it, so a field
+        is the same wherever it is asked for. A second read raises ValueError.
+        """
+        if not all(_integer(k) and 0 <= k <= 2 for order in orders for k in order):
+            raise ValueError(f"derivative orders must lie in 0..2 as whole numbers, got {orders}")
+        frames, self._frames = self._frames, None
+        dt = self._dt
+        if frames is None:
+            raise ValueError("a scale space is read once; its fields were already taken")
+        out = []
+        for k, (alpha, beta) in enumerate(orders):
+            if k == len(orders) - 1:
+                values, frames = frames, None
+            else:
+                values = frames.copy() if beta else frames
+            taps = self._gaussian
+            if beta:
+                values -= values[:, :1]
+                stencil = [-0.5, 0.0, 0.5] if beta == 1 else [1.0, -2.0, 1.0]
+                stencil = np.array(stencil) / self._delta_nu**beta
+                taps = SampledKernel(np.convolve(stencil, taps.values), taps.origin_index + 1)
+            values = discrete_gaussian_smooth(values, taps, axis=1)
+            if alpha:
+                field = np.zeros_like(values)
+                if alpha == 1:
+                    field[1:] = (values[1:] - values[:-1]) / dt
+                else:
+                    field[2:] = (values[2:] - 2.0 * values[1:-1] + values[:-2]) / (dt * dt)
+                values = field
+            out.append(values)
+        return out
 
 
 def apply_rf(S: TFMap, spec: RFSpec) -> TFMap:
@@ -234,24 +250,21 @@ def apply_rf(S: TFMap, spec: RFSpec) -> TFMap:
     the input's with the RFSpec ("rf_spec"), so a delay-compensated map
     stays marked as such, and its warm-up adds the frames the temporal
     kernel and d_t^alpha add. One pass over arrays: for v != 0 the warp to
-    the co-moving frame (``glissando_warp``), the temporal pass, the channel
-    Gaussian with d_nu^beta folded into its taps, d_t^alpha and the
-    normalization, and for v != 0 the inverse warp; at alpha = beta = v = 0
-    that is the scale-space map. A cascade runs as the block recursion of
-    ``discrete_recursive_smooth``, within 1e-12 of the map's peak of the
-    stage-by-stage recursion; a Gaussian window and the channel pass as
-    ``discrete_gaussian_smooth``'s band products with mirrored boundaries,
-    within 1e-14 of SciPy's correlate1d. A constant lane stays exactly
-    constant. Complex maps are refused (take their dB map first), and so is
-    a non-finite value by either temporal window: the cascade would carry it
-    into earlier frames of its block and the band products into the other
-    outputs of theirs.
+    the co-moving frame (``glissando_warp``), the field of one
+    ``ScaleSpace``, the normalization, and for v != 0 the inverse warp. A
+    cascade runs as the block recursion of ``discrete_recursive_smooth``,
+    within 1e-12 of the map's peak of the stage-by-stage recursion; a
+    Gaussian window and the channel pass as ``discrete_gaussian_smooth``'s
+    band products with mirrored boundaries, within 1e-14 of SciPy's
+    correlate1d. A constant lane stays exactly constant. Complex maps are
+    refused (take their dB map first), and so is a non-finite value by
+    either temporal window: the cascade would carry it into earlier frames
+    of its block and the band products into the other outputs of theirs.
     """
-    values = glissando_warp(S, spec.v).values if spec.v != 0.0 else _layer2_values(S)
-    values, warm = _smooth_frames(values, S.frame_rate, spec.temporal)
     dnu = S.grid.delta_nu
-    values = _smooth_channels(values, _channel_gaussian(spec.s, dnu), dnu, spec.beta)
-    values = _derivative_t(values, spec.alpha, 1.0 / S.frame_rate)
+    values = glissando_warp(S, spec.v).values if spec.v != 0.0 else _layer2_values(S)
+    space = ScaleSpace(values, S.frame_rate, dnu, spec.temporal, spec.s)
+    (values,) = space.fields((spec.alpha, spec.beta))
     if spec.normalized:
         values *= spec.normalization
     if spec.v != 0.0:
@@ -259,7 +272,7 @@ def apply_rf(S: TFMap, spec: RFSpec) -> TFMap:
     return replace(
         S,
         values=values,
-        warmup_frames=S.warmup_frames + warm + spec.alpha,
+        warmup_frames=S.warmup_frames + space.warmup + spec.alpha,
         kind="rf",
         metadata={**S.metadata, "rf_spec": spec},
     )

@@ -838,13 +838,17 @@ def discrete_gaussian_smooth(x: np.ndarray, kernel: SampledKernel, axis: int = -
     (``_one_blas_thread``), so a lane comes out bitwise the same whatever
     lanes are smoothed with it and whatever the pass size. Non-finite input
     raises ValueError: through the band's zeros a NaN or infinity would
-    reach every output of its block.
+    reach every output of its block, and a complex array raises ValueError
+    rather than losing its imaginary part.
     """
     taps, h = kernel.values, kernel.origin_index
     if taps.shape != (2 * h + 1,):
         raise ValueError(
             f"a centred kernel has 2 * origin_index + 1 = {2 * h + 1} taps, got {taps.shape}"
         )
+    x = np.asarray(x)
+    if np.iscomplexobj(x):
+        raise ValueError(f"discrete_gaussian_smooth takes a real array, got dtype {x.dtype}")
     x = np.asarray(x, dtype=float)
     if not np.isfinite(x).all():
         raise ValueError("input contains non-finite values")

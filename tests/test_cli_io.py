@@ -531,6 +531,31 @@ def test_cli_refuses_a_bad_argument_before_any_work(
     assert not any(path.exists() for path in outs)
 
 
+@pytest.mark.parametrize(
+    "seconds, flags, shape, warning",
+    [
+        (0.1, [], (101, 368), "warning: 368 of 368 channels are warm-up in all 101 frames"),
+        (0.5, ["--nu-min", "84"], (502, 190), None),
+    ],
+)
+def test_cli_features_warns_of_channels_warm_up_in_every_frame(
+    seconds, flags, shape, warning, tmp_path, capsys
+):
+    """A clip shorter than the band field's warm-up still writes its map and
+    exits 0, and stderr says how many channels never leave warm-up; a clip
+    long enough for every channel says nothing."""
+    wav, out = tmp_path / "clip.wav", tmp_path / "b.csv"
+    write_wav(wav, sine(440.0, seconds, 44100.0), 44100.0)
+    assert cli_main(["features", str(wav), "--bands", *flags, "--out-csv", str(out)]) == 0
+    stdout, err = capsys.readouterr()
+    assert stdout == f"wrote {out}\n"
+    if warning is None:
+        assert err == ""
+    else:
+        assert err == warning + "; the input is shorter than their warm-up\n"
+    assert read_grid_csv(out)[2].shape == shape
+
+
 def test_cli_requires_an_output(tone_wav, capsys):
     assert cli_main(["spectrogram", str(tone_wav)]) == 2
     assert "error: no output requested" in capsys.readouterr().err

@@ -7,7 +7,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from tonescale import receptive_fields
 from tonescale.features import (
     _link_ridges,
     _ridge_points,
@@ -25,7 +24,7 @@ from tonescale.features import (
     second_moment_kernels,
 )
 from tonescale.cli_io import read_grid_csv, write_grid_csv
-from tonescale.receptive_fields import RFSpec, apply_rf
+from tonescale.receptive_fields import RFSpec, ScaleSpace, apply_rf
 from tonescale.spectrogram import (
     SpectrogramFamily,
     TFMap,
@@ -454,8 +453,8 @@ def test_second_moment_is_bitwise_the_five_field_formula(window, s, s_i):
 def second_moment_by_stencil(S, s, s_i, temporal, integration_temporal):
     """The three integrated products, with L_nu the stencil pass over the
     smoothed map."""
-    smoothed = apply_rf(S, RFSpec(temporal, s)).values
-    lt = receptive_fields._derivative_t(smoothed, 1, 1.0 / S.frame_rate)
+    space = ScaleSpace(S.values, S.frame_rate, S.grid.delta_nu, temporal, s)
+    lt, smoothed = space.fields((1, 0), (0, 0))
     lnu = central_difference(smoothed, 1, S.grid.delta_nu)
     products = (lt * lt, lt * lnu, lnu * lnu)
     integration = RFSpec(integration_temporal, s_i)
@@ -793,12 +792,25 @@ def test_second_moment_peak_memory_is_at_most_seven_and_a_half_maps(rng):
     assert peak <= 7.5
 
 
-def test_glissando_bank_peak_memory_is_at_most_twelve_maps(rng):
+LAYER2_PEAKS = {  # feature on a map L: (run, bound in maps)
+    "band_response": (lambda L: band_response(L, TAU_A, S_NU), 3.5),
+    "detect_onsets": (lambda L: detect_onsets(L, TAU_A, S_NU), 3.5),
+    "gaussian_bank": (
+        lambda L: glissando_filterbank(
+            L, [-24.0, -12.0, 0.0, 12.0, 24.0], 0.06 ** 2, S_NU, TemporalKernelSpec.gaussian(0.06 ** 2)
+        ),
+        7.5,
+    ),
+}
+
+
+@pytest.mark.parametrize("feature", sorted(LAYER2_PEAKS))
+def test_layer2_feature_peak_memory_stays_within_its_bound(feature, rng):
+    """One field's temporal and channel passes and its time difference hold
+    about three maps at once; the 5-member bank about seven."""
     L = default_grid_db_map(0.5, rng)
-    window = TemporalKernelSpec.gaussian(0.06 ** 2)
-    bank = [-24.0, -12.0, 0.0, 12.0, 24.0]
-    peak = peak_maps(L, lambda: glissando_filterbank(L, bank, 0.06 ** 2, S_NU, window))
-    assert peak <= 12.0
+    run, bound = LAYER2_PEAKS[feature]
+    assert peak_maps(L, lambda: run(L)) <= bound
 
 
 def test_glissando_bank_visits_a_repeated_slope_once(monkeypatch):

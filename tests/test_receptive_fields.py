@@ -7,13 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.ndimage import correlate1d
 
-from tonescale import receptive_fields
 from tonescale.features import detect_onsets, glissando_filterbank, second_moment_glissando
 from tonescale.receptive_fields import (
     RFSpec,
-    _channel_gaussian,
+    ScaleSpace,
     _mirror_indices,
-    _smooth_channels,
     _smooth_frames,
     _warp_values,
     apply_rf,
@@ -479,6 +477,41 @@ def test_gaussian_temporal_lanes_do_not_depend_on_their_neighbours(n_frames, tau
         assert alone[:, 0].tobytes() == stacked[:, lane, 1].tobytes()
 
 
+SCALE_SPACE_ORDERS = [(alpha, beta) for alpha in range(3) for beta in range(3)]
+
+
+@pytest.mark.parametrize("family", ["gauss", "rec-uni"])
+def test_scale_space_fields_are_the_same_alone_first_or_last(family, rng):
+    """Each (alpha, beta) field of a ``ScaleSpace`` is bitwise the same read
+    alone, first or last, or among all nine: the last field takes over the
+    temporal pass's array, and the others copy it before the beta
+    subtraction. The input is left as it was."""
+    values = rng.normal(-40.0, 15.0, size=(150, 40))
+    before = values.copy()
+    temporal = SpectrogramFamily(family, K=4).temporal(0.01 ** 2)
+
+    def read(*orders):
+        return ScaleSpace(values, 1000.0, 0.25, temporal, 0.5).fields(*orders)
+
+    alone = {order: read(order)[0].tobytes() for order in SCALE_SPACE_ORDERS}
+    reads = [(order, other) for order in SCALE_SPACE_ORDERS for other in [(1, 1), (0, 2)]]
+    reads += [pair[::-1] for pair in reads] + [SCALE_SPACE_ORDERS, SCALE_SPACE_ORDERS[::-1]]
+    for orders in reads:
+        for order, field in zip(orders, read(*orders)):
+            assert field.tobytes() == alone[order], (orders, order)
+    assert values.tobytes() == before.tobytes()
+
+
+def test_scale_space_is_read_once_at_orders_0_to_2(rng):
+    space = ScaleSpace(rng.normal(size=(30, 8)), 1000.0, 0.25, TemporalKernelSpec.gaussian(1e-4), 0.5)
+    for bad in [(3, 0), (0, -1), (0.5, 0)]:
+        with pytest.raises(ValueError, match="0..2"):
+            space.fields((0, 0), bad)
+    space.fields((0, 0))  # a refused read takes nothing
+    with pytest.raises(ValueError, match="read once"):
+        space.fields((0, 1))
+
+
 def smoothed_then_differenced(S, spec):
     """``apply_rf`` with the spectral derivative as a second pass: the
     temporal and channel passes, the time difference, then
@@ -487,9 +520,8 @@ def smoothed_then_differenced(S, spec):
         inner = smoothed_then_differenced(glissando_warp(S, spec.v), replace(spec, v=0.0))
         return _warp_values(inner, S.frame_times, -spec.v, S.grid.delta_nu)
     dnu = S.grid.delta_nu
-    smoothed, _ = _smooth_frames(S.values, S.frame_rate, spec.temporal)
-    smoothed = _smooth_channels(smoothed, _channel_gaussian(spec.s, dnu), dnu)
-    values = receptive_fields._derivative_t(smoothed, spec.alpha, 1.0 / S.frame_rate)
+    space = ScaleSpace(S.values, S.frame_rate, dnu, spec.temporal, spec.s)
+    (values,) = space.fields((spec.alpha, 0))
     values = central_difference(values, spec.beta, dnu)
     return values * spec.normalization if spec.normalized else values
 

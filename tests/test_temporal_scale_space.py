@@ -943,6 +943,14 @@ def test_discrete_gaussian_smooth_refuses_a_kernel_not_centred_on_its_origin(ker
         discrete_gaussian_smooth(np.zeros(10), kernel)
 
 
+@pytest.mark.parametrize("dtype", [np.complex128, np.complex64])
+def test_discrete_gaussian_smooth_refuses_a_complex_array_by_its_dtype(dtype):
+    """A complex array is refused, not cast to its real part."""
+    x = (np.ones((5, 3)) + 2j).astype(dtype)
+    with pytest.raises(ValueError, match=np.dtype(dtype).name):
+        discrete_gaussian_smooth(x, discrete_gaussian_kernel(0.25), axis=0)
+
+
 def test_discrete_gaussian_smooth_at_s_0_is_a_copy_that_keeps_negative_zeros(rng):
     x = rng.normal(size=(5, 40))
     x[:, ::3] = -0.0

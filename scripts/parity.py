@@ -19,7 +19,8 @@ first half of frames; ``discrete_gaussian_smooth`` along every axis of
 1-3-D arrays, with length-1 axes and s = 0; ``discrete_recursive_smooth``
 for K 1-12 on both ladders, from rest and steady; Gauss layer 1, ``to_db``
 and ``enhance_bands`` on the gauss-corpus bench's 77-channel grid at its
-settings, on a 1 s clip; seven CLI commands on a seeded WAV, the
+settings, on a 1 s clip, and that map again on its third call in the
+process; seven CLI commands on a seeded WAV, the
 ``kernels`` files of each family and of a sheared second-derivative field,
 and ``analyze``'s tables 1-3 as CSV; ``spectrogram --db`` and ``features
 --onsets`` as CSV on seeded WAVs at 8 and 22.05 kHz; and the bad
@@ -265,10 +266,18 @@ def _corpus_maps(tiny: bool):
 
 
 def corpus_layer1(tiny: bool):
+    import tonescale as ts
+
     spec, log, _ = _corpus_maps(tiny)
     yield "gauss-corpus/spectrogram", spec.values
     yield "gauss-corpus/spectrogram/warmup", np.asarray(spec.warmup_frames)
     yield "gauss-corpus/db", log.values
+    # The same clip twice more in a row: where the tree holds tap
+    # transforms, the third call reads those held since the second.
+    x, grid = signal(5, 0.2 if tiny else 1.0), _grid(ts, tiny, CORPUS_GRID)
+    for _ in range(2):
+        again = ts.compute_spectrogram(x, RATE, grid, ts.SpectrogramFamily("gauss"), HOP)
+    yield "gauss-corpus/spectrogram/third-call", again.values
 
 
 def corpus_layer2(tiny: bool):

@@ -16,6 +16,7 @@ import itertools
 import math
 import numbers
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
@@ -266,12 +267,67 @@ def _gauss_kernels(scales: tuple[float, ...]) -> tuple[SampledKernel, ...]:
     read-only, since every caller gets the same arrays. The taps take about
     2.4 MB for a 77-channel grid from 200 Hz to 16 kHz at 12 bins per
     octave and about 24 MB for the default 368-channel grid at 44.1 kHz, so
-    the memo holds at most ``_GAUSS_GRIDS_KEPT`` times that.
+    the memo holds at most ``_GAUSS_GRIDS_KEPT`` times that. The channels'
+    tap transforms are held apart from the taps, for one layout
+    (``_TransformPlan``).
     """
     kernels = tuple(discrete_gaussian_kernel(s) for s in scales)
     for kernel in kernels:
         kernel.values.flags.writeable = False
     return kernels
+
+
+class _TransformPlan:
+    """The Gaussian tap transforms of one layout, held from its second call
+    in a row.
+
+    A layout is everything a channel's transform depends on: the kernel
+    scales, omega / rate, the hop and each overlap-save group's block
+    length Q (``_block_groups``). The signal length is not part of it, so
+    clips whose groups all run in blocks share one plan. The plan holds,
+    per group and batch, the stacked transforms (Q, hop, channels) that
+    ``_fold_batch``'s product reads, read-only: 8 hop Q bytes per channel,
+    9.2 MB for a 77-channel grid from 200 Hz to 16 kHz on a 1 s clip at
+    44.1 kHz and hop 44, and for the default 368-channel grid 101 MB on a
+    2 s clip and 83 MB on any clip of 5 s or more. A layout's first call
+    builds its transforms on the workers and frees each batch's after its
+    fold, so a process that calls once (every CLI command) holds nothing
+    beyond the kernels. The next call on the same layout builds and keeps
+    them, and every later call on it reads them, skipping
+    ``_tap_transform``. At most one layout is held: holding another frees
+    it. The products read the same bits either way, so the maps do not
+    depend on whether the plan was held.
+    """
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self.clear()
+
+    def clear(self) -> None:
+        with self._lock:
+            self.last = None  # the layout of the latest call
+            self.layout = None  # the layout held
+            self.transforms = None  # per group, per batch
+
+    def lookup(self, layout: tuple):
+        """(the held transforms or None, whether to keep those built)."""
+        with self._lock:
+            again, self.last = layout == self.last, layout
+            if layout == self.layout:
+                return self.transforms, False
+            return None, again
+
+    def hold(self, layout: tuple, transforms: tuple) -> None:
+        with self._lock:
+            self.layout, self.transforms = layout, transforms
+
+    @property
+    def nbytes(self) -> int:
+        held = self.transforms or ()
+        return sum(gains.nbytes for group in held for gains in group)
+
+
+_TRANSFORM_PLAN = _TransformPlan()
 
 
 def _tap_transform(kernel: SampledKernel, w: float, m: int) -> np.ndarray:
@@ -385,7 +441,7 @@ def _demodulate(block: np.ndarray, first: int, omega, hop: int, sample_rate: flo
     block *= np.exp(-1j * omega * t[:, None])
 
 
-def _fold_batch(kernels, omega, sample_rate, values, planes, per_block, batch) -> None:
+def _fold_batch(kernels, omega, sample_rate, values, keep, planes, per_block, batch, gains):
     """The frames of the Gaussian channels ``batch`` from their group's
     block ``planes`` (q, 2 blocks, hop), written into ``values``.
 
@@ -397,17 +453,19 @@ def _fold_batch(kernels, omega, sample_rate, values, planes, per_block, batch) -
     inverse FFT of length q per block and channel then gives the frames,
     of which the first ``per_block`` are kept, and ``_demodulate`` takes
     the carriers (channels at ``omega``, rad/s) off them on this thread.
+    ``gains`` is the batch's stack from a held plan, or None to build it
+    here; the stack is returned, read-only, if ``keep``, else freed.
     Runs on a worker thread: numpy only.
     """
     q, rows, hop = planes.shape
     width = len(batch)
-    gains = None
-    for i, ch in enumerate(batch):
-        gain = _tap_transform(kernels[ch], omega[ch] / sample_rate, hop * q)
-        if gains is None:  # after the first transform, whose scratch is freed by then
-            gains = np.empty((q, hop, width))
-        gains[:, :, i] = gain.reshape(hop, q).T
-        del gain
+    if gains is None:
+        for i, ch in enumerate(batch):
+            gain = _tap_transform(kernels[ch], omega[ch] / sample_rate, hop * q)
+            if gains is None:  # after the first transform, whose scratch is freed by then
+                gains = np.empty((q, hop, width))
+            gains[:, :, i] = gain.reshape(hop, q).T
+            del gain
     n_frames = values.shape[0]
     step = max(1, _FOLD_ELEMENTS // (2 * q * width))
     for lo in range(0, rows // 2, step):
@@ -424,12 +482,17 @@ def _fold_batch(kernels, omega, sample_rate, values, planes, per_block, batch) -
         del frames
         _demodulate(out, f0, omega[batch], hop, sample_rate)
         values[f0:f1, batch] = out
+    if not keep:
+        return None
+    gains.flags.writeable = False
+    return gains
 
 
-def _gauss_group(pool, x, fold, hop, channels, half, q, per_block, blocks) -> None:
+def _gauss_group(pool, x, fold, hop, held, channels, half, q, per_block, blocks) -> tuple:
     """One overlap-save group on ``pool``: its block spectra, then its
-    channels' batches (``fold``). The spectra are freed on return, before
-    the next group builds its own."""
+    channels' batches (``fold``), each on its ``held`` transforms, None
+    where the plan holds none. Returns what ``fold`` returns per batch. The
+    spectra are freed on return, before the next group builds its own."""
     planes = np.empty((q, blocks, 2, hop))
     step = max(1, _FOLD_ELEMENTS // (hop * q))
     spans = [(lo, min(blocks, lo + step)) for lo in range(0, blocks, step)]
@@ -438,7 +501,8 @@ def _gauss_group(pool, x, fold, hop, channels, half, q, per_block, blocks) -> No
     planes = planes.reshape(q, 2 * blocks, hop)
     width = max(1, min(_BATCH_CHANNELS, _BATCH_ELEMENTS // (hop * q)))
     batches = [channels[i : i + width] for i in range(0, len(channels), width)]
-    list(pool.map(fold, itertools.repeat(planes), itertools.repeat(per_block), batches))
+    folds = pool.map(fold, itertools.repeat(planes), itertools.repeat(per_block), batches, held)
+    return tuple(folds)
 
 
 def compute_spectrogram(
@@ -492,6 +556,12 @@ def compute_spectrogram(
     beyond them a batch's stacked transforms (at most 1 << 15 reals, or one
     channel's hop Q), one transform's scratch and a fold of bounded size,
     none of which grows with the signal once the blocks are shorter than it.
+    The transforms depend on the layout (scales, omega / rate, hop and each
+    group's Q) and not on the samples: from a layout's second call in a row
+    on, the process holds them, 8 hop Q bytes per channel (9.2 MB for the
+    77-channel grid at 1 s, about 100 MB for the default grid at 2 s), and
+    later calls on that layout read them instead of building them
+    (``_TransformPlan``). A single call holds none.
 
     Both agree with smoothing the modulated signal directly to within 1e-9
     of the signal peak (the bound tests enforce). Ladders, stages,
@@ -541,15 +611,24 @@ def compute_spectrogram(
         for lo in range(0, n_frames, _DEMODULATE_FRAMES):
             _demodulate(values[lo : lo + _DEMODULATE_FRAMES], lo, grid.omega, hop, sample_rate)
     else:
-        kernels = _gauss_kernels(tuple((grid.tau_window * sample_rate * sample_rate).tolist()))
+        scales = tuple((grid.tau_window * sample_rate * sample_rate).tolist())
+        kernels = _gauss_kernels(scales)
         reach = [kernel.origin_index for kernel in kernels]  # half-widths, samples
+        groups = _block_groups(reach, n, hop)
+        w = tuple((grid.omega / sample_rate).tolist())
+        layout = (scales, w, hop, tuple(q for _, _, q, _, _ in groups))
+        plan, keep = _TRANSFORM_PLAN.lookup(layout)
+        plan = plan or [itertools.repeat(None)] * len(groups)
         values = np.empty((n_frames, grid.n_channels), dtype=complex)
-        fold = functools.partial(_fold_batch, kernels, grid.omega, sample_rate, values)
+        fold = functools.partial(_fold_batch, kernels, grid.omega, sample_rate, values, keep)
         # The cap is left last, after the pool has finished every task, also
         # when one raises.
         with _one_blas_thread(), ThreadPoolExecutor(_worker_count(grid.n_channels)) as pool:
-            for group in _block_groups(reach, n, hop):
-                _gauss_group(pool, x, fold, hop, *group)
+            built = tuple(
+                _gauss_group(pool, x, fold, hop, held, *group) for group, held in zip(groups, plan)
+            )
+        if keep:
+            _TRANSFORM_PLAN.hold(layout, built)
     return TFMap(
         values=values,
         grid=grid,

@@ -523,25 +523,67 @@ def _bits(a: np.ndarray) -> bytes:
     return a.dtype.str.encode() + a.tobytes()
 
 
-def test_gauss_kernels_are_reused_with_bitwise_equal_maps(rng):
-    """Cold, warm, and again after another grid evicted nothing it needs."""
+def _count_tap_transforms(monkeypatch) -> list:
+    """Record the length of every ``_tap_transform`` call, one per channel
+    whose transform is built."""
+    calls = []
+    transform = spectrogram._tap_transform
+
+    def spy(kernel, w, m):
+        calls.append(m)
+        return transform(kernel, w, m)
+
+    monkeypatch.setattr(spectrogram, "_tap_transform", spy)
+    return calls
+
+
+def _clear_gauss_memos() -> None:
+    spectrogram._gauss_kernels.cache_clear()
+    spectrogram._TRANSFORM_PLAN.clear()
+
+
+def test_gauss_kernels_are_reused_with_bitwise_equal_maps(monkeypatch, rng):
+    """A layout's first call builds its tap transforms and frees them, the
+    second builds and holds them, and the third and later read them: all
+    three maps are bitwise equal. A clip of another length whose groups
+    all run in blocks has the same layout and reads the held plan; a clip
+    short enough that a group runs as one block has other block lengths,
+    so another layout, as has another grid. Another layout's first call
+    leaves the held plan as it is, and a cold call on it gives the same
+    bits."""
     rate, fam = 8000.0, SpectrogramFamily(kind="gauss")
-    a = build_frequency_grid(50.0, 80.0, 12)
-    b = build_frequency_grid(55.0, 85.0, 24)
-    x = rng.normal(size=2000)
-    spectrogram._gauss_kernels.cache_clear()
-    maps = [compute_spectrogram(x, rate, g, fam, hop=7) for g in (a, a, b, a)]
+    a = build_frequency_grid(70.0, 100.0, 12)
+    b = build_frequency_grid(72.0, 96.0, 24)
+    x, y, z = rng.normal(size=6000), rng.normal(size=8000), rng.normal(size=2000)
+    kernels = spectrogram._gauss_kernels(tuple((a.tau_window * rate * rate).tolist()))
+    for n in (x.size, y.size):  # both lengths run every group in blocks
+        groups = spectrogram._block_groups([k.origin_index for k in kernels], n, 7)
+        assert all(blocks > 1 for *_, blocks in groups)
+    _clear_gauss_memos()
+    plan = spectrogram._TRANSFORM_PLAN
+    transforms = _count_tap_transforms(monkeypatch)
+    maps, built, held = [], [], []
+    for g, clip in ((a, x), (a, x), (a, x), (b, x), (a, x), (a, y), (a, z)):
+        maps.append(compute_spectrogram(clip, rate, g, fam, hop=7))
+        built.append(len(transforms))
+        held.append(plan.nbytes)
+        transforms.clear()
+    assert built == [a.n_channels, a.n_channels, 0, b.n_channels, 0, 0, a.n_channels]
+    assert held[0] == 0 and held[1] > 0 and held[1:] == [held[1]] * 6
     info = spectrogram._gauss_kernels.cache_info()
-    assert (info.misses, info.hits) == (2, 2)
-    cold_b = maps.pop(2)
-    spectrogram._gauss_kernels.cache_clear()
-    assert _bits(compute_spectrogram(x, rate, b, fam, hop=7).values) == _bits(cold_b.values)
+    assert (info.misses, info.hits) == (2, 5)
+    short, other_length, cold_b = maps.pop(), maps.pop(), maps.pop(3)
+    for g, clip, S in ((b, x, cold_b), (a, y, other_length), (a, z, short)):
+        _clear_gauss_memos()
+        assert _bits(compute_spectrogram(clip, rate, g, fam, hop=7).values) == _bits(S.values)
     for S in maps[1:]:
         assert _bits(S.values) == _bits(maps[0].values)
         assert np.array_equal(S.warmup_frames, maps[0].warmup_frames)
 
 
 def test_gauss_kernel_memo_is_read_only_and_bounded():
+    """The kernel memo keeps two grids; the plan holds one layout, whose
+    transforms are read-only, and holding a second layout frees the first."""
     spectrogram._gauss_kernels.cache_clear()
     kept = spectrogram._gauss_kernels.cache_info().maxsize
     for k in range(kept + 2):
@@ -550,6 +592,22 @@ def test_gauss_kernel_memo_is_read_only_and_bounded():
             with pytest.raises(ValueError, match="read-only"):
                 kernel.values[0] = 0.0
     assert spectrogram._gauss_kernels.cache_info().currsize == kept
+    plan, fam = spectrogram._TRANSFORM_PLAN, SpectrogramFamily(kind="gauss")
+    plan.clear()
+    x = sine(440.0, 0.25, 8000.0)
+    layouts = []
+    for grid in (build_frequency_grid(60.0, 72.0, 12), build_frequency_grid(62.0, 74.0, 12)):
+        for _ in range(2):
+            compute_spectrogram(x, 8000.0, grid, fam)
+        layouts.append(plan.layout)
+        held = [gains for group in plan.transforms for gains in group]
+        assert sum(gains.shape[-1] for gains in held) == grid.n_channels
+        for gains in held:
+            with pytest.raises(ValueError, match="read-only"):
+                gains[0, 0, 0] = 0.0
+    assert layouts[0] != layouts[1] and plan.layout == layouts[1]
+    plan.clear()
+    assert plan.transforms is None and plan.nbytes == 0
 
 
 # The default CLI grid (368 channels, 80 Hz to 16 kHz, 48 bins per octave)
@@ -567,12 +625,12 @@ def test_gauss_map_from_transform_taps_matches_scipy_taps(grid, monkeypatch, rng
     within 1e-15 of the signal peak, with the same warm-up."""
     x = rng.normal(size=2205)
     fam = SpectrogramFamily(kind="gauss")
-    spectrogram._gauss_kernels.cache_clear()
+    _clear_gauss_memos()
     got = compute_spectrogram(x, 44100.0, grid, fam)
     monkeypatch.setattr(temporal_scale_space, "ive", scipy.special.ive)
-    spectrogram._gauss_kernels.cache_clear()
+    _clear_gauss_memos()
     want = compute_spectrogram(x, 44100.0, grid, fam)
-    spectrogram._gauss_kernels.cache_clear()
+    _clear_gauss_memos()  # nothing built from SciPy's taps outlives the test
     assert np.array_equal(got.warmup_frames, want.warmup_frames)
     assert np.max(np.abs(got.values - want.values)) <= 1e-15 * np.max(np.abs(x))
 
@@ -586,25 +644,75 @@ def test_discrete_gaussian_kernel_returns_a_fresh_writable_array():
 
 
 def test_two_threads_building_one_grid_get_bitwise_equal_maps(rng):
+    """Two threads on one grid, first with nothing built, then on the
+    transforms the plan holds: four bitwise-equal maps."""
     rate, fam = 8000.0, SpectrogramFamily(kind="gauss")
     grid = build_frequency_grid(45.0, 90.0, 24)
     x = rng.normal(size=2000)
-    spectrogram._gauss_kernels.cache_clear()
-    results = [None, None]
-    start = threading.Barrier(2, timeout=30)
+    _clear_gauss_memos()
+    results = []
+
+    def run_pair():
+        pair = [None, None]
+        start = threading.Barrier(2, timeout=30)
+
+        def run(i):
+            start.wait()
+            pair[i] = compute_spectrogram(x, rate, grid, fam, hop=5)
+
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+        assert not any(t.is_alive() for t in threads)
+        results.extend(pair)
+
+    run_pair()
+    compute_spectrogram(x, rate, grid, fam, hop=5)  # a second call in a row holds the plan
+    assert spectrogram._TRANSFORM_PLAN.nbytes > 0
+    run_pair()
+    for S in results[1:]:
+        assert _bits(S.values) == _bits(results[0].values)
+        assert np.array_equal(S.warmup_frames, results[0].warmup_frames)
+
+
+def test_threads_switching_layouts_get_each_layouts_cold_bits(rng):
+    """Four threads, more than the cores, each call two layouts in turn,
+    switching as often as the interpreter allows, so that the plan is
+    looked up, built, held and replaced under every interleaving: each map
+    is bitwise the cold map of its layout, which a plan held under the
+    wrong layout would break."""
+    rate, fam = 8000.0, SpectrogramFamily(kind="gauss")
+    grids = [build_frequency_grid(60.0, 84.0, 12), build_frequency_grid(62.0, 86.0, 12)]
+    x = rng.normal(size=1500)
+    cold = []
+    for grid in grids:
+        _clear_gauss_memos()
+        cold.append(_bits(compute_spectrogram(x, rate, grid, fam, hop=5).values))
+    _clear_gauss_memos()
+    for _ in range(2):  # the threads start with the first layout held
+        compute_spectrogram(x, rate, grids[0], fam, hop=5)
+    maps = {}
 
     def run(i):
-        start.wait()
-        results[i] = compute_spectrogram(x, rate, grid, fam, hop=5)
+        for call in range(6):
+            which = (i + call // 2) % 2  # two calls in a row on each layout
+            S = compute_spectrogram(x, rate, grids[which], fam, hop=5)
+            maps[i, call] = _bits(S.values) == cold[which]
 
-    threads = [threading.Thread(target=run, args=(i,)) for i in range(2)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join(timeout=120)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
-    assert _bits(results[0].values) == _bits(results[1].values)
-    assert np.array_equal(results[0].warmup_frames, results[1].warmup_frames)
+    assert len(maps) == 24 and all(maps.values())
 
 
 # The real tap transform against the complex FFT of the placed complex taps,
@@ -754,7 +862,8 @@ def test_gauss_layer1_temporaries_do_not_grow_with_the_signal(monkeypatch):
     the block spectra of one group grows with the signal:
     from 2 to 8 s the map grows by 4.4 MB and the largest group's spectra
     by 1.3 MB, the rest by no more than the slack of a few allocator
-    blocks. The kernels are built before either call is traced."""
+    blocks. The kernels are built, and the plan's transforms cleared,
+    before each call is traced, so each is a first call."""
     rate, hop = 8000.0, 8
     grid = build_frequency_grid(55.0, 100.0, 12)
     fam = SpectrogramFamily(kind="gauss")
@@ -766,32 +875,35 @@ def test_gauss_layer1_temporaries_do_not_grow_with_the_signal(monkeypatch):
         groups = spectrogram._block_groups(halves, int(seconds * rate), hop)
         assert all(blocks > 1 for *_, blocks in groups)
         spectra = max(16 * hop * q * blocks for _, _, q, _, blocks in groups)
+        spectrogram._TRANSFORM_PLAN.clear()  # both lengths have one layout
         return _extra_bytes(seconds, grid, fam) - spectra
 
     short, long_ = beyond_spectra(2.0), beyond_spectra(8.0)
     assert abs(long_ - short) <= 16 * 1024
 
 
-@pytest.mark.parametrize(
+_MEMORY_CASES = pytest.mark.parametrize(
     "grid, seconds",
     [(_DEFAULT_GRID, 2.0), (_GRID_77, 1.0)],
     ids=["default-grid-2s", "77-channels-1s"],
 )
-def test_gauss_layer1_temporaries_stay_within_one_complex_array_per_worker(
-    grid, seconds, monkeypatch
-):
-    """On one worker, the Gauss path holds beyond its map and its frame
-    times at most 2.5 complex arrays of M samples, M the whole-signal
-    transform length (hop Q >= N + the largest half-width): one group's
-    block spectra (up to 1.65 such arrays) and a batch's tap transforms
-    with their scratch. It peaks at 2.11 (77 channels, 1 s) and 2.07
-    (368 channels, 2 s). The whole-signal spectrum and per-channel M-long
-    transforms this replaced peaked at 2.17 and 2.38; wider batches for the
-    long blocks reach 2.51 on the 77-channel grid."""
+
+
+def _gauss_extra_bytes(grid, seconds: float, held: bool, monkeypatch) -> tuple[int, int]:
+    """Peak bytes of a traced 44.1 kHz Gauss call on one worker beyond its
+    map and one complex array of M samples, and M, the whole-signal
+    transform length (hop Q >= N + the largest half-width). The kernels
+    are built outside the trace, and the transforms too if ``held``;
+    otherwise the traced call is the layout's first."""
     rate, fam = 44100.0, SpectrogramFamily(kind="gauss")
     x = sine(440.0, seconds, rate)
     _allow_cpus(monkeypatch, 1)
     compute_spectrogram(x, rate, grid, fam)  # builds the kernels outside the trace
+    if held:
+        compute_spectrogram(x, rate, grid, fam)  # a second call in a row holds the plan
+    else:
+        spectrogram._TRANSFORM_PLAN.clear()
+    assert (spectrogram._TRANSFORM_PLAN.nbytes > 0) == held
     kernels = spectrogram._gauss_kernels(tuple((grid.tau_window * rate * rate).tolist()))
     hop = spectrogram._frame_hop(None, rate)
     longest = max(kernel.origin_index for kernel in kernels)
@@ -802,8 +914,67 @@ def test_gauss_layer1_temporaries_stay_within_one_complex_array_per_worker(
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    extra = peak - S.values.nbytes - 16 * m
+    return peak - S.values.nbytes - 16 * m, m
+
+
+@_MEMORY_CASES
+def test_gauss_layer1_temporaries_stay_within_one_complex_array_per_worker(
+    grid, seconds, monkeypatch
+):
+    """On one worker, a first Gauss call holds beyond its map and its frame
+    times at most 2.5 complex arrays of M samples: one group's block
+    spectra (up to 1.65 such arrays) and a batch's tap transforms with
+    their scratch. It peaks at 2.11 (77 channels, 1 s) and 2.07 (368
+    channels, 2 s). The whole-signal spectrum and per-channel M-long
+    transforms this replaced peaked at 2.17 and 2.38; wider batches for the
+    long blocks reach 2.51 on the 77-channel grid."""
+    extra, m = _gauss_extra_bytes(grid, seconds, False, monkeypatch)
     assert extra <= 1.5 * 16 * m
+
+
+@_MEMORY_CASES
+def test_gauss_layer1_temporaries_on_a_held_plan_stay_within_one_complex_array_per_worker(
+    grid, seconds, monkeypatch
+):
+    """A call on held transforms builds none, so it stays within the first
+    call's bound of 2.5 complex arrays of M samples beyond its map: it
+    peaks at 2.09 (77 channels, 1 s) and 2.02 (368 channels, 2 s). The
+    held transforms were allocated before the trace."""
+    extra, m = _gauss_extra_bytes(grid, seconds, True, monkeypatch)
+    assert extra <= 1.5 * 16 * m
+
+
+def test_a_held_plan_takes_8_hop_q_bytes_per_channel():
+    """A channel's held transform is hop Q reals at its group's block
+    length: 9.2 MB for the 77-channel grid on a 1 s clip at hop 44."""
+    rate, fam = 44100.0, SpectrogramFamily(kind="gauss")
+    x = sine(440.0, 1.0, rate)
+    _clear_gauss_memos()
+    for _ in range(2):
+        S = compute_spectrogram(x, rate, _GRID_77, fam)
+    kernels = spectrogram._gauss_kernels(tuple((_GRID_77.tau_window * rate * rate).tolist()))
+    groups = spectrogram._block_groups([k.origin_index for k in kernels], x.size, S.hop)
+    want = sum(8 * S.hop * q * len(channels) for channels, _, q, _, _ in groups)
+    assert spectrogram._TRANSFORM_PLAN.nbytes == want
+    assert S.hop == 44 and round(want / 1e6, 1) == 9.2
+
+
+def test_a_first_gauss_call_holds_nothing_beyond_the_kernels():
+    """With its kernels built, a layout's first call leaves behind its map
+    and the layout's key (11 KB on this grid), and none of the 9.2 MB of
+    transforms a held plan takes."""
+    rate, fam = 44100.0, SpectrogramFamily(kind="gauss")
+    x = sine(440.0, 1.0, rate)
+    _clear_gauss_memos()
+    spectrogram._gauss_kernels(tuple((_GRID_77.tau_window * rate * rate).tolist()))
+    tracemalloc.start()
+    try:
+        S = compute_spectrogram(x, rate, _GRID_77, fam)
+        kept, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert spectrogram._TRANSFORM_PLAN.transforms is None
+    assert kept - S.values.nbytes <= 32 * 1024
 
 
 @pytest.mark.parametrize("hop", [1, 7, 441])

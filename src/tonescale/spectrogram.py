@@ -15,9 +15,7 @@ import functools
 import itertools
 import math
 import numbers
-import os
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -230,16 +228,6 @@ _BATCH_CHANNELS = 8
 _FOLD_ELEMENTS = 1 << 14
 
 
-def _worker_count(tasks: int) -> int:
-    """Threads for the Gaussian branch's pool, whose tasks are block-spectra
-    spans and channel batches: the CPUs this process may use, at most ``tasks``."""
-    if hasattr(os, "sched_getaffinity"):
-        cpus = len(os.sched_getaffinity(0))
-    else:
-        cpus = os.cpu_count() or 1
-    return min(cpus, tasks)
-
-
 def _frame_hop(hop, sample_rate: float) -> int:
     """Samples between frames: 1 ms by default, else a positive whole number."""
     if hop is None:
@@ -290,7 +278,7 @@ class _TransformPlan:
     9.2 MB for a 77-channel grid from 200 Hz to 16 kHz on a 1 s clip at
     44.1 kHz and hop 44, and for the default 368-channel grid 101 MB on a
     2 s clip and 83 MB on any clip of 5 s or more. A layout's first call
-    builds its transforms on the workers and frees each batch's after its
+    builds its transforms batch by batch and frees each batch's after its
     fold, so a process that calls once (every CLI command) holds nothing
     beyond the kernels. The next call on the same layout builds and keeps
     them, and every later call on it reads them, skipping
@@ -352,7 +340,7 @@ def _tap_transform(kernel: SampledKernel, w: float, m: int) -> np.ndarray:
     cos -= sin
     cos *= right
     placed[m - half :] += cos[:0:-1]
-    del angle, sin, cos  # before the transform: a worker then holds placed and Y alone
+    del angle, sin, cos  # before the transform: only placed and Y are held through it
     pairs = np.fft.rfft(placed).view(float).reshape(-1, 2)
     re, im = pairs[:, 0], pairs[:, 1]
     np.subtract(re, im, out=placed[: m // 2 + 1])
@@ -452,10 +440,9 @@ def _fold_batch(kernels, omega, sample_rate, values, keep, planes, per_block, ba
     bins that keeping every hop-th sample of the circular product is. One
     inverse FFT of length q per block and channel then gives the frames,
     of which the first ``per_block`` are kept, and ``_demodulate`` takes
-    the carriers (channels at ``omega``, rad/s) off them on this thread.
+    the carriers (channels at ``omega``, rad/s) off them.
     ``gains`` is the batch's stack from a held plan, or None to build it
     here; the stack is returned, read-only, if ``keep``, else freed.
-    Runs on a worker thread: numpy only.
     """
     q, rows, hop = planes.shape
     width = len(batch)
@@ -488,21 +475,19 @@ def _fold_batch(kernels, omega, sample_rate, values, keep, planes, per_block, ba
     return gains
 
 
-def _gauss_group(pool, x, fold, hop, held, channels, half, q, per_block, blocks) -> tuple:
-    """One overlap-save group on ``pool``: its block spectra, then its
-    channels' batches (``fold``), each on its ``held`` transforms, None
-    where the plan holds none. Returns what ``fold`` returns per batch. The
-    spectra are freed on return, before the next group builds its own."""
+def _gauss_group(x, fold, hop, held, channels, half, q, per_block, blocks) -> tuple:
+    """One overlap-save group: its block spectra, then its channels'
+    batches (``fold``), each on its ``held`` transforms, None where the
+    plan holds none. Returns what ``fold`` returns per batch. The spectra
+    are freed on return, before the next group builds its own."""
     planes = np.empty((q, blocks, 2, hop))
     step = max(1, _FOLD_ELEMENTS // (hop * q))
-    spans = [(lo, min(blocks, lo + step)) for lo in range(0, blocks, step)]
-    spectra = functools.partial(_block_spectra, x, half, hop * per_block)
-    list(pool.map(spectra, spans, itertools.repeat(planes)))
+    for lo in range(0, blocks, step):
+        _block_spectra(x, half, hop * per_block, (lo, min(blocks, lo + step)), planes)
     planes = planes.reshape(q, 2 * blocks, hop)
     width = max(1, min(_BATCH_CHANNELS, _BATCH_ELEMENTS // (hop * q)))
     batches = [channels[i : i + width] for i in range(0, len(channels), width)]
-    folds = pool.map(fold, itertools.repeat(planes), itertools.repeat(per_block), batches, held)
-    return tuple(folds)
+    return tuple(fold(planes, per_block, batch, gains) for batch, gains in zip(batches, held))
 
 
 def compute_spectrogram(
@@ -547,15 +532,13 @@ def compute_spectrogram(
     frequency), so a batch of channels folds every block at once as one
     product (Q, 2 blocks, hop) @ (Q, hop, channels), and one inverse FFT of
     length Q per block and channel gives its frames (``_fold_batch``).
-    The spectra are built, and the batches folded, on a thread pool sized to
-    the CPUs this process may use, with OpenBLAS held to one thread; each
-    channel is computed and written by one thread alone, with the same
-    blocks and batches whatever the thread count, so the map does not
-    depend on it. A group's spectra take about 1.5 to 2 complex values per
-    signal sample, or one per sample of its one block; each worker holds
-    beyond them a batch's stacked transforms (at most 1 << 15 reals, or one
-    channel's hop Q), one transform's scratch and a fold of bounded size,
-    none of which grows with the signal once the blocks are shorter than it.
+    The spectra are built, and the batches folded, on the calling thread
+    with OpenBLAS held to one thread, as for the causal families. A group's
+    spectra take about 1.5 to 2 complex values per signal sample, or one
+    per sample of its one block; the call holds beyond them a batch's
+    stacked transforms (at most 1 << 15 reals, or one channel's hop Q), one
+    transform's scratch and a fold of bounded size, none of which grows
+    with the signal once the blocks are shorter than it.
     The transforms depend on the layout (scales, omega / rate, hop and each
     group's Q) and not on the samples: from a layout's second call in a row
     on, the process holds them, 8 hop Q bytes per channel (9.2 MB for the
@@ -621,11 +604,9 @@ def compute_spectrogram(
         plan = plan or [itertools.repeat(None)] * len(groups)
         values = np.empty((n_frames, grid.n_channels), dtype=complex)
         fold = functools.partial(_fold_batch, kernels, grid.omega, sample_rate, values, keep)
-        # The cap is left last, after the pool has finished every task, also
-        # when one raises.
-        with _one_blas_thread(), ThreadPoolExecutor(_worker_count(grid.n_channels)) as pool:
+        with _one_blas_thread():
             built = tuple(
-                _gauss_group(pool, x, fold, hop, held, *group) for group, held in zip(groups, plan)
+                _gauss_group(x, fold, hop, held, *group) for group, held in zip(groups, plan)
             )
         if keep:
             _TRANSFORM_PLAN.hold(layout, built)

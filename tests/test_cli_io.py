@@ -45,13 +45,14 @@ def pcm_fmt(tag: int, channels: int, rate: int, bits: int) -> bytes:
 # WAV decoding
 
 
-def _run_without_scipy(code: str) -> None:
-    """Run ``code`` in a fresh interpreter, then assert no SciPy module loaded."""
+def _run_without(code: str, *packages: str) -> None:
+    """Run ``code`` in a fresh interpreter, then assert that no module of
+    ``packages`` loaded."""
     src = os.path.dirname(os.path.dirname(cli_io.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     check = (
         "\nimport sys"
-        "\nloaded = sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))"
+        f"\nloaded = sorted(m for m in sys.modules if m.split('.')[0] in {packages!r})"
         "\nassert not loaded, loaded[:5]"
     )
     env = {**os.environ, "PYTHONPATH": path}
@@ -64,7 +65,14 @@ def _run_without_scipy(code: str) -> None:
 def test_cli_import_leaves_scipy_signal_unloaded():
     """Every CLI call pays for its imports; importing any SciPy submodule
     clones the numpy namespace (0.35-0.45 s), so the CLI loads none."""
-    _run_without_scipy("import tonescale.cli_io")
+    _run_without("import tonescale.cli_io", "scipy")
+
+
+def test_cli_import_loads_no_thread_pool_or_logging():
+    """Layer 1 runs on the calling thread, so the CLI imports neither
+    ``concurrent.futures`` nor the ``logging`` it pulls in: together about
+    9 ms of every start-up."""
+    _run_without("import tonescale.cli_io", "concurrent", "logging")
 
 
 def test_every_command_runs_without_scipy(tmp_path):
@@ -88,9 +96,10 @@ def test_every_command_runs_without_scipy(tmp_path):
         ["kernels", "--family", "gauss", "--out-csv", o + ".csv"],
         ["kernels", "--rf", "--beta", "2", "--out-csv", o + ".csv"],
     ]
-    _run_without_scipy(
+    _run_without(
         "from tonescale.cli_io import cli_main\n"
-        f"for argv in {commands!r}:\n    assert cli_main(argv) == 0, argv"
+        f"for argv in {commands!r}:\n    assert cli_main(argv) == 0, argv",
+        "scipy",
     )
 
 

@@ -1,9 +1,9 @@
 """The parity harness, ``scripts/parity.py``, on its tiny set.
 
 Two records of one tree must compare bitwise, also when the second runs on
-one CPU (one layer-1 worker, single-threaded BLAS), and a change past an
-artifact's bound, or a changed exit code, must fail the comparison; a
-changed error message is listed without failing it.
+one CPU (single-threaded BLAS), and a change past an artifact's bound, or a
+changed exit code, must fail the comparison; a changed error message is
+listed without failing it.
 """
 
 import hashlib

@@ -401,60 +401,6 @@ def test_fuzzed_grids_give_a_gauss_map_within_the_layer1_bound(
     assert np.max(np.abs(S.values - ref)) <= LAYER1_RTOL * np.max(np.abs(x))
 
 
-def _spy_on_pools(monkeypatch) -> list:
-    """Record the worker count of every pool compute_spectrogram opens."""
-    pools = []
-    pool = spectrogram.ThreadPoolExecutor
-
-    def spy(max_workers):
-        pools.append(max_workers)
-        return pool(max_workers=max_workers)
-
-    monkeypatch.setattr(spectrogram, "ThreadPoolExecutor", spy)
-    return pools
-
-
-def _allow_cpus(monkeypatch, cpus: int) -> None:
-    monkeypatch.setattr(
-        spectrogram.os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False
-    )
-
-
-def _assert_map_ignores_the_worker_count(fam, monkeypatch, rng) -> None:
-    """On 1, 4 and 64 allowed CPUs and on a CPU count of 3, over a signal
-    long enough that the Gauss channels run in blocks (3 or more per group),
-    in batches of which the last is partial."""
-    rate, hop = 8000.0, 11
-    grid = build_frequency_grid(60.0, 72.0, 12)
-    x = rng.normal(size=16000)
-    kernels = spectrogram._gauss_kernels(tuple((grid.tau_window * rate * rate).tolist()))
-    groups = spectrogram._block_groups([k.origin_index for k in kernels], x.size, hop)
-    assert max(blocks for *_, blocks in groups) >= 3
-    widths = [
-        min(spectrogram._BATCH_CHANNELS, spectrogram._BATCH_ELEMENTS // (hop * q))
-        for _, _, q, _, _ in groups
-    ]
-    assert any(len(g[0]) > w and len(g[0]) % w for g, w in zip(groups, widths))
-    pools = _spy_on_pools(monkeypatch)
-    maps = []
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)  # switch threads as often as possible
-    try:
-        for cpus in (1, 4, 64):
-            _allow_cpus(monkeypatch, cpus)
-            maps.append(compute_spectrogram(x, rate, grid, fam, hop=hop))
-    finally:
-        sys.setswitchinterval(interval)
-    # Without an affinity mask the CPU count is the limit.
-    monkeypatch.delattr(spectrogram.os, "sched_getaffinity", raising=False)
-    monkeypatch.setattr(spectrogram.os, "cpu_count", lambda: 3)
-    maps.append(compute_spectrogram(x, rate, grid, fam, hop=hop))
-    assert pools == [1, 4, grid.n_channels, 3]
-    for S in maps[1:]:
-        assert np.array_equal(S.values, maps[0].values)
-        assert np.array_equal(S.warmup_frames, maps[0].warmup_frames)
-
-
 _CAUSAL_MAPS = """
 import hashlib, sys
 import numpy as np
@@ -495,28 +441,38 @@ def test_causal_map_does_not_depend_on_the_worker_count(kind):
     assert len(digests) == 1
 
 
-def test_gauss_map_does_not_depend_on_the_worker_count(monkeypatch, rng):
-    fam = SpectrogramFamily(kind="gauss")
-    _assert_map_ignores_the_worker_count(fam, monkeypatch, rng)
-
-
-def test_gauss_kernels_are_built_on_the_calling_thread(monkeypatch):
-    """Library functions, which a tracer may wrap, never run on a worker thread."""
-    callers = []
-    build = spectrogram.discrete_gaussian_kernel
-
-    def spy(s_sampl):
-        callers.append(threading.get_ident())
-        return build(s_sampl)
-
-    monkeypatch.setattr(spectrogram, "discrete_gaussian_kernel", spy)
-    spectrogram._gauss_kernels.cache_clear()  # earlier tests may have built this grid
-    pools = _spy_on_pools(monkeypatch)
-    _allow_cpus(monkeypatch, 4)
+def test_gauss_layer1_runs_on_the_calling_thread(monkeypatch, rng):
+    """With 4 CPUs allowed, a Gauss call starts no thread: the kernels (one
+    per channel), the block spectra, the tap transforms and the batch folds
+    all run on the calling thread, over a signal long enough that the
+    channels run in blocks (3 or more per group)."""
+    rate, hop = 8000.0, 11
     grid = build_frequency_grid(60.0, 72.0, 12)
-    compute_spectrogram(sine(440.0, 0.2, 8000.0), 8000.0, grid, SpectrogramFamily(kind="gauss"))
-    assert pools == [4]
-    assert callers == [threading.get_ident()] * grid.n_channels
+    x = rng.normal(size=16000)
+    kernels = spectrogram._gauss_kernels(tuple((grid.tau_window * rate * rate).tolist()))
+    groups = spectrogram._block_groups([k.origin_index for k in kernels], x.size, hop)
+    assert max(blocks for *_, blocks in groups) >= 3
+    _clear_gauss_memos()  # the call builds every kernel and transform
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)), raising=False)
+    callers = {}
+
+    def spy_on(owner, name):
+        call = getattr(owner, name)
+
+        def spy(*args):
+            callers.setdefault(name, []).append(threading.get_ident())
+            return call(*args)
+
+        monkeypatch.setattr(owner, name, spy)
+
+    steps = ("_block_spectra", "_fold_batch", "_tap_transform", "discrete_gaussian_kernel")
+    for name in steps:
+        spy_on(spectrogram, name)
+    spy_on(threading.Thread, "start")
+    compute_spectrogram(x, rate, grid, SpectrogramFamily(kind="gauss"), hop=hop)
+    threads = {name: set(idents) for name, idents in callers.items()}
+    assert threads == dict.fromkeys(steps, {threading.get_ident()})
+    assert len(callers["discrete_gaussian_kernel"]) == grid.n_channels
 
 
 def _bits(a: np.ndarray) -> bytes:
@@ -809,11 +765,8 @@ def test_gauss_map_stays_within_its_bound_of_the_complex_tap_map(grid, rng):
 def test_degenerate_stage_is_refused_before_any_worker_starts(kind, monkeypatch):
     # Windows of 3e-4 carrier periods: the upper channels' first stage
     # constants fall below MIN_STAGE_MU_SAMPLES. The refusal comes before
-    # the block recursion (and so any BLAS thread) starts; the causal path
-    # never opens the channel pool.
+    # the block recursion (and so any BLAS thread) starts.
     grid = build_frequency_grid(60.0, 96.0, 12, law=WindowScaleLaw(n=3e-4))
-    pools = _spy_on_pools(monkeypatch)
-    _allow_cpus(monkeypatch, 4)
     runs = []
     block_cascade = spectrogram._block_cascade
 
@@ -829,7 +782,6 @@ def test_degenerate_stage_is_refused_before_any_worker_starts(kind, monkeypatch)
     low = build_frequency_grid(60.0, 62.0, 12, law=WindowScaleLaw(n=3e-4))
     compute_spectrogram(x, 8000.0, low, SpectrogramFamily(kind=kind))
     assert runs == [low.n_channels]
-    assert pools == []
 
 
 def _extra_bytes(seconds: float, grid: FrequencyGrid, fam) -> int:
@@ -856,10 +808,10 @@ def test_causal_layer1_temporaries_do_not_grow_with_the_signal(kind):
     assert long_ - short <= 16 * 1024
 
 
-def test_gauss_layer1_temporaries_do_not_grow_with_the_signal(monkeypatch):
+def test_gauss_layer1_temporaries_do_not_grow_with_the_signal():
     """A group's blocks and batches do not depend on the signal length once
-    every group runs in blocks, so on one worker nothing but the map and
-    the block spectra of one group grows with the signal:
+    every group runs in blocks, so nothing but the map and the block
+    spectra of one group grows with the signal:
     from 2 to 8 s the map grows by 4.4 MB and the largest group's spectra
     by 1.3 MB, the rest by no more than the slack of a few allocator
     blocks. The kernels are built, and the plan's transforms cleared,
@@ -867,7 +819,6 @@ def test_gauss_layer1_temporaries_do_not_grow_with_the_signal(monkeypatch):
     rate, hop = 8000.0, 8
     grid = build_frequency_grid(55.0, 100.0, 12)
     fam = SpectrogramFamily(kind="gauss")
-    _allow_cpus(monkeypatch, 1)
     kernels = spectrogram._gauss_kernels(tuple((grid.tau_window * rate * rate).tolist()))
     halves = [kernel.origin_index for kernel in kernels]
 
@@ -889,15 +840,14 @@ _MEMORY_CASES = pytest.mark.parametrize(
 )
 
 
-def _gauss_extra_bytes(grid, seconds: float, held: bool, monkeypatch) -> tuple[int, int]:
-    """Peak bytes of a traced 44.1 kHz Gauss call on one worker beyond its
-    map and one complex array of M samples, and M, the whole-signal
+def _gauss_extra_bytes(grid, seconds: float, held: bool) -> tuple[int, int]:
+    """Peak bytes of a traced 44.1 kHz Gauss call beyond its map and one
+    complex array of M samples, and M, the whole-signal
     transform length (hop Q >= N + the largest half-width). The kernels
     are built outside the trace, and the transforms too if ``held``;
     otherwise the traced call is the layout's first."""
     rate, fam = 44100.0, SpectrogramFamily(kind="gauss")
     x = sine(440.0, seconds, rate)
-    _allow_cpus(monkeypatch, 1)
     compute_spectrogram(x, rate, grid, fam)  # builds the kernels outside the trace
     if held:
         compute_spectrogram(x, rate, grid, fam)  # a second call in a row holds the plan
@@ -918,29 +868,27 @@ def _gauss_extra_bytes(grid, seconds: float, held: bool, monkeypatch) -> tuple[i
 
 
 @_MEMORY_CASES
-def test_gauss_layer1_temporaries_stay_within_one_complex_array_per_worker(
-    grid, seconds, monkeypatch
-):
-    """On one worker, a first Gauss call holds beyond its map and its frame
+def test_gauss_layer1_temporaries_stay_within_one_complex_array_per_worker(grid, seconds):
+    """A first Gauss call holds beyond its map and its frame
     times at most 2.5 complex arrays of M samples: one group's block
     spectra (up to 1.65 such arrays) and a batch's tap transforms with
     their scratch. It peaks at 2.11 (77 channels, 1 s) and 2.07 (368
     channels, 2 s). The whole-signal spectrum and per-channel M-long
     transforms this replaced peaked at 2.17 and 2.38; wider batches for the
     long blocks reach 2.51 on the 77-channel grid."""
-    extra, m = _gauss_extra_bytes(grid, seconds, False, monkeypatch)
+    extra, m = _gauss_extra_bytes(grid, seconds, False)
     assert extra <= 1.5 * 16 * m
 
 
 @_MEMORY_CASES
 def test_gauss_layer1_temporaries_on_a_held_plan_stay_within_one_complex_array_per_worker(
-    grid, seconds, monkeypatch
+    grid, seconds
 ):
     """A call on held transforms builds none, so it stays within the first
     call's bound of 2.5 complex arrays of M samples beyond its map: it
     peaks at 2.09 (77 channels, 1 s) and 2.02 (368 channels, 2 s). The
     held transforms were allocated before the trace."""
-    extra, m = _gauss_extra_bytes(grid, seconds, True, monkeypatch)
+    extra, m = _gauss_extra_bytes(grid, seconds, True)
     assert extra <= 1.5 * 16 * m
 
 
